@@ -7,8 +7,8 @@
 /// \file
 /// Drives the library only through its public entry points (`Solver::solve`,
 /// `Solver::open`, `SolverSession::solve`, `bp::parseProgram`/`buildCfg`,
-/// `reach::verifyWitness`, and the getafixd line-JSON protocol served by
-/// `server::Server`) on one seeded workload, checks every verdict and
+/// `reach::verifyWitness`, and the line-JSON protocol of a getafixd process
+/// it starts) on one seeded workload, checks every verdict and
 /// witness against ground truth the solver does not provide, and prints one
 /// JSON result line:
 ///
@@ -24,7 +24,7 @@
 ///   seq-drivers   one-shot sequential solves of 12 reachable and 12
 ///                 unreachable 64-procedure drivers at 4 threads, then
 ///                 witness queries on small reachable drivers.
-///   serve-mixed   an in-process getafixd server (4 workers, memory budget
+///   serve-mixed   a getafixd process (4 workers, a fixed memory budget
 ///                 below the mix's footprint) under a closed loop of four
 ///                 connections over terminator, bluetooth and driver
 ///                 programs, with batch and witness requests mixed in.
@@ -45,17 +45,20 @@
 #include "interp/ConcurrentOracle.h"
 #include "reach/Witness.h"
 #include "server/Protocol.h"
-#include "server/Server.h"
 #include "support/Diagnostics.h"
 #include "support/Socket.h"
 
-#include <malloc.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cerrno>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -542,19 +545,32 @@ struct Measurements {
   std::vector<double> LatencyMs;   ///< Per query, untraced repetitions.
   double TimedS = 0.0;             ///< Summed wall of untraced repetitions.
   uint64_t Completed = 0;          ///< Queries in untraced repetitions.
+  std::vector<double> ServerPeakRssMiB; ///< One per getafixd process.
   std::map<std::string, double> Layer;
 };
 
-/// Runs repetitions until \p O.Seconds have passed. In a traced run odd
-/// repetitions are traced and even ones are not, so the two medians give
-/// the tracing overhead; a traced run makes at least two repetitions.
-void repeat(const Options &O, Measurements &M,
+/// Runs repetitions until \p O.Seconds have passed, each after
+/// \p SetupRounds calls of \p Setup. Each setup round is timed into
+/// `setup_s`. Interleaving them with the repetitions samples set-up over the
+/// whole run, as the query set is sampled: the host slows down for seconds
+/// at a time, and rounds made back to back all landed in the same slow or
+/// fast stretch. In a traced run odd repetitions (and their set-up) are
+/// traced and even ones are not, so the two medians give the tracing
+/// overhead; a traced run makes at least two repetitions.
+void repeat(const Options &O, Measurements &M, unsigned SetupRounds,
+            const std::function<void(unsigned Rep)> &Setup,
             const std::function<double(unsigned Rep, bool Traced)> &Rep) {
   Clock::time_point T0 = Clock::now();
   unsigned MinReps = O.Trace ? 2 : 1;
   for (unsigned I = 0;; ++I) {
     bool Traced = O.Trace && I % 2 == 1;
     TheTracer.setEnabled(Traced);
+    for (unsigned S = 0; S < SetupRounds; ++S) {
+      TraceScope SS("setup", "bench", I);
+      Clock::time_point S0 = Clock::now();
+      Setup(I);
+      M.SetupS.push_back(secondsSince(S0));
+    }
     double Wall = Rep(I, Traced);
     (Traced ? M.TracedWallS : M.WallS).push_back(Wall);
     if (!Traced)
@@ -609,7 +625,8 @@ void finishBddRates(std::map<std::string, double> &L) {
 
 constexpr unsigned BtAdders = 2, BtStoppers = 2, BtContextBound = 4,
                    BtWarmUpBound = 2;
-constexpr unsigned SetupRounds = 5;
+/// Set-up rounds before each repetition on the two one-shot workloads.
+constexpr unsigned SetupRoundsPerRep = 4;
 
 void runBluetooth(const Options &O, Measurements &M, Tally &T) {
   SolverOptions Opts;
@@ -617,9 +634,7 @@ void runBluetooth(const Options &O, Measurements &M, Tally &T) {
   Opts.Threads = 1;
   std::string Source;
   std::vector<double> ParseS, OpenS;
-  for (unsigned I = 0; I < SetupRounds; ++I) {
-    TraceScope S("setup", "bench", I);
-    Clock::time_point T0 = Clock::now();
+  auto Setup = [&](unsigned Rep) {
     Source = gen::bluetoothModel(BtAdders, BtStoppers);
     ConcProgram P;
     Clock::time_point P0 = Clock::now();
@@ -632,19 +647,16 @@ void runBluetooth(const Options &O, Measurements &M, Tally &T) {
     Clock::time_point Q0 = Clock::now();
     api::SolveResult Res;
     {
-      TraceScope WS("Solver::solve warm-up", "api", I);
+      TraceScope WS("Solver::solve warm-up", "api", Rep);
       Res = Solver::solve(Query::fromSource(Source).target("ERR"), Warm);
     }
     OpenS.push_back(secondsSince(Q0));
     checkQuery(T, "bluetooth-k2 warm-up ERR", Res, /*Expect=*/false);
-    M.SetupS.push_back(secondsSince(T0));
-  }
-  M.Layer["bp.parse_s"] = median(ParseS);
-  M.Layer["api.open_s"] = median(OpenS);
+  };
 
   Opts.ContextBound = BtContextBound;
   std::vector<double> SolveS;
-  repeat(O, M, [&](unsigned Rep, bool Traced) {
+  repeat(O, M, SetupRoundsPerRep, Setup, [&](unsigned Rep, bool Traced) {
     TraceScope R("repetition", "bench", Rep);
     Clock::time_point T0 = Clock::now();
     api::SolveResult Res;
@@ -670,6 +682,8 @@ void runBluetooth(const Options &O, Measurements &M, Tally &T) {
       M.Layer[K] = V; // Counters repeat exactly; the last repetition's.
     return Wall;
   });
+  M.Layer["bp.parse_s"] = median(ParseS);
+  M.Layer["api.open_s"] = median(OpenS);
   M.Layer["api.solve_s"] = median(SolveS);
 }
 
@@ -688,7 +702,7 @@ struct DriverShape {
 constexpr DriverShape SeqVerdictShape = {64, 6, 4, 12};
 constexpr DriverShape SeqWitnessShape = {12, 4, 3, 10};
 constexpr unsigned SeqVerdictPairs = 12, SeqWitnessQueries = 4;
-constexpr unsigned SeqThreads = 4, SeqSetupRounds = 5, SeqWarmUpDrivers = 4;
+constexpr unsigned SeqThreads = 4, SeqWarmUpDrivers = 4;
 
 gen::Workload seqDriver(const DriverShape &D, bool Reachable, uint64_t Seed) {
   gen::DriverParams P;
@@ -713,9 +727,7 @@ void runSeqDrivers(const Options &O, Measurements &M, Tally &T) {
   };
   std::vector<Case> Cases;
   std::vector<double> ParseS, OpenS;
-  for (unsigned I = 0; I < SeqSetupRounds; ++I) {
-    TraceScope S("setup", "bench", I);
-    Clock::time_point T0 = Clock::now();
+  auto Setup = [&](unsigned Rep) {
     Cases.clear();
     // Generator seeds derive from the workload seed; every program has
     // its own.
@@ -725,12 +737,13 @@ void runSeqDrivers(const Options &O, Measurements &M, Tally &T) {
         uint64_t Seed = Base + 2 * U + (Reachable ? 0 : 1);
         Cases.push_back({(Reachable ? "pos64-" : "neg64-") +
                              std::to_string(Seed),
-                         seqDriver(SeqVerdictShape, Reachable, Seed)});
+                         seqDriver(SeqVerdictShape, Reachable, Seed), false,
+                         {}});
       }
     for (unsigned U = 0; U < SeqWitnessQueries; ++U) {
       uint64_t Seed = Base + 500 + U;
       Cases.push_back({"witness12-" + std::to_string(Seed),
-                       seqDriver(SeqWitnessShape, true, Seed), true});
+                       seqDriver(SeqWitnessShape, true, Seed), true, {}});
     }
     Clock::time_point P0 = Clock::now();
     for (Case &C : Cases)
@@ -746,7 +759,7 @@ void runSeqDrivers(const Options &O, Measurements &M, Tally &T) {
       gen::Workload W = seqDriver(SeqWitnessShape, true, U + 1);
       api::SolveResult Warm;
       {
-        TraceScope OS("Solver::open+first query", "api", I);
+        TraceScope OS("Solver::open+first query", "api", Rep);
         std::unique_ptr<SolverSession> Sess =
             Solver::open(Query::fromSource(W.Source), Opts);
         Warm = Sess->solve(Query().target("ERR"));
@@ -754,13 +767,10 @@ void runSeqDrivers(const Options &O, Measurements &M, Tally &T) {
       checkQuery(T, "seq-drivers warm-up " + W.Name, Warm, W.ExpectReachable);
     }
     OpenS.push_back(secondsSince(Q0));
-    M.SetupS.push_back(secondsSince(T0));
-  }
-  M.Layer["bp.parse_s"] = median(ParseS);
-  M.Layer["api.open_s"] = median(OpenS);
+  };
 
   std::vector<double> SolveS, WitnessS;
-  repeat(O, M, [&](unsigned Rep, bool Traced) {
+  repeat(O, M, SetupRoundsPerRep, Setup, [&](unsigned Rep, bool Traced) {
     TraceScope R("repetition", "bench", Rep);
     std::map<std::string, double> L;
     double Wall = 0.0, VerdictS = 0.0;
@@ -803,6 +813,8 @@ void runSeqDrivers(const Options &O, Measurements &M, Tally &T) {
       M.Layer[K] = V;
     return Wall;
   });
+  M.Layer["bp.parse_s"] = median(ParseS);
+  M.Layer["api.open_s"] = median(OpenS);
   M.Layer["api.solve_s"] = median(SolveS);
   M.Layer["reach.witness_s"] = median(WitnessS);
 }
@@ -813,15 +825,21 @@ void runSeqDrivers(const Options &O, Measurements &M, Tally &T) {
 
 constexpr unsigned ServeClients = 4, ServeWorkers = 4;
 constexpr unsigned ServeRequestsPerClient = 24; ///< 96 requests a repetition.
-constexpr unsigned ServeSetupRounds = 3;
 constexpr unsigned ServeTerminatorBits = 8, ServeWitnessBits = 5;
-/// The pool's memory budget, as a share of the footprint estimate the mix
-/// reaches unconstrained after the warm-up. Below it, the cache-clear valve
-/// and evictions both fire in every run while pool hits still dominate
-/// (about 98% of lookups). A fixed budget would not do: the drivers'
-/// footprints depend on the seed, and evictions rose threefold on seeds
-/// whose mix sat just above a fixed 16 MiB.
-constexpr double ServeBudgetShare = 0.75;
+/// Generator seed of the two served drivers, the same for every workload
+/// seed, so the mix's footprint does not depend on the workload seed: near
+/// the constant budget below, a few percent of footprint decide how often a
+/// run evicts. The workload seed picks the terminators and the request
+/// order instead.
+constexpr uint64_t ServeDriverSeed = 1;
+/// The pool's memory budget. It is a constant, not derived from anything
+/// the code under test reports, so a change that makes sessions larger (a
+/// bigger computed cache, say) meets the same budget and pays for it here
+/// in cache clears and evictions. 17 MiB is 0.75 of the 22.6 MiB footprint
+/// estimate the mix reached unconstrained after the warm-up, measured when
+/// the benchmark was added; under it about 45 clears and 2 evictions fire
+/// per repetition while pool hits stay near 98% of lookups.
+constexpr size_t ServeBudgetBytes = size_t(17) << 20;
 
 struct ServedProgram {
   std::string Name;
@@ -850,11 +868,28 @@ struct Reply {
 /// The served program witness requests go to (see `servedPrograms`).
 constexpr unsigned WitnessProgram = 4;
 
+/// Each client's offset into the program and target rotation, drawn from
+/// the workload seed (splitmix64): the seed decides which programs the
+/// clients ask for at the same time.
+std::vector<unsigned> rotationOffsets(uint64_t Seed) {
+  std::vector<unsigned> Out;
+  uint64_t X = Seed;
+  for (unsigned C = 0; C < ServeClients; ++C) {
+    X += 0x9e3779b97f4a7c15ull;
+    uint64_t Z = X;
+    Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
+    Out.push_back(unsigned((Z ^ (Z >> 31)) % 360));
+  }
+  return Out;
+}
+
 /// The request a client sends as its \p R-th: every 8th a witness request,
 /// every 4th the program's full target batch, else one rotating target.
-/// Program rotation and the witness slot are offset per client.
+/// The witness slot is staggered per client; the program and target
+/// rotation start at the client's \p Offset.
 Planned planRequest(const std::vector<ServedProgram> &Ps, unsigned Client,
-                    unsigned R) {
+                    unsigned Offset, unsigned R) {
   Planned P;
   if ((R + Client) % 8 == 7) {
     P.Program = WitnessProgram;
@@ -862,14 +897,15 @@ Planned planRequest(const std::vector<ServedProgram> &Ps, unsigned Client,
     P.Kind = ReqKind::Witness;
     return P;
   }
-  P.Program = (R + Client) % unsigned(Ps.size());
+  unsigned Turn = R + Offset;
+  P.Program = Turn % unsigned(Ps.size());
   const ServedProgram &SP = Ps[P.Program];
   if (R % 4 == 0) {
     for (unsigned I = 0; I < SP.Targets.size(); ++I)
       P.Targets.push_back(I);
     P.Kind = ReqKind::Batch;
   } else {
-    P.Targets = {(R + Client) % unsigned(SP.Targets.size())};
+    P.Targets = {Turn / unsigned(Ps.size()) % unsigned(SP.Targets.size())};
   }
   return P;
 }
@@ -1024,7 +1060,7 @@ std::vector<ServedProgram> servedPrograms(uint64_t Seed, Tally &T) {
   for (bool Reachable : {true, false}) {
     gen::DriverParams DP; // The default driver shape.
     DP.Reachable = Reachable;
-    DP.Seed = Seed;
+    DP.Seed = ServeDriverSeed;
     gen::Workload W = gen::driverProgram(DP);
     ServedProgram DS;
     DS.Name = Reachable ? "driver-pos" : "driver-neg";
@@ -1078,26 +1114,93 @@ std::vector<ServedProgram> servedPrograms(uint64_t Seed, Tally &T) {
   return Ps;
 }
 
-/// An in-process getafixd: the server the daemon wraps, on a loopback port.
-struct RunningServer {
-  std::unique_ptr<server::Server> Srv;
+/// A getafixd process, built with this driver, on a kernel-assigned
+/// loopback port. Measuring the shipped daemon keeps its allocator policy
+/// and its resident set apart from the driver's.
+class Daemon {
+public:
+  Daemon() = default;
+  Daemon(const Daemon &) = delete;
+  Daemon &operator=(const Daemon &) = delete;
+  ~Daemon() { stop(); }
 
   bool start(size_t BudgetBytes, std::string &Error) {
-    server::ServerOptions SO;
-    SO.Workers = ServeWorkers;
-    SO.Pool.Solver.Threads = 1;
-    SO.Pool.MemoryBudgetBytes = BudgetBytes;
-    Srv = std::make_unique<server::Server>(SO);
-    return Srv->start(&Error);
+    std::vector<std::string> Args = {
+        GETAFIXD_PATH, "--port", "0", "--workers",
+        std::to_string(ServeWorkers), "--threads", "1", "--budget-bytes",
+        std::to_string(BudgetBytes)};
+    std::vector<char *> Argv;
+    for (std::string &A : Args)
+      Argv.push_back(A.data());
+    Argv.push_back(nullptr);
+    int Out[2];
+    if (pipe(Out) != 0) {
+      Error = "pipe failed";
+      return false;
+    }
+    std::fflush(stdout);
+    Pid = fork();
+    if (Pid == 0) {
+      // Only async-signal-safe calls between fork and exec. The daemon
+      // gets SIGTERM should this driver die first.
+      dup2(Out[1], STDOUT_FILENO);
+      close(Out[0]);
+      close(Out[1]);
+      prctl(PR_SET_PDEATHSIG, SIGTERM);
+      execv(Argv[0], Argv.data());
+      _exit(127);
+    }
+    close(Out[1]);
+    if (Pid < 0) {
+      close(Out[0]);
+      Error = "fork failed";
+      return false;
+    }
+    OutFd = Out[0];
+    // getafixd prints "listening PORT" once it accepts connections.
+    support::LineReader Reader(OutFd);
+    std::string Line;
+    if (Reader.readLine(Line, 30000) != support::LineReader::Status::Line ||
+        Line.rfind("listening ", 0) != 0) {
+      Error = "getafixd did not start: '" + Line + "'";
+      stop();
+      return false;
+    }
+    Port = unsigned(std::strtoul(Line.c_str() + 10, nullptr, 10));
+    return true;
   }
-  void stop() {
-    if (!Srv)
-      return;
-    Srv->requestShutdown();
-    Srv->wait();
-    Srv.reset();
+
+  unsigned port() const { return Port; }
+
+  /// Shuts the daemon down (SIGTERM: it drains and exits), waits for it,
+  /// and returns its peak resident set in MiB. \p Clean, when given, says
+  /// whether it exited with status 0.
+  double stop(bool *Clean = nullptr) {
+    double PeakMiB = 0.0;
+    bool Exited0 = false;
+    if (Pid > 0) {
+      kill(Pid, SIGTERM);
+      int Status = 0;
+      struct rusage U = {};
+      while (wait4(Pid, &Status, 0, &U) < 0 && errno == EINTR) {
+      }
+      PeakMiB = double(U.ru_maxrss) / 1024.0; // KiB on Linux.
+      Exited0 = WIFEXITED(Status) && WEXITSTATUS(Status) == 0;
+      Pid = -1;
+    }
+    if (Clean)
+      *Clean = Exited0;
+    if (OutFd >= 0) {
+      close(OutFd);
+      OutFd = -1;
+    }
+    return PeakMiB;
   }
-  ~RunningServer() { stop(); }
+
+private:
+  pid_t Pid = -1;
+  int OutFd = -1;
+  unsigned Port = 0;
 };
 
 /// The server's `stats` response, over an open connection: every worker
@@ -1119,14 +1222,21 @@ void runServeMixed(const Options &O, Measurements &M, Tally &T) {
   if (Ps[1].Expect.size() != Ps[1].Targets.size())
     return;
 
-  RunningServer Server;
-  std::vector<double> ParseS, OpenS;
+  std::vector<unsigned> Offsets = rotationOffsets(O.Seed);
+
+  // Every repetition gets a getafixd of its own: set-up starts it, connects
+  // the clients and sends each program's batch once, which opens its
+  // session; the repetition then runs the closed loop against it.
+  Daemon Server;
+  std::vector<Client> Clients;
+  server::Json Before;
+  bool Ready = false;
+  std::vector<double> ParseS, OpenS, WarmFootprintBytes;
   RowCounts Warm;
-  size_t Budget = 0; // The first round runs unconstrained to measure it.
-  for (unsigned I = 0; I < ServeSetupRounds; ++I) {
-    TraceScope S("setup", "bench", I);
-    Server.stop();
-    Clock::time_point T0 = Clock::now();
+  auto Setup = [&](unsigned) {
+    Ready = false;
+    Clients.clear();
+    Server.stop(); // Only after a failed set-up; repetitions stop their own.
     // Parse and CFG of every program the mix serves, as the server's
     // reopens pay them.
     Clock::time_point P0 = Clock::now();
@@ -1138,16 +1248,16 @@ void runServeMixed(const Options &O, Measurements &M, Tally &T) {
     }
     ParseS.push_back(secondsSince(P0));
     std::string Error;
-    if (!Server.start(Budget, Error)) {
+    if (!Server.start(ServeBudgetBytes, Error)) {
       T.record(false, "server does not start: " + Error);
       return;
     }
-    // Warm-up: each program's full batch once (opens its session).
-    Client C;
-    if (!C.connect(Server.Srv->port(), Error)) {
-      T.record(false, "cannot connect: " + Error);
-      return;
-    }
+    Clients = std::vector<Client>(ServeClients);
+    for (Client &C : Clients)
+      if (!C.connect(Server.port(), Error)) {
+        T.record(false, "cannot connect: " + Error);
+        return;
+      }
     double Open = 0.0;
     for (unsigned Prog = 0; Prog < Ps.size(); ++Prog) {
       Reply R;
@@ -1158,46 +1268,31 @@ void runServeMixed(const Options &O, Measurements &M, Tally &T) {
       Clock::time_point Q0 = Clock::now();
       {
         TraceScope RS("warm-up request", "server", Prog);
-        if (!C.roundTrip(requestJson(Ps, R.Req), R.Resp, R.TransportError) &&
+        if (!Clients[0].roundTrip(requestJson(Ps, R.Req), R.Resp,
+                                  R.TransportError) &&
             R.TransportError.empty())
           R.TransportError = "request failed";
       }
       Open += secondsSince(Q0);
       checkReply(T, Ps, R, Warm);
     }
-    if (Budget == 0) {
-      double Foot = poolCounter(fetchStats(C, Error), "footprint_bytes");
-      Budget = size_t(Foot * ServeBudgetShare);
-      std::printf("pool budget %.1f MiB: %.2f of the %.1f MiB warm "
-                  "footprint\n",
-                  double(Budget) / (1 << 20), ServeBudgetShare,
-                  Foot / (1 << 20));
-    }
     OpenS.push_back(Open);
-    M.SetupS.push_back(secondsSince(T0));
-  }
-  if (Budget == 0) {
-    T.record(false, "no pool footprint after the warm-up");
-    return;
-  }
-  M.Layer["bp.parse_s"] = median(ParseS);
-  M.Layer["api.open_s"] = median(OpenS);
-
-  unsigned Port = Server.Srv->port();
-  std::string Error;
-  std::vector<Client> Clients(ServeClients);
-  for (Client &C : Clients)
-    if (!C.connect(Port, Error)) {
-      T.record(false, "cannot connect: " + Error);
-      return;
-    }
-  server::Json Before = fetchStats(Clients[0], Error);
+    Before = fetchStats(Clients[0], Error);
+    Ready = Before.find("pool") != nullptr;
+    WarmFootprintBytes.push_back(poolCounter(Before, "footprint_bytes"));
+    if (!Ready)
+      T.record(false, "stats request failed: " + Error);
+  };
 
   std::map<ReqKind, std::vector<double>> RttByKind;
-  std::vector<double> WaitMs, SolverS;
+  std::vector<double> WaitMs, SolverS, FootprintBytes;
+  std::map<std::string, double> PoolTotals;
+  server::Json After;
   RowCounts Counts;
   uint64_t NextRequest = 0;
-  repeat(O, M, [&](unsigned Rep, bool Traced) {
+  repeat(O, M, 1, Setup, [&](unsigned Rep, bool Traced) {
+    if (!Ready)
+      return 0.0;
     TraceScope RS("repetition", "bench", Rep);
     int64_t Parent = RS.id();
     std::vector<std::vector<Reply>> Out(ServeClients);
@@ -1210,7 +1305,7 @@ void runServeMixed(const Options &O, Measurements &M, Tally &T) {
         for (unsigned I = 0; I < ServeRequestsPerClient; ++I) {
           unsigned R = Rep * ServeRequestsPerClient + I;
           Reply Rp;
-          Rp.Req = planRequest(Ps, C, R);
+          Rp.Req = planRequest(Ps, C, Offsets[C], R);
           server::Json Req = requestJson(Ps, Rp.Req);
           Clock::time_point Q0 = Clock::now();
           {
@@ -1229,6 +1324,20 @@ void runServeMixed(const Options &O, Measurements &M, Tally &T) {
     double Wall = secondsSince(T0);
     NextRequest += ServeClients * ServeRequestsPerClient;
 
+    std::string Error;
+    After = fetchStats(Clients[0], Error);
+    if (!After.find("pool"))
+      T.record(false, "stats request failed: " + Error);
+    for (const char *K :
+         {"lookups", "hits", "reopens", "cache_clears", "evictions"})
+      PoolTotals[K] += poolCounter(After, K) - poolCounter(Before, K);
+    FootprintBytes.push_back(poolCounter(After, "footprint_bytes"));
+    Clients.clear();
+    bool Clean = false;
+    M.ServerPeakRssMiB.push_back(Server.stop(&Clean));
+    if (!Clean)
+      T.record(false, "getafixd did not exit cleanly");
+
     for (const std::vector<Reply> &Rs : Out)
       for (const Reply &R : Rs) {
         checkReply(T, Ps, R, Counts);
@@ -1244,10 +1353,8 @@ void runServeMixed(const Options &O, Measurements &M, Tally &T) {
     return Wall;
   });
 
-  server::Json After = fetchStats(Clients[0], Error);
-  auto Delta = [&](const char *K) {
-    return poolCounter(After, K) - poolCounter(Before, K);
-  };
+  M.Layer["bp.parse_s"] = median(ParseS);
+  M.Layer["api.open_s"] = median(OpenS);
   double Reps = double(M.WallS.size() + M.TracedWallS.size());
   double Sum = 0.0;
   for (double S : SolverS)
@@ -1267,18 +1374,21 @@ void runServeMixed(const Options &O, Measurements &M, Tally &T) {
   M.Layer["reach.witness_iterations"] = median(Counts.WitnessIterations);
   M.Layer["reach.witness_steps"] = median(Counts.WitnessSteps);
   M.Layer["server.pool.hit_ratio"] =
-      Delta("lookups") > 0 ? Delta("hits") / Delta("lookups") : 0.0;
-  M.Layer["server.pool.reopens"] = Delta("reopens");
-  M.Layer["server.pool.cache_clears"] = Delta("cache_clears");
-  M.Layer["server.pool.evictions"] = Delta("evictions");
-  M.Layer["server.pool.footprint_bytes"] = poolCounter(After, "footprint_bytes");
-  const server::Json *S = After.find("server");
-  if (S) {
+      PoolTotals["lookups"] > 0 ? PoolTotals["hits"] / PoolTotals["lookups"]
+                                : 0.0;
+  M.Layer["server.pool.reopens"] = PoolTotals["reopens"];
+  M.Layer["server.pool.cache_clears"] = PoolTotals["cache_clears"];
+  M.Layer["server.pool.evictions"] = PoolTotals["evictions"];
+  M.Layer["server.pool.footprint_bytes"] = median(FootprintBytes);
+  std::printf("pool budget %.2f MiB; footprint after the warm-up %.2f MiB, "
+              "after a repetition %.2f MiB (medians)\n",
+              double(ServeBudgetBytes) / (1 << 20),
+              median(WarmFootprintBytes) / (1 << 20),
+              median(FootprintBytes) / (1 << 20));
+  if (const server::Json *S = After.find("server")) {
     M.Layer["fpcalc.condensation_width"] = jsonNumber(*S, "condensation_width");
     M.Layer["fpcalc.summary_relations"] = jsonNumber(*S, "summary_relations");
   }
-  if (!After.find("pool"))
-    T.record(false, "stats request failed: " + Error);
 }
 
 //===----------------------------------------------------------------------===//
@@ -1305,7 +1415,10 @@ void printResult(const Options &O, const Measurements &M, const Tally &T) {
     Values["latency_tail_ms"] = Tail.Value;
     Values["throughput_qps"] =
         M.TimedS > 0 ? double(M.Completed) / M.TimedS : 0.0;
-    Values["peak_rss_mb"] = peakRssMiB();
+    // serve-mixed runs its workload in getafixd processes.
+    Values["peak_rss_mb"] = M.ServerPeakRssMiB.empty()
+                                ? peakRssMiB()
+                                : median(M.ServerPeakRssMiB);
   } else {
     Defs = &perLayerMetrics();
     Values = M.Layer;
@@ -1508,13 +1621,6 @@ int main(int Argc, char **Argv) {
   }
   if (!HaveSeed || O.Seconds <= 0)
     return usage();
-
-  // glibc raises its mmap threshold each time a large block is freed, so
-  // which later blocks land in the heap, and the peak resident set with
-  // them, depended on the order of frees (143-228 MiB on serve-mixed over
-  // seeds 1-10). Pinning the threshold at its 128 KiB default makes
-  // `peak_rss_mb` repeatable (77-90 MiB on the same seeds).
-  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
 
   Measurements M;
   Tally T;

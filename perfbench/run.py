@@ -3,9 +3,10 @@
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-Run from the repository root. The library and the `perfbench` driver are
-built from source into `.bench_build/perfbench` (Release) before every run;
-an up-to-date build costs about a second. With `--trace 1` the Chrome trace
+Run from the repository root. The library, `getafixd` (which serve-mixed
+starts) and the `perfbench` driver are built from source into
+`.bench_build/perfbench` (Release) before every run; an up-to-date build
+costs about a second. With `--trace 1` the Chrome trace
 is written to `.bench_build/trace-<workload>-<seed>.json`.
 
 The driver's last line of standard output is the JSON result. Build output
