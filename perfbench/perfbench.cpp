@@ -21,8 +21,8 @@
 ///
 ///   bluetooth-k4  one-shot `conc` solve of the 2-adder/2-stopper model at
 ///                 context bound 4 (Figure 3: ERR reachable).
-///   seq-drivers   one-shot sequential solves of 12 reachable and 12
-///                 unreachable 64-procedure drivers at 4 threads, then
+///   seq-drivers   one-shot sequential solves of 28 reachable and 28
+///                 unreachable 32-procedure drivers at 2 threads, then
 ///                 witness queries on small reachable drivers.
 ///   serve-mixed   a getafixd process (4 workers, a fixed memory budget
 ///                 below the mix's footprint) under a closed loop of four
@@ -546,6 +546,9 @@ struct Measurements {
   double TimedS = 0.0;             ///< Summed wall of untraced repetitions.
   uint64_t Completed = 0;          ///< Queries in untraced repetitions.
   std::vector<double> ServerPeakRssMiB; ///< One per getafixd process.
+  /// The driver's own peak resident set after its first set-up rounds and
+  /// repetition, the peak of one pass over the workload.
+  double FirstPassPeakRssMiB = 0.0;
   std::map<std::string, double> Layer;
 };
 
@@ -572,6 +575,8 @@ void repeat(const Options &O, Measurements &M, unsigned SetupRounds,
       M.SetupS.push_back(secondsSince(S0));
     }
     double Wall = Rep(I, Traced);
+    if (I == 0)
+      M.FirstPassPeakRssMiB = peakRssMiB();
     (Traced ? M.TracedWallS : M.WallS).push_back(Wall);
     if (!Traced)
       M.TimedS += Wall;
@@ -691,18 +696,24 @@ void runBluetooth(const Options &O, Measurements &M, Tally &T) {
 // Workload: seq-drivers
 //===----------------------------------------------------------------------===//
 
-/// The seq-drivers query set: reachable and unreachable 64-procedure
+/// The seq-drivers query set: reachable and unreachable 32-procedure
 /// drivers (solved in parallel over their call graphs' SCCs), each from its
 /// own generator seed, then witness queries on small reachable drivers.
-/// One driver's cost varies with its seed by about 15% (witnesses by 60%),
-/// so the set sums many of them to keep the total steady across seeds.
+/// One driver's solve time varies with its generator seed by a standard
+/// deviation of 18-28% of the mean at 16 to 64 procedures alike (witnesses
+/// by 52-60%), so the set's spread across workload seeds shrinks with the
+/// number of drivers it sums, not with their size: 56 drivers of 32
+/// procedures cost what 24 of 64 did, and spread about a fifth less.
 struct DriverShape {
   unsigned Procs, Globals, Locals, Stmts;
 };
-constexpr DriverShape SeqVerdictShape = {64, 6, 4, 12};
+constexpr DriverShape SeqVerdictShape = {32, 6, 4, 12};
 constexpr DriverShape SeqWitnessShape = {12, 4, 3, 10};
-constexpr unsigned SeqVerdictPairs = 12, SeqWitnessQueries = 4;
-constexpr unsigned SeqThreads = 4, SeqWarmUpDrivers = 4;
+constexpr unsigned SeqVerdictPairs = 28, SeqWitnessQueries = 4;
+/// Two solver threads, not one per CPU: at four, every SCC round waited on
+/// whichever worker the shared host had just preempted, and the run-to-run
+/// spread of `wall_s` over ten seeds reached 0.20-0.26.
+constexpr unsigned SeqThreads = 2, SeqWarmUpDrivers = 4;
 
 gen::Workload seqDriver(const DriverShape &D, bool Reachable, uint64_t Seed) {
   gen::DriverParams P;
@@ -735,7 +746,7 @@ void runSeqDrivers(const Options &O, Measurements &M, Tally &T) {
     for (unsigned U = 0; U < SeqVerdictPairs; ++U)
       for (bool Reachable : {true, false}) {
         uint64_t Seed = Base + 2 * U + (Reachable ? 0 : 1);
-        Cases.push_back({(Reachable ? "pos64-" : "neg64-") +
+        Cases.push_back({(Reachable ? "pos-" : "neg-") +
                              std::to_string(Seed),
                          seqDriver(SeqVerdictShape, Reachable, Seed), false,
                          {}});
@@ -1415,9 +1426,13 @@ void printResult(const Options &O, const Measurements &M, const Tally &T) {
     Values["latency_tail_ms"] = Tail.Value;
     Values["throughput_qps"] =
         M.TimedS > 0 ? double(M.Completed) / M.TimedS : 0.0;
-    // serve-mixed runs its workload in getafixd processes.
+    // serve-mixed runs its workload in getafixd processes. The one-shot
+    // workloads take the peak of the first pass: repeating the same query
+    // set leaves freed blocks in the heap, and on some seq-drivers seeds
+    // the peak grew by half over three repetitions, so a whole run's peak
+    // depended on how many repetitions the host's speed let it fit.
     Values["peak_rss_mb"] = M.ServerPeakRssMiB.empty()
-                                ? peakRssMiB()
+                                ? M.FirstPassPeakRssMiB
                                 : median(M.ServerPeakRssMiB);
   } else {
     Defs = &perLayerMetrics();
