@@ -26,10 +26,10 @@
 //     landing on the worker pool at threads=4.
 //
 // Pass --smoke to shrink every workload for a seconds-long CI run,
-// --cache-bits n to size the BDD computed cache for every solve, and
-// --json FILE to additionally record every row (verdict, rounds, node and
-// peak counters) as a BENCH_*.json report — CI runs the smoke at two cache
-// sizes and fails on any verdict drift between the reports.
+// --threads n to run every facade solve at n threads, and --json FILE to
+// additionally record every row (verdict, rounds, node and peak counters)
+// as a BENCH_*.json report — CI runs the smoke at one and four threads and
+// fails on any verdict drift between the reports.
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
@@ -46,12 +46,9 @@ using namespace getafix::bench;
 
 namespace {
 
-/// Knobs shared by every solve in this driver.
-unsigned CacheBits = 18;
 /// --threads: applied to every facade solve in the driver (the dedicated
 /// parallel-scaling section keeps its own explicit thread counts). CI
-/// runs the smoke at 1 and 4 and diffs verdicts/rounds, exactly like the
-/// cache-size drift check.
+/// runs the smoke at 1 and 4 and diffs verdicts/rounds.
 unsigned GlobalThreads = 1;
 JsonReport Report;
 bool WantJson = false;
@@ -110,13 +107,6 @@ int main(int Argc, char **Argv) {
   for (int I = 1; I < Argc; ++I) {
     if (std::strcmp(Argv[I], "--smoke") == 0) {
       Smoke = true;
-    } else if (std::strcmp(Argv[I], "--cache-bits") == 0 && I + 1 < Argc) {
-      int Bits = std::atoi(Argv[++I]);
-      if (Bits < 2 || Bits > 30) {
-        std::fprintf(stderr, "--cache-bits must be in [2, 30]\n");
-        return 2;
-      }
-      CacheBits = unsigned(Bits);
     } else if (std::strcmp(Argv[I], "--threads") == 0 && I + 1 < Argc) {
       int N = std::atoi(Argv[++I]);
       if (N < 1 || N > 256) {
@@ -129,7 +119,7 @@ int main(int Argc, char **Argv) {
       WantJson = true;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_ablation [--smoke] [--cache-bits n] "
+                   "usage: bench_ablation [--smoke] "
                    "[--threads n] [--json FILE]\n");
       return 2;
     }
@@ -149,7 +139,6 @@ int main(int Argc, char **Argv) {
     ParsedProgram Parsed = parseOrDie(W.Source);
 
     SolverOptions Opts;
-    Opts.CacheBits = CacheBits;
     Opts.Threads = GlobalThreads;
     EngineRow Unsplit = runEngine(Parsed.Cfg, W.TargetLabel, "ef", Opts);
     EngineRow Split = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
@@ -176,7 +165,6 @@ int main(int Argc, char **Argv) {
     gen::Workload W = gen::driverProgram(P);
     ParsedProgram Parsed = parseOrDie(W.Source);
     SolverOptions Opts;
-    Opts.CacheBits = CacheBits;
     Opts.Threads = GlobalThreads;
     EngineRow Fast = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
     Opts.EarlyStop = false;
@@ -206,7 +194,6 @@ int main(int Argc, char **Argv) {
     gen::Workload W = gen::terminatorProgram(P);
     ParsedProgram Parsed = parseOrDie(W.Source);
     SolverOptions Opts;
-    Opts.CacheBits = CacheBits;
     Opts.Threads = GlobalThreads;
     Opts.Strategy = fpc::EvalStrategy::Naive;
     EngineRow Naive = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
@@ -229,7 +216,6 @@ int main(int Argc, char **Argv) {
       ParsedConcProgram P =
           parseConcOrDie(gen::bluetoothModel(C.Adders, C.Stoppers));
       SolverOptions Opts;
-      Opts.CacheBits = CacheBits;
       Opts.Threads = GlobalThreads;
       Opts.ContextBound = C.Switches;
       Opts.EarlyStop = false; // Figure 3 reports the full reachable set.
@@ -290,7 +276,6 @@ int main(int Argc, char **Argv) {
       ParsedConcProgram P =
           parseConcOrDie(gen::bluetoothModel(C.Adders, C.Stoppers));
       SolverOptions Opts;
-      Opts.CacheBits = CacheBits;
       Opts.Threads = GlobalThreads;
       Opts.ContextBound = C.Switches;
       Opts.EarlyStop = false;
@@ -315,7 +300,6 @@ int main(int Argc, char **Argv) {
       gen::Workload W = gen::terminatorProgram(P);
       ParsedProgram Parsed = parseOrDie(W.Source);
       SolverOptions Opts;
-      Opts.CacheBits = CacheBits;
       Opts.Threads = GlobalThreads;
       Opts.FrontierCofactor = fpc::CofactorMode::Off;
       EngineRow Off = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
@@ -358,7 +342,6 @@ int main(int Argc, char **Argv) {
       SessionCase C;
       C.Name = W.Name + "-multi";
       C.Source = W.Source;
-      C.Opts.CacheBits = CacheBits;
       C.Opts.Threads = GlobalThreads;
       C.Queries.push_back(Query::fromSource("").target(W.TargetLabel));
       unsigned NumPcs = Parsed.Cfg.Procs[0].NumPcs;
@@ -376,7 +359,6 @@ int main(int Argc, char **Argv) {
       SessionCase C;
       C.Name = Smoke ? "bluetooth-1a1s-k3-multi" : "bluetooth-1a1s-k4-multi";
       C.Source = gen::bluetoothModel(1, 1);
-      C.Opts.CacheBits = CacheBits;
       C.Opts.Threads = GlobalThreads;
       C.Opts.EarlyStop = false;
       C.Opts.ContextBound = Smoke ? 3 : 4;
@@ -523,7 +505,7 @@ int main(int Argc, char **Argv) {
       };
       std::vector<ThreadRow> Rows;
       for (unsigned T : ThreadCounts) {
-        BddManager Mgr(0, CacheBits);
+        BddManager Mgr;
         fpc::Evaluator Ev(*Sys, Mgr, fpc::Layout::sequential(*Sys, Mgr));
         Ev.setThreads(T);
         fpc::bindFacts(Ev, *Sys, Facts);
@@ -623,7 +605,6 @@ int main(int Argc, char **Argv) {
       gen::Workload W = gen::terminatorProgram(P);
       ParsedProgram Parsed = parseOrDie(W.Source);
       SolverOptions Opts;
-      Opts.CacheBits = CacheBits;
       EngineRow T1 = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
       Opts.Threads = 4;
       EngineRow T4 = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
@@ -694,7 +675,6 @@ int main(int Argc, char **Argv) {
       }
 
       for (DisjCase &C : DisjCases) {
-        C.Opts.CacheBits = CacheBits;
         C.Opts.DisjunctParallelThreshold = 1;
         Query Q = Query::fromSource(C.Source).target(C.Target);
         std::vector<SolveResult> Rows;
@@ -829,7 +809,6 @@ int main(int Argc, char **Argv) {
       size_t CgWidth = bp::buildCallGraph(Parsed.Cfg).numSccs();
       for (const char *Engine : {"summary", "ef-opt"}) {
         SolverOptions Opts;
-        Opts.CacheBits = CacheBits;
         Opts.MonolithicSummary = true;
         EngineRow Mono = runEngine(Parsed.Cfg, W.TargetLabel, Engine, Opts);
         Opts.MonolithicSummary = false;
@@ -886,7 +865,6 @@ int main(int Argc, char **Argv) {
                     "bluetooth-1a1s", I, N);
       }
       SolverOptions Opts;
-      Opts.CacheBits = CacheBits;
       Opts.ContextBound = 2;
       EngineRow Conc = runConcEngine(P, "ERR", "conc", Opts);
       recordCondRow("bluetooth-1a1s-k2", "conc", "t1", Conc, Conc.Seconds);
@@ -919,7 +897,6 @@ end
 )";
       ParsedConcProgram P = parseConcOrDie(HandshakeSrc);
       SolverOptions Opts;
-      Opts.CacheBits = CacheBits;
       Opts.ContextBound = 2;
       Opts.MonolithicSummary = true;
       EngineRow Mono = runConcEngine(P, "ERR", "lal-reps", Opts);

@@ -109,10 +109,11 @@ void BM_BddExists(benchmark::State &State) {
 }
 BENCHMARK(BM_BddExists);
 
-/// Cache-associativity ablation: the same op mix at a fixed slot budget,
-/// direct-mapped versus 4-way. The working set (several relational
-/// products cycling through a function pool) deliberately exceeds the
-/// 2^10-slot cache so replacement policy, not capacity, is what differs.
+/// Cache-associativity ablation: the same op mix at the same slot budget,
+/// direct-mapped versus 4-way. The cache starts at 2^10 slots and grows
+/// with the unique table while the function pool is built; the working
+/// set (several relational products cycling through the pool) exceeds
+/// it, so replacement policy, not capacity, is what differs.
 void CacheAssociativity(benchmark::State &State, unsigned Ways) {
   BddManager Mgr(64, /*CacheBits=*/10, Ways);
   Rng R(6);
@@ -161,10 +162,12 @@ uint64_t cacheHashTriple(uint32_t A, uint32_t B, uint32_t C) {
   return H;
 }
 
-/// Conflict-heavy hot-set workload at a 2^10-slot cache: a small set of
-/// *hot* AND pairs is re-queried every round while a stream of single-use
-/// pairs — selected to hash into the hot pairs' buckets — pounds the same
-/// slots. This is the regime the ROADMAP's associativity item names: a
+/// Conflict-heavy hot-set workload at a small cache (a 2^10-slot start,
+/// grown with the table while the operands are built; the bucket geometry
+/// is read afterwards): a small set of *hot* AND pairs is re-queried every
+/// round while a stream of single-use pairs — selected to hash into the
+/// hot pairs' buckets — pounds the same slots. This is the regime the
+/// ROADMAP's associativity item names: a
 /// direct-mapped cache evicts a hot entry on every colliding insert, so
 /// the hot set misses once per round; the 4-way cache's transposition
 /// promotion migrates re-used entries to the protected front ways and the
@@ -317,6 +320,64 @@ void BM_BddConstrain(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_BddConstrain);
+
+/// Unique-table microbenchmarks on the real manager, with a node store
+/// and table far larger than the last-level cache: 2^22 nodes at variable
+/// 2, one for each pair of a "low" and a "high" leaf (the 2 x 2048
+/// minterms over variables 3..14, split on the last bit), held by no
+/// handle and kept by switching collection off. Lookups visit the pairs
+/// in a scrambled order, so each one lands on a cold table line and a
+/// cold node.
+struct MakeNodeFixture {
+  static constexpr unsigned LeafBits = 11;
+  static constexpr uint32_t NumPairs = 1u << (2 * LeafBits);
+  BddManager Mgr{15};
+  std::vector<Bdd> LowLeaves, HighLeaves;
+
+  MakeNodeFixture() {
+    Mgr.setGcThreshold(0);
+    for (uint32_t K = 0; K < (2u << LeafBits); ++K) {
+      Bdd M = Mgr.one();
+      for (unsigned B = 0; B <= LeafBits; ++B)
+        M &= ((K >> B) & 1) ? Mgr.var(3 + B) : Mgr.nvar(3 + B);
+      ((K >> LeafBits) ? HighLeaves : LowLeaves).push_back(M);
+    }
+    for (uint32_t I = 0; I < NumPairs; ++I)
+      make(2, I);
+  }
+
+  /// The node at \p Var over the \p I-th pair, scrambled by an odd
+  /// multiplier (a bijection on [0, NumPairs)).
+  Bdd make(unsigned Var, uint32_t I) {
+    uint32_t P = (I * 0x9e3779b1u) & (NumPairs - 1);
+    return Mgr.node(Var, LowLeaves[P & ((1u << LeafBits) - 1)],
+                    HighLeaves[P >> LeafBits]);
+  }
+};
+
+void BM_BddMakeNodeHit(benchmark::State &State) {
+  // Every call finds an existing node.
+  MakeNodeFixture F;
+  uint32_t I = 0;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(F.make(2, I++ & (F.NumPairs - 1)));
+  State.counters["table_slots"] =
+      benchmark::Counter(double(F.Mgr.tableSlots()));
+}
+BENCHMARK(BM_BddMakeNodeHit);
+
+void BM_BddMakeNodeMiss(benchmark::State &State) {
+  // Every call probes to an empty slot and inserts a node (at variable 1,
+  // over the same pairs). The iteration count is fixed below the next
+  // table growth, so no rehash lands in the timing.
+  MakeNodeFixture F;
+  uint32_t I = 0;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(F.make(1, I++));
+  State.counters["table_slots"] =
+      benchmark::Counter(double(F.Mgr.tableSlots()));
+}
+BENCHMARK(BM_BddMakeNodeMiss)->Iterations(1 << 20);
 
 void BM_BddGc(benchmark::State &State) {
   // One manager; each iteration litters the table with dead intermediates

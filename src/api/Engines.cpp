@@ -104,7 +104,6 @@ reach::SeqOptions seqOptionsFor(reach::SeqAlgorithm Alg,
   SO.Strategy = Opts.Strategy;
   SO.EarlyStop = Opts.EarlyStop;
   SO.MaxIterations = Opts.MaxIterations;
-  SO.CacheBits = Opts.CacheBits;
   SO.GcThreshold = Opts.GcThreshold;
   SO.FrontierCofactor = Opts.FrontierCofactor;
   SO.ReuseSolvedState = Opts.SessionReuse;
@@ -273,7 +272,6 @@ public:
                   const SolverOptions &Opts) const override {
     reach::BaselineOptions BO;
     BO.EarlyStop = Opts.EarlyStop;
-    BO.CacheBits = Opts.CacheBits;
     BO.GcThreshold = Opts.GcThreshold;
     GovernorScope GS(Opts);
     BO.Governor = GS.get();
@@ -340,7 +338,6 @@ conc::ConcOptions concOptionsFor(const SolverOptions &Opts,
   CO.Strategy = Opts.Strategy;
   CO.EarlyStop = Opts.EarlyStop;
   CO.MaxIterations = Opts.MaxIterations;
-  CO.CacheBits = Opts.CacheBits;
   CO.GcThreshold = Opts.GcThreshold;
   CO.FrontierCofactor = Opts.FrontierCofactor;
   CO.ReuseSolvedState = Opts.SessionReuse;

@@ -144,7 +144,6 @@ struct SolverOptions {
   /// cap fires the result carries `HitIterationLimit` and the verdict only
   /// reflects the states discovered so far.
   uint64_t MaxIterations = 0;
-  unsigned CacheBits = 18;        ///< BDD computed cache of 2^CacheBits.
   size_t GcThreshold = 1u << 22;  ///< BDD auto-GC threshold; 0 disables.
   /// Coudert–Madre care-set minimization of relational-product operands
   /// in the evaluator's narrow delta rounds: off, `constrain` (maximal

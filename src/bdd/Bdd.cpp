@@ -95,45 +95,45 @@ bool Bdd::isOne() const { return Mgr && Idx == 1; }
 
 Bdd Bdd::operator&(const Bdd &Other) const {
   assert(Mgr && Mgr == Other.Mgr && "operands from different managers");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->applyRec(BddManager::Op::And, Idx, Other.Idx));
 }
 
 Bdd Bdd::operator|(const Bdd &Other) const {
   assert(Mgr && Mgr == Other.Mgr && "operands from different managers");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->applyRec(BddManager::Op::Or, Idx, Other.Idx));
 }
 
 Bdd Bdd::operator^(const Bdd &Other) const {
   assert(Mgr && Mgr == Other.Mgr && "operands from different managers");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->applyRec(BddManager::Op::Xor, Idx, Other.Idx));
 }
 
 Bdd Bdd::operator!() const {
   assert(Mgr && "null bdd");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->notRec(Idx));
 }
 
 Bdd Bdd::ite(const Bdd &Then, const Bdd &Else) const {
   assert(Mgr && Mgr == Then.Mgr && Mgr == Else.Mgr &&
          "operands from different managers");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->iteRec(Idx, Then.Idx, Else.Idx));
 }
 
 Bdd Bdd::exists(BddCube Cube) const {
   assert(Mgr && Cube.isValid() && "bad exists operands");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->existsRec(Idx, Cube.Id));
 }
 
 Bdd Bdd::forall(BddCube Cube) const {
   assert(Mgr && Cube.isValid() && "bad forall operands");
   // forall X. f == !(exists X. !f); both negations hit the NOT cache.
-  Mgr->maybeGc();
+  Mgr->beginOp();
   uint32_t NotF = Mgr->notRec(Idx);
   uint32_t Ex = Mgr->existsRec(NotF, Cube.Id);
   return Bdd(Mgr, Mgr->notRec(Ex));
@@ -142,13 +142,13 @@ Bdd Bdd::forall(BddCube Cube) const {
 Bdd Bdd::andExists(const Bdd &Other, BddCube Cube) const {
   assert(Mgr && Mgr == Other.Mgr && Cube.isValid() &&
          "bad andExists operands");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->andExistsRec(Idx, Other.Idx, Cube.Id));
 }
 
 Bdd Bdd::permute(BddPerm Perm) const {
   assert(Mgr && Perm.isValid() && "bad permute operands");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->renameRec(Idx, Perm.Id));
 }
 
@@ -162,21 +162,21 @@ Bdd Bdd::restrict(unsigned Var, bool Value) const {
 
 Bdd Bdd::frontier(const Bdd &Old) const {
   assert(Mgr && Mgr == Old.Mgr && "operands from different managers");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->frontierRec(Idx, Old.Idx));
 }
 
 Bdd Bdd::constrain(const Bdd &Care) const {
   assert(Mgr && Mgr == Care.Mgr && "operands from different managers");
   assert(!Care.isZero() && "constrain needs a non-empty care set");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->constrainRec(Idx, Care.Idx));
 }
 
 Bdd Bdd::restrict(const Bdd &Care) const {
   assert(Mgr && Mgr == Care.Mgr && "operands from different managers");
   assert(!Care.isZero() && "restrict needs a non-empty care set");
-  Mgr->maybeGc();
+  Mgr->beginOp();
   return Bdd(Mgr, Mgr->restrictRec(Idx, Care.Idx));
 }
 
@@ -279,28 +279,16 @@ std::vector<int8_t> Bdd::onePath() const {
 
 BddManager::BddManager(unsigned NumVars, unsigned CacheBits,
                        unsigned CacheWays)
-    : NumVars(NumVars) {
-  Nodes.resize(2);
-  Nodes[0] = Node{TermVar, 0, 0, Invalid};
-  Nodes[1] = Node{TermVar, 1, 1, Invalid};
-  ExtRefs.resize(2, 1); // Terminals are permanently referenced.
-  Buckets.assign(1u << 12, Invalid);
+    : NumVars(NumVars), MaxCacheWays(CacheWays) {
   assert(CacheWays != 0 && (CacheWays & (CacheWays - 1)) == 0 &&
          "cache associativity must be a power of two");
-  // Total slots stay 2^CacheBits regardless of associativity, so the
-  // CacheBits knob means the same memory budget at every ways setting;
-  // tiny caches clamp to at least one bucket.
-  unsigned WayBits = 0;
-  while ((1u << WayBits) < CacheWays)
-    ++WayBits;
-  if (WayBits > CacheBits)
-    WayBits = CacheBits;
-  this->CacheWays = 1u << WayBits;
-  CacheSlots = size_t(1) << CacheBits;
-  Cache.resize(CacheSlots + 64 / sizeof(CacheEntry) - 1);
-  uintptr_t Addr = reinterpret_cast<uintptr_t>(Cache.data());
-  CacheBase = Cache.data() + ((64 - (Addr & 63)) & 63) / sizeof(CacheEntry);
-  CacheBucketMask = (uint64_t(1) << (CacheBits - WayBits)) - 1;
+  assert(CacheBits < 31 && "starting geometry out of range");
+  Pages.emplace_back(new Node[NodesPerPage]);
+  rec(0) = Node{TermVar, 0, 0, 1}; // Terminals are permanently referenced.
+  rec(1) = Node{TermVar, 1, 1, 1};
+  NodeEnd = 2;
+  Table.assign(size_t(2) << CacheBits, 0);
+  allocateCache();
 
   // Whole-process fault drills: every manager born while the variable is
   // set fails its K-th allocation (see setFailAfterAllocations).
@@ -320,6 +308,13 @@ Bdd BddManager::var(unsigned Var) {
 Bdd BddManager::nvar(unsigned Var) {
   assert(Var < NumVars && "variable out of range");
   return Bdd(this, makeNode(Var, 1, 0));
+}
+
+Bdd BddManager::node(unsigned Var, const Bdd &Low, const Bdd &High) {
+  assert(Var < NumVars && "variable out of range");
+  assert(Low.Mgr == this && High.Mgr == this &&
+         "children from a different manager");
+  return Bdd(this, makeNode(Var, Low.Idx, High.Idx));
 }
 
 BddCube BddManager::makeCube(const std::vector<unsigned> &Vars) {
@@ -401,21 +396,41 @@ uint32_t BddManager::makeNode(uint32_t Var, uint32_t Low, uint32_t High) {
   assert(isTerminal(Low) || varOf(Low) > Var);
   assert(isTerminal(High) || varOf(High) > Var);
 
-  size_t Bucket = hashTriple(Var, Low, High) & (Buckets.size() - 1);
-  for (uint32_t N = Buckets[Bucket]; N != Invalid; N = Nodes[N].Next)
-    if (Nodes[N].Var == Var && Nodes[N].Low == Low && Nodes[N].High == High)
-      return N;
+  const uint64_t H = hashTriple(Var, Low, High);
+  const size_t Slot = probe(Var, Low, High, H);
+  if (Table[Slot] != 0)
+    return uint32_t(Table[Slot]);
 
   uint32_t N = allocNode();
-  Nodes[N] = Node{Var, Low, High, Buckets[Bucket]};
-  Buckets[Bucket] = N;
+  rec(N) = Node{Var, Low, High, 0};
+  Table[Slot] = slotOf(N, H);
   ++Stats.NodesCreated;
 
-  size_t Live = Nodes.size() - 2 - NumFree;
+  size_t Live = liveNodeCount();
   Stats.PeakNodes = std::max(Stats.PeakNodes, Live);
-  if (Live > (Buckets.size() * 3) / 4)
+  if (Live > (Table.size() * 3) / 4)
     growUniqueTable();
   return N;
+}
+
+size_t BddManager::probe(uint32_t Var, uint32_t Low, uint32_t High,
+                         uint64_t H) const {
+  // Eight slots share a cache line, so a probe sequence usually stays on
+  // the line it starts on; a node record is read only when the 32-bit
+  // fingerprint matches, which for a non-matching node happens once in
+  // 2^32 compares.
+  const size_t Mask = Table.size() - 1;
+  const uint64_t Fingerprint = H & 0xffffffff00000000ull;
+  for (size_t I = size_t(H) & Mask;; I = (I + 1) & Mask) {
+    uint64_t S = Table[I];
+    if (S == 0)
+      return I;
+    if ((S & 0xffffffff00000000ull) == Fingerprint) {
+      const Node &Nd = rec(uint32_t(S));
+      if (Nd.Var == Var && Nd.Low == Low && Nd.High == High)
+        return I;
+    }
+  }
 }
 
 void BddManager::pollGovernor() {
@@ -432,46 +447,94 @@ uint32_t BddManager::allocNode() {
     throw std::bad_alloc();
   if (FreeList != Invalid) {
     uint32_t N = FreeList;
-    FreeList = Nodes[N].Low;
+    FreeList = rec(N).Low;
     --NumFree;
-    ExtRefs[N] = 0;
     return N;
   }
-  Nodes.push_back(Node{});
-  ExtRefs.push_back(0);
+  // A full store appends a page; records already handed out never move.
+  if (NodeEnd == Pages.size() * size_t(NodesPerPage))
+    Pages.emplace_back(new Node[NodesPerPage]);
   // Nodes past the packed cache index range are legal — the computed
   // cache just refuses to store results that mention them.
-  return uint32_t(Nodes.size() - 1);
+  return NodeEnd++;
+}
+
+void BddManager::insertLiveNodes() {
+  // Live triples are distinct, so each goes to the first empty slot of
+  // its probe sequence without comparing keys.
+  const size_t Mask = Table.size() - 1;
+  for (uint32_t N = 2; N < NodeEnd; ++N) {
+    const Node &Nd = rec(N);
+    if (Nd.Var == TermVar) // Free node.
+      continue;
+    uint64_t H = hashTriple(Nd.Var, Nd.Low, Nd.High);
+    size_t I = size_t(H) & Mask;
+    while (Table[I] != 0)
+      I = (I + 1) & Mask;
+    Table[I] = slotOf(N, H);
+  }
 }
 
 void BddManager::growUniqueTable() {
-  size_t NewSize = Buckets.size() * 2;
-  Buckets.assign(NewSize, Invalid);
-  for (uint32_t N = 2; N < Nodes.size(); ++N) {
-    if (Nodes[N].Var == TermVar) // Free node.
-      continue;
-    size_t Bucket =
-        hashTriple(Nodes[N].Var, Nodes[N].Low, Nodes[N].High) & (NewSize - 1);
-    Nodes[N].Next = Buckets[Bucket];
-    Buckets[Bucket] = N;
-  }
+  // The computed cache follows the table at half its slot count. Growth
+  // runs inside makeNode, usually deep in an operation's recursion; the
+  // cache is a pure memo (no caller holds an entry across a recursive
+  // call), so dropping every entry here is safe. The old cache goes
+  // before the new table arrives, so the transient peak (old and new
+  // table, no cache) stays below the steady state after growth. The new
+  // table is allocated before the old one is touched: if that throws,
+  // the manager is left as it was, minus its cache, which the next
+  // operation entry re-allocates — as it does a cache released by
+  // `clearComputedCache`, which stays released here.
+  bool HadCache = CacheBase != nullptr;
+  releaseCache();
+  std::vector<uint64_t> Grown(Table.size() * 2, 0);
+  Table.swap(Grown);
+  std::vector<uint64_t>().swap(Grown);
+  insertLiveNodes();
+  if (HadCache)
+    allocateCache();
 }
 
-void BddManager::ref(uint32_t N) { ++ExtRefs[N]; }
+bool BddManager::checkUniqueTable() const {
+  size_t Entries = 0;
+  for (uint64_t S : Table) {
+    if (S == 0)
+      continue;
+    ++Entries;
+    uint32_t N = uint32_t(S);
+    if (N < 2 || N >= NodeEnd || rec(N).Var == TermVar)
+      return false;
+  }
+  if (Entries != liveNodeCount())
+    return false;
+  for (uint32_t N = 2; N < NodeEnd; ++N) {
+    const Node &Nd = rec(N);
+    if (Nd.Var == TermVar)
+      continue;
+    size_t I = probe(Nd.Var, Nd.Low, Nd.High,
+                     hashTriple(Nd.Var, Nd.Low, Nd.High));
+    if (Table[I] == 0 || uint32_t(Table[I]) != N)
+      return false;
+  }
+  return true;
+}
+
+void BddManager::ref(uint32_t N) { ++rec(N).Refs; }
 
 void BddManager::deref(uint32_t N) {
-  assert(ExtRefs[N] > 0 && "unbalanced deref");
-  --ExtRefs[N];
+  assert(rec(N).Refs > 0 && "unbalanced deref");
+  --rec(N).Refs;
 }
 
-size_t BddManager::liveNodeCount() const { return Nodes.size() - 2 - NumFree; }
+size_t BddManager::liveNodeCount() const { return NodeEnd - 2 - NumFree; }
 
 std::vector<uint8_t> BddManager::markReachable() const {
-  std::vector<uint8_t> Marked(Nodes.size(), 0);
+  std::vector<uint8_t> Marked(NodeEnd, 0);
   Marked[0] = Marked[1] = 1;
   std::vector<uint32_t> Stack;
-  for (uint32_t N = 2; N < Nodes.size(); ++N)
-    if (ExtRefs[N] > 0 && Nodes[N].Var != TermVar)
+  for (uint32_t N = 2; N < NodeEnd; ++N)
+    if (rec(N).Refs > 0 && rec(N).Var != TermVar)
       Stack.push_back(N);
   while (!Stack.empty()) {
     uint32_t N = Stack.back();
@@ -479,8 +542,8 @@ std::vector<uint8_t> BddManager::markReachable() const {
     if (N <= 1 || Marked[N])
       continue;
     Marked[N] = 1;
-    Stack.push_back(Nodes[N].Low);
-    Stack.push_back(Nodes[N].High);
+    Stack.push_back(rec(N).Low);
+    Stack.push_back(rec(N).High);
   }
   return Marked;
 }
@@ -488,40 +551,40 @@ std::vector<uint8_t> BddManager::markReachable() const {
 size_t BddManager::reachableNodeCount() const {
   std::vector<uint8_t> Marked = markReachable();
   size_t Count = 0;
-  for (uint32_t N = 2; N < Nodes.size(); ++N)
+  for (uint32_t N = 2; N < NodeEnd; ++N)
     Count += Marked[N];
   return Count;
 }
 
-void BddManager::maybeGc() {
+void BddManager::beginOp() {
   if (GcThreshold != 0 && liveNodeCount() > GcThreshold)
     gc();
+  if (!CacheBase)
+    allocateCache();
 }
 
 void BddManager::gc() {
   ++Stats.GcRuns;
   std::vector<uint8_t> Marked = markReachable();
 
-  std::fill(Buckets.begin(), Buckets.end(), Invalid);
   FreeList = Invalid;
   NumFree = 0;
   size_t Reclaimed = 0;
-  for (uint32_t N = 2; N < Nodes.size(); ++N) {
-    if (!Marked[N]) {
-      if (Nodes[N].Var != TermVar)
-        ++Reclaimed;
-      Nodes[N].Var = TermVar;
-      Nodes[N].Low = FreeList;
-      FreeList = N;
-      ++NumFree;
+  for (uint32_t N = 2; N < NodeEnd; ++N) {
+    if (Marked[N])
       continue;
-    }
-    size_t Bucket =
-        hashTriple(Nodes[N].Var, Nodes[N].Low, Nodes[N].High) &
-        (Buckets.size() - 1);
-    Nodes[N].Next = Buckets[Bucket];
-    Buckets[Bucket] = N;
+    Node &Nd = rec(N);
+    if (Nd.Var != TermVar)
+      ++Reclaimed;
+    Nd.Var = TermVar;
+    Nd.Low = FreeList;
+    FreeList = N;
+    ++NumFree;
   }
+  // Open addressing has no cheap delete: re-insert the survivors into
+  // the emptied table, in place.
+  std::fill(Table.begin(), Table.end(), 0);
+  insertLiveNodes();
   Stats.GcReclaimed += Reclaimed;
   Stats.LiveNodes = liveNodeCount();
   clearCache();
@@ -608,6 +671,23 @@ void BddManager::clearCache() {
     std::fill(Cache.begin(), Cache.end(), CacheEntry{});
     CacheGeneration = 1;
   }
+}
+
+void BddManager::allocateCache() {
+  // Total slots are half the table's regardless of associativity; caches
+  // smaller than one bucket clamp the ways.
+  const size_t Slots = cacheSlots();
+  CacheWays = cacheWays();
+  Cache.assign(Slots + 64 / sizeof(CacheEntry) - 1, CacheEntry{});
+  uintptr_t Addr = reinterpret_cast<uintptr_t>(Cache.data());
+  CacheBase = Cache.data() + ((64 - (Addr & 63)) & 63) / sizeof(CacheEntry);
+  CacheBucketMask = Slots / CacheWays - 1;
+  CacheGeneration = 1; // Zeroed entries carry generation 0: all empty.
+}
+
+void BddManager::releaseCache() {
+  std::vector<CacheEntry>().swap(Cache);
+  CacheBase = nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -944,7 +1024,7 @@ uint32_t BddImporter::importRec(uint32_t N) {
   auto It = Memo.find(N);
   if (It != Memo.end())
     return It->second.Idx;
-  const BddManager::Node &Node = Src.Nodes[N];
+  const BddManager::Node &Node = Src.rec(N);
   // Post-order: children are memoized (hence externally referenced in the
   // destination) before the parent is built, so nothing here can be
   // collected mid-import — and makeNode never runs GC anyway.

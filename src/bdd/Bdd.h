@@ -22,6 +22,11 @@
 /// handle plus a mark-and-sweep collector that runs only at operation entry
 /// (never mid-recursion), so internal intermediate results are always safe.
 ///
+/// Storage: nodes (with their reference counts) live in fixed-size pages
+/// that are appended and never moved; the unique table is open-addressed
+/// over 8-byte slots (node index + hash fingerprint); and the computed
+/// cache is sized from the unique table, growing with it.
+///
 /// Variable index == variable order level; the symbolic layer computes a
 /// good static order up front (as Getafix does) instead of reordering
 /// dynamically.
@@ -33,8 +38,10 @@
 
 #include "support/ResourceGovernor.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -227,19 +234,26 @@ struct BddStats {
   }
 };
 
-/// Owns the shared node table, the unique table, and the computed cache.
+/// Owns the node pages, the unique table, and the computed cache.
 class BddManager {
 public:
-  /// \p CacheBits selects a computed cache of 2^CacheBits entries total,
-  /// organized as a set-associative cache of \p CacheWays ways per bucket
-  /// (power of two; 1 = direct-mapped, 4 = the default). Buckets age by
-  /// transposition promotion: new entries enter the back (probation) way,
-  /// a hit moves its entry one way toward the front, and insertion
-  /// replaces the back way (or a generation-stale one). Re-used results
-  /// therefore survive conflict pressure instead of being evicted by
-  /// whatever hashed onto their slot last — the direct-mapped failure
-  /// mode that cost heavy solves a round's working set per round.
-  explicit BddManager(unsigned NumVars = 0, unsigned CacheBits = 18,
+  /// The computed cache holds half as many entries as the unique table
+  /// has slots, and the two double together as nodes accumulate, so a
+  /// manager holding 50 k nodes keeps a cache of its own scale instead of
+  /// one sized for millions. \p CacheBits sets the starting geometry — a
+  /// 2^CacheBits-entry cache over a 2^(CacheBits+1)-slot table — which
+  /// tests and microbenchmarks shrink to start from a tiny cache.
+  ///
+  /// The cache is set-associative with \p CacheWays ways per bucket
+  /// (power of two; 1 = direct-mapped, 4 = the default; caches smaller
+  /// than one bucket clamp it). Buckets age by transposition promotion:
+  /// new entries enter the back (probation) way, a hit moves its entry
+  /// one way toward the front, and insertion replaces the back way (or a
+  /// generation-stale one). Re-used results therefore survive conflict
+  /// pressure instead of being evicted by whatever hashed onto their slot
+  /// last — the direct-mapped failure mode that cost heavy solves a
+  /// round's working set per round.
+  explicit BddManager(unsigned NumVars = 0, unsigned CacheBits = 11,
                       unsigned CacheWays = 4);
   ~BddManager();
 
@@ -256,6 +270,10 @@ public:
   Bdd var(unsigned Var);
   /// The negative literal for variable \p Var.
   Bdd nvar(unsigned Var);
+  /// The unique node branching on \p Var to \p Low (Var false) and \p High
+  /// (Var true) — one unique-table probe, no computed-cache traffic. \p Var
+  /// must sit above both children's top variables.
+  Bdd node(unsigned Var, const Bdd &Low, const Bdd &High);
 
   /// Interns a quantification cube. Variables may be unsorted; duplicates
   /// are ignored. Equal sets share one id.
@@ -280,11 +298,26 @@ public:
   /// solve are sized from the main manager's knobs via this getter.
   size_t gcThreshold() const { return GcThreshold; }
 
-  /// Number of computed-cache slots (2^CacheBits). Callers that adapt
-  /// their algorithms to cache pressure compare working-set sizes to this.
-  size_t cacheSlots() const { return CacheSlots; }
+  /// Number of computed-cache slots: half the unique table's slots, so it
+  /// grows as the manager does (and reads the same while a cleared cache
+  /// awaits re-allocation). Callers that adapt their algorithms to cache
+  /// pressure compare working-set sizes to this, re-reading it as they go.
+  size_t cacheSlots() const { return Table.size() / 2; }
   /// Associativity of the computed cache (ways per bucket).
-  unsigned cacheWays() const { return CacheWays; }
+  unsigned cacheWays() const {
+    return unsigned(std::min<size_t>(MaxCacheWays, cacheSlots()));
+  }
+  /// Slots of the unique table (a power of two, at most 3/4 full).
+  size_t tableSlots() const { return Table.size(); }
+
+  /// Nodes per page of the node store. Pages are allocated whole as the
+  /// node count passes each multiple and are never moved or freed.
+  static constexpr uint32_t NodesPerPage = 1u << 16;
+  /// Consistency check of the unique table, for tests: every live node is
+  /// found by probing its own triple — which also means no triple has two
+  /// nodes, since a probe stops at its first match — and the table holds
+  /// no other entries.
+  bool checkUniqueTable() const;
 
   /// Installs (or, with null, removes) a resource governor. `makeNode`
   /// then probes it every `probePeriod()` calls — charging the batch to
@@ -313,12 +346,12 @@ public:
     FaultAllocs = 0;
   }
 
-  /// Invalidates every computed-cache entry by bumping the cache
-  /// generation (an O(1) operation — entries stamped with an older
-  /// generation read as empty). Results computed before and after the
-  /// bump are identical; this only exists so tests and callers can shed
-  /// a cold working set without paying a memset.
-  void clearComputedCache() { clearCache(); }
+  /// Drops every computed-cache entry and releases the cache's storage;
+  /// the next operation re-allocates it, empty, at the size the unique
+  /// table then implies. Results computed before and after are
+  /// identical: this is the memory valve of long-lived sessions, which
+  /// shed the cache of an idle manager and keep its nodes.
+  void clearComputedCache() { releaseCache(); }
 
   /// Counter snapshot. The hot path maintains only the per-op cache
   /// counters; the aggregate CacheLookups/CacheHits are summed here.
@@ -343,35 +376,39 @@ public:
   size_t reachableNodeCount() const;
 
   /// Estimated heap bytes of this manager's live working set: live nodes
-  /// times their storage share (node record + external refcount + unique
-  /// table bucket) plus the computed cache. With \p CountCache false the
-  /// cache is discounted — callers that just issued `clearComputedCache`
-  /// hold an allocated-but-dead cache whose contents no longer back any
-  /// working set (the long-lived-session memory budget counts it that
-  /// way). An estimate, not RSS: free-listed node slots and the interned
+  /// times their storage share (node record with its refcount, plus one
+  /// unique-table slot) plus the computed cache as currently allocated —
+  /// nothing after `clearComputedCache`. An estimate, not RSS: free-listed
+  /// node slots, the table's empty slots and the interned
   /// cube/permutation tables are deliberately ignored.
-  size_t memoryEstimate(bool CountCache = true) const {
-    return liveNodeCount() * (sizeof(Node) + 2 * sizeof(uint32_t)) +
-           (CountCache ? Cache.size() * sizeof(CacheEntry) : 0);
-  }
+  size_t memoryEstimate() const { return memoryEstimateFor(liveNodeCount()); }
 
   /// `memoryEstimate` computed over `reachableNodeCount()` instead of
   /// `liveNodeCount()`: uncollected garbage is excluded, so this is the
   /// number a session memory budget should charge.
-  size_t reachableMemoryEstimate(bool CountCache = true) const {
-    return reachableNodeCount() * (sizeof(Node) + 2 * sizeof(uint32_t)) +
-           (CountCache ? Cache.size() * sizeof(CacheEntry) : 0);
+  size_t reachableMemoryEstimate() const {
+    return memoryEstimateFor(reachableNodeCount());
   }
 
 private:
   friend class Bdd;
 
+  /// One node record: 16 bytes, so records never straddle a cache line
+  /// and a probe that matches a fingerprint reads exactly one line. A
+  /// free record has Var == TermVar and chains the free list through Low.
   struct Node {
     uint32_t Var;
     uint32_t Low;
     uint32_t High;
-    uint32_t Next; ///< Unique-table chain.
+    uint32_t Refs; ///< External references (`Bdd` handles).
   };
+  static constexpr unsigned PageBits = 16;
+  static_assert(NodesPerPage == 1u << PageBits, "page geometry");
+
+  size_t memoryEstimateFor(size_t Nodes) const {
+    return Nodes * (sizeof(Node) + sizeof(uint64_t)) +
+           Cache.size() * sizeof(CacheEntry);
+  }
 
   using Op = BddOp;
 
@@ -412,9 +449,15 @@ private:
   static constexpr uint32_t Invalid = UINT32_MAX;
 
   // Node access -----------------------------------------------------------
-  uint32_t varOf(uint32_t N) const { return Nodes[N].Var; }
-  uint32_t lowOf(uint32_t N) const { return Nodes[N].Low; }
-  uint32_t highOf(uint32_t N) const { return Nodes[N].High; }
+  Node &rec(uint32_t N) {
+    return Pages[N >> PageBits][N & (NodesPerPage - 1)];
+  }
+  const Node &rec(uint32_t N) const {
+    return Pages[N >> PageBits][N & (NodesPerPage - 1)];
+  }
+  uint32_t varOf(uint32_t N) const { return rec(N).Var; }
+  uint32_t lowOf(uint32_t N) const { return rec(N).Low; }
+  uint32_t highOf(uint32_t N) const { return rec(N).High; }
   bool isTerminal(uint32_t N) const { return N <= 1; }
 
   uint32_t makeNode(uint32_t Var, uint32_t Low, uint32_t High);
@@ -422,13 +465,29 @@ private:
   /// Re-arms the probe countdown and forwards the elapsed batch to the
   /// governor (which throws `ResourceInterrupt` on a tripped limit).
   void pollGovernor();
-  void growUniqueTable();
   static uint64_t hashTriple(uint32_t A, uint32_t B, uint32_t C);
+
+  // Unique table ----------------------------------------------------------
+  /// Linear probe for the triple whose hash is \p H: returns the slot of
+  /// its node, or the empty slot where it belongs.
+  size_t probe(uint32_t Var, uint32_t Low, uint32_t High, uint64_t H) const;
+  static uint64_t slotOf(uint32_t N, uint64_t H) {
+    return (H & 0xffffffff00000000ull) | N;
+  }
+  /// Inserts every live node into the table, which must be empty.
+  void insertLiveNodes();
+  /// Doubles the unique table and, with it, the computed cache.
+  void growUniqueTable();
 
   // Computed cache --------------------------------------------------------
   bool cacheLookup(Op O, uint32_t F, uint32_t G, uint32_t H, uint32_t &Out);
   void cacheInsert(Op O, uint32_t F, uint32_t G, uint32_t H, uint32_t R);
+  /// Invalidates every entry by bumping the generation, keeping storage.
   void clearCache();
+  /// Allocates an empty cache of `cacheSlots()` entries.
+  void allocateCache();
+  /// Frees the cache's storage; `beginOp` re-allocates it.
+  void releaseCache();
 
   // Recursive cores (raw indices; never trigger gc) ------------------------
   uint32_t applyRec(Op O, uint32_t F, uint32_t G);
@@ -441,7 +500,9 @@ private:
   uint32_t constrainRec(uint32_t F, uint32_t C);
   uint32_t restrictRec(uint32_t F, uint32_t C);
 
-  void maybeGc();
+  /// Operation entry: collects when over the gc threshold and allocates
+  /// the computed cache if `clearComputedCache` released it.
+  void beginOp();
   /// Mark phase shared by `gc()` and `reachableNodeCount()`: a byte per
   /// node slot, 1 where the node is reachable from an external reference
   /// (terminals included).
@@ -450,22 +511,33 @@ private:
   void deref(uint32_t N);
 
   // Data ------------------------------------------------------------------
-  std::vector<Node> Nodes;
-  std::vector<uint32_t> ExtRefs; ///< Parallel to Nodes.
-  std::vector<uint32_t> Buckets; ///< Unique table; power-of-two size.
-  uint32_t FreeList = Invalid;   ///< Chained through Node::Low.
+  /// The node store: records [0, NodeEnd) in pages of NodesPerPage, so
+  /// growth appends a page instead of copying the store, and a node's
+  /// address is stable for the manager's lifetime.
+  std::vector<std::unique_ptr<Node[]>> Pages;
+  uint32_t NodeEnd = 0;        ///< One past the highest record in use.
+  uint32_t FreeList = Invalid; ///< Chained through Node::Low.
   size_t NumFree = 0;
   unsigned NumVars = 0;
+
+  /// Open-addressed unique table with linear probing; power-of-two size.
+  /// A slot is 0 when empty, else a live node's index in the low 32 bits
+  /// and the high 32 bits of its triple's hash (the fingerprint) above.
+  /// The probe position comes from the hash's low bits, so the two are
+  /// independent. Entries are only ever removed by `gc`, which rebuilds
+  /// the table, so there are no tombstones.
+  std::vector<uint64_t> Table;
 
   /// Backing storage, over-allocated by up to one bucket so `CacheBase`
   /// can sit on a 64-byte boundary — `operator new` only guarantees
   /// 16-byte alignment, and a misaligned 4-way bucket straddles two cache
-  /// lines, which measurably slows the (memory-bound) probe path.
+  /// lines, which measurably slows the (memory-bound) probe path. Empty
+  /// while released; then `CacheBase` is null.
   std::vector<CacheEntry> Cache;
-  CacheEntry *CacheBase = nullptr;     ///< 64-byte-aligned first bucket.
-  size_t CacheSlots = 0;               ///< 2^CacheBits usable entries.
+  CacheEntry *CacheBase = nullptr; ///< 64-byte-aligned first bucket.
   uint64_t CacheBucketMask = 0; ///< Bucket index mask (buckets × ways = size).
-  unsigned CacheWays = 4;
+  unsigned CacheWays = 4;       ///< Ways of the allocated cache.
+  unsigned MaxCacheWays = 4;    ///< Requested associativity.
   uint32_t CacheGeneration = 1; ///< Entries with an older gen are empty.
 
   std::vector<CubeSet> Cubes;

@@ -482,7 +482,7 @@ ConcResult ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
   ConcResult Result;
   Timer Tm;
 
-  BddManager Mgr(0, Opts.CacheBits);
+  BddManager Mgr;
   Mgr.setGcThreshold(Opts.GcThreshold);
   if (Opts.Governor)
     Mgr.setGovernor(Opts.Governor);
@@ -569,11 +569,6 @@ struct ConcSession::Impl {
   Evaluator Ev;
   IncrementalFixpoint Fix;
 
-  /// True between a `clearComputedCache` and the next query: the cache
-  /// is allocated but holds no live working set, so the footprint
-  /// estimate discounts it.
-  bool CacheCold = false;
-
   /// High-water mark of retained (reachable) nodes, sampled at the end
   /// of every query; `peakLiveNodes()` reports it (see SeqSession).
   size_t PeakLive = 0;
@@ -585,7 +580,6 @@ struct ConcSession::Impl {
   Impl(const bp::ConcurrentProgram &Conc,
        const std::vector<bp::ProgramCfg> &Cfgs, const ConcOptions &Opts)
       : Conc(Conc), Cfgs(Cfgs), Opts(Opts), Engine(Conc, Cfgs, Opts),
-        Mgr(0, Opts.CacheBits),
         Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr), Opts.Strategy,
            Opts.FrontierCofactor) {
     Mgr.setGcThreshold(Opts.GcThreshold);
@@ -613,13 +607,13 @@ void ConcSession::setGovernor(support::ResourceGovernor *G) { I->Gov = G; }
 
 void ConcSession::clearComputedCache() {
   I->Mgr.clearComputedCache();
-  I->CacheCold = true;
+  I->Ev.clearWorkerCaches();
 }
 
 size_t ConcSession::liveNodes() const {
   // Reachable-only count: garbage awaiting the next collection says
   // nothing about what the session retains (see SeqSession::liveNodes).
-  return I->Mgr.reachableNodeCount() + I->Ev.workerBddStats().LiveNodes;
+  return I->Mgr.reachableNodeCount() + I->Ev.workerReachableNodes();
 }
 
 size_t ConcSession::peakLiveNodes() const {
@@ -628,9 +622,7 @@ size_t ConcSession::peakLiveNodes() const {
 }
 
 size_t ConcSession::memoryFootprint() const {
-  constexpr size_t BytesPerWorkerNode = 24; // node + refcount + bucket.
-  return I->Mgr.reachableMemoryEstimate(/*CountCache=*/!I->CacheCold) +
-         I->Ev.workerBddStats().LiveNodes * BytesPerWorkerNode;
+  return I->Mgr.reachableMemoryEstimate() + I->Ev.workerMemoryEstimate();
 }
 
 ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
@@ -643,7 +635,6 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
 
   ConcResult Result;
   Timer Tm;
-  S.CacheCold = false; // Encoding/solving repopulates the computed cache.
   BddStats Before = S.Mgr.stats();
   BddStats WorkerBefore = S.Ev.workerBddStats();
   fpc::ParallelStats ParBefore = S.Ev.parallelStats();
@@ -706,7 +697,6 @@ bool ConcSession::answersFromState(unsigned Thread, unsigned ProcId,
   Impl &S = *I;
   if (!S.Opts.ReuseSolvedState)
     return false;
-  S.CacheCold = false; // Probing encodes the target over the manager.
   Bdd TargetStates = S.Engine.targetStates(S.Ev, Thread, ProcId, Pc);
   return S.Fix.answersFromState(TargetStates, S.Opts.EarlyStop,
                                 S.Opts.MaxIterations);

@@ -58,7 +58,6 @@ struct ConcOptions {
   fpc::EvalStrategy Strategy = fpc::EvalStrategy::SemiNaive;
   /// Cap on outer fixpoint rounds of Reach; 0 = unlimited.
   uint64_t MaxIterations = 0;
-  unsigned CacheBits = 18;
   size_t GcThreshold = 1u << 22;
   /// Coudert–Madre care-set minimization of relational-product operands
   /// in narrow delta rounds: off, `constrain`, or `restrict`

@@ -21,7 +21,8 @@ namespace getafix {
 namespace fpc {
 
 /// One worker's private solving state: a BDD manager sharing the main
-/// manager's variable order and cache geometry, an evaluator over the same
+/// manager's variable order (its computed cache grows with its own node
+/// table, like every manager's), an evaluator over the same
 /// system/layout, and the two cached cross-manager importers (main->worker
 /// for inputs and seeded dependencies, worker->main for solved SCC
 /// values). Owned by exactly one pool worker — only the main-manager
@@ -33,10 +34,9 @@ struct WorkerContext {
   BddImporter Out; ///< Worker -> main.
 
   WorkerContext(const System &Sys, BddManager &Main, const Layout &L,
-                EvalStrategy Strategy, CofactorMode Cofactor,
-                unsigned CacheBits)
-      : Mgr(Main.numVars(), CacheBits, Main.cacheWays()),
-        Ev(Sys, Mgr, L, Strategy, Cofactor), In(Main, Mgr), Out(Mgr, Main) {
+                EvalStrategy Strategy, CofactorMode Cofactor)
+      : Mgr(Main.numVars()), Ev(Sys, Mgr, L, Strategy, Cofactor),
+        In(Main, Mgr), Out(Mgr, Main) {
     Mgr.setGcThreshold(Main.gcThreshold());
   }
 };
@@ -142,27 +142,45 @@ void Evaluator::ensureParallelContext() {
     return;
   Par = std::make_unique<ParallelContext>(Threads);
   // One slot per pool worker; the contexts themselves (each a BDD
-  // manager with a main-sized computed cache — megabytes) are built
-  // lazily by the worker that first receives a task, so `--threads 64`
-  // on a three-SCC system pays for three managers, not 64. A slot is
+  // manager with its own node pages, table and cache) are built lazily
+  // by the worker that first receives a task, so `--threads 64` on a
+  // three-SCC system pays for three managers, not 64. A slot is
   // only ever touched by its owning worker, so creation needs no lock.
   Par->Workers.resize(Threads);
 }
 
 WorkerContext &Evaluator::workerContext(unsigned Worker) {
   std::unique_ptr<WorkerContext> &Slot = Par->Workers[Worker];
-  if (!Slot) {
-    // Clone the main manager's cache geometry so the frontier-width
-    // policy (keyed on cacheSlots) behaves the same way per worker. The
-    // main-manager reads here (numVars, cache geometry, gc threshold)
-    // are all fields no concurrent import/export mutates.
-    unsigned CacheBits = 0;
-    while ((size_t(1) << CacheBits) < Mgr.cacheSlots())
-      ++CacheBits;
-    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L, Strategy, Cofactor,
-                                           CacheBits);
-  }
+  // The main-manager reads in construction (numVars, gc threshold) are
+  // fields no concurrent import/export mutates.
+  if (!Slot)
+    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L, Strategy, Cofactor);
   return *Slot;
+}
+
+size_t Evaluator::workerReachableNodes() const {
+  size_t N = 0;
+  if (Par)
+    for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
+      if (W)
+        N += W->Mgr.reachableNodeCount();
+  return N;
+}
+
+size_t Evaluator::workerMemoryEstimate() const {
+  size_t Bytes = 0;
+  if (Par)
+    for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
+      if (W)
+        Bytes += W->Mgr.reachableMemoryEstimate();
+  return Bytes;
+}
+
+void Evaluator::clearWorkerCaches() {
+  if (Par)
+    for (std::unique_ptr<WorkerContext> &W : Par->Workers)
+      if (W)
+        W->Mgr.clearComputedCache();
 }
 
 BddStats Evaluator::workerBddStats() const {
@@ -932,8 +950,9 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
   // useful and the wide regime extends to half the slot count. Measured
   // on bluetooth 2a2s/k4 (the heavy Figure-3 row): /2 gives the lowest
   // peak live nodes and equal-best wall-clock; the terminator negatives
-  // are insensitive between /4 and /2.
-  const uint64_t NarrowAt = Mgr.cacheSlots() / 2;
+  // are insensitive between /4 and /2. The cache grows with the unique
+  // table, so both gates below re-read its size every round.
+  auto NarrowAt = [this] { return uint64_t(Mgr.cacheSlots() / 2); };
   // In narrow rounds, delta-substitute only linear disjuncts: a disjunct
   // with k occurrences needs k passes whose cross terms read the full S,
   // so its delta decomposition does strictly more conjunction work than
@@ -954,8 +973,10 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
   // wide/narrow signal and scale: a round still fitting the computed
   // cache is served well by warm sequential evaluation.
   const bool TopLevel = InFlight.empty();
-  const uint64_t ParallelAt =
-      DisjunctParallelThreshold ? DisjunctParallelThreshold : NarrowAt;
+  auto ParallelAt = [&] {
+    return DisjunctParallelThreshold ? DisjunctParallelThreshold
+                                     : NarrowAt();
+  };
 
   Bdd S = Mgr.zero();
   Bdd Delta;
@@ -991,7 +1012,7 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
       // nonlinear disjuncts), one unit per occurrence pass otherwise. A
       // single unit gains nothing from the pool and stays sequential.
       std::vector<DisjunctUnit> Units;
-      if (Threads > 1 && TopLevel && St.LastRoundCreated >= ParallelAt) {
+      if (Threads > 1 && TopLevel && St.LastRoundCreated >= ParallelAt()) {
         for (const DisjunctPlan &D : P.Disjuncts) {
           if (D.Kind != DisjunctKind::Distributive)
             continue;
@@ -1061,7 +1082,7 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
       St.Saturated = true;
       break;
     }
-    bool Narrow = St.LastRoundCreated >= NarrowAt;
+    bool Narrow = St.LastRoundCreated >= NarrowAt();
     Delta = Narrow ? Next.frontier(S) : Next;
     S = std::move(Next);
     if (Opts && Opts->Rings)

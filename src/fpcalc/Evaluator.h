@@ -222,10 +222,10 @@ public:
   /// products out over the worker pool only when the *previous* round
   /// allocated at least this many BDD nodes — small rounds stay
   /// sequential so cross-manager import overhead never dominates. 0 (the
-  /// default) selects the built-in valve, `cacheSlots()/2` — the same
-  /// created-nodes signal and scale the wide/narrow frontier policy keys
-  /// on. Purely a performance knob: round values are bit-identical either
-  /// way.
+  /// default) selects the built-in valve, `cacheSlots()/2` re-read every
+  /// round — the same created-nodes signal and scale the wide/narrow
+  /// frontier policy keys on. Purely a performance knob: round values are
+  /// bit-identical either way.
   void setDisjunctParallelThreshold(uint64_t N) {
     DisjunctParallelThreshold = N;
   }
@@ -238,6 +238,15 @@ public:
   /// parallel schedule ran). Monotone; callers report per-query work via
   /// `BddStats::since`.
   BddStats workerBddStats() const;
+  /// Memory accounting over the per-worker managers, which sessions own
+  /// along with the main manager (all zero before a parallel schedule):
+  /// their nodes reachable from external references, and their
+  /// `reachableMemoryEstimate()` summed — computed caches included.
+  size_t workerReachableNodes() const;
+  size_t workerMemoryEstimate() const;
+  /// Releases every per-worker manager's computed cache (see
+  /// `BddManager::clearComputedCache`). Call between solves only.
+  void clearWorkerCaches();
 
   EvalStrategy strategy() const { return Strategy; }
   CofactorMode cofactorMode() const { return Cofactor; }

@@ -20,7 +20,7 @@ class PostStarSolver {
 public:
   PostStarSolver(const bp::ProgramCfg &Cfg, unsigned ProcId, unsigned Pc,
                  const BaselineOptions &Opts)
-      : Cfg(Cfg), Factory(Sys), Mgr(0, Opts.CacheBits), Opts(Opts),
+      : Cfg(Cfg), Factory(Sys), Opts(Opts),
         TargetProcId(ProcId), TargetPc(Pc) {
     Mgr.setGcThreshold(Opts.GcThreshold);
     if (Opts.Governor)

@@ -56,7 +56,6 @@ struct BaselineResult {
 
 struct BaselineOptions {
   bool EarlyStop = true;
-  unsigned CacheBits = 18;
   size_t GcThreshold = 1u << 22;
   /// Resource governor for this solve (not owned; one-shot per attempt;
   /// see support/ResourceGovernor.h). A tripped limit is reported in

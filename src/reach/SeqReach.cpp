@@ -558,7 +558,7 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
   SeqResult Result;
   Timer T;
 
-  BddManager Mgr(0, Opts.CacheBits);
+  BddManager Mgr;
   Mgr.setGcThreshold(Opts.GcThreshold);
   if (Opts.Governor)
     Mgr.setGovernor(Opts.Governor);
@@ -722,11 +722,6 @@ struct SeqSession::Impl {
   /// created on the first witness query.
   std::unique_ptr<WitnessSession> Witness;
 
-  /// True between a `clearComputedCache` and the next query: the main
-  /// manager's cache is allocated but holds no live working set, so the
-  /// footprint estimate discounts it.
-  bool CacheCold = false;
-
   /// High-water mark of retained (reachable) nodes, sampled at the end
   /// of every query; `peakLiveNodes()` reports it. Allocation high-water
   /// (`BddStats::PeakNodes`) would also count uncollected garbage, which
@@ -741,7 +736,6 @@ struct SeqSession::Impl {
   Impl(const bp::ProgramCfg &Cfg, const SeqOptions &Opts)
       : Cfg(Cfg), Opts(Opts),
         Engine(Cfg, Opts.Alg, !Opts.MonolithicSummary),
-        Mgr(0, Opts.CacheBits),
         Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr),
            Opts.Strategy, Opts.FrontierCofactor) {
     Mgr.setGcThreshold(Opts.GcThreshold);
@@ -773,10 +767,11 @@ void SeqSession::setGovernor(support::ResourceGovernor *G) {
 }
 
 void SeqSession::clearComputedCache() {
+  // Every manager the session owns: the main one, the parallel workers'
+  // (warm across queries), and the witness sub-session's own manager (the
+  // ring-recording entry-forward solve).
   I->Mgr.clearComputedCache();
-  I->CacheCold = true;
-  // The witness sub-session runs its own manager (the ring-recording
-  // entry-forward solve); the memory valve must reach it too.
+  I->Ev.clearWorkerCaches();
   if (I->Witness)
     I->Witness->clearComputedCache();
 }
@@ -786,9 +781,8 @@ size_t SeqSession::liveNodes() const {
   // reached, so `liveNodeCount()` would also charge garbage that merely
   // awaits the next collection — transient solve intermediates that say
   // nothing about what the session retains. Parallel worker managers are
-  // session state too (warm across queries); their merged gauge is the
-  // sum of per-worker live counts.
-  return I->Mgr.reachableNodeCount() + I->Ev.workerBddStats().LiveNodes +
+  // session state too (warm across queries).
+  return I->Mgr.reachableNodeCount() + I->Ev.workerReachableNodes() +
          (I->Witness ? I->Witness->liveNodes() : 0);
 }
 
@@ -799,9 +793,7 @@ size_t SeqSession::peakLiveNodes() const {
 }
 
 size_t SeqSession::memoryFootprint() const {
-  constexpr size_t BytesPerWorkerNode = 24; // node + refcount + bucket.
-  return I->Mgr.reachableMemoryEstimate(/*CountCache=*/!I->CacheCold) +
-         I->Ev.workerBddStats().LiveNodes * BytesPerWorkerNode +
+  return I->Mgr.reachableMemoryEstimate() + I->Ev.workerMemoryEstimate() +
          (I->Witness ? I->Witness->memoryFootprint() : 0);
 }
 
@@ -816,7 +808,6 @@ SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
 
   SeqResult Result;
   Timer T;
-  S.CacheCold = false; // Encoding/solving repopulates the computed cache.
   BddStats Before = S.Mgr.stats();
   BddStats WorkerBefore = S.Ev.workerBddStats();
   fpc::ParallelStats ParBefore = S.Ev.parallelStats();
@@ -994,8 +985,6 @@ WitnessResult SeqSession::solveWithWitness(unsigned ProcId, unsigned Pc) {
       I->Witness = std::make_unique<WitnessSession>(I->Cfg, I->Opts);
     I->Witness->setGovernor(I->Gov);
   }
-  I->CacheCold = false; // Extraction repopulates the main computed cache
-                        // in shared mode; harmless to assume otherwise.
   WitnessResult R = I->Witness->query(ProcId, Pc);
   I->PeakLive = std::max(I->PeakLive, liveNodes());
   return R;
@@ -1016,7 +1005,6 @@ bool SeqSession::answersFromState(unsigned ProcId, unsigned Pc,
     return S.SplitSolved;
   if (S.Opts.Alg == SeqAlgorithm::SummarySimple)
     return S.SimpleSolved;
-  S.CacheCold = false; // Probing encodes the target over the manager.
   const sym::ConfVars &Conf = S.Engine.conf();
   Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
                      S.Ev.encodeEqConst(Conf.Pc, Pc);

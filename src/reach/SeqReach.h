@@ -63,8 +63,6 @@ struct SeqOptions {
   bool EarlyStop = true;
   /// Cap on outer fixpoint rounds of the queried relation; 0 = unlimited.
   uint64_t MaxIterations = 0;
-  /// Computed-cache size for the BDD manager (2^CacheBits entries).
-  unsigned CacheBits = 18;
   /// Automatic garbage-collection threshold (live nodes); 0 disables.
   size_t GcThreshold = 1u << 22;
   /// Coudert–Madre care-set minimization of relational-product operands

@@ -46,7 +46,7 @@ public:
   WitnessExtractor(const bp::ProgramCfg &Cfg, const SeqOptions &Opts)
       : OwnEngine(
             std::make_unique<SeqEngine>(Cfg, SeqAlgorithm::EntryForward)),
-        OwnMgr(std::make_unique<BddManager>(0, Opts.CacheBits)),
+        OwnMgr(std::make_unique<BddManager>()),
         Engine(OwnEngine.get()), Mgr(OwnMgr.get()), Opts(Opts),
         Gov(Opts.Governor), Fix(&OwnFix), S(Engine->conf()),
         X(Engine->scratch()), F(Engine->encoder().formals()) {
@@ -76,7 +76,8 @@ public:
     if (Borrowed)
       return; // The owner's valve clears the shared manager.
     Mgr->clearComputedCache();
-    CacheCold = true;
+    if (OwnEv)
+      OwnEv->clearWorkerCaches();
   }
 
   // In borrowed mode the gauges report 0: the owning session already
@@ -85,20 +86,20 @@ public:
   // awaiting collection excluded); the peak is the retained high-water
   // sampled at query boundaries.
   size_t liveNodes() const {
-    return Borrowed ? 0 : Mgr->reachableNodeCount();
+    if (Borrowed)
+      return 0;
+    return Mgr->reachableNodeCount() +
+           (OwnEv ? OwnEv->workerReachableNodes() : 0);
   }
   size_t peakLiveNodes() const {
     return Borrowed ? 0 : std::max(PeakLive, liveNodes());
   }
   size_t memoryFootprint() const {
-    return Borrowed ? 0
-                    : Mgr->reachableMemoryEstimate(/*CountCache=*/!CacheCold);
+    if (Borrowed)
+      return 0;
+    return Mgr->reachableMemoryEstimate() +
+           (OwnEv ? OwnEv->workerMemoryEstimate() : 0);
   }
-
-  /// True between a `clearComputedCache` and the next query: the cache is
-  /// allocated but holds no live working set, so the footprint estimate
-  /// discounts it.
-  bool CacheCold = false;
 
   /// High-water mark of retained (reachable) nodes, sampled at the end
   /// of every owned-mode query; `peakLiveNodes()` reports it.
@@ -489,7 +490,6 @@ WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
     Mgr->setGovernor(Gov);
   try {
     ensureSolved();
-    CacheCold = false; // Extraction repopulates the computed cache.
     Result = Base;
     Steps.clear();
 

@@ -77,8 +77,12 @@ void expectEqual(const Bdd &B, const TruthTable &T, const char *What) {
 }
 
 /// Builds a random (Bdd, TruthTable) pair over NumVars variables.
+/// \p OpsThatGrew, when given, counts the operations during which the
+/// manager's computed cache grew (growth runs inside makeNode, so
+/// mid-recursion).
 std::pair<Bdd, TruthTable> randomFunction(BddManager &Mgr, Rng &R,
-                                          unsigned NumVars, unsigned Ops) {
+                                          unsigned NumVars, unsigned Ops,
+                                          unsigned *OpsThatGrew = nullptr) {
   Bdd B = R.flip() ? Mgr.one() : Mgr.zero();
   TruthTable T(NumVars, B.isOne() ? ~uint64_t(0) >> (64 - (1u << NumVars))
                                   : 0);
@@ -86,6 +90,7 @@ std::pair<Bdd, TruthTable> randomFunction(BddManager &Mgr, Rng &R,
     unsigned V = unsigned(R.below(NumVars));
     Bdd Lit = Mgr.var(V);
     TruthTable LitT = TruthTable::var(NumVars, V);
+    size_t Slots = Mgr.cacheSlots();
     switch (R.below(3)) {
     case 0:
       B = B & Lit;
@@ -104,6 +109,8 @@ std::pair<Bdd, TruthTable> randomFunction(BddManager &Mgr, Rng &R,
       B = !B;
       T = !T;
     }
+    if (OpsThatGrew && Mgr.cacheSlots() > Slots)
+      ++*OpsThatGrew;
   }
   return {B, T};
 }
@@ -429,14 +436,17 @@ TEST(BddTest, ConstrainShrinksTransitionAgainstNarrowCareSet) {
 /// One deterministic pseudo-random operation script, re-runnable against
 /// managers with different cache geometries. Returns a per-step
 /// fingerprint (sat counts and dag sizes) that must be identical for any
-/// cache size/associativity, and across mid-script cache clears: the
-/// computed cache affects only speed, never results.
-std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear) {
+/// cache size/associativity, across mid-script cache clears, and across
+/// cache growth: the computed cache affects only speed, never results.
+/// \p OpsThatGrew, when given, counts the operations during which the
+/// cache grew.
+std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear,
+                                   unsigned *OpsThatGrew = nullptr) {
   Rng R(4242);
   std::vector<double> Trace;
   std::vector<Bdd> Pool;
   for (unsigned I = 0; I < 6; ++I)
-    Pool.push_back(randomFunction(Mgr, R, 6, 8).first);
+    Pool.push_back(randomFunction(Mgr, R, 6, 8, OpsThatGrew).first);
   std::vector<unsigned> EvenVars{0, 2, 4};
   BddCube Cube = Mgr.makeCube(EvenVars);
   for (unsigned Step = 0; Step < 60; ++Step) {
@@ -444,6 +454,7 @@ std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear) {
       Mgr.clearComputedCache();
     const Bdd &A = Pool[R.below(Pool.size())];
     const Bdd &B = Pool[R.below(Pool.size())];
+    size_t SlotsBefore = Mgr.cacheSlots();
     Bdd Out;
     switch (R.below(5)) {
     case 0:
@@ -462,6 +473,8 @@ std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear) {
       Out = B.isZero() ? (A ^ B) : A.restrict(B);
       break;
     }
+    if (OpsThatGrew && Mgr.cacheSlots() > SlotsBefore)
+      ++*OpsThatGrew;
     Pool[R.below(Pool.size())] = Out;
     Trace.push_back(Out.satCount(6) * 1000.0 + double(Out.nodeCount()));
   }
@@ -469,24 +482,138 @@ std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear) {
 }
 
 TEST(BddTest, CacheStressResultsIdenticalAcrossGeometries) {
-  // Identical op scripts must produce identical results at every cache
-  // size (8 vs 18 bits), at every associativity (direct-mapped vs 4-way),
-  // and across a mid-script generation bump. CacheBits 8 with 60 steps of
-  // 6 shared functions keeps the cache under real replacement pressure.
+  // Identical op scripts must produce identical results from every
+  // starting geometry (a one-entry cache over a two-slot table, 2^8, and
+  // 2^18 entries), at every associativity (direct-mapped vs 4-way), and
+  // across a mid-script release of the cache. From the smallest start the
+  // cache grows with the unique table while operations are running, and
+  // every entry is dropped mid-recursion each time it does.
   BddManager Reference(6, 18, 4);
   std::vector<double> Expected = runCacheScript(Reference, false);
+  EXPECT_EQ(Reference.cacheSlots(), size_t(1) << 18)
+      << "the reference must stay at its fixed large start";
 
   struct Geometry {
     unsigned Bits, Ways;
     bool MidClear;
-  } Geometries[] = {{8, 4, false}, {8, 1, false}, {18, 1, false},
+  } Geometries[] = {{0, 4, false}, {0, 1, false}, {0, 4, true},
+                    {8, 4, false}, {8, 1, false}, {18, 1, false},
                     {8, 4, true},  {18, 4, true}};
   for (const Geometry &G : Geometries) {
     BddManager Mgr(6, G.Bits, G.Ways);
-    EXPECT_EQ(runCacheScript(Mgr, G.MidClear), Expected)
+    unsigned Grew = 0;
+    EXPECT_EQ(runCacheScript(Mgr, G.MidClear, &Grew), Expected)
         << "cache bits " << G.Bits << " ways " << G.Ways << " midclear "
         << G.MidClear;
+    if (G.Bits == 0) {
+      EXPECT_GT(Grew, 0u) << "the cache never grew during an operation";
+    }
   }
+}
+
+TEST(BddTest, NodePagesSurviveCollectionAndFreeListReuse) {
+  // Enough explicitly built nodes to fill several node pages: 2^17 nodes
+  // at variable 0, each over a distinct pair of 512 "leaf" functions below
+  // it. Every other one is then dropped and collected, so the free list
+  // threads through all the pages, and re-creating the dropped triples
+  // must draw from it.
+  constexpr unsigned NumVars = 12, NumLeaves = 512;
+  BddManager Mgr(NumVars);
+  // Leaves: the minterms over variables 3..11 (9 bits).
+  std::vector<Bdd> Leaves;
+  for (unsigned K = 0; K < NumLeaves; ++K) {
+    Bdd M = Mgr.one();
+    for (unsigned B = 0; B < 9; ++B)
+      M &= ((K >> B) & 1) ? Mgr.var(3 + B) : Mgr.nvar(3 + B);
+    Leaves.push_back(M);
+  }
+  struct Triple {
+    unsigned Lo, Hi;
+  };
+  std::vector<Triple> Triples;
+  for (unsigned I = 0; Triples.size() < (1u << 17); ++I) {
+    unsigned Lo = I % NumLeaves, Hi = (I / NumLeaves + Lo + 1) % NumLeaves;
+    Triples.push_back({Lo, Hi});
+  }
+  auto Build = [&](const Triple &T) {
+    return Mgr.node(0, Leaves[T.Lo], Leaves[T.Hi]);
+  };
+  std::vector<Bdd> Roots;
+  std::vector<uint32_t> Index;
+  for (const Triple &T : Triples) {
+    Roots.push_back(Build(T));
+    Index.push_back(Roots.back().rawIndex());
+  }
+  Mgr.gc(); // Drop the leaf-building intermediates.
+  size_t Live = Mgr.liveNodeCount();
+  ASSERT_GT(Live, 2 * size_t(BddManager::NodesPerPage))
+      << "the script must span at least three pages";
+  // Distinct triples made distinct nodes.
+  std::vector<uint32_t> Sorted = Index;
+  std::sort(Sorted.begin(), Sorted.end());
+  ASSERT_TRUE(std::adjacent_find(Sorted.begin(), Sorted.end()) ==
+              Sorted.end());
+  const uint32_t HighWater = Sorted.back(); // The last record allocated.
+
+  for (size_t K = 0; K < Roots.size(); K += 2)
+    Roots[K] = Bdd();
+  Mgr.gc();
+  EXPECT_EQ(Mgr.liveNodeCount(), Live - Roots.size() / 2);
+  EXPECT_TRUE(Mgr.checkUniqueTable());
+
+  // Survivors are found through the rebuilt table under their old index.
+  for (size_t K = 1; K < Roots.size(); K += 2)
+    ASSERT_EQ(Build(Triples[K]).rawIndex(), Index[K]) << "triple " << K;
+  // Re-created triples come off the free list, below the high-water mark
+  // (no fresh record), and the same triple then always gives the same
+  // index.
+  for (size_t K = 0; K < Roots.size(); K += 2) {
+    Roots[K] = Build(Triples[K]);
+    ASSERT_LE(Roots[K].rawIndex(), HighWater)
+        << "triple " << K << " did not reuse a freed record";
+    ASSERT_EQ(Build(Triples[K]), Roots[K]) << "triple " << K;
+  }
+  EXPECT_EQ(Mgr.liveNodeCount(), Live);
+  EXPECT_TRUE(Mgr.checkUniqueTable());
+
+  // Round trip through a second manager lands on the very same nodes.
+  BddManager Other(NumVars);
+  BddImporter There(Mgr, Other), Back(Other, Mgr);
+  for (size_t K = 0; K < Roots.size(); K += 97) {
+    Bdd Copy = There.import(Roots[K]);
+    ASSERT_EQ(Copy.nodeCount(), Roots[K].nodeCount());
+    ASSERT_EQ(Back.import(Copy), Roots[K]) << "root " << K;
+  }
+}
+
+TEST(BddTest, UniqueTableRebuildFindsEverySurvivor) {
+  // A tiny start makes the table grow (rebuild) many times while the
+  // functions are built; gc then rebuilds it once more over the
+  // survivors. Every surviving node must be found by its own triple and
+  // no triple may have two nodes.
+  BddManager Mgr(8, /*CacheBits=*/0);
+  Rng R(77);
+  std::vector<Bdd> Keep;
+  for (unsigned I = 0; I < 64; ++I) {
+    auto [F, T] = randomFunction(Mgr, R, 6, 24);
+    (void)T;
+    if (I % 3 == 0)
+      Keep.push_back(F);
+  }
+  EXPECT_TRUE(Mgr.checkUniqueTable());
+  size_t SlotsBefore = Mgr.tableSlots();
+  Mgr.gc();
+  EXPECT_EQ(Mgr.tableSlots(), SlotsBefore) << "gc must not resize the table";
+  EXPECT_TRUE(Mgr.checkUniqueTable());
+  // Importing each survivor out and back re-probes every one of its
+  // nodes by triple: a missed node would come back as a duplicate.
+  BddManager Other(8);
+  BddImporter There(Mgr, Other), Back(Other, Mgr);
+  size_t Live = Mgr.liveNodeCount();
+  for (const Bdd &F : Keep)
+    EXPECT_EQ(Back.import(There.import(F)), F);
+  EXPECT_EQ(Mgr.liveNodeCount(), Live);
+  EXPECT_TRUE(Mgr.checkUniqueTable());
 }
 
 /// The conflict-heavy hot-set workload of bench_bdd, shrunk to test

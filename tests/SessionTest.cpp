@@ -559,8 +559,6 @@ TEST(SessionTest, CofactorModesAgreeOnVerdictsAndRounds) {
     SolverOptions Opts;
     Opts.Engine = C.Engine;
     Opts.FrontierCofactor = fpc::CofactorMode::Off;
-    // A small cache forces narrow rounds, where the cofactor applies.
-    Opts.CacheBits = 8;
     SolveResult Off =
         Solver::solve(Query::fromSource(C.Src).target(C.Label), Opts);
     ASSERT_TRUE(Off.ok()) << Off.Error;

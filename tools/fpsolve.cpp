@@ -33,7 +33,6 @@
 ///                     cost gate of the intra-SCC parallelism: fan a round
 ///                     out only when the previous round allocated >= n BDD
 ///                     nodes (0 = auto, cacheSlots()/2)
-///     --cache-bits n  BDD computed cache of 2^n entries (default 18)
 ///     --frontier-cofactor {constrain,restrict,off}
 ///                     generalized cofactor of narrow delta rounds
 ///     --no-constrain  alias for --frontier-cofactor off
@@ -67,7 +66,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: fpsolve [--eval R[,S,...]] [--count] [--stats] "
                "[--strategy naive|semi-naive] [--threads n] "
-               "[--disjunct-threshold n] [--cache-bits n] "
+               "[--disjunct-threshold n] "
                "[--frontier-cofactor constrain|restrict|off] "
                "[--no-constrain] [--timeout-ms n] [--node-budget n] "
                "<system.mu>\n");
@@ -127,7 +126,6 @@ int main(int Argc, char **Argv) {
   std::string File, EvalRel;
   bool CountOnly = false, Stats = false;
   CofactorMode Cofactor = CofactorMode::Constrain;
-  unsigned CacheBits = 18;
   unsigned Threads = 1;
   uint64_t DisjunctThreshold = 0; ///< 0 = auto (cacheSlots()/2).
   uint64_t TimeoutMs = 0;
@@ -153,13 +151,6 @@ int main(int Argc, char **Argv) {
         Strategy = EvalStrategy::SemiNaive;
       else
         return usage();
-    } else if (Arg == "--cache-bits") {
-      if (I + 1 >= Argc)
-        return usage();
-      int Bits = std::atoi(Argv[++I]);
-      if (Bits < 2 || Bits > 30)
-        return usage();
-      CacheBits = unsigned(Bits);
     } else if (Arg == "--threads") {
       if (I + 1 >= Argc)
         return usage();
@@ -243,7 +234,7 @@ int main(int Argc, char **Argv) {
     Rels.push_back(Last);
   }
 
-  BddManager Mgr(0, CacheBits);
+  BddManager Mgr;
   support::ResourceGovernor Gov;
   if (TimeoutMs != 0 || NodeBudget != 0) {
     if (TimeoutMs != 0)

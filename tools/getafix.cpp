@@ -47,7 +47,6 @@
 ///                        Summary_<proc> per call-graph SCC; verdicts and
 ///                        witnesses are bit-identical either way — A/B
 ///                        escape hatch; see --stats condensation_width)
-///     --cache-bits n     BDD computed cache of 2^n entries (default 18)
 ///     --timeout-ms n     wall-clock deadline per solve in milliseconds
 ///                        (0 = none); a hit deadline prints
 ///                        "TIMEOUT (deadline)" and exits 4
@@ -94,7 +93,6 @@ struct CliOptions {
   uint64_t MaxIterations = 0;
   unsigned Threads = 1;
   uint64_t DisjunctThreshold = 0; ///< 0 = auto.
-  unsigned CacheBits = 18;
   uint64_t TimeoutMs = 0;
   uint64_t NodeBudget = 0;
   fpc::CofactorMode FrontierCofactor = fpc::CofactorMode::Constrain;
@@ -114,8 +112,7 @@ int usage() {
                "[--rounds r] [--round-robin]\n"
                "               [--strategy naive|semi-naive] "
                "[--max-iterations n]\n"
-               "               [--threads n] [--disjunct-threshold n] "
-               "[--cache-bits n]\n"
+               "               [--threads n] [--disjunct-threshold n]\n"
                "               [--frontier-cofactor constrain|restrict|off]\n"
                "               [--timeout-ms n] [--node-budget n]\n"
                "               [--no-constrain] [--no-reuse] "
@@ -423,14 +420,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return usage();
       Opts.DisjunctThreshold = uint64_t(std::atoll(V));
-    } else if (Arg == "--cache-bits") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      int Bits = std::atoi(V);
-      if (Bits < 2 || Bits > 30)
-        return usage();
-      Opts.CacheBits = unsigned(Bits);
     } else if (Arg == "--timeout-ms") {
       const char *V = Next();
       if (!V)
@@ -481,7 +470,6 @@ int main(int Argc, char **Argv) {
   SO.RoundRobin = Opts.RoundRobin;
   SO.Strategy = Opts.Strategy;
   SO.MaxIterations = Opts.MaxIterations;
-  SO.CacheBits = Opts.CacheBits;
   SO.FrontierCofactor = Opts.FrontierCofactor;
   SO.SessionReuse = Opts.SessionReuse;
   SO.Threads = Opts.Threads;

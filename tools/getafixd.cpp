@@ -50,7 +50,6 @@
 ///                        split (see getafix --monolithic-summary); the
 ///                        `stats` response reports the resulting
 ///                        condensation width
-///     --cache-bits N     BDD computed cache of 2^N entries
 ///     --context-bound K / --rounds R / --round-robin
 ///                        concurrent-program knobs (as in getafix)
 ///     --strategy S       naive | semi-naive
@@ -92,7 +91,7 @@ int usage() {
       "                [--default-timeout-ms N] [--max-timeout-ms N] "
       "[--node-budget N]\n"
       "                [--algo NAME] [--threads N] "
-      "[--disjunct-threshold N] [--cache-bits N]\n"
+      "[--disjunct-threshold N]\n"
       "                [--context-bound K] [--rounds R] [--round-robin]\n"
       "                [--monolithic-summary]\n"
       "                [--strategy naive|semi-naive] [--max-iterations N]\n");
@@ -178,13 +177,6 @@ int main(int Argc, char **Argv) {
         return usage();
       Opts.Pool.Solver.DisjunctParallelThreshold =
           uint64_t(std::atoll(V));
-    } else if (Arg == "--cache-bits") {
-      if (!(V = Next()))
-        return usage();
-      int Bits = std::atoi(V);
-      if (Bits < 2 || Bits > 30)
-        return usage();
-      Opts.Pool.Solver.CacheBits = unsigned(Bits);
     } else if (Arg == "--context-bound") {
       if (!(V = Next()))
         return usage();
