@@ -110,10 +110,11 @@ void BM_BddExists(benchmark::State &State) {
 BENCHMARK(BM_BddExists);
 
 /// Cache-associativity ablation: the same op mix at the same slot budget,
-/// direct-mapped versus 4-way. The cache starts at 2^10 slots and grows
-/// with the unique table while the function pool is built; the working
-/// set (several relational products cycling through the pool) exceeds
-/// it, so replacement policy, not capacity, is what differs.
+/// direct-mapped versus 4-way. The cache starts at 2^10 slots and stays at
+/// a quarter of the unique table's slots as the function pool grows the
+/// table; the working set (several relational products cycling through
+/// the pool) exceeds it, so replacement policy, not capacity, is what
+/// differs.
 void CacheAssociativity(benchmark::State &State, unsigned Ways) {
   BddManager Mgr(64, /*CacheBits=*/10, Ways);
   Rng R(6);
@@ -162,12 +163,12 @@ uint64_t cacheHashTriple(uint32_t A, uint32_t B, uint32_t C) {
   return H;
 }
 
-/// Conflict-heavy hot-set workload at a small cache (a 2^10-slot start,
-/// grown with the table while the operands are built; the bucket geometry
-/// is read afterwards): a small set of *hot* AND pairs is re-queried every
-/// round while a stream of single-use pairs — selected to hash into the
-/// hot pairs' buckets — pounds the same slots. This is the regime the
-/// ROADMAP's associativity item names: a
+/// Conflict-heavy hot-set workload at a small cache (a 2^10-slot start
+/// that keeps a quarter of the table's slots as the operands grow the
+/// table; the bucket geometry is read afterwards): a small set of *hot*
+/// AND pairs is re-queried every round while a stream of single-use pairs
+/// — selected to hash into the hot pairs' buckets — pounds the same
+/// slots. This is the regime the ROADMAP's associativity item names: a
 /// direct-mapped cache evicts a hot entry on every colliding insert, so
 /// the hot set misses once per round; the 4-way cache's transposition
 /// promotion migrates re-used entries to the protected front ways and the

@@ -279,15 +279,16 @@ std::vector<int8_t> Bdd::onePath() const {
 
 BddManager::BddManager(unsigned NumVars, unsigned CacheBits,
                        unsigned CacheWays)
-    : NumVars(NumVars), MaxCacheWays(CacheWays) {
+    : NumVars(NumVars), MaxCacheWays(CacheWays),
+      CacheShift(int(CacheBits) - int(InitialTableBits)) {
   assert(CacheWays != 0 && (CacheWays & (CacheWays - 1)) == 0 &&
          "cache associativity must be a power of two");
-  assert(CacheBits < 31 && "starting geometry out of range");
+  assert(CacheBits < 31 && "starting cache size out of range");
   Pages.emplace_back(new Node[NodesPerPage]);
   rec(0) = Node{TermVar, 0, 0, 1}; // Terminals are permanently referenced.
   rec(1) = Node{TermVar, 1, 1, 1};
   NodeEnd = 2;
-  Table.assign(size_t(2) << CacheBits, 0);
+  Table.assign(size_t(1) << InitialTableBits, 0);
   allocateCache();
 
   // Whole-process fault drills: every manager born while the variable is
@@ -476,7 +477,7 @@ void BddManager::insertLiveNodes() {
 }
 
 void BddManager::growUniqueTable() {
-  // The computed cache follows the table at half its slot count. Growth
+  // The computed cache keeps its fraction of the table's slots. Growth
   // runs inside makeNode, usually deep in an operation's recursion; the
   // cache is a pure memo (no caller holds an entry across a recursive
   // call), so dropping every entry here is safe. The old cache goes
@@ -674,7 +675,7 @@ void BddManager::clearCache() {
 }
 
 void BddManager::allocateCache() {
-  // Total slots are half the table's regardless of associativity; caches
+  // Total slots follow the table regardless of associativity; caches
   // smaller than one bucket clamp the ways.
   const size_t Slots = cacheSlots();
   CacheWays = cacheWays();

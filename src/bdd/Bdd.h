@@ -237,12 +237,14 @@ struct BddStats {
 /// Owns the node pages, the unique table, and the computed cache.
 class BddManager {
 public:
-  /// The computed cache holds half as many entries as the unique table
-  /// has slots, and the two double together as nodes accumulate, so a
-  /// manager holding 50 k nodes keeps a cache of its own scale instead of
-  /// one sized for millions. \p CacheBits sets the starting geometry — a
-  /// 2^CacheBits-entry cache over a 2^(CacheBits+1)-slot table — which
-  /// tests and microbenchmarks shrink to start from a tiny cache.
+  /// The unique table starts at 2^12 slots and doubles as nodes
+  /// accumulate; the computed cache starts at 2^\p CacheBits entries and
+  /// doubles with it. The default therefore keeps the cache at half the
+  /// table's slots, so a manager holding 50 k nodes has a cache of its own
+  /// scale instead of one sized for millions. Tests and microbenchmarks
+  /// pass other starts to pin a cache that stays small (or large) relative
+  /// to the nodes — e.g. 0, one entry per 4096 table slots, which puts the
+  /// evaluator in its narrow rounds.
   ///
   /// The cache is set-associative with \p CacheWays ways per bucket
   /// (power of two; 1 = direct-mapped, 4 = the default; caches smaller
@@ -298,11 +300,16 @@ public:
   /// solve are sized from the main manager's knobs via this getter.
   size_t gcThreshold() const { return GcThreshold; }
 
-  /// Number of computed-cache slots: half the unique table's slots, so it
-  /// grows as the manager does (and reads the same while a cleared cache
-  /// awaits re-allocation). Callers that adapt their algorithms to cache
-  /// pressure compare working-set sizes to this, re-reading it as they go.
-  size_t cacheSlots() const { return Table.size() / 2; }
+  /// Number of computed-cache slots: a fixed fraction of the unique
+  /// table's slots (half, by default), so it grows as the manager does
+  /// (and reads the same while a cleared cache awaits re-allocation).
+  /// Callers that adapt their algorithms to cache pressure compare
+  /// working-set sizes to this, re-reading it as they go.
+  size_t cacheSlots() const {
+    return CacheShift >= 0
+               ? Table.size() << CacheShift
+               : std::max<size_t>(1, Table.size() >> -CacheShift);
+  }
   /// Associativity of the computed cache (ways per bucket).
   unsigned cacheWays() const {
     return unsigned(std::min<size_t>(MaxCacheWays, cacheSlots()));
@@ -538,6 +545,9 @@ private:
   uint64_t CacheBucketMask = 0; ///< Bucket index mask (buckets × ways = size).
   unsigned CacheWays = 4;       ///< Ways of the allocated cache.
   unsigned MaxCacheWays = 4;    ///< Requested associativity.
+  /// log2(cache slots / table slots); -1 by default (half the table).
+  int CacheShift = -1;
+  static constexpr unsigned InitialTableBits = 12;
   uint32_t CacheGeneration = 1; ///< Entries with an older gen are empty.
 
   std::vector<CubeSet> Cubes;

@@ -77,12 +77,8 @@ void expectEqual(const Bdd &B, const TruthTable &T, const char *What) {
 }
 
 /// Builds a random (Bdd, TruthTable) pair over NumVars variables.
-/// \p OpsThatGrew, when given, counts the operations during which the
-/// manager's computed cache grew (growth runs inside makeNode, so
-/// mid-recursion).
 std::pair<Bdd, TruthTable> randomFunction(BddManager &Mgr, Rng &R,
-                                          unsigned NumVars, unsigned Ops,
-                                          unsigned *OpsThatGrew = nullptr) {
+                                          unsigned NumVars, unsigned Ops) {
   Bdd B = R.flip() ? Mgr.one() : Mgr.zero();
   TruthTable T(NumVars, B.isOne() ? ~uint64_t(0) >> (64 - (1u << NumVars))
                                   : 0);
@@ -90,7 +86,6 @@ std::pair<Bdd, TruthTable> randomFunction(BddManager &Mgr, Rng &R,
     unsigned V = unsigned(R.below(NumVars));
     Bdd Lit = Mgr.var(V);
     TruthTable LitT = TruthTable::var(NumVars, V);
-    size_t Slots = Mgr.cacheSlots();
     switch (R.below(3)) {
     case 0:
       B = B & Lit;
@@ -109,8 +104,6 @@ std::pair<Bdd, TruthTable> randomFunction(BddManager &Mgr, Rng &R,
       B = !B;
       T = !T;
     }
-    if (OpsThatGrew && Mgr.cacheSlots() > Slots)
-      ++*OpsThatGrew;
   }
   return {B, T};
 }
@@ -433,65 +426,81 @@ TEST(BddTest, ConstrainShrinksTransitionAgainstNarrowCareSet) {
       << "cube care set must not grow the operand";
 }
 
-/// One deterministic pseudo-random operation script, re-runnable against
-/// managers with different cache geometries. Returns a per-step
-/// fingerprint (sat counts and dag sizes) that must be identical for any
-/// cache size/associativity, across mid-script cache clears, and across
-/// cache growth: the computed cache affects only speed, never results.
+/// One deterministic pseudo-random operation script over 24 variables,
+/// re-runnable against managers with different cache geometries: it
+/// builds a pool of functions (ORs of random 4-literal cubes over windows
+/// of adjacent variables — enough nodes to grow the unique table) and
+/// runs 60 random operations on them. Returns a per-step fingerprint (sat
+/// counts and dag sizes) that must be identical for any cache
+/// size/associativity, across mid-script cache clears, and across cache
+/// growth: the computed cache affects only speed, never results.
 /// \p OpsThatGrew, when given, counts the operations during which the
-/// cache grew.
+/// cache grew (growth runs inside makeNode, so mid-recursion).
 std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear,
                                    unsigned *OpsThatGrew = nullptr) {
+  constexpr unsigned NumVars = 24;
   Rng R(4242);
-  std::vector<double> Trace;
+  auto Apply = [&](auto Op) {
+    size_t Slots = Mgr.cacheSlots();
+    Bdd Out = Op();
+    if (OpsThatGrew && Mgr.cacheSlots() > Slots)
+      ++*OpsThatGrew;
+    return Out;
+  };
   std::vector<Bdd> Pool;
-  for (unsigned I = 0; I < 6; ++I)
-    Pool.push_back(randomFunction(Mgr, R, 6, 8, OpsThatGrew).first);
-  std::vector<unsigned> EvenVars{0, 2, 4};
+  for (unsigned I = 0; I < 8; ++I) {
+    Bdd F = Mgr.zero();
+    for (unsigned T = 0; T < 48; ++T) {
+      unsigned Window = unsigned(R.below(NumVars - 3));
+      Bdd Cube = Mgr.one();
+      for (unsigned V = Window; V < Window + 4; ++V) {
+        Bdd Lit = R.flip() ? Mgr.var(V) : Mgr.nvar(V);
+        Cube = Apply([&] { return Cube & Lit; });
+      }
+      F = Apply([&] { return F | Cube; });
+    }
+    Pool.push_back(F);
+  }
+  std::vector<unsigned> EvenVars;
+  for (unsigned V = 0; V < NumVars; V += 2)
+    EvenVars.push_back(V);
   BddCube Cube = Mgr.makeCube(EvenVars);
+  std::vector<double> Trace;
   for (unsigned Step = 0; Step < 60; ++Step) {
     if (MidScriptClear && Step == 30)
       Mgr.clearComputedCache();
     const Bdd &A = Pool[R.below(Pool.size())];
     const Bdd &B = Pool[R.below(Pool.size())];
-    size_t SlotsBefore = Mgr.cacheSlots();
-    Bdd Out;
-    switch (R.below(5)) {
-    case 0:
-      Out = A & B;
-      break;
-    case 1:
-      Out = A | B;
-      break;
-    case 2:
-      Out = A.andExists(B, Cube);
-      break;
-    case 3:
-      Out = B.isZero() ? !A : A.constrain(B);
-      break;
-    default:
-      Out = B.isZero() ? (A ^ B) : A.restrict(B);
-      break;
-    }
-    if (OpsThatGrew && Mgr.cacheSlots() > SlotsBefore)
-      ++*OpsThatGrew;
+    Bdd Out = Apply([&] {
+      switch (R.below(5)) {
+      case 0:
+        return A & B;
+      case 1:
+        return A | B;
+      case 2:
+        return A.andExists(B, Cube);
+      case 3:
+        return B.isZero() ? !A : A.constrain(B);
+      default:
+        return B.isZero() ? (A ^ B) : A.restrict(B);
+      }
+    });
     Pool[R.below(Pool.size())] = Out;
-    Trace.push_back(Out.satCount(6) * 1000.0 + double(Out.nodeCount()));
+    Trace.push_back(Out.satCount(NumVars) * 1000.0 +
+                    double(Out.nodeCount()));
   }
   return Trace;
 }
 
 TEST(BddTest, CacheStressResultsIdenticalAcrossGeometries) {
   // Identical op scripts must produce identical results from every
-  // starting geometry (a one-entry cache over a two-slot table, 2^8, and
-  // 2^18 entries), at every associativity (direct-mapped vs 4-way), and
-  // across a mid-script release of the cache. From the smallest start the
-  // cache grows with the unique table while operations are running, and
-  // every entry is dropped mid-recursion each time it does.
-  BddManager Reference(6, 18, 4);
+  // starting cache (one entry, 2^8, and 2^18 over the same 2^12-slot
+  // starting table), at every associativity (direct-mapped vs 4-way), and
+  // across a mid-script release of the cache. The script grows the unique
+  // table, so every cache grows with it while operations are running, and
+  // drops every entry mid-recursion each time it does.
+  BddManager Reference(24, 18, 4);
   std::vector<double> Expected = runCacheScript(Reference, false);
-  EXPECT_EQ(Reference.cacheSlots(), size_t(1) << 18)
-      << "the reference must stay at its fixed large start";
 
   struct Geometry {
     unsigned Bits, Ways;
@@ -500,7 +509,7 @@ TEST(BddTest, CacheStressResultsIdenticalAcrossGeometries) {
                     {8, 4, false}, {8, 1, false}, {18, 1, false},
                     {8, 4, true},  {18, 4, true}};
   for (const Geometry &G : Geometries) {
-    BddManager Mgr(6, G.Bits, G.Ways);
+    BddManager Mgr(24, G.Bits, G.Ways);
     unsigned Grew = 0;
     EXPECT_EQ(runCacheScript(Mgr, G.MidClear, &Grew), Expected)
         << "cache bits " << G.Bits << " ways " << G.Ways << " midclear "
@@ -587,11 +596,10 @@ TEST(BddTest, NodePagesSurviveCollectionAndFreeListReuse) {
 }
 
 TEST(BddTest, UniqueTableRebuildFindsEverySurvivor) {
-  // A tiny start makes the table grow (rebuild) many times while the
-  // functions are built; gc then rebuilds it once more over the
-  // survivors. Every surviving node must be found by its own triple and
-  // no triple may have two nodes.
-  BddManager Mgr(8, /*CacheBits=*/0);
+  // gc re-inserts the survivors into the emptied open-addressed table.
+  // Every surviving node must then be found by its own triple, and no
+  // triple may have two nodes.
+  BddManager Mgr(8);
   Rng R(77);
   std::vector<Bdd> Keep;
   for (unsigned I = 0; I < 64; ++I) {

@@ -432,13 +432,16 @@ std::vector<std::pair<unsigned, unsigned>> randomEdges(Rng &R,
 }
 
 /// Solves the graph fixture under one strategy and returns the value, the
-/// per-round rings, and the outer iteration count. A small computed cache
-/// (CacheBits) drives the evaluator into its narrow-frontier rounds.
+/// per-round rings, and the outer iteration count. The starting cache
+/// (CacheBits) fixes the cache's fraction of the unique table, which
+/// starts at 2^12 slots: from 2^0 the cache holds one entry per 4096 table
+/// slots, so the evaluator runs every delta round narrow.
 struct StrategyRun {
   Bdd Value;
   std::vector<size_t> RingCounts;
   uint64_t Iterations = 0;
   uint64_t DeltaRounds = 0;
+  uint64_t CofactorApplications = 0; ///< Narrow-round cofactors applied.
   bool EarlyStopped = false;
   bool HitLimit = false;
 };
@@ -478,6 +481,7 @@ StrategyRun runGraph(GraphFixture &G,
   const RelStats &RS = Ev.stats().at("Reach");
   Out.Iterations = RS.Iterations;
   Out.DeltaRounds = RS.DeltaRounds;
+  Out.CofactorApplications = Ev.cofactorStats().Applications;
   // The BDD values live in Mgr which dies here; compare via sat counts.
   Out.Value = Bdd();
   Out.RingCounts.push_back(size_t(R.Value.satCount(Mgr.numVars())));
@@ -498,7 +502,7 @@ TEST(StrategyDifferentialTest, RandomGraphsAgreeOnEverything) {
     // Chain backbone so fixpoints take many rounds.
     for (unsigned N = 0; N + 1 < 64; N += 1)
       Edges.emplace_back(N, N + 1);
-    for (unsigned CacheBits : {6u, 18u}) {
+    for (unsigned CacheBits : {0u, 6u, 18u}) {
       StrategyRun Naive = runGraph(G, Edges, 0, EvalStrategy::Naive,
                                    CacheBits, false, 0, 64);
       StrategyRun Semi = runGraph(G, Edges, 0, EvalStrategy::SemiNaive,
@@ -509,6 +513,10 @@ TEST(StrategyDifferentialTest, RandomGraphsAgreeOnEverything) {
           << "seed " << Seed << " cache " << CacheBits;
       EXPECT_EQ(Naive.DeltaRounds, 0u);
       EXPECT_GT(Semi.DeltaRounds, 0u);
+      if (CacheBits == 0) {
+        EXPECT_GT(Semi.CofactorApplications, 0u)
+            << "seed " << Seed << ": no narrow round ran";
+      }
     }
   }
 }
@@ -525,7 +533,7 @@ TEST(StrategyDifferentialTest, CofactorModeChangesNothingObservable) {
     auto Edges = randomEdges(R, 64, 96);
     for (unsigned N = 0; N + 1 < 64; N += 1)
       Edges.emplace_back(N, N + 1);
-    for (unsigned CacheBits : {6u, 18u}) {
+    for (unsigned CacheBits : {0u, 6u, 18u}) {
       StrategyRun Off = runGraph(G, Edges, 0, EvalStrategy::SemiNaive,
                                  CacheBits, false, 0, 64, CofactorMode::Off);
       for (CofactorMode Mode :
@@ -541,6 +549,12 @@ TEST(StrategyDifferentialTest, CofactorModeChangesNothingObservable) {
         EXPECT_EQ(On.RingCounts, Off.RingCounts)
             << cofactorModeName(Mode) << " seed " << Seed << " cache "
             << CacheBits;
+        // The tiny cache must actually reach the narrow rounds the
+        // cofactor runs in.
+        if (CacheBits == 0) {
+          EXPECT_GT(On.CofactorApplications, 0u)
+              << cofactorModeName(Mode) << " seed " << Seed;
+        }
       }
     }
   }
@@ -616,7 +630,7 @@ TEST(StrategyDifferentialTest, BilinearEquationAgrees) {
     return std::make_pair(Res.Value.satCount(Mgr.numVars()),
                           Ev.stats().at("R").Iterations);
   };
-  for (unsigned CacheBits : {6u, 18u}) {
+  for (unsigned CacheBits : {0u, 6u, 18u}) {
     auto [NaiveCount, NaiveIters] = Solve(EvalStrategy::Naive, CacheBits);
     auto [SemiCount, SemiIters] = Solve(EvalStrategy::SemiNaive, CacheBits);
     EXPECT_DOUBLE_EQ(NaiveCount, SemiCount) << "cache " << CacheBits;
