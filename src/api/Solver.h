@@ -423,7 +423,7 @@ public:
   /// on fresh solves).
   virtual void setGovernor(support::ResourceGovernor *G) { (void)G; }
 
-  /// Drops BDD computed caches (a memory valve for long-lived sessions);
+  /// Frees BDD computed caches (a memory valve for long-lived sessions);
   /// solved state is kept and later queries stay bit-identical.
   virtual void clearComputedCache() {}
 
@@ -434,9 +434,9 @@ public:
   virtual size_t peakLiveNodes() const { return 0; }
 
   /// Cheap estimate (bytes) of the session's resident solver state: live
-  /// nodes times their storage share plus the computed caches, with a
-  /// cleared-and-untouched cache discounted. This is the signal a
-  /// memory-budgeted session pool evicts on — an estimate, not RSS.
+  /// nodes times their storage share plus the computed caches as
+  /// allocated. This is the signal a memory-budgeted session pool evicts
+  /// on — an estimate, not RSS.
   virtual size_t memoryFootprint() const { return 0; }
 };
 

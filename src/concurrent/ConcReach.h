@@ -191,16 +191,17 @@ public:
   /// across the governed solve.
   void setGovernor(support::ResourceGovernor *G);
 
-  /// Drops the BDD computed cache; all solved state is kept (performance
+  /// Frees the computed caches of every BDD manager the session owns
+  /// (main and parallel workers); all solved state is kept (performance
   /// valve, bit-identical results).
   void clearComputedCache();
 
   /// Session memory introspection (see `reach::SeqSession` for the exact
   /// semantics): reachable-only live/peak BDD node counts across the
   /// session's managers (uncollected garbage excluded; peak sampled at
-  /// query boundaries) and a bytes estimate of resident state, with a
-  /// cleared and since-untouched computed cache discounted. Feeds the
-  /// query server's session-pool memory budget.
+  /// query boundaries) and a bytes estimate of resident state, computed
+  /// caches charged as allocated. Feeds the query server's session-pool
+  /// memory budget.
   size_t liveNodes() const;
   size_t peakLiveNodes() const;
   size_t memoryFootprint() const;

@@ -216,9 +216,10 @@ public:
   /// and must keep it alive across the governed solve.
   void setGovernor(support::ResourceGovernor *G);
 
-  /// Drops the BDD computed cache (a pure performance valve for
-  /// long-lived sessions under memory pressure); all solved state —
-  /// summaries, rounds, memos — is kept and later queries remain
+  /// Frees the computed caches of every BDD manager the session owns —
+  /// main, parallel workers, witness sub-session (a pure performance
+  /// valve for long-lived sessions under memory pressure); all solved
+  /// state — summaries, rounds, memos — is kept and later queries remain
   /// bit-identical to fresh solves.
   void clearComputedCache();
 
@@ -230,9 +231,9 @@ public:
   /// retains, not how much the last solve churned. `peakLiveNodes` is the
   /// high-water mark of that retained count, sampled at query boundaries.
   /// `memoryFootprint` is a bytes estimate of the same resident state:
-  /// reachable nodes times their storage share plus the computed caches —
-  /// a cache that was `clearComputedCache`d and not touched since is
-  /// discounted (allocated but dead). Estimates, not RSS; they exist so
+  /// reachable nodes times their storage share plus the computed caches
+  /// as allocated (nothing for a cache `clearComputedCache` freed and no
+  /// operation has re-allocated). Estimates, not RSS; they exist so
   /// an eviction policy has a monotone-ish signal, not for accounting.
   /// Each read costs a mark pass over the node table — query-boundary
   /// cheap, not per-operation cheap.

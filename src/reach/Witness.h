@@ -138,15 +138,16 @@ public:
   /// keeps its completed rounds and resumes bit-identically on retry.
   void setGovernor(support::ResourceGovernor *G);
 
-  /// Drops the BDD computed cache; solved rings are kept (performance
-  /// valve, bit-identical results).
+  /// Frees the computed caches of the extractor's BDD managers (its own
+  /// and its evaluator's parallel workers); solved rings are kept
+  /// (performance valve, bit-identical results).
   void clearComputedCache();
 
   /// Reachable-only live / peak node counts of the extractor's BDD
-  /// manager (0 before the lazy solve has run; peak sampled at query
-  /// boundaries), and the estimated bytes of resident state — a
-  /// cleared-and-untouched computed cache is discounted. These feed the
-  /// owning session's `memoryFootprint`.
+  /// managers (0 before the lazy solve has run; peak sampled at query
+  /// boundaries), and the estimated bytes of resident state, computed
+  /// caches charged as allocated. These feed the owning session's
+  /// `memoryFootprint`.
   size_t liveNodes() const;
   size_t peakLiveNodes() const;
   size_t memoryFootprint() const;

@@ -256,9 +256,9 @@ void SessionPool::enforceBudget() {
       });
 
       // Phase 1 — the coarse valve: clear the computed cache of the
-      // least-recently-used session that still has a warm cache. O(1),
-      // keeps all solved state, and the footprint estimate drops by the
-      // cache's share immediately.
+      // least-recently-used session that still has a warm cache. Cheap,
+      // keeps all solved state, and frees the caches, so the footprint
+      // estimate drops by their share immediately.
       if (OverBudget) {
         for (Entry *C : Lru) {
           if (C->ValveCold || !C->Mu.try_lock())

@@ -15,10 +15,10 @@
 ///
 /// Reclamation is two-phase, coarse valve first:
 ///
-///   1. `clearComputedCache()` on LRU sessions — O(1), keeps all solved
-///      state, and (because a cleared-and-untouched cache is discounted
-///      from the footprint estimate) typically frees several MB per
-///      session on the books.
+///   1. `clearComputedCache()` on LRU sessions — cheap, keeps all solved
+///      state, and frees the computed cache of every BDD manager the
+///      session owns (the footprint estimate charges caches as
+///      allocated, so it drops by the same amount).
 ///   2. Full eviction of LRU sessions — drops the engine state entirely.
 ///      The entry (program text, options, statistics) stays; the next
 ///      acquire transparently reopens and re-solves, bit-identical.
