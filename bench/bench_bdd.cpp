@@ -116,7 +116,7 @@ BENCHMARK(BM_BddExists);
 /// the pool) exceeds it, so replacement policy, not capacity, is what
 /// differs.
 void CacheAssociativity(benchmark::State &State, unsigned Ways) {
-  BddManager Mgr(64, /*CacheBits=*/10, Ways);
+  BddManager Mgr(64, /*CacheShift=*/2, Ways);
   Rng R(6);
   std::vector<Bdd> Pool;
   for (unsigned I = 0; I < 8; ++I)
@@ -174,7 +174,7 @@ uint64_t cacheHashTriple(uint32_t A, uint32_t B, uint32_t C) {
 /// promotion migrates re-used entries to the protected front ways and the
 /// streaming entries churn the probation way among themselves.
 void CacheConflictHotSet(benchmark::State &State, unsigned Ways) {
-  BddManager Mgr(64, /*CacheBits=*/10, Ways);
+  BddManager Mgr(64, /*CacheShift=*/2, Ways);
   Rng R(11);
   // Hot operands are large (expensive to recompute); stream operands are
   // small cubes (cheap, but their inserts land where the hot results
@@ -327,8 +327,8 @@ BENCHMARK(BM_BddConstrain);
 /// 2, one for each pair of a "low" and a "high" leaf (the 2 x 2048
 /// minterms over variables 3..14, split on the last bit), held by no
 /// handle and kept by switching collection off. Lookups visit the pairs
-/// in a scrambled order, so each one lands on a cold table line and a
-/// cold node.
+/// in a scrambled order, so each one lands on a cold bucket and cold
+/// nodes.
 struct MakeNodeFixture {
   static constexpr unsigned LeafBits = 11;
   static constexpr uint32_t NumPairs = 1u << (2 * LeafBits);
@@ -368,7 +368,7 @@ void BM_BddMakeNodeHit(benchmark::State &State) {
 BENCHMARK(BM_BddMakeNodeHit);
 
 void BM_BddMakeNodeMiss(benchmark::State &State) {
-  // Every call probes to an empty slot and inserts a node (at variable 1,
+  // Every call misses in the table and inserts a node (at variable 1,
   // over the same pairs). The iteration count is fixed below the next
   // table growth, so no rehash lands in the timing.
   MakeNodeFixture F;

@@ -277,19 +277,21 @@ std::vector<int8_t> Bdd::onePath() const {
 // Manager: construction, variables, interning
 //===----------------------------------------------------------------------===//
 
-BddManager::BddManager(unsigned NumVars, unsigned CacheBits,
+BddManager::BddManager(unsigned NumVars, unsigned CacheShift,
                        unsigned CacheWays)
-    : NumVars(NumVars), MaxCacheWays(CacheWays),
-      CacheShift(int(CacheBits) - int(InitialTableBits)) {
+    : NumVars(NumVars), MaxCacheWays(CacheWays), CacheShift(CacheShift) {
   assert(CacheWays != 0 && (CacheWays & (CacheWays - 1)) == 0 &&
          "cache associativity must be a power of two");
-  assert(CacheBits < 31 && "starting cache size out of range");
+  assert(CacheShift <= InitialTableBits &&
+         "the cache needs at least one entry and at most one per slot");
   Pages.emplace_back(new Node[NodesPerPage]);
-  rec(0) = Node{TermVar, 0, 0, 1}; // Terminals are permanently referenced.
-  rec(1) = Node{TermVar, 1, 1, 1};
+  RefPages.emplace_back(new uint32_t[NodesPerPage]);
+  rec(0) = Node{TermVar, 0, 0, Invalid};
+  rec(1) = Node{TermVar, 1, 1, Invalid};
+  refs(0) = refs(1) = 1; // Terminals are permanently referenced.
   NodeEnd = 2;
-  Table.assign(size_t(1) << InitialTableBits, 0);
-  allocateCache();
+  Buckets.assign(size_t(1) << InitialTableBits, Invalid);
+  allocateCache(cacheSlots());
 
   // Whole-process fault drills: every manager born while the variable is
   // set fails its K-th allocation (see setFailAfterAllocations).
@@ -397,41 +399,24 @@ uint32_t BddManager::makeNode(uint32_t Var, uint32_t Low, uint32_t High) {
   assert(isTerminal(Low) || varOf(Low) > Var);
   assert(isTerminal(High) || varOf(High) > Var);
 
-  const uint64_t H = hashTriple(Var, Low, High);
-  const size_t Slot = probe(Var, Low, High, H);
-  if (Table[Slot] != 0)
-    return uint32_t(Table[Slot]);
+  const size_t Bucket = bucketOf(Var, Low, High);
+  for (uint32_t N = Buckets[Bucket]; N != Invalid; N = rec(N).Next) {
+    const Node &Nd = rec(N);
+    if (Nd.Var == Var && Nd.Low == Low && Nd.High == High)
+      return N;
+  }
 
   uint32_t N = allocNode();
-  rec(N) = Node{Var, Low, High, 0};
-  Table[Slot] = slotOf(N, H);
+  rec(N) = Node{Var, Low, High, Buckets[Bucket]};
+  refs(N) = 0;
+  Buckets[Bucket] = N;
   ++Stats.NodesCreated;
 
   size_t Live = liveNodeCount();
   Stats.PeakNodes = std::max(Stats.PeakNodes, Live);
-  if (Live > (Table.size() * 3) / 4)
+  if (Live > (Buckets.size() * 3) / 4)
     growUniqueTable();
   return N;
-}
-
-size_t BddManager::probe(uint32_t Var, uint32_t Low, uint32_t High,
-                         uint64_t H) const {
-  // Eight slots share a cache line, so a probe sequence usually stays on
-  // the line it starts on; a node record is read only when the 32-bit
-  // fingerprint matches, which for a non-matching node happens once in
-  // 2^32 compares.
-  const size_t Mask = Table.size() - 1;
-  const uint64_t Fingerprint = H & 0xffffffff00000000ull;
-  for (size_t I = size_t(H) & Mask;; I = (I + 1) & Mask) {
-    uint64_t S = Table[I];
-    if (S == 0)
-      return I;
-    if ((S & 0xffffffff00000000ull) == Fingerprint) {
-      const Node &Nd = rec(uint32_t(S));
-      if (Nd.Var == Var && Nd.Low == Low && Nd.High == High)
-        return I;
-    }
-  }
 }
 
 void BddManager::pollGovernor() {
@@ -453,79 +438,90 @@ uint32_t BddManager::allocNode() {
     return N;
   }
   // A full store appends a page; records already handed out never move.
-  if (NodeEnd == Pages.size() * size_t(NodesPerPage))
+  if (NodeEnd == Pages.size() * size_t(NodesPerPage)) {
     Pages.emplace_back(new Node[NodesPerPage]);
+    RefPages.emplace_back(new uint32_t[NodesPerPage]);
+  }
   // Nodes past the packed cache index range are legal — the computed
   // cache just refuses to store results that mention them.
   return NodeEnd++;
 }
 
 void BddManager::insertLiveNodes() {
-  // Live triples are distinct, so each goes to the first empty slot of
-  // its probe sequence without comparing keys.
-  const size_t Mask = Table.size() - 1;
   for (uint32_t N = 2; N < NodeEnd; ++N) {
-    const Node &Nd = rec(N);
+    Node &Nd = rec(N);
     if (Nd.Var == TermVar) // Free node.
       continue;
-    uint64_t H = hashTriple(Nd.Var, Nd.Low, Nd.High);
-    size_t I = size_t(H) & Mask;
-    while (Table[I] != 0)
-      I = (I + 1) & Mask;
-    Table[I] = slotOf(N, H);
+    size_t Bucket = bucketOf(Nd.Var, Nd.Low, Nd.High);
+    Nd.Next = Buckets[Bucket];
+    Buckets[Bucket] = N;
   }
 }
 
 void BddManager::growUniqueTable() {
   // The computed cache keeps its fraction of the table's slots. Growth
   // runs inside makeNode, usually deep in an operation's recursion; the
-  // cache is a pure memo (no caller holds an entry across a recursive
-  // call), so dropping every entry here is safe. The old cache goes
-  // before the new table arrives, so the transient peak (old and new
-  // table, no cache) stays below the steady state after growth. The new
-  // table is allocated before the old one is touched: if that throws,
-  // the manager is left as it was, minus its cache, which the next
-  // operation entry re-allocates — as it does a cache released by
-  // `clearComputedCache`, which stays released here.
-  bool HadCache = CacheBase != nullptr;
-  releaseCache();
-  std::vector<uint64_t> Grown(Table.size() * 2, 0);
-  Table.swap(Grown);
-  std::vector<uint64_t>().swap(Grown);
+  // cache's entries stay valid (node indices never move), so they are
+  // re-inserted into the doubled cache. An entry of old bucket b lands in
+  // new bucket b or b + (old bucket count), so none is evicted and each
+  // bucket keeps its promotion order. The cache grows first and frees its
+  // old storage before the new table is allocated, so the old cache and
+  // the new table are never resident together. If an allocation throws,
+  // the table is left as it was and the cache is either already doubled
+  // or released; the next operation entry re-allocates a released cache,
+  // as it does one released by `clearComputedCache`, which stays
+  // released here.
+  if (CacheBase) {
+    std::vector<CacheEntry> Old;
+    Old.swap(Cache);
+    const CacheEntry *OldBase = CacheBase;
+    const size_t OldSlots = (CacheBucketMask + 1) * CacheWays;
+    const uint32_t GenW1 = (CacheGeneration & 31u) << IdxBits;
+    const uint32_t GenW2 = (CacheGeneration >> 5) << IdxBits;
+    CacheBase = nullptr;
+    allocateCache(2 * cacheSlots());
+    for (const CacheEntry *E = OldBase; E != OldBase + OldSlots; ++E)
+      if ((E->W1 & ~IdxMask) == GenW1 && (E->W2 & ~IdxMask) == GenW2)
+        cacheInsert(Op(E->W0 >> IdxBits), E->W0 & IdxMask,
+                    E->W1 & IdxMask, E->W2 & IdxMask, E->Result);
+  }
+  std::vector<uint32_t> Grown(Buckets.size() * 2, Invalid);
+  Buckets.swap(Grown);
+  std::vector<uint32_t>().swap(Grown);
   insertLiveNodes();
-  if (HadCache)
-    allocateCache();
 }
 
 bool BddManager::checkUniqueTable() const {
   size_t Entries = 0;
-  for (uint64_t S : Table) {
-    if (S == 0)
-      continue;
-    ++Entries;
-    uint32_t N = uint32_t(S);
-    if (N < 2 || N >= NodeEnd || rec(N).Var == TermVar)
-      return false;
-  }
+  for (size_t B = 0; B < Buckets.size(); ++B)
+    for (uint32_t N = Buckets[B]; N != Invalid; N = rec(N).Next) {
+      if (N < 2 || N >= NodeEnd || ++Entries > liveNodeCount())
+        return false; // A foreign index, or a cycle.
+      const Node &Nd = rec(N);
+      if (Nd.Var == TermVar || bucketOf(Nd.Var, Nd.Low, Nd.High) != B)
+        return false;
+    }
   if (Entries != liveNodeCount())
     return false;
   for (uint32_t N = 2; N < NodeEnd; ++N) {
     const Node &Nd = rec(N);
     if (Nd.Var == TermVar)
       continue;
-    size_t I = probe(Nd.Var, Nd.Low, Nd.High,
-                     hashTriple(Nd.Var, Nd.Low, Nd.High));
-    if (Table[I] == 0 || uint32_t(Table[I]) != N)
+    uint32_t First = Buckets[bucketOf(Nd.Var, Nd.Low, Nd.High)];
+    while (rec(First).Var != Nd.Var || rec(First).Low != Nd.Low ||
+           rec(First).High != Nd.High)
+      First = rec(First).Next;
+    if (First != N)
       return false;
   }
   return true;
 }
 
-void BddManager::ref(uint32_t N) { ++rec(N).Refs; }
+void BddManager::ref(uint32_t N) { ++refs(N); }
 
 void BddManager::deref(uint32_t N) {
-  assert(rec(N).Refs > 0 && "unbalanced deref");
-  --rec(N).Refs;
+  assert(refs(N) > 0 && "unbalanced deref");
+  --refs(N);
 }
 
 size_t BddManager::liveNodeCount() const { return NodeEnd - 2 - NumFree; }
@@ -535,7 +531,7 @@ std::vector<uint8_t> BddManager::markReachable() const {
   Marked[0] = Marked[1] = 1;
   std::vector<uint32_t> Stack;
   for (uint32_t N = 2; N < NodeEnd; ++N)
-    if (rec(N).Refs > 0 && rec(N).Var != TermVar)
+    if (refs(N) > 0 && rec(N).Var != TermVar)
       Stack.push_back(N);
   while (!Stack.empty()) {
     uint32_t N = Stack.back();
@@ -561,7 +557,7 @@ void BddManager::beginOp() {
   if (GcThreshold != 0 && liveNodeCount() > GcThreshold)
     gc();
   if (!CacheBase)
-    allocateCache();
+    allocateCache(cacheSlots());
 }
 
 void BddManager::gc() {
@@ -582,9 +578,7 @@ void BddManager::gc() {
     FreeList = N;
     ++NumFree;
   }
-  // Open addressing has no cheap delete: re-insert the survivors into
-  // the emptied table, in place.
-  std::fill(Table.begin(), Table.end(), 0);
+  std::fill(Buckets.begin(), Buckets.end(), Invalid);
   insertLiveNodes();
   Stats.GcReclaimed += Reclaimed;
   Stats.LiveNodes = liveNodeCount();
@@ -674,11 +668,10 @@ void BddManager::clearCache() {
   }
 }
 
-void BddManager::allocateCache() {
+void BddManager::allocateCache(size_t Slots) {
   // Total slots follow the table regardless of associativity; caches
   // smaller than one bucket clamp the ways.
-  const size_t Slots = cacheSlots();
-  CacheWays = cacheWays();
+  CacheWays = unsigned(std::min<size_t>(MaxCacheWays, Slots));
   Cache.assign(Slots + 64 / sizeof(CacheEntry) - 1, CacheEntry{});
   uintptr_t Addr = reinterpret_cast<uintptr_t>(Cache.data());
   CacheBase = Cache.data() + ((64 - (Addr & 63)) & 63) / sizeof(CacheEntry);

@@ -22,10 +22,10 @@
 /// handle plus a mark-and-sweep collector that runs only at operation entry
 /// (never mid-recursion), so internal intermediate results are always safe.
 ///
-/// Storage: nodes (with their reference counts) live in fixed-size pages
-/// that are appended and never moved; the unique table is open-addressed
-/// over 8-byte slots (node index + hash fingerprint); and the computed
-/// cache is sized from the unique table, growing with it.
+/// Storage: nodes and their reference counts live in fixed-size pages
+/// that are appended and never moved; the unique table chains nodes
+/// through their records; and the computed cache is sized from the unique
+/// table, growing with it.
 ///
 /// Variable index == variable order level; the symbolic layer computes a
 /// good static order up front (as Getafix does) instead of reordering
@@ -238,13 +238,14 @@ struct BddStats {
 class BddManager {
 public:
   /// The unique table starts at 2^12 slots and doubles as nodes
-  /// accumulate; the computed cache starts at 2^\p CacheBits entries and
-  /// doubles with it. The default therefore keeps the cache at half the
-  /// table's slots, so a manager holding 50 k nodes has a cache of its own
-  /// scale instead of one sized for millions. Tests and microbenchmarks
-  /// pass other starts to pin a cache that stays small (or large) relative
-  /// to the nodes — e.g. 0, one entry per 4096 table slots, which puts the
-  /// evaluator in its narrow rounds.
+  /// accumulate; the computed cache holds `tableSlots() >> CacheShift`
+  /// entries and doubles with it, for the manager's whole lifetime. The
+  /// default (1) keeps the cache at half the table's slots, so a manager
+  /// holding 50 k nodes has a cache of its own scale instead of one sized
+  /// for millions. Tests and microbenchmarks pass other ratios to pin a
+  /// cache that is small (or large) relative to the nodes — from 12, one
+  /// entry per 4096 table slots, which puts the evaluator in its narrow
+  /// rounds, to 0, one entry per slot. The cache never outgrows the table.
   ///
   /// The cache is set-associative with \p CacheWays ways per bucket
   /// (power of two; 1 = direct-mapped, 4 = the default; caches smaller
@@ -255,7 +256,7 @@ public:
   /// pressure instead of being evicted by whatever hashed onto their slot
   /// last — the direct-mapped failure mode that cost heavy solves a
   /// round's working set per round.
-  explicit BddManager(unsigned NumVars = 0, unsigned CacheBits = 11,
+  explicit BddManager(unsigned NumVars = 0, unsigned CacheShift = 1,
                       unsigned CacheWays = 4);
   ~BddManager();
 
@@ -305,25 +306,22 @@ public:
   /// (and reads the same while a cleared cache awaits re-allocation).
   /// Callers that adapt their algorithms to cache pressure compare
   /// working-set sizes to this, re-reading it as they go.
-  size_t cacheSlots() const {
-    return CacheShift >= 0
-               ? Table.size() << CacheShift
-               : std::max<size_t>(1, Table.size() >> -CacheShift);
-  }
+  size_t cacheSlots() const { return Buckets.size() >> CacheShift; }
   /// Associativity of the computed cache (ways per bucket).
   unsigned cacheWays() const {
     return unsigned(std::min<size_t>(MaxCacheWays, cacheSlots()));
   }
-  /// Slots of the unique table (a power of two, at most 3/4 full).
-  size_t tableSlots() const { return Table.size(); }
+  /// Buckets of the unique table: a power of two, and never fewer than
+  /// 4/3 of the live nodes.
+  size_t tableSlots() const { return Buckets.size(); }
 
   /// Nodes per page of the node store. Pages are allocated whole as the
   /// node count passes each multiple and are never moved or freed.
   static constexpr uint32_t NodesPerPage = 1u << 16;
   /// Consistency check of the unique table, for tests: every live node is
-  /// found by probing its own triple — which also means no triple has two
-  /// nodes, since a probe stops at its first match — and the table holds
-  /// no other entries.
+  /// found by looking up its own triple — which also means no triple has
+  /// two nodes, since a lookup stops at its first match — and the chains
+  /// hold no other entries.
   bool checkUniqueTable() const;
 
   /// Installs (or, with null, removes) a resource governor. `makeNode`
@@ -400,20 +398,21 @@ public:
 private:
   friend class Bdd;
 
-  /// One node record: 16 bytes, so records never straddle a cache line
-  /// and a probe that matches a fingerprint reads exactly one line. A
-  /// free record has Var == TermVar and chains the free list through Low.
+  /// One node record: 16 bytes, so records never straddle a cache line.
+  /// A free record has Var == TermVar and chains the free list through
+  /// Low. Reference counts live in pages of their own, off the lookup
+  /// path.
   struct Node {
     uint32_t Var;
     uint32_t Low;
     uint32_t High;
-    uint32_t Refs; ///< External references (`Bdd` handles).
+    uint32_t Next; ///< Unique-table chain.
   };
   static constexpr unsigned PageBits = 16;
   static_assert(NodesPerPage == 1u << PageBits, "page geometry");
 
   size_t memoryEstimateFor(size_t Nodes) const {
-    return Nodes * (sizeof(Node) + sizeof(uint64_t)) +
+    return Nodes * (sizeof(Node) + 2 * sizeof(uint32_t)) +
            Cache.size() * sizeof(CacheEntry);
   }
 
@@ -462,6 +461,12 @@ private:
   const Node &rec(uint32_t N) const {
     return Pages[N >> PageBits][N & (NodesPerPage - 1)];
   }
+  uint32_t &refs(uint32_t N) {
+    return RefPages[N >> PageBits][N & (NodesPerPage - 1)];
+  }
+  uint32_t refs(uint32_t N) const {
+    return RefPages[N >> PageBits][N & (NodesPerPage - 1)];
+  }
   uint32_t varOf(uint32_t N) const { return rec(N).Var; }
   uint32_t lowOf(uint32_t N) const { return rec(N).Low; }
   uint32_t highOf(uint32_t N) const { return rec(N).High; }
@@ -475,15 +480,13 @@ private:
   static uint64_t hashTriple(uint32_t A, uint32_t B, uint32_t C);
 
   // Unique table ----------------------------------------------------------
-  /// Linear probe for the triple whose hash is \p H: returns the slot of
-  /// its node, or the empty slot where it belongs.
-  size_t probe(uint32_t Var, uint32_t Low, uint32_t High, uint64_t H) const;
-  static uint64_t slotOf(uint32_t N, uint64_t H) {
-    return (H & 0xffffffff00000000ull) | N;
+  size_t bucketOf(uint32_t Var, uint32_t Low, uint32_t High) const {
+    return hashTriple(Var, Low, High) & (Buckets.size() - 1);
   }
-  /// Inserts every live node into the table, which must be empty.
+  /// Chains every live node into the table, which must be empty.
   void insertLiveNodes();
-  /// Doubles the unique table and, with it, the computed cache.
+  /// Doubles the unique table and, with it, the computed cache, whose
+  /// entries carry over.
   void growUniqueTable();
 
   // Computed cache --------------------------------------------------------
@@ -491,8 +494,9 @@ private:
   void cacheInsert(Op O, uint32_t F, uint32_t G, uint32_t H, uint32_t R);
   /// Invalidates every entry by bumping the generation, keeping storage.
   void clearCache();
-  /// Allocates an empty cache of `cacheSlots()` entries.
-  void allocateCache();
+  /// Allocates an empty cache of \p Slots entries: `cacheSlots()`, or
+  /// twice that while the table grows.
+  void allocateCache(size_t Slots);
   /// Frees the cache's storage; `beginOp` re-allocates it.
   void releaseCache();
 
@@ -520,20 +524,17 @@ private:
   // Data ------------------------------------------------------------------
   /// The node store: records [0, NodeEnd) in pages of NodesPerPage, so
   /// growth appends a page instead of copying the store, and a node's
-  /// address is stable for the manager's lifetime.
+  /// address is stable for the manager's lifetime. `RefPages` holds the
+  /// reference counts in the same geometry.
   std::vector<std::unique_ptr<Node[]>> Pages;
+  std::vector<std::unique_ptr<uint32_t[]>> RefPages;
   uint32_t NodeEnd = 0;        ///< One past the highest record in use.
   uint32_t FreeList = Invalid; ///< Chained through Node::Low.
   size_t NumFree = 0;
   unsigned NumVars = 0;
 
-  /// Open-addressed unique table with linear probing; power-of-two size.
-  /// A slot is 0 when empty, else a live node's index in the low 32 bits
-  /// and the high 32 bits of its triple's hash (the fingerprint) above.
-  /// The probe position comes from the hash's low bits, so the two are
-  /// independent. Entries are only ever removed by `gc`, which rebuilds
-  /// the table, so there are no tombstones.
-  std::vector<uint64_t> Table;
+  /// Unique table: chain heads (Invalid when empty), power-of-two size.
+  std::vector<uint32_t> Buckets;
 
   /// Backing storage, over-allocated by up to one bucket so `CacheBase`
   /// can sit on a 64-byte boundary — `operator new` only guarantees
@@ -545,8 +546,7 @@ private:
   uint64_t CacheBucketMask = 0; ///< Bucket index mask (buckets × ways = size).
   unsigned CacheWays = 4;       ///< Ways of the allocated cache.
   unsigned MaxCacheWays = 4;    ///< Requested associativity.
-  /// log2(cache slots / table slots); -1 by default (half the table).
-  int CacheShift = -1;
+  unsigned CacheShift = 1; ///< log2(table slots / cache slots).
   static constexpr unsigned InitialTableBits = 12;
   uint32_t CacheGeneration = 1; ///< Entries with an older gen are empty.
 

@@ -947,11 +947,14 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
   // evictions cost a round its working set well before the cache was
   // actually full (the old `cacheSlots()/4` margin priced that in); with
   // hot entries protected by promotion, nearly the whole capacity stays
-  // useful and the wide regime extends to half the slot count. Measured
-  // on bluetooth 2a2s/k4 (the heavy Figure-3 row): /2 gives the lowest
-  // peak live nodes and equal-best wall-clock; the terminator negatives
-  // are insensitive between /4 and /2. The cache grows with the unique
-  // table, so both gates below re-read its size every round.
+  // useful and the wide regime extends to half the slot count. That /2
+  // was measured on bluetooth 2a2s/k4 (the heavy Figure-3 row) against a
+  // fixed 2^18-entry cache. The cache now grows with the unique table
+  // (half its slots), so the switch reads a quarter of the table's slots,
+  // re-read every round by both gates below; the ratio was not
+  // re-measured under that geometry. Under it bluetooth 2a2s/k4 runs every
+  // round wide, while the small per-worker managers of parallel
+  // sequential solves run some narrow rounds.
   auto NarrowAt = [this] { return uint64_t(Mgr.cacheSlots() / 2); };
   // In narrow rounds, delta-substitute only linear disjuncts: a disjunct
   // with k occurrences needs k passes whose cross terms read the full S,

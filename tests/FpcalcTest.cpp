@@ -432,10 +432,9 @@ std::vector<std::pair<unsigned, unsigned>> randomEdges(Rng &R,
 }
 
 /// Solves the graph fixture under one strategy and returns the value, the
-/// per-round rings, and the outer iteration count. The starting cache
-/// (CacheBits) fixes the cache's fraction of the unique table, which
-/// starts at 2^12 slots: from 2^0 the cache holds one entry per 4096 table
-/// slots, so the evaluator runs every delta round narrow.
+/// per-round rings, and the outer iteration count. \p CacheShift fixes
+/// the cache at `tableSlots() >> CacheShift` entries: at 12, one entry per
+/// 4096 table slots, the evaluator runs its delta rounds narrow.
 struct StrategyRun {
   Bdd Value;
   std::vector<size_t> RingCounts;
@@ -449,10 +448,10 @@ struct StrategyRun {
 StrategyRun runGraph(GraphFixture &G,
                      const std::vector<std::pair<unsigned, unsigned>> &Edges,
                      unsigned InitNode, EvalStrategy Strategy,
-                     unsigned CacheBits, bool WithEarlyStop = false,
+                     unsigned CacheShift, bool WithEarlyStop = false,
                      uint64_t MaxIterations = 0, uint64_t NumNodes = 8,
                      CofactorMode Cofactor = CofactorMode::Constrain) {
-  BddManager Mgr(0, CacheBits);
+  BddManager Mgr(0, CacheShift);
   Evaluator Ev(G.Sys, Mgr, Layout::sequential(G.Sys, Mgr), Strategy,
                Cofactor);
   Ev.bindInput(G.Init, Ev.encodeEqConst(G.U, InitNode));
@@ -502,18 +501,18 @@ TEST(StrategyDifferentialTest, RandomGraphsAgreeOnEverything) {
     // Chain backbone so fixpoints take many rounds.
     for (unsigned N = 0; N + 1 < 64; N += 1)
       Edges.emplace_back(N, N + 1);
-    for (unsigned CacheBits : {0u, 6u, 18u}) {
+    for (unsigned CacheShift : {12u, 6u, 0u}) {
       StrategyRun Naive = runGraph(G, Edges, 0, EvalStrategy::Naive,
-                                   CacheBits, false, 0, 64);
+                                   CacheShift, false, 0, 64);
       StrategyRun Semi = runGraph(G, Edges, 0, EvalStrategy::SemiNaive,
-                                  CacheBits, false, 0, 64);
+                                  CacheShift, false, 0, 64);
       EXPECT_EQ(Naive.Iterations, Semi.Iterations)
-          << "seed " << Seed << " cache " << CacheBits;
+          << "seed " << Seed << " shift " << CacheShift;
       EXPECT_EQ(Naive.RingCounts, Semi.RingCounts)
-          << "seed " << Seed << " cache " << CacheBits;
+          << "seed " << Seed << " shift " << CacheShift;
       EXPECT_EQ(Naive.DeltaRounds, 0u);
       EXPECT_GT(Semi.DeltaRounds, 0u);
-      if (CacheBits == 0) {
+      if (CacheShift == 12) {
         EXPECT_GT(Semi.CofactorApplications, 0u)
             << "seed " << Seed << ": no narrow round ran";
       }
@@ -533,25 +532,25 @@ TEST(StrategyDifferentialTest, CofactorModeChangesNothingObservable) {
     auto Edges = randomEdges(R, 64, 96);
     for (unsigned N = 0; N + 1 < 64; N += 1)
       Edges.emplace_back(N, N + 1);
-    for (unsigned CacheBits : {0u, 6u, 18u}) {
+    for (unsigned CacheShift : {12u, 6u, 0u}) {
       StrategyRun Off = runGraph(G, Edges, 0, EvalStrategy::SemiNaive,
-                                 CacheBits, false, 0, 64, CofactorMode::Off);
+                                 CacheShift, false, 0, 64, CofactorMode::Off);
       for (CofactorMode Mode :
            {CofactorMode::Constrain, CofactorMode::Restrict}) {
         StrategyRun On = runGraph(G, Edges, 0, EvalStrategy::SemiNaive,
-                                  CacheBits, false, 0, 64, Mode);
+                                  CacheShift, false, 0, 64, Mode);
         EXPECT_EQ(On.Iterations, Off.Iterations)
-            << cofactorModeName(Mode) << " seed " << Seed << " cache "
-            << CacheBits;
+            << cofactorModeName(Mode) << " seed " << Seed << " shift "
+            << CacheShift;
         EXPECT_EQ(On.DeltaRounds, Off.DeltaRounds)
-            << cofactorModeName(Mode) << " seed " << Seed << " cache "
-            << CacheBits;
+            << cofactorModeName(Mode) << " seed " << Seed << " shift "
+            << CacheShift;
         EXPECT_EQ(On.RingCounts, Off.RingCounts)
-            << cofactorModeName(Mode) << " seed " << Seed << " cache "
-            << CacheBits;
+            << cofactorModeName(Mode) << " seed " << Seed << " shift "
+            << CacheShift;
         // The tiny cache must actually reach the narrow rounds the
         // cofactor runs in.
-        if (CacheBits == 0) {
+        if (CacheShift == 12) {
           EXPECT_GT(On.CofactorApplications, 0u)
               << cofactorModeName(Mode) << " seed " << Seed;
         }
@@ -615,8 +614,8 @@ TEST(StrategyDifferentialTest, BilinearEquationAgrees) {
   EXPECT_EQ(P.Disjuncts[1].Kind, DisjunctKind::Distributive);
   EXPECT_EQ(P.Disjuncts[1].Occurrences.size(), 2u);
 
-  auto Solve = [&](EvalStrategy Strategy, unsigned CacheBits) {
-    BddManager Mgr(0, CacheBits);
+  auto Solve = [&](EvalStrategy Strategy, unsigned CacheShift) {
+    BddManager Mgr(0, CacheShift);
     Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr), Strategy);
     Ev.bindInput(Init, Ev.encodeEqConst(U, 1));
     // Join(x, y, u): u = min(x + y, 15) over a few sparse pairs.
@@ -630,11 +629,11 @@ TEST(StrategyDifferentialTest, BilinearEquationAgrees) {
     return std::make_pair(Res.Value.satCount(Mgr.numVars()),
                           Ev.stats().at("R").Iterations);
   };
-  for (unsigned CacheBits : {0u, 6u, 18u}) {
-    auto [NaiveCount, NaiveIters] = Solve(EvalStrategy::Naive, CacheBits);
-    auto [SemiCount, SemiIters] = Solve(EvalStrategy::SemiNaive, CacheBits);
-    EXPECT_DOUBLE_EQ(NaiveCount, SemiCount) << "cache " << CacheBits;
-    EXPECT_EQ(NaiveIters, SemiIters) << "cache " << CacheBits;
+  for (unsigned CacheShift : {12u, 6u, 0u}) {
+    auto [NaiveCount, NaiveIters] = Solve(EvalStrategy::Naive, CacheShift);
+    auto [SemiCount, SemiIters] = Solve(EvalStrategy::SemiNaive, CacheShift);
+    EXPECT_DOUBLE_EQ(NaiveCount, SemiCount) << "shift " << CacheShift;
+    EXPECT_EQ(NaiveIters, SemiIters) << "shift " << CacheShift;
   }
 }
 

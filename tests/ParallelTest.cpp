@@ -154,7 +154,7 @@ FpSolve solveRoot(const fpc::System &Sys,
                   const std::vector<fpc::Fact> &Facts, unsigned Threads,
                   fpc::EvalStrategy Strategy) {
   FpSolve S;
-  S.Mgr = std::make_unique<BddManager>(0, /*CacheBits=*/14);
+  S.Mgr = std::make_unique<BddManager>();
   S.Ev = std::make_unique<fpc::Evaluator>(
       Sys, *S.Mgr, fpc::Layout::sequential(Sys, *S.Mgr), Strategy);
   S.Ev->setThreads(Threads);
@@ -266,7 +266,7 @@ TEST(ParallelSccTest, RebindAndInvalidateDropWorkerMemos) {
   Sys.define(Root,
              Sys.mkOr({Sys.applyVars(M, {A}), Sys.applyVars(R2, {A})}));
 
-  BddManager Mgr(0, 12);
+  BddManager Mgr;
   Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr));
   Ev.setThreads(2);
   // Several rebind rounds: task-to-worker placement varies, so one round

@@ -539,7 +539,11 @@ TEST(SessionTest, IterationCapAndFullFixpointVariantsMatchFresh) {
 TEST(SessionTest, CofactorModesAgreeOnVerdictsAndRounds) {
   // The restrict-vs-constrain A/B differential: all three settings must
   // agree on verdicts, rounds, and summary sizes — fresh and in session
-  // mode — on the fixture and on generator programs.
+  // mode — on the fixture and on generator programs. The cofactor only
+  // runs in narrow delta rounds, which need a round that allocates a
+  // quarter of the unique table's slots: the Bluetooth model with one
+  // adder and two stoppers does at context bound 3, so there the test
+  // also requires that the cofactor actually ran.
   gen::TerminatorParams T;
   T.CounterBits = 4;
   T.NumDeadVars = 2;
@@ -550,14 +554,19 @@ TEST(SessionTest, CofactorModesAgreeOnVerdictsAndRounds) {
     const char *Engine;
     std::string Src;
     std::string Label;
+    unsigned ContextBound = 0; ///< 0 = the default.
+    bool Narrow = false;       ///< Reaches narrow rounds.
   } Cases[] = {
       {"ef-split", seqFixture(), "ERR"},
       {"ef-split", Term.Source, Term.TargetLabel},
       {"conc", concFixture(), "ERR"},
+      {"conc", gen::bluetoothModel(1, 2), "ERR", 3, true},
   };
   for (const Case &C : Cases) {
     SolverOptions Opts;
     Opts.Engine = C.Engine;
+    if (C.ContextBound != 0)
+      Opts.ContextBound = C.ContextBound;
     Opts.FrontierCofactor = fpc::CofactorMode::Off;
     SolveResult Off =
         Solver::solve(Query::fromSource(C.Src).target(C.Label), Opts);
@@ -565,17 +574,19 @@ TEST(SessionTest, CofactorModesAgreeOnVerdictsAndRounds) {
     for (fpc::CofactorMode Mode :
          {fpc::CofactorMode::Constrain, fpc::CofactorMode::Restrict}) {
       Opts.FrontierCofactor = Mode;
+      std::string Name = std::string(C.Engine) + " cofactor " +
+                         fpc::cofactorModeName(Mode);
       SolveResult Fresh =
           Solver::solve(Query::fromSource(C.Src).target(C.Label), Opts);
-      expectSameCore(Off, Fresh,
-                     std::string(C.Engine) + " fresh cofactor " +
-                         fpc::cofactorModeName(Mode));
+      expectSameCore(Off, Fresh, "fresh " + Name);
       std::unique_ptr<SolverSession> S =
           Solver::open(Query::fromSource(C.Src), Opts);
       SolveResult Sess = S->solve(Query::fromSource("").target(C.Label));
-      expectSameCore(Off, Sess,
-                     std::string(C.Engine) + " session cofactor " +
-                         fpc::cofactorModeName(Mode));
+      expectSameCore(Off, Sess, "session " + Name);
+      if (C.Narrow) {
+        EXPECT_GT(Fresh.Cofactor.Applications, 0u) << "fresh " << Name;
+        EXPECT_GT(Sess.Cofactor.Applications, 0u) << "session " << Name;
+      }
     }
   }
 }
