@@ -81,19 +81,42 @@ void BM_BddRelationalProduct(benchmark::State &State) {
 }
 BENCHMARK(BM_BddRelationalProduct);
 
-void BM_BddRenameMonotone(benchmark::State &State) {
+/// Renames F (over variables 0..31) by \p Target(V) with a cold computed
+/// cache: the cache is released and re-allocated outside the timed region,
+/// so every iteration times the whole traversal rather than one hit at the
+/// root. Reports the `ite` probes one rename makes.
+void renameCold(benchmark::State &State, unsigned (*Target)(unsigned)) {
   BddManager Mgr(64);
   Rng R(3);
   Bdd F = randomFunction(Mgr, R, 0, 32, 32);
   std::vector<std::pair<unsigned, unsigned>> Pairs;
   for (unsigned V = 0; V < 32; ++V)
-    Pairs.emplace_back(V, V + 32);
+    Pairs.emplace_back(V, Target(V));
   BddPerm Perm = Mgr.makePermutation(Pairs);
+  const uint64_t IteBefore = Mgr.stats().OpLookups[unsigned(BddOp::Ite)];
   for (auto _ : State) {
+    State.PauseTiming();
+    Mgr.clearComputedCache();
+    benchmark::DoNotOptimize(!Mgr.one()); // Operation entry re-allocates.
+    State.ResumeTiming();
     benchmark::DoNotOptimize(F.permute(Perm));
   }
+  State.counters["ite_probes"] = benchmark::Counter(
+      double(Mgr.stats().OpLookups[unsigned(BddOp::Ite)] - IteBefore),
+      benchmark::Counter::kAvgIterations);
 }
-BENCHMARK(BM_BddRenameMonotone);
+
+/// A shift onto 32..63 keeps the order: every node is built directly.
+void BM_BddRenameOrderKeeping(benchmark::State &State) {
+  renameCold(State, [](unsigned V) { return V + 32; });
+}
+BENCHMARK(BM_BddRenameOrderKeeping);
+
+/// A reversal onto 63..32 reorders every node: the ite fallback.
+void BM_BddRenameReordering(benchmark::State &State) {
+  renameCold(State, [](unsigned V) { return 63 - V; });
+}
+BENCHMARK(BM_BddRenameReordering);
 
 void BM_BddExists(benchmark::State &State) {
   BddManager Mgr(64);

@@ -152,14 +152,6 @@ Bdd Bdd::permute(BddPerm Perm) const {
   return Bdd(Mgr, Mgr->renameRec(Idx, Perm.Id));
 }
 
-Bdd Bdd::restrict(unsigned Var, bool Value) const {
-  assert(Mgr && Var < Mgr->numVars() && "bad restrict operands");
-  // f|_{v=c} == exists v. (f & lit(v,c)). Reuses the and-exists machinery.
-  BddCube Cube = Mgr->makeCube({Var});
-  Bdd Lit = Value ? Mgr->var(Var) : Mgr->nvar(Var);
-  return andExists(Lit, Cube);
-}
-
 Bdd Bdd::frontier(const Bdd &Old) const {
   assert(Mgr && Mgr == Old.Mgr && "operands from different managers");
   Mgr->beginOp();
@@ -350,12 +342,6 @@ BddPerm BddManager::makePermutation(
     assert(From < NumVars && To < NumVars && "permutation var out of range");
     NewPerm.Map[From] = To;
   }
-  NewPerm.Monotone = true;
-  for (unsigned V = 1; V < NumVars; ++V)
-    if (NewPerm.Map[V - 1] >= NewPerm.Map[V]) {
-      NewPerm.Monotone = false;
-      break;
-    }
   for (uint32_t Id = 0; Id < Perms.size(); ++Id)
     if (Perms[Id].Map == NewPerm.Map)
       return BddPerm{Id};
@@ -977,18 +963,18 @@ uint32_t BddManager::renameRec(uint32_t F, uint32_t PermId) {
   if (cacheLookup(Op::Rename, F, PermId, 0, Result))
     return Result;
 
-  const PermSet &P = Perms[PermId];
   uint32_t Low = renameRec(lowOf(F), PermId);
   uint32_t High = renameRec(highOf(F), PermId);
-  uint32_t NewVar = P.Map[varOf(F)];
-  if (P.Monotone) {
+  uint32_t NewVar = Perms[PermId].Map[varOf(F)];
+  // The renamed node is already ordered when its variable sits above both
+  // renamed children (terminals sit below everything) — the common case
+  // of a layout that places each copy next to the variable it renames.
+  // Only a node the rename really moves past a child's top variable (or
+  // onto it, for a many-to-one map) is rebuilt with ite.
+  if (NewVar < varOf(Low) && NewVar < varOf(High))
     Result = makeNode(NewVar, Low, High);
-  } else {
-    // The renamed variable may sit below variables of the children; rebuild
-    // with ite to restore ordering.
-    uint32_t Lit = makeNode(NewVar, 0, 1);
-    Result = iteRec(Lit, High, Low);
-  }
+  else
+    Result = iteRec(makeNode(NewVar, 0, 1), High, Low);
   cacheInsert(Op::Rename, F, PermId, 0, Result);
   return Result;
 }

@@ -14,8 +14,8 @@
 ///   - the and-exists relational product (the image-computation workhorse)
 ///   - Coudert–Madre generalized cofactors (`constrain` and `restrict`)
 ///     for care-set minimization of relational-product operands
-///   - variable renaming via interned permutations (with a fast path for
-///     order-preserving permutations)
+///   - variable renaming via interned permutations (building each renamed
+///     node directly wherever the rename keeps it above its children)
 ///   - sat-counting, support computation, dag-size counting, evaluation
 ///
 /// Memory is managed with external reference counts held by the RAII `Bdd`
@@ -128,10 +128,11 @@ public:
   Bdd forall(BddCube Cube) const;
   /// Computes exists Cube. (*this & Other) without building the conjunction.
   Bdd andExists(const Bdd &Other, BddCube Cube) const;
-  /// Renames variables according to the interned permutation.
+  /// Renames variables according to the interned permutation: a
+  /// simultaneous substitution, so two variables may map onto one. Nodes
+  /// the rename keeps above their children are rebuilt directly; only
+  /// those it moves past a child's top variable go through ite.
   Bdd permute(BddPerm Perm) const;
-  /// Cofactor: substitutes the constant \p Value for variable \p Var.
-  Bdd restrict(unsigned Var, bool Value) const;
   /// Coudert–Madre generalized cofactor `*this ↓ Care`: agrees with *this
   /// everywhere Care holds, and maps every assignment outside Care to the
   /// closest (in the variable order's branch metric) assignment inside it.
@@ -282,7 +283,8 @@ public:
   /// are ignored. Equal sets share one id.
   BddCube makeCube(const std::vector<unsigned> &Vars);
   /// Interns a permutation given as (from, to) pairs. Unlisted variables map
-  /// to themselves. Both sides must be duplicate-free.
+  /// to themselves. The from side must be duplicate-free; targets may
+  /// repeat (a many-to-one substitution).
   BddPerm makePermutation(
       const std::vector<std::pair<unsigned, unsigned>> &Pairs);
 
@@ -448,7 +450,6 @@ private:
 
   struct PermSet {
     std::vector<uint32_t> Map; ///< Indexed by variable; identity elsewhere.
-    bool Monotone = false;     ///< Globally order-preserving.
   };
 
   static constexpr uint32_t TermVar = UINT32_MAX;

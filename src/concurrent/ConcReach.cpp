@@ -359,39 +359,43 @@ void ConcEngine::buildSystem() {
     RInit.push_back(Encs[I]->InitRel);
   }
 
+  // Each quantified copy is created right after the Reach formal it
+  // stands in for, so its bits sit next to that formal's in the domain's
+  // interleaving group (see VarFactory) and applying Reach to copies keeps
+  // the variable order. t.CG copies v.CG (caller side) and u.CG (callee
+  // side); csP copies cs (caller side) and ecs (callee side).
   S.Mod = Factory.makeVar("v.mod", Doms.Mod);
+  DMod = Factory.makeVar("d.mod", Doms.Mod);
+  RUMod = Factory.makeVar("w.mod", Doms.Mod);
   S.Pc = Factory.makeVar("v.pc", Doms.Pc);
-  S.CG = Factory.makeVar("v.CG", Doms.GVec);
+  XPc = Factory.makeVar("x.pc", Doms.Pc);
+  DPc = Factory.makeVar("d.pc", Doms.Pc);
+  RTPc = Factory.makeVar("t.pc", Doms.Pc);
+  RUPcX = Factory.makeVar("w.pc", Doms.Pc);
   S.CL = Factory.makeVar("v.CL", Doms.LVec);
-  S.ECG = Factory.makeVar("u.CG", Doms.GVec);
+  XL = Factory.makeVar("x.CL", Doms.LVec);
+  DL = Factory.makeVar("d.CL", Doms.LVec);
+  RTCL = Factory.makeVar("t.CL", Doms.LVec);
+  RULX = Factory.makeVar("w.CL", Doms.LVec);
   S.ECL = Factory.makeVar("u.CL", Doms.LVec);
-  Ecs = Factory.makeVar("ecs", CsDom);
-  Cs = Factory.makeVar("cs", CsDom);
+  DEL = Factory.makeVar("d.ECL", Doms.LVec);
+  RUECL = Factory.makeVar("w.ECL", Doms.LVec);
+  S.CG = Factory.makeVar("v.CG", Doms.GVec);
+  XG = Factory.makeVar("x.CG", Doms.GVec);
+  RUGX = Factory.makeVar("w.CG", Doms.GVec);
+  RTCG = Factory.makeVar("t.CG", Doms.GVec);
+  S.ECG = Factory.makeVar("u.CG", Doms.GVec);
+  DEG = Factory.makeVar("d.ECG", Doms.GVec);
   G.resize(K + 1);
   for (unsigned I = 1; I <= K; ++I)
     G[I] = Factory.makeVar("g" + std::to_string(I), Doms.GVec);
+  Ecs = Factory.makeVar("ecs", CsDom);
+  DEcs = Factory.makeVar("d.ecs", CsDom);
+  CsP = Factory.makeVar("csP", CsDom);
+  Cs = Factory.makeVar("cs", CsDom);
   T.resize(K + 1);
   for (unsigned I = 0; I <= K; ++I)
     T[I] = Factory.makeVar("t" + std::to_string(I), ThreadDom);
-
-  XPc = Factory.makeVar("x.pc", Doms.Pc);
-  XL = Factory.makeVar("x.CL", Doms.LVec);
-  XG = Factory.makeVar("x.CG", Doms.GVec);
-  DMod = Factory.makeVar("d.mod", Doms.Mod);
-  DPc = Factory.makeVar("d.pc", Doms.Pc);
-  DL = Factory.makeVar("d.CL", Doms.LVec);
-  DEL = Factory.makeVar("d.ECL", Doms.LVec);
-  DEG = Factory.makeVar("d.ECG", Doms.GVec);
-  DEcs = Factory.makeVar("d.ecs", CsDom);
-  CsP = Factory.makeVar("csP", CsDom);
-  RTPc = Factory.makeVar("t.pc", Doms.Pc);
-  RTCL = Factory.makeVar("t.CL", Doms.LVec);
-  RTCG = Factory.makeVar("t.CG", Doms.GVec);
-  RUMod = Factory.makeVar("w.mod", Doms.Mod);
-  RUPcX = Factory.makeVar("w.pc", Doms.Pc);
-  RULX = Factory.makeVar("w.CL", Doms.LVec);
-  RUGX = Factory.makeVar("w.CG", Doms.GVec);
-  RUECL = Factory.makeVar("w.ECL", Doms.LVec);
 
   std::vector<VarId> Formals{S.Mod, S.Pc, S.CL, S.CG, S.ECL, S.ECG, Ecs, Cs};
   for (unsigned I = 1; I <= K; ++I)

@@ -379,13 +379,27 @@ Bdd Evaluator::applyArgs(RelId Rel, const std::vector<Term> &Args,
   const Relation &R = Sys.relation(Rel);
   assert(Args.size() == R.Formals.size() && "arity mismatch");
 
-  // Constants first: cofactor the formal's bits.
+  // Constants first: cofactor every constant formal bit in one pass,
+  // f|_{x=c} == exists x. (f & (x == c)), against the cube of their
+  // literals built bottom-up.
+  std::vector<std::pair<unsigned, bool>> Lits;
   for (size_t I = 0; I < Args.size(); ++I) {
     if (!Args[I].IsConst)
       continue;
     const std::vector<unsigned> &Bits = L.bits(R.Formals[I]);
     for (unsigned B = 0; B < Bits.size(); ++B)
-      Value = Value.restrict(Bits[B], (Args[I].Value >> B) & 1);
+      Lits.emplace_back(Bits[B], (Args[I].Value >> B) & 1);
+  }
+  if (!Lits.empty()) {
+    std::sort(Lits.begin(), Lits.end());
+    std::vector<unsigned> Vars;
+    Bdd Cube = Mgr.one();
+    for (auto It = Lits.rbegin(); It != Lits.rend(); ++It) {
+      Vars.push_back(It->first);
+      Cube = It->second ? Mgr.node(It->first, Mgr.zero(), Cube)
+                        : Mgr.node(It->first, Cube, Mgr.zero());
+    }
+    Value = Value.andExists(Cube, Mgr.makeCube(Vars));
   }
 
   // Then rename formal bits to argument bits (a simultaneous substitution;

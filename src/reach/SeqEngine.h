@@ -94,7 +94,6 @@ private:
   /// non-monotonicity of EF-opt's Relevant).
   void verifyEquationPlan() const;
 #endif
-  sym::ConfVars addConf(const std::string &Prefix);
 
   // Clause builders shared by the algorithms. `Head` is the relation the
   // clause recurses on; `Mark` adds a leading fr-argument when >= 0.

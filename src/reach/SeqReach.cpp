@@ -29,17 +29,6 @@ const char *reach::algorithmName(SeqAlgorithm Alg) {
   return "?";
 }
 
-ConfVars SeqEngine::addConf(const std::string &Prefix) {
-  ConfVars C;
-  C.Mod = Factory.makeVar(Prefix + ".mod", Doms.Mod);
-  C.Pc = Factory.makeVar(Prefix + ".pc", Doms.Pc);
-  C.CG = Factory.makeVar(Prefix + ".CG", Doms.GVec);
-  C.CL = Factory.makeVar(Prefix + ".CL", Doms.LVec);
-  C.ECG = Factory.makeVar(Prefix + ".ECG", Doms.GVec);
-  C.ECL = Factory.makeVar(Prefix + ".ECL", Doms.LVec);
-  return C;
-}
-
 std::vector<Term> SeqEngine::headArgs(const ConfVars &C, int Mark) const {
   std::vector<Term> Args;
   if (Mark >= 0)
@@ -334,26 +323,36 @@ void SeqEngine::buildSystem() {
 
   Enc = std::make_unique<ProgramEncoder>(Sys, Factory, Doms, Cfg, ChoiceDom);
 
-  S = addConf("s");
-  Fr = Factory.makeVar("fr", Sys.boolDomain());
+  // Each quantified copy is created right after the state formal it
+  // stands in for, so its bits sit next to that formal's in the domain's
+  // interleaving group (see VarFactory) and applying a summary to copies
+  // keeps the variable order. t.CG copies s.CG (caller side) and s.ECG
+  // (callee side).
+  S.Mod = Factory.makeVar("s.mod", Doms.Mod);
   RvMod = Factory.makeVar("rv.mod", Doms.Mod);
+  DMod = Factory.makeVar("d.mod", Doms.Mod);
+  RUMod = Factory.makeVar("u.mod", Doms.Mod);
+  S.Pc = Factory.makeVar("s.pc", Doms.Pc);
   RvPc = Factory.makeVar("rv.pc", Doms.Pc);
   TPcF = Factory.makeVar("x.pc", Doms.Pc);
-  TLF = Factory.makeVar("x.CL", Doms.LVec);
-  TGF = Factory.makeVar("x.CG", Doms.GVec);
-  DMod = Factory.makeVar("d.mod", Doms.Mod);
   DPc = Factory.makeVar("d.pc", Doms.Pc);
-  DL = Factory.makeVar("d.CL", Doms.LVec);
-  DEL = Factory.makeVar("d.ECL", Doms.LVec);
-  DEG = Factory.makeVar("d.ECG", Doms.GVec);
   RTPc = Factory.makeVar("t.pc", Doms.Pc);
-  RTCL = Factory.makeVar("t.CL", Doms.LVec);
-  RTCG = Factory.makeVar("t.CG", Doms.GVec);
-  RUMod = Factory.makeVar("u.mod", Doms.Mod);
   RUPcX = Factory.makeVar("u.pc", Doms.Pc);
+  S.CL = Factory.makeVar("s.CL", Doms.LVec);
+  TLF = Factory.makeVar("x.CL", Doms.LVec);
+  DL = Factory.makeVar("d.CL", Doms.LVec);
+  RTCL = Factory.makeVar("t.CL", Doms.LVec);
   RULX = Factory.makeVar("u.CL", Doms.LVec);
-  RUGX = Factory.makeVar("u.CG", Doms.GVec);
+  S.ECL = Factory.makeVar("s.ECL", Doms.LVec);
+  DEL = Factory.makeVar("d.ECL", Doms.LVec);
   RUECL = Factory.makeVar("u.ECL", Doms.LVec);
+  S.CG = Factory.makeVar("s.CG", Doms.GVec);
+  TGF = Factory.makeVar("x.CG", Doms.GVec);
+  RUGX = Factory.makeVar("u.CG", Doms.GVec);
+  RTCG = Factory.makeVar("t.CG", Doms.GVec);
+  S.ECG = Factory.makeVar("s.ECG", Doms.GVec);
+  DEG = Factory.makeVar("d.ECG", Doms.GVec);
+  Fr = Factory.makeVar("fr", Sys.boolDomain());
 
   CG = bp::buildCallGraph(Cfg);
 

@@ -49,7 +49,13 @@ struct StateDomains {
 };
 
 /// Creates calculus variables and records them in per-domain interleaving
-/// groups for the layout.
+/// groups for the layout. Creation order within a domain is the BDD order:
+/// groups follow domain ids, and a group places bit b of every member, in
+/// creation order, before bit b+1 of any. Engines therefore create each
+/// quantified copy right after the formal it stands in for, so applying a
+/// relation to its copies (`Reach(d.mod, d.pc, ...)`) renames every bit
+/// onto a level between the formal's and the next formal's: the rename
+/// keeps the order and builds each node directly, with no ite rebuild.
 class VarFactory {
 public:
   VarFactory(fpc::System &Sys) : Sys(Sys) {}

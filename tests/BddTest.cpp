@@ -76,14 +76,19 @@ void expectEqual(const Bdd &B, const TruthTable &T, const char *What) {
   }
 }
 
-/// Builds a random (Bdd, TruthTable) pair over NumVars variables.
+/// Builds a random (Bdd, TruthTable) pair over NumVars variables whose
+/// literals are drawn from \p Vars (all NumVars variables when empty).
 std::pair<Bdd, TruthTable> randomFunction(BddManager &Mgr, Rng &R,
-                                          unsigned NumVars, unsigned Ops) {
+                                          unsigned NumVars, unsigned Ops,
+                                          std::vector<unsigned> Vars = {}) {
+  if (Vars.empty())
+    for (unsigned V = 0; V < NumVars; ++V)
+      Vars.push_back(V);
   Bdd B = R.flip() ? Mgr.one() : Mgr.zero();
   TruthTable T(NumVars, B.isOne() ? ~uint64_t(0) >> (64 - (1u << NumVars))
                                   : 0);
   for (unsigned I = 0; I < Ops; ++I) {
-    unsigned V = unsigned(R.below(NumVars));
+    unsigned V = Vars[R.below(Vars.size())];
     Bdd Lit = Mgr.var(V);
     TruthTable LitT = TruthTable::var(NumVars, V);
     switch (R.below(3)) {
@@ -106,6 +111,37 @@ std::pair<Bdd, TruthTable> randomFunction(BddManager &Mgr, Rng &R,
     }
   }
   return {B, T};
+}
+
+/// Checks `F.permute` under the variable map \p Map (indexed by variable)
+/// against the substitution it denotes, on every assignment X:
+/// F[v := Map[v]](X) == F(v -> X[Map[v]]). The rename must also be the
+/// canonical BDD of that function: the OR of its satisfying minterms.
+void expectSubstitution(const Bdd &F, const std::vector<unsigned> &Map,
+                        const char *What) {
+  BddManager &Mgr = *F.manager();
+  std::vector<std::pair<unsigned, unsigned>> Pairs;
+  for (unsigned V = 0; V < Map.size(); ++V)
+    if (Map[V] != V)
+      Pairs.emplace_back(V, Map[V]);
+  Bdd Renamed = F.permute(Mgr.makePermutation(Pairs));
+  Bdd Expected = Mgr.zero();
+  const unsigned N = unsigned(Map.size());
+  for (unsigned Row = 0; Row < (1u << N); ++Row) {
+    std::vector<bool> X(N), Y(N);
+    Bdd Minterm = Mgr.one();
+    for (unsigned V = 0; V < N; ++V) {
+      X[V] = (Row >> V) & 1;
+      Minterm &= X[V] ? Mgr.var(V) : Mgr.nvar(V);
+    }
+    for (unsigned V = 0; V < N; ++V)
+      Y[V] = X[Map[V]];
+    ASSERT_EQ(Renamed.eval(X), F.eval(Y))
+        << What << " rename differs on row " << Row;
+    if (F.eval(Y))
+      Expected |= Minterm;
+  }
+  EXPECT_EQ(Renamed, Expected) << What << " rename is not canonical";
 }
 
 class BddPropertyTest : public ::testing::TestWithParam<uint64_t> {};
@@ -202,26 +238,37 @@ TEST_P(BddPropertyTest, AndExistsIsFusedRelationalProduct) {
 TEST_P(BddPropertyTest, PermuteMatchesSubstitution) {
   BddManager Mgr(6);
   Rng R(GetParam() ^ 0x1234);
+  auto IteProbes = [&] {
+    return Mgr.stats().OpLookups[unsigned(BddOp::Ite)];
+  };
+  uint64_t PartialIteProbes = 0;
   for (unsigned Trial = 0; Trial < 30; ++Trial) {
-    auto [A, AT] = randomFunction(Mgr, R, 3, 5);
-    (void)AT;
-    // Rename 0,1,2 -> 3,4,5 (monotone) and 0,1,2 -> 5,4,3 (reversing).
-    BddPerm Up = Mgr.makePermutation({{0, 3}, {1, 4}, {2, 5}});
-    BddPerm Rev = Mgr.makePermutation({{0, 5}, {1, 4}, {2, 3}});
-    Bdd AUp = A.permute(Up);
-    Bdd ARev = A.permute(Rev);
-    for (unsigned Row = 0; Row < 8; ++Row) {
-      std::vector<bool> Orig(6, false), UpA(6, false), RevA(6, false);
-      for (unsigned V = 0; V < 3; ++V) {
-        bool Bit = (Row >> V) & 1;
-        Orig[V] = Bit;
-        UpA[3 + V] = Bit;
-        RevA[5 - V] = Bit;
-      }
-      EXPECT_EQ(AUp.eval(UpA), A.eval(Orig));
-      EXPECT_EQ(ARev.eval(RevA), A.eval(Orig));
-    }
+    // Rename 0,1,2 -> 3,4,5 (an order-keeping shift) and 0,1,2 -> 5,4,3
+    // (reversing).
+    Bdd A = randomFunction(Mgr, R, 6, 5, {0, 1, 2}).first;
+    expectSubstitution(A, {3, 4, 5, 3, 4, 5}, "shift");
+    expectSubstitution(A, {5, 4, 3, 3, 4, 5}, "reverse");
+
+    // Interleaved: each target sits between its source and the next
+    // support variable, so every node is built directly, without ite.
+    Bdd B = randomFunction(Mgr, R, 6, 6, {0, 2, 4}).first;
+    uint64_t Before = IteProbes();
+    expectSubstitution(B, {1, 1, 3, 3, 5, 5}, "interleaved");
+    EXPECT_EQ(IteProbes(), Before) << "an order-keeping rename used ite";
+
+    // Partial: 3 -> 2 keeps its nodes above their children, 0 -> 5 moves
+    // its nodes below 1, so one call takes both paths.
+    Bdd C = randomFunction(Mgr, R, 6, 6, {0, 1, 3, 4}).first;
+    Before = IteProbes();
+    expectSubstitution(C, {5, 1, 2, 2, 4, 5}, "partial");
+    PartialIteProbes += IteProbes() - Before;
+
+    // Many-to-one plus a shift: 0 -> 1 lands on a support variable (the
+    // diagonal R(u, u)), 2 -> 3 shifts.
+    Bdd D = randomFunction(Mgr, R, 6, 6, {0, 1, 2, 4}).first;
+    expectSubstitution(D, {1, 1, 3, 3, 4, 5}, "many-to-one");
   }
+  EXPECT_GT(PartialIteProbes, 0u) << "no partial rename reached ite";
 }
 
 TEST(BddTest, NonInjectiveRenameDiagonalizes) {
@@ -234,17 +281,38 @@ TEST(BddTest, NonInjectiveRenameDiagonalizes) {
   EXPECT_EQ(G.permute(Diag), Mgr.var(2));
 }
 
-TEST(BddTest, RestrictIsCofactor) {
+TEST(BddTest, LiteralCubeAndExistsIsCofactor) {
   BddManager Mgr(4);
   Rng R(99);
   for (unsigned Trial = 0; Trial < 30; ++Trial) {
-    auto [A, AT] = randomFunction(Mgr, R, 4, 5);
+    Bdd A = randomFunction(Mgr, R, 4, 5).first;
+    // One literal: f|v=c == exists v. (f & (v == c)), and Shannon
+    // expansion f == (v & f|v=1) | (!v & f|v=0) reassembles f.
     unsigned V = unsigned(R.below(4));
-    Bdd Hi = A.restrict(V, true);
-    Bdd Lo = A.restrict(V, false);
-    // Shannon expansion: f == (v & f|v=1) | (!v & f|v=0).
+    BddCube One = Mgr.makeCube({V});
+    Bdd Hi = A.andExists(Mgr.var(V), One);
+    Bdd Lo = A.andExists(Mgr.nvar(V), One);
     EXPECT_EQ(A, (Mgr.var(V) & Hi) | (Mgr.nvar(V) & Lo));
-    (void)AT;
+
+    // Several literals in one pass: each cofactor equals the one-literal
+    // cofactors taken in turn, and the expansion over every value of the
+    // cube's variables reassembles f.
+    std::vector<unsigned> Vars{0, 1, 2, 3};
+    Vars.erase(Vars.begin() + R.below(4));
+    BddCube Cube = Mgr.makeCube(Vars);
+    Bdd Expansion = Mgr.zero();
+    for (unsigned Value = 0; Value < 8; ++Value) {
+      Bdd Lits = Mgr.one(), Stepwise = A;
+      for (unsigned I = 0; I < 3; ++I) {
+        Bdd Lit = (Value >> I) & 1 ? Mgr.var(Vars[I]) : Mgr.nvar(Vars[I]);
+        Lits &= Lit;
+        Stepwise = Stepwise.andExists(Lit, Mgr.makeCube({Vars[I]}));
+      }
+      Bdd Cofactor = A.andExists(Lits, Cube);
+      EXPECT_EQ(Cofactor, Stepwise);
+      Expansion |= Lits & Cofactor;
+    }
+    EXPECT_EQ(A, Expansion);
   }
 }
 

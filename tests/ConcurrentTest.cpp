@@ -208,6 +208,24 @@ TEST_P(LalRepsTest, EagerReductionAgreesWithFixpoint) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LalRepsTest,
                          ::testing::Range<uint64_t>(1, 9));
 
+TEST(ConcurrentTest, CopiesFollowTheirFormalsInTheLayout) {
+  // Each quantified copy is laid out right after the Reach formal it
+  // stands in for, so a per-round application of Reach renames without
+  // reordering: only the switch-back diagonal v.CG := g_{R+1} rebuilds
+  // nodes with ite. Moving a formal instead of a copy would change the
+  // rounds or the relation's node count.
+  auto Conc = parseConc(gen::bluetoothModel(1, 1));
+  SolveResult R = solveConc(Conc, "ERR", 2);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_FALSE(R.Reachable);
+  EXPECT_EQ(R.Iterations, 48u);
+  EXPECT_EQ(R.SummaryNodes, 2588u);
+  uint64_t Ite = R.Bdd.OpLookups[unsigned(BddOp::Ite)];
+  uint64_t Rename = R.Bdd.OpLookups[unsigned(BddOp::Rename)];
+  ASSERT_GT(Rename, 0u);
+  EXPECT_LT(Ite * 10, Rename) << "Ite " << Ite << ", Rename " << Rename;
+}
+
 TEST(BluetoothTest, Figure3Pattern) {
   // The paper's Figure 3 Reach? column: (adders, stoppers) -> first k with
   // a reachable assertion failure (0 = never within the tested bounds).

@@ -153,6 +153,29 @@ TEST(SeqReachTest, EarlyStopAndFullSearchAgree) {
             solveVia(Cfg, "ERR", "ef-split", /*EarlyStop=*/false).Reachable);
 }
 
+TEST(SeqReachTest, CopiesFollowTheirFormalsInTheLayout) {
+  // Each quantified copy is laid out right after the summary formal it
+  // stands in for, so every per-round application of a summary renames
+  // without reordering and builds its nodes directly, not with ite.
+  // Moving a formal instead of a copy would change the rounds or the
+  // relation's node count.
+  gen::DriverParams P;
+  P.Reachable = true;
+  P.Seed = 7;
+  gen::Workload W = gen::driverProgram(P);
+  std::unique_ptr<bp::Program> Prog;
+  bp::ProgramCfg Cfg = parseCfg(W.Source, Prog);
+  SolveResult R = solveVia(Cfg, W.TargetLabel, "ef-opt");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_TRUE(R.Reachable);
+  EXPECT_EQ(R.Iterations, 26u);
+  EXPECT_EQ(R.SummaryNodes, 14993u);
+  uint64_t Ite = R.Bdd.OpLookups[unsigned(BddOp::Ite)];
+  uint64_t Rename = R.Bdd.OpLookups[unsigned(BddOp::Rename)];
+  ASSERT_GT(Rename, 0u);
+  EXPECT_LT(Ite * 10, Rename) << "Ite " << Ite << ", Rename " << Rename;
+}
+
 TEST(SeqReachTest, MissingLabelReported) {
   std::unique_ptr<bp::Program> Prog;
   bp::ProgramCfg Cfg = parseCfg("main() begin skip; end", Prog);
