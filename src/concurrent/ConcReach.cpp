@@ -339,11 +339,13 @@ void ConcEngine::buildSystem() {
   for (const bp::ProgramCfg &Cfg : Cfgs)
     MaxChoice = std::max(MaxChoice, ProgramEncoder::maxChoiceBits(Cfg));
 
+  // Domain creation order is the BDD group order: Context first, Global
+  // last among the state domains (VarFactory gives the reasons).
+  CsDom = Sys.addDomain("Context", K + 1);
   Doms.Mod = Sys.addDomain("Module", MaxProcs);
   Doms.Pc = Sys.addDomain("PrCount", MaxPcs);
-  Doms.GVec = Sys.addBitDomain("Global", NumShared);
   Doms.LVec = Sys.addBitDomain("Local", MaxLocals);
-  CsDom = Sys.addDomain("Context", K + 1);
+  Doms.GVec = Sys.addBitDomain("Global", NumShared);
   ThreadDom = Sys.addDomain("Thread", N);
   DomainId ChoiceDom = Sys.addDomain("Choice", uint64_t(1) << MaxChoice);
 
