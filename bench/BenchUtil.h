@@ -115,9 +115,9 @@ inline EngineRow rowOrDie(const SolveResult &R, const char *Engine) {
   Row.Iterations = R.Iterations;
   Row.ReachStates = R.ReachStates;
   Row.TransformedGlobals = R.TransformedGlobals;
-  Row.NodesCreated = R.BddNodesCreated;
+  Row.NodesCreated = R.Bdd.NodesCreated;
   Row.DeltaRounds = R.DeltaRounds;
-  Row.PeakLiveNodes = R.PeakLiveNodes;
+  Row.PeakLiveNodes = R.Bdd.PeakNodes;
   Row.CacheHitRate = R.bddCacheHitRate();
   Row.CofactorApplications = R.Cofactor.Applications;
   Row.CofactorSupportBefore = R.Cofactor.SupportBefore;

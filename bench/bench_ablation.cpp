@@ -14,10 +14,6 @@
 //     relational product (same semi-naive core, knob off),
 //   - parallel SCC scheduling (--threads) on multi-SCC calculus systems
 //     at 1/2/4/8 workers, gated on bit-identical counts/rounds/BDD sizes,
-//   - intra-SCC disjunct parallelism (threshold 1, always armed) on
-//     bluetooth and terminator at the same thread counts, gated on
-//     bit-identical verdicts/rounds/summary sizes AND on the parallel
-//     path actually engaging (RoundsParallel >= 1 whenever threads > 1),
 //   - the per-procedure summary split (one Summary_<group> relation per
 //     call-graph SCC, the default) versus the monolithic Summary relation
 //     (--monolithic-summary), gated on identical verdicts, a node-for-node
@@ -623,127 +619,6 @@ int main(int Argc, char **Argv) {
                   T4.Seconds);
       recordRow("threads", (W.Name + "-engine").c_str(), "threads-1", T1);
       recordRow("threads", (W.Name + "-engine").c_str(), "threads-4", T4);
-    }
-
-    // Intra-SCC disjunct parallelism: one heavy SCC whose semi-naive
-    // rounds fan their distributive products over the worker pool.
-    // Threshold 1 arms the fan-out from round 2, so even the smoke
-    // engages the path; every thread count must agree with threads=1 on
-    // verdict, iteration count, delta rounds, and summary BDD size, and
-    // any multi-threaded run that never takes the parallel path is
-    // itself a failure (the gate would be silently dead).
-    std::printf("\n--- intra-SCC disjuncts (--disjunct-threshold 1) ---\n");
-    std::printf("%-26s %8s %10s %8s %9s %10s\n", "case", "threads",
-                "seconds", "vs-t1", "par-rnds", "imported");
-    {
-      struct DisjCase {
-        std::string Name;
-        std::string Source;
-        std::string Target;
-        SolverOptions Opts;
-      };
-      std::vector<DisjCase> DisjCases;
-      {
-        DisjCase B;
-        B.Name = Smoke ? "bluetooth-1a1s-k3-disj" : "bluetooth-2a2s-k4-disj";
-        B.Source = Smoke ? gen::bluetoothModel(1, 1)
-                         : gen::bluetoothModel(2, 2);
-        B.Target = "ERR";
-        B.Opts.Engine = "conc";
-        B.Opts.ContextBound = Smoke ? 3 : 4;
-        B.Opts.EarlyStop = false;
-        DisjCases.push_back(std::move(B));
-
-        gen::TerminatorParams P;
-        P.CounterBits = Smoke ? 4 : 6;
-        P.NumDeadVars = 4;
-        P.Style = gen::DeadVarStyle::Iterative;
-        P.Reachable = false;
-        gen::Workload W = gen::terminatorProgram(P);
-        DisjCase T;
-        T.Name = W.Name + "-disj";
-        T.Source = W.Source;
-        T.Target = W.TargetLabel;
-        T.Opts.Engine = "summary";
-        // Pin the monolithic Summary relation: under the per-procedure
-        // split (the default) the heavy work runs as SCC tasks on the
-        // pool, so no top-level round ever crosses the disjunct gate and
-        // the RoundsParallel >= 1 assertion below would trip. This
-        // section measures the intra-SCC fan-out specifically.
-        T.Opts.MonolithicSummary = true;
-        DisjCases.push_back(std::move(T));
-      }
-
-      for (DisjCase &C : DisjCases) {
-        C.Opts.DisjunctParallelThreshold = 1;
-        Query Q = Query::fromSource(C.Source).target(C.Target);
-        std::vector<SolveResult> Rows;
-        for (unsigned T : ThreadCounts) {
-          SolverOptions O = C.Opts;
-          O.Threads = T;
-          SolveResult R = Solver::solve(Q, O);
-          if (!R.ok()) {
-            std::fprintf(stderr, "%s: solve failed at threads=%u: %s\n",
-                         C.Name.c_str(), T, R.Error.c_str());
-            std::exit(1);
-          }
-          if (T > 1 && R.RoundsParallel == 0) {
-            std::fprintf(stderr,
-                         "%s: threads=%u never took the disjunct-parallel "
-                         "path despite threshold 1\n",
-                         C.Name.c_str(), T);
-            std::exit(1);
-          }
-          Rows.push_back(std::move(R));
-        }
-        const SolveResult &Base = Rows.front();
-        for (size_t I = 0; I < Rows.size(); ++I) {
-          const SolveResult &R = Rows[I];
-          unsigned T = ThreadCounts[I];
-          if (R.Reachable != Base.Reachable ||
-              R.Iterations != Base.Iterations ||
-              R.DeltaRounds != Base.DeltaRounds ||
-              R.SummaryNodes != Base.SummaryNodes) {
-            std::fprintf(stderr,
-                         "%s: threads=%u DISAGREES with threads=1 "
-                         "(verdict %d/%d, rounds %llu/%llu, nodes "
-                         "%llu/%llu)\n",
-                         C.Name.c_str(), T, R.Reachable, Base.Reachable,
-                         (unsigned long long)R.Iterations,
-                         (unsigned long long)Base.Iterations,
-                         (unsigned long long)R.SummaryNodes,
-                         (unsigned long long)Base.SummaryNodes);
-            std::exit(1);
-          }
-          double Speedup = R.Seconds > 0 ? Base.Seconds / R.Seconds : 0.0;
-          std::printf("%-26s %8u %9.3fs %7.2fx %9llu %10llu\n",
-                      C.Name.c_str(), T, R.Seconds, Speedup,
-                      (unsigned long long)R.RoundsParallel,
-                      (unsigned long long)R.ImportedNodes);
-          if (WantJson) {
-            char Variant[32];
-            std::snprintf(Variant, sizeof(Variant), "threads-%u", T);
-            EngineRow ER = rowOrDie(R, C.Name.c_str());
-            JsonReport::Row Row;
-            Row.field("section", "disjuncts")
-                .field("case", C.Name)
-                .field("variant", Variant)
-                .field("reachable", ER.Reachable)
-                .field("iterations", ER.Iterations)
-                .field("delta_rounds", ER.DeltaRounds)
-                .field("nodes_created", ER.NodesCreated)
-                .field("peak_live_nodes", ER.PeakLiveNodes)
-                .field("cache_hit_rate", ER.CacheHitRate)
-                .field("seconds", ER.Seconds)
-                .field("threads", T)
-                .field("speedup_vs_t1", Speedup)
-                .field("rounds_parallel", R.RoundsParallel)
-                .field("disjuncts_parallel", R.DisjunctsParallel)
-                .field("imported_nodes", R.ImportedNodes);
-            Report.add(Row);
-          }
-        }
-      }
     }
   }
 

@@ -66,7 +66,7 @@ end
                 "%.3fs)\n",
                 E->name(), R.Reachable ? "YES" : "NO",
                 (unsigned long long)R.Iterations, R.SummaryNodes,
-                R.PeakLiveNodes, R.Seconds);
+                R.Bdd.PeakNodes, R.Seconds);
   }
   return 0;
 }

@@ -108,7 +108,6 @@ reach::SeqOptions seqOptionsFor(reach::SeqAlgorithm Alg,
   SO.FrontierCofactor = Opts.FrontierCofactor;
   SO.ReuseSolvedState = Opts.SessionReuse;
   SO.Threads = Opts.Threads;
-  SO.DisjunctParallelThreshold = Opts.DisjunctParallelThreshold;
   SO.RingKeyframeInterval = Opts.RingKeyframeInterval;
   SO.MonolithicSummary = Opts.MonolithicSummary;
   return SO;
@@ -121,10 +120,6 @@ void fillFromSeq(SolveResult &Out, reach::SeqResult &&R) {
   Out.Iterations = R.Iterations;
   Out.DeltaRounds = R.DeltaRounds;
   Out.SummaryNodes = R.SummaryNodes;
-  Out.PeakLiveNodes = R.PeakLiveNodes;
-  Out.BddNodesCreated = R.BddNodesCreated;
-  Out.BddCacheLookups = R.BddCacheLookups;
-  Out.BddCacheHits = R.BddCacheHits;
   Out.Bdd = R.Bdd;
   Out.Relations = std::move(R.Relations);
   Out.Cofactor = R.Cofactor;
@@ -133,8 +128,6 @@ void fillFromSeq(SolveResult &Out, reach::SeqResult &&R) {
   Out.SccsSolvedParallel = R.SccsSolvedParallel;
   Out.CondensationWidth = R.CondensationWidth;
   Out.SummaryRelations = R.SummaryRelations;
-  Out.RoundsParallel = R.RoundsParallel;
-  Out.DisjunctsParallel = R.DisjunctsParallel;
   Out.ImportedNodes = R.ImportedNodes;
   Out.Seconds = R.Seconds;
 }
@@ -147,10 +140,6 @@ void fillFromWitness(SolveResult &Out, const bp::ProgramCfg &Cfg,
   Out.Iterations = W.Iterations;
   Out.DeltaRounds = W.DeltaRounds;
   Out.SummaryNodes = W.SummaryNodes;
-  Out.PeakLiveNodes = W.PeakLiveNodes;
-  Out.BddNodesCreated = W.BddNodesCreated;
-  Out.BddCacheLookups = W.BddCacheLookups;
-  Out.BddCacheHits = W.BddCacheHits;
   Out.Bdd = W.Bdd;
   Out.Relations = std::move(W.Relations);
   Out.Seconds = Seconds;
@@ -282,10 +271,6 @@ public:
     Out.Reachable = R.Reachable;
     Out.Iterations = R.Iterations;
     Out.SummaryNodes = R.SummaryNodes;
-    Out.PeakLiveNodes = R.PeakLiveNodes;
-    Out.BddNodesCreated = R.BddNodesCreated;
-    Out.BddCacheLookups = R.BddCacheLookups;
-    Out.BddCacheHits = R.BddCacheHits;
     Out.Bdd = R.Bdd;
     Out.Seconds = R.Seconds;
     return Out;
@@ -313,7 +298,7 @@ public:
     Out.Reachable = R.Reachable;
     Out.Iterations = R.Iterations;
     Out.Seconds = R.Seconds;
-    // PeakLiveNodes stays 0: bebop never touches the BDD manager.
+    // Bdd stays zero: bebop never touches the BDD manager.
     return Out;
   }
 };
@@ -342,7 +327,6 @@ conc::ConcOptions concOptionsFor(const SolverOptions &Opts,
   CO.FrontierCofactor = Opts.FrontierCofactor;
   CO.ReuseSolvedState = Opts.SessionReuse;
   CO.Threads = Opts.Threads;
-  CO.DisjunctParallelThreshold = Opts.DisjunctParallelThreshold;
   CO.RingKeyframeInterval = Opts.RingKeyframeInterval;
   return CO;
 }
@@ -354,10 +338,6 @@ void fillFromConc(SolveResult &Out, conc::ConcResult &&R) {
   Out.Iterations = R.Iterations;
   Out.DeltaRounds = R.DeltaRounds;
   Out.SummaryNodes = R.ReachNodes;
-  Out.PeakLiveNodes = R.PeakLiveNodes;
-  Out.BddNodesCreated = R.BddNodesCreated;
-  Out.BddCacheLookups = R.BddCacheLookups;
-  Out.BddCacheHits = R.BddCacheHits;
   Out.Bdd = R.Bdd;
   Out.Relations = std::move(R.Relations);
   Out.Cofactor = R.Cofactor;
@@ -366,8 +346,6 @@ void fillFromConc(SolveResult &Out, conc::ConcResult &&R) {
   Out.SccsSolvedParallel = R.SccsSolvedParallel;
   Out.CondensationWidth = R.CondensationWidth;
   Out.SummaryRelations = R.SummaryRelations;
-  Out.RoundsParallel = R.RoundsParallel;
-  Out.DisjunctsParallel = R.DisjunctsParallel;
   Out.ImportedNodes = R.ImportedNodes;
   Out.ReachStates = R.ReachStates;
   Out.Seconds = R.Seconds;

@@ -172,18 +172,12 @@ struct SolverOptions {
   /// over per-worker BDD managers; verdicts, iteration counts, and
   /// witnesses are bit-identical at any setting (enforced by the parallel
   /// differential tests). Non-BDD engines (moped, bebop) ignore it.
-  /// `Threads > 1` also enables intra-SCC parallelism: heavy semi-naive
-  /// rounds fan their distributive disjunct products out over the same
-  /// pool (see `DisjunctParallelThreshold`).
+  /// Only one-shot `Solver::solve` calls on the per-procedure split
+  /// reach the pool today: a `SolverSession` solves on one thread,
+  /// because it resumes the split relation by relation, callees-first,
+  /// and the monolithic and concurrent systems never leave two SCCs
+  /// pending at once.
   unsigned Threads = 1;
-  /// Cost gate of the intra-SCC disjunct parallelism: a semi-naive round
-  /// runs its distributive products on the worker pool only when the
-  /// previous round allocated at least this many BDD nodes, so light
-  /// rounds never pay cross-manager import overhead. 0 = auto (the
-  /// evaluator's `cacheSlots()/2` valve, the same scale the wide/narrow
-  /// frontier policy keys on). Purely a performance knob — results are
-  /// bit-identical at any value.
-  uint64_t DisjunctParallelThreshold = 0;
   /// Session ring retention (BDD engines; see fpc::RingLog): fixpoint
   /// rounds recorded for replay and witness extraction are stored as
   /// exact deltas with a full keyframe every this many rounds, bounding
@@ -278,13 +272,9 @@ struct SolveResult {
   uint64_t Iterations = 0;  ///< Fixpoint rounds / worklist steps.
   uint64_t DeltaRounds = 0; ///< Rounds the main relation ran in delta mode.
   size_t SummaryNodes = 0;  ///< Final BDD size of the main relation.
-  size_t PeakLiveNodes = 0; ///< Peak BDD nodes (0 for non-BDD engines).
-  uint64_t BddNodesCreated = 0; ///< Total BDD nodes allocated.
-  uint64_t BddCacheLookups = 0; ///< BDD computed-cache probes.
-  uint64_t BddCacheHits = 0;    ///< BDD computed-cache hits.
-  /// Full BDD-manager counter snapshot: the computed-cache probes/hits
-  /// split per operation (`BddOp` indexed), GC runs and reclaim totals,
-  /// and peak live nodes. Zero-initialized for non-BDD engines.
+  /// BDD-manager counters: nodes created, peak nodes, computed-cache
+  /// probes and hits (totals and per `BddOp`), GC runs and reclaim
+  /// totals. Zero-initialized for non-BDD engines.
   BddStats Bdd;
   double ReachStates = 0.0; ///< Concurrent: sat-count of Reach (Figure 3).
   /// Per-relation evaluator statistics (fixed-point engines only), keyed
@@ -316,14 +306,14 @@ struct SolveResult {
   /// SCC count under the split, 1 monolithic, 0 for engines with no
   /// summary relation.
   unsigned SummaryRelations = 0;
-  /// Intra-SCC parallelism (`Threads > 1` only): semi-naive rounds whose
-  /// distributive disjunct products ran on the worker pool, the products
-  /// dispatched across all such rounds, and the BDD nodes the cached
-  /// importers translated across manager boundaries (the import overhead
-  /// the `DisjunctParallelThreshold` cost gate bounds).
-  uint64_t RoundsParallel = 0;
-  uint64_t DisjunctsParallel = 0;
+  /// BDD nodes the cached importers translated across manager boundaries
+  /// while seeding and exporting SCC tasks (`Threads > 1` only).
   uint64_t ImportedNodes = 0;
+  /// Always 0: no engine fans a round out over the pool any more. Kept
+  /// only because the benchmark, whose `perfbench/` sources are frozen,
+  /// reads it (`perfbench/perfbench.cpp:600`, `fpcalc.rounds_parallel`);
+  /// delete it with that read.
+  uint64_t RoundsParallel = 0;
   double Seconds = 0.0; ///< Wall-clock solve time (excludes parsing).
 
   /// Witness trace, when requested and the engine supports extraction.
@@ -335,8 +325,8 @@ struct SolveResult {
 
   /// BDD computed-cache hit rate in [0, 1]; 0 when nothing was probed.
   double bddCacheHitRate() const {
-    return BddCacheLookups != 0
-               ? double(BddCacheHits) / double(BddCacheLookups)
+    return Bdd.CacheLookups != 0
+               ? double(Bdd.CacheHits) / double(Bdd.CacheLookups)
                : 0.0;
   }
 };

@@ -495,7 +495,6 @@ ConcResult ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
   Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Opts.Strategy,
                Opts.FrontierCofactor);
   Ev.setThreads(Opts.Threads);
-  Ev.setDisjunctParallelThreshold(Opts.DisjunctParallelThreshold);
   try {
     bindInputs(Ev, Thread, ProcId, Pc);
 
@@ -528,13 +527,7 @@ ConcResult ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
   Result.Bdd.merge(Ev.workerBddStats());
   Result.SccsSolvedParallel = Ev.parallelStats().SccsSolvedParallel;
   Result.CondensationWidth = Width;
-  Result.RoundsParallel = Ev.parallelStats().RoundsParallel;
-  Result.DisjunctsParallel = Ev.parallelStats().DisjunctsParallel;
   Result.ImportedNodes = Ev.parallelStats().ImportedNodes;
-  Result.PeakLiveNodes = Result.Bdd.PeakNodes;
-  Result.BddNodesCreated = Result.Bdd.NodesCreated;
-  Result.BddCacheLookups = Result.Bdd.CacheLookups;
-  Result.BddCacheHits = Result.Bdd.CacheHits;
   Result.SummariesRecomputed = Result.Iterations;
   Result.Seconds = Tm.seconds();
   return Result;
@@ -590,10 +583,11 @@ struct ConcSession::Impl {
            Opts.FrontierCofactor) {
     Mgr.setGcThreshold(Opts.GcThreshold);
     Fix.setKeyframeInterval(Opts.RingKeyframeInterval);
-    // The worker pool is session state: it persists (warm) across
-    // queries; queries themselves stay serialized.
+    // Sessions currently solve on one thread: Reach is one dependency
+    // SCC, so the scheduler never finds two SCCs pending. The setting is
+    // passed down so the worker accounting below stays honest if a
+    // session ever reaches the pool; queries stay serialized.
     Ev.setThreads(Opts.Threads);
-    Ev.setDisjunctParallelThreshold(Opts.DisjunctParallelThreshold);
     // Targetless binding: the per-thread target relations are read by no
     // clause, so one binding serves every query of the session.
     Engine.bindInputs(Ev, ~0u, ~0u, 0);
@@ -686,13 +680,7 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   fpc::ParallelStats ParDelta = S.Ev.parallelStats().since(ParBefore);
   Result.SccsSolvedParallel = ParDelta.SccsSolvedParallel;
   Result.CondensationWidth = S.Engine.condensationWidth();
-  Result.RoundsParallel = ParDelta.RoundsParallel;
-  Result.DisjunctsParallel = ParDelta.DisjunctsParallel;
   Result.ImportedNodes = ParDelta.ImportedNodes;
-  Result.PeakLiveNodes = Result.Bdd.PeakNodes;
-  Result.BddNodesCreated = Result.Bdd.NodesCreated;
-  Result.BddCacheLookups = Result.Bdd.CacheLookups;
-  Result.BddCacheHits = Result.Bdd.CacheHits;
   Result.Seconds = Tm.seconds();
   S.PeakLive = std::max(S.PeakLive, liveNodes());
   return Result;

@@ -67,14 +67,9 @@ struct ConcOptions {
   /// queries. Off = every query re-solves from scratch (ablation /
   /// differential baseline). One-shot solves ignore this.
   bool ReuseSolvedState = true;
-  /// Worker threads for the evaluator's parallel SCC scheduling and
-  /// intra-SCC disjunct parallelism (1 = sequential). Results are
-  /// bit-identical at any setting.
+  /// Worker threads for the evaluator's parallel SCC scheduling (1 =
+  /// sequential). Results are bit-identical at any setting.
   unsigned Threads = 1;
-  /// Cost gate of the intra-SCC disjunct parallelism: a semi-naive round
-  /// fans out only when the previous round allocated at least this many
-  /// BDD nodes. 0 = auto (`cacheSlots()/2`); results are bit-identical.
-  uint64_t DisjunctParallelThreshold = 0;
   /// Session ring retention (see fpc::RingLog): recorded rounds are
   /// stored as exact deltas with a full keyframe every this many rounds.
   /// 1 keeps every round full (the pre-diet baseline); 0 keeps only the
@@ -102,11 +97,8 @@ struct ConcResult {
   uint64_t Iterations = 0;
   uint64_t DeltaRounds = 0; ///< Rounds Reach ran in delta mode.
   size_t ReachNodes = 0;    ///< Final BDD size of the Reach relation.
-  size_t PeakLiveNodes = 0; ///< Peak BDD nodes in the manager.
-  uint64_t BddNodesCreated = 0; ///< Total BDD nodes allocated.
-  uint64_t BddCacheLookups = 0; ///< Computed-cache probes.
-  uint64_t BddCacheHits = 0;    ///< Computed-cache hits.
-  /// Full BDD-manager counter snapshot (per-op split, GC, peak nodes).
+  /// BDD-manager counters (nodes created, peak nodes, per-op cache split,
+  /// GC).
   BddStats Bdd;
   double ReachStates = 0.0; ///< Sat-count of Reach over its tuple bits
                             ///< (the "reachable set size" of Figure 3).
@@ -132,11 +124,7 @@ struct ConcResult {
   unsigned CondensationWidth = 0;
   /// Always 1: one whole-program summary relation per thread group.
   unsigned SummaryRelations = 1;
-  /// Intra-SCC parallelism (`Threads > 1` only): semi-naive rounds whose
-  /// distributive products ran on the pool, the products dispatched, and
-  /// the nodes the cached importers translated across managers.
-  uint64_t RoundsParallel = 0;
-  uint64_t DisjunctsParallel = 0;
+  /// Nodes the cached importers translated across managers for SCC tasks.
   uint64_t ImportedNodes = 0;
 };
 

@@ -630,7 +630,7 @@ bool Evaluator::scheduleDependenciesParallel(
   // Containment: runDag's Run must not throw, so each task catches its
   // own failures. A governor trip latches the first limit here (the
   // shared governor then trips the remaining workers at their next
-  // probes, draining the fan-out); any other exception is kept and
+  // probes, draining the schedule); any other exception is kept and
   // rethrown after the join. Either way the failed task exports nothing.
   std::atomic<int> TrippedLimit{0};
   std::exception_ptr FirstError;
@@ -743,16 +743,6 @@ uint64_t Evaluator::importerTranslations() const {
   for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
     if (W)
       N += W->In.translations() + W->Out.translations();
-  return N;
-}
-
-uint64_t Evaluator::workerNodesCreated() const {
-  uint64_t N = 0;
-  if (!Par)
-    return N;
-  for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-    if (W)
-      N += W->Mgr.stats().NodesCreated;
   return N;
 }
 
@@ -979,21 +969,6 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
   // they do not — bluetooth 2a2s/k4 still loses ~70% wall-clock and ~25%
   // extra node allocations at k = 2 (see ROADMAP), so the bound stays 1.
   const size_t MaxDeltaOccurrences = 1;
-  // Intra-SCC parallelism: a round may fan its distributive products out
-  // over the worker pool — top level only, like the SCC scheduler (a
-  // nested solve runs inside a worker or a caller's round, where neither
-  // the in-flight environment nor the pool is shareable). The cost gate
-  // reads the *previous* round's allocation count: import overhead is
-  // linear in operand size while product work is superlinear, so heavy
-  // rounds amortize the manager crossing and light rounds (where the gate
-  // keeps us sequential) never pay it. The auto valve reuses the
-  // wide/narrow signal and scale: a round still fitting the computed
-  // cache is served well by warm sequential evaluation.
-  const bool TopLevel = InFlight.empty();
-  auto ParallelAt = [&] {
-    return DisjunctParallelThreshold ? DisjunctParallelThreshold
-                                     : NarrowAt();
-  };
 
   Bdd S = Mgr.zero();
   Bdd Delta;
@@ -1010,7 +985,6 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
       G->check();
     InFlight[Rel] = S;
     uint64_t RoundStart = Mgr.stats().NodesCreated;
-    uint64_t WorkerCreated = 0;
     Bdd Next;
     if (Iter == 0) {
       // Round 1 evaluates the full body once — this is both the naive
@@ -1023,39 +997,15 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
       InDeltaRound = !Wide;
       RoundCache.clear();
       Next = S;
-      // Collect the round's independent distributive products when the
-      // pool is on and the gate is open: one whole-disjunct unit where
-      // the sequential path evaluates the disjunct whole (wide rounds,
-      // nonlinear disjuncts), one unit per occurrence pass otherwise. A
-      // single unit gains nothing from the pool and stays sequential.
-      std::vector<DisjunctUnit> Units;
-      if (Threads > 1 && TopLevel && St.LastRoundCreated >= ParallelAt()) {
-        for (const DisjunctPlan &D : P.Disjuncts) {
-          if (D.Kind != DisjunctKind::Distributive)
-            continue;
-          if (Wide || D.Occurrences.size() > MaxDeltaOccurrences)
-            Units.push_back(DisjunctUnit{&D, nullptr});
-          else
-            for (const SelfOccurrence &Occ : D.Occurrences)
-              Units.push_back(DisjunctUnit{&D, &Occ});
-        }
-        if (Units.size() < 2)
-          Units.clear();
-      }
       for (const DisjunctPlan &D : P.Disjuncts) {
         switch (D.Kind) {
         case DisjunctKind::NonRecursive:
           // Fixed for the whole solve; already folded in by round 1.
           break;
         case DisjunctKind::Opaque:
-          // Opaque disjuncts may re-solve volatile relations and so must
-          // run on this thread, under the main manager — before the
-          // fan-out, which tolerates no concurrent main-manager touches.
           Next |= evalFormula(*D.Node);
           break;
         case DisjunctKind::Distributive:
-          if (!Units.empty())
-            break; // Fanned out over the pool below.
           if (Wide || D.Occurrences.size() > MaxDeltaOccurrences) {
             // Δ == S makes every occurrence pass evaluate the identical
             // D(S), so one evaluation covers them all; and a nonlinear
@@ -1077,9 +1027,6 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
           break;
         }
       }
-      if (!Units.empty())
-        WorkerCreated =
-            evalDisjunctsParallel(Rel, Units, S, Delta, Wide, Next);
       RoundCache.clear();
       InDeltaRound = false;
       ++RS.DeltaRounds;
@@ -1087,19 +1034,11 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
     InFlight.erase(Rel);
     ++Iter;
     ++RS.Iterations;
-    // Worker allocations count toward the round's cost signal: the gates
-    // read what the round *computed*, wherever it computed it. (Which
-    // manager allocated what may still shift wide/narrow or parallel
-    // decisions between thread counts — that only changes which products
-    // later rounds evaluate, never the round values; see the frontier
-    // freedom above.)
-    St.LastRoundCreated =
-        Mgr.stats().NodesCreated - RoundStart + WorkerCreated;
     if (Next == S) {
       St.Saturated = true;
       break;
     }
-    bool Narrow = St.LastRoundCreated >= NarrowAt();
+    bool Narrow = Mgr.stats().NodesCreated - RoundStart >= NarrowAt();
     Delta = Narrow ? Next.frontier(S) : Next;
     S = std::move(Next);
     if (Opts && Opts->Rings)
@@ -1118,9 +1057,8 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
   } catch (...) {
     // Mid-round interrupt: discard the aborted round, reset the delta
     // context it may have left armed, and write back the last completed
-    // round (S/Delta/Iter are only advanced at round completion, and
-    // St.LastRoundCreated likewise, so a resumed solve gates and iterates
-    // exactly like an uninterrupted one).
+    // round (S/Delta/Iter are only advanced at round completion, so a
+    // resumed solve iterates exactly like an uninterrupted one).
     InFlight.erase(Rel);
     DeltaApp = nullptr;
     DeltaPath = nullptr;
@@ -1135,163 +1073,6 @@ void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
   St.Value = std::move(S);
   St.Delta = std::move(Delta);
   St.Rounds = Iter;
-}
-
-uint64_t Evaluator::evalDisjunctsParallel(
-    RelId Rel, const std::vector<DisjunctUnit> &Units, const Bdd &S,
-    const Bdd &Delta, bool Wide, Bdd &Next) {
-  ensureParallelContext();
-  ParallelContext &PC = *Par;
-  const uint64_t CreatedBefore = workerNodesCreated();
-  const uint64_t ImportsBefore = importerTranslations();
-
-  /// Exported products as main-manager BDDs, one slot per unit; written
-  /// under MainLock, read by the reduction after the run has joined.
-  std::vector<Bdd> Products(Units.size());
-
-  // Containment mirrors scheduleDependenciesParallel: tasks never throw
-  // into runDag; a governor trip latches and drains the round, any other
-  // fault is rethrown after the join. The aborted round's products are
-  // discarded wholesale (the caller's round loop rolls back to the last
-  // completed round), so partially-filled Products never reduce.
-  std::atomic<int> TrippedLimit{0};
-  std::exception_ptr FirstError;
-  std::mutex ErrMu;
-
-  // A flat dependency list: the products of one round are mutually
-  // independent, so this is a plain parallel-for over the pool.
-  std::vector<std::vector<unsigned>> Deps(Units.size());
-  DagRunStats DS = runDag(
-      PC.Pool, unsigned(Units.size()), Deps,
-      [&](unsigned Task, unsigned Worker) {
-        WorkerContext &W = workerContext(Worker);
-        Evaluator &WE = W.Ev;
-        const DisjunctUnit &U = Units[Task];
-        W.Mgr.setGovernor(Mgr.governor());
-        try {
-
-        // Seed everything this product reads from outside the worker:
-        // the inputs and completed lower relations its disjunct applies
-        // (a distributive disjunct's non-self applications never reach
-        // Rel — see classifyDistributive — so at top level every one of
-        // them is Completed), plus S and, for an occurrence pass, the
-        // frontier. The cached importer returns identical worker handles
-        // for unchanged main handles, so re-seeding every round is memo
-        // hits plus the round's fresh S/Δ nodes — and re-binding an
-        // unchanged input is a no-op that preserves the worker's static
-        // cache.
-        std::vector<RelId> Applied;
-        Sys.collectRels(*U.Disjunct->Node, Applied);
-        Bdd WS, WDelta;
-        {
-          std::lock_guard<std::mutex> Lock(PC.MainLock);
-          for (RelId A : Applied) {
-            if (A == Rel)
-              continue;
-            if (Sys.relation(A).isInput())
-              WE.bindInput(A, W.In.import(input(A)));
-            else
-              WE.Completed[A] = W.In.import(Completed.at(A));
-          }
-          WS = W.In.import(S);
-          if (U.Occ)
-            WDelta = W.In.import(Delta);
-        }
-
-        // The worker-local mirror of one sequential pass: same in-flight
-        // S, same round mode, same single-occurrence delta context. The
-        // round memo is cleared per unit — sharing off-path values across
-        // a worker's units within one round would be sound, but a
-        // persistent worker cannot tell rounds apart, and a stale entry
-        // from a previous round would be wrong.
-        WE.InFlight[Rel] = WS;
-        WE.InDeltaRound = !Wide;
-        WE.RoundCache.clear();
-        if (U.Occ) {
-          WE.DeltaApp = U.Occ->App;
-          WE.DeltaPath = &U.Occ->Path;
-          WE.DeltaValue = WDelta;
-        }
-        Bdd V = WE.evalFormula(*U.Disjunct->Node);
-        WE.DeltaApp = nullptr;
-        WE.DeltaPath = nullptr;
-        WE.DeltaValue = Bdd();
-        WE.InDeltaRound = false;
-        WE.RoundCache.clear();
-        WE.InFlight.erase(Rel);
-
-        {
-          std::lock_guard<std::mutex> Lock(PC.MainLock);
-          Products[Task] = W.Out.import(V);
-        }
-        } catch (const support::ResourceInterrupt &RI) {
-          // Reset the worker state the aborted pass left armed; the
-          // worker's evaluator stays reusable for the retry.
-          WE.DeltaApp = nullptr;
-          WE.DeltaPath = nullptr;
-          WE.DeltaValue = Bdd();
-          WE.InDeltaRound = false;
-          WE.RoundCache.clear();
-          WE.InFlight.erase(Rel);
-          int Expected = 0;
-          TrippedLimit.compare_exchange_strong(Expected,
-                                               static_cast<int>(RI.Limit));
-        } catch (...) {
-          WE.DeltaApp = nullptr;
-          WE.DeltaPath = nullptr;
-          WE.DeltaValue = Bdd();
-          WE.InDeltaRound = false;
-          WE.RoundCache.clear();
-          WE.InFlight.erase(Rel);
-          std::lock_guard<std::mutex> Lock(ErrMu);
-          if (!FirstError)
-            FirstError = std::current_exception();
-        }
-      });
-
-  if (FirstError || TrippedLimit.load() != 0) {
-    // Keep the counters coherent before unwinding — the round is being
-    // rolled back, but the work (and its import overhead) happened.
-    ParStats.ImportedNodes += importerTranslations() - ImportsBefore;
-    mergeWorkerStats();
-    for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-      if (W)
-        W->Mgr.setGovernor(nullptr);
-    if (FirstError)
-      std::rethrow_exception(FirstError);
-    throw support::ResourceInterrupt{
-        static_cast<support::ResourceLimit>(TrippedLimit.load())};
-  }
-
-  // Single-threaded from here. Deterministic balanced disjunction tree in
-  // fixed unit order: each level ORs adjacent pairs, an odd tail rides
-  // along. The operand set equals the sequential left fold's, so ROBDD
-  // canonicity makes the reduced value — and everything downstream — the
-  // very same node the sequential round produces; the tree shape only
-  // balances operand sizes for the computed cache.
-  for (size_t Width = Products.size(); Width > 1;) {
-    size_t Out = 0;
-    for (size_t I = 0; I + 1 < Width; I += 2)
-      Products[Out++] = Products[I] | Products[I + 1];
-    if (Width & 1)
-      Products[Out++] = std::move(Products[Width - 1]);
-    Width = Out;
-  }
-  Next |= Products.front();
-
-  ++ParStats.RoundsParallel;
-  ParStats.DisjunctsParallel += DS.TasksRun;
-  ParStats.Steals += DS.Steals;
-  ParStats.ImportedNodes += importerTranslations() - ImportsBefore;
-  // Narrow-round passes apply the frontier cofactor inside the workers
-  // now; drain their counters so per-solve totals match the sequential
-  // evaluator's exactly (each on-path product is cofactored once per
-  // occurrence pass per round, wherever it runs).
-  mergeWorkerStats();
-  for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-    if (W)
-      W->Mgr.setGovernor(nullptr);
-  return workerNodesCreated() - CreatedBefore;
 }
 
 EvalResult Evaluator::evaluate(RelId Rel, const EvalOptions &Opts) {

@@ -97,11 +97,6 @@ struct FixpointState {
   /// reports).
   uint64_t Rounds = 0;
   bool Saturated = false; ///< `Value` is the fixpoint; resume is a no-op.
-  /// BDD nodes the last round allocated (main manager plus any workers) —
-  /// the cost signal the next round's disjunct-parallel gate reads.
-  /// Persisted so a resumed session gates exactly like an uninterrupted
-  /// solve.
-  uint64_t LastRoundCreated = 0;
 };
 
 class Evaluator;
@@ -115,14 +110,9 @@ struct ParallelStats {
   uint64_t SccsSolvedParallel = 0; ///< SCC tasks run on the worker pool.
   uint64_t Schedules = 0;          ///< Parallel scheduling rounds.
   uint64_t Steals = 0;             ///< Pool-level work-stealing events.
-  /// Intra-SCC parallelism: semi-naive rounds whose distributive
-  /// disjuncts ran on the worker pool, and the disjunct/occurrence
-  /// products dispatched across all such rounds.
-  uint64_t RoundsParallel = 0;
-  uint64_t DisjunctsParallel = 0;
   /// Nodes translated across manager boundaries by the cached importers
-  /// (both directions, all workers) — the overhead the disjunct-parallel
-  /// cost gate exists to keep dominated.
+  /// (both directions, all workers): the cost of seeding SCC tasks and
+  /// exporting their solutions.
   uint64_t ImportedNodes = 0;
   unsigned Threads = 1; ///< Configured worker count.
 
@@ -131,8 +121,6 @@ struct ParallelStats {
     D.SccsSolvedParallel -= Before.SccsSolvedParallel;
     D.Schedules -= Before.Schedules;
     D.Steals -= Before.Steals;
-    D.RoundsParallel -= Before.RoundsParallel;
-    D.DisjunctsParallel -= Before.DisjunctsParallel;
     D.ImportedNodes -= Before.ImportedNodes;
     return D;
   }
@@ -213,25 +201,9 @@ public:
   /// sequential solve (the schedule respects dependencies, and an SCC's
   /// solution is a pure function of its callees' values). The worker pool
   /// is created lazily on the first parallel schedule and persists across
-  /// solves and `resume` calls, so query sessions keep it for their
-  /// lifetime.
+  /// solves and `resume` calls for the evaluator's lifetime.
   void setThreads(unsigned N);
   unsigned threads() const { return Threads; }
-  /// Cost gate of the intra-SCC disjunct parallelism (`Threads > 1`,
-  /// top-level semi-naive solves): a round fans its distributive disjunct
-  /// products out over the worker pool only when the *previous* round
-  /// allocated at least this many BDD nodes — small rounds stay
-  /// sequential so cross-manager import overhead never dominates. 0 (the
-  /// default) selects the built-in valve, `cacheSlots()/2` re-read every
-  /// round — the same created-nodes signal and scale the wide/narrow
-  /// frontier policy keys on. Purely a performance knob: round values are
-  /// bit-identical either way.
-  void setDisjunctParallelThreshold(uint64_t N) {
-    DisjunctParallelThreshold = N;
-  }
-  uint64_t disjunctParallelThreshold() const {
-    return DisjunctParallelThreshold;
-  }
   /// Parallel-scheduling counters (cumulative, like `stats()`).
   const ParallelStats &parallelStats() const { return ParStats; }
   /// Aggregate BDD counters of the per-worker managers (all zero until a
@@ -337,29 +309,9 @@ private:
   /// when the schedule has no exploitable parallelism (fewer than two
   /// SCCs).
   bool scheduleDependenciesParallel(const std::vector<RelId> &Pending);
-  /// One independent product of a semi-naive round: either a whole
-  /// distributive disjunct (Occ null — wide rounds, and nonlinear
-  /// disjuncts in narrow rounds) or a single occurrence's frontier pass.
-  struct DisjunctUnit {
-    const DisjunctPlan *Disjunct;
-    const SelfOccurrence *Occ;
-  };
-  /// The intra-SCC parallel core: evaluates \p Units on the worker pool —
-  /// each worker imports its operands (inputs, completed lower relations,
-  /// S, Δ) into its private manager, computes its product in isolation,
-  /// and exports the result — then folds the exported values into \p Next
-  /// with a balanced disjunction tree in fixed unit order (ROBDD
-  /// canonicity makes the result bit-identical to the sequential left
-  /// fold). Returns the BDD nodes the workers allocated, for the round's
-  /// created-nodes accounting. Top-level use only.
-  uint64_t evalDisjunctsParallel(RelId Rel,
-                                 const std::vector<DisjunctUnit> &Units,
-                                 const Bdd &S, const Bdd &Delta, bool Wide,
-                                 Bdd &Next);
-  /// Cumulative importer translations / worker-manager allocations across
-  /// all live workers (before/after deltas bracket one parallel run).
+  /// Cumulative importer translations across all live workers
+  /// (before/after deltas bracket one parallel run).
   uint64_t importerTranslations() const;
-  uint64_t workerNodesCreated() const;
   /// Drains every worker's per-relation and cofactor counters into the
   /// main evaluator's (merge-then-reset, so the next drain cannot
   /// double-count). Single-threaded use, after a run has joined.
@@ -390,9 +342,8 @@ private:
 
   /// Parallel SCC scheduling (Threads > 1): the work-stealing pool plus
   /// per-worker BDD managers/evaluators/importers. Lazily created,
-  /// persistent across solves (sessions keep their pool warm).
+  /// persistent across solves and `resume` calls.
   unsigned Threads = 1;
-  uint64_t DisjunctParallelThreshold = 0; ///< 0 = auto (cacheSlots()/2).
   std::unique_ptr<ParallelContext> Par;
   ParallelStats ParStats;
   /// Counters of worker managers retired by `setThreads` pool rebuilds,

@@ -247,10 +247,6 @@ BaselineResult PostStarSolver::run() {
   }
   Result.SummaryNodes = Reach.isNull() ? 0 : Reach.nodeCount();
   Result.Bdd = Mgr.stats();
-  Result.PeakLiveNodes = Result.Bdd.PeakNodes;
-  Result.BddNodesCreated = Result.Bdd.NodesCreated;
-  Result.BddCacheLookups = Result.Bdd.CacheLookups;
-  Result.BddCacheHits = Result.Bdd.CacheHits;
   Result.Seconds = T.seconds();
   return Result;
 }

@@ -43,13 +43,8 @@ struct BaselineResult {
   support::ResourceLimit Limit = support::ResourceLimit::None;
   uint64_t Iterations = 0;  ///< Fixpoint rounds / worklist steps.
   size_t SummaryNodes = 0;  ///< Final BDD size (moped only).
-  size_t PeakLiveNodes = 0; ///< Peak BDD nodes (moped only; bebop is
-                            ///< enumerative and reports 0).
-  uint64_t BddNodesCreated = 0; ///< Total BDD nodes allocated (moped only).
-  uint64_t BddCacheLookups = 0; ///< Computed-cache probes (moped only).
-  uint64_t BddCacheHits = 0;    ///< Computed-cache hits (moped only).
-  /// Full BDD-manager counter snapshot (per-op split, GC, peak nodes;
-  /// moped only).
+  /// BDD-manager counters (nodes created, peak nodes, per-op cache split,
+  /// GC; moped only — bebop is enumerative and reports zeros).
   BddStats Bdd;
   double Seconds = 0.0;
 };

@@ -565,7 +565,6 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
   Evaluator Ev(Sys, Mgr, std::move(L), Opts.Strategy,
                Opts.FrontierCofactor);
   Ev.setThreads(Opts.Threads);
-  Ev.setDisjunctParallelThreshold(Opts.DisjunctParallelThreshold);
 
   try {
     Enc->bind(Ev, ProcId, Pc);
@@ -665,13 +664,7 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
   // manager's share.
   Result.Bdd.merge(Ev.workerBddStats());
   Result.SccsSolvedParallel = Ev.parallelStats().SccsSolvedParallel;
-  Result.RoundsParallel = Ev.parallelStats().RoundsParallel;
-  Result.DisjunctsParallel = Ev.parallelStats().DisjunctsParallel;
   Result.ImportedNodes = Ev.parallelStats().ImportedNodes;
-  Result.PeakLiveNodes = Result.Bdd.PeakNodes;
-  Result.BddNodesCreated = Result.Bdd.NodesCreated;
-  Result.BddCacheLookups = Result.Bdd.CacheLookups;
-  Result.BddCacheHits = Result.Bdd.CacheHits;
   Result.SummariesRecomputed = Result.Iterations;
   Result.Seconds = T.seconds();
   return Result;
@@ -739,12 +732,14 @@ struct SeqSession::Impl {
            Opts.Strategy, Opts.FrontierCofactor) {
     Mgr.setGcThreshold(Opts.GcThreshold);
     Fix.setKeyframeInterval(Opts.RingKeyframeInterval);
-    // The worker pool (Threads > 1) lives inside the evaluator, so it is
-    // part of the session's persistent state: later queries resume over
-    // the same per-worker managers. Queries themselves stay serialized —
-    // one session serves one caller at a time.
+    // Sessions currently solve on one thread whatever `Threads` says: the
+    // split chain is resumed callees-first (see `solve`), so the
+    // evaluator's scheduler never finds two SCCs pending, and the
+    // monolithic systems never leave two pending either. The setting is
+    // still passed down so the worker accounting below stays honest if a
+    // session ever reaches the pool. Queries stay serialized — one
+    // session serves one caller at a time.
     Ev.setThreads(Opts.Threads);
-    Ev.setDisjunctParallelThreshold(Opts.DisjunctParallelThreshold);
     // The target relation is declared but read by no clause, so one
     // targetless binding serves every query; rebinding per target would
     // needlessly drop the evaluator's memo layers.
@@ -767,8 +762,8 @@ void SeqSession::setGovernor(support::ResourceGovernor *G) {
 
 void SeqSession::clearComputedCache() {
   // Every manager the session owns: the main one, the parallel workers'
-  // (warm across queries), and the witness sub-session's own manager (the
-  // ring-recording entry-forward solve).
+  // (none until a query reaches the pool), and the witness sub-session's
+  // own manager (the ring-recording entry-forward solve).
   I->Mgr.clearComputedCache();
   I->Ev.clearWorkerCaches();
   if (I->Witness)
@@ -779,8 +774,8 @@ size_t SeqSession::liveNodes() const {
   // Reachable-only count: the session's automatic-gc threshold is rarely
   // reached, so `liveNodeCount()` would also charge garbage that merely
   // awaits the next collection — transient solve intermediates that say
-  // nothing about what the session retains. Parallel worker managers are
-  // session state too (warm across queries).
+  // nothing about what the session retains. Parallel worker managers,
+  // once a query has built them, are session state too.
   return I->Mgr.reachableNodeCount() + I->Ev.workerReachableNodes() +
          (I->Witness ? I->Witness->liveNodes() : 0);
 }
@@ -935,13 +930,7 @@ SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
   Result.Bdd.merge(S.Ev.workerBddStats().since(WorkerBefore));
   fpc::ParallelStats ParDelta = S.Ev.parallelStats().since(ParBefore);
   Result.SccsSolvedParallel = ParDelta.SccsSolvedParallel;
-  Result.RoundsParallel = ParDelta.RoundsParallel;
-  Result.DisjunctsParallel = ParDelta.DisjunctsParallel;
   Result.ImportedNodes = ParDelta.ImportedNodes;
-  Result.PeakLiveNodes = Result.Bdd.PeakNodes;
-  Result.BddNodesCreated = Result.Bdd.NodesCreated;
-  Result.BddCacheLookups = Result.Bdd.CacheLookups;
-  Result.BddCacheHits = Result.Bdd.CacheHits;
   Result.Seconds = T.seconds();
   S.PeakLive = std::max(S.PeakLive, liveNodes());
   return Result;

@@ -74,19 +74,14 @@ struct SeqOptions {
   /// earlier queries. Off = every query re-solves from scratch (ablation /
   /// differential-testing baseline). One-shot solves ignore this.
   bool ReuseSolvedState = true;
-  /// Worker threads for the evaluator's parallel SCC scheduling and
-  /// intra-SCC disjunct parallelism (1 = sequential). Independent
-  /// dependency SCCs of the fixpoint system are solved on a work-stealing
-  /// pool over per-worker BDD managers, and heavy semi-naive rounds fan
-  /// their distributive disjunct products out over the same pool;
+  /// Worker threads for the evaluator's parallel SCC scheduling (1 =
+  /// sequential). Independent dependency SCCs of the fixpoint system are
+  /// solved on a work-stealing pool over per-worker BDD managers;
   /// verdicts, rounds, and witnesses are bit-identical at any setting.
+  /// Only one-shot solves of the split system reach the pool today: a
+  /// `SeqSession` resumes the split chain callees-first, and the
+  /// monolithic systems never leave two SCCs pending.
   unsigned Threads = 1;
-  /// Cost gate of the intra-SCC disjunct parallelism: a semi-naive round
-  /// goes parallel only when the previous round allocated at least this
-  /// many BDD nodes, so light rounds never pay cross-manager import
-  /// overhead. 0 = auto (the evaluator's built-in `cacheSlots()/2`
-  /// valve). Purely a performance knob — results are bit-identical.
-  uint64_t DisjunctParallelThreshold = 0;
   /// Session / witness ring retention (see fpc::RingLog): recorded rounds
   /// are stored as exact deltas with a full keyframe every this many
   /// rounds, bounding both retained nodes and ring-reconstitution cost.
@@ -125,13 +120,8 @@ struct SeqResult {
   uint64_t Iterations = 0;   ///< Outer fixpoint rounds of the main relation.
   uint64_t DeltaRounds = 0;  ///< Rounds the main relation ran in delta mode.
   size_t SummaryNodes = 0;   ///< Dag size of the final summary BDD.
-  size_t PeakLiveNodes = 0;  ///< Peak BDD nodes in the manager.
-  uint64_t BddNodesCreated = 0;  ///< Total BDD nodes allocated.
-  uint64_t BddCacheLookups = 0;  ///< Computed-cache probes.
-  uint64_t BddCacheHits = 0;     ///< Computed-cache hits.
-  /// Full BDD-manager counter snapshot (per-op cache hit/miss split,
-  /// GC reclaim totals, peak nodes). The scalar fields above remain the
-  /// common subset consumers already index.
+  /// BDD-manager counters: nodes created, peak nodes, computed-cache
+  /// probes and hits (per-op split), GC reclaim totals.
   BddStats Bdd;
   double Seconds = 0.0;      ///< Wall-clock solve time (excludes parsing).
   /// Per-relation evaluator statistics, keyed by relation name.
@@ -147,12 +137,8 @@ struct SeqResult {
   /// Dependency SCCs solved on the worker pool (`Threads > 1` only; the
   /// per-worker BDD counters are folded into `Bdd` via BddStats::merge).
   uint64_t SccsSolvedParallel = 0;
-  /// Intra-SCC parallelism (`Threads > 1` only): semi-naive rounds whose
-  /// distributive products ran on the pool, the products dispatched, and
-  /// the BDD nodes the cached importers translated across manager
-  /// boundaries (the overhead the cost gate bounds).
-  uint64_t RoundsParallel = 0;
-  uint64_t DisjunctsParallel = 0;
+  /// BDD nodes the cached importers translated across manager boundaries
+  /// while seeding and exporting those SCC tasks.
   uint64_t ImportedNodes = 0;
   /// Width of the solved fixpoint condensation: the number of independent
   /// solve units the evaluator's DAG scheduler had to play with. Under

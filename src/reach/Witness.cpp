@@ -436,7 +436,6 @@ void WitnessExtractor::ensureSolved() {
           Engine->system(), *Mgr, std::move(L), Opts.Strategy,
           Opts.FrontierCofactor);
       NewEv->setThreads(Opts.Threads);
-      NewEv->setDisjunctParallelThreshold(Opts.DisjunctParallelThreshold);
       // The target relation is declared but read by no clause; the solve
       // (and therefore every ring) is target-independent, which is what
       // makes one solve serve every later target query.
@@ -478,10 +477,6 @@ void WitnessExtractor::ensureSolved() {
   // and evaluator — i.e. all rounds of the session's one solve, whichever
   // query drove them.
   Base.Bdd = Mgr->stats();
-  Base.PeakLiveNodes = Base.Bdd.PeakNodes;
-  Base.BddNodesCreated = Base.Bdd.NodesCreated;
-  Base.BddCacheLookups = Base.Bdd.CacheLookups;
-  Base.BddCacheHits = Base.Bdd.CacheHits;
 }
 
 WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
@@ -523,10 +518,6 @@ WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
     Result.Limit = RI.Limit;
     Result.Iterations = Fix->rings().size();
     Result.Bdd = Mgr->stats();
-    Result.PeakLiveNodes = Result.Bdd.PeakNodes;
-    Result.BddNodesCreated = Result.Bdd.NodesCreated;
-    Result.BddCacheLookups = Result.Bdd.CacheLookups;
-    Result.BddCacheHits = Result.Bdd.CacheHits;
   }
   Mgr->setGovernor(nullptr);
   if (!Borrowed)

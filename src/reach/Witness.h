@@ -78,11 +78,8 @@ struct WitnessResult {
   uint64_t Iterations = 0;            ///< Fixpoint rounds recorded.
   uint64_t DeltaRounds = 0;           ///< Rounds run in delta mode.
   size_t SummaryNodes = 0;            ///< Dag size of the solved summary.
-  size_t PeakLiveNodes = 0;           ///< Peak BDD nodes in the manager.
-  uint64_t BddNodesCreated = 0;       ///< Total BDD nodes allocated.
-  uint64_t BddCacheLookups = 0;       ///< Computed-cache probes.
-  uint64_t BddCacheHits = 0;          ///< Computed-cache hits.
-  /// Full BDD-manager counter snapshot (per-op split, GC, peak nodes).
+  /// BDD-manager counters (nodes created, peak nodes, per-op cache split,
+  /// GC).
   BddStats Bdd;
   /// Per-relation evaluator statistics, keyed by relation name.
   std::map<std::string, fpc::RelStats> Relations;

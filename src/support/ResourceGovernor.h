@@ -18,7 +18,7 @@
 ///     a trip between probes still stops at a completed round.
 ///
 /// A trip *latches*: once any limit fires, every subsequent check throws
-/// `ResourceInterrupt`, which is how a cancelled parallel fan-out drains —
+/// `ResourceInterrupt`, which is how a cancelled parallel schedule drains —
 /// the shared governor trips the remaining workers at their next probes.
 /// The node counter is shared too (main and per-worker managers charge the
 /// same governor), so the budget bounds the whole solve, not one manager.

@@ -176,9 +176,9 @@ TEST(ApiTest, BddEnginesReportPeakLiveNodes) {
         "ERR");
     ASSERT_TRUE(R.ok()) << E->name() << ": " << R.Error;
     if (std::string(E->name()) == "bebop")
-      EXPECT_EQ(R.PeakLiveNodes, 0u);
+      EXPECT_EQ(R.Bdd.PeakNodes, 0u);
     else
-      EXPECT_GT(R.PeakLiveNodes, 0u) << E->name();
+      EXPECT_GT(R.Bdd.PeakNodes, 0u) << E->name();
   }
 }
 
@@ -391,7 +391,7 @@ TEST(ApiTest, StrategiesAgreeOnRandomizedWorkloads) {
   // The semi-naive run reports its delta rounds and per-relation stats.
   EXPECT_GT(Semi.DeltaRounds, 0u);
   EXPECT_FALSE(Semi.Relations.empty());
-  EXPECT_GT(Semi.BddCacheLookups, 0u);
+  EXPECT_GT(Semi.Bdd.CacheLookups, 0u);
 }
 
 TEST(ApiTest, LalRepsAgreesWithConcOnTransformedStats) {

@@ -13,16 +13,14 @@
 ///     and destination-side GCs),
 ///   - multi-SCC calculus systems solved at threads {1, 2, 4}: identical
 ///     relation values (compared exactly, via import into one manager),
-///     identical per-relation iteration counts, both strategies,
+///     identical per-relation iteration counts, both strategies, and the
+///     worker managers' memory accounting (charged, and released by
+///     `clearWorkerCaches`),
 ///   - every registered engine through the Solver facade at threads 1 vs
 ///     4 — both strategies, all three cofactor modes, witness queries,
 ///   - sessions under `Threads > 1`: solve/solveAll bit-identical to
 ///     fresh solves and to a `Threads = 1` session, with and without
-///     state reuse,
-///   - intra-SCC disjunct parallelism forced on (threshold 1) across the
-///     same engine/strategy/cofactor matrix, witnesses and sessions
-///     included, plus the cost gate itself: an unreachable threshold must
-///     keep every round sequential (`RoundsParallel == 0`).
+///     state reuse.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -282,6 +280,39 @@ TEST(ParallelSccTest, RebindAndInvalidateDropWorkerMemos) {
             Ev.encodeEqConst(A, 5) | Ev.encodeEqConst(A, 1));
 }
 
+TEST(ParallelSccTest, WorkerCachesAreChargedAndCleared) {
+  // A session owns its evaluator's per-worker BDD managers besides its
+  // main one, each with its own computed cache; the server pool's budget
+  // reads them through these gauges, and its valve frees them through
+  // `clearWorkerCaches`. The valve must release the caches and nothing
+  // the workers still reference.
+  gen::MultiSccParams P;
+  P.Style = gen::MultiSccStyle::Graph;
+  P.Relations = 5;
+  P.Bits = 4;
+  P.ExtraEdges = 6;
+  P.Seed = 13;
+  DiagnosticEngine Diags;
+  std::vector<fpc::Fact> Facts;
+  auto Sys = fpc::parseSystem(gen::multiSccFixpointSystem(P), Diags, &Facts);
+  ASSERT_TRUE(Sys) << Diags.str();
+
+  FpSolve S = solveRoot(*Sys, Facts, 2, fpc::EvalStrategy::SemiNaive);
+  ASSERT_GT(S.SccsParallel, 0u) << "no worker manager was used";
+  fpc::Evaluator &Ev = *S.Ev;
+  size_t Warm = Ev.workerMemoryEstimate();
+  size_t Reachable = Ev.workerReachableNodes();
+  EXPECT_GT(Warm, 0u);
+
+  Ev.clearWorkerCaches();
+  EXPECT_LT(Ev.workerMemoryEstimate(), Warm);
+  EXPECT_EQ(Ev.workerReachableNodes(), Reachable);
+
+  // The cleared workers solve again, to the same value.
+  Ev.invalidate();
+  EXPECT_EQ(Ev.evaluate(Sys->relId("Root")).Value, S.Root);
+}
+
 //===----------------------------------------------------------------------===//
 // Engine differential: threads 1 vs 4 through the Solver facade
 //===----------------------------------------------------------------------===//
@@ -400,135 +431,6 @@ TEST(ParallelEngineTest, GeneratedProgramsIdenticalAcrossThreads) {
         EXPECT_EQ(T4.Reachable, W.ExpectReachable) << W.Name;
     }
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Intra-SCC disjunct parallelism: forced fan-out differential
-//===----------------------------------------------------------------------===//
-
-TEST(DisjunctParallelTest, ForcedFanoutAllEnginesBitIdentical) {
-  // Threshold 1 arms the disjunct fan-out from round 2 onward, so even
-  // this small fixture exercises the parallel round path wherever the
-  // plan has >= 2 independent distributive units.
-  for (const api::Engine *E : Solver::engines()) {
-    std::string Source =
-        E->handlesConcurrent() ? concFixture() : seqFixture();
-    for (fpc::EvalStrategy Strategy :
-         {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive}) {
-      for (fpc::CofactorMode Mode :
-           {fpc::CofactorMode::Constrain, fpc::CofactorMode::Restrict,
-            fpc::CofactorMode::Off}) {
-        for (const char *Label : {"ERR", "SAFE"}) {
-          SolverOptions Opts;
-          Opts.Engine = E->name();
-          Opts.Strategy = Strategy;
-          Opts.FrontierCofactor = Mode;
-          Opts.DisjunctParallelThreshold = 1;
-          Query Q = Query::fromSource(Source).target(Label);
-          SolveResult T1 = Solver::solve(Q, Opts);
-          Opts.Threads = 4;
-          SolveResult T4 = Solver::solve(Q, Opts);
-          std::string Ctx = std::string(E->name()) + "/" +
-                            fpc::strategyName(Strategy) + "/" +
-                            fpc::cofactorModeName(Mode) + "/" + Label +
-                            "/forced";
-          expectSameCore(T1, T4, Ctx);
-          // A single-threaded solve must never take the parallel path,
-          // whatever the threshold says.
-          EXPECT_EQ(T1.RoundsParallel, 0u) << Ctx;
-          EXPECT_EQ(T1.DisjunctsParallel, 0u) << Ctx;
-        }
-      }
-    }
-  }
-}
-
-TEST(DisjunctParallelTest, WitnessQueriesIdenticalUnderForcedFanout) {
-  for (const api::Engine *E : Solver::engines()) {
-    if (!E->supportsWitness() || E->handlesConcurrent())
-      continue;
-    SolverOptions Opts;
-    Opts.Engine = E->name();
-    Opts.DisjunctParallelThreshold = 1;
-    Query Q = Query::fromSource(seqFixture()).target("ERR").witness();
-    SolveResult T1 = Solver::solve(Q, Opts);
-    Opts.Threads = 4;
-    SolveResult T4 = Solver::solve(Q, Opts);
-    expectSameCore(T1, T4, std::string(E->name()) + "/witness/forced");
-    EXPECT_TRUE(T4.HasWitness) << E->name();
-  }
-}
-
-TEST(DisjunctParallelTest, SessionsIdenticalUnderForcedFanout) {
-  for (const api::Engine *E : Solver::engines()) {
-    std::string Source =
-        E->handlesConcurrent() ? concFixture() : seqFixture();
-    std::vector<Query> Queries;
-    for (const char *Label : {"ERR", "SAFE", "ERR"})
-      Queries.push_back(Query::fromSource("").target(Label));
-
-    SolverOptions Seq;
-    Seq.Engine = E->name();
-    std::vector<SolveResult> Fresh;
-    for (const Query &Q : Queries) {
-      Query FQ = Q;
-      FQ.Source = Source;
-      Fresh.push_back(Solver::solve(FQ, Seq));
-      ASSERT_TRUE(Fresh.back().ok()) << E->name();
-    }
-
-    SolverOptions Par = Seq;
-    Par.Threads = 4;
-    Par.DisjunctParallelThreshold = 1;
-    auto Session = Solver::open(Query::fromSource(Source), Par);
-    ASSERT_TRUE(Session->ok()) << E->name() << ": " << Session->error();
-    for (size_t I = 0; I < Queries.size(); ++I) {
-      SolveResult R = Session->solve(Queries[I]);
-      expectSameCore(Fresh[I], R,
-                     std::string(E->name()) + "/forced-session");
-    }
-  }
-}
-
-TEST(DisjunctParallelTest, ThresholdGatesFanout) {
-  // The cost gate on a workload with real semi-naive rounds: threshold 1
-  // must engage the fan-out, an unreachable threshold must keep every
-  // round sequential, and both must match the single-threaded solve.
-  gen::TerminatorParams T;
-  T.CounterBits = 4;
-  T.NumDeadVars = 3;
-  T.Reachable = false;
-  gen::Workload W = gen::terminatorProgram(T);
-  Query Q = Query::fromSource(W.Source).target(W.TargetLabel);
-
-  SolverOptions Base;
-  Base.Engine = "summary";
-  // Pin the monolithic compilation: the intra-SCC disjunct fan-out under
-  // test fires on a single heavy relation's top-level semi-naive rounds.
-  // Under the per-procedure split the same work runs as independent SCC
-  // tasks on the pool (counted in SccsSolvedParallel, covered by the
-  // split differential tests), so no top-level round crosses the gate.
-  Base.MonolithicSummary = true;
-  SolveResult Seq = Solver::solve(Q, Base);
-
-  SolverOptions Forced = Base;
-  Forced.Threads = 4;
-  Forced.DisjunctParallelThreshold = 1;
-  SolveResult Par = Solver::solve(Q, Forced);
-  expectSameCore(Seq, Par, "terminator/forced");
-  EXPECT_GE(Par.RoundsParallel, 1u);
-  EXPECT_GE(Par.DisjunctsParallel, 2 * Par.RoundsParallel);
-  EXPECT_GT(Par.ImportedNodes, 0u);
-
-  SolverOptions Gated = Base;
-  Gated.Threads = 4;
-  Gated.DisjunctParallelThreshold = UINT64_MAX;
-  SolveResult Off = Solver::solve(Q, Gated);
-  expectSameCore(Seq, Off, "terminator/gated-off");
-  // ImportedNodes stays unasserted here: SCC-level parallel scheduling
-  // imports nodes too, independent of the disjunct gate.
-  EXPECT_EQ(Off.RoundsParallel, 0u);
-  EXPECT_EQ(Off.DisjunctsParallel, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -115,44 +115,6 @@ TEST(SessionPoolTest, FootprintAccessorsReportSolverState) {
   EXPECT_GT(S->memoryFootprint(), Cold);
 }
 
-TEST(SessionPoolTest, ThreadedSessionChargesAndClearsWorkerCaches) {
-  // At Threads 2 a session owns the evaluator's per-worker BDD managers
-  // besides its main one, each with its own computed cache. The footprint
-  // must charge all of them, and the valve must release all of them. The
-  // disjunct fan-out is forced (threshold 1) so the workers surely run.
-  gen::TerminatorParams T;
-  T.CounterBits = 4;
-  T.NumDeadVars = 3;
-  T.Reachable = false;
-  gen::Workload W = gen::terminatorProgram(T);
-  api::SolverOptions Opts;
-  Opts.Engine = "summary";
-  Opts.MonolithicSummary = true;
-  Opts.Threads = 2;
-  Opts.DisjunctParallelThreshold = 1;
-  auto S = api::Solver::open(api::Query::fromSource(W.Source), Opts);
-  ASSERT_TRUE(S->ok());
-  api::SolveResult First = solveLabel(*S, W.TargetLabel);
-  ASSERT_TRUE(First.ok());
-  ASSERT_GT(First.RoundsParallel, 0u) << "no worker manager was used";
-  size_t Warm = S->memoryFootprint();
-  S->clearComputedCache();
-  size_t Cold = S->memoryFootprint();
-
-  // A repeat query is a conjunction against the solved summaries on the
-  // main manager alone: it re-allocates the main cache and no worker's.
-  api::SolveResult Again = solveLabel(*S, W.TargetLabel);
-  expectSameCore(First, Again, "repeat after the valve");
-  EXPECT_EQ(Again.RoundsParallel, 0u);
-  size_t MainOnly = S->memoryFootprint();
-  EXPECT_GT(MainOnly, Cold);
-  // Warm exceeds main-only by the worker caches: they were charged, and
-  // the clear released them.
-  EXPECT_GT(Warm, MainOnly);
-  S->clearComputedCache();
-  EXPECT_EQ(S->memoryFootprint(), Cold);
-}
-
 //===----------------------------------------------------------------------===//
 // Pool basics
 //===----------------------------------------------------------------------===//

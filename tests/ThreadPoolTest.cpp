@@ -33,12 +33,14 @@ using getafix::support::ThreadPool;
 namespace {
 
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  ThreadPool Pool(4);
   constexpr unsigned N = 200;
   std::vector<std::atomic<unsigned>> Runs(N);
   std::atomic<unsigned> Done{0};
   std::mutex M;
   std::condition_variable Cv;
+  // Declared after what its tasks use, so it joins its workers before
+  // those die: the wait may return while the last task still notifies.
+  ThreadPool Pool(4);
   for (unsigned I = 0; I < N; ++I)
     Pool.run([&, I](unsigned Worker) {
       EXPECT_LT(Worker, Pool.size());
@@ -55,10 +57,10 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
 }
 
 TEST(ThreadPoolTest, TasksMaySubmitTasks) {
-  ThreadPool Pool(3);
   std::atomic<unsigned> Done{0};
   std::mutex M;
   std::condition_variable Cv;
+  ThreadPool Pool(3); // Joins before M and Cv die (see above).
   constexpr unsigned Fanout = 8, Leaves = Fanout * Fanout;
   for (unsigned I = 0; I < Fanout; ++I)
     Pool.run([&](unsigned) {

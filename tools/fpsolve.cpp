@@ -23,19 +23,12 @@
 ///     --stats         print per-query and cumulative iteration/delta
 ///                     counts per relation
 ///     --strategy <s>  naive or semi-naive (default) fixpoint iteration
-///     --threads n     worker threads for parallel SCC scheduling and
-///                     intra-SCC disjunct parallelism: independent
-///                     dependency SCCs — and heavy semi-naive rounds'
-///                     distributive products — run on a work-stealing pool
-///                     over per-worker BDD managers (default 1; results
-///                     bit-identical)
-///     --disjunct-threshold n
-///                     cost gate of the intra-SCC parallelism: fan a round
-///                     out only when the previous round allocated >= n BDD
-///                     nodes (0 = auto, cacheSlots()/2)
+///     --threads n     worker threads for parallel SCC scheduling:
+///                     independent dependency SCCs run on a work-stealing
+///                     pool over per-worker BDD managers (default 1;
+///                     results bit-identical)
 ///     --frontier-cofactor {constrain,restrict,off}
 ///                     generalized cofactor of narrow delta rounds
-///     --no-constrain  alias for --frontier-cofactor off
 ///     --timeout-ms n  wall-clock deadline for the whole run (0 = none)
 ///     --node-budget n cap on BDD nodes allocated (0 = unlimited)
 ///
@@ -66,9 +59,8 @@ int usage() {
   std::fprintf(stderr,
                "usage: fpsolve [--eval R[,S,...]] [--count] [--stats] "
                "[--strategy naive|semi-naive] [--threads n] "
-               "[--disjunct-threshold n] "
                "[--frontier-cofactor constrain|restrict|off] "
-               "[--no-constrain] [--timeout-ms n] [--node-budget n] "
+               "[--timeout-ms n] [--node-budget n] "
                "<system.mu>\n");
   return 2;
 }
@@ -127,7 +119,6 @@ int main(int Argc, char **Argv) {
   bool CountOnly = false, Stats = false;
   CofactorMode Cofactor = CofactorMode::Constrain;
   unsigned Threads = 1;
-  uint64_t DisjunctThreshold = 0; ///< 0 = auto (cacheSlots()/2).
   uint64_t TimeoutMs = 0;
   uint64_t NodeBudget = 0;
   EvalStrategy Strategy = EvalStrategy::SemiNaive;
@@ -158,10 +149,6 @@ int main(int Argc, char **Argv) {
       if (N < 1 || N > 256)
         return usage();
       Threads = unsigned(N);
-    } else if (Arg == "--disjunct-threshold") {
-      if (I + 1 >= Argc)
-        return usage();
-      DisjunctThreshold = uint64_t(std::atoll(Argv[++I]));
     } else if (Arg == "--timeout-ms") {
       if (I + 1 >= Argc)
         return usage();
@@ -173,8 +160,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--frontier-cofactor") {
       if (I + 1 >= Argc || !parseCofactorMode(Argv[++I], Cofactor))
         return usage();
-    } else if (Arg == "--no-constrain") {
-      Cofactor = CofactorMode::Off;
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage();
     } else {
@@ -246,7 +231,6 @@ int main(int Argc, char **Argv) {
   Evaluator Ev(*Sys, Mgr, Layout::sequential(*Sys, Mgr), Strategy,
                Cofactor);
   Ev.setThreads(Threads);
-  Ev.setDisjunctParallelThreshold(DisjunctThreshold);
   bindFacts(Ev, *Sys, Facts);
 
   bool AnyEmpty = false;
@@ -319,14 +303,10 @@ int main(int Argc, char **Argv) {
   if (Stats && Threads > 1) {
     const fpc::ParallelStats &PS = Ev.parallelStats();
     std::printf("# parallel: %llu sccs on %u threads, %llu schedules, "
-                "%llu steals\n",
+                "%llu steals, %llu imported nodes\n",
                 (unsigned long long)PS.SccsSolvedParallel, PS.Threads,
                 (unsigned long long)PS.Schedules,
-                (unsigned long long)PS.Steals);
-    std::printf("# parallel: %llu rounds, %llu disjuncts, "
-                "%llu imported nodes\n",
-                (unsigned long long)PS.RoundsParallel,
-                (unsigned long long)PS.DisjunctsParallel,
+                (unsigned long long)PS.Steals,
                 (unsigned long long)PS.ImportedNodes);
   }
 

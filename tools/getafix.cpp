@@ -32,14 +32,9 @@
 ///     --max-iterations n cap fixpoint rounds; a hit limit prints UNKNOWN
 ///                        (exit 3) unless the target was already found
 ///     --threads n        worker threads for the evaluator's parallel SCC
-///                        scheduling and intra-SCC disjunct parallelism
-///                        (default 1; results bit-identical at any setting)
-///     --disjunct-threshold n
-///                        cost gate of the intra-SCC parallelism: a
-///                        semi-naive round fans its disjunct products out
-///                        over the pool only when the previous round
-///                        allocated >= n BDD nodes (0 = auto,
-///                        cacheSlots()/2; performance knob only)
+///                        scheduling (default 1; results bit-identical at
+///                        any setting; --targets sessions solve on one
+///                        thread)
 ///     --monolithic-summary
 ///                        sequential summary engines: compile the paper's
 ///                        single whole-program summary relation instead
@@ -57,7 +52,6 @@
 ///     --frontier-cofactor {constrain,restrict,off}
 ///                        generalized cofactor applied in narrow delta
 ///                        rounds (ablation; results identical)
-///     --no-constrain     alias for --frontier-cofactor off
 ///     --witness          print a counterexample trace when the target is
 ///                        reachable (engines that support extraction)
 ///     --print-formula    dump the fixed-point equation system and exit
@@ -87,19 +81,9 @@ struct CliOptions {
   std::string File;
   std::string Label = "ERR";
   std::vector<std::string> Targets; ///< Non-empty: session (multi) mode.
-  std::string Algo; ///< Empty: the facade picks the query-kind default.
-  unsigned ContextBound = 2;
-  unsigned Rounds = 0; ///< 0 means "not given".
-  uint64_t MaxIterations = 0;
-  unsigned Threads = 1;
-  uint64_t DisjunctThreshold = 0; ///< 0 = auto.
-  uint64_t TimeoutMs = 0;
-  uint64_t NodeBudget = 0;
-  fpc::CofactorMode FrontierCofactor = fpc::CofactorMode::Constrain;
-  bool SessionReuse = true;
-  bool MonolithicSummary = false;
-  fpc::EvalStrategy Strategy = fpc::EvalStrategy::SemiNaive;
-  bool RoundRobin = false;
+  /// Solver knobs, parsed in place. An empty `Engine` lets the facade
+  /// pick the query-kind default.
+  SolverOptions Solver;
   bool Witness = false;
   bool PrintFormula = false;
   bool Stats = false;
@@ -112,11 +96,10 @@ int usage() {
                "[--rounds r] [--round-robin]\n"
                "               [--strategy naive|semi-naive] "
                "[--max-iterations n]\n"
-               "               [--threads n] [--disjunct-threshold n]\n"
-               "               [--frontier-cofactor constrain|restrict|off]\n"
+               "               [--threads n] "
+               "[--frontier-cofactor constrain|restrict|off]\n"
                "               [--timeout-ms n] [--node-budget n]\n"
-               "               [--no-constrain] [--no-reuse] "
-               "[--monolithic-summary]\n"
+               "               [--no-reuse] [--monolithic-summary]\n"
                "               [--witness] [--print-formula] [--stats] "
                "<program.bp>\n",
                Solver::engineList("|").c_str());
@@ -150,11 +133,13 @@ std::string jsonEscape(const std::string &S) {
 /// The body of one result's stats object, without the enclosing braces.
 /// \p Pad is the indentation of each field (session mode nests the
 /// per-query objects one level deeper).
-void printStatsBody(const CliOptions &Opts, const std::string &Engine,
-                    const SolveResult &R, const char *Pad) {
-  std::printf("%s\"engine\": \"%s\",\n", Pad, jsonEscape(Engine).c_str());
+void printStatsBody(const CliOptions &Opts, const SolveResult &R,
+                    const char *Pad) {
+  const std::string &Engine = Opts.Solver.Engine;
+  std::printf("%s\"engine\": \"%s\",\n", Pad,
+              Engine.empty() ? "(default)" : jsonEscape(Engine).c_str());
   std::printf("%s\"strategy\": \"%s\",\n", Pad,
-              fpc::strategyName(Opts.Strategy));
+              fpc::strategyName(Opts.Solver.Strategy));
   std::printf("%s\"reachable\": %s,\n", Pad, R.Reachable ? "true" : "false");
   std::printf("%s\"hit_iteration_limit\": %s,\n", Pad,
               R.HitIterationLimit ? "true" : "false");
@@ -166,25 +151,21 @@ void printStatsBody(const CliOptions &Opts, const std::string &Engine,
               (unsigned long long)R.SummariesReused);
   std::printf("%s\"summaries_recomputed\": %llu,\n", Pad,
               (unsigned long long)R.SummariesRecomputed);
-  std::printf("%s\"threads\": %u,\n", Pad, Opts.Threads);
+  std::printf("%s\"threads\": %u,\n", Pad, Opts.Solver.Threads);
   std::printf("%s\"condensation_width\": %u,\n", Pad, R.CondensationWidth);
   std::printf("%s\"summary_relations\": %u,\n", Pad, R.SummaryRelations);
   std::printf("%s\"sccs_solved_parallel\": %llu,\n", Pad,
               (unsigned long long)R.SccsSolvedParallel);
-  std::printf("%s\"rounds_parallel\": %llu,\n", Pad,
-              (unsigned long long)R.RoundsParallel);
-  std::printf("%s\"disjuncts_parallel\": %llu,\n", Pad,
-              (unsigned long long)R.DisjunctsParallel);
   std::printf("%s\"imported_nodes\": %llu,\n", Pad,
               (unsigned long long)R.ImportedNodes);
   std::printf("%s\"summary_nodes\": %zu,\n", Pad, R.SummaryNodes);
-  std::printf("%s\"peak_live_nodes\": %zu,\n", Pad, R.PeakLiveNodes);
+  std::printf("%s\"peak_live_nodes\": %zu,\n", Pad, R.Bdd.PeakNodes);
   std::printf("%s\"bdd_nodes_created\": %llu,\n", Pad,
-              (unsigned long long)R.BddNodesCreated);
+              (unsigned long long)R.Bdd.NodesCreated);
   std::printf("%s\"bdd_cache_lookups\": %llu,\n", Pad,
-              (unsigned long long)R.BddCacheLookups);
+              (unsigned long long)R.Bdd.CacheLookups);
   std::printf("%s\"bdd_cache_hits\": %llu,\n", Pad,
-              (unsigned long long)R.BddCacheHits);
+              (unsigned long long)R.Bdd.CacheHits);
   std::printf("%s\"bdd_cache_hit_rate\": %.4f,\n", Pad, R.bddCacheHitRate());
   // Per-operation split of the aggregate probe/hit counters, so ablation
   // drivers no longer re-derive them from deltas between runs. Ops the
@@ -209,7 +190,7 @@ void printStatsBody(const CliOptions &Opts, const std::string &Engine,
   if (R.Cofactor.Applications) {
     std::printf("%s\"cofactor\": {\"mode\": \"%s\", \"applications\": %llu, "
                 "\"support_before\": %llu, \"support_after\": %llu},\n",
-                Pad, fpc::cofactorModeName(Opts.FrontierCofactor),
+                Pad, fpc::cofactorModeName(Opts.Solver.FrontierCofactor),
                 (unsigned long long)R.Cofactor.Applications,
                 (unsigned long long)R.Cofactor.SupportBefore,
                 (unsigned long long)R.Cofactor.SupportAfter);
@@ -237,10 +218,9 @@ void printStatsBody(const CliOptions &Opts, const std::string &Engine,
   std::printf("%s%s}\n", First ? "" : "\n", First ? "" : Pad);
 }
 
-void printStatsJson(const CliOptions &Opts, const std::string &Engine,
-                    const SolveResult &R) {
+void printStatsJson(const CliOptions &Opts, const SolveResult &R) {
   std::printf("{\n");
-  printStatsBody(Opts, Engine, R, "  ");
+  printStatsBody(Opts, R, "  ");
   std::printf("}\n");
 }
 
@@ -293,10 +273,9 @@ bool printVerdictLine(const std::string &Label, const SolveResult &R) {
 /// Multi-target mode: one SolverSession over the program, solveAll over
 /// the labels, per-target verdict lines, optional per-query + cumulative
 /// stats JSON. Exit: 2 on errors, 3 when any verdict is UNKNOWN, else 0.
-int runSession(const CliOptions &Opts, const std::string &Source,
-               const SolverOptions &SO) {
+int runSession(const CliOptions &Opts, const std::string &Source) {
   Query Program = Query::fromSource(Source);
-  std::unique_ptr<SolverSession> Session = Solver::open(Program, SO);
+  std::unique_ptr<SolverSession> Session = Solver::open(Program, Opts.Solver);
   if (!Session->ok()) {
     std::fprintf(stderr, "error: %s\n", Session->error().c_str());
     return 2;
@@ -324,8 +303,6 @@ int runSession(const CliOptions &Opts, const std::string &Source,
 
   if (Opts.Stats) {
     const SolverSession::SessionStats &SS = Session->stats();
-    std::string Engine =
-        Opts.Algo.empty() ? std::string("(default)") : Opts.Algo;
     std::printf("{\n  \"targets\": %zu,\n", Opts.Targets.size());
     std::printf("  \"session\": {\"queries\": %llu, "
                 "\"session_solves\": %llu, \"fresh_solves\": %llu, "
@@ -341,7 +318,7 @@ int runSession(const CliOptions &Opts, const std::string &Source,
     for (size_t I = 0; I < Results.size(); ++I) {
       std::printf("    {\n      \"label\": \"%s\",\n",
                   jsonEscape(Opts.Targets[I]).c_str());
-      printStatsBody(Opts, Engine, Results[I], "      ");
+      printStatsBody(Opts, Results[I], "      ");
       std::printf("    }%s\n", I + 1 < Results.size() ? "," : "");
     }
     std::printf("  ]\n}\n");
@@ -376,37 +353,37 @@ int main(int Argc, char **Argv) {
       const char *V = Next();
       if (!V)
         return usage();
-      Opts.Algo = V;
+      Opts.Solver.Engine = V;
     } else if (Arg == "--list-algos") {
       return listAlgos();
     } else if (Arg == "--context-bound") {
       const char *V = Next();
       if (!V)
         return usage();
-      Opts.ContextBound = unsigned(std::atoi(V));
+      Opts.Solver.ContextBound = unsigned(std::atoi(V));
     } else if (Arg == "--rounds") {
       const char *V = Next();
       if (!V)
         return usage();
-      Opts.Rounds = unsigned(std::atoi(V));
-      Opts.RoundRobin = true;
+      Opts.Solver.Rounds = unsigned(std::atoi(V));
+      Opts.Solver.RoundRobin = true;
     } else if (Arg == "--round-robin") {
-      Opts.RoundRobin = true;
+      Opts.Solver.RoundRobin = true;
     } else if (Arg == "--strategy") {
       const char *V = Next();
       if (!V)
         return usage();
       if (std::string(V) == "naive")
-        Opts.Strategy = fpc::EvalStrategy::Naive;
+        Opts.Solver.Strategy = fpc::EvalStrategy::Naive;
       else if (std::string(V) == "semi-naive")
-        Opts.Strategy = fpc::EvalStrategy::SemiNaive;
+        Opts.Solver.Strategy = fpc::EvalStrategy::SemiNaive;
       else
         return usage();
     } else if (Arg == "--max-iterations") {
       const char *V = Next();
       if (!V)
         return usage();
-      Opts.MaxIterations = uint64_t(std::atoll(V));
+      Opts.Solver.MaxIterations = uint64_t(std::atoll(V));
     } else if (Arg == "--threads") {
       const char *V = Next();
       if (!V)
@@ -414,32 +391,25 @@ int main(int Argc, char **Argv) {
       int N = std::atoi(V);
       if (N < 1 || N > 256)
         return usage();
-      Opts.Threads = unsigned(N);
-    } else if (Arg == "--disjunct-threshold") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      Opts.DisjunctThreshold = uint64_t(std::atoll(V));
+      Opts.Solver.Threads = unsigned(N);
     } else if (Arg == "--timeout-ms") {
       const char *V = Next();
       if (!V)
         return usage();
-      Opts.TimeoutMs = uint64_t(std::atoll(V));
+      Opts.Solver.TimeoutMs = uint64_t(std::atoll(V));
     } else if (Arg == "--node-budget") {
       const char *V = Next();
       if (!V)
         return usage();
-      Opts.NodeBudget = uint64_t(std::atoll(V));
+      Opts.Solver.NodeBudget = uint64_t(std::atoll(V));
     } else if (Arg == "--frontier-cofactor") {
       const char *V = Next();
-      if (!V || !fpc::parseCofactorMode(V, Opts.FrontierCofactor))
+      if (!V || !fpc::parseCofactorMode(V, Opts.Solver.FrontierCofactor))
         return usage();
-    } else if (Arg == "--no-constrain") {
-      Opts.FrontierCofactor = fpc::CofactorMode::Off;
     } else if (Arg == "--no-reuse") {
-      Opts.SessionReuse = false;
+      Opts.Solver.SessionReuse = false;
     } else if (Arg == "--monolithic-summary") {
-      Opts.MonolithicSummary = true;
+      Opts.Solver.MonolithicSummary = true;
     } else if (Arg == "--witness") {
       Opts.Witness = true;
     } else if (Arg == "--print-formula") {
@@ -463,23 +433,8 @@ int main(int Argc, char **Argv) {
   std::stringstream Buffer;
   Buffer << In.rdbuf();
 
-  SolverOptions SO;
-  SO.Engine = Opts.Algo;
-  SO.ContextBound = Opts.ContextBound;
-  SO.Rounds = Opts.Rounds;
-  SO.RoundRobin = Opts.RoundRobin;
-  SO.Strategy = Opts.Strategy;
-  SO.MaxIterations = Opts.MaxIterations;
-  SO.FrontierCofactor = Opts.FrontierCofactor;
-  SO.SessionReuse = Opts.SessionReuse;
-  SO.Threads = Opts.Threads;
-  SO.DisjunctParallelThreshold = Opts.DisjunctThreshold;
-  SO.MonolithicSummary = Opts.MonolithicSummary;
-  SO.TimeoutMs = Opts.TimeoutMs;
-  SO.NodeBudget = Opts.NodeBudget;
-
   if (!Opts.Targets.empty() && !Opts.PrintFormula)
-    return runSession(Opts, Buffer.str(), SO);
+    return runSession(Opts, Buffer.str());
 
   Query Q = Query::fromSource(Buffer.str())
                 .target(Opts.Label)
@@ -487,7 +442,7 @@ int main(int Argc, char **Argv) {
 
   if (Opts.PrintFormula) {
     std::string Error;
-    std::string Text = Solver::formulaText(Q, SO, &Error);
+    std::string Text = Solver::formulaText(Q, Opts.Solver, &Error);
     if (Text.empty()) {
       std::fprintf(stderr, "error: %s\n", Error.c_str());
       return 2;
@@ -496,11 +451,11 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  SolveResult R = Solver::solve(Q, SO);
+  SolveResult R = Solver::solve(Q, Opts.Solver);
   if (const char *Limit = limitVerdict(R.Status)) {
     std::printf("%s\n", Limit);
     if (Opts.Stats)
-      printStatsJson(Opts, Opts.Algo.empty() ? "(default)" : Opts.Algo, R);
+      printStatsJson(Opts, R);
     return limitExitCode(R.Status);
   }
   if (!R.ok()) {
@@ -518,6 +473,6 @@ int main(int Argc, char **Argv) {
   if (R.HasWitness)
     std::printf("%s", R.WitnessText.c_str());
   if (Opts.Stats)
-    printStatsJson(Opts, Opts.Algo.empty() ? "(default)" : Opts.Algo, R);
+    printStatsJson(Opts, R);
   return Unknown ? 3 : R.Reachable ? 0 : 1;
 }

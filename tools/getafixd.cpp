@@ -37,13 +37,11 @@
 ///                        retry with a larger budget resumes exactly
 ///     --algo NAME        default engine for every session
 ///     --threads N        evaluator worker threads per solve (parallel
-///                        SCC scheduling + intra-SCC disjunct fan-out);
-///                        pooled sessions keep their worker pool warm
-///                        across queries, and the `stats` response reports
-///                        the setting
-///     --disjunct-threshold N
-///                        cost gate of the intra-SCC parallelism (0 =
-///                        auto; see getafix --disjunct-threshold)
+///                        SCC scheduling); the `stats` response reports
+///                        the setting. Pooled sessions currently solve on
+///                        one thread: their relation chains are resumed
+///                        callees-first, so no query leaves two SCCs
+///                        pending for the pool
 ///     --monolithic-summary
 ///                        compile the single whole-program summary
 ///                        relation instead of the default per-procedure
@@ -90,8 +88,7 @@ int usage() {
       "[--no-inline]\n"
       "                [--default-timeout-ms N] [--max-timeout-ms N] "
       "[--node-budget N]\n"
-      "                [--algo NAME] [--threads N] "
-      "[--disjunct-threshold N]\n"
+      "                [--algo NAME] [--threads N]\n"
       "                [--context-bound K] [--rounds R] [--round-robin]\n"
       "                [--monolithic-summary]\n"
       "                [--strategy naive|semi-naive] [--max-iterations N]\n");
@@ -172,11 +169,6 @@ int main(int Argc, char **Argv) {
       if (N < 1 || N > 256)
         return usage();
       Opts.Pool.Solver.Threads = unsigned(N);
-    } else if (Arg == "--disjunct-threshold") {
-      if (!(V = Next()))
-        return usage();
-      Opts.Pool.Solver.DisjunctParallelThreshold =
-          uint64_t(std::atoll(V));
     } else if (Arg == "--context-bound") {
       if (!(V = Next()))
         return usage();
