@@ -76,13 +76,9 @@ struct EngineRow {
   double ReachStates = 0.0;
   size_t TransformedGlobals = 0;
   uint64_t NodesCreated = 0; ///< Total BDD nodes allocated (op-count proxy).
-  uint64_t DeltaRounds = 0;  ///< Rounds run in frontier (delta) mode.
+  uint64_t DeltaRounds = 0;  ///< Semi-naive rounds after the first.
   size_t PeakLiveNodes = 0;  ///< Peak BDD nodes in the manager.
   double CacheHitRate = 0.0; ///< Computed-cache hit rate of the solve.
-  /// Narrow-round cofactor counters (restrict-vs-constrain A/B).
-  uint64_t CofactorApplications = 0;
-  uint64_t CofactorSupportBefore = 0;
-  uint64_t CofactorSupportAfter = 0;
   /// Session mode: rounds served from persisted state vs newly evaluated.
   uint64_t SummariesReused = 0;
   uint64_t SummariesRecomputed = 0;
@@ -92,14 +88,6 @@ struct EngineRow {
   unsigned CondensationWidth = 0;
   unsigned SummaryRelations = 0;
   uint64_t SccsSolvedParallel = 0;
-
-  /// Average operand support growth factor of the cofactor rewrite
-  /// (restrict is ≤ 1 by construction; constrain may exceed 1).
-  double cofactorSupportGrowth() const {
-    return CofactorSupportBefore
-               ? double(CofactorSupportAfter) / double(CofactorSupportBefore)
-               : 0.0;
-  }
 };
 
 inline EngineRow rowOrDie(const SolveResult &R, const char *Engine) {
@@ -119,9 +107,6 @@ inline EngineRow rowOrDie(const SolveResult &R, const char *Engine) {
   Row.DeltaRounds = R.DeltaRounds;
   Row.PeakLiveNodes = R.Bdd.PeakNodes;
   Row.CacheHitRate = R.bddCacheHitRate();
-  Row.CofactorApplications = R.Cofactor.Applications;
-  Row.CofactorSupportBefore = R.Cofactor.SupportBefore;
-  Row.CofactorSupportAfter = R.Cofactor.SupportAfter;
   Row.SummariesReused = R.SummariesReused;
   Row.SummariesRecomputed = R.SummariesRecomputed;
   Row.CondensationWidth = R.CondensationWidth;
@@ -131,7 +116,7 @@ inline EngineRow rowOrDie(const SolveResult &R, const char *Engine) {
 }
 
 /// Runs \p Engine on a sequential label query with fully specified options
-/// (the ablation drivers vary cache size and the constrain knob this way).
+/// (the ablation drivers vary the strategy and early stop this way).
 inline EngineRow runEngine(const bp::ProgramCfg &Cfg,
                            const std::string &Label, const char *Engine,
                            SolverOptions Opts) {

@@ -10,8 +10,6 @@
 //   - solver-level early termination on positive instances,
 //   - the evaluator's semi-naive (delta) core versus the paper's literal
 //     naive semantics, on the terminator and bluetooth suites,
-//   - the Coudert–Madre constrain-based frontier product versus the plain
-//     relational product (same semi-naive core, knob off),
 //   - parallel SCC scheduling (--threads) on multi-SCC calculus systems
 //     at 1/2/4/8 workers, gated on bit-identical counts/rounds/BDD sizes,
 //   - the per-procedure summary split (one Summary_<group> relation per
@@ -171,12 +169,12 @@ int main(int Argc, char **Argv) {
     recordRow("early-stop", W.Name.c_str(), "full", Full);
   }
 
-  // Naive vs semi-naive: the delta core must agree on verdict and round
-  // count while allocating fewer BDD nodes and finishing sooner. The
-  // terminator rows are negative instances (a full fixpoint is forced);
-  // the bluetooth rows are Figure-3 configurations of the concurrent
-  // engine at a bound where the Reach system iterates long enough for the
-  // per-round frontier to shrink well below the accumulated relation.
+  // Naive vs semi-naive: the semi-naive core, which skips non-recursive
+  // disjuncts after round 1 and accumulates by union, must agree on
+  // verdict and round count; the columns show what that costs or saves.
+  // The terminator rows are negative instances (a full fixpoint is
+  // forced); the bluetooth rows are Figure-3 configurations of the
+  // concurrent engine.
   std::printf("\n--- evaluation strategy (naive vs semi-naive) ---\n");
   std::printf("%-26s %10s %10s %11s %11s %8s %8s\n", "case", "naive",
               "semi", "nodes-nv", "nodes-sn", "ratio", "delta/it");
@@ -201,8 +199,7 @@ int main(int Argc, char **Argv) {
   }
   {
     // (1,1,4) is the light two-thread row; (2,2,4) is the heavy Figure-3
-    // configuration whose rounds overflow the computed cache — the regime
-    // where the narrow (minimized-difference) frontier pays off.
+    // configuration (full run only).
     struct BtConfig {
       unsigned Adders, Stoppers, Switches;
     } Configs[] = {{1, 1, 4}, {2, 2, 4}};
@@ -225,85 +222,6 @@ int main(int Argc, char **Argv) {
       printStrategyRow(Name, Naive, Semi);
       recordRow("strategy", Name, "naive", Naive);
       recordRow("strategy", Name, "semi-naive", Semi);
-    }
-  }
-
-  // Frontier-cofactor A/B: the same semi-naive core with the narrow-round
-  // generalized cofactor off, as Coudert–Madre constrain (maximal
-  // simplification, may grow the operand's support), and as Coudert–Madre
-  // restrict (simplifies less, support never grows). All three are
-  // bit-identical by construction — verdict, rounds, and final summary
-  // size are asserted — so the columns worth reading are wall-clock,
-  // allocated nodes, and the measured support-growth factor of the
-  // cofactored operand (restrict ≤ 1.00 by construction).
-  std::printf("\n--- frontier cofactor (off / constrain / restrict) ---\n");
-  std::printf("%-26s %10s %10s %10s %11s %11s %8s %8s\n", "case", "off",
-              "constr", "restr", "nodes-co", "nodes-re", "grow-co",
-              "grow-re");
-  {
-    auto checkAgree = [](const char *Name, const EngineRow &A,
-                         const EngineRow &B) {
-      if (A.Reachable != B.Reachable || A.Iterations != B.Iterations ||
-          A.Nodes != B.Nodes) {
-        std::fprintf(stderr, "%s: cofactor ablation DISAGREES\n", Name);
-        std::exit(1);
-      }
-    };
-    auto printCofactorRow = [&](const char *Name, const EngineRow &Off,
-                                const EngineRow &Con, const EngineRow &Res) {
-      checkAgree(Name, Off, Con);
-      checkAgree(Name, Off, Res);
-      std::printf("%-26s %9.3fs %9.3fs %9.3fs %11llu %11llu %8.2f %8.2f\n",
-                  Name, Off.Seconds, Con.Seconds, Res.Seconds,
-                  (unsigned long long)Con.NodesCreated,
-                  (unsigned long long)Res.NodesCreated,
-                  Con.cofactorSupportGrowth(), Res.cofactorSupportGrowth());
-      recordRow("cofactor", Name, "off", Off);
-      recordRow("cofactor", Name, "constrain", Con);
-      recordRow("cofactor", Name, "restrict", Res);
-    };
-
-    struct BtConfig {
-      unsigned Adders, Stoppers, Switches;
-    } Configs[] = {{1, 1, 4}, {2, 2, 4}};
-    for (const BtConfig &C : Configs) {
-      if (Smoke && C.Adders + C.Stoppers > 2)
-        continue;
-      ParsedConcProgram P =
-          parseConcOrDie(gen::bluetoothModel(C.Adders, C.Stoppers));
-      SolverOptions Opts;
-      Opts.Threads = GlobalThreads;
-      Opts.ContextBound = C.Switches;
-      Opts.EarlyStop = false;
-      Opts.FrontierCofactor = fpc::CofactorMode::Off;
-      EngineRow Off = runConcEngine(P, "ERR", "conc", Opts);
-      Opts.FrontierCofactor = fpc::CofactorMode::Constrain;
-      EngineRow Con = runConcEngine(P, "ERR", "conc", Opts);
-      Opts.FrontierCofactor = fpc::CofactorMode::Restrict;
-      EngineRow Res = runConcEngine(P, "ERR", "conc", Opts);
-      char Name[64];
-      std::snprintf(Name, sizeof(Name), "bluetooth-%ua%us-k%u", C.Adders,
-                    C.Stoppers, C.Switches);
-      printCofactorRow(Name, Off, Con, Res);
-    }
-    for (unsigned Bits : Smoke ? std::vector<unsigned>{4u}
-                               : std::vector<unsigned>{5u, 6u}) {
-      gen::TerminatorParams P;
-      P.CounterBits = Bits;
-      P.NumDeadVars = 4;
-      P.Style = gen::DeadVarStyle::Iterative;
-      P.Reachable = false;
-      gen::Workload W = gen::terminatorProgram(P);
-      ParsedProgram Parsed = parseOrDie(W.Source);
-      SolverOptions Opts;
-      Opts.Threads = GlobalThreads;
-      Opts.FrontierCofactor = fpc::CofactorMode::Off;
-      EngineRow Off = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
-      Opts.FrontierCofactor = fpc::CofactorMode::Constrain;
-      EngineRow Con = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
-      Opts.FrontierCofactor = fpc::CofactorMode::Restrict;
-      EngineRow Res = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
-      printCofactorRow(W.Name.c_str(), Off, Con, Res);
     }
   }
 

@@ -266,85 +266,6 @@ void BM_BddCacheConflictHotSet4Way(benchmark::State &State) {
 }
 BENCHMARK(BM_BddCacheConflictHotSet4Way);
 
-/// The transition-relation shapes the solver builds: T(x, x') over
-/// interleaved variables, imaged from a narrow state set. This is the
-/// bench for the constrain-based frontier product: `S.andExists(T, cube)`
-/// versus `S.andExists(T.constrain(S), cube)` (identical results, the
-/// latter walks a care-set-minimized operand), plus the `restrict`
-/// sibling.
-struct TransitionFixture {
-  BddManager Mgr{64};
-  Bdd Trans;
-  Bdd Narrow;
-  BddCube Cube;
-
-  TransitionFixture() {
-    Rng R(7);
-    Trans = Mgr.zero();
-    for (unsigned I = 0; I < 48; ++I) {
-      unsigned Window = 2 * unsigned(R.below(28));
-      Bdd Term = Mgr.one();
-      for (unsigned V = 0; V < 4; ++V) {
-        unsigned Cur = Window + 2 * V;
-        Term &= R.flip() ? Mgr.var(Cur) : Mgr.nvar(Cur);
-        Term &= R.flip() ? Mgr.var(Cur + 1) : Mgr.nvar(Cur + 1);
-      }
-      Trans |= Term;
-    }
-    // A frontier-like state set: a handful of near-disjoint cubes over the
-    // current variables — small support, few satisfying points.
-    Narrow = Mgr.zero();
-    for (unsigned I = 0; I < 3; ++I) {
-      Bdd CubeF = Mgr.one();
-      for (unsigned V = 0; V < 12; V += 2)
-        CubeF &= ((I >> (V / 2)) & 1) ? Mgr.var(V) : Mgr.nvar(V);
-      Narrow |= CubeF;
-    }
-    std::vector<unsigned> CurVars;
-    for (unsigned V = 0; V < 64; V += 2)
-      CurVars.push_back(V);
-    Cube = Mgr.makeCube(CurVars);
-  }
-};
-
-void BM_BddProductPlain(benchmark::State &State) {
-  TransitionFixture F;
-  for (auto _ : State) {
-    F.Mgr.clearComputedCache(); // Cold products: the narrow-round regime.
-    benchmark::DoNotOptimize(F.Narrow.andExists(F.Trans, F.Cube));
-  }
-}
-BENCHMARK(BM_BddProductPlain);
-
-void BM_BddProductConstrained(benchmark::State &State) {
-  TransitionFixture F;
-  for (auto _ : State) {
-    F.Mgr.clearComputedCache();
-    benchmark::DoNotOptimize(
-        F.Narrow.andExists(F.Trans.constrain(F.Narrow), F.Cube));
-  }
-}
-BENCHMARK(BM_BddProductConstrained);
-
-void BM_BddProductRestricted(benchmark::State &State) {
-  TransitionFixture F;
-  for (auto _ : State) {
-    F.Mgr.clearComputedCache();
-    benchmark::DoNotOptimize(
-        F.Narrow.andExists(F.Trans.restrict(F.Narrow), F.Cube));
-  }
-}
-BENCHMARK(BM_BddProductRestricted);
-
-void BM_BddConstrain(benchmark::State &State) {
-  TransitionFixture F;
-  for (auto _ : State) {
-    F.Mgr.clearComputedCache();
-    benchmark::DoNotOptimize(F.Trans.constrain(F.Narrow));
-  }
-}
-BENCHMARK(BM_BddConstrain);
-
 /// Unique-table microbenchmarks on the real manager, with a node store
 /// and table far larger than the last-level cache: 2^22 nodes at variable
 /// 2, one for each pair of a "low" and a "high" leaf (the 2 x 2048

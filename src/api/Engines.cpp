@@ -105,7 +105,6 @@ reach::SeqOptions seqOptionsFor(reach::SeqAlgorithm Alg,
   SO.EarlyStop = Opts.EarlyStop;
   SO.MaxIterations = Opts.MaxIterations;
   SO.GcThreshold = Opts.GcThreshold;
-  SO.FrontierCofactor = Opts.FrontierCofactor;
   SO.ReuseSolvedState = Opts.SessionReuse;
   SO.Threads = Opts.Threads;
   SO.RingKeyframeInterval = Opts.RingKeyframeInterval;
@@ -122,7 +121,6 @@ void fillFromSeq(SolveResult &Out, reach::SeqResult &&R) {
   Out.SummaryNodes = R.SummaryNodes;
   Out.Bdd = R.Bdd;
   Out.Relations = std::move(R.Relations);
-  Out.Cofactor = R.Cofactor;
   Out.SummariesReused = R.SummariesReused;
   Out.SummariesRecomputed = R.SummariesRecomputed;
   Out.SccsSolvedParallel = R.SccsSolvedParallel;
@@ -142,6 +140,10 @@ void fillFromWitness(SolveResult &Out, const bp::ProgramCfg &Cfg,
   Out.SummaryNodes = W.SummaryNodes;
   Out.Bdd = W.Bdd;
   Out.Relations = std::move(W.Relations);
+  Out.SccsSolvedParallel = W.SccsSolvedParallel;
+  Out.CondensationWidth = W.CondensationWidth;
+  Out.SummaryRelations = W.SummaryRelations;
+  Out.ImportedNodes = W.ImportedNodes;
   Out.Seconds = Seconds;
   if (W.Reachable) {
     Out.HasWitness = true;
@@ -324,7 +326,6 @@ conc::ConcOptions concOptionsFor(const SolverOptions &Opts,
   CO.EarlyStop = Opts.EarlyStop;
   CO.MaxIterations = Opts.MaxIterations;
   CO.GcThreshold = Opts.GcThreshold;
-  CO.FrontierCofactor = Opts.FrontierCofactor;
   CO.ReuseSolvedState = Opts.SessionReuse;
   CO.Threads = Opts.Threads;
   CO.RingKeyframeInterval = Opts.RingKeyframeInterval;
@@ -340,7 +341,6 @@ void fillFromConc(SolveResult &Out, conc::ConcResult &&R) {
   Out.SummaryNodes = R.ReachNodes;
   Out.Bdd = R.Bdd;
   Out.Relations = std::move(R.Relations);
-  Out.Cofactor = R.Cofactor;
   Out.SummariesReused = R.SummariesReused;
   Out.SummariesRecomputed = R.SummariesRecomputed;
   Out.SccsSolvedParallel = R.SccsSolvedParallel;

@@ -134,10 +134,11 @@ struct SolverOptions {
 
   // Shared symbolic-solver knobs.
   /// Fixed-point iteration scheme of the calculus evaluator. Semi-naive
-  /// (the default) joins only each round's frontier through distributive
-  /// clauses; `Naive` is the paper's literal re-evaluate-everything
-  /// semantics. Verdicts, iteration counts, and witnesses are identical;
-  /// the knob exists for ablation and debugging.
+  /// (the default) evaluates a monotone `mu` equation's non-recursive
+  /// clauses once and unions each later round's recursive clauses into
+  /// the previous value; `Naive` is the paper's literal
+  /// re-evaluate-everything semantics. Verdicts, iteration counts, and
+  /// witnesses are identical; the knob exists for ablation and debugging.
   fpc::EvalStrategy Strategy = fpc::EvalStrategy::SemiNaive;
   bool EarlyStop = true;          ///< Stop as soon as the target is hit.
   /// Cap on fixpoint rounds of the main relation; 0 = unlimited. When the
@@ -145,12 +146,6 @@ struct SolverOptions {
   /// reflects the states discovered so far.
   uint64_t MaxIterations = 0;
   size_t GcThreshold = 1u << 22;  ///< BDD auto-GC threshold; 0 disables.
-  /// Coudert–Madre care-set minimization of relational-product operands
-  /// in the evaluator's narrow delta rounds: off, `constrain` (maximal
-  /// simplification, the default), or `restrict` (never grows the
-  /// operand's support). Bit-identical results under all three
-  /// (`f ↓ c & c == f & c`); the knob exists for ablation.
-  fpc::CofactorMode FrontierCofactor = fpc::CofactorMode::Constrain;
   /// `SolverSession` only: serve queries from state solved by earlier
   /// queries on the same session. Off = every session query pays a fresh
   /// solve (the differential-testing / ablation baseline). One-shot
@@ -270,7 +265,9 @@ struct SolveResult {
   /// so far), not a verdict.
   bool HitIterationLimit = false;
   uint64_t Iterations = 0;  ///< Fixpoint rounds / worklist steps.
-  uint64_t DeltaRounds = 0; ///< Rounds the main relation ran in delta mode.
+  /// Semi-naive rounds of the main relation after the first (see
+  /// `fpc::RelStats::DeltaRounds`).
+  uint64_t DeltaRounds = 0;
   size_t SummaryNodes = 0;  ///< Final BDD size of the main relation.
   /// BDD-manager counters: nodes created, peak nodes, computed-cache
   /// probes and hits (totals and per `BddOp`), GC runs and reclaim
@@ -284,9 +281,6 @@ struct SolveResult {
   /// Lal–Reps: globals in the sequentialized program (the O(k) copy blowup
   /// the paper's formulation avoids).
   size_t TransformedGlobals = 0;
-  /// Narrow-round generalized-cofactor counters (the restrict-vs-constrain
-  /// A/B): applications and summed operand support sizes before/after.
-  fpc::CofactorStats Cofactor;
   /// Session mode: fixpoint rounds of this query served from state solved
   /// by earlier queries on the same session, vs rounds newly evaluated.
   /// One-shot solves report (0, Iterations) for fixed-point engines.

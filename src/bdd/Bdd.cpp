@@ -152,26 +152,6 @@ Bdd Bdd::permute(BddPerm Perm) const {
   return Bdd(Mgr, Mgr->renameRec(Idx, Perm.Id));
 }
 
-Bdd Bdd::frontier(const Bdd &Old) const {
-  assert(Mgr && Mgr == Old.Mgr && "operands from different managers");
-  Mgr->beginOp();
-  return Bdd(Mgr, Mgr->frontierRec(Idx, Old.Idx));
-}
-
-Bdd Bdd::constrain(const Bdd &Care) const {
-  assert(Mgr && Mgr == Care.Mgr && "operands from different managers");
-  assert(!Care.isZero() && "constrain needs a non-empty care set");
-  Mgr->beginOp();
-  return Bdd(Mgr, Mgr->constrainRec(Idx, Care.Idx));
-}
-
-Bdd Bdd::restrict(const Bdd &Care) const {
-  assert(Mgr && Mgr == Care.Mgr && "operands from different managers");
-  assert(!Care.isZero() && "restrict needs a non-empty care set");
-  Mgr->beginOp();
-  return Bdd(Mgr, Mgr->restrictRec(Idx, Care.Idx));
-}
-
 double Bdd::satCount(unsigned NumVars) const {
   assert(Mgr && "null bdd");
   // Fraction of satisfying assignments, then scale by 2^NumVars.
@@ -731,104 +711,6 @@ uint32_t BddManager::applyRec(Op O, uint32_t F, uint32_t G) {
   uint32_t High = applyRec(O, F1, G1);
   Result = makeNode(Top, Low, High);
   cacheInsert(O, F, G, 0, Result);
-  return Result;
-}
-
-uint32_t BddManager::frontierRec(uint32_t F, uint32_t G) {
-  // Interval choice `F \ G ⊆ R ⊆ F`, minimized structurally: every rule
-  // below stays inside the interval of its subproblem, and the invariant
-  // composes through makeNode cofactor-by-cofactor.
-  if (F == G || F == 0 || G == 1)
-    return 0; // Nothing new here (or nothing at all): empty is in range.
-  if (G == 0 || F == 1)
-    return F; // All of F is (or may be reported as) new: F is in range.
-
-  uint32_t Result;
-  if (cacheLookup(Op::Frontier, F, G, 0, Result))
-    return Result;
-
-  uint32_t FVar = varOf(F), GVar = varOf(G);
-  uint32_t Top = std::min(FVar, GVar);
-  uint32_t F0 = FVar == Top ? lowOf(F) : F;
-  uint32_t F1 = FVar == Top ? highOf(F) : F;
-  uint32_t G0 = GVar == Top ? lowOf(G) : G;
-  uint32_t G1 = GVar == Top ? highOf(G) : G;
-
-  uint32_t Low = frontierRec(F0, G0);
-  uint32_t High = frontierRec(F1, G1);
-  Result = makeNode(Top, Low, High);
-  cacheInsert(Op::Frontier, F, G, 0, Result);
-  return Result;
-}
-
-uint32_t BddManager::constrainRec(uint32_t F, uint32_t C) {
-  // Coudert–Madre generalized cofactor. Invariant (defines the op):
-  // constrain(F, C) & C == F & C, with the off-care-set half chosen so
-  // whole branches of F collapse. The two sibling rules below (C0 == 0 /
-  // C1 == 0) drop the branching variable entirely — that is where the
-  // size reduction comes from, and also why the result's support can
-  // exceed F's.
-  if (C == 1 || isTerminal(F))
-    return F;
-  if (C == 0)
-    return 0; // Empty care set: everything is don't-care.
-  if (F == C)
-    return 1; // f agrees with c on all of c.
-
-  uint32_t Result;
-  if (cacheLookup(Op::Constrain, F, C, 0, Result))
-    return Result;
-
-  uint32_t FVar = varOf(F), CVar = varOf(C);
-  uint32_t Top = std::min(FVar, CVar);
-  uint32_t F0 = FVar == Top ? lowOf(F) : F;
-  uint32_t F1 = FVar == Top ? highOf(F) : F;
-  uint32_t C0 = CVar == Top ? lowOf(C) : C;
-  uint32_t C1 = CVar == Top ? highOf(C) : C;
-
-  if (C0 == 0)
-    Result = constrainRec(F1, C1);
-  else if (C1 == 0)
-    Result = constrainRec(F0, C0);
-  else
-    Result = makeNode(Top, constrainRec(F0, C0), constrainRec(F1, C1));
-  cacheInsert(Op::Constrain, F, C, 0, Result);
-  return Result;
-}
-
-uint32_t BddManager::restrictRec(uint32_t F, uint32_t C) {
-  // Coudert–Madre restrict: the sibling of constrain that existentially
-  // drops care-set variables sitting above F's top variable instead of
-  // branching on them, so the result's support stays inside F's. Same
-  // defining identity: restrict(F, C) & C == F & C.
-  if (C == 1 || isTerminal(F))
-    return F;
-  if (C == 0)
-    return 0;
-  if (F == C)
-    return 1;
-
-  uint32_t Result;
-  if (cacheLookup(Op::Restrict, F, C, 0, Result))
-    return Result;
-
-  uint32_t FVar = varOf(F), CVar = varOf(C);
-  if (CVar < FVar) {
-    // C branches on a variable F does not depend on: any assignment to it
-    // keeps F's value, so the care set may be widened to `exists v. C`.
-    Result = restrictRec(F, applyRec(Op::Or, lowOf(C), highOf(C)));
-  } else {
-    uint32_t C0 = CVar == FVar ? lowOf(C) : C;
-    uint32_t C1 = CVar == FVar ? highOf(C) : C;
-    if (C0 == 0)
-      Result = restrictRec(highOf(F), C1);
-    else if (C1 == 0)
-      Result = restrictRec(lowOf(F), C0);
-    else
-      Result = makeNode(FVar, restrictRec(lowOf(F), C0),
-                        restrictRec(highOf(F), C1));
-  }
-  cacheInsert(Op::Restrict, F, C, 0, Result);
   return Result;
 }
 

@@ -12,8 +12,6 @@
 ///   - apply (and / or / xor), negation, if-then-else
 ///   - existential and universal quantification over interned cubes
 ///   - the and-exists relational product (the image-computation workhorse)
-///   - Coudert–Madre generalized cofactors (`constrain` and `restrict`)
-///     for care-set minimization of relational-product operands
 ///   - variable renaming via interned permutations (building each renamed
 ///     node directly wherever the rename keeps it above its children)
 ///   - sat-counting, support computation, dag-size counting, evaluation
@@ -74,6 +72,11 @@ enum class BddOp : uint32_t {
   Exists,
   AndExists,
   Rename,
+  /// Never probed: no operation uses these three tags any more. Kept
+  /// only because the benchmark, whose `perfbench/` sources are frozen,
+  /// lists one `bdd.hit_rate.<op>` metric per tag below `NumBddOps`
+  /// (`perfbench/perfbench.cpp:122`) and its self-test fails on a listed
+  /// metric that is never printed; delete them with those metrics.
   Frontier,
   Constrain,
   Restrict,
@@ -133,31 +136,6 @@ public:
   /// the rename keeps above their children are rebuilt directly; only
   /// those it moves past a child's top variable go through ite.
   Bdd permute(BddPerm Perm) const;
-  /// Coudert–Madre generalized cofactor `*this ↓ Care`: agrees with *this
-  /// everywhere Care holds, and maps every assignment outside Care to the
-  /// closest (in the variable order's branch metric) assignment inside it.
-  /// The defining identity is `f.constrain(c) & c == f & c`, so conjoining
-  /// the result against the care set is always exact; the point is that
-  /// `f ↓ c` is usually much smaller than `f` when `c` is narrow. Requires
-  /// a non-zero care set. Note the result's support may *grow* beyond
-  /// `f`'s (the cost of maximal simplification).
-  Bdd constrain(const Bdd &Care) const;
-  /// Coudert–Madre restrict: like `constrain`, but care-set variables
-  /// above `f`'s top variable are existentially dropped instead of pulled
-  /// into the result, so `support(f.restrict(c)) ⊆ support(f)`. Satisfies
-  /// the same identity `f.restrict(c) & c == f & c`; simplifies less than
-  /// `constrain` but never blows up the support. Requires a non-zero care
-  /// set.
-  Bdd restrict(const Bdd &Care) const;
-  /// A don't-care-minimized frontier: some set R with
-  /// `*this \ Old ⊆ R ⊆ *this`, chosen to be structurally small (shared
-  /// subgraphs of the two operands are pruned to the empty set wholesale,
-  /// and subgraphs where \p Old is empty are returned as-is rather than
-  /// rebuilt). Fixpoint engines use this instead of an exact set
-  /// difference: joining already-known tuples again is harmless under
-  /// union accumulation, while the exact difference of two similar BDDs
-  /// is often *larger* than either operand.
-  Bdd frontier(const Bdd &Old) const;
 
   /// Number of satisfying assignments over \p NumVars variables.
   double satCount(unsigned NumVars) const;
@@ -245,8 +223,8 @@ public:
   /// holding 50 k nodes has a cache of its own scale instead of one sized
   /// for millions. Tests and microbenchmarks pass other ratios to pin a
   /// cache that is small (or large) relative to the nodes — from 12, one
-  /// entry per 4096 table slots, which puts the evaluator in its narrow
-  /// rounds, to 0, one entry per slot. The cache never outgrows the table.
+  /// entry per 4096 table slots, to 0, one entry per slot. The cache
+  /// never outgrows the table.
   ///
   /// The cache is set-associative with \p CacheWays ways per bucket
   /// (power of two; 1 = direct-mapped, 4 = the default; caches smaller
@@ -508,9 +486,6 @@ private:
   uint32_t existsRec(uint32_t F, uint32_t CubeId);
   uint32_t andExistsRec(uint32_t F, uint32_t G, uint32_t CubeId);
   uint32_t renameRec(uint32_t F, uint32_t PermId);
-  uint32_t frontierRec(uint32_t F, uint32_t G);
-  uint32_t constrainRec(uint32_t F, uint32_t C);
-  uint32_t restrictRec(uint32_t F, uint32_t C);
 
   /// Operation entry: collects when over the gc threshold and allocates
   /// the computed cache if `clearComputedCache` released it.

@@ -492,8 +492,7 @@ ConcResult ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
   Mgr.setGcThreshold(Opts.GcThreshold);
   if (Opts.Governor)
     Mgr.setGovernor(Opts.Governor);
-  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Opts.Strategy,
-               Opts.FrontierCofactor);
+  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Opts.Strategy);
   Ev.setThreads(Opts.Threads);
   try {
     bindInputs(Ev, Thread, ProcId, Pc);
@@ -522,7 +521,6 @@ ConcResult ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
     Result.Iterations = StatsIt->second.Iterations;
     Result.DeltaRounds = StatsIt->second.DeltaRounds;
   }
-  Result.Cofactor = Ev.cofactorStats();
   Result.Bdd = Mgr.stats();
   Result.Bdd.merge(Ev.workerBddStats());
   Result.SccsSolvedParallel = Ev.parallelStats().SccsSolvedParallel;
@@ -579,8 +577,7 @@ struct ConcSession::Impl {
   Impl(const bp::ConcurrentProgram &Conc,
        const std::vector<bp::ProgramCfg> &Cfgs, const ConcOptions &Opts)
       : Conc(Conc), Cfgs(Cfgs), Opts(Opts), Engine(Conc, Cfgs, Opts),
-        Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr), Opts.Strategy,
-           Opts.FrontierCofactor) {
+        Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr), Opts.Strategy) {
     Mgr.setGcThreshold(Opts.GcThreshold);
     Fix.setKeyframeInterval(Opts.RingKeyframeInterval);
     // Sessions currently solve on one thread: Reach is one dependency
@@ -638,7 +635,6 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   BddStats Before = S.Mgr.stats();
   BddStats WorkerBefore = S.Ev.workerBddStats();
   fpc::ParallelStats ParBefore = S.Ev.parallelStats();
-  fpc::CofactorStats CfBefore = S.Ev.cofactorStats();
 
   if (S.Gov)
     S.Mgr.setGovernor(S.Gov);
@@ -652,9 +648,9 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
     Result.Iterations = A.Iterations;
     Result.ReachNodes = A.Value.nodeCount();
     Result.ReachStates = S.Engine.reachStatesOf(S.Ev, A.Value);
-    // The Section-5 Reach system is monotone and fully distributive, so a
-    // fresh solve's delta-round count is Iterations - 1 under the
-    // semi-naive strategy and 0 under naive.
+    // The Section-5 Reach system is monotone, so a fresh solve's
+    // delta-round count is Iterations - 1 under the semi-naive strategy
+    // (every round after the first) and 0 under naive.
     bool DeltaCore = S.Opts.Strategy == EvalStrategy::SemiNaive &&
                      S.Ev.plan(S.Engine.reachRel()).SemiNaive;
     Result.DeltaRounds =
@@ -671,10 +667,6 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   S.Mgr.setGovernor(nullptr);
 
   Result.Relations = S.Ev.stats();
-  Result.Cofactor = S.Ev.cofactorStats();
-  Result.Cofactor.Applications -= CfBefore.Applications;
-  Result.Cofactor.SupportBefore -= CfBefore.SupportBefore;
-  Result.Cofactor.SupportAfter -= CfBefore.SupportAfter;
   Result.Bdd = S.Mgr.stats().since(Before);
   Result.Bdd.merge(S.Ev.workerBddStats().since(WorkerBefore));
   fpc::ParallelStats ParDelta = S.Ev.parallelStats().since(ParBefore);

@@ -52,17 +52,13 @@ struct ConcOptions {
   /// round-robin schedule is unchanged.
   bool RoundRobin = false;
   bool EarlyStop = true;
-  /// Fixed-point iteration scheme; the Section-5 Reach system is monotone
-  /// and fully distributive, so the semi-naive default joins only the
-  /// per-round frontier through every clause.
+  /// Fixed-point iteration scheme; the Section-5 Reach system is
+  /// monotone, so the semi-naive default evaluates its seed clause once
+  /// and unions the recursive clauses into each round.
   fpc::EvalStrategy Strategy = fpc::EvalStrategy::SemiNaive;
   /// Cap on outer fixpoint rounds of Reach; 0 = unlimited.
   uint64_t MaxIterations = 0;
   size_t GcThreshold = 1u << 22;
-  /// Coudert–Madre care-set minimization of relational-product operands
-  /// in narrow delta rounds: off, `constrain`, or `restrict`
-  /// (bit-identical results under all three; ablation knob).
-  fpc::CofactorMode FrontierCofactor = fpc::CofactorMode::Constrain;
   /// Session mode (`ConcSession`): reuse rounds solved by earlier
   /// queries. Off = every query re-solves from scratch (ablation /
   /// differential baseline). One-shot solves ignore this.
@@ -95,7 +91,7 @@ struct ConcResult {
   /// Stopped at ConcOptions::MaxIterations before converging.
   bool HitIterationLimit = false;
   uint64_t Iterations = 0;
-  uint64_t DeltaRounds = 0; ///< Rounds Reach ran in delta mode.
+  uint64_t DeltaRounds = 0; ///< Semi-naive rounds of Reach after the first.
   size_t ReachNodes = 0;    ///< Final BDD size of the Reach relation.
   /// BDD-manager counters (nodes created, peak nodes, per-op cache split,
   /// GC).
@@ -105,9 +101,6 @@ struct ConcResult {
   double Seconds = 0.0;
   /// Per-relation evaluator statistics, keyed by relation name.
   std::map<std::string, fpc::RelStats> Relations;
-  /// Narrow-round generalized-cofactor counters (restrict-vs-constrain
-  /// A/B).
-  fpc::CofactorStats Cofactor;
   /// Session mode only: fixpoint rounds served from state persisted by
   /// earlier queries, vs rounds newly evaluated for this query.
   uint64_t SummariesReused = 0;

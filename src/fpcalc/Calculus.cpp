@@ -301,28 +301,6 @@ const char *fpc::strategyName(EvalStrategy S) {
   return S == EvalStrategy::Naive ? "naive" : "semi-naive";
 }
 
-const char *fpc::cofactorModeName(CofactorMode M) {
-  switch (M) {
-  case CofactorMode::Off:
-    return "off";
-  case CofactorMode::Constrain:
-    return "constrain";
-  case CofactorMode::Restrict:
-    return "restrict";
-  }
-  return "?";
-}
-
-bool fpc::parseCofactorMode(const std::string &Name, CofactorMode &Out) {
-  for (CofactorMode M : {CofactorMode::Off, CofactorMode::Constrain,
-                         CofactorMode::Restrict})
-    if (Name == cofactorModeName(M)) {
-      Out = M;
-      return true;
-    }
-  return false;
-}
-
 namespace {
 
 /// Collects the relations applied in \p F, split by the parity of the
@@ -574,49 +552,6 @@ bool formulaDependsOn(const System &Sys, const DependencyGraph &G,
   }
 }
 
-/// Classifies one disjunct: walks it through And/Or/Exists; every
-/// \p Rel-dependent subformula must be a direct application of \p Rel for
-/// the disjunct to distribute. Returns false (opaque) otherwise.
-/// \p Path holds the nodes from the disjunct root to the current one.
-bool classifyDistributive(const System &Sys, const DependencyGraph &G,
-                          const Formula &F, RelId Rel,
-                          std::vector<const Formula *> &Path,
-                          std::vector<SelfOccurrence> &Occurrences) {
-  Path.push_back(&F);
-  bool Ok = true;
-  switch (F.Kind) {
-  case FormulaKind::RelApp:
-    if (F.Rel == Rel)
-      Occurrences.push_back(SelfOccurrence{&F, Path});
-    else
-      // A different defined relation that reaches Rel would be re-solved
-      // under the round's interpretation: not distributive.
-      Ok = Sys.relation(F.Rel).isInput() || !G.reaches(F.Rel, Rel);
-    break;
-  case FormulaKind::And:
-  case FormulaKind::Or:
-    for (const Formula *Child : F.Children)
-      if (!classifyDistributive(Sys, G, *Child, Rel, Path, Occurrences)) {
-        Ok = false;
-        break;
-      }
-    break;
-  case FormulaKind::Exists:
-    Ok = classifyDistributive(Sys, G, *F.Body, Rel, Path, Occurrences);
-    break;
-  case FormulaKind::Not:
-  case FormulaKind::Forall:
-    // Not breaks monotonicity, Forall breaks distributivity over union —
-    // unless nothing below depends on Rel at all.
-    Ok = !formulaDependsOn(Sys, G, F, Rel);
-    break;
-  default:
-    break; // Const / EqVar / EqConst.
-  }
-  Path.pop_back();
-  return Ok;
-}
-
 } // namespace
 
 EquationPlan fpc::planEquation(const System &Sys, const DependencyGraph &G,
@@ -629,42 +564,11 @@ EquationPlan fpc::planEquation(const System &Sys, const DependencyGraph &G,
   // whose self-cycles are negation-free. Everything else runs naively.
   Plan.SemiNaive = !R.IsNu && G.isMonotoneSelf(Rel);
 
-  std::vector<const Formula *> Disjuncts;
+  std::vector<const Formula *> Disjuncts = {R.Def};
   if (R.Def->Kind == FormulaKind::Or)
-    for (const Formula *Child : R.Def->Children)
-      Disjuncts.push_back(Child);
-  else
-    Disjuncts.push_back(R.Def);
-
-  for (const Formula *D : Disjuncts) {
-    DisjunctPlan DP;
-    DP.Node = D;
-    std::vector<const Formula *> Path;
-    if (!formulaDependsOn(Sys, G, *D, Rel)) {
-      DP.Kind = DisjunctKind::NonRecursive;
-    } else if (classifyDistributive(Sys, G, *D, Rel, Path,
-                                    DP.Occurrences)) {
-      DP.Kind = DisjunctKind::Distributive;
-      assert(!DP.Occurrences.empty() &&
-             "dependent disjunct with no self-app");
-      // A RelApp node shared between two tree positions would make one
-      // frontier pass substitute both at once (losing the Δ×S cross
-      // terms); builders do not share nodes today, but stay sound if one
-      // ever does.
-      std::vector<const Formula *> Apps;
-      for (const SelfOccurrence &Occ : DP.Occurrences)
-        Apps.push_back(Occ.App);
-      std::sort(Apps.begin(), Apps.end());
-      if (std::adjacent_find(Apps.begin(), Apps.end()) != Apps.end()) {
-        DP.Kind = DisjunctKind::Opaque;
-        DP.Occurrences.clear();
-      }
-    } else {
-      DP.Kind = DisjunctKind::Opaque;
-      DP.Occurrences.clear();
-    }
-    Plan.Disjuncts.push_back(std::move(DP));
-  }
+    Disjuncts.assign(R.Def->Children.begin(), R.Def->Children.end());
+  for (const Formula *D : Disjuncts)
+    Plan.Disjuncts.push_back({D, formulaDependsOn(Sys, G, *D, Rel)});
   return Plan;
 }
 

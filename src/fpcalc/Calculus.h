@@ -212,45 +212,18 @@ enum class EvalStrategy {
   /// The paper's Section-3 `Evaluate` semantics, literally: every round
   /// re-evaluates the whole body under the current interpretation.
   Naive,
-  /// Semi-naive (delta-driven) evaluation: per round, distributive
-  /// disjuncts are joined only against the newly discovered frontier
-  /// (`Delta = New \ Old`); non-distributive disjuncts fall back to full
-  /// re-evaluation, and non-monotone or `nu` equations fall back to the
-  /// naive scheme wholesale. Produces the identical per-round value
-  /// sequence (hence identical iteration counts, early stops, and witness
-  /// rings) for every system the naive scheme solves.
+  /// Semi-naive evaluation of monotone `mu` equations: round 1 evaluates
+  /// the whole body; every later round evaluates only the disjuncts that
+  /// depend on the iterated relation and unions them into the previous
+  /// value, since the non-recursive disjuncts cannot change. Non-monotone
+  /// or `nu` equations fall back to the naive scheme. Produces the
+  /// identical per-round value sequence (hence identical iteration
+  /// counts, early stops, and witness rings) for every system the naive
+  /// scheme solves.
   SemiNaive,
 };
 
 const char *strategyName(EvalStrategy S);
-
-/// Which Coudert–Madre generalized cofactor the evaluator applies to the
-/// non-frontier operand of narrow-round relational products. All three
-/// settings produce bit-identical results (`f ↓ c & c == f & c` for both
-/// cofactors); the knob exists for the restrict-vs-constrain A/B the
-/// frontier product invites: `constrain` simplifies maximally but may grow
-/// the operand's support, `restrict` never grows the support but
-/// simplifies less.
-enum class CofactorMode {
-  Off,       ///< Plain relational product.
-  Constrain, ///< `Bdd::constrain` (maximal simplification; the default).
-  Restrict,  ///< `Bdd::restrict` (support never grows).
-};
-
-/// Short stable name ("off", "constrain", "restrict").
-const char *cofactorModeName(CofactorMode M);
-/// Parses a `cofactorModeName` string; false when \p Name is none of them.
-bool parseCofactorMode(const std::string &Name, CofactorMode &Out);
-
-/// Counters for the narrow-round generalized-cofactor rewrites (the
-/// restrict-vs-constrain A/B of the frontier product). Support sizes are
-/// summed over applications so drivers can report the average growth
-/// factor of the cofactored operand.
-struct CofactorStats {
-  uint64_t Applications = 0;
-  uint64_t SupportBefore = 0; ///< Sum of operand support sizes, pre.
-  uint64_t SupportAfter = 0;  ///< Sum of operand support sizes, post.
-};
 
 /// Per-relation evaluation statistics (lives here rather than next to the
 /// evaluator so result structs up the stack can carry it without seeing
@@ -258,7 +231,9 @@ struct CofactorStats {
 struct RelStats {
   uint64_t Iterations = 0;  ///< Outer Tarski rounds (accumulated).
   uint64_t Evaluations = 0; ///< Full fixpoint solves (nested re-solves).
-  uint64_t DeltaRounds = 0; ///< Rounds run in frontier (delta) mode.
+  /// Semi-naive rounds after the first: the rounds that skip the
+  /// non-recursive disjuncts.
+  uint64_t DeltaRounds = 0;
   size_t FinalNodes = 0;    ///< Dag size of the last computed value.
 };
 
@@ -324,56 +299,22 @@ private:
 unsigned definedCondensationWidth(const System &Sys,
                                   const DependencyGraph &Deps);
 
-/// Classification of one top-level disjunct of a defining equation, with
-/// respect to the relation being iterated.
-enum class DisjunctKind {
-  /// No transitive dependency on the iterated relation: its value is fixed
-  /// for the whole solve, so it is evaluated once, on the first round.
-  NonRecursive,
-  /// Every subformula depending on the iterated relation is a direct,
-  /// positive application of it reached through And/Or/Exists only — the
-  /// disjunct distributes over union in each occurrence, so per round it
-  /// is joined once per occurrence against the frontier.
-  Distributive,
-  /// Anything else (occurrences under Not/Forall, or dependencies routed
-  /// through other defined relations that must be re-solved): re-evaluated
-  /// in full every round.
-  Opaque,
-};
-
-/// One delta-able self-application inside a distributive disjunct.
-struct SelfOccurrence {
-  const Formula *App = nullptr;
-  /// All nodes from the disjunct root down to (and including) App. When
-  /// this occurrence reads the frontier, `Or` nodes on the path evaluate
-  /// only their on-path child: sibling branches either carry no
-  /// self-application (their value is constant and already accumulated) or
-  /// carry other occurrences (covered by their own frontier passes), so
-  /// pruning them keeps the round exact while skipping re-evaluation.
-  std::vector<const Formula *> Path;
-};
-
+/// One top-level disjunct of a defining equation.
 struct DisjunctPlan {
   const Formula *Node = nullptr;
-  DisjunctKind Kind = DisjunctKind::Opaque;
-  /// The direct self-applications, for Distributive disjuncts.
-  std::vector<SelfOccurrence> Occurrences;
+  /// Depends on the iterated relation, directly or through other defined
+  /// relations. A non-recursive disjunct's value is fixed for the whole
+  /// solve, so semi-naive evaluation folds it in on round 1 only.
+  bool Recursive = false;
 };
 
 /// The evaluation plan for one equation: whether union-accumulating
-/// semi-naive iteration applies at all, and the per-disjunct schedule.
+/// semi-naive iteration applies at all, and its disjuncts.
 struct EquationPlan {
   /// False for `nu` equations and for non-monotone systems — the evaluator
   /// must fall back to the naive scheme for this relation.
   bool SemiNaive = false;
   std::vector<DisjunctPlan> Disjuncts;
-
-  unsigned count(DisjunctKind K) const {
-    unsigned N = 0;
-    for (const DisjunctPlan &D : Disjuncts)
-      N += D.Kind == K;
-    return N;
-  }
 };
 
 /// Plans the semi-naive evaluation of \p Rel's equation (top-level `Or`

@@ -34,8 +34,8 @@ struct WorkerContext {
   BddImporter Out; ///< Worker -> main.
 
   WorkerContext(const System &Sys, BddManager &Main, const Layout &L,
-                EvalStrategy Strategy, CofactorMode Cofactor)
-      : Mgr(Main.numVars()), Ev(Sys, Mgr, L, Strategy, Cofactor),
+                EvalStrategy Strategy)
+      : Mgr(Main.numVars()), Ev(Sys, Mgr, L, Strategy),
         In(Main, Mgr), Out(Mgr, Main) {
     Mgr.setGcThreshold(Main.gcThreshold());
   }
@@ -110,9 +110,8 @@ Layout Layout::interleaved(const System &Sys, BddManager &Mgr,
 //===----------------------------------------------------------------------===//
 
 Evaluator::Evaluator(const System &Sys, BddManager &Mgr, Layout L,
-                     EvalStrategy Strategy, CofactorMode Cofactor)
-    : Sys(Sys), Mgr(Mgr), L(std::move(L)), Strategy(Strategy),
-      Cofactor(Cofactor) {}
+                     EvalStrategy Strategy)
+    : Sys(Sys), Mgr(Mgr), L(std::move(L)), Strategy(Strategy) {}
 
 // Out-of-line: ParallelContext is incomplete in the header.
 Evaluator::~Evaluator() = default;
@@ -154,7 +153,7 @@ WorkerContext &Evaluator::workerContext(unsigned Worker) {
   // The main-manager reads in construction (numVars, gc threshold) are
   // fields no concurrent import/export mutates.
   if (!Slot)
-    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L, Strategy, Cofactor);
+    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L, Strategy);
   return *Slot;
 }
 
@@ -443,22 +442,6 @@ Bdd Evaluator::evalFormula(const Formula &F) {
     StaticCache.emplace(&F, Value);
     return Value;
   }
-  // Inside a delta round, any subformula off the current occurrence path
-  // evaluates under the same environment in every pass (the in-flight S
-  // is fixed for the round), so its value is shared across the round's
-  // passes. This also holds for applications of nested defined relations:
-  // the round-level memo re-solves them once per round, which is the
-  // naive scheme's per-round cadence.
-  if (InDeltaRound && !Composite && F.Kind != FormulaKind::RelApp)
-    return evalFormulaUncached(F);
-  if (InDeltaRound && !onDeltaPath(&F)) {
-    auto It = RoundCache.find(&F);
-    if (It != RoundCache.end())
-      return It->second;
-    Bdd Value = evalFormulaUncached(F);
-    RoundCache.emplace(&F, Value);
-    return Value;
-  }
   return evalFormulaUncached(F);
 }
 
@@ -467,10 +450,6 @@ Bdd Evaluator::evalFormulaUncached(const Formula &F) {
   case FormulaKind::Const:
     return F.ConstValue ? Mgr.one() : Mgr.zero();
   case FormulaKind::RelApp:
-    // Semi-naive delta substitution: this one occurrence reads the
-    // frontier instead of the full in-flight value.
-    if (&F == DeltaApp)
-      return applyArgs(F.Rel, F.Args, DeltaValue);
     return applyArgs(F.Rel, F.Args, relValue(F.Rel));
   case FormulaKind::EqVar:
     return encodeEqVar(F.Lhs, F.Rhs);
@@ -490,15 +469,6 @@ Bdd Evaluator::evalFormulaUncached(const Formula &F) {
     return Result;
   }
   case FormulaKind::Or: {
-    // Frontier pass through an on-path Or: only the branch leading to the
-    // delta occurrence is live; sibling branches carry either constants
-    // (accumulated on round 1) or other occurrences (their own passes).
-    if (onDeltaPath(&F)) {
-      for (const Formula *Child : F.Children)
-        if (onDeltaPath(Child))
-          return evalFormula(*Child);
-      assert(false && "delta path skips this Or's children");
-    }
     Bdd Result = evalFormula(*F.Children[0]);
     for (size_t I = 1; I < F.Children.size(); ++I) {
       if (Result.isOne())
@@ -521,30 +491,7 @@ Bdd Evaluator::evalFormulaUncached(const Formula &F) {
       }
       if (Acc.isZero())
         return Acc;
-      const Formula *LastChild = Body.Children.back();
-      Bdd Last = evalFormula(*LastChild);
-      // Frontier-aware relational product (Coudert–Madre): in a narrow
-      // delta round the conjunct chain holding the Δ occurrence denotes a
-      // small care set, so generalized-cofactor the *other* operand —
-      // typically the transition/body relation, whose traversal dominates
-      // the product — against it first. `f.constrain(c) & c == f & c`
-      // makes the product's result bit-identical; only the operand the
-      // recursion walks shrinks. Off-path products see the full S on both
-      // sides (no narrow care set) and are already deduped per round by
-      // the RoundCache, so the extra constrain traversal is not paid
-      // there.
-      if (Cofactor != CofactorMode::Off && InDeltaRound && onDeltaPath(&F) &&
-          !Acc.isConst() && !Last.isConst()) {
-        Bdd &Operand = onDeltaPath(LastChild) ? Acc : Last;
-        const Bdd &Care = onDeltaPath(LastChild) ? Last : Acc;
-        ++CfStats.Applications;
-        CfStats.SupportBefore += Operand.support().size();
-        Operand = Cofactor == CofactorMode::Constrain
-                      ? Operand.constrain(Care)
-                      : Operand.restrict(Care);
-        CfStats.SupportAfter += Operand.support().size();
-      }
-      return Acc.andExists(Last, Cube);
+      return Acc.andExists(evalFormula(*Body.Children.back()), Cube);
     }
     return evalFormula(Body).exists(Cube);
   }
@@ -764,10 +711,6 @@ void Evaluator::mergeWorkerStats() {
         Main.FinalNodes = RS.FinalNodes;
     }
     WE.Stats.clear();
-    CfStats.Applications += WE.CfStats.Applications;
-    CfStats.SupportBefore += WE.CfStats.SupportBefore;
-    CfStats.SupportAfter += WE.CfStats.SupportAfter;
-    WE.CfStats = CofactorStats();
   }
 }
 
@@ -780,21 +723,6 @@ Bdd Evaluator::evalFixpoint(RelId Rel, const EvalOptions *Opts,
   RelStats &RS = Stats[R.Name];
   ++RS.Evaluations;
 
-  // A nested re-solve (a volatile relation applied inside a caller's
-  // round) iterates its own relation: the caller's delta context — the
-  // occurrence substitution and the per-round memo — is neither valid
-  // here nor allowed to be clobbered by this solve's own delta rounds.
-  const Formula *SavedApp = DeltaApp;
-  const std::vector<const Formula *> *SavedPath = DeltaPath;
-  Bdd SavedValue = DeltaValue;
-  bool SavedInRound = InDeltaRound;
-  std::map<const Formula *, Bdd> SavedRoundCache;
-  SavedRoundCache.swap(RoundCache);
-  DeltaApp = nullptr;
-  DeltaPath = nullptr;
-  DeltaValue = Bdd();
-  InDeltaRound = false;
-
   FixpointState St;
   // Both strategies pre-solve the lower dependency SCCs callees-first at
   // the top level (in parallel under Threads > 1). The naive scheme used
@@ -805,44 +733,35 @@ Bdd Evaluator::evalFixpoint(RelId Rel, const EvalOptions *Opts,
   // dispatch. Nested naive re-solves keep their historical lazy
   // discovery: their schedule is empty from round two on, and paying a
   // per-round no-op sweep would skew the naive ablation baseline.
-  try {
-    if (InFlight.empty() || Strategy == EvalStrategy::SemiNaive)
-      scheduleDependencies(Rel);
-    // Non-monotone or nu equations run the exact naive scheme; monotone mu
-    // equations take the delta-propagating core (which degrades gracefully
-    // to per-round full evaluation for opaque disjuncts).
-    if (Strategy == EvalStrategy::SemiNaive && plan(Rel).SemiNaive)
-      runFixpointSemiNaive(Rel, St, Opts, HitLimit, Stopped, RS);
-    else
-      runFixpointNaive(Rel, St, Opts, HitLimit, Stopped, RS);
-  } catch (...) {
-    // Restore the caller's delta context before propagating — a nested
-    // re-solve interrupted mid-round must not clobber the enclosing
-    // round's occurrence substitution or per-round memo (the enclosing
-    // loop's own catch then discards its round and rethrows further).
-    DeltaApp = SavedApp;
-    DeltaPath = SavedPath;
-    DeltaValue = std::move(SavedValue);
-    InDeltaRound = SavedInRound;
-    RoundCache.swap(SavedRoundCache);
-    throw;
-  }
+  if (InFlight.empty() || Strategy == EvalStrategy::SemiNaive)
+    scheduleDependencies(Rel);
+  runFixpoint(Rel, St, Opts, HitLimit, Stopped, RS);
   RS.FinalNodes = St.Value.nodeCount();
-
-  DeltaApp = SavedApp;
-  DeltaPath = SavedPath;
-  DeltaValue = std::move(SavedValue);
-  InDeltaRound = SavedInRound;
-  RoundCache.swap(SavedRoundCache);
   return St.Value;
 }
 
-void Evaluator::runFixpointNaive(RelId Rel, FixpointState &St,
-                                 const EvalOptions *Opts, bool *HitLimit,
-                                 bool *Stopped, RelStats &RS) {
+/// Tarski iteration from the empty relation (or, for `nu`, the top
+/// element). Non-monotone or `nu` equations, and every equation under the
+/// naive strategy, re-evaluate the whole body each round:
+/// S_r = Body(S_{r-1}). Semi-naive rounds after the first compute
+///
+///   S_r = S_{r-1}  ∪  ⋃_{recursive D} D(S_{r-1})
+///
+/// skipping the non-recursive disjuncts, whose value N cannot change. For
+/// a monotone mu equation this is exactly the naive sequence: the chain is
+/// increasing, so S_{r-1} = Body(S_{r-2}) ⊆ Body(S_{r-1}), and
+/// N ⊆ S_1 ⊆ S_{r-1}; the union therefore lies between Body(S_{r-1}) and
+/// itself. Hence rounds, early stops, iteration limits, and witness rings
+/// are bit-identical across the strategies.
+void Evaluator::runFixpoint(RelId Rel, FixpointState &St,
+                            const EvalOptions *Opts, bool *HitLimit,
+                            bool *Stopped, RelStats &RS) {
   const Relation &R = Sys.relation(Rel);
   if (St.Saturated)
     return;
+  const EquationPlan *SemiNaive = nullptr;
+  if (Strategy == EvalStrategy::SemiNaive && plan(Rel).SemiNaive)
+    SemiNaive = &plan(Rel);
   Bdd S;
   if (St.Rounds == 0) {
     // Least fixed-points start from the empty relation; greatest
@@ -868,7 +787,16 @@ void Evaluator::runFixpointNaive(RelId Rel, FixpointState &St,
       if (support::ResourceGovernor *G = Mgr.governor())
         G->check();
       InFlight[Rel] = S;
-      Bdd Next = evalFormula(*R.Def);
+      Bdd Next;
+      if (SemiNaive && Iter != 0) {
+        Next = S;
+        for (const DisjunctPlan &D : SemiNaive->Disjuncts)
+          if (D.Recursive)
+            Next |= evalFormula(*D.Node);
+        ++RS.DeltaRounds;
+      } else {
+        Next = evalFormula(*R.Def);
+      }
       InFlight.erase(Rel);
       ++Iter;
       ++RS.Iterations;
@@ -902,176 +830,6 @@ void Evaluator::runFixpointNaive(RelId Rel, FixpointState &St,
     throw;
   }
   St.Value = std::move(S);
-  St.Rounds = Iter;
-}
-
-/// The delta-propagating core. Per round r >= 2 it computes
-///
-///   S_r = S_{r-1}  ∪  ⋃_{opaque D} D(S_{r-1})
-///                  ∪  ⋃_{distributive D} ⋃_{occ i} D[occ_i ↦ Δ_{r-1}]
-///
-/// with Δ_{r-1} ⊇ S_{r-1} \ S_{r-2} and the other occurrences of the
-/// iterated relation reading the full S_{r-1}. For a monotone mu equation
-/// this telescopes to exactly the naive sequence S_r = Body(S_{r-1}):
-/// distributivity of And/Or/Exists over union gives
-/// D(S_{r-2} ∪ Δ) = D(S_{r-2}) ∪ ⋃_i D[occ_i ↦ Δ], and monotonicity makes
-/// the chain increasing so the accumulated union adds nothing extra.
-/// The frontier need not be the *exact* difference: any Δ with
-/// S_{r-1} \ S_{r-2} ⊆ Δ ⊆ S_{r-1} yields the same union (the surplus is
-/// tuples already in S_{r-1}, whose images are already in S_r). That
-/// freedom is used twice: `Bdd::frontier` don't-care-minimizes the narrow
-/// frontier, and rounds whose working set still fits the computed cache
-/// take Δ = S_{r-1} wholesale (see below).
-/// Hence rounds, early stops, iteration limits, and witness rings are all
-/// bit-identical to the naive evaluator — only the work per round shrinks.
-void Evaluator::runFixpointSemiNaive(RelId Rel, FixpointState &St,
-                                     const EvalOptions *Opts, bool *HitLimit,
-                                     bool *Stopped, RelStats &RS) {
-  const Relation &R = Sys.relation(Rel);
-  const EquationPlan &P = plan(Rel);
-  assert(P.SemiNaive && "delta core on a naive-only equation");
-  assert(!R.IsNu && "delta core iterates from the empty relation");
-  if (St.Saturated)
-    return;
-
-  // Frontier-width policy. A BDD evaluator is in a different cost regime
-  // than an explicit Datalog engine: as long as one round's
-  // subcomputations fit the computed cache, evaluating a clause against
-  // the full (structurally stable) S is already incremental — the cache
-  // cuts every traversal off at the unchanged substructure — while a
-  // narrow frontier BDD shares nothing between rounds and makes every
-  // image start cold, *creating* distinct nodes the wide join never
-  // builds. The narrow frontier starts to win exactly when the per-round
-  // working set outgrows the cache and the warm-path assumption
-  // collapses. Rounds allocating more than this many fresh nodes switch
-  // the next round's frontier to the minimized difference.
-  //
-  // The crossover was re-measured when the computed cache became 4-way
-  // set-associative with promotion-based aging: direct-mapped, conflict
-  // evictions cost a round its working set well before the cache was
-  // actually full (the old `cacheSlots()/4` margin priced that in); with
-  // hot entries protected by promotion, nearly the whole capacity stays
-  // useful and the wide regime extends to half the slot count. That /2
-  // was measured on bluetooth 2a2s/k4 (the heavy Figure-3 row) against a
-  // fixed 2^18-entry cache. The cache now grows with the unique table
-  // (half its slots), so the switch reads a quarter of the table's slots,
-  // re-read every round by both gates below; the ratio was not
-  // re-measured under that geometry. Under it bluetooth 2a2s/k4 runs every
-  // round wide, while the small per-worker managers of parallel
-  // sequential solves run some narrow rounds.
-  auto NarrowAt = [this] { return uint64_t(Mgr.cacheSlots() / 2); };
-  // In narrow rounds, delta-substitute only linear disjuncts: a disjunct
-  // with k occurrences needs k passes whose cross terms read the full S,
-  // so its delta decomposition does strictly more conjunction work than
-  // one whole evaluation under a warm cache. Re-measured with the
-  // constrain-based product in the hope the cofactored cross terms would
-  // tip bilinear disjuncts (split return clauses) into profitability:
-  // they do not — bluetooth 2a2s/k4 still loses ~70% wall-clock and ~25%
-  // extra node allocations at k = 2 (see ROADMAP), so the bound stays 1.
-  const size_t MaxDeltaOccurrences = 1;
-
-  Bdd S = Mgr.zero();
-  Bdd Delta;
-  uint64_t Iter = St.Rounds;
-  if (Iter != 0) {
-    S = St.Value;
-    Delta = St.Delta;
-  }
-  try {
-  while (true) {
-    // Round-boundary governor check (see runFixpointNaive): guarantees
-    // the catch below always writes back a completed round.
-    if (support::ResourceGovernor *G = Mgr.governor())
-      G->check();
-    InFlight[Rel] = S;
-    uint64_t RoundStart = Mgr.stats().NodesCreated;
-    Bdd Next;
-    if (Iter == 0) {
-      // Round 1 evaluates the full body once — this is both the naive
-      // round 1 and the seeding of the frontier (everything is new).
-      Next = evalFormula(*R.Def);
-    } else {
-      bool Wide = Delta == S;
-      // The per-round memo only pays off when narrow passes re-walk the
-      // disjuncts; a wide round touches each disjunct exactly once.
-      InDeltaRound = !Wide;
-      RoundCache.clear();
-      Next = S;
-      for (const DisjunctPlan &D : P.Disjuncts) {
-        switch (D.Kind) {
-        case DisjunctKind::NonRecursive:
-          // Fixed for the whole solve; already folded in by round 1.
-          break;
-        case DisjunctKind::Opaque:
-          Next |= evalFormula(*D.Node);
-          break;
-        case DisjunctKind::Distributive:
-          if (Wide || D.Occurrences.size() > MaxDeltaOccurrences) {
-            // Δ == S makes every occurrence pass evaluate the identical
-            // D(S), so one evaluation covers them all; and a nonlinear
-            // disjunct's cross-term passes (every other occurrence at the
-            // full S) each cost a full-size conjunction of their own, so
-            // joining it whole is the cheaper exact choice too.
-            Next |= evalFormula(*D.Node);
-            break;
-          }
-          for (const SelfOccurrence &Occ : D.Occurrences) {
-            DeltaApp = Occ.App;
-            DeltaPath = &Occ.Path;
-            DeltaValue = Delta;
-            Next |= evalFormula(*D.Node);
-          }
-          DeltaApp = nullptr;
-          DeltaPath = nullptr;
-          DeltaValue = Bdd();
-          break;
-        }
-      }
-      RoundCache.clear();
-      InDeltaRound = false;
-      ++RS.DeltaRounds;
-    }
-    InFlight.erase(Rel);
-    ++Iter;
-    ++RS.Iterations;
-    if (Next == S) {
-      St.Saturated = true;
-      break;
-    }
-    bool Narrow = Mgr.stats().NodesCreated - RoundStart >= NarrowAt();
-    Delta = Narrow ? Next.frontier(S) : Next;
-    S = std::move(Next);
-    if (Opts && Opts->Rings)
-      Opts->Rings->append(S);
-    if (Opts && Opts->EarlyStop && !(S & *Opts->EarlyStop).isZero()) {
-      if (Stopped)
-        *Stopped = true;
-      break;
-    }
-    if (Opts && Opts->MaxIterations != 0 && Iter >= Opts->MaxIterations) {
-      if (HitLimit)
-        *HitLimit = true;
-      break;
-    }
-  }
-  } catch (...) {
-    // Mid-round interrupt: discard the aborted round, reset the delta
-    // context it may have left armed, and write back the last completed
-    // round (S/Delta/Iter are only advanced at round completion, so a
-    // resumed solve iterates exactly like an uninterrupted one).
-    InFlight.erase(Rel);
-    DeltaApp = nullptr;
-    DeltaPath = nullptr;
-    DeltaValue = Bdd();
-    InDeltaRound = false;
-    RoundCache.clear();
-    St.Value = std::move(S);
-    St.Delta = std::move(Delta);
-    St.Rounds = Iter;
-    throw;
-  }
-  St.Value = std::move(S);
-  St.Delta = std::move(Delta);
   St.Rounds = Iter;
 }
 
@@ -1207,12 +965,8 @@ EvalResult Evaluator::resume(RelId Rel, FixpointState &State,
 
   EvalResult Result;
   scheduleDependencies(Rel);
-  if (Strategy == EvalStrategy::SemiNaive && plan(Rel).SemiNaive)
-    runFixpointSemiNaive(Rel, State, &Opts, &Result.HitIterationLimit,
-                         &Result.EarlyStopped, RS);
-  else
-    runFixpointNaive(Rel, State, &Opts, &Result.HitIterationLimit,
-                     &Result.EarlyStopped, RS);
+  runFixpoint(Rel, State, &Opts, &Result.HitIterationLimit,
+              &Result.EarlyStopped, RS);
   RS.FinalNodes = State.Value.nodeCount();
   Result.Value = State.Value;
   // A saturated state is a complete solve: a valid memo for nested uses by

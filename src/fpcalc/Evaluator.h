@@ -28,7 +28,6 @@
 #include "fpcalc/Calculus.h"
 #include "fpcalc/RingLog.h"
 
-#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -91,7 +90,6 @@ struct EvalResult {
 /// for the next target, bit-identically to solving each query fresh.
 struct FixpointState {
   Bdd Value;  ///< S_r: the accumulated relation after `Rounds` rounds.
-  Bdd Delta;  ///< Frontier feeding the next semi-naive round.
   /// Body evaluations performed so far (the final, no-change round of a
   /// saturated solve included — matching the `Iterations` a fresh solve
   /// reports).
@@ -182,15 +180,8 @@ private:
 
 class Evaluator {
 public:
-  /// \p Cofactor selects the Coudert–Madre frontier-aware relational
-  /// product: in narrow delta rounds, the transition/body operand of
-  /// `andExists` is generalized-cofactored against the frontier-bearing
-  /// conjunct chain before the product. Purely a performance knob —
-  /// `f ↓ c & c == f & c` for both cofactors makes every product's result
-  /// bit-identical; it exists for the restrict-vs-constrain ablation.
   Evaluator(const System &Sys, BddManager &Mgr, Layout L,
-            EvalStrategy Strategy = EvalStrategy::SemiNaive,
-            CofactorMode Cofactor = CofactorMode::Constrain);
+            EvalStrategy Strategy = EvalStrategy::SemiNaive);
   ~Evaluator();
 
   /// Solves independent dependency SCCs of a top-level fixpoint on \p N
@@ -221,8 +212,6 @@ public:
   void clearWorkerCaches();
 
   EvalStrategy strategy() const { return Strategy; }
-  CofactorMode cofactorMode() const { return Cofactor; }
-  const CofactorStats &cofactorStats() const { return CfStats; }
 
   /// Binds an input relation to its BDD over the formals' bits. Rebinding
   /// an already-bound input drops every memo built from the old binding
@@ -290,13 +279,10 @@ public:
 private:
   Bdd evalFixpoint(RelId Rel, const EvalOptions *Opts, bool *HitLimit,
                    bool *Stopped);
-  /// The two iteration cores, operating on caller-held persistent state
+  /// The iteration core, operating on caller-held persistent state
   /// (fresh local state for one-shot solves, session state for `resume`).
-  void runFixpointNaive(RelId Rel, FixpointState &St, const EvalOptions *Opts,
-                        bool *HitLimit, bool *Stopped, RelStats &RS);
-  void runFixpointSemiNaive(RelId Rel, FixpointState &St,
-                            const EvalOptions *Opts, bool *HitLimit,
-                            bool *Stopped, RelStats &RS);
+  void runFixpoint(RelId Rel, FixpointState &St, const EvalOptions *Opts,
+                   bool *HitLimit, bool *Stopped, RelStats &RS);
   /// Pre-solves (and memoizes) the defined relations \p Rel depends on
   /// that cannot see any in-flight relation, SCC-by-SCC in topological
   /// order, so the main iteration never discovers them mid-round. Under
@@ -312,8 +298,8 @@ private:
   /// Cumulative importer translations across all live workers
   /// (before/after deltas bracket one parallel run).
   uint64_t importerTranslations() const;
-  /// Drains every worker's per-relation and cofactor counters into the
-  /// main evaluator's (merge-then-reset, so the next drain cannot
+  /// Drains every worker's per-relation counters into the main
+  /// evaluator's (merge-then-reset, so the next drain cannot
   /// double-count). Single-threaded use, after a run has joined.
   void mergeWorkerStats();
   void ensureParallelContext();
@@ -337,8 +323,6 @@ private:
   BddManager &Mgr;
   Layout L;
   EvalStrategy Strategy;
-  CofactorMode Cofactor;
-  CofactorStats CfStats;
 
   /// Parallel SCC scheduling (Threads > 1): the work-stealing pool plus
   /// per-worker BDD managers/evaluators/importers. Lazily created,
@@ -364,28 +348,6 @@ private:
   /// evaluation starts (System::define asserts single definition).
   std::unique_ptr<DependencyGraph> Graph;
   std::map<RelId, EquationPlan> Plans;
-
-  /// Delta-substitution state: while non-null, this specific RelApp node
-  /// is evaluated against DeltaValue instead of the in-flight value, and
-  /// `Or` nodes on the root-to-occurrence path evaluate only their on-path
-  /// child (see SelfOccurrence::Path).
-  const Formula *DeltaApp = nullptr;
-  const std::vector<const Formula *> *DeltaPath = nullptr;
-  Bdd DeltaValue;
-
-  /// Per-round memo, live only inside a delta round (InDeltaRound). A
-  /// subformula off the current occurrence path sees the same environment
-  /// (the full in-flight S) in every pass of the round, so its value is
-  /// computed once per round — without this, a disjunct with n occurrences
-  /// re-evaluates its big S-reading subtrees n times per round, which is
-  /// exactly the work semi-naive exists to avoid. Cleared at round start.
-  bool InDeltaRound = false;
-  std::map<const Formula *, Bdd> RoundCache;
-
-  bool onDeltaPath(const Formula *F) const {
-    return DeltaPath && std::find(DeltaPath->begin(), DeltaPath->end(), F) !=
-                            DeltaPath->end();
-  }
 };
 
 } // namespace fpc

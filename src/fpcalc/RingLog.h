@@ -17,13 +17,12 @@
 ///
 /// Two facts make the diet invisible to every consumer:
 ///
-///  - Exactness: `Bdd::frontier` may over-approximate (it is don't-care
-///    minimized), so deltas are computed with plain conjunction against the
-///    previous ring, never with `frontier`. A round that is *not* a
-///    superset of its predecessor (possible only in non-monotone systems
-///    such as the entry-forward-opt mark chain, and never observed for its
-///    value chain) is stored as a forced keyframe, so reconstruction never
-///    assumes monotonicity.
+///  - Exactness: deltas are computed with plain conjunction against the
+///    previous ring, so every piece is the exact set of new tuples. A
+///    round that is *not* a superset of its predecessor (possible only in
+///    non-monotone systems such as the entry-forward-opt mark chain, and
+///    never observed for its value chain) is stored as a forced keyframe,
+///    so reconstruction never assumes monotonicity.
 ///
 ///  - Canonicity: reconstitution ORs the pieces from the nearest keyframe
 ///    upward; the result is set-equal to the recorded round, and by ROBDD

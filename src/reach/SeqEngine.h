@@ -87,13 +87,6 @@ public:
 private:
   void buildSystem();
   void buildSplitSystem();
-#ifndef NDEBUG
-  /// Debug-only cross-check: the dependency analysis must classify each
-  /// algorithm's disjuncts exactly as the clause builders intend
-  /// (distributive image clauses, non-recursive seeds, and the deliberate
-  /// non-monotonicity of EF-opt's Relevant).
-  void verifyEquationPlan() const;
-#endif
 
   // Clause builders shared by the algorithms. `Head` is the relation the
   // clause recurses on; `Mark` adds a leading fr-argument when >= 0.

@@ -483,74 +483,8 @@ void SeqEngine::buildSystem() {
 #ifndef NDEBUG
   DiagnosticEngine Diags;
   assert(Sys.validate(Diags) && "algorithm formulae must type-check");
-  verifyEquationPlan();
 #endif
 }
-
-#ifndef NDEBUG
-/// Cross-checks the dependency analysis against what each algorithm's
-/// construction promises: which disjuncts of the main equation distribute
-/// over union (and therefore run in delta mode), and whether the system is
-/// monotone. A drift here means either a clause builder or the classifier
-/// changed semantics.
-void SeqEngine::verifyEquationPlan() const {
-  using fpc::DisjunctKind;
-  fpc::DependencyGraph G(Sys);
-
-  if (Split) {
-    // Every split relation — any algorithm — must be monotone (semi-naive
-    // applicable) with no opaque disjuncts: cross-group applications hit
-    // completed lower relations, intra-group recursion is direct and
-    // positive. Each defined relation must also be its own condensation
-    // node (Summary never reads ReachEntry, so no cross pairing).
-    for (RelId R : Order) {
-      fpc::EquationPlan P = fpc::planEquation(Sys, G, R);
-      assert(P.SemiNaive && "split relations must be monotone");
-      for (const fpc::DisjunctPlan &D : P.Disjuncts)
-        assert(D.Kind != DisjunctKind::Opaque &&
-               "split clauses must be non-recursive or distributive");
-      assert(G.sccs()[G.sccOf(R)].size() == 1 &&
-             "split relations must be singleton condensation nodes");
-      (void)P;
-    }
-    assert(Width == CG.numSccs());
-    return;
-  }
-
-  fpc::EquationPlan P = fpc::planEquation(Sys, G, Main);
-
-  switch (Alg) {
-  case SeqAlgorithm::SummarySimple:
-    // [all-entries | internal | return]: seed is non-recursive, the image
-    // clauses distribute (the return clause bilinearly, 2 occurrences).
-    assert(P.SemiNaive && "summary system must be monotone");
-    assert(P.Disjuncts.size() == 3);
-    assert(P.Disjuncts[0].Kind == DisjunctKind::NonRecursive);
-    assert(P.Disjuncts[1].Kind == DisjunctKind::Distributive);
-    assert(P.Disjuncts[2].Kind == DisjunctKind::Distributive);
-    assert(P.Disjuncts[2].Occurrences.size() == 2);
-    break;
-  case SeqAlgorithm::EntryForward:
-  case SeqAlgorithm::EntryForwardSplit:
-    // [init | internal | entry-discovery | return].
-    assert(P.SemiNaive && "entry-forward system must be monotone");
-    assert(P.Disjuncts.size() == 4);
-    assert(P.Disjuncts[0].Kind == DisjunctKind::NonRecursive);
-    for (unsigned I = 1; I < 4; ++I)
-      assert(P.Disjuncts[I].Kind == DisjunctKind::Distributive);
-    assert(P.Disjuncts[3].Occurrences.size() == 2);
-    break;
-  case SeqAlgorithm::EntryForwardOpt:
-    // Relevant negates the main relation inside a cycle: the optimized
-    // system is non-monotone by design, and must run the exact naive
-    // scheme (the paper's Section-3 operational semantics).
-    assert(!P.SemiNaive &&
-           "EF-opt must fall back to naive (non-monotone Relevant)");
-    assert(!G.isMonotoneSelf(Main));
-    break;
-  }
-}
-#endif
 
 SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
                            const SeqOptions &Opts) {
@@ -562,8 +496,7 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
   if (Opts.Governor)
     Mgr.setGovernor(Opts.Governor);
   Layout L = Factory.makeLayout(Mgr);
-  Evaluator Ev(Sys, Mgr, std::move(L), Opts.Strategy,
-               Opts.FrontierCofactor);
+  Evaluator Ev(Sys, Mgr, std::move(L), Opts.Strategy);
   Ev.setThreads(Opts.Threads);
 
   try {
@@ -657,7 +590,6 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
   }
   Result.CondensationWidth = Width;
   Result.SummaryRelations = NumSummaryRels;
-  Result.Cofactor = Ev.cofactorStats();
   Result.Bdd = Mgr.stats();
   // Fold the per-worker managers' counters into the snapshot so a
   // parallel solve reports its whole BDD workload, not just the main
@@ -729,7 +661,7 @@ struct SeqSession::Impl {
       : Cfg(Cfg), Opts(Opts),
         Engine(Cfg, Opts.Alg, !Opts.MonolithicSummary),
         Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr),
-           Opts.Strategy, Opts.FrontierCofactor) {
+           Opts.Strategy) {
     Mgr.setGcThreshold(Opts.GcThreshold);
     Fix.setKeyframeInterval(Opts.RingKeyframeInterval);
     // Sessions currently solve on one thread whatever `Threads` says: the
@@ -805,7 +737,6 @@ SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
   BddStats Before = S.Mgr.stats();
   BddStats WorkerBefore = S.Ev.workerBddStats();
   fpc::ParallelStats ParBefore = S.Ev.parallelStats();
-  fpc::CofactorStats CfBefore = S.Ev.cofactorStats();
 
   // The governor spans exactly this query; an interrupted query leaves
   // the session's persistent state (rings, summaries, memos) at the last
@@ -922,10 +853,6 @@ SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
   Result.Relations = S.Ev.stats();
   Result.CondensationWidth = S.Engine.condensationWidth();
   Result.SummaryRelations = S.Engine.summaryRelations();
-  Result.Cofactor = S.Ev.cofactorStats();
-  Result.Cofactor.Applications -= CfBefore.Applications;
-  Result.Cofactor.SupportBefore -= CfBefore.SupportBefore;
-  Result.Cofactor.SupportAfter -= CfBefore.SupportAfter;
   Result.Bdd = S.Mgr.stats().since(Before);
   Result.Bdd.merge(S.Ev.workerBddStats().since(WorkerBefore));
   fpc::ParallelStats ParDelta = S.Ev.parallelStats().since(ParBefore);

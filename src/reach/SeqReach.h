@@ -54,9 +54,10 @@ const char *algorithmName(SeqAlgorithm Alg);
 
 struct SeqOptions {
   SeqAlgorithm Alg = SeqAlgorithm::EntryForwardSplit;
-  /// How the fixed-point solver iterates: semi-naive (delta-driven, the
-  /// default) or the paper's literal naive semantics. Both produce the
-  /// identical per-round value sequence; the knob exists for ablation.
+  /// How the fixed-point solver iterates: semi-naive (the default, see
+  /// `fpc::EvalStrategy`) or the paper's literal naive semantics. Both
+  /// produce the identical per-round value sequence; the knob exists for
+  /// ablation.
   fpc::EvalStrategy Strategy = fpc::EvalStrategy::SemiNaive;
   /// Stop iterating as soon as the target is found (the Appendix formula's
   /// early-termination disjunct, implemented at the solver level).
@@ -65,11 +66,6 @@ struct SeqOptions {
   uint64_t MaxIterations = 0;
   /// Automatic garbage-collection threshold (live nodes); 0 disables.
   size_t GcThreshold = 1u << 22;
-  /// Coudert–Madre care-set minimization of relational-product operands
-  /// in narrow delta rounds: off, `constrain` (maximal simplification,
-  /// the default), or `restrict` (support never grows). Results are
-  /// bit-identical under all three; the knob exists for ablation.
-  fpc::CofactorMode FrontierCofactor = fpc::CofactorMode::Constrain;
   /// Session mode (`SeqSession`): reuse rounds and summaries solved by
   /// earlier queries. Off = every query re-solves from scratch (ablation /
   /// differential-testing baseline). One-shot solves ignore this.
@@ -118,7 +114,7 @@ struct SeqResult {
   /// `Reachable` then only reflects the states found so far.
   bool HitIterationLimit = false;
   uint64_t Iterations = 0;   ///< Outer fixpoint rounds of the main relation.
-  uint64_t DeltaRounds = 0;  ///< Rounds the main relation ran in delta mode.
+  uint64_t DeltaRounds = 0;  ///< Semi-naive rounds after the first.
   size_t SummaryNodes = 0;   ///< Dag size of the final summary BDD.
   /// BDD-manager counters: nodes created, peak nodes, computed-cache
   /// probes and hits (per-op split), GC reclaim totals.
@@ -126,9 +122,6 @@ struct SeqResult {
   double Seconds = 0.0;      ///< Wall-clock solve time (excludes parsing).
   /// Per-relation evaluator statistics, keyed by relation name.
   std::map<std::string, fpc::RelStats> Relations;
-  /// Narrow-round generalized-cofactor counters (restrict-vs-constrain
-  /// A/B): applications and summed operand support sizes before/after.
-  fpc::CofactorStats Cofactor;
   /// Session mode only: fixpoint rounds of this query that were served
   /// from state persisted by earlier queries, vs rounds newly evaluated.
   /// A one-shot solve reports (0, Iterations).

@@ -433,8 +433,7 @@ void WitnessExtractor::ensureSolved() {
     try {
       Layout L = Engine->factory().makeLayout(*Mgr);
       auto NewEv = std::make_unique<Evaluator>(
-          Engine->system(), *Mgr, std::move(L), Opts.Strategy,
-          Opts.FrontierCofactor);
+          Engine->system(), *Mgr, std::move(L), Opts.Strategy);
       NewEv->setThreads(Opts.Threads);
       // The target relation is declared but read by no clause; the solve
       // (and therefore every ring) is target-independent, which is what
@@ -477,6 +476,10 @@ void WitnessExtractor::ensureSolved() {
   // and evaluator — i.e. all rounds of the session's one solve, whichever
   // query drove them.
   Base.Bdd = Mgr->stats();
+  Base.SccsSolvedParallel = Ev->parallelStats().SccsSolvedParallel;
+  Base.ImportedNodes = Ev->parallelStats().ImportedNodes;
+  Base.CondensationWidth = Engine->condensationWidth();
+  Base.SummaryRelations = Engine->summaryRelations();
 }
 
 WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {

@@ -76,13 +76,21 @@ struct WitnessResult {
   bool HitIterationLimit = false;
   std::vector<WitnessStep> Steps;     ///< Empty when unreachable.
   uint64_t Iterations = 0;            ///< Fixpoint rounds recorded.
-  uint64_t DeltaRounds = 0;           ///< Rounds run in delta mode.
+  uint64_t DeltaRounds = 0;           ///< Semi-naive rounds after the first.
   size_t SummaryNodes = 0;            ///< Dag size of the solved summary.
   /// BDD-manager counters (nodes created, peak nodes, per-op cache split,
   /// GC).
   BddStats Bdd;
   /// Per-relation evaluator statistics, keyed by relation name.
   std::map<std::string, fpc::RelStats> Relations;
+  /// The ring-recording solve's counterparts of the `SeqResult` fields of
+  /// the same names. That solve always runs the monolithic EntryForward
+  /// system, so `SummaryRelations` is 1 and `CondensationWidth` is that
+  /// system's relation condensation, whatever the plain queries compile.
+  uint64_t SccsSolvedParallel = 0;
+  uint64_t ImportedNodes = 0;
+  unsigned CondensationWidth = 0;
+  unsigned SummaryRelations = 0;
 };
 
 /// Decides reachability of (ProcId, Pc) and, when reachable, extracts a

@@ -205,6 +205,49 @@ TEST(ApiTest, WitnessRequestYieldsAVerifiedTrace) {
       << Error;
 }
 
+TEST(ApiTest, WitnessQueriesReportTheirCondensation) {
+  // A witness query solves a fixed-point system too: the monolithic
+  // EntryForward one. Under `ef` with the monolithic compilation the
+  // plain query solves that same system, so both report the same width
+  // and summary-relation count — one-shot and through a session.
+  gen::TerminatorParams T;
+  T.CounterBits = 3;
+  T.NumDeadVars = 3;
+  T.Reachable = true;
+  gen::Workload W = gen::terminatorProgram(T);
+  SolverOptions Opts;
+  Opts.Engine = "ef";
+  Opts.MonolithicSummary = true;
+  Query Plain = Query::fromSource(W.Source).target(W.TargetLabel);
+  Query WithWitness = Plain;
+  WithWitness.witness();
+  SolveResult P = Solver::solve(Plain, Opts);
+  SolveResult Wit = Solver::solve(WithWitness, Opts);
+  ASSERT_TRUE(P.ok() && Wit.ok()) << P.Error << Wit.Error;
+  ASSERT_TRUE(Wit.HasWitness);
+  EXPECT_GE(P.CondensationWidth, 1u);
+  EXPECT_EQ(P.SummaryRelations, 1u);
+  EXPECT_EQ(Wit.CondensationWidth, P.CondensationWidth);
+  EXPECT_EQ(Wit.SummaryRelations, P.SummaryRelations);
+
+  std::unique_ptr<SolverSession> S =
+      Solver::open(Query::fromSource(W.Source), Opts);
+  ASSERT_TRUE(S->ok()) << S->error();
+  SolveResult SessWit =
+      S->solve(Query::fromSource("").target(W.TargetLabel).witness());
+  ASSERT_TRUE(SessWit.ok()) << SessWit.Error;
+  EXPECT_EQ(SessWit.CondensationWidth, P.CondensationWidth);
+  EXPECT_EQ(SessWit.SummaryRelations, P.SummaryRelations);
+
+  // Under the default split the plain query is as wide as the call
+  // graph, while the witness solve still reports its monolithic system.
+  Opts.MonolithicSummary = false;
+  SolveResult SplitWit = Solver::solve(WithWitness, Opts);
+  ASSERT_TRUE(SplitWit.ok()) << SplitWit.Error;
+  EXPECT_EQ(SplitWit.CondensationWidth, P.CondensationWidth);
+  EXPECT_EQ(SplitWit.SummaryRelations, 1u);
+}
+
 TEST(ApiTest, RoundsOptionImpliesRoundRobin) {
   // A three-hop chain: thread 0 raises a flag thread 2 reports. One
   // round-robin round (k = 2) reaches it; a context bound of 1 does not.

@@ -395,29 +395,6 @@ TEST(BddTest, GcStatsAccumulate) {
   EXPECT_GE(Mgr.stats().GcReclaimed, 1u);
 }
 
-TEST(BddTest, FrontierStaysInInterval) {
-  // frontier(F, G) must lie between F \ G and F; random pairs probe the
-  // interval bound, and the two structural guarantees are pinned exactly:
-  // equal operands collapse to zero, and a zero old set returns F itself.
-  BddManager Mgr(6);
-  Rng R(23);
-  for (unsigned Trial = 0; Trial < 40; ++Trial) {
-    auto [F, FT] = randomFunction(Mgr, R, 6, 8);
-    auto [G, GT] = randomFunction(Mgr, R, 6, 8);
-    Bdd Frontier = F.frontier(G);
-    // F \ G <= Frontier <= F, i.e. both inclusions hold.
-    EXPECT_TRUE(((F & !G) & !Frontier).isZero()) << "lost new tuples";
-    EXPECT_TRUE((Frontier & !F).isZero()) << "invented tuples";
-    (void)FT;
-    (void)GT;
-  }
-  Bdd F = Mgr.var(0) | Mgr.var(1);
-  EXPECT_TRUE(F.frontier(F).isZero());
-  EXPECT_EQ(F.frontier(Mgr.zero()), F);
-  EXPECT_TRUE(F.frontier(Mgr.one()).isZero());
-  EXPECT_EQ(Mgr.one().frontier(Mgr.zero()), Mgr.one());
-}
-
 TEST(BddTest, NewVarGrowsManager) {
   BddManager Mgr(0);
   unsigned V0 = Mgr.newVar();
@@ -426,72 +403,6 @@ TEST(BddTest, NewVarGrowsManager) {
   EXPECT_EQ(V1, 1u);
   EXPECT_EQ(Mgr.numVars(), 2u);
   EXPECT_EQ(Mgr.var(V0) & Mgr.var(V1), Mgr.var(V1) & Mgr.var(V0));
-}
-
-TEST_P(BddPropertyTest, ConstrainRestrictAlgebraicIdentities) {
-  BddManager Mgr(5);
-  Rng R(GetParam() * 71u);
-  for (unsigned Trial = 0; Trial < 40; ++Trial) {
-    auto [F, FT] = randomFunction(Mgr, R, 5, 6);
-    auto [C, CT] = randomFunction(Mgr, R, 5, 6);
-    (void)FT;
-    (void)CT;
-    if (C.isZero())
-      continue; // Both ops require a non-empty care set.
-
-    Bdd Con = F.constrain(C);
-    Bdd Res = F.restrict(C);
-
-    // The defining identity of a generalized cofactor.
-    EXPECT_EQ(Con & C, F & C) << "constrain breaks f↓c & c == f & c";
-    EXPECT_EQ(Res & C, F & C) << "restrict breaks f⇓c & c == f & c";
-
-    // Constrain is a projection: applying it twice changes nothing.
-    EXPECT_EQ(Con.constrain(C), Con) << "constrain not idempotent";
-
-    // The two simplifiers agree wherever the care set holds.
-    EXPECT_TRUE(((Con ^ Res) & C).isZero())
-        << "constrain and restrict disagree inside the care set";
-
-    // A full care set is a no-op.
-    EXPECT_EQ(F.constrain(Mgr.one()), F);
-    EXPECT_EQ(F.restrict(Mgr.one()), F);
-
-    // Restrict never adds variables (constrain may).
-    std::vector<unsigned> FSup = F.support();
-    for (unsigned V : Res.support())
-      EXPECT_TRUE(std::find(FSup.begin(), FSup.end(), V) != FSup.end())
-          << "restrict pulled variable " << V << " into the support";
-  }
-}
-
-TEST(BddTest, ConstrainCollapsesAgainstItsOwnCareSet) {
-  BddManager Mgr(4);
-  Bdd F = Mgr.var(0) & Mgr.var(1);
-  // f ↓ f == 1: every point maps to a satisfying one.
-  EXPECT_TRUE(F.constrain(F).isOne());
-  EXPECT_TRUE(F.restrict(F).isOne());
-  // Care set disjoint from f: the conjunction is empty, so the cofactor
-  // may be anything on a zero care set — pin the canonical choice.
-  EXPECT_TRUE(F.constrain(Mgr.nvar(0)).isZero());
-}
-
-TEST(BddTest, ConstrainShrinksTransitionAgainstNarrowCareSet) {
-  // The evaluator's use case: a wide "transition" conjoined with a narrow
-  // frontier. The constrained operand must stay small (here: collapse to
-  // the cofactor) while the relational product is unchanged.
-  BddManager Mgr(6);
-  Rng R(99);
-  auto [T1, TT1] = randomFunction(Mgr, R, 6, 10);
-  (void)TT1;
-  Bdd Care = Mgr.var(0) & Mgr.nvar(1) & Mgr.var(2); // One cube: 3 fixed bits.
-  Bdd Constrained = T1.constrain(Care);
-  std::vector<unsigned> Vars{0, 1, 2, 3};
-  BddCube Cube = Mgr.makeCube(Vars);
-  EXPECT_EQ(Care.andExists(Constrained, Cube), Care.andExists(T1, Cube))
-      << "constraining the transition changed the relational product";
-  EXPECT_LE(Constrained.nodeCount(), T1.nodeCount())
-      << "cube care set must not grow the operand";
 }
 
 /// One deterministic pseudo-random operation script over 24 variables,
@@ -540,17 +451,15 @@ std::vector<double> runCacheScript(BddManager &Mgr, bool MidScriptClear,
     const Bdd &A = Pool[R.below(Pool.size())];
     const Bdd &B = Pool[R.below(Pool.size())];
     Bdd Out = Apply([&] {
-      switch (R.below(5)) {
+      switch (R.below(4)) {
       case 0:
         return A & B;
       case 1:
         return A | B;
       case 2:
         return A.andExists(B, Cube);
-      case 3:
-        return B.isZero() ? !A : A.constrain(B);
       default:
-        return B.isZero() ? (A ^ B) : A.restrict(B);
+        return A ^ B;
       }
     });
     Pool[R.below(Pool.size())] = Out;

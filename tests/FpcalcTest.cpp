@@ -385,10 +385,23 @@ TEST(PlanEquationTest, ClassifiesDisjunctKinds) {
   EquationPlan P = planEquation(G.Sys, Deps, G.Reach);
   ASSERT_TRUE(P.SemiNaive);
   ASSERT_EQ(P.Disjuncts.size(), 2u);
-  EXPECT_EQ(P.Disjuncts[0].Kind, DisjunctKind::NonRecursive);
-  EXPECT_EQ(P.Disjuncts[1].Kind, DisjunctKind::Distributive);
-  ASSERT_EQ(P.Disjuncts[1].Occurrences.size(), 1u);
-  EXPECT_EQ(P.Disjuncts[1].Occurrences.back().App->Rel, G.Reach);
+  EXPECT_FALSE(P.Disjuncts[0].Recursive);
+  EXPECT_TRUE(P.Disjuncts[1].Recursive);
+
+  // A disjunct that reaches the iterated relation only through another
+  // defined relation is recursive too; one over inputs alone is not.
+  System Sys;
+  VarId X = Sys.addVar("x", Sys.boolDomain());
+  RelId In = Sys.declareRel("In", {X});
+  RelId A = Sys.declareRel("A", {X});
+  RelId B = Sys.declareRel("B", {X});
+  Sys.define(A, Sys.mkOr({Sys.applyVars(In, {X}), Sys.applyVars(B, {X})}));
+  Sys.define(B, Sys.applyVars(A, {X}));
+  DependencyGraph BG(Sys);
+  EquationPlan AP = planEquation(Sys, BG, A);
+  ASSERT_EQ(AP.Disjuncts.size(), 2u);
+  EXPECT_FALSE(AP.Disjuncts[0].Recursive);
+  EXPECT_TRUE(AP.Disjuncts[1].Recursive);
 }
 
 TEST(PlanEquationTest, NuAndNonMonotoneFallBackToNaive) {
@@ -399,7 +412,7 @@ TEST(PlanEquationTest, NuAndNonMonotoneFallBackToNaive) {
   // Occurrence under a negation inside its own cycle.
   RelId M = Sys.declareRel("M", {X});
   Sys.define(M, Sys.mkNot(Sys.applyVars(M, {X})));
-  // Occurrence under a forall: monotone, but not distributive over union.
+  // Occurrence under a forall: monotone, so semi-naive still applies.
   RelId Q = Sys.declareRel("Q", {X});
   VarId Y = Sys.addVar("y", Sys.boolDomain());
   Sys.define(Q, Sys.forall({Y}, Sys.applyVars(Q, {Y})));
@@ -408,10 +421,9 @@ TEST(PlanEquationTest, NuAndNonMonotoneFallBackToNaive) {
   EXPECT_FALSE(planEquation(Sys, G, N).SemiNaive);
   EXPECT_FALSE(planEquation(Sys, G, M).SemiNaive);
   EquationPlan QP = planEquation(Sys, G, Q);
-  EXPECT_TRUE(QP.SemiNaive); // Monotone: delta rounds apply...
+  EXPECT_TRUE(QP.SemiNaive);
   ASSERT_EQ(QP.Disjuncts.size(), 1u);
-  // ...but the forall disjunct must be re-evaluated whole every round.
-  EXPECT_EQ(QP.Disjuncts[0].Kind, DisjunctKind::Opaque);
+  EXPECT_TRUE(QP.Disjuncts[0].Recursive);
 }
 
 //===----------------------------------------------------------------------===//
@@ -433,14 +445,13 @@ std::vector<std::pair<unsigned, unsigned>> randomEdges(Rng &R,
 
 /// Solves the graph fixture under one strategy and returns the value, the
 /// per-round rings, and the outer iteration count. \p CacheShift fixes
-/// the cache at `tableSlots() >> CacheShift` entries: at 12, one entry per
-/// 4096 table slots, the evaluator runs its delta rounds narrow.
+/// the cache at `tableSlots() >> CacheShift` entries: from one entry per
+/// 4096 table slots (12) to one per slot (0).
 struct StrategyRun {
   Bdd Value;
   std::vector<size_t> RingCounts;
   uint64_t Iterations = 0;
   uint64_t DeltaRounds = 0;
-  uint64_t CofactorApplications = 0; ///< Narrow-round cofactors applied.
   bool EarlyStopped = false;
   bool HitLimit = false;
 };
@@ -449,11 +460,9 @@ StrategyRun runGraph(GraphFixture &G,
                      const std::vector<std::pair<unsigned, unsigned>> &Edges,
                      unsigned InitNode, EvalStrategy Strategy,
                      unsigned CacheShift, bool WithEarlyStop = false,
-                     uint64_t MaxIterations = 0, uint64_t NumNodes = 8,
-                     CofactorMode Cofactor = CofactorMode::Constrain) {
+                     uint64_t MaxIterations = 0, uint64_t NumNodes = 8) {
   BddManager Mgr(0, CacheShift);
-  Evaluator Ev(G.Sys, Mgr, Layout::sequential(G.Sys, Mgr), Strategy,
-               Cofactor);
+  Evaluator Ev(G.Sys, Mgr, Layout::sequential(G.Sys, Mgr), Strategy);
   Ev.bindInput(G.Init, Ev.encodeEqConst(G.U, InitNode));
   Bdd TransBdd = Mgr.zero();
   for (auto [From, To] : Edges)
@@ -480,7 +489,6 @@ StrategyRun runGraph(GraphFixture &G,
   const RelStats &RS = Ev.stats().at("Reach");
   Out.Iterations = RS.Iterations;
   Out.DeltaRounds = RS.DeltaRounds;
-  Out.CofactorApplications = Ev.cofactorStats().Applications;
   // The BDD values live in Mgr which dies here; compare via sat counts.
   Out.Value = Bdd();
   Out.RingCounts.push_back(size_t(R.Value.satCount(Mgr.numVars())));
@@ -490,10 +498,9 @@ StrategyRun runGraph(GraphFixture &G,
 } // namespace
 
 TEST(StrategyDifferentialTest, RandomGraphsAgreeOnEverything) {
-  // Large node domain + tiny computed cache forces the semi-naive core
-  // through its narrow (minimized-frontier) rounds as well as the wide
-  // ones; every observable — per-round ring sizes, final sat count,
-  // iteration count — must match the naive run bit for bit.
+  // Large node domain, under caches from one entry per 4096 table slots
+  // to one per slot: every observable — per-round ring sizes, final sat
+  // count, iteration count — must match the naive run bit for bit.
   for (uint64_t Seed : {3u, 17u, 51u}) {
     GraphFixture G(64);
     Rng R(Seed);
@@ -512,49 +519,6 @@ TEST(StrategyDifferentialTest, RandomGraphsAgreeOnEverything) {
           << "seed " << Seed << " shift " << CacheShift;
       EXPECT_EQ(Naive.DeltaRounds, 0u);
       EXPECT_GT(Semi.DeltaRounds, 0u);
-      if (CacheShift == 12) {
-        EXPECT_GT(Semi.CofactorApplications, 0u)
-            << "seed " << Seed << ": no narrow round ran";
-      }
-    }
-  }
-}
-
-TEST(StrategyDifferentialTest, CofactorModeChangesNothingObservable) {
-  // The Coudert–Madre frontier product rewrites an andExists operand only
-  // within its care set, so every observable — ring sizes per round, sat
-  // count, iteration and delta-round counts — must be identical across
-  // all three cofactor modes (off / constrain / restrict), at a cache
-  // small enough to force narrow rounds and at the default size.
-  for (uint64_t Seed : {9u, 23u}) {
-    GraphFixture G(64);
-    Rng R(Seed);
-    auto Edges = randomEdges(R, 64, 96);
-    for (unsigned N = 0; N + 1 < 64; N += 1)
-      Edges.emplace_back(N, N + 1);
-    for (unsigned CacheShift : {12u, 6u, 0u}) {
-      StrategyRun Off = runGraph(G, Edges, 0, EvalStrategy::SemiNaive,
-                                 CacheShift, false, 0, 64, CofactorMode::Off);
-      for (CofactorMode Mode :
-           {CofactorMode::Constrain, CofactorMode::Restrict}) {
-        StrategyRun On = runGraph(G, Edges, 0, EvalStrategy::SemiNaive,
-                                  CacheShift, false, 0, 64, Mode);
-        EXPECT_EQ(On.Iterations, Off.Iterations)
-            << cofactorModeName(Mode) << " seed " << Seed << " shift "
-            << CacheShift;
-        EXPECT_EQ(On.DeltaRounds, Off.DeltaRounds)
-            << cofactorModeName(Mode) << " seed " << Seed << " shift "
-            << CacheShift;
-        EXPECT_EQ(On.RingCounts, Off.RingCounts)
-            << cofactorModeName(Mode) << " seed " << Seed << " shift "
-            << CacheShift;
-        // The tiny cache must actually reach the narrow rounds the
-        // cofactor runs in.
-        if (CacheShift == 12) {
-          EXPECT_GT(On.CofactorApplications, 0u)
-              << cofactorModeName(Mode) << " seed " << Seed;
-        }
-      }
     }
   }
 }
@@ -591,8 +555,7 @@ TEST(StrategyDifferentialTest, IterationLimitMatchesUnderSemiNaive) {
 
 TEST(StrategyDifferentialTest, BilinearEquationAgrees) {
   // R(u) = Init(u) | exists x, y. R(x) & R(y) & Join(x, y, u): two
-  // occurrences in one disjunct exercise the nonlinear-disjunct handling
-  // in both frontier widths.
+  // occurrences in one disjunct, under every cache geometry.
   System Sys;
   DomainId Node = Sys.addDomain("Node", 16);
   VarId U = Sys.addVar("u", Node);
@@ -611,8 +574,7 @@ TEST(StrategyDifferentialTest, BilinearEquationAgrees) {
   EquationPlan P = planEquation(Sys, G, R);
   ASSERT_TRUE(P.SemiNaive);
   ASSERT_EQ(P.Disjuncts.size(), 2u);
-  EXPECT_EQ(P.Disjuncts[1].Kind, DisjunctKind::Distributive);
-  EXPECT_EQ(P.Disjuncts[1].Occurrences.size(), 2u);
+  EXPECT_TRUE(P.Disjuncts[1].Recursive);
 
   auto Solve = [&](EvalStrategy Strategy, unsigned CacheShift) {
     BddManager Mgr(0, CacheShift);

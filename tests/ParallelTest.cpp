@@ -17,7 +17,7 @@
 ///     worker managers' memory accounting (charged, and released by
 ///     `clearWorkerCaches`),
 ///   - every registered engine through the Solver facade at threads 1 vs
-///     4 — both strategies, all three cofactor modes, witness queries,
+///     4 — both strategies, witness queries,
 ///   - sessions under `Threads > 1`: solve/solveAll bit-identical to
 ///     fresh solves and to a `Threads = 1` session, with and without
 ///     state reuse.
@@ -358,29 +358,23 @@ void expectSameCore(const SolveResult &A, const SolveResult &B,
   EXPECT_EQ(A.WitnessText, B.WitnessText) << Context;
 }
 
-TEST(ParallelEngineTest, AllEnginesAllStrategiesAllCofactorsThreads1Vs4) {
+TEST(ParallelEngineTest, AllEnginesAllStrategiesThreads1Vs4) {
   for (const api::Engine *E : Solver::engines()) {
     std::string Source =
         E->handlesConcurrent() ? concFixture() : seqFixture();
     for (fpc::EvalStrategy Strategy :
          {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive}) {
-      for (fpc::CofactorMode Mode :
-           {fpc::CofactorMode::Constrain, fpc::CofactorMode::Restrict,
-            fpc::CofactorMode::Off}) {
-        for (const char *Label : {"ERR", "SAFE"}) {
-          SolverOptions Opts;
-          Opts.Engine = E->name();
-          Opts.Strategy = Strategy;
-          Opts.FrontierCofactor = Mode;
-          Query Q = Query::fromSource(Source).target(Label);
-          SolveResult T1 = Solver::solve(Q, Opts);
-          Opts.Threads = 4;
-          SolveResult T4 = Solver::solve(Q, Opts);
-          expectSameCore(T1, T4,
-                         std::string(E->name()) + "/" +
-                             fpc::strategyName(Strategy) + "/" +
-                             fpc::cofactorModeName(Mode) + "/" + Label);
-        }
+      for (const char *Label : {"ERR", "SAFE"}) {
+        SolverOptions Opts;
+        Opts.Engine = E->name();
+        Opts.Strategy = Strategy;
+        Query Q = Query::fromSource(Source).target(Label);
+        SolveResult T1 = Solver::solve(Q, Opts);
+        Opts.Threads = 4;
+        SolveResult T4 = Solver::solve(Q, Opts);
+        expectSameCore(T1, T4, std::string(E->name()) + "/" +
+                                   fpc::strategyName(Strategy) + "/" +
+                                   Label);
       }
     }
   }

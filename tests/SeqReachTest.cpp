@@ -327,19 +327,18 @@ end
 /// ablation knobs exposed.
 SolveResult solveShaped(const bp::ProgramCfg &Cfg, const char *Engine,
                         bool Monolithic, fpc::EvalStrategy Strategy,
-                        fpc::CofactorMode Cofactor, bool EarlyStop) {
+                        bool EarlyStop) {
   SolverOptions Opts;
   Opts.Engine = Engine;
   Opts.MonolithicSummary = Monolithic;
   Opts.Strategy = Strategy;
-  Opts.FrontierCofactor = Cofactor;
   Opts.EarlyStop = EarlyStop;
   return Solver::solve(Query::fromCfg(Cfg).target("ERR"), Opts);
 }
 
 } // namespace
 
-/// engine x strategy x cofactor mode: the split and monolithic
+/// engine x strategy x early stop: the split and monolithic
 /// compilations must produce the same verdict everywhere (round counts
 /// may differ; the verdict may not).
 TEST(SplitSummaryTest, SplitAndMonolithicAgreeAcrossAllKnobs) {
@@ -349,20 +348,17 @@ TEST(SplitSummaryTest, SplitAndMonolithicAgreeAcrossAllKnobs) {
     for (const char *Engine : AllEngines)
       for (auto Strategy :
            {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive})
-        for (auto Cofactor :
-             {fpc::CofactorMode::Constrain, fpc::CofactorMode::Restrict,
-              fpc::CofactorMode::Off})
-          for (bool EarlyStop : {false, true}) {
-            SolveResult Split = solveShaped(Cfg, Engine, /*Monolithic=*/false,
-                                            Strategy, Cofactor, EarlyStop);
-            SolveResult Mono = solveShaped(Cfg, Engine, /*Monolithic=*/true,
-                                           Strategy, Cofactor, EarlyStop);
-            ASSERT_TRUE(Split.ok() && Mono.ok()) << SP.Name << "/" << Engine;
-            EXPECT_EQ(Split.Reachable, SP.ExpectReachable)
-                << SP.Name << "/" << Engine << " (split)";
-            EXPECT_EQ(Split.Reachable, Mono.Reachable)
-                << SP.Name << "/" << Engine;
-          }
+        for (bool EarlyStop : {false, true}) {
+          SolveResult Split = solveShaped(Cfg, Engine, /*Monolithic=*/false,
+                                          Strategy, EarlyStop);
+          SolveResult Mono = solveShaped(Cfg, Engine, /*Monolithic=*/true,
+                                         Strategy, EarlyStop);
+          ASSERT_TRUE(Split.ok() && Mono.ok()) << SP.Name << "/" << Engine;
+          EXPECT_EQ(Split.Reachable, SP.ExpectReachable)
+              << SP.Name << "/" << Engine << " (split)";
+          EXPECT_EQ(Split.Reachable, Mono.Reachable)
+              << SP.Name << "/" << Engine;
+        }
   }
 }
 
@@ -378,10 +374,10 @@ TEST(SplitSummaryTest, SummaryUnionBitIdenticalToMonolithicRelation) {
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
     SolveResult Split =
         solveShaped(Cfg, "summary", false, fpc::EvalStrategy::SemiNaive,
-                    fpc::CofactorMode::Constrain, /*EarlyStop=*/false);
+                    /*EarlyStop=*/false);
     SolveResult Mono =
         solveShaped(Cfg, "summary", true, fpc::EvalStrategy::SemiNaive,
-                    fpc::CofactorMode::Constrain, /*EarlyStop=*/false);
+                    /*EarlyStop=*/false);
     ASSERT_TRUE(Split.ok() && Mono.ok()) << SP.Name;
     EXPECT_EQ(Split.SummaryNodes, Mono.SummaryNodes) << SP.Name;
   }
@@ -398,14 +394,14 @@ TEST(SplitSummaryTest, CondensationWidthMatchesCallGraph) {
     for (const char *Engine : AllEngines) {
       SolveResult Split =
           solveShaped(Cfg, Engine, false, fpc::EvalStrategy::SemiNaive,
-                      fpc::CofactorMode::Constrain, true);
+                      true);
       EXPECT_EQ(Split.CondensationWidth, CG.numSccs())
           << SP.Name << "/" << Engine;
       EXPECT_EQ(Split.SummaryRelations, CG.numSccs())
           << SP.Name << "/" << Engine;
       SolveResult Mono =
           solveShaped(Cfg, Engine, true, fpc::EvalStrategy::SemiNaive,
-                      fpc::CofactorMode::Constrain, true);
+                      true);
       EXPECT_GE(Mono.CondensationWidth, 1u) << SP.Name << "/" << Engine;
       EXPECT_LE(Mono.CondensationWidth, 4u) << SP.Name << "/" << Engine;
       EXPECT_EQ(Mono.SummaryRelations, 1u) << SP.Name << "/" << Engine;
@@ -428,7 +424,7 @@ TEST(SplitSummaryTest, TerminatorWidthExceedsFour) {
   EXPECT_GT(CG.numSccs(), 4u);
   SolveResult R = solveShaped(Cfg, "summary", false,
                               fpc::EvalStrategy::SemiNaive,
-                              fpc::CofactorMode::Constrain, true);
+                              true);
   ASSERT_TRUE(R.ok());
   EXPECT_FALSE(R.Reachable);
   EXPECT_EQ(R.CondensationWidth, CG.numSccs());

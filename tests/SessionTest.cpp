@@ -10,11 +10,11 @@
 /// generator output), `session.solve(q)` must produce bit-identical
 /// verdicts, iteration counts, summary sizes, and witnesses to a fresh
 /// `Solver::solve(q)` — for every permutation of query order, under
-/// interleaved sessions over different programs, across mid-session
-/// computed-cache clears, and for every frontier-cofactor mode. Reuse is
-/// only allowed to show up in wall-clock and the `SummariesReused`
-/// counters; this suite is what enforces that contract (the PR-2 class of
-/// stale-memo / clobbered-delta-context bugs fails it immediately).
+/// interleaved sessions over different programs, and across mid-session
+/// computed-cache clears. Reuse is only allowed to show up in wall-clock
+/// and the `SummariesReused` counters; this suite is what enforces that
+/// contract (the PR-2 class of stale-memo / clobbered-delta-context bugs
+/// fails it immediately).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -273,9 +273,9 @@ TEST(SessionTest, RandomizedWorkloadsMatchFresh) {
 }
 
 TEST(SessionTest, ConcurrentRandomizedTargetsMatchFresh) {
-  // The bluetooth model through the conc engine: the ERR label plus point
-  // targets across threads, in two orders.
-  std::string Src = gen::bluetoothModel(1, 1);
+  // The bluetooth models with one adder and one or two stoppers through
+  // the conc engine at context bound 3: the ERR label plus point targets
+  // across threads, in every order.
   SolverOptions Opts;
   Opts.Engine = "conc";
   Opts.ContextBound = 3;
@@ -284,18 +284,22 @@ TEST(SessionTest, ConcurrentRandomizedTargetsMatchFresh) {
       Query::fromSource("").targetPoint(0, 1, 0),
       Query::fromSource("").targetPoint(0, 0, 1),
   };
-  std::vector<SolveResult> Fresh;
-  for (const Query &Q : Queries) {
-    Query FreshQ = Q;
-    FreshQ.Source = Src;
-    Fresh.push_back(Solver::solve(FreshQ, Opts));
-  }
-  for (const std::vector<size_t> &Perm : permutationsOf(Queries.size())) {
-    std::unique_ptr<SolverSession> S =
-        Solver::open(Query::fromSource(Src), Opts);
-    ASSERT_TRUE(S->ok()) << S->error();
-    for (size_t I : Perm)
-      expectSameCore(Fresh[I], S->solve(Queries[I]), "conc bluetooth");
+  for (unsigned Stoppers : {1u, 2u}) {
+    std::string Src = gen::bluetoothModel(1, Stoppers);
+    std::string Name = "conc bluetooth 1a" + std::to_string(Stoppers) + "s";
+    std::vector<SolveResult> Fresh;
+    for (const Query &Q : Queries) {
+      Query FreshQ = Q;
+      FreshQ.Source = Src;
+      Fresh.push_back(Solver::solve(FreshQ, Opts));
+    }
+    for (const std::vector<size_t> &Perm : permutationsOf(Queries.size())) {
+      std::unique_ptr<SolverSession> S =
+          Solver::open(Query::fromSource(Src), Opts);
+      ASSERT_TRUE(S->ok()) << S->error();
+      for (size_t I : Perm)
+        expectSameCore(Fresh[I], S->solve(Queries[I]), Name);
+    }
   }
 }
 
@@ -527,65 +531,6 @@ TEST(SessionTest, IterationCapAndFullFixpointVariantsMatchFresh) {
                              std::to_string(EarlyStop) + " cap=" +
                              std::to_string(MaxIter) + " " + L);
         }
-      }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Frontier-cofactor A/B (off / constrain / restrict)
-//===----------------------------------------------------------------------===//
-
-TEST(SessionTest, CofactorModesAgreeOnVerdictsAndRounds) {
-  // The restrict-vs-constrain A/B differential: all three settings must
-  // agree on verdicts, rounds, and summary sizes — fresh and in session
-  // mode — on the fixture and on generator programs. The cofactor only
-  // runs in narrow delta rounds, which need a round that allocates a
-  // quarter of the unique table's slots: the Bluetooth model with one
-  // adder and two stoppers does at context bound 3, so there the test
-  // also requires that the cofactor actually ran.
-  gen::TerminatorParams T;
-  T.CounterBits = 4;
-  T.NumDeadVars = 2;
-  T.Reachable = false;
-  gen::Workload Term = gen::terminatorProgram(T);
-
-  struct Case {
-    const char *Engine;
-    std::string Src;
-    std::string Label;
-    unsigned ContextBound = 0; ///< 0 = the default.
-    bool Narrow = false;       ///< Reaches narrow rounds.
-  } Cases[] = {
-      {"ef-split", seqFixture(), "ERR"},
-      {"ef-split", Term.Source, Term.TargetLabel},
-      {"conc", concFixture(), "ERR"},
-      {"conc", gen::bluetoothModel(1, 2), "ERR", 3, true},
-  };
-  for (const Case &C : Cases) {
-    SolverOptions Opts;
-    Opts.Engine = C.Engine;
-    if (C.ContextBound != 0)
-      Opts.ContextBound = C.ContextBound;
-    Opts.FrontierCofactor = fpc::CofactorMode::Off;
-    SolveResult Off =
-        Solver::solve(Query::fromSource(C.Src).target(C.Label), Opts);
-    ASSERT_TRUE(Off.ok()) << Off.Error;
-    for (fpc::CofactorMode Mode :
-         {fpc::CofactorMode::Constrain, fpc::CofactorMode::Restrict}) {
-      Opts.FrontierCofactor = Mode;
-      std::string Name = std::string(C.Engine) + " cofactor " +
-                         fpc::cofactorModeName(Mode);
-      SolveResult Fresh =
-          Solver::solve(Query::fromSource(C.Src).target(C.Label), Opts);
-      expectSameCore(Off, Fresh, "fresh " + Name);
-      std::unique_ptr<SolverSession> S =
-          Solver::open(Query::fromSource(C.Src), Opts);
-      SolveResult Sess = S->solve(Query::fromSource("").target(C.Label));
-      expectSameCore(Off, Sess, "session " + Name);
-      if (C.Narrow) {
-        EXPECT_GT(Fresh.Cofactor.Applications, 0u) << "fresh " << Name;
-        EXPECT_GT(Sess.Cofactor.Applications, 0u) << "session " << Name;
       }
     }
   }

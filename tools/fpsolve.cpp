@@ -27,8 +27,6 @@
 ///                     independent dependency SCCs run on a work-stealing
 ///                     pool over per-worker BDD managers (default 1;
 ///                     results bit-identical)
-///     --frontier-cofactor {constrain,restrict,off}
-///                     generalized cofactor of narrow delta rounds
 ///     --timeout-ms n  wall-clock deadline for the whole run (0 = none)
 ///     --node-budget n cap on BDD nodes allocated (0 = unlimited)
 ///
@@ -59,7 +57,6 @@ int usage() {
   std::fprintf(stderr,
                "usage: fpsolve [--eval R[,S,...]] [--count] [--stats] "
                "[--strategy naive|semi-naive] [--threads n] "
-               "[--frontier-cofactor constrain|restrict|off] "
                "[--timeout-ms n] [--node-budget n] "
                "<system.mu>\n");
   return 2;
@@ -117,7 +114,6 @@ uint64_t printTuples(Evaluator &Ev, const System &Sys, RelId Rel,
 int main(int Argc, char **Argv) {
   std::string File, EvalRel;
   bool CountOnly = false, Stats = false;
-  CofactorMode Cofactor = CofactorMode::Constrain;
   unsigned Threads = 1;
   uint64_t TimeoutMs = 0;
   uint64_t NodeBudget = 0;
@@ -157,9 +153,6 @@ int main(int Argc, char **Argv) {
       if (I + 1 >= Argc)
         return usage();
       NodeBudget = uint64_t(std::atoll(Argv[++I]));
-    } else if (Arg == "--frontier-cofactor") {
-      if (I + 1 >= Argc || !parseCofactorMode(Argv[++I], Cofactor))
-        return usage();
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage();
     } else {
@@ -228,8 +221,7 @@ int main(int Argc, char **Argv) {
       Gov.setNodeBudget(NodeBudget);
     Mgr.setGovernor(&Gov);
   }
-  Evaluator Ev(*Sys, Mgr, Layout::sequential(*Sys, Mgr), Strategy,
-               Cofactor);
+  Evaluator Ev(*Sys, Mgr, Layout::sequential(*Sys, Mgr), Strategy);
   Ev.setThreads(Threads);
   bindFacts(Ev, *Sys, Facts);
 

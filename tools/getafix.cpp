@@ -49,9 +49,6 @@
 ///                        unlimited); exhaustion prints
 ///                        "TIMEOUT (node budget)" and exits 5 (a solve
 ///                        cancelled through the API exits 6)
-///     --frontier-cofactor {constrain,restrict,off}
-///                        generalized cofactor applied in narrow delta
-///                        rounds (ablation; results identical)
 ///     --witness          print a counterexample trace when the target is
 ///                        reachable (engines that support extraction)
 ///     --print-formula    dump the fixed-point equation system and exit
@@ -96,9 +93,8 @@ int usage() {
                "[--rounds r] [--round-robin]\n"
                "               [--strategy naive|semi-naive] "
                "[--max-iterations n]\n"
-               "               [--threads n] "
-               "[--frontier-cofactor constrain|restrict|off]\n"
-               "               [--timeout-ms n] [--node-budget n]\n"
+               "               [--threads n] [--timeout-ms n] "
+               "[--node-budget n]\n"
                "               [--no-reuse] [--monolithic-summary]\n"
                "               [--witness] [--print-formula] [--stats] "
                "<program.bp>\n",
@@ -187,14 +183,6 @@ void printStatsBody(const CliOptions &Opts, const SolveResult &R,
   std::printf("%s\"gc_reclaimed\": %llu,\n", Pad,
               (unsigned long long)R.Bdd.GcReclaimed);
   std::printf("%s\"peak_nodes\": %zu,\n", Pad, R.Bdd.PeakNodes);
-  if (R.Cofactor.Applications) {
-    std::printf("%s\"cofactor\": {\"mode\": \"%s\", \"applications\": %llu, "
-                "\"support_before\": %llu, \"support_after\": %llu},\n",
-                Pad, fpc::cofactorModeName(Opts.Solver.FrontierCofactor),
-                (unsigned long long)R.Cofactor.Applications,
-                (unsigned long long)R.Cofactor.SupportBefore,
-                (unsigned long long)R.Cofactor.SupportAfter);
-  }
   if (R.ReachStates != 0.0)
     std::printf("%s\"reach_states\": %.0f,\n", Pad, R.ReachStates);
   if (R.TransformedGlobals)
@@ -402,10 +390,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return usage();
       Opts.Solver.NodeBudget = uint64_t(std::atoll(V));
-    } else if (Arg == "--frontier-cofactor") {
-      const char *V = Next();
-      if (!V || !fpc::parseCofactorMode(V, Opts.Solver.FrontierCofactor))
-        return usage();
     } else if (Arg == "--no-reuse") {
       Opts.Solver.SessionReuse = false;
     } else if (Arg == "--monolithic-summary") {
