@@ -421,6 +421,11 @@ public:
   /// nodes times their storage share plus the computed caches as
   /// allocated. This is the signal a memory-budgeted session pool evicts
   /// on — an estimate, not RSS.
+  ///
+  /// The three gauges read a sample the session takes once per query, at
+  /// its end (one mark pass per manager), so a read costs nothing and
+  /// stays exact until the next query; `clearComputedCache` removes the
+  /// caches' share from it.
   virtual size_t memoryFootprint() const { return 0; }
 };
 

@@ -7,12 +7,75 @@
 #include "bdd/Bdd.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <new>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace getafix;
+
+namespace {
+
+/// Open-addressing set of nonzero keys — node indices, or node pairs
+/// packed into 64 bits; 0 never occurs, since node 0 is a terminal no
+/// walk stores. One flat array probed linearly, sized to the walk (not to
+/// the node table) and doubled at half load: the visited set of the dag
+/// walks, without a heap node per element.
+template <typename Key> class FlatSet {
+public:
+  /// Inserts \p K; false when it was already present.
+  bool insert(Key K) {
+    if (2 * (Count + 1) > Slots.size())
+      grow();
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = slotOf(K, Mask);; I = (I + 1) & Mask) {
+      if (Slots[I] == K)
+        return false;
+      if (Slots[I] == 0) {
+        Slots[I] = K;
+        ++Count;
+        return true;
+      }
+    }
+  }
+
+  bool contains(Key K) const {
+    if (Slots.empty())
+      return false;
+    const size_t Mask = Slots.size() - 1;
+    for (size_t I = slotOf(K, Mask);; I = (I + 1) & Mask) {
+      if (Slots[I] == K)
+        return true;
+      if (Slots[I] == 0)
+        return false;
+    }
+  }
+
+  size_t size() const { return Count; }
+
+private:
+  static size_t slotOf(Key K, size_t Mask) {
+    uint64_t H = uint64_t(K) * 0x9e3779b97f4a7c15ull;
+    return size_t(H ^ (H >> 32)) & Mask;
+  }
+
+  void grow() {
+    std::vector<Key> Old = std::move(Slots);
+    Slots.assign(std::max<size_t>(64, 2 * Old.size()), Key(0));
+    Count = 0;
+    for (Key K : Old)
+      if (K != 0)
+        insert(K);
+  }
+
+  std::vector<Key> Slots;
+  size_t Count = 0;
+};
+
+/// Backs `BddManager::markPasses`.
+std::atomic<uint64_t> MarkPasses{0};
+
+} // namespace
 
 const char *getafix::bddOpName(BddOp Op) {
   switch (Op) {
@@ -183,12 +246,12 @@ size_t Bdd::nodeCount() const {
   assert(Mgr && "null bdd");
   if (Idx <= 1)
     return 0;
-  std::unordered_set<uint32_t> Seen;
+  FlatSet<uint32_t> Seen;
   std::vector<uint32_t> Stack{Idx};
   while (!Stack.empty()) {
     uint32_t N = Stack.back();
     Stack.pop_back();
-    if (N <= 1 || !Seen.insert(N).second)
+    if (N <= 1 || !Seen.insert(N))
       continue;
     Stack.push_back(Mgr->lowOf(N));
     Stack.push_back(Mgr->highOf(N));
@@ -199,12 +262,12 @@ size_t Bdd::nodeCount() const {
 std::vector<unsigned> Bdd::support() const {
   assert(Mgr && "null bdd");
   std::vector<bool> InSupport(Mgr->numVars(), false);
-  std::unordered_set<uint32_t> Seen;
+  FlatSet<uint32_t> Seen;
   std::vector<uint32_t> Stack{Idx};
   while (!Stack.empty()) {
     uint32_t N = Stack.back();
     Stack.pop_back();
-    if (N <= 1 || !Seen.insert(N).second)
+    if (N <= 1 || !Seen.insert(N))
       continue;
     InSupport[Mgr->varOf(N)] = true;
     Stack.push_back(Mgr->lowOf(N));
@@ -226,6 +289,46 @@ bool Bdd::eval(const std::vector<bool> &Assignment) const {
     N = Assignment[V] ? Mgr->highOf(N) : Mgr->lowOf(N);
   }
   return N == 1;
+}
+
+bool Bdd::intersects(const Bdd &Other) const {
+  assert(Mgr && Mgr == Other.Mgr && "operands from different managers");
+  struct Walker {
+    const BddManager *M;
+    /// Operand pairs found disjoint where the walk split: the only pairs
+    /// it can reach twice, since a walk that does not split is one path.
+    FlatSet<uint64_t> Disjoint;
+
+    bool walk(uint32_t F, uint32_t G) {
+      for (;;) {
+        if (F == 0 || G == 0)
+          return false;
+        if (F == 1 || G == 1 || F == G)
+          return true;
+        uint32_t VF = M->varOf(F), VG = M->varOf(G);
+        uint32_t V = std::min(VF, VG);
+        uint32_t F0 = VF == V ? M->lowOf(F) : F;
+        uint32_t F1 = VF == V ? M->highOf(F) : F;
+        uint32_t G0 = VG == V ? M->lowOf(G) : G;
+        uint32_t G1 = VG == V ? M->highOf(G) : G;
+        bool Low = F0 != 0 && G0 != 0, High = F1 != 0 && G1 != 0;
+        if (Low && High) {
+          uint64_t Key = uint64_t(F) << 32 | G;
+          if (Disjoint.contains(Key))
+            return false;
+          if (walk(F0, G0) || walk(F1, G1))
+            return true;
+          Disjoint.insert(Key);
+          return false;
+        }
+        if (!Low && !High)
+          return false;
+        F = Low ? F0 : F1;
+        G = Low ? G0 : G1;
+      }
+    }
+  } W{Mgr, {}};
+  return W.walk(Idx, Other.Idx);
 }
 
 std::vector<int8_t> Bdd::onePath() const {
@@ -492,7 +595,12 @@ void BddManager::deref(uint32_t N) {
 
 size_t BddManager::liveNodeCount() const { return NodeEnd - 2 - NumFree; }
 
+uint64_t BddManager::markPasses() {
+  return MarkPasses.load(std::memory_order_relaxed);
+}
+
 std::vector<uint8_t> BddManager::markReachable() const {
+  MarkPasses.fetch_add(1, std::memory_order_relaxed);
   std::vector<uint8_t> Marked(NodeEnd, 0);
   Marked[0] = Marked[1] = 1;
   std::vector<uint32_t> Stack;
@@ -511,12 +619,14 @@ std::vector<uint8_t> BddManager::markReachable() const {
   return Marked;
 }
 
-size_t BddManager::reachableNodeCount() const {
+BddGauge BddManager::gauge() const {
   std::vector<uint8_t> Marked = markReachable();
-  size_t Count = 0;
+  BddGauge G;
   for (uint32_t N = 2; N < NodeEnd; ++N)
-    Count += Marked[N];
-  return Count;
+    G.Nodes += Marked[N];
+  G.NodeBytes = G.Nodes * (sizeof(Node) + 2 * sizeof(uint32_t));
+  G.CacheBytes = Cache.size() * sizeof(CacheEntry);
+  return G;
 }
 
 void BddManager::beginOp() {

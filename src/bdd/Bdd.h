@@ -14,7 +14,8 @@
 ///   - the and-exists relational product (the image-computation workhorse)
 ///   - variable renaming via interned permutations (building each renamed
 ///     node directly wherever the rename keeps it above its children)
-///   - sat-counting, support computation, dag-size counting, evaluation
+///   - sat-counting, support computation, dag-size counting, evaluation,
+///     and a node-free intersection test
 ///
 /// Memory is managed with external reference counts held by the RAII `Bdd`
 /// handle plus a mark-and-sweep collector that runs only at operation entry
@@ -145,6 +146,13 @@ public:
   std::vector<unsigned> support() const;
   /// Evaluates under a total assignment (indexed by variable).
   bool eval(const std::vector<bool> &Assignment) const;
+  /// Whether the two functions share a satisfying assignment: the answer
+  /// of `!(*this & Other).isZero()` without building the conjunction. A
+  /// read-only walk of both dags that creates no node and never probes
+  /// the computed cache. Against a cube (a conjunction of literals, a
+  /// minterm included) it is one walk down this dag; in general it visits
+  /// each pair of nodes at most once per split of the walk.
+  bool intersects(const Bdd &Other) const;
   /// One satisfying partial assignment: -1 don't-care, 0 false, 1 true.
   /// Requires a non-zero BDD.
   std::vector<int8_t> onePath() const;
@@ -210,6 +218,28 @@ struct BddStats {
     D.GcRuns -= Before.GcRuns;
     D.GcReclaimed -= Before.GcReclaimed;
     return D;
+  }
+};
+
+/// One reading of the memory gauges of one or more managers, taken with a
+/// single mark pass per manager (`BddManager::gauge`). Sessions sample
+/// it at the end of each query and answer every later read from it: the
+/// sample stays exact until the next operation on the manager.
+struct BddGauge {
+  /// Nodes reachable from external references: what `gc()` would keep.
+  size_t Nodes = 0;
+  /// Their storage share: node record, reference count, one table slot.
+  size_t NodeBytes = 0;
+  /// Computed caches as allocated; 0 for a released cache.
+  size_t CacheBytes = 0;
+
+  /// The footprint estimate: live working set plus caches.
+  size_t bytes() const { return NodeBytes + CacheBytes; }
+  BddGauge &operator+=(const BddGauge &Other) {
+    Nodes += Other.Nodes;
+    NodeBytes += Other.NodeBytes;
+    CacheBytes += Other.CacheBytes;
+    return *this;
   }
 };
 
@@ -348,32 +378,28 @@ public:
     }
     return S;
   }
+  /// Allocated node records, garbage awaiting the next collection
+  /// included.
   size_t liveNodeCount() const;
 
-  /// Number of nodes reachable from external references right now — the
-  /// count `gc()` would leave behind, computed by a mark-only pass with
-  /// no sweep, no free-list churn, and no cache invalidation.
+  /// The memory gauges of this manager right now, from one mark-only pass
+  /// (no sweep, no free-list churn, no cache invalidation): the nodes
+  /// reachable from external references — the count `gc()` would leave
+  /// behind — and the estimated heap bytes of them and of the computed
+  /// cache as currently allocated (nothing after `clearComputedCache`).
   /// `liveNodeCount()` also counts garbage that merely awaits the next
   /// collection, which badly inflates long-lived sessions whose
-  /// automatic-gc threshold is never reached; resident-memory gauges
-  /// should use this instead. Costs a mark pass over the node table —
-  /// call it at query boundaries, not per operation.
-  size_t reachableNodeCount() const;
+  /// automatic-gc threshold is never reached; resident-memory gauges use
+  /// this instead. The bytes are an estimate, not RSS: free-listed node
+  /// slots, the table's empty slots and the interned cube/permutation
+  /// tables are ignored. Costs a mark pass over the node table — take it
+  /// at query boundaries, not per operation.
+  BddGauge gauge() const;
 
-  /// Estimated heap bytes of this manager's live working set: live nodes
-  /// times their storage share (node record with its refcount, plus one
-  /// unique-table slot) plus the computed cache as currently allocated —
-  /// nothing after `clearComputedCache`. An estimate, not RSS: free-listed
-  /// node slots, the table's empty slots and the interned
-  /// cube/permutation tables are deliberately ignored.
-  size_t memoryEstimate() const { return memoryEstimateFor(liveNodeCount()); }
-
-  /// `memoryEstimate` computed over `reachableNodeCount()` instead of
-  /// `liveNodeCount()`: uncollected garbage is excluded, so this is the
-  /// number a session memory budget should charge.
-  size_t reachableMemoryEstimate() const {
-    return memoryEstimateFor(reachableNodeCount());
-  }
+  /// Mark passes run so far by every manager of the process, collections
+  /// and `gauge()` readings alike. Tests read it to pin how often a
+  /// request walks whole node tables.
+  static uint64_t markPasses();
 
 private:
   friend class Bdd;
@@ -390,11 +416,6 @@ private:
   };
   static constexpr unsigned PageBits = 16;
   static_assert(NodesPerPage == 1u << PageBits, "page geometry");
-
-  size_t memoryEstimateFor(size_t Nodes) const {
-    return Nodes * (sizeof(Node) + 2 * sizeof(uint32_t)) +
-           Cache.size() * sizeof(CacheEntry);
-  }
 
   using Op = BddOp;
 

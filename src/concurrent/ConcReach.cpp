@@ -566,8 +566,10 @@ struct ConcSession::Impl {
   Evaluator Ev;
   IncrementalFixpoint Fix;
 
-  /// High-water mark of retained (reachable) nodes, sampled at the end
-  /// of every query; `peakLiveNodes()` reports it (see SeqSession).
+  /// Memory gauges of the main and worker managers, sampled once at
+  /// construction and at the end of every query, and the high-water mark
+  /// of retained nodes over the end-of-query samples (see SeqSession).
+  BddGauge Gauge;
   size_t PeakLive = 0;
 
   /// Per-attempt resource governor for the next solve (not owned; see
@@ -588,6 +590,13 @@ struct ConcSession::Impl {
     // Targetless binding: the per-thread target relations are read by no
     // clause, so one binding serves every query of the session.
     Engine.bindInputs(Ev, ~0u, ~0u, 0);
+    sampleGauge();
+  }
+
+  /// One mark pass per manager the session owns.
+  void sampleGauge() {
+    Gauge = Mgr.gauge();
+    Gauge += Ev.workerGauge();
   }
 };
 
@@ -605,22 +614,21 @@ void ConcSession::setGovernor(support::ResourceGovernor *G) { I->Gov = G; }
 void ConcSession::clearComputedCache() {
   I->Mgr.clearComputedCache();
   I->Ev.clearWorkerCaches();
+  I->Gauge.CacheBytes = 0;
 }
 
 size_t ConcSession::liveNodes() const {
   // Reachable-only count: garbage awaiting the next collection says
   // nothing about what the session retains (see SeqSession::liveNodes).
-  return I->Mgr.reachableNodeCount() + I->Ev.workerReachableNodes();
+  return I->Gauge.Nodes;
 }
 
 size_t ConcSession::peakLiveNodes() const {
-  // Peak *retained* state, sampled at query boundaries.
-  return std::max(I->PeakLive, liveNodes());
+  // Peak *retained* state over query boundaries, and the current value.
+  return std::max(I->PeakLive, I->Gauge.Nodes);
 }
 
-size_t ConcSession::memoryFootprint() const {
-  return I->Mgr.reachableMemoryEstimate() + I->Ev.workerMemoryEstimate();
-}
+size_t ConcSession::memoryFootprint() const { return I->Gauge.bytes(); }
 
 ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   Impl &S = *I;
@@ -674,7 +682,8 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   Result.CondensationWidth = S.Engine.condensationWidth();
   Result.ImportedNodes = ParDelta.ImportedNodes;
   Result.Seconds = Tm.seconds();
-  S.PeakLive = std::max(S.PeakLive, liveNodes());
+  S.sampleGauge();
+  S.PeakLive = std::max(S.PeakLive, S.Gauge.Nodes);
   return Result;
 }
 

@@ -182,7 +182,8 @@ public:
   /// session's managers (uncollected garbage excluded; peak sampled at
   /// query boundaries) and a bytes estimate of resident state, computed
   /// caches charged as allocated. Feeds the query server's session-pool
-  /// memory budget.
+  /// memory budget. Reads return the sample the session takes at
+  /// construction and at the end of each query.
   size_t liveNodes() const;
   size_t peakLiveNodes() const;
   size_t memoryFootprint() const;

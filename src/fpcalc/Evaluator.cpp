@@ -157,22 +157,13 @@ WorkerContext &Evaluator::workerContext(unsigned Worker) {
   return *Slot;
 }
 
-size_t Evaluator::workerReachableNodes() const {
-  size_t N = 0;
+BddGauge Evaluator::workerGauge() const {
+  BddGauge G;
   if (Par)
     for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
       if (W)
-        N += W->Mgr.reachableNodeCount();
-  return N;
-}
-
-size_t Evaluator::workerMemoryEstimate() const {
-  size_t Bytes = 0;
-  if (Par)
-    for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-      if (W)
-        Bytes += W->Mgr.reachableMemoryEstimate();
-  return Bytes;
+        G += W->Mgr.gauge();
+  return G;
 }
 
 void Evaluator::clearWorkerCaches() {

@@ -201,12 +201,10 @@ public:
   /// parallel schedule ran). Monotone; callers report per-query work via
   /// `BddStats::since`.
   BddStats workerBddStats() const;
-  /// Memory accounting over the per-worker managers, which sessions own
-  /// along with the main manager (all zero before a parallel schedule):
-  /// their nodes reachable from external references, and their
-  /// `reachableMemoryEstimate()` summed — computed caches included.
-  size_t workerReachableNodes() const;
-  size_t workerMemoryEstimate() const;
+  /// Memory gauges of the per-worker managers, which sessions own along
+  /// with the main manager (all zero before a parallel schedule): their
+  /// `BddManager::gauge()` readings summed, one mark pass per worker.
+  BddGauge workerGauge() const;
   /// Releases every per-worker manager's computed cache (see
   /// `BddManager::clearComputedCache`). Call between solves only.
   void clearWorkerCaches();

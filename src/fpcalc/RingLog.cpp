@@ -48,7 +48,7 @@ Bdd RingLog::ring(size_t I) const {
 
 size_t RingLog::firstIntersecting(const Bdd &T) const {
   for (size_t I = 0; I < Pieces.size(); ++I)
-    if (!(Pieces[I].Value & T).isZero())
+    if (Pieces[I].Value.intersects(T))
       return I;
   return Pieces.size();
 }

@@ -71,7 +71,11 @@ public:
   /// is exact for arbitrary chains: if ring i is the first to intersect T
   /// then the intersecting tuple is absent from ring i-1, hence present in
   /// piece i (delta or keyframe alike), and every piece j is a subset of
-  /// ring j, so no earlier piece can intersect first.
+  /// ring j, so no earlier piece can intersect first. Each piece is
+  /// tested with `Bdd::intersects`, which builds no node and probes no
+  /// cache. For a concrete tuple over the relation's formals (the witness
+  /// walk's rank query) a test is one path down the piece, so a scan is
+  /// O(rank × tuple bits) reads with no allocation.
   size_t firstIntersecting(const Bdd &T) const;
 
   /// A full keyframe every K appended rounds: 1 stores every round full

@@ -646,8 +646,15 @@ struct SeqSession::Impl {
   /// created on the first witness query.
   std::unique_ptr<WitnessSession> Witness;
 
-  /// High-water mark of retained (reachable) nodes, sampled at the end
-  /// of every query; `peakLiveNodes()` reports it. Allocation high-water
+  /// The memory gauges of every manager the session owns, sampled once
+  /// at construction and at the end of every query (`sampleGauge`) and
+  /// read by `liveNodes`/`memoryFootprint` — and so by the server pool —
+  /// until the next sample. Exact in between: nothing else touches the
+  /// managers, and `clearComputedCache` zeroes the cache share it frees.
+  BddGauge Gauge;
+
+  /// High-water mark of retained (reachable) nodes over the end-of-query
+  /// samples; `peakLiveNodes()` reports it. Allocation high-water
   /// (`BddStats::PeakNodes`) would also count uncollected garbage, which
   /// the retention diet deliberately produces more of in exchange for
   /// retaining far less.
@@ -676,6 +683,22 @@ struct SeqSession::Impl {
     // targetless binding serves every query; rebinding per target would
     // needlessly drop the evaluator's memo layers.
     Engine.encoder().bind(Ev, ~0u, 0);
+    sampleGauge();
+  }
+
+  /// One mark pass per manager: the main one and the parallel workers'.
+  /// The witness sub-session contributes the sample its own last query
+  /// took — its managers have not been touched since.
+  void sampleGauge() {
+    Gauge = Mgr.gauge();
+    Gauge += Ev.workerGauge();
+    if (Witness)
+      Gauge += Witness->gauge();
+  }
+
+  void noteQueryEnd() {
+    sampleGauge();
+    PeakLive = std::max(PeakLive, Gauge.Nodes);
   }
 };
 
@@ -700,6 +723,7 @@ void SeqSession::clearComputedCache() {
   I->Ev.clearWorkerCaches();
   if (I->Witness)
     I->Witness->clearComputedCache();
+  I->Gauge.CacheBytes = 0;
 }
 
 size_t SeqSession::liveNodes() const {
@@ -708,20 +732,16 @@ size_t SeqSession::liveNodes() const {
   // awaits the next collection — transient solve intermediates that say
   // nothing about what the session retains. Parallel worker managers,
   // once a query has built them, are session state too.
-  return I->Mgr.reachableNodeCount() + I->Ev.workerReachableNodes() +
-         (I->Witness ? I->Witness->liveNodes() : 0);
+  return I->Gauge.Nodes;
 }
 
 size_t SeqSession::peakLiveNodes() const {
-  // Peak *retained* state, sampled at query boundaries (plus the current
-  // value, so the gauge never under-reports a freshly grown session).
-  return std::max(I->PeakLive, liveNodes());
+  // Peak *retained* state over query boundaries, and the current value,
+  // so the gauge never under-reports a session that has not queried yet.
+  return std::max(I->PeakLive, I->Gauge.Nodes);
 }
 
-size_t SeqSession::memoryFootprint() const {
-  return I->Mgr.reachableMemoryEstimate() + I->Ev.workerMemoryEstimate() +
-         (I->Witness ? I->Witness->memoryFootprint() : 0);
-}
+size_t SeqSession::memoryFootprint() const { return I->Gauge.bytes(); }
 
 SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
   Impl &S = *I;
@@ -859,7 +879,7 @@ SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
   Result.SccsSolvedParallel = ParDelta.SccsSolvedParallel;
   Result.ImportedNodes = ParDelta.ImportedNodes;
   Result.Seconds = T.seconds();
-  S.PeakLive = std::max(S.PeakLive, liveNodes());
+  S.noteQueryEnd();
   return Result;
 }
 
@@ -901,7 +921,7 @@ WitnessResult SeqSession::solveWithWitness(unsigned ProcId, unsigned Pc) {
     I->Witness->setGovernor(I->Gov);
   }
   WitnessResult R = I->Witness->query(ProcId, Pc);
-  I->PeakLive = std::max(I->PeakLive, liveNodes());
+  I->noteQueryEnd();
   return R;
 }
 

@@ -214,8 +214,9 @@ public:
   /// as allocated (nothing for a cache `clearComputedCache` freed and no
   /// operation has re-allocated). Estimates, not RSS; they exist so
   /// an eviction policy has a monotone-ish signal, not for accounting.
-  /// Each read costs a mark pass over the node table — query-boundary
-  /// cheap, not per-operation cheap.
+  /// The session samples them once at construction and at the end of
+  /// each query — one mark pass per manager — and every read returns
+  /// that sample, which is exact until the next query: reads are free.
   size_t liveNodes() const;
   size_t peakLiveNodes() const;
   size_t memoryFootprint() const;

@@ -80,30 +80,18 @@ public:
       OwnEv->clearWorkerCaches();
   }
 
-  // In borrowed mode the gauges report 0: the owning session already
-  // counts the shared manager, and double-counting would inflate the
-  // server pool's budget math. Counts are reachable-only (garbage
-  // awaiting collection excluded); the peak is the retained high-water
-  // sampled at query boundaries.
-  size_t liveNodes() const {
-    if (Borrowed)
-      return 0;
-    return Mgr->reachableNodeCount() +
-           (OwnEv ? OwnEv->workerReachableNodes() : 0);
+  /// The gauges of the managers this extractor owns: none in borrowed
+  /// mode, where the owning session already counts the shared manager
+  /// and double-counting would inflate the server pool's budget math.
+  BddGauge gauge() const {
+    BddGauge G;
+    if (!Borrowed) {
+      G = Mgr->gauge();
+      if (OwnEv)
+        G += OwnEv->workerGauge();
+    }
+    return G;
   }
-  size_t peakLiveNodes() const {
-    return Borrowed ? 0 : std::max(PeakLive, liveNodes());
-  }
-  size_t memoryFootprint() const {
-    if (Borrowed)
-      return 0;
-    return Mgr->reachableMemoryEstimate() +
-           (OwnEv ? OwnEv->workerMemoryEstimate() : 0);
-  }
-
-  /// High-water mark of retained (reachable) nodes, sampled at the end
-  /// of every owned-mode query; `peakLiveNodes()` reports it.
-  size_t PeakLive = 0;
 
 private:
   /// Runs the ring-recording solve on first use and snapshots the
@@ -523,8 +511,6 @@ WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
     Result.Bdd = Mgr->stats();
   }
   Mgr->setGovernor(nullptr);
-  if (!Borrowed)
-    PeakLive = std::max(PeakLive, Mgr->reachableNodeCount());
   return Result;
 }
 
@@ -542,6 +528,10 @@ WitnessResult reach::checkReachabilityWithWitness(const bp::ProgramCfg &Cfg,
 
 struct WitnessSession::Impl {
   WitnessExtractor Extractor;
+  /// The extractor's gauges as its last query left them (counts are
+  /// reachable-only), and the high-water mark of their node count.
+  BddGauge Gauge;
+  size_t PeakLive = 0;
   Impl(const bp::ProgramCfg &Cfg, const SeqOptions &Opts)
       : Extractor(Cfg, Opts) {}
   Impl(SeqEngine &Engine, BddManager &Mgr, Evaluator &Ev,
@@ -562,7 +552,10 @@ WitnessSession::WitnessSession(SeqEngine &Engine, BddManager &Mgr,
 WitnessSession::~WitnessSession() = default;
 
 WitnessResult WitnessSession::query(unsigned ProcId, unsigned Pc) {
-  return I->Extractor.query(ProcId, Pc);
+  WitnessResult R = I->Extractor.query(ProcId, Pc);
+  I->Gauge = I->Extractor.gauge();
+  I->PeakLive = std::max(I->PeakLive, I->Gauge.Nodes);
+  return R;
 }
 
 bool WitnessSession::solved() const { return I->Extractor.solved(); }
@@ -573,17 +566,12 @@ void WitnessSession::setGovernor(support::ResourceGovernor *G) {
 
 void WitnessSession::clearComputedCache() {
   I->Extractor.clearComputedCache();
+  I->Gauge.CacheBytes = 0;
 }
 
-size_t WitnessSession::liveNodes() const { return I->Extractor.liveNodes(); }
+BddGauge WitnessSession::gauge() const { return I->Gauge; }
 
-size_t WitnessSession::peakLiveNodes() const {
-  return I->Extractor.peakLiveNodes();
-}
-
-size_t WitnessSession::memoryFootprint() const {
-  return I->Extractor.memoryFootprint();
-}
+size_t WitnessSession::peakLiveNodes() const { return I->PeakLive; }
 
 WitnessResult
 reach::checkReachabilityOfLabelWithWitness(const bp::ProgramCfg &Cfg,

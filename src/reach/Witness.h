@@ -123,9 +123,9 @@ public:
   /// fixpoint in place (one solve per session, ever) and walks its rings.
   /// The caller keeps all four references alive for the session's
   /// lifetime and serializes queries against its own use of \p Mgr.
-  /// `liveNodes`/`peakLiveNodes`/`memoryFootprint` report 0 in this mode
-  /// (the owner already counts the shared manager) and
-  /// `clearComputedCache` is a no-op (the owner's valve clears it).
+  /// `gauge`/`peakLiveNodes` report 0 in this mode (the owner already
+  /// counts the shared manager) and `clearComputedCache` is a no-op (the
+  /// owner's valve clears it).
   WitnessSession(SeqEngine &Engine, BddManager &Mgr, fpc::Evaluator &Ev,
                  fpc::IncrementalFixpoint &Fix, const SeqOptions &Opts);
   ~WitnessSession();
@@ -148,14 +148,14 @@ public:
   /// (performance valve, bit-identical results).
   void clearComputedCache();
 
-  /// Reachable-only live / peak node counts of the extractor's BDD
-  /// managers (0 before the lazy solve has run; peak sampled at query
-  /// boundaries), and the estimated bytes of resident state, computed
-  /// caches charged as allocated. These feed the owning session's
-  /// `memoryFootprint`.
-  size_t liveNodes() const;
+  /// The memory gauges of the extractor's own BDD managers — reachable
+  /// nodes and the estimated bytes of resident state, computed caches
+  /// charged as allocated — as sampled at the end of the last query (one
+  /// mark pass per manager; all zero before the first), and the
+  /// high-water mark of the node count over those samples. The gauge
+  /// feeds the owning session's `memoryFootprint`.
+  BddGauge gauge() const;
   size_t peakLiveNodes() const;
-  size_t memoryFootprint() const;
 
 private:
   struct Impl;

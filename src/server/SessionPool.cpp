@@ -15,8 +15,11 @@
 // ever try_locks an entry mutex, so the inverted order cannot deadlock
 // and a leased session's state is never touched — for leased entries it
 // reads only the session's lock-free footprint gauge, which is why the
-// pointer itself must be PoolMu-stable. Expensive session open/teardown
-// stays outside PoolMu; only the pointer swap happens under it.
+// pointer itself must be PoolMu-stable. Nothing under PoolMu walks a
+// node table: footprints are the samples sessions take at the end of
+// each query, so a budget scan is arithmetic over the entries. Expensive
+// session open/teardown stays outside PoolMu; only the pointer swap
+// happens under it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +47,9 @@ struct SessionPool::Entry {
   /// Computed cache cleared by the budget valve and not used since (a
   /// second clear would free nothing, so phase 1 skips such entries).
   bool ValveCold = false;
-  size_t Footprint = 0; ///< Estimate cached at last lease release.
+  /// The session's footprint sample as of its last lease release (or
+  /// valve clear); refreshed from the lock-free gauge while leased.
+  size_t Footprint = 0;
   uint64_t LastUse = 0;
   uint64_t OpenCount = 0;
 };
@@ -175,8 +180,9 @@ SessionPool::Lease SessionPool::acquire(const std::string &Key,
 }
 
 void SessionPool::noteRelease(Entry &E) {
-  // Footprint is sampled here, under the entry mutex, so the estimate
-  // reflects everything the lease's queries allocated.
+  // The session sampled its footprint at the end of the lease's last
+  // query, so the estimate reflects everything the lease allocated; no
+  // query runs again before the next lease, so it stays exact until then.
   size_t Foot = E.S ? E.S->memoryFootprint() : 0;
   std::lock_guard<std::mutex> G(PoolMu);
   E.Footprint = Foot;
@@ -213,26 +219,21 @@ void SessionPool::enforceBudget() {
     bool Acted = false;
     {
       std::lock_guard<std::mutex> G(PoolMu);
-      // Re-sample every resident entry before deciding anything: the
-      // cached release-time sample goes stale the moment a session grows
+      // Refresh every leased entry before deciding anything: its
+      // release-time sample goes stale the moment the session grows
       // *during* a lease (e.g. a later query triggers its witness solve),
-      // and a budget decision on stale numbers under-reclaims. Unleased
-      // entries are sampled exactly (their mutex is free); leased ones —
-      // and the rare unleased entry whose try_lock loses a race — are
-      // read through the session's lock-free gauge, updated by the API
-      // layer at the end of every query. Gated on an actual byte budget;
-      // the count-only policy never reads footprints.
+      // and a budget decision on stale numbers under-reclaims. The
+      // session's lock-free gauge, stored by the API layer at the end of
+      // every query, carries the growth. An unleased entry keeps its
+      // release-time sample, which is exact: nothing runs a query on a
+      // session between leases. Gated on an actual byte budget; the
+      // count-only policy never reads footprints.
       if (Opts.MemoryBudgetBytes != 0)
         for (const auto &KV : Map) {
           Entry &E = *KV.second;
-          if (!E.Resident || !E.S)
-            continue;
-          if (!E.Leased && E.Mu.try_lock()) {
-            E.Footprint = E.S->memoryFootprint();
-            E.Mu.unlock();
-          } else if (size_t Gauge = E.S->lastSampledFootprint()) {
-            E.Footprint = Gauge;
-          }
+          if (E.Resident && E.Leased && E.S)
+            if (size_t Gauge = E.S->lastSampledFootprint())
+              E.Footprint = Gauge;
         }
       size_t Total = 0, Resident = 0;
       for (const auto &KV : Map)
@@ -258,7 +259,8 @@ void SessionPool::enforceBudget() {
       // Phase 1 — the coarse valve: clear the computed cache of the
       // least-recently-used session that still has a warm cache. Cheap,
       // keeps all solved state, and frees the caches, so the footprint
-      // estimate drops by their share immediately.
+      // estimate drops by their share immediately: the session takes it
+      // out of its sample, whose node share the clear leaves exact.
       if (OverBudget) {
         for (Entry *C : Lru) {
           if (C->ValveCold || !C->Mu.try_lock())

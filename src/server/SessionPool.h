@@ -11,7 +11,9 @@
 /// is that queries against an already-solved program are nearly free — so
 /// the pool keeps sessions alive across requests and evicts least-
 /// recently-used ones only when a configurable memory budget (summed
-/// `SolverSession::memoryFootprint()` estimates) is exceeded.
+/// `SolverSession::memoryFootprint()` estimates) is exceeded. Those
+/// estimates are samples each session takes once at the end of every
+/// query; the pool only reads them, so budgeting costs no node-table walk.
 ///
 /// Reclamation is two-phase, coarse valve first:
 ///

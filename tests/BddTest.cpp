@@ -335,6 +335,101 @@ TEST(BddTest, SupportAndNodeCount) {
   EXPECT_EQ(Mgr.one().nodeCount(), 0u);
 }
 
+namespace {
+
+/// A random OR of random cubes over \p NumVars variables: functions too
+/// wide for a truth table, with dags of a few hundred nodes.
+Bdd randomCubeCover(BddManager &Mgr, Rng &R, unsigned NumVars,
+                    unsigned Cubes) {
+  Bdd F = Mgr.zero();
+  for (unsigned C = 0; C < Cubes; ++C) {
+    Bdd Cube = Mgr.one();
+    for (unsigned V = 0; V < NumVars; ++V)
+      if (R.chance(1, 3))
+        Cube &= R.flip() ? Mgr.var(V) : Mgr.nvar(V);
+    F |= Cube;
+  }
+  return F;
+}
+
+/// Does \p F depend on \p V? Decided by cofactoring, with no dag walk.
+bool dependsOn(BddManager &Mgr, const Bdd &F, unsigned V) {
+  BddCube Cube = Mgr.makeCube({V});
+  return (F & Mgr.var(V)).exists(Cube) != (F & Mgr.nvar(V)).exists(Cube);
+}
+
+} // namespace
+
+TEST(BddTest, NodeCountAndSupportMatchCofactorEnumeration) {
+  // Reference: a node of an ROBDD is a distinct non-constant subfunction
+  // reached by cofactoring on top variables, and the support is the set
+  // of those top variables — both computed here through the operations
+  // only, never through the dag walk under test. Dags of hundreds of
+  // nodes make the walk's visited set grow several times.
+  const unsigned NumVars = 14;
+  BddManager Mgr(NumVars);
+  Rng R(31);
+  for (unsigned Trial = 0; Trial < 12; ++Trial) {
+    Bdd F = randomCubeCover(Mgr, R, NumVars, 4 + 3 * Trial);
+    std::vector<Bdd> Stack{F};
+    std::vector<uint32_t> Seen;
+    std::vector<unsigned> Support;
+    while (!Stack.empty()) {
+      Bdd G = Stack.back();
+      Stack.pop_back();
+      if (G.isConst() || std::find(Seen.begin(), Seen.end(),
+                                   G.rawIndex()) != Seen.end())
+        continue;
+      Seen.push_back(G.rawIndex());
+      unsigned Top = 0;
+      while (!dependsOn(Mgr, G, Top))
+        ++Top;
+      Support.push_back(Top);
+      BddCube Cube = Mgr.makeCube({Top});
+      Stack.push_back((G & Mgr.var(Top)).exists(Cube));
+      Stack.push_back((G & Mgr.nvar(Top)).exists(Cube));
+    }
+    std::sort(Support.begin(), Support.end());
+    Support.erase(std::unique(Support.begin(), Support.end()), Support.end());
+    EXPECT_EQ(F.nodeCount(), Seen.size()) << "trial " << Trial;
+    EXPECT_EQ(F.support(), Support) << "trial " << Trial;
+  }
+}
+
+TEST_P(BddPropertyTest, IntersectsAgreesWithConjunctionAndBuildsNothing) {
+  // `intersects` answers whether A & B is satisfiable by walking the two
+  // dags: against minterms and cubes (the witness walk's rank query) and
+  // against general functions, where the walk splits and memoizes. No
+  // call may create a node or probe the computed cache.
+  const unsigned NumVars = 12;
+  BddManager Mgr(NumVars);
+  Rng R(GetParam() ^ 0x7777);
+  auto randomCube = [&](bool Minterm) {
+    Bdd C = Mgr.one();
+    for (unsigned V = 0; V < NumVars; ++V)
+      if (Minterm || R.flip())
+        C &= R.flip() ? Mgr.var(V) : Mgr.nvar(V);
+    return C;
+  };
+  for (unsigned Trial = 0; Trial < 40; ++Trial) {
+    Bdd A = Trial % 2 ? randomFunction(Mgr, R, 6, 8).first
+                      : randomCubeCover(Mgr, R, NumVars, 6);
+    const Bdd Operands[] = {randomCube(true), randomCube(false),
+                            randomFunction(Mgr, R, 6, 8).first,
+                            randomCubeCover(Mgr, R, NumVars, 6),
+                            Mgr.zero(), Mgr.one(), A, !A};
+    for (const Bdd &B : Operands) {
+      bool Expected = !(A & B).isZero();
+      BddStats Before = Mgr.stats();
+      EXPECT_EQ(A.intersects(B), Expected) << "trial " << Trial;
+      EXPECT_EQ(B.intersects(A), Expected) << "trial " << Trial;
+      BddStats After = Mgr.stats();
+      EXPECT_EQ(After.NodesCreated, Before.NodesCreated);
+      EXPECT_EQ(After.CacheLookups, Before.CacheLookups);
+    }
+  }
+}
+
 TEST(BddTest, OnePathSatisfies) {
   BddManager Mgr(4);
   Rng R(5);

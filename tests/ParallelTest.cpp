@@ -300,13 +300,13 @@ TEST(ParallelSccTest, WorkerCachesAreChargedAndCleared) {
   FpSolve S = solveRoot(*Sys, Facts, 2, fpc::EvalStrategy::SemiNaive);
   ASSERT_GT(S.SccsParallel, 0u) << "no worker manager was used";
   fpc::Evaluator &Ev = *S.Ev;
-  size_t Warm = Ev.workerMemoryEstimate();
-  size_t Reachable = Ev.workerReachableNodes();
+  size_t Warm = Ev.workerGauge().bytes();
+  size_t Reachable = Ev.workerGauge().Nodes;
   EXPECT_GT(Warm, 0u);
 
   Ev.clearWorkerCaches();
-  EXPECT_LT(Ev.workerMemoryEstimate(), Warm);
-  EXPECT_EQ(Ev.workerReachableNodes(), Reachable);
+  EXPECT_LT(Ev.workerGauge().bytes(), Warm);
+  EXPECT_EQ(Ev.workerGauge().Nodes, Reachable);
 
   // The cleared workers solve again, to the same value.
   Ev.invalidate();

@@ -274,6 +274,46 @@ TEST(ServerTest, FileProgramsPoolAndEvictByPath) {
   std::remove(Path.c_str());
 }
 
+TEST(ServerTest, WarmRequestMarksOnlyItsOwnSessionOnce) {
+  // What a served request costs must follow its answer, not the pool: a
+  // warm single-target request samples its own session's gauges once —
+  // one mark pass per manager the session owns, and the fixture's
+  // sequential session owns one — and walks no other session's node
+  // table. The response's session fields, the lease release, and the
+  // budget scan over every resident session all read that sample.
+  ServerOptions Opts;
+  Opts.Pool.MemoryBudgetBytes = size_t(1) << 30; // Scanned, never tripped.
+  TestServer T(Opts);
+  Client C(T.S.port());
+  gen::DriverParams P;
+  P.NumProcs = 6;
+  P.Reachable = true;
+  std::string Other = gen::driverProgram(P).Source;
+  ASSERT_TRUE(okOf(C.call(solveRequest(Fixture, {"ERR", "SAFE"}))));
+  ASSERT_TRUE(okOf(C.call(solveRequest(Other, {"ERR"}))));
+
+  uint64_t Before = BddManager::markPasses();
+  Json Resp = C.call(solveRequest(Fixture, {"ERR"}));
+  uint64_t Marks = BddManager::markPasses() - Before;
+  ASSERT_TRUE(okOf(Resp)) << errorOf(Resp);
+  EXPECT_EQ(verdictOf(Resp, 0), "YES");
+  EXPECT_LE(Marks, 1u);
+
+  // The sample the fields read is the session's current state.
+  const Json *Session = Resp.find("session");
+  ASSERT_NE(Session, nullptr);
+  EXPECT_GT(Session->find("live_nodes")->asNumber(), 0.0);
+  EXPECT_GE(Session->find("peak_live_nodes")->asNumber(),
+            Session->find("live_nodes")->asNumber());
+  EXPECT_GT(Session->find("footprint_bytes")->asNumber(), 0.0);
+  Json Stats = C.call(R"({"op":"stats"})");
+  const Json *Pool = Stats.find("pool");
+  ASSERT_NE(Pool, nullptr);
+  EXPECT_EQ(Pool->find("resident_sessions")->asNumber(), 2.0);
+  EXPECT_GT(Pool->find("footprint_bytes")->asNumber(),
+            Session->find("footprint_bytes")->asNumber());
+}
+
 //===----------------------------------------------------------------------===//
 // Concurrency
 //===----------------------------------------------------------------------===//

@@ -788,7 +788,7 @@ TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
     EXPECT_EQ(WSeed.Reachable, PSeed.Reachable) << TP << ":" << TPc;
   }
 
-  size_t SeedLive = SeedPlain.liveNodes() + SeedWitness.liveNodes();
+  size_t SeedLive = SeedPlain.liveNodes() + SeedWitness.gauge().Nodes;
   size_t SeedPeak = SeedPlain.peakLiveNodes() + SeedWitness.peakLiveNodes();
   EXPECT_LT(SDiet.liveNodes(), SeedLive) << "ef witness sweep";
   EXPECT_LT(SDiet.peakLiveNodes(), SeedPeak) << "ef witness sweep";

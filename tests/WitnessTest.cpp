@@ -412,3 +412,48 @@ TEST_P(DriverWitnessTest, RandomDriversYieldVerifiedTraces) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DriverWitnessTest,
                          ::testing::Range(uint64_t(1), uint64_t(9)));
+
+//===----------------------------------------------------------------------===//
+// Pinned trace: the served terminator witness
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// FNV-1a over every field of every step.
+uint64_t stepsHash(const std::vector<WitnessStep> &Steps) {
+  uint64_t H = 0xcbf29ce484222325ull;
+  auto Mix = [&H](uint64_t V) {
+    for (unsigned B = 0; B < 8; ++B) {
+      H ^= (V >> (8 * B)) & 0xff;
+      H *= 0x100000001b3ull;
+    }
+  };
+  for (const WitnessStep &S : Steps) {
+    Mix(uint64_t(S.Kind));
+    Mix(S.ProcId);
+    Mix(S.Pc);
+    Mix(S.Locals);
+    Mix(S.Globals);
+  }
+  return H;
+}
+
+} // namespace
+
+TEST(WitnessTest, ServedTerminatorTraceIsPinned) {
+  // The 5-bit reachable terminator's ERR trace, the witness the serving
+  // benchmark requests, walks back through about a thousand rings, so it
+  // runs the rank query at every step. Length and step hash were taken
+  // with the rank query still conjoining each ring piece with the tuple;
+  // a rank lookup that answered differently would pick other
+  // predecessors and move the hash.
+  gen::TerminatorParams TP;
+  TP.CounterBits = 5;
+  TP.Reachable = true;
+  gen::Workload W = gen::terminatorProgram(TP);
+  auto P = parse(W.Source);
+  WitnessResult R = extractAndVerify(P, "ERR");
+  ASSERT_TRUE(R.Reachable);
+  EXPECT_EQ(R.Steps.size(), 1079u);
+  EXPECT_EQ(stepsHash(R.Steps), 0xd91d722d327e2452ull);
+}

@@ -28,6 +28,9 @@
 ///                        section/case/variant plus summary rows)
 ///     --verdicts PATH    write sorted "program label verdict" lines (CI
 ///                        diffs these against the offline getafix tool)
+///     --witnesses PATH   write every served trace, sorted by program and
+///                        label, each under a "== program label" line
+///                        (CI diffs these against `getafix --witness`)
 ///     --emit-workloads DIR
 ///                        generate the labeled serving workloads
 ///                        (terminator + bluetooth) into DIR, print one
@@ -36,9 +39,10 @@
 ///
 /// Each client cycles through the programs; every fourth request sends
 /// the program's full target batch (exercising the server's `solveAll`
-/// path), the others a single rotating target. Verdicts observed by
-/// different clients for the same (program, target) are checked for
-/// consistency — any disagreement is a pooling bug and exits nonzero.
+/// path), the others a single rotating target. Verdicts and traces
+/// observed by different clients for the same (program, target) are
+/// checked for consistency — any disagreement is a pooling bug and exits
+/// nonzero.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,6 +85,7 @@ struct CliOptions {
   unsigned Retries = 3;   ///< Retry budget per failed connect/request.
   std::string JsonPath;
   std::string VerdictsPath;
+  std::string WitnessesPath;
   std::string EmitDir;
 };
 
@@ -93,14 +98,16 @@ int usage() {
       "                    [--engine NAME] [--witness]\n"
       "                    [--timeout-ms N] [--retries N]\n"
       "                    [--json PATH] [--verdicts PATH]\n"
+      "                    [--witnesses PATH]\n"
       "       getafix_load --emit-workloads DIR\n");
   return 2;
 }
 
-/// One observed verdict, with the solver-side seconds of the last
-/// observation (for the bench report).
+/// One observed verdict and trace (empty without one), with the
+/// solver-side seconds of the first observation (for the bench report).
 struct Observation {
   std::string Verdict;
+  std::string Witness;
   double SolverSeconds = 0.0;
   uint64_t Count = 0;
 };
@@ -293,30 +300,39 @@ void clientLoop(const CliOptions &Opts, unsigned ClientIdx,
       }
       const server::Json *Verdict = Row.find("verdict");
       const server::Json *RowErr = Row.find("error");
+      const server::Json *Trace = Row.find("witness");
       std::string V = Verdict && Verdict->isString()
                           ? Verdict->asString()
                           : "ERROR:" + (RowErr && RowErr->isString()
                                             ? RowErr->asString()
                                             : std::string("?"));
+      std::string W =
+          Trace && Trace->isString() ? Trace->asString() : std::string();
       auto Key = std::make_pair(P.Path, Target->asString());
       auto It = Results.Verdicts.find(Key);
       if (It == Results.Verdicts.end()) {
         Observation O;
         O.Verdict = V;
+        O.Witness = std::move(W);
         const server::Json *Secs = Row.find("seconds");
         O.SolverSeconds = Secs && Secs->isNumber() ? Secs->asNumber() : 0.0;
         O.Count = 1;
         Results.Verdicts.emplace(std::move(Key), std::move(O));
       } else {
         ++It->second.Count;
-        if (It->second.Verdict != V) {
-          // Two clients saw different verdicts for the same target —
-          // the pooled session leaked state between programs.
+        // Two clients saw different answers for the same target — the
+        // pooled session leaked state between programs or queries.
+        std::string Where = P.Path + " " + Target->asString();
+        std::string Drift;
+        if (It->second.Verdict != V)
+          Drift = "verdict drift on " + Where + ": '" + It->second.Verdict +
+                  "' vs '" + V + "'";
+        else if (It->second.Witness != W)
+          Drift = "witness drift on " + Where + ": two different traces";
+        if (!Drift.empty()) {
           Results.Inconsistent = true;
           if (Results.FirstError.empty())
-            Results.FirstError = "verdict drift on " + P.Path + " " +
-                                 Target->asString() + ": '" +
-                                 It->second.Verdict + "' vs '" + V + "'";
+            Results.FirstError = std::move(Drift);
         }
       }
     }
@@ -487,6 +503,10 @@ int main(int Argc, char **Argv) {
       if (!(V = Next()))
         return usage();
       Opts.VerdictsPath = V;
+    } else if (Arg == "--witnesses") {
+      if (!(V = Next()))
+        return usage();
+      Opts.WitnessesPath = V;
     } else if (Arg == "--emit-workloads") {
       if (!(V = Next()))
         return usage();
@@ -556,6 +576,22 @@ int main(int Argc, char **Argv) {
     for (const auto &KV : Results.Verdicts)
       VF << baseName(KV.first.first) << " " << KV.first.second << " "
          << KV.second.Verdict << "\n";
+  }
+
+  // Every served trace under a "== program label" line, sorted the same
+  // way, for the CI diff against `getafix --witness`.
+  if (!Opts.WitnessesPath.empty()) {
+    std::ofstream WF(Opts.WitnessesPath);
+    if (!WF) {
+      std::fprintf(stderr, "error: cannot write '%s'\n",
+                   Opts.WitnessesPath.c_str());
+      return 2;
+    }
+    for (const auto &KV : Results.Verdicts)
+      if (!KV.second.Witness.empty())
+        WF << "== " << baseName(KV.first.first) << " " << KV.first.second
+           << "\n"
+           << KV.second.Witness;
   }
 
   if (!Opts.JsonPath.empty()) {
