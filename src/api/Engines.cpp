@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The eight built-in `Engine` implementations, each a thin adapter from
-/// `SolverOptions`/`CompiledQuery` to one of the underlying solvers:
+/// a `CompiledQuery` to one of the underlying solvers:
 ///
 ///   summary, ef, ef-split, ef-opt — the paper's fixed-point algorithms
 ///     (Sections 4.1–4.3), solved by the calculus evaluator,
@@ -17,7 +17,9 @@
 ///     run as a real engine: transform, solve the sequential program with
 ///     ef-split, and map the result back.
 ///
-/// The fixed-point engines additionally implement `Engine::open`: their
+/// Every engine hands its `sym::SolveConfig` straight to the solver below
+/// and returns that solver's `sym::SolveStats` as its result. The
+/// fixed-point engines additionally implement `Engine::open`: their
 /// session objects wrap `reach::SeqSession` / `conc::ConcSession`, which
 /// persist the compiled calculus, BDD manager, and solved summary rounds
 /// across queries. The natively-coded baselines and the (target-dependent)
@@ -35,6 +37,7 @@
 #include "reach/Witness.h"
 #include "support/Timer.h"
 
+#include <cassert>
 #include <memory>
 
 using namespace getafix;
@@ -42,114 +45,17 @@ using namespace getafix::api;
 
 namespace {
 
-//===----------------------------------------------------------------------===//
-// Option / result mapping shared by the one-shot and session paths
-//===----------------------------------------------------------------------===//
-
-/// Per-solve governor wiring: when any governance knob of \p Opts is set,
-/// arms `Opts.Governor` (or an internal governor living in this scope)
-/// with the limits and exposes the pointer for the engine's native
-/// options. Governors are one-shot, so one scope serves exactly one solve
-/// attempt; the native solvers uninstall the raw pointer from their
-/// managers before returning, so the scope may die right after.
-class GovernorScope {
-public:
-  explicit GovernorScope(const SolverOptions &Opts) {
-    if (!Opts.governed())
-      return;
-    G = Opts.Governor ? Opts.Governor : &Local;
-    if (Opts.TimeoutMs != 0)
-      G->setDeadlineIn(static_cast<int64_t>(Opts.TimeoutMs));
-    if (Opts.NodeBudget != 0)
-      G->setNodeBudget(Opts.NodeBudget);
-    if (Opts.CancelFlag)
-      G->setCancelFlag(Opts.CancelFlag);
-  }
-  GovernorScope(const GovernorScope &) = delete;
-  GovernorScope &operator=(const GovernorScope &) = delete;
-
-  /// Null when the solve is ungoverned.
-  support::ResourceGovernor *get() { return G; }
-
-private:
-  support::ResourceGovernor Local;
-  support::ResourceGovernor *G = nullptr;
-};
-
-/// Maps a tripped native-result limit onto the facade status + error
-/// text. No-op for `ResourceLimit::None`.
-void applyLimit(SolveResult &Out, support::ResourceLimit L) {
-  if (L == support::ResourceLimit::None)
-    return;
-  Out.Status = statusForLimit(L);
-  switch (L) {
-  case support::ResourceLimit::Deadline:
-    Out.Error = "solve stopped: wall-clock deadline exceeded";
-    break;
-  case support::ResourceLimit::NodeBudget:
-    Out.Error = "solve stopped: BDD node budget exhausted";
-    break;
-  case support::ResourceLimit::Cancelled:
-    Out.Error = "solve stopped: cancelled";
-    break;
-  case support::ResourceLimit::None:
-    break;
-  }
-}
-
-reach::SeqOptions seqOptionsFor(reach::SeqAlgorithm Alg,
-                                const SolverOptions &Opts) {
-  reach::SeqOptions SO;
-  SO.Alg = Alg;
-  SO.Strategy = Opts.Strategy;
-  SO.EarlyStop = Opts.EarlyStop;
-  SO.MaxIterations = Opts.MaxIterations;
-  SO.GcThreshold = Opts.GcThreshold;
-  SO.ReuseSolvedState = Opts.SessionReuse;
-  SO.Threads = Opts.Threads;
-  SO.RingKeyframeInterval = Opts.RingKeyframeInterval;
-  SO.MonolithicSummary = Opts.MonolithicSummary;
-  return SO;
-}
-
-void fillFromSeq(SolveResult &Out, reach::SeqResult &&R) {
-  applyLimit(Out, R.Limit);
-  Out.Reachable = R.Reachable;
-  Out.HitIterationLimit = R.HitIterationLimit;
-  Out.Iterations = R.Iterations;
-  Out.DeltaRounds = R.DeltaRounds;
-  Out.SummaryNodes = R.SummaryNodes;
-  Out.Bdd = R.Bdd;
-  Out.Relations = std::move(R.Relations);
-  Out.SummariesReused = R.SummariesReused;
-  Out.SummariesRecomputed = R.SummariesRecomputed;
-  Out.SccsSolvedParallel = R.SccsSolvedParallel;
-  Out.CondensationWidth = R.CondensationWidth;
-  Out.SummaryRelations = R.SummaryRelations;
-  Out.ImportedNodes = R.ImportedNodes;
-  Out.Seconds = R.Seconds;
-}
-
-void fillFromWitness(SolveResult &Out, const bp::ProgramCfg &Cfg,
-                     reach::WitnessResult &&W, double Seconds) {
-  applyLimit(Out, W.Limit);
-  Out.Reachable = W.Reachable;
-  Out.HitIterationLimit = W.HitIterationLimit;
-  Out.Iterations = W.Iterations;
-  Out.DeltaRounds = W.DeltaRounds;
-  Out.SummaryNodes = W.SummaryNodes;
-  Out.Bdd = W.Bdd;
-  Out.Relations = std::move(W.Relations);
-  Out.SccsSolvedParallel = W.SccsSolvedParallel;
-  Out.CondensationWidth = W.CondensationWidth;
-  Out.SummaryRelations = W.SummaryRelations;
-  Out.ImportedNodes = W.ImportedNodes;
-  Out.Seconds = Seconds;
-  if (W.Reachable) {
+/// A witness query's statistics, plus its trace and the trace's rendering
+/// when the target is reachable.
+SolveResult withWitness(const bp::ProgramCfg &Cfg, reach::WitnessResult W) {
+  std::vector<reach::WitnessStep> Steps = std::move(W.Steps);
+  SolveResult Out(std::move(W));
+  if (Out.Reachable) {
     Out.HasWitness = true;
-    Out.Witness = std::move(W.Steps);
+    Out.Witness = std::move(Steps);
     Out.WitnessText = reach::formatWitness(Cfg, Out.Witness);
   }
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -161,19 +67,14 @@ void fillFromWitness(SolveResult &Out, const bp::ProgramCfg &Cfg,
 /// engine.
 class SeqEngineSession : public EngineSession {
 public:
-  SeqEngineSession(const bp::ProgramCfg &Cfg, reach::SeqOptions SO)
-      : Cfg(Cfg), Session(Cfg, SO) {}
+  SeqEngineSession(const bp::ProgramCfg &Cfg, reach::SeqAlgorithm Alg,
+                   const sym::SolveConfig &Config)
+      : Cfg(Cfg), Session(Cfg, Alg, Config) {}
 
   SolveResult solve(const CompiledQuery &Q) override {
-    SolveResult Out;
-    if (Q.wantWitness()) {
-      Timer T;
-      reach::WitnessResult W = Session.solveWithWitness(Q.procId(), Q.pc());
-      fillFromWitness(Out, Cfg, std::move(W), T.seconds());
-      return Out;
-    }
-    fillFromSeq(Out, Session.solve(Q.procId(), Q.pc()));
-    return Out;
+    if (Q.wantWitness())
+      return withWitness(Cfg, Session.solveWithWitness(Q.procId(), Q.pc()));
+    return Session.solve(Q.procId(), Q.pc());
   }
 
   bool answersFromState(const CompiledQuery &Q) override {
@@ -209,36 +110,22 @@ public:
   bool supportsWitness() const override { return true; }
 
   SolveResult run(const CompiledQuery &Q,
-                  const SolverOptions &Opts) const override {
-    reach::SeqOptions SO = seqOptionsFor(Alg, Opts);
-    GovernorScope GS(Opts);
-    SO.Governor = GS.get();
-
-    SolveResult Out;
-    if (Q.wantWitness()) {
-      Timer T;
-      reach::WitnessResult W =
-          reach::checkReachabilityWithWitness(Q.cfg(), Q.procId(), Q.pc(),
-                                              SO);
-      fillFromWitness(Out, Q.cfg(), std::move(W), T.seconds());
-      return Out;
-    }
-
-    fillFromSeq(Out, reach::checkReachability(Q.cfg(), Q.procId(), Q.pc(),
-                                              SO));
-    return Out;
+                  const sym::SolveConfig &Config) const override {
+    if (Q.wantWitness())
+      return withWitness(Q.cfg(), reach::checkReachabilityWithWitness(
+                                      Q.cfg(), Q.procId(), Q.pc(), Config));
+    return reach::checkReachability(Q.cfg(), Q.procId(), Q.pc(), Alg, Config);
   }
 
   std::unique_ptr<EngineSession>
   open(const CompiledQuery &Program,
-       const SolverOptions &Opts) const override {
-    return std::make_unique<SeqEngineSession>(Program.cfg(),
-                                              seqOptionsFor(Alg, Opts));
+       const sym::SolveConfig &Config) const override {
+    return std::make_unique<SeqEngineSession>(Program.cfg(), Alg, Config);
   }
 
   std::string formulaText(const CompiledQuery &Q,
-                          const SolverOptions &Opts) const override {
-    return reach::formulaText(Q.cfg(), seqOptionsFor(Alg, Opts));
+                          const sym::SolveConfig &Config) const override {
+    return reach::formulaText(Q.cfg(), Alg, !Config.MonolithicSummary);
   }
 
 private:
@@ -260,22 +147,8 @@ public:
   bool handlesConcurrent() const override { return false; }
 
   SolveResult run(const CompiledQuery &Q,
-                  const SolverOptions &Opts) const override {
-    reach::BaselineOptions BO;
-    BO.EarlyStop = Opts.EarlyStop;
-    BO.GcThreshold = Opts.GcThreshold;
-    GovernorScope GS(Opts);
-    BO.Governor = GS.get();
-    reach::BaselineResult R =
-        reach::mopedPostStar(Q.cfg(), Q.procId(), Q.pc(), BO);
-    SolveResult Out;
-    applyLimit(Out, R.Limit);
-    Out.Reachable = R.Reachable;
-    Out.Iterations = R.Iterations;
-    Out.SummaryNodes = R.SummaryNodes;
-    Out.Bdd = R.Bdd;
-    Out.Seconds = R.Seconds;
-    return Out;
+                  const sym::SolveConfig &Config) const override {
+    return reach::mopedPostStar(Q.cfg(), Q.procId(), Q.pc(), Config);
   }
 };
 
@@ -288,20 +161,9 @@ public:
   bool handlesConcurrent() const override { return false; }
 
   SolveResult run(const CompiledQuery &Q,
-                  const SolverOptions &Opts) const override {
+                  const sym::SolveConfig &Config) const override {
     // Enumerative: no BDD knobs apply, but the deadline/cancel limits do.
-    reach::BaselineOptions BO;
-    GovernorScope GS(Opts);
-    BO.Governor = GS.get();
-    reach::BaselineResult R =
-        reach::bebopTabulate(Q.cfg(), Q.procId(), Q.pc(), BO);
-    SolveResult Out;
-    applyLimit(Out, R.Limit);
-    Out.Reachable = R.Reachable;
-    Out.Iterations = R.Iterations;
-    Out.Seconds = R.Seconds;
-    // Bdd stays zero: bebop never touches the BDD manager.
-    return Out;
+    return reach::bebopTabulate(Q.cfg(), Q.procId(), Q.pc(), Config);
   }
 };
 
@@ -309,58 +171,15 @@ public:
 // Concurrent engines (Section 5)
 //===----------------------------------------------------------------------===//
 
-/// `ContextBound`/`Rounds` → the bound k an engine should analyze.
-unsigned effectiveContextBound(const SolverOptions &Opts,
-                               unsigned NumThreads) {
-  if (Opts.Rounds != 0)
-    return conc::contextSwitchesForRounds(Opts.Rounds, NumThreads);
-  return Opts.ContextBound;
-}
-
-conc::ConcOptions concOptionsFor(const SolverOptions &Opts,
-                                 unsigned NumThreads) {
-  conc::ConcOptions CO;
-  CO.MaxContextSwitches = effectiveContextBound(Opts, NumThreads);
-  CO.RoundRobin = Opts.RoundRobin || Opts.Rounds != 0;
-  CO.Strategy = Opts.Strategy;
-  CO.EarlyStop = Opts.EarlyStop;
-  CO.MaxIterations = Opts.MaxIterations;
-  CO.GcThreshold = Opts.GcThreshold;
-  CO.ReuseSolvedState = Opts.SessionReuse;
-  CO.Threads = Opts.Threads;
-  CO.RingKeyframeInterval = Opts.RingKeyframeInterval;
-  return CO;
-}
-
-void fillFromConc(SolveResult &Out, conc::ConcResult &&R) {
-  applyLimit(Out, R.Limit);
-  Out.Reachable = R.Reachable;
-  Out.HitIterationLimit = R.HitIterationLimit;
-  Out.Iterations = R.Iterations;
-  Out.DeltaRounds = R.DeltaRounds;
-  Out.SummaryNodes = R.ReachNodes;
-  Out.Bdd = R.Bdd;
-  Out.Relations = std::move(R.Relations);
-  Out.SummariesReused = R.SummariesReused;
-  Out.SummariesRecomputed = R.SummariesRecomputed;
-  Out.SccsSolvedParallel = R.SccsSolvedParallel;
-  Out.CondensationWidth = R.CondensationWidth;
-  Out.SummaryRelations = R.SummaryRelations;
-  Out.ImportedNodes = R.ImportedNodes;
-  Out.ReachStates = R.ReachStates;
-  Out.Seconds = R.Seconds;
-}
-
 /// Session adapter over `conc::ConcSession`.
 class ConcEngineSession : public EngineSession {
 public:
-  ConcEngineSession(const CompiledQuery &Program, conc::ConcOptions CO)
-      : Session(Program.concurrent(), Program.threadCfgs(), CO) {}
+  ConcEngineSession(const CompiledQuery &Program,
+                    const sym::SolveConfig &Config)
+      : Session(Program.concurrent(), Program.threadCfgs(), Config) {}
 
   SolveResult solve(const CompiledQuery &Q) override {
-    SolveResult Out;
-    fillFromConc(Out, Session.solve(Q.thread(), Q.procId(), Q.pc()));
-    return Out;
+    return Session.solve(Q.thread(), Q.procId(), Q.pc());
   }
 
   bool answersFromState(const CompiledQuery &Q) override {
@@ -393,24 +212,16 @@ public:
   bool handlesConcurrent() const override { return true; }
 
   SolveResult run(const CompiledQuery &Q,
-                  const SolverOptions &Opts) const override {
-    conc::ConcOptions CO =
-        concOptionsFor(Opts, Q.concurrent().numThreads());
-    GovernorScope GS(Opts);
-    CO.Governor = GS.get();
-    SolveResult Out;
-    fillFromConc(Out,
-                 conc::checkConcReachability(Q.concurrent(), Q.threadCfgs(),
-                                             Q.thread(), Q.procId(), Q.pc(),
-                                             CO));
-    return Out;
+                  const sym::SolveConfig &Config) const override {
+    return conc::checkConcReachability(Q.concurrent(), Q.threadCfgs(),
+                                       Q.thread(), Q.procId(), Q.pc(),
+                                       Config);
   }
 
   std::unique_ptr<EngineSession>
   open(const CompiledQuery &Program,
-       const SolverOptions &Opts) const override {
-    return std::make_unique<ConcEngineSession>(
-        Program, concOptionsFor(Opts, Program.concurrent().numThreads()));
+       const sym::SolveConfig &Config) const override {
+    return std::make_unique<ConcEngineSession>(Program, Config);
   }
 };
 
@@ -428,7 +239,7 @@ public:
   // persist — `SolverSession` falls back to fresh per-query solves.
 
   SolveResult run(const CompiledQuery &Q,
-                  const SolverOptions &Opts) const override {
+                  const sym::SolveConfig &Config) const override {
     SolveResult Out;
     // The sequentialization rewrites the program around a *label*; a point
     // query works when some label names its point.
@@ -450,7 +261,7 @@ public:
     }
 
     Timer T;
-    unsigned K = effectiveContextBound(Opts, Q.concurrent().numThreads());
+    unsigned K = conc::contextBound(Config, Q.concurrent().numThreads());
     DiagnosticEngine Diags;
     std::unique_ptr<bp::Program> Seq =
         conc::lalRepsSequentialize(Q.concurrent(), Label, K, Diags);
@@ -460,27 +271,27 @@ public:
       return Out;
     }
     bp::ProgramCfg SeqCfg = bp::buildCfg(*Seq);
+    unsigned GoalProc = 0, GoalPc = 0;
+    bool HasGoal =
+        SeqCfg.findLabelPc(conc::lalRepsGoalLabel(), GoalProc, GoalPc);
+    assert(HasGoal && "the sequentialization plants the goal label");
+    (void)HasGoal;
 
-    reach::SeqOptions SO =
-        seqOptionsFor(reach::SeqAlgorithm::EntryForwardSplit, Opts);
-    // Always solve the transformed program monolithically. The eager
-    // reduction multiplies the globals by O(k) copies, so its reachable
-    // entries are a vanishing fraction of all entries — the per-procedure
-    // split's all-entries seeds forfeit entry-forward pruning and slow
-    // these solves ~16x (LalRepsTest seeds: 16s -> 260s). Entry-pruned
-    // split relations are not an option either: entries flow caller ->
-    // callee while summaries flow callee -> caller, so pruned groups
-    // collapse into one condensation SCC the evaluator would solve by
-    // nested re-evaluation.
-    SO.MonolithicSummary = true;
-    // The (fast, purely syntactic) sequentialization above is ungoverned;
-    // the limits govern the solve of the transformed program.
-    GovernorScope GS(Opts);
-    SO.Governor = GS.get();
-    reach::SeqResult R =
-        reach::checkReachabilityOfLabel(SeqCfg, conc::lalRepsGoalLabel(), SO);
-
-    fillFromSeq(Out, std::move(R));
+    sym::SolveConfig SeqConfig = Config;
+    // Always solve the transformed program monolithically. Under the
+    // reduction's global order (cursor and schedule bits first, each
+    // shared variable's copies together) the per-procedure split is the
+    // faster compilation: the eight LalRepsTest seeds at k = 2 take 1.1 s
+    // and 2.7 M nodes split against 5.2 s and 7.0 M nodes pinned, with
+    // every verdict unchanged. The pin stays only because bench_ablation's
+    // condensation gate asserts the monolithic width here; it goes when
+    // the split becomes an engine of its own.
+    SeqConfig.MonolithicSummary = true;
+    // The sequentialization above never consults the governor; the limits
+    // govern the solve of the transformed program.
+    Out = reach::checkReachability(SeqCfg, GoalProc, GoalPc,
+                                   reach::SeqAlgorithm::EntryForwardSplit,
+                                   SeqConfig);
     Out.TransformedGlobals = Seq->numGlobals();
     Out.Seconds = T.seconds(); // Transform + solve: the cost being compared.
     return Out;

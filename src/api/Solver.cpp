@@ -199,6 +199,45 @@ const Engine *selectEngine(const CompiledQuery &Q, const SolverOptions &Opts,
   return E;
 }
 
+/// Arms the governor one solve attempt runs under: \p Installed (a
+/// session's per-request governor) when set; otherwise, when \p Opts sets
+/// any limit, the caller's `Opts.Governor` or \p Local armed with those
+/// limits. Governors latch, so every attempt arms afresh. Null when the
+/// attempt is ungoverned.
+support::ResourceGovernor *armGovernor(const SolverOptions &Opts,
+                                       support::ResourceGovernor *Installed,
+                                       support::ResourceGovernor &Local) {
+  if (Installed || !Opts.governed())
+    return Installed;
+  support::ResourceGovernor *G = Opts.Governor ? Opts.Governor : &Local;
+  if (Opts.TimeoutMs != 0)
+    G->setDeadlineIn(static_cast<int64_t>(Opts.TimeoutMs));
+  if (Opts.NodeBudget != 0)
+    G->setNodeBudget(Opts.NodeBudget);
+  if (Opts.CancelFlag)
+    G->setCancelFlag(Opts.CancelFlag);
+  return G;
+}
+
+/// Maps a tripped limit onto the result's status and error text — the one
+/// place where any engine's limit stop becomes a status.
+void applyLimit(SolveResult &R) {
+  switch (R.Limit) {
+  case support::ResourceLimit::None:
+    return;
+  case support::ResourceLimit::Deadline:
+    R.Error = "solve stopped: wall-clock deadline exceeded";
+    break;
+  case support::ResourceLimit::NodeBudget:
+    R.Error = "solve stopped: BDD node budget exhausted";
+    break;
+  case support::ResourceLimit::Cancelled:
+    R.Error = "solve stopped: cancelled";
+    break;
+  }
+  R.Status = statusForLimit(R.Limit);
+}
+
 } // namespace
 
 SolveResult Solver::solve(const Query &Q, const SolverOptions &Opts) {
@@ -212,7 +251,12 @@ SolveResult Solver::solve(const Query &Q, const SolverOptions &Opts) {
   const Engine *E = selectEngine(*C.Query, Opts, R);
   if (!E)
     return R;
-  return E->run(*C.Query, Opts);
+  support::ResourceGovernor Local;
+  sym::SolveConfig Config = Opts;
+  Config.Governor = armGovernor(Opts, nullptr, Local);
+  R = E->run(*C.Query, Config);
+  applyLimit(R);
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -284,54 +328,34 @@ SolveResult SolverSession::solve(const Query &Q) {
   return solveCompiled(*C.Query);
 }
 
-SolveResult SolverSession::solveCompiled(const CompiledQuery &Q) {
-  if (Opts.SessionReuse && !OpenAttempted) {
+EngineSession *SolverSession::engineSession() {
+  if (!OpenAttempted) {
     OpenAttempted = true;
     Session = Eng->open(*Program, Opts);
-    if (Session && Gov)
-      Session->setGovernor(Gov);
   }
+  return Session.get();
+}
 
-  // Resolve the governor for this attempt: a per-request governor
-  // (setResourceGovernor) wins; otherwise options-level limits arm a
-  // fresh one-shot governor per solve (governors latch, so the one fixed
-  // at open cannot be reused across queries).
-  support::ResourceGovernor LocalGov;
-  support::ResourceGovernor *Active = Gov;
-  if (!Active && Opts.governed()) {
-    Active = Opts.Governor ? Opts.Governor : &LocalGov;
-    if (Opts.TimeoutMs != 0)
-      Active->setDeadlineIn(static_cast<int64_t>(Opts.TimeoutMs));
-    if (Opts.NodeBudget != 0)
-      Active->setNodeBudget(Opts.NodeBudget);
-    if (Opts.CancelFlag)
-      Active->setCancelFlag(Opts.CancelFlag);
-  }
+SolveResult SolverSession::solveCompiled(const CompiledQuery &Q) {
+  // A per-request governor (setResourceGovernor) wins; otherwise
+  // options-level limits arm a fresh one-shot governor per solve
+  // (governors latch, so the one fixed at open cannot be reused across
+  // queries).
+  support::ResourceGovernor Local;
+  sym::SolveConfig Config = Opts;
+  Config.Governor = armGovernor(Opts, Gov, Local);
 
   SolveResult R;
-  if (Session) {
+  if (EngineSession *ES = engineSession()) {
     ++Stats.SessionSolves;
-    if (Active != Gov)
-      Session->setGovernor(Active);
-    R = Session->solve(Q);
-    if (Active != Gov)
-      Session->setGovernor(Gov); // LocalGov dies with this frame.
+    ES->setGovernor(Config.Governor);
+    R = ES->solve(Q);
+    ES->setGovernor(nullptr); // `Local` dies with this frame.
   } else {
     ++Stats.FreshSolves;
-    if (Active) {
-      // Fresh-fallback engines take the governor through the options;
-      // zero the scalar limits so the engine does not re-arm the
-      // already-armed governor.
-      SolverOptions O = Opts;
-      O.Governor = Active;
-      O.TimeoutMs = 0;
-      O.NodeBudget = 0;
-      O.CancelFlag = nullptr;
-      R = Eng->run(Q, O);
-    } else {
-      R = Eng->run(Q, Opts);
-    }
+    R = Eng->run(Q, Config);
   }
+  applyLimit(R);
   Stats.SummariesReused += R.SummariesReused;
   Stats.SummariesRecomputed += R.SummariesRecomputed;
   // Keep the lock-free footprint gauge current: a pool budgeting many
@@ -402,26 +426,21 @@ SolverSession::solveAll(const std::vector<Query> &Qs) {
     Done[I] = true;
     --Remaining;
   };
-  if (Opts.SessionReuse && ok() && !OpenAttempted) {
-    OpenAttempted = true;
-    Session = Eng->open(*Program, Opts);
-    if (Session && Gov)
-      Session->setGovernor(Gov);
-  }
+  EngineSession *ES = ok() ? engineSession() : nullptr;
   while (Remaining != 0) {
     bool Progress = false;
-    if (Session)
+    if (ES)
       for (size_t I : Distinct) {
         if (Done[I])
           continue;
-        if (Session->answersFromState(*Compiled[I])) {
+        if (ES->answersFromState(*Compiled[I])) {
           solveOne(I);
           Progress = true;
         }
       }
     if (Remaining == 0)
       break;
-    if (!Progress || !Session) {
+    if (!Progress || !ES) {
       // Nothing is answerable from state: advance with the first pending
       // query (its solve extends the state), then rescan.
       for (size_t I : Distinct)
@@ -443,8 +462,6 @@ SolverSession::solveAll(const std::vector<Query> &Qs) {
 
 void SolverSession::setResourceGovernor(support::ResourceGovernor *G) {
   Gov = G;
-  if (Session)
-    Session->setGovernor(G);
 }
 
 void SolverSession::clearComputedCache() {

@@ -16,27 +16,30 @@
 ///     an explicit (thread, proc, pc) point), and an optional witness
 ///     request.
 ///   - `SolverOptions` — engine name plus the union of all engine knobs
-///     (BDD cache/GC, early stop, context bound, round-robin/rounds).
-///   - `SolveResult`  — status + the union of every engine's statistics,
-///     plus the witness trace when one was requested and extracted.
+///     (`sym::SolveConfig`: BDD GC, early stop, context bound,
+///     round-robin/rounds) and the resource limits.
+///   - `SolveResult`  — status + the union of every engine's statistics
+///     (`sym::SolveStats`), plus the witness trace when one was requested
+///     and extracted.
 ///   - `Engine`       — the pluggable backend interface; implementations
 ///     self-register into the `EngineRegistry` keyed by name, which is also
 ///     where CLI `--algo` help and `--list-algos` come from.
 ///
-/// Clients never translate between per-module Options/Result structs or
-/// hand-roll string→algorithm dispatch; that lives here, once.
+/// Engines take the `sym::SolveConfig` half of the options and return
+/// `sym::SolveStats` directly, so nothing is translated between per-module
+/// Options/Result structs; string→algorithm dispatch and the mapping of a
+/// tripped limit onto a status live here, once.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef GETAFIX_API_SOLVER_H
 #define GETAFIX_API_SOLVER_H
 
-#include "bdd/Bdd.h"
 #include "bp/Ast.h"
 #include "bp/Cfg.h"
-#include "fpcalc/Calculus.h"
 #include "reach/Witness.h"
 #include "support/ResourceGovernor.h"
+#include "symbolic/Solve.h"
 
 #include <atomic>
 #include <cstdint>
@@ -125,76 +128,24 @@ struct Query {
 // Options and result
 //===----------------------------------------------------------------------===//
 
-/// The union of every engine's knobs. Engines read what applies to them and
+/// The union of every engine's knobs: the engine's name, the solver knobs
+/// every engine takes (`sym::SolveConfig`), and the resource limits the
+/// dispatcher arms a governor with. Engines read what applies to them and
 /// ignore the rest, so one options struct configures any engine.
-struct SolverOptions {
+struct SolverOptions : sym::SolveConfig {
   /// Registry key of the engine to run. Empty selects the default for the
   /// query kind: `ef-opt` for sequential programs, `conc` for concurrent.
   std::string Engine;
 
-  // Shared symbolic-solver knobs.
-  /// Fixed-point iteration scheme of the calculus evaluator. Semi-naive
-  /// (the default) evaluates a monotone `mu` equation's non-recursive
-  /// clauses once and unions each later round's recursive clauses into
-  /// the previous value; `Naive` is the paper's literal
-  /// re-evaluate-everything semantics. Verdicts, iteration counts, and
-  /// witnesses are identical; the knob exists for ablation and debugging.
-  fpc::EvalStrategy Strategy = fpc::EvalStrategy::SemiNaive;
-  bool EarlyStop = true;          ///< Stop as soon as the target is hit.
-  /// Cap on fixpoint rounds of the main relation; 0 = unlimited. When the
-  /// cap fires the result carries `HitIterationLimit` and the verdict only
-  /// reflects the states discovered so far.
-  uint64_t MaxIterations = 0;
-  size_t GcThreshold = 1u << 22;  ///< BDD auto-GC threshold; 0 disables.
-  /// `SolverSession` only: serve queries from state solved by earlier
-  /// queries on the same session. Off = every session query pays a fresh
-  /// solve (the differential-testing / ablation baseline). One-shot
-  /// `Solver::solve` calls ignore this.
-  bool SessionReuse = true;
-  /// Sequential summary engines: compile the paper's single whole-program
-  /// summary relation instead of the default per-procedure split (one
-  /// `Summary_<proc>` / `ReachEntry_<proc>` pair per call-graph SCC).
-  /// The split widens the equation system's dependency condensation to
-  /// the call graph's SCC count, so `Threads > 1` schedules independent
-  /// procedures in parallel; verdicts, witnesses, and per-query answers
-  /// are bit-identical either way (round accounting differs — see
-  /// `SolveResult::CondensationWidth`). Escape hatch for A/B comparison;
-  /// non-summary engines (moped, bebop, conc) ignore it.
-  bool MonolithicSummary = false;
-  /// Worker threads for the fixed-point evaluator's parallel SCC
-  /// scheduling (1 = sequential). Independent SCCs of the equation
-  /// system's dependency condensation are solved on a work-stealing pool
-  /// over per-worker BDD managers; verdicts, iteration counts, and
-  /// witnesses are bit-identical at any setting (enforced by the parallel
-  /// differential tests). Non-BDD engines (moped, bebop) ignore it.
-  /// Only one-shot `Solver::solve` calls on the per-procedure split
-  /// reach the pool today: a `SolverSession` solves on one thread,
-  /// because it resumes the split relation by relation, callees-first,
-  /// and the monolithic and concurrent systems never leave two SCCs
-  /// pending at once.
-  unsigned Threads = 1;
-  /// Session ring retention (BDD engines; see fpc::RingLog): fixpoint
-  /// rounds recorded for replay and witness extraction are stored as
-  /// exact deltas with a full keyframe every this many rounds, bounding
-  /// the memory a long-lived session retains. 1 keeps every round full
-  /// (the pre-diet baseline); 0 keeps only the first round full. Purely a
-  /// memory knob — verdicts, rounds, and witnesses are bit-identical at
-  /// any value.
-  uint64_t RingKeyframeInterval = 8;
-
-  // Concurrent knobs.
-  unsigned ContextBound = 2; ///< Max context switches k.
-  /// When nonzero: analyze this many round-robin rounds (implies
-  /// `RoundRobin` and overrides `ContextBound`).
-  unsigned Rounds = 0;
-  bool RoundRobin = false; ///< Restrict schedules to round-robin order.
-
   // Resource governance (see support/ResourceGovernor.h). When any of
-  // these is set, the solve runs under a governor and a tripped limit is
-  // reported as SolveStatus::HitDeadline / HitNodeBudget / Cancelled —
-  // stopped at a completed round boundary, so a session retry with a
-  // larger (or no) budget resumes the deterministic round chain and stays
-  // bit-identical to an uninterrupted solve.
+  // these (or `Governor`) is set, the solve runs under a governor and a
+  // tripped limit is reported as SolveStatus::HitDeadline /
+  // HitNodeBudget / Cancelled — stopped at a completed round boundary, so
+  // a session retry with a larger (or no) budget resumes the
+  // deterministic round chain and stays bit-identical to an uninterrupted
+  // solve. The limits are installed on the caller's `Governor` when one
+  // is given (so the caller can also cancel() it directly); otherwise
+  // the dispatcher creates a governor per solve attempt.
   /// Wall-clock deadline for one solve, in milliseconds; 0 = none.
   uint64_t TimeoutMs = 0;
   /// Cap on BDD nodes allocated during one solve (shared across the main
@@ -204,11 +155,6 @@ struct SolverOptions {
   /// External cooperative-cancellation flag (not owned; may be set from
   /// any thread). Null = none.
   const std::atomic<bool> *CancelFlag = nullptr;
-  /// Caller-provided governor (not owned; one-shot — fresh per attempt).
-  /// When set, the limits above are installed on *this* governor so the
-  /// caller can also cancel() it directly; otherwise a governor is
-  /// created internally per solve when any limit is set.
-  support::ResourceGovernor *Governor = nullptr;
 
   /// True when any governance knob is active.
   bool governed() const {
@@ -253,62 +199,25 @@ inline bool isResourceLimit(SolveStatus S) {
          S == SolveStatus::Cancelled;
 }
 
-/// The union of every engine's statistics; fields an engine does not
-/// produce keep their zero defaults.
-struct SolveResult {
+/// Status + the union of every engine's statistics (`sym::SolveStats`),
+/// plus the witness trace when one was requested and extracted.
+struct SolveResult : sym::SolveStats {
+  SolveResult() = default;
+  /// An engine's statistics, status `Ok`; the dispatcher maps a tripped
+  /// `Limit` onto the status.
+  SolveResult(sym::SolveStats Stats) : sym::SolveStats(std::move(Stats)) {}
+
   SolveStatus Status = SolveStatus::Ok;
   std::string Error; ///< Human-readable detail when `Status != Ok`.
 
-  bool Reachable = false;
-  /// The solver stopped at `SolverOptions::MaxIterations` before reaching
-  /// a fixed point: `Reachable` is then only a lower bound (states found
-  /// so far), not a verdict.
-  bool HitIterationLimit = false;
-  uint64_t Iterations = 0;  ///< Fixpoint rounds / worklist steps.
-  /// Semi-naive rounds of the main relation after the first (see
-  /// `fpc::RelStats::DeltaRounds`).
-  uint64_t DeltaRounds = 0;
-  size_t SummaryNodes = 0;  ///< Final BDD size of the main relation.
-  /// BDD-manager counters: nodes created, peak nodes, computed-cache
-  /// probes and hits (totals and per `BddOp`), GC runs and reclaim
-  /// totals. Zero-initialized for non-BDD engines.
-  BddStats Bdd;
-  double ReachStates = 0.0; ///< Concurrent: sat-count of Reach (Figure 3).
-  /// Per-relation evaluator statistics (fixed-point engines only), keyed
-  /// by relation name — iterations, delta rounds, nested evaluations,
-  /// final BDD sizes.
-  std::map<std::string, fpc::RelStats> Relations;
   /// Lal–Reps: globals in the sequentialized program (the O(k) copy blowup
   /// the paper's formulation avoids).
   size_t TransformedGlobals = 0;
-  /// Session mode: fixpoint rounds of this query served from state solved
-  /// by earlier queries on the same session, vs rounds newly evaluated.
-  /// One-shot solves report (0, Iterations) for fixed-point engines.
-  uint64_t SummariesReused = 0;
-  uint64_t SummariesRecomputed = 0;
-  /// Dependency SCCs solved on the evaluator's worker pool
-  /// (`SolverOptions::Threads > 1` only); the per-worker BDD counters are
-  /// folded into `Bdd`.
-  uint64_t SccsSolvedParallel = 0;
-  /// Width of the equation system's dependency condensation — the number
-  /// of SCCs `fpc::runDag`'s scheduler can in principle overlap. Equals
-  /// the call graph's SCC count under the per-procedure summary split and
-  /// the (narrow, 1–4) defined-relation SCC count under
-  /// `SolverOptions::MonolithicSummary`. 0 for non-fixed-point engines.
-  unsigned CondensationWidth = 0;
-  /// Number of summary relations the engine compiled: the call graph's
-  /// SCC count under the split, 1 monolithic, 0 for engines with no
-  /// summary relation.
-  unsigned SummaryRelations = 0;
-  /// BDD nodes the cached importers translated across manager boundaries
-  /// while seeding and exporting SCC tasks (`Threads > 1` only).
-  uint64_t ImportedNodes = 0;
   /// Always 0: no engine fans a round out over the pool any more. Kept
   /// only because the benchmark, whose `perfbench/` sources are frozen,
   /// reads it (`perfbench/perfbench.cpp:600`, `fpcalc.rounds_parallel`);
   /// delete it with that read.
   uint64_t RoundsParallel = 0;
-  double Seconds = 0.0; ///< Wall-clock solve time (excludes parsing).
 
   /// Witness trace, when requested and the engine supports extraction.
   bool HasWitness = false;
@@ -403,8 +312,7 @@ public:
   /// the session's solving state; the next `solve` runs under it and, on
   /// a tripped limit, stops at a completed round boundary leaving the
   /// session valid for a bit-identical retry. Default: engines without
-  /// governor support ignore it (their options-level limits still apply
-  /// on fresh solves).
+  /// governor support ignore it.
   virtual void setGovernor(support::ResourceGovernor *G) { (void)G; }
 
   /// Frees BDD computed caches (a memory valve for long-lived sessions);
@@ -429,10 +337,13 @@ public:
   virtual size_t memoryFootprint() const { return 0; }
 };
 
-/// A pluggable reachability backend. Implementations translate
-/// `SolverOptions` to their native knobs, solve the compiled query, and map
-/// their native results into `SolveResult`. Register instances with
-/// `RegisterEngine` (the built-in eight live in Engines.cpp).
+/// A pluggable reachability backend. Implementations read the knobs of
+/// `sym::SolveConfig` that apply to them, solve the compiled query, and
+/// return its statistics as a `SolveResult`. The dispatcher has already
+/// armed `SolveConfig::Governor` with the options' limits, and maps a
+/// tripped `SolveStats::Limit` onto the status afterwards. Register
+/// instances with `RegisterEngine` (the built-in eight live in
+/// Engines.cpp).
 class Engine {
 public:
   virtual ~Engine() = default;
@@ -449,26 +360,27 @@ public:
   /// Solves \p Q. The query kind is pre-checked against
   /// `handlesConcurrent()` by the dispatcher.
   virtual SolveResult run(const CompiledQuery &Q,
-                          const SolverOptions &Opts) const = 0;
+                          const sym::SolveConfig &Config) const = 0;
 
   /// Opens persistent solver state over \p Program (whose target fields
   /// are ignored) for cross-query reuse. Engines without a session mode
   /// return null — `SolverSession` then falls back to a fresh `run` per
   /// query, so every registry engine works in session mode either way.
   virtual std::unique_ptr<EngineSession>
-  open(const CompiledQuery &Program, const SolverOptions &Opts) const {
+  open(const CompiledQuery &Program, const sym::SolveConfig &Config) const {
     (void)Program;
-    (void)Opts;
+    (void)Config;
     return nullptr;
   }
 
   /// The fixed-point equation system this engine would solve for \p Q
-  /// under \p Opts (the paper's "one page of formulae" monolithically, the
-  /// per-procedure split by default); empty for natively-coded engines.
+  /// under \p Config (the paper's "one page of formulae" monolithically,
+  /// the per-procedure split by default); empty for natively-coded
+  /// engines.
   virtual std::string formulaText(const CompiledQuery &Q,
-                                  const SolverOptions &Opts) const {
+                                  const sym::SolveConfig &Config) const {
     (void)Q;
-    (void)Opts;
+    (void)Config;
     return "";
   }
 };
@@ -600,6 +512,9 @@ private:
   /// The dispatch half of `solve`, for callers that already retargeted.
   SolveResult solveCompiled(const CompiledQuery &Q);
   SolveResult failResult() const;
+  /// The engine's persistent state, opened on first use; null for
+  /// fresh-fallback engines.
+  EngineSession *engineSession();
 
   SolveStatus Status = SolveStatus::Ok;
   std::string Error;
@@ -607,11 +522,10 @@ private:
   const Engine *Eng = nullptr;
   /// The session's program (target fields unresolved).
   std::unique_ptr<CompiledQuery> Program;
-  /// The engine's persistent state; null for fresh-fallback engines.
+  /// The engine's persistent state (see `engineSession`).
   std::unique_ptr<EngineSession> Session;
   bool OpenAttempted = false;
-  /// Per-request governor (not owned); forwarded to the engine session,
-  /// including at lazy open, and to fresh-fallback solves.
+  /// Per-request governor (not owned); each solve runs under it.
   support::ResourceGovernor *Gov = nullptr;
   SessionStats Stats;
   /// Backs `lastSampledFootprint`; updated at the end of every query,

@@ -3,11 +3,11 @@
 #include "concurrent/ConcReach.h"
 
 #include "fpcalc/Evaluator.h"
-#include "support/Timer.h"
 #include "symbolic/Encode.h"
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 using namespace getafix;
 using namespace getafix::conc;
@@ -23,20 +23,27 @@ conc::buildThreadCfgs(const bp::ConcurrentProgram &C) {
   return Cfgs;
 }
 
+unsigned conc::contextBound(const SolveConfig &Config, unsigned NumThreads) {
+  if (Config.Rounds != 0)
+    return contextSwitchesForRounds(Config.Rounds, NumThreads);
+  return Config.ContextBound;
+}
+
 namespace {
 
 class ConcEngine {
 public:
   ConcEngine(const bp::ConcurrentProgram &Conc,
              const std::vector<bp::ProgramCfg> &Cfgs,
-             const ConcOptions &Opts)
-      : Conc(Conc), Cfgs(Cfgs), K(Opts.MaxContextSwitches),
-        N(Conc.numThreads()), RoundRobin(Opts.RoundRobin), Factory(Sys) {
+             const SolveConfig &Config)
+      : Conc(Conc), Cfgs(Cfgs), K(contextBound(Config, Conc.numThreads())),
+        N(Conc.numThreads()),
+        RoundRobin(Config.RoundRobin || Config.Rounds != 0), Factory(Sys) {
     buildSystem();
   }
 
-  ConcResult solve(unsigned Thread, unsigned ProcId, unsigned Pc,
-                   const ConcOptions &Opts);
+  SolveStats solve(unsigned Thread, unsigned ProcId, unsigned Pc,
+                   const SolveConfig &Config);
 
   // Shared by the one-shot solve and ConcSession, so both compute the
   // identical target set and reachable-set statistic.
@@ -48,8 +55,13 @@ public:
   RelId reachRel() const { return Reach; }
   Layout makeLayout(BddManager &Mgr) const { return Factory.makeLayout(Mgr); }
   const System &system() const { return Sys; }
-  /// See ConcResult::CondensationWidth (computed once in buildSystem).
-  unsigned condensationWidth() const { return Width; }
+  /// Reads a solve's counters out: Reach's rounds, the condensation width
+  /// computed once in buildSystem, and one summary relation — Reach is the
+  /// whole program's, over every thread.
+  void finish(const SolveMeter &Meter, SolveStats &Out, Evaluator &Ev,
+              const IncrementalFixpoint::Answer *Answer = nullptr) const {
+    Meter.finish(Out, Ev, {Reach}, Width, /*SummaryRelations=*/1, Answer);
+  }
 
 private:
   void buildSystem();
@@ -483,31 +495,30 @@ double ConcEngine::reachStatesOf(Evaluator &Ev, const Bdd &Value) {
   return States;
 }
 
-ConcResult ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
-                             const ConcOptions &Opts) {
-  ConcResult Result;
-  Timer Tm;
+SolveStats ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
+                             const SolveConfig &Config) {
+  SolveStats Result;
+  SolveMeter Meter;
 
   BddManager Mgr;
-  Mgr.setGcThreshold(Opts.GcThreshold);
-  if (Opts.Governor)
-    Mgr.setGovernor(Opts.Governor);
-  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Opts.Strategy);
-  Ev.setThreads(Opts.Threads);
+  Mgr.setGcThreshold(Config.GcThreshold);
+  Mgr.setGovernor(Config.Governor);
+  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Config.Strategy);
+  Ev.setThreads(Config.Threads);
   try {
     bindInputs(Ev, Thread, ProcId, Pc);
 
     Bdd TargetStates = targetStates(Ev, Thread, ProcId, Pc);
 
     EvalOptions EOpts;
-    EOpts.MaxIterations = Opts.MaxIterations;
-    if (Opts.EarlyStop)
+    EOpts.MaxIterations = Config.MaxIterations;
+    if (Config.EarlyStop)
       EOpts.EarlyStop = &TargetStates;
 
     EvalResult R = Ev.evaluate(Reach, EOpts);
     Result.HitIterationLimit = R.HitIterationLimit;
     Result.Reachable = !(R.Value & TargetStates).isZero();
-    Result.ReachNodes = R.Value.nodeCount();
+    Result.SummaryNodes = R.Value.nodeCount();
     Result.ReachStates = reachStatesOf(Ev, R.Value);
   } catch (const support::ResourceInterrupt &RI) {
     // One-shot solve: state is discarded, so only the limit and the work
@@ -515,42 +526,18 @@ ConcResult ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
     Result.Limit = RI.Limit;
   }
 
-  Result.Relations = Ev.stats();
-  auto StatsIt = Result.Relations.find("Reach");
-  if (StatsIt != Result.Relations.end()) {
-    Result.Iterations = StatsIt->second.Iterations;
-    Result.DeltaRounds = StatsIt->second.DeltaRounds;
-  }
-  Result.Bdd = Mgr.stats();
-  Result.Bdd.merge(Ev.workerBddStats());
-  Result.SccsSolvedParallel = Ev.parallelStats().SccsSolvedParallel;
-  Result.CondensationWidth = Width;
-  Result.ImportedNodes = Ev.parallelStats().ImportedNodes;
+  finish(Meter, Result, Ev);
   Result.SummariesRecomputed = Result.Iterations;
-  Result.Seconds = Tm.seconds();
   return Result;
 }
 
-ConcResult conc::checkConcReachability(const bp::ConcurrentProgram &Conc,
+SolveStats conc::checkConcReachability(const bp::ConcurrentProgram &Conc,
                                        const std::vector<bp::ProgramCfg> &Cfgs,
                                        unsigned Thread, unsigned ProcId,
-                                       unsigned Pc, const ConcOptions &Opts) {
-  ConcEngine Engine(Conc, Cfgs, Opts);
-  return Engine.solve(Thread, ProcId, Pc, Opts);
-}
-
-ConcResult conc::checkConcReachabilityOfLabel(
-    const bp::ConcurrentProgram &Conc,
-    const std::vector<bp::ProgramCfg> &Cfgs, const std::string &Label,
-    const ConcOptions &Opts) {
-  for (unsigned Thread = 0; Thread < Conc.numThreads(); ++Thread) {
-    unsigned ProcId = 0, Pc = 0;
-    if (Cfgs[Thread].findLabelPc(Label, ProcId, Pc))
-      return checkConcReachability(Conc, Cfgs, Thread, ProcId, Pc, Opts);
-  }
-  ConcResult Result;
-  Result.TargetFound = false;
-  return Result;
+                                       unsigned Pc,
+                                       const SolveConfig &Config) {
+  ConcEngine Engine(Conc, Cfgs, Config);
+  return Engine.solve(Thread, ProcId, Pc, Config);
 }
 
 //===----------------------------------------------------------------------===//
@@ -558,9 +545,7 @@ ConcResult conc::checkConcReachabilityOfLabel(
 //===----------------------------------------------------------------------===//
 
 struct ConcSession::Impl {
-  const bp::ConcurrentProgram &Conc;
-  const std::vector<bp::ProgramCfg> &Cfgs;
-  ConcOptions Opts;
+  SolveConfig Config;
   ConcEngine Engine;
   BddManager Mgr;
   Evaluator Ev;
@@ -577,16 +562,16 @@ struct ConcSession::Impl {
   support::ResourceGovernor *Gov = nullptr;
 
   Impl(const bp::ConcurrentProgram &Conc,
-       const std::vector<bp::ProgramCfg> &Cfgs, const ConcOptions &Opts)
-      : Conc(Conc), Cfgs(Cfgs), Opts(Opts), Engine(Conc, Cfgs, Opts),
-        Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr), Opts.Strategy) {
-    Mgr.setGcThreshold(Opts.GcThreshold);
-    Fix.setKeyframeInterval(Opts.RingKeyframeInterval);
+       const std::vector<bp::ProgramCfg> &Cfgs, const SolveConfig &Config)
+      : Config(Config), Engine(Conc, Cfgs, Config),
+        Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr), Config.Strategy) {
+    Mgr.setGcThreshold(Config.GcThreshold);
+    Fix.setKeyframeInterval(Config.RingKeyframeInterval);
     // Sessions currently solve on one thread: Reach is one dependency
     // SCC, so the scheduler never finds two SCCs pending. The setting is
     // passed down so the worker accounting below stays honest if a
     // session ever reaches the pool; queries stay serialized.
-    Ev.setThreads(Opts.Threads);
+    Ev.setThreads(Config.Threads);
     // Targetless binding: the per-thread target relations are read by no
     // clause, so one binding serves every query of the session.
     Engine.bindInputs(Ev, ~0u, ~0u, 0);
@@ -602,12 +587,10 @@ struct ConcSession::Impl {
 
 ConcSession::ConcSession(const bp::ConcurrentProgram &Conc,
                          const std::vector<bp::ProgramCfg> &Cfgs,
-                         const ConcOptions &Opts)
-    : I(std::make_unique<Impl>(Conc, Cfgs, Opts)) {}
+                         const SolveConfig &Config)
+    : I(std::make_unique<Impl>(Conc, Cfgs, Config)) {}
 
 ConcSession::~ConcSession() = default;
-
-const ConcOptions &ConcSession::options() const { return I->Opts; }
 
 void ConcSession::setGovernor(support::ResourceGovernor *G) { I->Gov = G; }
 
@@ -630,58 +613,31 @@ size_t ConcSession::peakLiveNodes() const {
 
 size_t ConcSession::memoryFootprint() const { return I->Gauge.bytes(); }
 
-ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
+SolveStats ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   Impl &S = *I;
-  if (!S.Opts.ReuseSolvedState) {
-    ConcOptions O = S.Opts;
-    O.Governor = S.Gov;
-    return checkConcReachability(S.Conc, S.Cfgs, Thread, ProcId, Pc, O);
-  }
+  SolveStats Result;
+  SolveMeter Meter(S.Ev);
+  std::optional<IncrementalFixpoint::Answer> Answer;
 
-  ConcResult Result;
-  Timer Tm;
-  BddStats Before = S.Mgr.stats();
-  BddStats WorkerBefore = S.Ev.workerBddStats();
-  fpc::ParallelStats ParBefore = S.Ev.parallelStats();
-
-  if (S.Gov)
-    S.Mgr.setGovernor(S.Gov);
+  S.Mgr.setGovernor(S.Gov);
   try {
     Bdd TargetStates = S.Engine.targetStates(S.Ev, Thread, ProcId, Pc);
-    IncrementalFixpoint::Answer A =
-        S.Fix.query(S.Ev, S.Engine.reachRel(), TargetStates,
-                    S.Opts.EarlyStop, S.Opts.MaxIterations);
-    Result.Reachable = A.Reachable;
-    Result.HitIterationLimit = A.HitIterationLimit;
-    Result.Iterations = A.Iterations;
-    Result.ReachNodes = A.Value.nodeCount();
-    Result.ReachStates = S.Engine.reachStatesOf(S.Ev, A.Value);
-    // The Section-5 Reach system is monotone, so a fresh solve's
-    // delta-round count is Iterations - 1 under the semi-naive strategy
-    // (every round after the first) and 0 under naive.
-    bool DeltaCore = S.Opts.Strategy == EvalStrategy::SemiNaive &&
-                     S.Ev.plan(S.Engine.reachRel()).SemiNaive;
-    Result.DeltaRounds =
-        DeltaCore && A.Iterations > 0 ? A.Iterations - 1 : 0;
-    Result.SummariesReused = A.RoundsReused;
-    Result.SummariesRecomputed = A.RoundsComputed;
+    Answer = S.Fix.query(S.Ev, S.Engine.reachRel(), TargetStates,
+                         S.Config.EarlyStop, S.Config.MaxIterations);
+    Result.Reachable = Answer->Reachable;
+    Result.HitIterationLimit = Answer->HitIterationLimit;
+    Result.SummaryNodes = Answer->Value.nodeCount();
+    Result.ReachStates = S.Engine.reachStatesOf(S.Ev, Answer->Value);
   } catch (const support::ResourceInterrupt &RI) {
     // The evaluator wrote the fixpoint state back at the last completed
     // round boundary, so the session stays valid: a retry resumes the
     // deterministic round chain bit-identically.
+    Answer.reset();
     Result.Limit = RI.Limit;
-    Result.Iterations = S.Fix.state().Rounds;
   }
   S.Mgr.setGovernor(nullptr);
 
-  Result.Relations = S.Ev.stats();
-  Result.Bdd = S.Mgr.stats().since(Before);
-  Result.Bdd.merge(S.Ev.workerBddStats().since(WorkerBefore));
-  fpc::ParallelStats ParDelta = S.Ev.parallelStats().since(ParBefore);
-  Result.SccsSolvedParallel = ParDelta.SccsSolvedParallel;
-  Result.CondensationWidth = S.Engine.condensationWidth();
-  Result.ImportedNodes = ParDelta.ImportedNodes;
-  Result.Seconds = Tm.seconds();
+  S.Engine.finish(Meter, Result, S.Ev, Answer ? &*Answer : nullptr);
   S.sampleGauge();
   S.PeakLive = std::max(S.PeakLive, S.Gauge.Nodes);
   return Result;
@@ -690,20 +646,7 @@ ConcResult ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
 bool ConcSession::answersFromState(unsigned Thread, unsigned ProcId,
                                    unsigned Pc) {
   Impl &S = *I;
-  if (!S.Opts.ReuseSolvedState)
-    return false;
   Bdd TargetStates = S.Engine.targetStates(S.Ev, Thread, ProcId, Pc);
-  return S.Fix.answersFromState(TargetStates, S.Opts.EarlyStop,
-                                S.Opts.MaxIterations);
-}
-
-ConcResult ConcSession::solveLabel(const std::string &Label) {
-  for (unsigned Thread = 0; Thread < I->Conc.numThreads(); ++Thread) {
-    unsigned ProcId = 0, Pc = 0;
-    if (I->Cfgs[Thread].findLabelPc(Label, ProcId, Pc))
-      return solve(Thread, ProcId, Pc);
-  }
-  ConcResult Result;
-  Result.TargetFound = false;
-  return Result;
+  return S.Fix.answersFromState(TargetStates, S.Config.EarlyStop,
+                                S.Config.MaxIterations);
 }

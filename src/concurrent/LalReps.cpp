@@ -411,21 +411,24 @@ std::unique_ptr<Program> Sequentializer::run(DiagnosticEngine &Diags) {
 
   auto Prog = std::make_unique<Program>();
 
-  // Globals: guessed starts, working copies, the shadow, the schedule, the
-  // context cursor and the hit flag.
-  for (unsigned Ctx = 0; Ctx < C; ++Ctx)
-    for (const std::string &S : Conc.SharedGlobals)
-      Prog->Globals.push_back(startName(Ctx, S));
-  for (unsigned Ctx = 0; Ctx < C; ++Ctx)
-    for (const std::string &S : Conc.SharedGlobals)
-      Prog->Globals.push_back(curName(Ctx, S));
-  for (const std::string &S : Conc.SharedGlobals)
-    Prog->Globals.push_back(nowName(S));
+  // Globals, in the order the sequential engine lays their bits out: the
+  // context cursor and the schedule bits first, so the bits that pick the
+  // context sit on top (the rule the concurrent engine's order follows);
+  // then each shared variable's copies together — per context its guessed
+  // start and working copy, then its shadow — so the copies a context
+  // switch compares sit on adjacent levels; the hit flag last.
   for (unsigned I = 0; I < CtxBits; ++I)
     Prog->Globals.push_back(ctxBit(I));
   for (unsigned Ctx = 0; Ctx < C; ++Ctx)
     for (unsigned I = 0; I < ThrBits; ++I)
       Prog->Globals.push_back(schBit(Ctx, I));
+  for (const std::string &S : Conc.SharedGlobals) {
+    for (unsigned Ctx = 0; Ctx < C; ++Ctx) {
+      Prog->Globals.push_back(startName(Ctx, S));
+      Prog->Globals.push_back(curName(Ctx, S));
+    }
+    Prog->Globals.push_back(nowName(S));
+  }
   Prog->Globals.push_back("LR_hit");
 
   // Cloned thread procedures + per-thread advance procedures.

@@ -255,6 +255,7 @@ public:
   void invalidate();
 
   const std::map<std::string, RelStats> &stats() const { return Stats; }
+  const System &system() const { return Sys; }
   BddManager &manager() { return Mgr; }
   const Layout &layout() const { return L; }
 

@@ -19,15 +19,14 @@ namespace {
 class PostStarSolver {
 public:
   PostStarSolver(const bp::ProgramCfg &Cfg, unsigned ProcId, unsigned Pc,
-                 const BaselineOptions &Opts)
-      : Cfg(Cfg), Factory(Sys), Opts(Opts),
+                 const sym::SolveConfig &Config)
+      : Cfg(Cfg), Factory(Sys), EarlyStop(Config.EarlyStop),
         TargetProcId(ProcId), TargetPc(Pc) {
-    Mgr.setGcThreshold(Opts.GcThreshold);
-    if (Opts.Governor)
-      Mgr.setGovernor(Opts.Governor);
+    Mgr.setGcThreshold(Config.GcThreshold);
+    Mgr.setGovernor(Config.Governor);
   }
 
-  BaselineResult run();
+  sym::SolveStats run();
 
 private:
   void build(unsigned ProcId, unsigned Pc);
@@ -45,7 +44,7 @@ private:
   std::unique_ptr<ProgramEncoder> Enc;
   BddManager Mgr;
   std::unique_ptr<Evaluator> Ev;
-  BaselineOptions Opts;
+  bool EarlyStop;
   unsigned TargetProcId;
   unsigned TargetPc;
 
@@ -213,8 +212,8 @@ Bdd PostStarSolver::returnImage(const Bdd &Callers, const Bdd &Callees) {
   return GroupA.andExists(GroupB, RetOuterC);
 }
 
-BaselineResult PostStarSolver::run() {
-  BaselineResult Result;
+sym::SolveStats PostStarSolver::run() {
+  sym::SolveStats Result;
   Timer T;
 
   Bdd Reach, Frontier;
@@ -226,7 +225,7 @@ BaselineResult PostStarSolver::run() {
       if (support::ResourceGovernor *G = Mgr.governor())
         G->check();
       ++Result.Iterations;
-      if (Opts.EarlyStop && !(Frontier & TargetStates).isZero()) {
+      if (EarlyStop && !(Frontier & TargetStates).isZero()) {
         Result.Reachable = true;
         break;
       }
@@ -255,33 +254,21 @@ BaselineResult PostStarSolver::run() {
 // Entry points
 //===----------------------------------------------------------------------===//
 
-BaselineResult reach::mopedPostStar(const bp::ProgramCfg &Cfg,
-                                    unsigned ProcId, unsigned Pc,
-                                    const BaselineOptions &Opts) {
-  PostStarSolver Solver(Cfg, ProcId, Pc, Opts);
+sym::SolveStats reach::mopedPostStar(const bp::ProgramCfg &Cfg,
+                                     unsigned ProcId, unsigned Pc,
+                                     const sym::SolveConfig &Config) {
+  PostStarSolver Solver(Cfg, ProcId, Pc, Config);
   return Solver.run();
 }
 
-BaselineResult reach::mopedPostStarLabel(const bp::ProgramCfg &Cfg,
-                                         const std::string &Label,
-                                         const BaselineOptions &Opts) {
-  unsigned ProcId = 0, Pc = 0;
-  if (!Cfg.findLabelPc(Label, ProcId, Pc)) {
-    BaselineResult Result;
-    Result.TargetFound = false;
-    return Result;
-  }
-  return mopedPostStar(Cfg, ProcId, Pc, Opts);
-}
-
-BaselineResult reach::bebopTabulate(const bp::ProgramCfg &Cfg,
-                                    unsigned ProcId, unsigned Pc,
-                                    const BaselineOptions &Opts) {
-  BaselineResult Result;
+sym::SolveStats reach::bebopTabulate(const bp::ProgramCfg &Cfg,
+                                     unsigned ProcId, unsigned Pc,
+                                     const sym::SolveConfig &Config) {
+  sym::SolveStats Result;
   Timer T;
   try {
     interp::OracleResult R =
-        interp::summaryReachability(Cfg, ProcId, Pc, Opts.Governor);
+        interp::summaryReachability(Cfg, ProcId, Pc, Config.Governor);
     Result.Reachable = R.Reachable;
     Result.Iterations = R.PathEdges;
   } catch (const support::ResourceInterrupt &RI) {
@@ -289,16 +276,4 @@ BaselineResult reach::bebopTabulate(const bp::ProgramCfg &Cfg,
   }
   Result.Seconds = T.seconds();
   return Result;
-}
-
-BaselineResult reach::bebopTabulateLabel(const bp::ProgramCfg &Cfg,
-                                         const std::string &Label,
-                                         const BaselineOptions &Opts) {
-  unsigned ProcId = 0, Pc = 0;
-  if (!Cfg.findLabelPc(Label, ProcId, Pc)) {
-    BaselineResult Result;
-    Result.TargetFound = false;
-    return Result;
-  }
-  return bebopTabulate(Cfg, ProcId, Pc, Opts);
 }

@@ -25,58 +25,26 @@
 #ifndef GETAFIX_REACH_BASELINES_H
 #define GETAFIX_REACH_BASELINES_H
 
-#include "bdd/Bdd.h"
 #include "bp/Cfg.h"
-#include "support/ResourceGovernor.h"
-
-#include <cstdint>
-#include <string>
+#include "symbolic/Solve.h"
 
 namespace getafix {
 namespace reach {
 
-struct BaselineResult {
-  bool Reachable = false;
-  bool TargetFound = true;
-  /// Which governor limit stopped the solve (`None` = ran to completion).
-  /// When set, `Reachable` reflects only the states found so far.
-  support::ResourceLimit Limit = support::ResourceLimit::None;
-  uint64_t Iterations = 0;  ///< Fixpoint rounds / worklist steps.
-  size_t SummaryNodes = 0;  ///< Final BDD size (moped only).
-  /// BDD-manager counters (nodes created, peak nodes, per-op cache split,
-  /// GC; moped only — bebop is enumerative and reports zeros).
-  BddStats Bdd;
-  double Seconds = 0.0;
-};
-
-struct BaselineOptions {
-  bool EarlyStop = true;
-  size_t GcThreshold = 1u << 22;
-  /// Resource governor for this solve (not owned; one-shot per attempt;
-  /// see support/ResourceGovernor.h). A tripped limit is reported in
-  /// `BaselineResult::Limit`. Null = ungoverned.
-  support::ResourceGovernor *Governor = nullptr;
-};
-
-/// Moped-style native symbolic solver (see file comment).
-BaselineResult mopedPostStar(const bp::ProgramCfg &Cfg, unsigned ProcId,
-                             unsigned Pc,
-                             const BaselineOptions &Opts = BaselineOptions());
-
-BaselineResult
-mopedPostStarLabel(const bp::ProgramCfg &Cfg, const std::string &Label,
-                   const BaselineOptions &Opts = BaselineOptions());
+/// Moped-style native symbolic solver (see file comment). Reads
+/// `EarlyStop`, `GcThreshold` and `Governor` from \p Config and reports
+/// its saturation rounds as `Iterations`.
+sym::SolveStats mopedPostStar(const bp::ProgramCfg &Cfg, unsigned ProcId,
+                              unsigned Pc,
+                              const sym::SolveConfig &Config = {});
 
 /// Bebop-style explicit tabulation (see file comment). Only
-/// `BaselineOptions::Governor` applies (the engine is enumerative — no
-/// caches or GC, and a node budget cannot trip).
-BaselineResult bebopTabulate(const bp::ProgramCfg &Cfg, unsigned ProcId,
-                             unsigned Pc,
-                             const BaselineOptions &Opts = BaselineOptions());
-
-BaselineResult
-bebopTabulateLabel(const bp::ProgramCfg &Cfg, const std::string &Label,
-                   const BaselineOptions &Opts = BaselineOptions());
+/// `SolveConfig::Governor` applies (the engine is enumerative — no caches
+/// or GC, and a node budget cannot trip); `Iterations` counts path edges,
+/// and the BDD counters stay zero.
+sym::SolveStats bebopTabulate(const bp::ProgramCfg &Cfg, unsigned ProcId,
+                              unsigned Pc,
+                              const sym::SolveConfig &Config = {});
 
 } // namespace reach
 } // namespace getafix

@@ -18,6 +18,7 @@
 #include "reach/SeqReach.h"
 #include "symbolic/Encode.h"
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,8 +43,21 @@ public:
     buildSystem();
   }
 
-  SeqResult solve(unsigned ProcId, unsigned Pc, const SeqOptions &Opts);
+  sym::SolveStats solve(unsigned ProcId, unsigned Pc,
+                        const sym::SolveConfig &Config);
   std::string text() const { return Sys.print(); }
+
+  /// Drives the per-procedure split's relation chain callees-first over
+  /// the caller-held \p States, each relation capped at \p Cap rounds
+  /// (0 = uncapped). `Evaluator::evaluate` pre-solves dependencies
+  /// uncapped, so a cap must drive the chain relation by relation,
+  /// pinning each capped value so higher relations read the truncation.
+  /// Relations an earlier, interrupted drive saturated or capped are not
+  /// resumed again, so a retry carries on bit-identically. Returns
+  /// whether the cap truncated any relation.
+  bool solveChain(fpc::Evaluator &Ev,
+                  std::map<fpc::RelId, fpc::FixpointState> &States,
+                  uint64_t Cap) const;
 
   // Accessors for witness reconstruction -----------------------------------
   const fpc::System &system() const { return Sys; }
@@ -63,10 +77,10 @@ public:
   /// Split mode: `SummaryAll = ⋁_X Summary_X` — the union the stats (and
   /// the differential tests' bit-identity check) report on.
   fpc::RelId summaryAllRel() const { return SummaryAll; }
-  /// Every defined relation in callees-first (dependency-topological)
-  /// order — the resume chain sessions and capped solves drive.
-  const std::vector<fpc::RelId> &solveOrder() const { return Order; }
-  /// See SeqResult::CondensationWidth / SummaryRelations.
+  /// The relations whose rounds a solve reports: every defined relation
+  /// under the split (the longest chain among them), else the main one.
+  const std::vector<fpc::RelId> &roundRoots() const { return Roots; }
+  /// See SolveStats::CondensationWidth / SummaryRelations.
   unsigned condensationWidth() const { return Width; }
   unsigned summaryRelations() const { return NumSummaryRels; }
   const bp::CallGraph &callGraph() const { return CG; }
@@ -139,7 +153,10 @@ private:
   std::vector<fpc::RelId> GroupSummary; ///< Summary_<proc>, by SCC index.
   std::vector<fpc::RelId> GroupEntry;   ///< ReachEntry_<proc>, by SCC index.
   fpc::RelId Hits = 0, SummaryAll = 0;
+  /// Every defined relation in callees-first (dependency-topological)
+  /// order — the chain `solveChain` drives.
   std::vector<fpc::RelId> Order;
+  std::vector<fpc::RelId> Roots;
   unsigned Width = 0;
   unsigned NumSummaryRels = 1;
 };

@@ -5,10 +5,10 @@
 #include "fpcalc/Evaluator.h"
 #include "reach/SeqEngine.h"
 #include "reach/Witness.h"
-#include "support/Timer.h"
 #include "symbolic/Encode.h"
 
 #include <algorithm>
+#include <optional>
 
 using namespace getafix;
 using namespace getafix::reach;
@@ -465,16 +465,18 @@ void SeqEngine::buildSystem() {
   }
   }
 
-  // Solve order, condensation width, and relation count — computed here
-  // once so solves and sessions read them for free. The order is every
-  // defined relation in callees-first (dependency-topological) sequence;
-  // in split mode the resume-chain paths drive it directly.
+  // Solve order, round roots, condensation width, and relation count —
+  // computed here once so solves and sessions read them for free. The
+  // order is every defined relation in callees-first
+  // (dependency-topological) sequence; in split mode the chain driver
+  // walks it directly.
   {
     fpc::DependencyGraph G(Sys);
     for (const std::vector<RelId> &Members : G.sccs())
       for (RelId R : Members)
         if (!Sys.relation(R).isInput())
           Order.push_back(R);
+    Roots = Split ? Order : std::vector<RelId>{Main};
     Width = Split ? unsigned(CG.numSccs())
                   : fpc::definedCondensationWidth(Sys, G);
     NumSummaryRels = Split ? unsigned(CG.numSccs()) : 1;
@@ -486,18 +488,41 @@ void SeqEngine::buildSystem() {
 #endif
 }
 
-SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
-                           const SeqOptions &Opts) {
-  SeqResult Result;
-  Timer T;
+bool SeqEngine::solveChain(Evaluator &Ev,
+                           std::map<RelId, FixpointState> &States,
+                           uint64_t Cap) const {
+  bool HitLimit = false;
+  for (RelId R : Order) {
+    FixpointState &St = States[R];
+    if (St.Saturated)
+      continue; // Solved by an earlier (interrupted) drive.
+    if (Cap != 0 && St.Rounds >= Cap) {
+      // Already truncated at the cap by an earlier drive; resuming would
+      // run extra rounds past it.
+      HitLimit = true;
+      Ev.pinCompleted(R, St.Value);
+      continue;
+    }
+    EvalOptions RO;
+    RO.MaxIterations = Cap;
+    HitLimit |= Ev.resume(R, St, RO).HitIterationLimit;
+    if (!St.Saturated)
+      Ev.pinCompleted(R, St.Value);
+  }
+  return HitLimit;
+}
+
+sym::SolveStats SeqEngine::solve(unsigned ProcId, unsigned Pc,
+                                 const sym::SolveConfig &Config) {
+  sym::SolveStats Result;
+  sym::SolveMeter Meter;
 
   BddManager Mgr;
-  Mgr.setGcThreshold(Opts.GcThreshold);
-  if (Opts.Governor)
-    Mgr.setGovernor(Opts.Governor);
+  Mgr.setGcThreshold(Config.GcThreshold);
+  Mgr.setGovernor(Config.Governor);
   Layout L = Factory.makeLayout(Mgr);
-  Evaluator Ev(Sys, Mgr, std::move(L), Opts.Strategy);
-  Ev.setThreads(Opts.Threads);
+  Evaluator Ev(Sys, Mgr, std::move(L), Config.Strategy);
+  Ev.setThreads(Config.Threads);
 
   try {
     Enc->bind(Ev, ProcId, Pc);
@@ -508,8 +533,8 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
         Ev.encodeEqConst(S.Mod, ProcId) & Ev.encodeEqConst(S.Pc, Pc);
 
     EvalOptions EOpts;
-    EOpts.MaxIterations = Opts.MaxIterations;
-    if (Opts.EarlyStop && !Split && Alg != SeqAlgorithm::SummarySimple)
+    EOpts.MaxIterations = Config.MaxIterations;
+    if (Config.EarlyStop && !Split && Alg != SeqAlgorithm::SummarySimple)
       EOpts.EarlyStop = &TargetStates;
 
     if (Split) {
@@ -517,31 +542,17 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
       // stats root. Early stop does not apply — the roots are
       // non-recursive, so all summary work happens while their
       // dependencies are pre-solved (in parallel under Threads > 1).
-      if (Opts.MaxIterations == 0) {
+      if (Config.MaxIterations == 0) {
         EvalOptions Plain;
         EvalResult H = Ev.evaluate(Hits, Plain);
         EvalResult All = Ev.evaluate(SummaryAll, Plain);
         Result.Reachable = !(H.Value & TargetStates).isZero();
         Result.SummaryNodes = All.Value.nodeCount();
       } else {
-        // An iteration cap must truncate every relation of the chain, but
-        // `evaluate` pre-solves dependencies uncapped. Drive the chain
-        // relation-by-relation instead, pinning each capped value so
-        // higher relations read the truncation.
         std::map<RelId, FixpointState> States;
-        bool HitLimit = false;
-        for (RelId R : Order) {
-          FixpointState &St = States[R];
-          EvalOptions RO;
-          RO.MaxIterations = Opts.MaxIterations;
-          EvalResult ER = Ev.resume(R, St, RO);
-          HitLimit |= ER.HitIterationLimit;
-          if (!St.Saturated)
-            Ev.pinCompleted(R, St.Value);
-        }
-        Result.HitIterationLimit = HitLimit;
-        Result.Reachable =
-            !(States[Hits].Value & TargetStates).isZero();
+        Result.HitIterationLimit =
+            solveChain(Ev, States, Config.MaxIterations);
+        Result.Reachable = !(States[Hits].Value & TargetStates).isZero();
         Result.SummaryNodes = States[SummaryAll].Value.nodeCount();
       }
     } else if (Alg == SeqAlgorithm::SummarySimple) {
@@ -563,42 +574,13 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
       Result.SummaryNodes = R.Value.nodeCount();
     }
   } catch (const support::ResourceInterrupt &RI) {
-    // Clean limit stop: the verdict is indeterminate, but every counter
-    // harvested below still covers the completed rounds' work.
+    // Clean limit stop: the verdict is indeterminate, but the read-out
+    // below still covers the completed rounds' work.
     Result.Limit = RI.Limit;
   }
 
-  Result.Relations = Ev.stats();
-  if (Split) {
-    // Per-relation rounds are deterministic however the DAG schedules
-    // them, so these aggregates are identical across thread counts and
-    // across fresh/session solves: Iterations is the longest per-relation
-    // Tarski chain, DeltaRounds the total delta work.
-    for (RelId R : Order) {
-      auto It = Result.Relations.find(Sys.relation(R).Name);
-      if (It == Result.Relations.end())
-        continue;
-      Result.Iterations = std::max(Result.Iterations, It->second.Iterations);
-      Result.DeltaRounds += It->second.DeltaRounds;
-    }
-  } else {
-    auto StatsIt = Result.Relations.find(Sys.relation(Main).Name);
-    if (StatsIt != Result.Relations.end()) {
-      Result.Iterations = StatsIt->second.Iterations;
-      Result.DeltaRounds = StatsIt->second.DeltaRounds;
-    }
-  }
-  Result.CondensationWidth = Width;
-  Result.SummaryRelations = NumSummaryRels;
-  Result.Bdd = Mgr.stats();
-  // Fold the per-worker managers' counters into the snapshot so a
-  // parallel solve reports its whole BDD workload, not just the main
-  // manager's share.
-  Result.Bdd.merge(Ev.workerBddStats());
-  Result.SccsSolvedParallel = Ev.parallelStats().SccsSolvedParallel;
-  Result.ImportedNodes = Ev.parallelStats().ImportedNodes;
+  Meter.finish(Result, Ev, Roots, Width, NumSummaryRels);
   Result.SummariesRecomputed = Result.Iterations;
-  Result.Seconds = T.seconds();
   return Result;
 }
 
@@ -608,20 +590,19 @@ SeqResult SeqEngine::solve(unsigned ProcId, unsigned Pc,
 
 struct SeqSession::Impl {
   const bp::ProgramCfg &Cfg;
-  SeqOptions Opts;
+  sym::SolveConfig Config;
   SeqEngine Engine;
   BddManager Mgr;
   Evaluator Ev;
   /// Persistent rounds + rings of the main relation (EF algorithms).
   IncrementalFixpoint Fix;
 
-  // SummarySimple solves to a full (target-independent) fixpoint once;
-  // these cache the two relation values and the counts a fresh solve of
-  // any target would report.
+  // SummarySimple solves to a full (target-independent) fixpoint once and
+  // caches the two relation values; the rounds a fresh solve of any
+  // target would report stay in the evaluator's statistics.
   bool SimpleSolved = false;
   Bdd SimpleSummary, SimpleEntries;
   bool SimpleHitLimit = false;
-  uint64_t SimpleIterations = 0, SimpleDeltaRounds = 0;
   size_t SimpleSummaryNodes = 0;
 
   // Per-procedure split mode (any algorithm): the whole relation chain is
@@ -629,15 +610,14 @@ struct SeqSession::Impl {
   // relation through `Evaluator::resume` over these caller-held states,
   // callees-first — and every later query is a conjunction against the
   // cached Hits value. A governor interrupt leaves the current relation
-  // at its last completed round; the retry loop skips the already
-  // saturated prefix and resumes the chain bit-identically. This
-  // per-relation state is also the seam for future *partial*
-  // invalidation: editing one procedure body need only clear the states
-  // (and downstream memos) of its call-graph ancestors, not the world.
+  // at its last completed round; the retry skips the already saturated
+  // prefix and resumes the chain bit-identically. This per-relation state
+  // is also the seam for future *partial* invalidation: editing one
+  // procedure body need only clear the states (and downstream memos) of
+  // its call-graph ancestors, not the world.
   bool SplitSolved = false;
   std::map<RelId, FixpointState> SplitStates;
   bool SplitHitLimit = false;
-  uint64_t SplitIterations = 0, SplitDeltaRounds = 0;
   size_t SplitSummaryNodes = 0;
   Bdd SplitHits;
 
@@ -664,13 +644,14 @@ struct SeqSession::Impl {
   /// Installed on the manager around each solve, never across solves.
   support::ResourceGovernor *Gov = nullptr;
 
-  Impl(const bp::ProgramCfg &Cfg, const SeqOptions &Opts)
-      : Cfg(Cfg), Opts(Opts),
-        Engine(Cfg, Opts.Alg, !Opts.MonolithicSummary),
+  Impl(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
+       const sym::SolveConfig &Config)
+      : Cfg(Cfg), Config(Config),
+        Engine(Cfg, Alg, !Config.MonolithicSummary),
         Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr),
-           Opts.Strategy) {
-    Mgr.setGcThreshold(Opts.GcThreshold);
-    Fix.setKeyframeInterval(Opts.RingKeyframeInterval);
+           Config.Strategy) {
+    Mgr.setGcThreshold(Config.GcThreshold);
+    Fix.setKeyframeInterval(Config.RingKeyframeInterval);
     // Sessions currently solve on one thread whatever `Threads` says: the
     // split chain is resumed callees-first (see `solve`), so the
     // evaluator's scheduler never finds two SCCs pending, and the
@@ -678,7 +659,7 @@ struct SeqSession::Impl {
     // still passed down so the worker accounting below stays honest if a
     // session ever reaches the pool. Queries stay serialized — one
     // session serves one caller at a time.
-    Ev.setThreads(Opts.Threads);
+    Ev.setThreads(Config.Threads);
     // The target relation is declared but read by no clause, so one
     // targetless binding serves every query; rebinding per target would
     // needlessly drop the evaluator's memo layers.
@@ -702,12 +683,11 @@ struct SeqSession::Impl {
   }
 };
 
-SeqSession::SeqSession(const bp::ProgramCfg &Cfg, const SeqOptions &Opts)
-    : I(std::make_unique<Impl>(Cfg, Opts)) {}
+SeqSession::SeqSession(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
+                       const sym::SolveConfig &Config)
+    : I(std::make_unique<Impl>(Cfg, Alg, Config)) {}
 
 SeqSession::~SeqSession() = default;
-
-const SeqOptions &SeqSession::options() const { return I->Opts; }
 
 void SeqSession::setGovernor(support::ResourceGovernor *G) {
   I->Gov = G;
@@ -743,124 +723,64 @@ size_t SeqSession::peakLiveNodes() const {
 
 size_t SeqSession::memoryFootprint() const { return I->Gauge.bytes(); }
 
-SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
+sym::SolveStats SeqSession::solve(unsigned ProcId, unsigned Pc) {
   Impl &S = *I;
-  if (!S.Opts.ReuseSolvedState) {
-    // Ablation / differential baseline: every query pays a fresh solve.
-    SeqOptions O = S.Opts;
-    O.Governor = S.Gov;
-    return checkReachability(S.Cfg, ProcId, Pc, O);
-  }
-
-  SeqResult Result;
-  Timer T;
-  BddStats Before = S.Mgr.stats();
-  BddStats WorkerBefore = S.Ev.workerBddStats();
-  fpc::ParallelStats ParBefore = S.Ev.parallelStats();
+  sym::SolveStats Result;
+  sym::SolveMeter Meter(S.Ev);
+  // Split and SummarySimple answer from one target-independent solve; set
+  // when an earlier query already ran it.
+  bool Replayed = false;
+  std::optional<IncrementalFixpoint::Answer> Answer;
 
   // The governor spans exactly this query; an interrupted query leaves
   // the session's persistent state (rings, summaries, memos) at the last
   // completed round, valid for a retry.
-  if (S.Gov)
-    S.Mgr.setGovernor(S.Gov);
+  S.Mgr.setGovernor(S.Gov);
   try {
-  const sym::ConfVars &Conf = S.Engine.conf();
-  Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
-                     S.Ev.encodeEqConst(Conf.Pc, Pc);
+    const sym::ConfVars &Conf = S.Engine.conf();
+    Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
+                       S.Ev.encodeEqConst(Conf.Pc, Pc);
 
-  if (S.Engine.split()) {
-    bool FirstQuery = !S.SplitSolved;
-    if (FirstQuery) {
-      const uint64_t Cap = S.Opts.MaxIterations;
-      for (RelId R : S.Engine.solveOrder()) {
-        FixpointState &St = S.SplitStates[R];
-        if (St.Saturated)
-          continue; // Solved by an earlier (interrupted) attempt.
-        if (Cap != 0 && St.Rounds >= Cap) {
-          // Already truncated at the cap by an earlier attempt; resuming
-          // would run extra rounds past it.
-          S.SplitHitLimit = true;
-          S.Ev.pinCompleted(R, St.Value);
-          continue;
-        }
-        EvalOptions RO;
-        RO.MaxIterations = Cap;
-        EvalResult ER = S.Ev.resume(R, St, RO);
-        S.SplitHitLimit |= ER.HitIterationLimit;
-        if (!St.Saturated)
-          S.Ev.pinCompleted(R, St.Value);
+    if (S.Engine.split()) {
+      Replayed = S.SplitSolved;
+      if (!Replayed) {
+        S.SplitHitLimit |=
+            S.Engine.solveChain(S.Ev, S.SplitStates, S.Config.MaxIterations);
+        S.SplitHits = S.SplitStates[S.Engine.hitsRel()].Value;
+        S.SplitSummaryNodes =
+            S.SplitStates[S.Engine.summaryAllRel()].Value.nodeCount();
+        S.SplitSolved = true;
       }
-      S.SplitHits = S.SplitStates[S.Engine.hitsRel()].Value;
-      S.SplitSummaryNodes =
-          S.SplitStates[S.Engine.summaryAllRel()].Value.nodeCount();
-      const auto &Stats = S.Ev.stats();
-      for (RelId R : S.Engine.solveOrder()) {
-        auto It = Stats.find(S.Engine.system().relation(R).Name);
-        if (It == Stats.end())
-          continue;
-        S.SplitIterations =
-            std::max(S.SplitIterations, It->second.Iterations);
-        S.SplitDeltaRounds += It->second.DeltaRounds;
+      Result.Reachable = !(S.SplitHits & TargetStates).isZero();
+      Result.HitIterationLimit = S.SplitHitLimit;
+      Result.SummaryNodes = S.SplitSummaryNodes;
+    } else if (S.Engine.algorithm() == SeqAlgorithm::SummarySimple) {
+      Replayed = S.SimpleSolved;
+      if (!Replayed) {
+        // Same flow as the one-shot solve: no early stop in this branch,
+        // so both values are target-independent and fully reusable.
+        EvalOptions EOpts;
+        EOpts.MaxIterations = S.Config.MaxIterations;
+        EvalResult Summaries = S.Ev.evaluate(S.Engine.mainRel(), EOpts);
+        EvalResult Entries = S.Ev.evaluate(S.Engine.reachEntryRel(), EOpts);
+        S.SimpleSummary = Summaries.Value;
+        S.SimpleEntries = Entries.Value;
+        S.SimpleHitLimit =
+            Summaries.HitIterationLimit || Entries.HitIterationLimit;
+        S.SimpleSummaryNodes = Summaries.Value.nodeCount();
+        S.SimpleSolved = true;
       }
-      S.SplitSolved = true;
+      Bdd Hits = (S.SimpleSummary & S.SimpleEntries) & TargetStates;
+      Result.Reachable = !Hits.isZero();
+      Result.HitIterationLimit = S.SimpleHitLimit;
+      Result.SummaryNodes = S.SimpleSummaryNodes;
+    } else {
+      Answer = S.Fix.query(S.Ev, S.Engine.mainRel(), TargetStates,
+                           S.Config.EarlyStop, S.Config.MaxIterations);
+      Result.Reachable = Answer->Reachable;
+      Result.HitIterationLimit = Answer->HitIterationLimit;
+      Result.SummaryNodes = Answer->Value.nodeCount();
     }
-    Result.Reachable = !(S.SplitHits & TargetStates).isZero();
-    Result.HitIterationLimit = S.SplitHitLimit;
-    Result.Iterations = S.SplitIterations;
-    Result.DeltaRounds = S.SplitDeltaRounds;
-    Result.SummaryNodes = S.SplitSummaryNodes;
-    (FirstQuery ? Result.SummariesRecomputed : Result.SummariesReused) =
-        S.SplitIterations;
-  } else if (S.Opts.Alg == SeqAlgorithm::SummarySimple) {
-    bool FirstQuery = !S.SimpleSolved;
-    if (FirstQuery) {
-      // Same flow as the one-shot solve: no early stop in this branch, so
-      // both values are target-independent and fully reusable.
-      EvalOptions EOpts;
-      EOpts.MaxIterations = S.Opts.MaxIterations;
-      EvalResult Summaries = S.Ev.evaluate(S.Engine.mainRel(), EOpts);
-      EvalResult Entries = S.Ev.evaluate(S.Engine.reachEntryRel(), EOpts);
-      S.SimpleSummary = Summaries.Value;
-      S.SimpleEntries = Entries.Value;
-      S.SimpleHitLimit =
-          Summaries.HitIterationLimit || Entries.HitIterationLimit;
-      S.SimpleSummaryNodes = Summaries.Value.nodeCount();
-      const auto &Stats = S.Ev.stats();
-      auto It = Stats.find(
-          S.Engine.system().relation(S.Engine.mainRel()).Name);
-      if (It != Stats.end()) {
-        S.SimpleIterations = It->second.Iterations;
-        S.SimpleDeltaRounds = It->second.DeltaRounds;
-      }
-      S.SimpleSolved = true;
-    }
-    Bdd Hits = (S.SimpleSummary & S.SimpleEntries) & TargetStates;
-    Result.Reachable = !Hits.isZero();
-    Result.HitIterationLimit = S.SimpleHitLimit;
-    Result.Iterations = S.SimpleIterations;
-    Result.DeltaRounds = S.SimpleDeltaRounds;
-    Result.SummaryNodes = S.SimpleSummaryNodes;
-    (FirstQuery ? Result.SummariesRecomputed : Result.SummariesReused) =
-        S.SimpleIterations;
-  } else {
-    bool EarlyStop = S.Opts.EarlyStop;
-    IncrementalFixpoint::Answer A =
-        S.Fix.query(S.Ev, S.Engine.mainRel(), TargetStates, EarlyStop,
-                    S.Opts.MaxIterations);
-    Result.Reachable = A.Reachable;
-    Result.HitIterationLimit = A.HitIterationLimit;
-    Result.Iterations = A.Iterations;
-    Result.SummaryNodes = A.Value.nodeCount();
-    // A fresh solve's DeltaRounds is Iterations - 1 whenever the delta
-    // core runs (every round after the first is a delta round, however
-    // the solve stops), and 0 under the naive scheme.
-    bool DeltaCore = S.Opts.Strategy == EvalStrategy::SemiNaive &&
-                     S.Ev.plan(S.Engine.mainRel()).SemiNaive;
-    Result.DeltaRounds =
-        DeltaCore && A.Iterations > 0 ? A.Iterations - 1 : 0;
-    Result.SummariesReused = A.RoundsReused;
-    Result.SummariesRecomputed = A.RoundsComputed;
-  }
   } catch (const support::ResourceInterrupt &RI) {
     Result.Limit = RI.Limit;
   }
@@ -869,36 +789,20 @@ SeqResult SeqSession::solve(unsigned ProcId, unsigned Pc) {
   // Session statistics are cumulative where fresh solves report
   // per-solve numbers: Relations accumulates across queries, and the
   // BDD counters are reported as this query's delta on the shared
-  // manager (peaks stay absolute).
-  Result.Relations = S.Ev.stats();
-  Result.CondensationWidth = S.Engine.condensationWidth();
-  Result.SummaryRelations = S.Engine.summaryRelations();
-  Result.Bdd = S.Mgr.stats().since(Before);
-  Result.Bdd.merge(S.Ev.workerBddStats().since(WorkerBefore));
-  fpc::ParallelStats ParDelta = S.Ev.parallelStats().since(ParBefore);
-  Result.SccsSolvedParallel = ParDelta.SccsSolvedParallel;
-  Result.ImportedNodes = ParDelta.ImportedNodes;
-  Result.Seconds = T.seconds();
+  // manager (peaks stay absolute). The target-independent solves'
+  // rounds stay in the evaluator's statistics, so a replayed query reads
+  // the same count the query that solved them did.
+  Meter.finish(Result, S.Ev, S.Engine.roundRoots(),
+               S.Engine.condensationWidth(), S.Engine.summaryRelations(),
+               Answer ? &*Answer : nullptr);
+  if (!Answer && Result.Limit == support::ResourceLimit::None)
+    (Replayed ? Result.SummariesReused : Result.SummariesRecomputed) =
+        Result.Iterations;
   S.noteQueryEnd();
   return Result;
 }
 
-SeqResult SeqSession::solveLabel(const std::string &Label) {
-  unsigned ProcId = 0, Pc = 0;
-  if (!I->Cfg.findLabelPc(Label, ProcId, Pc)) {
-    SeqResult Result;
-    Result.TargetFound = false;
-    return Result;
-  }
-  return solve(ProcId, Pc);
-}
-
 WitnessResult SeqSession::solveWithWitness(unsigned ProcId, unsigned Pc) {
-  if (!I->Opts.ReuseSolvedState) {
-    SeqOptions O = I->Opts;
-    O.Governor = I->Gov;
-    return checkReachabilityWithWitness(I->Cfg, ProcId, Pc, O);
-  }
   if (!I->Witness) {
     // The EF algorithms run the very system the extractor walks, so hand
     // it the session's own engine, manager, evaluator, and recorded rings
@@ -910,14 +814,15 @@ WitnessResult SeqSession::solveWithWitness(unsigned ProcId, unsigned Pc) {
     // The split compiles a different system than the (monolithic
     // EntryForward) extractor walks, so split sessions always use an
     // owned witness sub-session.
-    bool Shared = I->Opts.MonolithicSummary &&
-                  (I->Opts.Alg == SeqAlgorithm::EntryForward ||
-                   I->Opts.Alg == SeqAlgorithm::EntryForwardSplit);
+    SeqAlgorithm Alg = I->Engine.algorithm();
+    bool Shared = I->Config.MonolithicSummary &&
+                  (Alg == SeqAlgorithm::EntryForward ||
+                   Alg == SeqAlgorithm::EntryForwardSplit);
     if (Shared)
       I->Witness = std::make_unique<WitnessSession>(I->Engine, I->Mgr, I->Ev,
-                                                    I->Fix, I->Opts);
+                                                    I->Fix, I->Config);
     else
-      I->Witness = std::make_unique<WitnessSession>(I->Cfg, I->Opts);
+      I->Witness = std::make_unique<WitnessSession>(I->Cfg, I->Config);
     I->Witness->setGovernor(I->Gov);
   }
   WitnessResult R = I->Witness->query(ProcId, Pc);
@@ -928,8 +833,6 @@ WitnessResult SeqSession::solveWithWitness(unsigned ProcId, unsigned Pc) {
 bool SeqSession::answersFromState(unsigned ProcId, unsigned Pc,
                                   bool Witness) {
   Impl &S = *I;
-  if (!S.Opts.ReuseSolvedState)
-    return false;
   if (Witness)
     // Once the witness sub-session has solved its rings, any target is a
     // pure extraction.
@@ -938,40 +841,25 @@ bool SeqSession::answersFromState(unsigned ProcId, unsigned Pc,
     // The split chain is target-independent: once solved, every query is
     // a conjunction against the cached Hits value.
     return S.SplitSolved;
-  if (S.Opts.Alg == SeqAlgorithm::SummarySimple)
+  if (S.Engine.algorithm() == SeqAlgorithm::SummarySimple)
     return S.SimpleSolved;
   const sym::ConfVars &Conf = S.Engine.conf();
   Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
                      S.Ev.encodeEqConst(Conf.Pc, Pc);
-  return S.Fix.answersFromState(TargetStates, S.Opts.EarlyStop,
-                                S.Opts.MaxIterations);
+  return S.Fix.answersFromState(TargetStates, S.Config.EarlyStop,
+                                S.Config.MaxIterations);
 }
 
-SeqResult reach::checkReachability(const bp::ProgramCfg &Cfg, unsigned ProcId,
-                                   unsigned Pc, const SeqOptions &Opts) {
-  SeqEngine Engine(Cfg, Opts.Alg, !Opts.MonolithicSummary);
-  return Engine.solve(ProcId, Pc, Opts);
+sym::SolveStats reach::checkReachability(const bp::ProgramCfg &Cfg,
+                                         unsigned ProcId, unsigned Pc,
+                                         SeqAlgorithm Alg,
+                                         const sym::SolveConfig &Config) {
+  SeqEngine Engine(Cfg, Alg, !Config.MonolithicSummary);
+  return Engine.solve(ProcId, Pc, Config);
 }
 
-SeqResult reach::checkReachabilityOfLabel(const bp::ProgramCfg &Cfg,
-                                          const std::string &Label,
-                                          const SeqOptions &Opts) {
-  unsigned ProcId = 0, Pc = 0;
-  if (!Cfg.findLabelPc(Label, ProcId, Pc)) {
-    SeqResult Result;
-    Result.TargetFound = false;
-    return Result;
-  }
-  return checkReachability(Cfg, ProcId, Pc, Opts);
-}
-
-std::string reach::formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg) {
-  SeqEngine Engine(Cfg, Alg);
-  return Engine.text();
-}
-
-std::string reach::formulaText(const bp::ProgramCfg &Cfg,
-                               const SeqOptions &Opts) {
-  SeqEngine Engine(Cfg, Opts.Alg, !Opts.MonolithicSummary);
+std::string reach::formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
+                               bool SplitSummaries) {
+  SeqEngine Engine(Cfg, Alg, SplitSummaries);
   return Engine.text();
 }

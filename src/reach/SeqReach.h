@@ -28,13 +28,10 @@
 #ifndef GETAFIX_REACH_SEQREACH_H
 #define GETAFIX_REACH_SEQREACH_H
 
-#include "bdd/Bdd.h"
 #include "bp/Cfg.h"
-#include "fpcalc/Calculus.h"
 #include "support/ResourceGovernor.h"
+#include "symbolic/Solve.h"
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 
@@ -52,106 +49,11 @@ enum class SeqAlgorithm {
 
 const char *algorithmName(SeqAlgorithm Alg);
 
-struct SeqOptions {
-  SeqAlgorithm Alg = SeqAlgorithm::EntryForwardSplit;
-  /// How the fixed-point solver iterates: semi-naive (the default, see
-  /// `fpc::EvalStrategy`) or the paper's literal naive semantics. Both
-  /// produce the identical per-round value sequence; the knob exists for
-  /// ablation.
-  fpc::EvalStrategy Strategy = fpc::EvalStrategy::SemiNaive;
-  /// Stop iterating as soon as the target is found (the Appendix formula's
-  /// early-termination disjunct, implemented at the solver level).
-  bool EarlyStop = true;
-  /// Cap on outer fixpoint rounds of the queried relation; 0 = unlimited.
-  uint64_t MaxIterations = 0;
-  /// Automatic garbage-collection threshold (live nodes); 0 disables.
-  size_t GcThreshold = 1u << 22;
-  /// Session mode (`SeqSession`): reuse rounds and summaries solved by
-  /// earlier queries. Off = every query re-solves from scratch (ablation /
-  /// differential-testing baseline). One-shot solves ignore this.
-  bool ReuseSolvedState = true;
-  /// Worker threads for the evaluator's parallel SCC scheduling (1 =
-  /// sequential). Independent dependency SCCs of the fixpoint system are
-  /// solved on a work-stealing pool over per-worker BDD managers;
-  /// verdicts, rounds, and witnesses are bit-identical at any setting.
-  /// Only one-shot solves of the split system reach the pool today: a
-  /// `SeqSession` resumes the split chain callees-first, and the
-  /// monolithic systems never leave two SCCs pending.
-  unsigned Threads = 1;
-  /// Session / witness ring retention (see fpc::RingLog): recorded rounds
-  /// are stored as exact deltas with a full keyframe every this many
-  /// rounds, bounding both retained nodes and ring-reconstitution cost.
-  /// 1 keeps every round full (the pre-diet baseline); 0 keeps only the
-  /// first round full (maximal compression). Purely a memory knob —
-  /// verdicts, rounds, and witnesses are bit-identical at any value.
-  uint64_t RingKeyframeInterval = 8;
-  /// Resource governor for this solve attempt (deadline / node budget /
-  /// cancel flag; see support/ResourceGovernor.h). Not owned; governors
-  /// are one-shot — install a fresh one per attempt. A tripped limit is
-  /// reported in `SeqResult::Limit` with the state stopped at a completed
-  /// round boundary, so a retry resumes the deterministic chain
-  /// bit-identically. Null = ungoverned.
-  support::ResourceGovernor *Governor = nullptr;
-  /// Compile the single whole-program summary relation of the paper's
-  /// formulae instead of the default per-procedure split (one
-  /// `Summary_<proc>` relation per call-graph SCC, giving the evaluator's
-  /// DAG scheduler call-graph-wide parallelism). Verdicts, witnesses, and
-  /// per-query answers are identical either way; round counts and the
-  /// early-stop behaviour differ (the split always solves the full
-  /// fixpoint — per-relation work replaces the monolithic early out).
-  /// Escape hatch for A/B comparison (`--monolithic-summary`).
-  bool MonolithicSummary = false;
-};
-
-struct SeqResult {
-  bool Reachable = false;
-  bool TargetFound = true;   ///< False if the label did not exist.
-  /// Which governor limit stopped the solve (`None` = ran to completion).
-  /// When set, `Reachable` and the iteration counts reflect only the
-  /// completed rounds; other counters still cover the work done.
-  support::ResourceLimit Limit = support::ResourceLimit::None;
-  /// The solver stopped at SeqOptions::MaxIterations before converging;
-  /// `Reachable` then only reflects the states found so far.
-  bool HitIterationLimit = false;
-  uint64_t Iterations = 0;   ///< Outer fixpoint rounds of the main relation.
-  uint64_t DeltaRounds = 0;  ///< Semi-naive rounds after the first.
-  size_t SummaryNodes = 0;   ///< Dag size of the final summary BDD.
-  /// BDD-manager counters: nodes created, peak nodes, computed-cache
-  /// probes and hits (per-op split), GC reclaim totals.
-  BddStats Bdd;
-  double Seconds = 0.0;      ///< Wall-clock solve time (excludes parsing).
-  /// Per-relation evaluator statistics, keyed by relation name.
-  std::map<std::string, fpc::RelStats> Relations;
-  /// Session mode only: fixpoint rounds of this query that were served
-  /// from state persisted by earlier queries, vs rounds newly evaluated.
-  /// A one-shot solve reports (0, Iterations).
-  uint64_t SummariesReused = 0;
-  uint64_t SummariesRecomputed = 0;
-  /// Dependency SCCs solved on the worker pool (`Threads > 1` only; the
-  /// per-worker BDD counters are folded into `Bdd` via BddStats::merge).
-  uint64_t SccsSolvedParallel = 0;
-  /// BDD nodes the cached importers translated across manager boundaries
-  /// while seeding and exporting those SCC tasks.
-  uint64_t ImportedNodes = 0;
-  /// Width of the solved fixpoint condensation: the number of independent
-  /// solve units the evaluator's DAG scheduler had to play with. Under
-  /// the per-procedure split this equals the program's call-graph SCC
-  /// count; the monolithic compilation reports the (1–4 wide) relation
-  /// condensation of the paper's formulae.
-  unsigned CondensationWidth = 0;
-  /// Number of summary relations compiled (call-graph SCCs under the
-  /// split, 1 monolithic).
-  unsigned SummaryRelations = 0;
-};
-
-/// Checks whether (ProcId, Pc) is reachable in \p Cfg's program.
-SeqResult checkReachability(const bp::ProgramCfg &Cfg, unsigned ProcId,
-                            unsigned Pc, const SeqOptions &Opts);
-
-/// Checks whether the statement labelled \p Label is reachable.
-SeqResult checkReachabilityOfLabel(const bp::ProgramCfg &Cfg,
-                                   const std::string &Label,
-                                   const SeqOptions &Opts);
+/// Checks whether (ProcId, Pc) is reachable in \p Cfg's program, solving
+/// \p Alg's equation system under \p Config.
+sym::SolveStats checkReachability(const bp::ProgramCfg &Cfg, unsigned ProcId,
+                                  unsigned Pc, SeqAlgorithm Alg,
+                                  const sym::SolveConfig &Config);
 
 /// Cross-query incremental solving over one program: the equation system,
 /// BDD manager, evaluator memos, and the fixpoint rounds ("onion rings")
@@ -167,14 +69,13 @@ SeqResult checkReachabilityOfLabel(const bp::ProgramCfg &Cfg,
 /// fixed at construction; only the target varies per query.
 class SeqSession {
 public:
-  SeqSession(const bp::ProgramCfg &Cfg, const SeqOptions &Opts);
+  SeqSession(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
+             const sym::SolveConfig &Config);
   ~SeqSession();
   SeqSession(const SeqSession &) = delete;
   SeqSession &operator=(const SeqSession &) = delete;
 
-  SeqResult solve(unsigned ProcId, unsigned Pc);
-  /// Label query; `TargetFound` false when the label does not exist.
-  SeqResult solveLabel(const std::string &Label);
+  sym::SolveStats solve(unsigned ProcId, unsigned Pc);
   /// Witness query, matching `checkReachabilityWithWitness` (which solves
   /// the EntryForward system with ring recording): the session's witness
   /// sub-session solves that system once and extracts a trace per target.
@@ -221,22 +122,17 @@ public:
   size_t peakLiveNodes() const;
   size_t memoryFootprint() const;
 
-  const SeqOptions &options() const;
-
 private:
   struct Impl;
   std::unique_ptr<Impl> I;
 };
 
-/// Renders the fixed-point equation system the given algorithm would solve
-/// for \p Cfg in its *monolithic* compilation (the paper's "one page of
-/// formulae"), for documentation and golden tests.
-std::string formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg);
-
-/// Options-aware variant: renders the system \p Opts would actually solve,
-/// including the per-procedure split compilation when
-/// `Opts.MonolithicSummary` is false.
-std::string formulaText(const bp::ProgramCfg &Cfg, const SeqOptions &Opts);
+/// Renders the fixed-point equation system \p Alg solves for \p Cfg: the
+/// paper's "one page of formulae" in its monolithic compilation, or the
+/// per-procedure split when \p SplitSummaries is set. For documentation
+/// and golden tests.
+std::string formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
+                        bool SplitSummaries = false);
 
 } // namespace reach
 } // namespace getafix

@@ -5,6 +5,7 @@
 #include "fpcalc/Evaluator.h"
 #include "interp/Eval.h"
 #include "reach/SeqEngine.h"
+#include "support/Timer.h"
 
 #include <algorithm>
 #include <stdexcept>
@@ -43,22 +44,22 @@ struct InstState {
 ///     one solve and one copy of every recorded round.
 class WitnessExtractor {
 public:
-  WitnessExtractor(const bp::ProgramCfg &Cfg, const SeqOptions &Opts)
+  WitnessExtractor(const bp::ProgramCfg &Cfg, const sym::SolveConfig &Config)
       : OwnEngine(
             std::make_unique<SeqEngine>(Cfg, SeqAlgorithm::EntryForward)),
         OwnMgr(std::make_unique<BddManager>()),
-        Engine(OwnEngine.get()), Mgr(OwnMgr.get()), Opts(Opts),
-        Gov(Opts.Governor), Fix(&OwnFix), S(Engine->conf()),
+        Engine(OwnEngine.get()), Mgr(OwnMgr.get()), Config(Config),
+        Gov(Config.Governor), Fix(&OwnFix), S(Engine->conf()),
         X(Engine->scratch()), F(Engine->encoder().formals()) {
-    Mgr->setGcThreshold(Opts.GcThreshold);
-    OwnFix.setKeyframeInterval(Opts.RingKeyframeInterval);
+    Mgr->setGcThreshold(Config.GcThreshold);
+    OwnFix.setKeyframeInterval(Config.RingKeyframeInterval);
   }
 
   WitnessExtractor(SeqEngine &SharedEngine, BddManager &SharedMgr,
                    Evaluator &SharedEv, IncrementalFixpoint &SharedFix,
-                   const SeqOptions &Opts)
-      : Engine(&SharedEngine), Mgr(&SharedMgr), Opts(Opts),
-        Gov(Opts.Governor), Ev(&SharedEv), Fix(&SharedFix), Borrowed(true),
+                   const sym::SolveConfig &Config)
+      : Engine(&SharedEngine), Mgr(&SharedMgr), Config(Config),
+        Gov(Config.Governor), Ev(&SharedEv), Fix(&SharedFix), Borrowed(true),
         S(Engine->conf()), X(Engine->scratch()),
         F(Engine->encoder().formals()) {
     assert((Engine->algorithm() == SeqAlgorithm::EntryForward ||
@@ -97,6 +98,16 @@ private:
   /// Runs the ring-recording solve on first use and snapshots the
   /// target-independent result fields (ring count, counters, stats).
   void ensureSolved();
+  /// Reads the ring-recording solve's counters out into \p Out. They count
+  /// from zero, so in borrowed mode they cover the shared manager and
+  /// evaluator — all rounds of the session's one solve, whichever query
+  /// drove them. `Iterations` is the number of rounds recorded.
+  void readOut(sym::SolveStats &Out) {
+    sym::SolveMeter().finish(Out, *Ev, Engine->roundRoots(),
+                             Engine->condensationWidth(),
+                             Engine->summaryRelations());
+    Out.Iterations = Fix->rings().size();
+  }
   Bdd eq(VarId V, uint64_t Value) { return Ev->encodeEqConst(V, Value); }
 
   /// Renames a relation BDD from one set of calculus variables to another
@@ -185,7 +196,7 @@ private:
   std::unique_ptr<BddManager> OwnMgr;
   SeqEngine *Engine;
   BddManager *Mgr;
-  SeqOptions Opts;
+  sym::SolveConfig Config;
   /// Per-attempt governor (null = ungoverned), installed around each
   /// query. Not owned.
   support::ResourceGovernor *Gov = nullptr;
@@ -211,7 +222,7 @@ private:
   // Persisted across queries, filled by ensureSolved.
   Bdd Solved;         ///< Final value of the summary relation.
   Bdd TargetDomains;  ///< Domain constraints of the target coordinates.
-  WitnessResult Base; ///< Target-independent result fields.
+  sym::SolveStats Base; ///< Target-independent result fields.
 };
 
 } // namespace
@@ -421,8 +432,8 @@ void WitnessExtractor::ensureSolved() {
     try {
       Layout L = Engine->factory().makeLayout(*Mgr);
       auto NewEv = std::make_unique<Evaluator>(
-          Engine->system(), *Mgr, std::move(L), Opts.Strategy);
-      NewEv->setThreads(Opts.Threads);
+          Engine->system(), *Mgr, std::move(L), Config.Strategy);
+      NewEv->setThreads(Config.Threads);
       // The target relation is declared but read by no clause; the solve
       // (and therefore every ring) is target-independent, which is what
       // makes one solve serve every later target query.
@@ -447,36 +458,24 @@ void WitnessExtractor::ensureSolved() {
   // recorded here: one solve per session, ever. A governor-interrupted
   // solve keeps its completed rounds and carries on from them on retry —
   // the recorded rings stay consistent either way.
-  EvalResult R = Fix->complete(*Ev, Engine->mainRel(), Opts.MaxIterations);
+  EvalResult R = Fix->complete(*Ev, Engine->mainRel(), Config.MaxIterations);
   SolveDone = true;
   Solved = R.Value;
   TargetDomains = Ev->domainConstraint(S.Mod) & Ev->domainConstraint(S.Pc);
   Base.HitIterationLimit = R.HitIterationLimit;
-  Base.Iterations = Fix->rings().size();
   Base.SummaryNodes = Solved.nodeCount();
-  Base.Relations = Ev->stats();
-  auto StatsIt = Base.Relations.find(
-      Engine->system().relation(Engine->mainRel()).Name);
-  if (StatsIt != Base.Relations.end())
-    Base.DeltaRounds = StatsIt->second.DeltaRounds;
   // Counters cover the ring-recording solve (reconstruction only walks
-  // the recorded rings). In borrowed mode they cover the shared manager
-  // and evaluator — i.e. all rounds of the session's one solve, whichever
-  // query drove them.
-  Base.Bdd = Mgr->stats();
-  Base.SccsSolvedParallel = Ev->parallelStats().SccsSolvedParallel;
-  Base.ImportedNodes = Ev->parallelStats().ImportedNodes;
-  Base.CondensationWidth = Engine->condensationWidth();
-  Base.SummaryRelations = Engine->summaryRelations();
+  // the recorded rings).
+  readOut(Base);
 }
 
 WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
   WitnessResult Result;
-  if (Gov)
-    Mgr->setGovernor(Gov);
+  Timer T;
+  Mgr->setGovernor(Gov);
   try {
     ensureSolved();
-    Result = Base;
+    static_cast<sym::SolveStats &>(Result) = Base;
     Steps.clear();
 
     Bdd Hits = Solved & eq(S.Mod, ProcId) & eq(S.Pc, Pc) & TargetDomains;
@@ -505,12 +504,13 @@ WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
   } catch (const support::ResourceInterrupt &RI) {
     // Clean limit stop mid-solve or mid-extraction: completed rounds (and
     // their rings) persist, so a retry resumes where this attempt stopped.
+    // Setup runs ungoverned, so the evaluator exists by now.
     Result = WitnessResult();
     Result.Limit = RI.Limit;
-    Result.Iterations = Fix->rings().size();
-    Result.Bdd = Mgr->stats();
+    readOut(Result);
   }
   Mgr->setGovernor(nullptr);
+  Result.Seconds = T.seconds();
   return Result;
 }
 
@@ -518,11 +518,11 @@ WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
 // Public API
 //===----------------------------------------------------------------------===//
 
-WitnessResult reach::checkReachabilityWithWitness(const bp::ProgramCfg &Cfg,
-                                                  unsigned ProcId,
-                                                  unsigned Pc,
-                                                  const SeqOptions &Opts) {
-  WitnessExtractor Extractor(Cfg, Opts);
+WitnessResult
+reach::checkReachabilityWithWitness(const bp::ProgramCfg &Cfg, unsigned ProcId,
+                                    unsigned Pc,
+                                    const sym::SolveConfig &Config) {
+  WitnessExtractor Extractor(Cfg, Config);
   return Extractor.query(ProcId, Pc);
 }
 
@@ -532,22 +532,22 @@ struct WitnessSession::Impl {
   /// reachable-only), and the high-water mark of their node count.
   BddGauge Gauge;
   size_t PeakLive = 0;
-  Impl(const bp::ProgramCfg &Cfg, const SeqOptions &Opts)
-      : Extractor(Cfg, Opts) {}
+  Impl(const bp::ProgramCfg &Cfg, const sym::SolveConfig &Config)
+      : Extractor(Cfg, Config) {}
   Impl(SeqEngine &Engine, BddManager &Mgr, Evaluator &Ev,
-       IncrementalFixpoint &Fix, const SeqOptions &Opts)
-      : Extractor(Engine, Mgr, Ev, Fix, Opts) {}
+       IncrementalFixpoint &Fix, const sym::SolveConfig &Config)
+      : Extractor(Engine, Mgr, Ev, Fix, Config) {}
 };
 
 WitnessSession::WitnessSession(const bp::ProgramCfg &Cfg,
-                               const SeqOptions &Opts)
-    : I(std::make_unique<Impl>(Cfg, Opts)) {}
+                               const sym::SolveConfig &Config)
+    : I(std::make_unique<Impl>(Cfg, Config)) {}
 
 WitnessSession::WitnessSession(SeqEngine &Engine, BddManager &Mgr,
                                fpc::Evaluator &Ev,
                                fpc::IncrementalFixpoint &Fix,
-                               const SeqOptions &Opts)
-    : I(std::make_unique<Impl>(Engine, Mgr, Ev, Fix, Opts)) {}
+                               const sym::SolveConfig &Config)
+    : I(std::make_unique<Impl>(Engine, Mgr, Ev, Fix, Config)) {}
 
 WitnessSession::~WitnessSession() = default;
 
@@ -572,19 +572,6 @@ void WitnessSession::clearComputedCache() {
 BddGauge WitnessSession::gauge() const { return I->Gauge; }
 
 size_t WitnessSession::peakLiveNodes() const { return I->PeakLive; }
-
-WitnessResult
-reach::checkReachabilityOfLabelWithWitness(const bp::ProgramCfg &Cfg,
-                                           const std::string &Label,
-                                           const SeqOptions &Opts) {
-  unsigned ProcId = 0, Pc = 0;
-  if (!Cfg.findLabelPc(Label, ProcId, Pc)) {
-    WitnessResult Result;
-    Result.TargetFound = false;
-    return Result;
-  }
-  return checkReachabilityWithWitness(Cfg, ProcId, Pc, Opts);
-}
 
 //===----------------------------------------------------------------------===//
 // Explicit replay verification

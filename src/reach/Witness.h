@@ -31,7 +31,6 @@
 #include "reach/SeqReach.h"
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,32 +64,15 @@ struct WitnessStep {
   uint64_t Globals = 0;
 };
 
-struct WitnessResult {
-  bool Reachable = false;
-  bool TargetFound = true;            ///< False if the label did not exist.
-  /// Which governor limit stopped the ring-recording solve (`None` = ran
-  /// to completion). When set, no trace is extracted.
-  support::ResourceLimit Limit = support::ResourceLimit::None;
-  /// The ring-recording solve stopped at SeqOptions::MaxIterations before
-  /// converging; `Reachable` then only reflects the rings recorded so far.
-  bool HitIterationLimit = false;
-  std::vector<WitnessStep> Steps;     ///< Empty when unreachable.
-  uint64_t Iterations = 0;            ///< Fixpoint rounds recorded.
-  uint64_t DeltaRounds = 0;           ///< Semi-naive rounds after the first.
-  size_t SummaryNodes = 0;            ///< Dag size of the solved summary.
-  /// BDD-manager counters (nodes created, peak nodes, per-op cache split,
-  /// GC).
-  BddStats Bdd;
-  /// Per-relation evaluator statistics, keyed by relation name.
-  std::map<std::string, fpc::RelStats> Relations;
-  /// The ring-recording solve's counterparts of the `SeqResult` fields of
-  /// the same names. That solve always runs the monolithic EntryForward
-  /// system, so `SummaryRelations` is 1 and `CondensationWidth` is that
-  /// system's relation condensation, whatever the plain queries compile.
-  uint64_t SccsSolvedParallel = 0;
-  uint64_t ImportedNodes = 0;
-  unsigned CondensationWidth = 0;
-  unsigned SummaryRelations = 0;
+/// A witness query's answer: the ring-recording solve's statistics, plus
+/// the reconstructed run when the target is reachable. That solve always
+/// runs the monolithic EntryForward system, so `SummaryRelations` is 1 and
+/// `CondensationWidth` is that system's relation condensation, whatever
+/// the plain queries compile; `Iterations` counts the rounds recorded
+/// (the saturating round adds no ring). When a limit stops the solve, no
+/// trace is extracted.
+struct WitnessResult : sym::SolveStats {
+  std::vector<WitnessStep> Steps; ///< Empty when unreachable.
 };
 
 /// Decides reachability of (ProcId, Pc) and, when reachable, extracts a
@@ -99,12 +81,7 @@ struct WitnessResult {
 /// checkReachability; use it after a positive answer.
 WitnessResult checkReachabilityWithWitness(const bp::ProgramCfg &Cfg,
                                            unsigned ProcId, unsigned Pc,
-                                           const SeqOptions &Opts);
-
-/// Label-based variant of checkReachabilityWithWitness.
-WitnessResult checkReachabilityOfLabelWithWitness(const bp::ProgramCfg &Cfg,
-                                                  const std::string &Label,
-                                                  const SeqOptions &Opts);
+                                           const sym::SolveConfig &Config);
 
 /// Cross-query witness extraction over one program. The ring-recording
 /// solve is target-independent (it always runs the entry-forward system to
@@ -115,7 +92,7 @@ WitnessResult checkReachabilityOfLabelWithWitness(const bp::ProgramCfg &Cfg,
 /// \p Cfg alive for the session's lifetime.
 class WitnessSession {
 public:
-  WitnessSession(const bp::ProgramCfg &Cfg, const SeqOptions &Opts);
+  WitnessSession(const bp::ProgramCfg &Cfg, const sym::SolveConfig &Config);
   /// Borrowed mode: extract witnesses from an *owning session's* solver
   /// state instead of running a second solve. \p Engine must be an
   /// entry-forward (or entry-forward-split) engine whose main relation
@@ -127,7 +104,8 @@ public:
   /// counts the shared manager) and `clearComputedCache` is a no-op (the
   /// owner's valve clears it).
   WitnessSession(SeqEngine &Engine, BddManager &Mgr, fpc::Evaluator &Ev,
-                 fpc::IncrementalFixpoint &Fix, const SeqOptions &Opts);
+                 fpc::IncrementalFixpoint &Fix,
+                 const sym::SolveConfig &Config);
   ~WitnessSession();
   WitnessSession(const WitnessSession &) = delete;
   WitnessSession &operator=(const WitnessSession &) = delete;

@@ -93,9 +93,12 @@ TEST(ApiTest, AllEnginesAgreeOnTheFixture) {
 }
 
 TEST(ApiTest, UnknownLabelReportsTargetNotFound) {
-  for (const std::string &Src : {seqFixture(), concFixture()}) {
-    SolveResult R = Solver::solve(Query::fromSource(Src).target("NOPE"),
-                                  SolverOptions());
+  for (const Query &Q : {Query::fromSource(seqFixture()).target("NOPE"),
+                         Query::fromSource(concFixture()).target("NOPE"),
+                         Query::fromSource(seqFixture())
+                             .target("NOPE")
+                             .witness()}) {
+    SolveResult R = Solver::solve(Q, SolverOptions());
     EXPECT_EQ(R.Status, SolveStatus::TargetNotFound);
     EXPECT_NE(R.Error.find("NOPE"), std::string::npos) << R.Error;
   }

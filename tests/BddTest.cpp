@@ -182,7 +182,7 @@ TEST(BddTest, IteMatchesDefinition) {
     auto [G, GT] = randomFunction(Mgr, R, 4, 4);
     auto [H, HT] = randomFunction(Mgr, R, 4, 4);
     Bdd Ite = F.ite(G, H);
-    Bdd Expected = (F & G) | (!F & H);
+    Bdd Expected = (F & G) | ((!F) & H);
     EXPECT_EQ(Ite, Expected);
     (void)FT;
     (void)GT;

@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
@@ -256,16 +257,39 @@ TEST(FaultTest, OptionsDeadlineSurfacesHitDeadline) {
 }
 
 TEST(FaultTest, PreCancelledFlagSurfacesCancelled) {
+  // Every registered engine, one-shot and in a session, plain and — where
+  // the engine extracts traces — witness: one limit maps to one status on
+  // every path. Bebop probes its governor only every 1,024 worklist pops,
+  // so on this tiny fixture it may finish first; a clean Ok with the
+  // right verdict is then the only other acceptable answer.
   std::atomic<bool> Cancel{true};
-  for (bool Concurrent : {false, true}) {
+  for (const api::Engine *E : api::Solver::engines()) {
     api::SolverOptions Opts;
+    Opts.Engine = E->name();
     Opts.CancelFlag = &Cancel;
-    const std::string Src = Concurrent ? concFixture() : seqFixture();
-    api::SolveResult R =
-        api::Solver::solve(api::Query::fromSource(Src).target("ERR"), Opts);
-    EXPECT_EQ(R.Status, api::SolveStatus::Cancelled)
-        << (Concurrent ? "conc" : "seq") << ": " << R.Error;
-    EXPECT_TRUE(api::isResourceLimit(R.Status));
+    const std::string Src =
+        E->handlesConcurrent() ? concFixture() : seqFixture();
+    for (bool Witness : {false, true}) {
+      if (Witness && !E->supportsWitness())
+        continue;
+      const std::string Context =
+          std::string(E->name()) + (Witness ? "/witness" : "/plain");
+      api::Query Q = api::Query::fromSource("").target("ERR").witness(Witness);
+      api::Query OneShot = Q;
+      OneShot.Source = Src;
+      auto S = api::Solver::open(api::Query::fromSource(Src), Opts);
+      ASSERT_TRUE(S->ok()) << Context << ": " << S->error();
+      for (const api::SolveResult &R :
+           {api::Solver::solve(OneShot, Opts), S->solve(Q)}) {
+        if (R.ok() && std::string(E->name()) == "bebop") {
+          EXPECT_TRUE(R.Reachable) << Context;
+          continue;
+        }
+        EXPECT_EQ(R.Status, api::SolveStatus::Cancelled)
+            << Context << ": " << R.Error;
+        EXPECT_TRUE(api::isResourceLimit(R.Status)) << Context;
+      }
+    }
   }
 }
 
@@ -280,6 +304,47 @@ TEST(FaultTest, SessionGovernorBudgetSurfacesHitNodeBudget) {
   S->setResourceGovernor(nullptr);
   EXPECT_EQ(R.Status, api::SolveStatus::HitNodeBudget) << R.Error;
   EXPECT_NE(R.Error.find("budget"), std::string::npos) << R.Error;
+}
+
+TEST(FaultTest, BudgetStoppedSessionReportsCompletedRounds) {
+  // A limit-stopped sequential session reports the rounds it completed,
+  // through the same read-out as the one-shot solve and the concurrent
+  // session: more than 0 once a round finished, and never more than the
+  // uninterrupted run. Each budget runs on a fresh session, so every stop
+  // is a first attempt.
+  gen::TerminatorParams P;
+  P.CounterBits = 4;
+  P.NumDeadVars = 3;
+  P.LabeledCheckpoints = 1;
+  const std::string Src = gen::terminatorProgram(P).Source;
+  for (bool Monolithic : {false, true}) {
+    const std::string Context = Monolithic ? "monolithic" : "split";
+    api::SolverOptions Opts;
+    Opts.MonolithicSummary = Monolithic;
+    auto Q = [] { return api::Query::fromSource("").target("CP0"); };
+    auto Base = api::Solver::open(api::Query::fromSource(Src), Opts);
+    api::SolveResult Want = Base->solve(Q());
+    ASSERT_TRUE(Want.ok()) << Context << ": " << Want.Error;
+
+    uint64_t MostRounds = 0;
+    for (uint64_t Budget = 64;; Budget *= 2) {
+      auto S = api::Solver::open(api::Query::fromSource(Src), Opts);
+      ResourceGovernor Gov;
+      Gov.setProbePeriod(16);
+      Gov.setNodeBudget(Budget);
+      S->setResourceGovernor(&Gov);
+      api::SolveResult R = S->solve(Q());
+      S->setResourceGovernor(nullptr);
+      if (R.ok())
+        break;
+      ASSERT_EQ(R.Status, api::SolveStatus::HitNodeBudget)
+          << Context << ": " << R.Error;
+      EXPECT_LE(R.Iterations, Want.Iterations)
+          << Context << " at budget " << Budget;
+      MostRounds = std::max(MostRounds, R.Iterations);
+    }
+    EXPECT_GT(MostRounds, 0u) << Context;
+  }
 }
 
 //===----------------------------------------------------------------------===//

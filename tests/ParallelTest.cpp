@@ -421,8 +421,9 @@ TEST(ParallelEngineTest, GeneratedProgramsIdenticalAcrossThreads) {
       Opts.Threads = 4;
       SolveResult T4 = Solver::solve(Q, Opts);
       expectSameCore(T1, T4, W.Name + "/" + EngineName);
-      if (W.ExpectKnown)
+      if (W.ExpectKnown) {
         EXPECT_EQ(T4.Reachable, W.ExpectReachable) << W.Name;
+      }
     }
   }
 }
@@ -453,26 +454,20 @@ TEST(ParallelSessionTest, SessionsBitIdenticalAcrossThreadsAndReuse) {
       ASSERT_TRUE(Fresh.back().ok()) << E->name();
     }
 
-    for (bool Reuse : {true, false}) {
-      SolverOptions Opts = T4Opts;
-      Opts.SessionReuse = Reuse;
-      auto Session = Solver::open(Query::fromSource(Source), Opts);
-      ASSERT_TRUE(Session->ok()) << E->name() << ": " << Session->error();
-      // Individual solves, then a solveAll batch on a second session.
-      for (size_t I = 0; I < Queries.size(); ++I) {
-        SolveResult R = Session->solve(Queries[I]);
-        expectSameCore(Fresh[I], R, std::string(E->name()) +
-                                        "/t4-session reuse=" +
-                                        (Reuse ? "on" : "off"));
-      }
-      auto Batch = Solver::open(Query::fromSource(Source), Opts);
-      ASSERT_TRUE(Batch->ok());
-      std::vector<SolveResult> All = Batch->solveAll(Queries);
-      ASSERT_EQ(All.size(), Queries.size());
-      for (size_t I = 0; I < All.size(); ++I)
-        expectSameCore(Fresh[I], All[I],
-                       std::string(E->name()) + "/t4-solveAll");
+    auto Session = Solver::open(Query::fromSource(Source), T4Opts);
+    ASSERT_TRUE(Session->ok()) << E->name() << ": " << Session->error();
+    // Individual solves, then a solveAll batch on a second session.
+    for (size_t I = 0; I < Queries.size(); ++I) {
+      SolveResult R = Session->solve(Queries[I]);
+      expectSameCore(Fresh[I], R, std::string(E->name()) + "/t4-session");
     }
+    auto Batch = Solver::open(Query::fromSource(Source), T4Opts);
+    ASSERT_TRUE(Batch->ok());
+    std::vector<SolveResult> All = Batch->solveAll(Queries);
+    ASSERT_EQ(All.size(), Queries.size());
+    for (size_t I = 0; I < All.size(); ++I)
+      expectSameCore(Fresh[I], All[I],
+                     std::string(E->name()) + "/t4-solveAll");
   }
 }
 

@@ -181,8 +181,9 @@ TEST_P(RoundRobinDifferentialTest, SymbolicMatchesOracle) {
   EXPECT_EQ(Symbolic, Explicit) << "k=" << K;
 
   // Round-robin runs are a subset of free-schedule runs.
-  if (Symbolic)
+  if (Symbolic) {
     EXPECT_TRUE(symbolic(P, "ERR", K, /*RoundRobin=*/false));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -457,7 +457,7 @@ TEST(SplitSummaryTest, WitnessesBitIdenticalAcrossCompilations) {
 }
 
 /// Session mode: per-query answers across a target batch must match
-/// between the compilations, with reuse both on and off.
+/// between the compilations.
 TEST(SplitSummaryTest, SessionAnswersMatchMonolithic) {
   gen::TerminatorParams P;
   P.CounterBits = 3;
@@ -465,25 +465,23 @@ TEST(SplitSummaryTest, SessionAnswersMatchMonolithic) {
   P.Reachable = false;
   P.LabeledCheckpoints = 2;
   gen::Workload W = gen::terminatorProgram(P);
-  for (const char *Engine : AllEngines)
-    for (bool Reuse : {true, false}) {
-      SolverOptions Opts;
-      Opts.Engine = Engine;
-      Opts.SessionReuse = Reuse;
-      std::vector<Query> Qs;
-      for (const char *Label : {"CP0", "DEAD0", "ERR", "CP1", "DEAD1"})
-        Qs.push_back(Query::fromSource("").target(Label));
+  for (const char *Engine : AllEngines) {
+    SolverOptions Opts;
+    Opts.Engine = Engine;
+    std::vector<Query> Qs;
+    for (const char *Label : {"CP0", "DEAD0", "ERR", "CP1", "DEAD1"})
+      Qs.push_back(Query::fromSource("").target(Label));
 
-      Opts.MonolithicSummary = false;
-      auto SplitSession = Solver::open(Query::fromSource(W.Source), Opts);
-      Opts.MonolithicSummary = true;
-      auto MonoSession = Solver::open(Query::fromSource(W.Source), Opts);
-      ASSERT_TRUE(SplitSession->ok() && MonoSession->ok()) << Engine;
-      for (const Query &Q : Qs) {
-        SolveResult S = SplitSession->solve(Q);
-        SolveResult M = MonoSession->solve(Q);
-        ASSERT_TRUE(S.ok() && M.ok()) << Engine << "/" << Q.Label;
-        EXPECT_EQ(S.Reachable, M.Reachable) << Engine << "/" << Q.Label;
-      }
+    Opts.MonolithicSummary = false;
+    auto SplitSession = Solver::open(Query::fromSource(W.Source), Opts);
+    Opts.MonolithicSummary = true;
+    auto MonoSession = Solver::open(Query::fromSource(W.Source), Opts);
+    ASSERT_TRUE(SplitSession->ok() && MonoSession->ok()) << Engine;
+    for (const Query &Q : Qs) {
+      SolveResult S = SplitSession->solve(Q);
+      SolveResult M = MonoSession->solve(Q);
+      ASSERT_TRUE(S.ok() && M.ok()) << Engine << "/" << Q.Label;
+      EXPECT_EQ(S.Reachable, M.Reachable) << Engine << "/" << Q.Label;
     }
+  }
 }

@@ -61,7 +61,7 @@ SessionPool::SourceLoader loaderFor(const std::string &Source) {
   };
 }
 
-api::SolveResult solveLabel(api::SolverSession &S, const std::string &Label) {
+api::SolveResult solveTarget(api::SolverSession &S, const std::string &Label) {
   return S.solve(api::Query::fromSource("").target(Label));
 }
 
@@ -98,7 +98,7 @@ void expectSameCore(const api::SolveResult &A, const api::SolveResult &B,
 TEST(SessionPoolTest, FootprintAccessorsReportSolverState) {
   auto S = api::Solver::open(api::Query::fromSource(seqFixture()), {});
   ASSERT_TRUE(S->ok());
-  EXPECT_TRUE(solveLabel(*S, "ERR").Reachable);
+  EXPECT_TRUE(solveTarget(*S, "ERR").Reachable);
 
   EXPECT_GT(S->liveNodes(), 0u);
   EXPECT_GE(S->peakLiveNodes(), S->liveNodes());
@@ -111,7 +111,7 @@ TEST(SessionPoolTest, FootprintAccessorsReportSolverState) {
   S->clearComputedCache();
   size_t Cold = S->memoryFootprint();
   EXPECT_LT(Cold, Warm);
-  EXPECT_FALSE(solveLabel(*S, "SAFE").Reachable);
+  EXPECT_FALSE(solveTarget(*S, "SAFE").Reachable);
   EXPECT_GT(S->memoryFootprint(), Cold);
 }
 
@@ -125,13 +125,13 @@ TEST(SessionPoolTest, AcquireOpensOnceAndHitsAfter) {
     SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
     ASSERT_TRUE(L.ok());
     EXPECT_FALSE(L.reopened());
-    EXPECT_TRUE(solveLabel(L.session(), "ERR").Reachable);
+    EXPECT_TRUE(solveTarget(L.session(), "ERR").Reachable);
   }
   {
     SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
     ASSERT_TRUE(L.ok());
     EXPECT_FALSE(L.reopened());
-    EXPECT_FALSE(solveLabel(L.session(), "SAFE").Reachable);
+    EXPECT_FALSE(solveTarget(L.session(), "SAFE").Reachable);
     // The second query reuses the state the first one solved.
     EXPECT_GE(L.session().stats().Queries, 2u);
   }
@@ -158,7 +158,7 @@ TEST(SessionPoolTest, LoaderFailureIsAnErrorLeaseNotFatal) {
   // The key is retried with a working loader afterwards.
   SessionPool::Lease L = Pool.acquire("missing", loaderFor(seqFixture()));
   ASSERT_TRUE(L.ok());
-  EXPECT_TRUE(solveLabel(L.session(), "ERR").Reachable);
+  EXPECT_TRUE(solveTarget(L.session(), "ERR").Reachable);
 }
 
 //===----------------------------------------------------------------------===//
@@ -176,7 +176,7 @@ TEST(SessionPoolTest, EvictionThenReopenIsBitIdenticalToFresh) {
   {
     SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
     ASSERT_TRUE(L.ok());
-    Before = solveLabel(L.session(), "ERR");
+    Before = solveTarget(L.session(), "ERR");
   }
   ASSERT_TRUE(Pool.isResident("fixture"));
   EXPECT_TRUE(Pool.evict("fixture"));
@@ -186,7 +186,7 @@ TEST(SessionPoolTest, EvictionThenReopenIsBitIdenticalToFresh) {
     SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
     ASSERT_TRUE(L.ok());
     EXPECT_TRUE(L.reopened());
-    api::SolveResult After = solveLabel(L.session(), "ERR");
+    api::SolveResult After = solveTarget(L.session(), "ERR");
     expectSameCore(Fresh, Before, "pre-eviction vs fresh");
     expectSameCore(Fresh, After, "post-reopen vs fresh");
   }
@@ -204,7 +204,7 @@ TEST(SessionPoolTest, MaxSessionsEvictsLeastRecentlyUsed) {
   auto Touch = [&Pool](const std::string &Key, const std::string &Src) {
     SessionPool::Lease L = Pool.acquire(Key, loaderFor(Src));
     ASSERT_TRUE(L.ok());
-    EXPECT_TRUE(solveLabel(L.session(), "ERR").ok());
+    EXPECT_TRUE(solveTarget(L.session(), "ERR").ok());
   };
 
   std::string A = driverSource(1, true), B = driverSource(2, false),
@@ -233,7 +233,7 @@ TEST(SessionPoolTest, CacheClearValveFiresBeforeEviction) {
   {
     auto S = api::Solver::open(api::Query::fromSource(seqFixture()), {});
     ASSERT_TRUE(S->ok());
-    solveLabel(*S, "ERR");
+    solveTarget(*S, "ERR");
     Warm = S->memoryFootprint();
     S->clearComputedCache();
     Cold = S->memoryFootprint();
@@ -250,7 +250,7 @@ TEST(SessionPoolTest, CacheClearValveFiresBeforeEviction) {
   for (const char *Key : {"copy1", "copy2"}) {
     SessionPool::Lease L = Pool.acquire(Key, loaderFor(seqFixture()));
     ASSERT_TRUE(L.ok());
-    EXPECT_TRUE(solveLabel(L.session(), "ERR").Reachable);
+    EXPECT_TRUE(solveTarget(L.session(), "ERR").Reachable);
   }
 
   PoolStats PS = Pool.stats();
@@ -264,7 +264,7 @@ TEST(SessionPoolTest, CacheClearValveFiresBeforeEviction) {
   SessionPool::Lease L = Pool.acquire("copy1", loaderFor(seqFixture()));
   ASSERT_TRUE(L.ok());
   EXPECT_FALSE(L.reopened());
-  EXPECT_FALSE(solveLabel(L.session(), "SAFE").Reachable);
+  EXPECT_FALSE(solveTarget(L.session(), "SAFE").Reachable);
 }
 
 TEST(SessionPoolTest, BudgetSeesMidLeaseGrowthThroughTheGauge) {
@@ -285,7 +285,7 @@ TEST(SessionPoolTest, BudgetSeesMidLeaseGrowthThroughTheGauge) {
   {
     auto S = api::Solver::open(api::Query::fromSource(ASrc), {});
     ASSERT_TRUE(S->ok());
-    ASSERT_TRUE(solveLabel(*S, "ERR").Reachable);
+    ASSERT_TRUE(solveTarget(*S, "ERR").Reachable);
     ASmall = S->memoryFootprint();
     ASSERT_TRUE(
         S->solve(api::Query::fromSource("").target("ERR").witness()).ok());
@@ -294,7 +294,7 @@ TEST(SessionPoolTest, BudgetSeesMidLeaseGrowthThroughTheGauge) {
   {
     auto S = api::Solver::open(api::Query::fromSource(BSrc), {});
     ASSERT_TRUE(S->ok());
-    ASSERT_TRUE(solveLabel(*S, "ERR").Reachable);
+    ASSERT_TRUE(solveTarget(*S, "ERR").Reachable);
     BFoot = S->memoryFootprint();
   }
   ASSERT_GT(ABig, ASmall);
@@ -308,7 +308,7 @@ TEST(SessionPoolTest, BudgetSeesMidLeaseGrowthThroughTheGauge) {
   {
     SessionPool::Lease LA = Pool.acquire("A", loaderFor(ASrc));
     ASSERT_TRUE(LA.ok());
-    EXPECT_TRUE(solveLabel(LA.session(), "ERR").Reachable);
+    EXPECT_TRUE(solveTarget(LA.session(), "ERR").Reachable);
   }
   EXPECT_EQ(Pool.stats().CacheClears + Pool.stats().Evictions, 0u);
 
@@ -328,7 +328,7 @@ TEST(SessionPoolTest, BudgetSeesMidLeaseGrowthThroughTheGauge) {
   {
     SessionPool::Lease LB = Pool.acquire("B", loaderFor(BSrc));
     ASSERT_TRUE(LB.ok());
-    EXPECT_TRUE(solveLabel(LB.session(), "ERR").Reachable);
+    EXPECT_TRUE(solveTarget(LB.session(), "ERR").Reachable);
   }
   PoolStats PS = Pool.stats();
   EXPECT_GE(PS.CacheClears + PS.Evictions, 1u);
@@ -347,7 +347,7 @@ TEST(SessionPoolTest, ImpossibleBudgetClearsThenEvictsThenReopens) {
   {
     SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
     ASSERT_TRUE(L.ok());
-    Before = solveLabel(L.session(), "ERR");
+    Before = solveTarget(L.session(), "ERR");
   }
   PoolStats PS = Pool.stats();
   EXPECT_GE(PS.CacheClears, 1u);
@@ -357,7 +357,7 @@ TEST(SessionPoolTest, ImpossibleBudgetClearsThenEvictsThenReopens) {
   SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
   ASSERT_TRUE(L.ok());
   EXPECT_TRUE(L.reopened());
-  expectSameCore(Before, solveLabel(L.session(), "ERR"), "after reopen");
+  expectSameCore(Before, solveTarget(L.session(), "ERR"), "after reopen");
 }
 
 //===----------------------------------------------------------------------===//
@@ -378,9 +378,9 @@ TEST(SessionPoolTest, ConcurrentClientsShareOneSession) {
           ++BadVerdicts[T];
           continue;
         }
-        if (!solveLabel(L.session(), "ERR").Reachable)
+        if (!solveTarget(L.session(), "ERR").Reachable)
           ++BadVerdicts[T];
-        if (solveLabel(L.session(), "SAFE").Reachable)
+        if (solveTarget(L.session(), "SAFE").Reachable)
           ++BadVerdicts[T];
       }
     });
@@ -424,7 +424,7 @@ TEST(SessionPoolTest, ConcurrentClientsUnderPressureKeepVerdictsApart) {
           ++Failures[T];
           continue;
         }
-        api::SolveResult Res = solveLabel(L.session(), "ERR");
+        api::SolveResult Res = solveTarget(L.session(), "ERR");
         if (!Res.ok() || Res.Reachable != P.Reachable)
           ++Failures[T];
       }
@@ -442,7 +442,7 @@ TEST(SessionPoolTest, EvictAllDropsEverything) {
     SessionPool::Lease L =
         Pool.acquire(Key, loaderFor(driverSource(Key[0], true)));
     ASSERT_TRUE(L.ok());
-    solveLabel(L.session(), "ERR");
+    solveTarget(L.session(), "ERR");
   }
   EXPECT_EQ(Pool.stats().ResidentSessions, 3u);
   EXPECT_EQ(Pool.evictAll(), 3u);
@@ -464,7 +464,7 @@ TEST(SessionPoolTest, PoisonedLeaseIsEvictedEagerlyAndNeverReused) {
   {
     SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
     ASSERT_TRUE(L.ok());
-    EXPECT_TRUE(solveLabel(L.session(), "ERR").Reachable);
+    EXPECT_TRUE(solveTarget(L.session(), "ERR").Reachable);
     // A fault escaped this session (simulated): mark the lease poisoned.
     // Release must destroy the session instead of returning it.
     L.markPoisoned();
@@ -488,13 +488,13 @@ TEST(SessionPoolTest, ReopenAfterPoisonedEvictionIsBitIdenticalToFresh) {
   {
     SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
     ASSERT_TRUE(L.ok());
-    solveLabel(L.session(), "ERR");
+    solveTarget(L.session(), "ERR");
     L.markPoisoned();
   }
   SessionPool::Lease L = Pool.acquire("fixture", loaderFor(seqFixture()));
   ASSERT_TRUE(L.ok());
   EXPECT_TRUE(L.reopened());
-  api::SolveResult After = solveLabel(L.session(), "ERR");
+  api::SolveResult After = solveTarget(L.session(), "ERR");
   expectSameCore(Fresh, After, "post-poisoned-reopen vs fresh");
   EXPECT_EQ(Pool.stats().PoisonedEvictions, 1u);
   EXPECT_EQ(Pool.stats().Reopens, 1u);

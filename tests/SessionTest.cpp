@@ -263,8 +263,9 @@ TEST(SessionTest, RandomizedWorkloadsMatchFresh) {
             expectSameCore(Fresh, Sess,
                            W.Name + " " + Name + " " +
                                fpc::strategyName(Strategy));
-            if (!Q.UsePoint && Q.Label == W.TargetLabel && W.ExpectKnown)
+            if (!Q.UsePoint && Q.Label == W.TargetLabel && W.ExpectKnown) {
               EXPECT_EQ(Sess.Reachable, W.ExpectReachable) << W.Name;
+            }
           }
         }
       }
@@ -462,7 +463,7 @@ TEST(SessionTest, SolveAllServesStateAnswerableTargetsFirst) {
 }
 
 //===----------------------------------------------------------------------===//
-// Reuse accounting and the no-reuse baseline
+// Reuse accounting
 //===----------------------------------------------------------------------===//
 
 TEST(SessionTest, ReuseCountersReportReplayedRounds) {
@@ -484,25 +485,6 @@ TEST(SessionTest, ReuseCountersReportReplayedRounds) {
   const SolverSession::SessionStats &SS = S->stats();
   EXPECT_EQ(SS.Queries, 2u);
   EXPECT_GT(SS.SummariesReused, 0u);
-}
-
-TEST(SessionTest, NoReuseBaselineStaysIdentical) {
-  // SessionReuse off: the session API answers through fresh solves; the
-  // results must (trivially) match, and nothing must be served from state.
-  std::string Src = seqFixture();
-  SolverOptions Opts;
-  Opts.Engine = "ef-split";
-  Opts.SessionReuse = false;
-  std::unique_ptr<SolverSession> S =
-      Solver::open(Query::fromSource(Src), Opts);
-  for (const std::string &L : {std::string("ERR"), std::string("SAFE")}) {
-    SolveResult Fresh =
-        Solver::solve(Query::fromSource(Src).target(L), Opts);
-    SolveResult Sess = S->solve(Query::fromSource("").target(L));
-    expectSameCore(Fresh, Sess, "no-reuse " + L);
-  }
-  EXPECT_EQ(S->stats().SessionSolves, 0u);
-  EXPECT_EQ(S->stats().FreshSolves, 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -654,8 +636,7 @@ TEST(SessionTest, EfWitnessAndPlainQueriesShareOneSolve) {
 
   for (reach::SeqAlgorithm Alg : {reach::SeqAlgorithm::EntryForward,
                                   reach::SeqAlgorithm::EntryForwardSplit}) {
-    reach::SeqOptions Opts;
-    Opts.Alg = Alg;
+    sym::SolveConfig Opts;
     // The borrowed-witness architecture under test is specific to the
     // monolithic compilation: the extractor walks the very relation the
     // plain queries solve. (Split sessions keep an owned sub-session.)
@@ -669,13 +650,13 @@ TEST(SessionTest, EfWitnessAndPlainQueriesShareOneSolve) {
     // Witness-first: the extractor completes the session's own fixpoint
     // in place, so plain queries of any target are then answerable from
     // state and replay without computing a single new round.
-    reach::SeqSession S(Cfg, Opts);
+    reach::SeqSession S(Cfg, Alg, Opts);
     reach::WitnessResult W = S.solveWithWitness(ErrProc, ErrPc);
     ASSERT_TRUE(W.Reachable);
     EXPECT_EQ(W.Steps.size(), FreshW.Steps.size());
     EXPECT_EQ(W.Relations.at("SummaryEF").Iterations, OneSolveRounds);
     EXPECT_TRUE(S.answersFromState(SafeProc, SafePc));
-    reach::SeqResult P = S.solve(SafeProc, SafePc);
+    sym::SolveStats P = S.solve(SafeProc, SafePc);
     EXPECT_FALSE(P.Reachable);
     EXPECT_EQ(P.SummariesRecomputed, 0u);
     EXPECT_EQ(P.SummariesReused, P.Iterations);
@@ -683,8 +664,8 @@ TEST(SessionTest, EfWitnessAndPlainQueriesShareOneSolve) {
     // Plain-first: the early-stopped prefix is *resumed* by the witness
     // query, never redone — the shared evaluator's cumulative round count
     // stays exactly one solve's worth.
-    reach::SeqSession S2(Cfg, Opts);
-    reach::SeqResult P1 = S2.solve(ErrProc, ErrPc);
+    reach::SeqSession S2(Cfg, Alg, Opts);
+    sym::SolveStats P1 = S2.solve(ErrProc, ErrPc);
     EXPECT_TRUE(P1.Reachable);
     reach::WitnessResult W2 = S2.solveWithWitness(ErrProc, ErrPc);
     ASSERT_TRUE(W2.Reachable);
@@ -760,20 +741,19 @@ TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
   unsigned ErrProc = 0, ErrPc = 0;
   ASSERT_TRUE(Cfg.findLabelPc(W.TargetLabel, ErrProc, ErrPc));
 
-  reach::SeqOptions Seed;
-  Seed.Alg = reach::SeqAlgorithm::EntryForward;
+  const reach::SeqAlgorithm Ef = reach::SeqAlgorithm::EntryForward;
+  sym::SolveConfig Seed;
   // The shared-solve diet being measured is the monolithic borrowed-
   // witness architecture; the per-procedure split always pays an owned
   // witness sub-session, so it is not the subject of this comparison.
   Seed.MonolithicSummary = true;
   Seed.RingKeyframeInterval = 1; // Pre-diet retention: every round full.
-  reach::SeqSession SeedPlain(Cfg, Seed);
+  reach::SeqSession SeedPlain(Cfg, Ef, Seed);
   reach::WitnessSession SeedWitness(Cfg, Seed); // The duplicate solver.
 
-  reach::SeqOptions Diet;
-  Diet.Alg = reach::SeqAlgorithm::EntryForward;
+  sym::SolveConfig Diet;
   Diet.MonolithicSummary = true;
-  reach::SeqSession SDiet(Cfg, Diet);
+  reach::SeqSession SDiet(Cfg, Ef, Diet);
 
   const std::pair<unsigned, unsigned> Targets[] = {
       {ErrProc, ErrPc}, {0, 1}, {1, 0}, {2, 0}};
@@ -782,8 +762,8 @@ TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
     reach::WitnessResult WDiet = SDiet.solveWithWitness(TP, TPc);
     EXPECT_EQ(WSeed.Reachable, WDiet.Reachable) << TP << ":" << TPc;
     EXPECT_EQ(WSeed.Steps.size(), WDiet.Steps.size()) << TP << ":" << TPc;
-    reach::SeqResult PSeed = SeedPlain.solve(TP, TPc);
-    reach::SeqResult PDiet = SDiet.solve(TP, TPc);
+    sym::SolveStats PSeed = SeedPlain.solve(TP, TPc);
+    sym::SolveStats PDiet = SDiet.solve(TP, TPc);
     EXPECT_EQ(PSeed.Reachable, PDiet.Reachable) << TP << ":" << TPc;
     EXPECT_EQ(WSeed.Reachable, PSeed.Reachable) << TP << ":" << TPc;
   }

@@ -41,11 +41,17 @@ Parsed parse(const std::string &Src) {
   return P;
 }
 
+/// Runs extraction for `Label` under the default configuration.
+WitnessResult extract(const Parsed &P, const std::string &Label) {
+  unsigned ProcId = 0, Pc = 0;
+  EXPECT_TRUE(P.Cfg.findLabelPc(Label, ProcId, Pc)) << Label;
+  return checkReachabilityWithWitness(P.Cfg, ProcId, Pc, sym::SolveConfig());
+}
+
 /// Runs extraction for `Label` and, when reachable, demands a verified
 /// trace. Returns the result for additional assertions.
 WitnessResult extractAndVerify(const Parsed &P, const std::string &Label) {
-  SeqOptions Opts;
-  WitnessResult R = checkReachabilityOfLabelWithWitness(P.Cfg, Label, Opts);
+  WitnessResult R = extract(P, Label);
   if (!R.Reachable)
     return R;
   unsigned ProcId = 0, Pc = 0;
@@ -93,18 +99,9 @@ main() begin
   return;
 end
 )");
-  SeqOptions Opts;
-  WitnessResult R = checkReachabilityOfLabelWithWitness(P.Cfg, "ERR", Opts);
+  WitnessResult R = extract(P, "ERR");
   EXPECT_FALSE(R.Reachable);
   EXPECT_TRUE(R.Steps.empty());
-}
-
-TEST(WitnessTest, MissingLabelReported) {
-  auto P = parse("main() begin skip; return; end");
-  SeqOptions Opts;
-  WitnessResult R =
-      checkReachabilityOfLabelWithWitness(P.Cfg, "NOPE", Opts);
-  EXPECT_FALSE(R.TargetFound);
 }
 
 TEST(WitnessTest, CallAndReturnStructure) {
@@ -291,8 +288,7 @@ flip(x) begin
   return !x;
 end
 )");
-    SeqOptions Opts;
-    Result = checkReachabilityOfLabelWithWitness(P.Cfg, "ERR", Opts);
+    Result = extract(P, "ERR");
     ASSERT_TRUE(Result.Reachable);
     ASSERT_TRUE(P.Cfg.findLabelPc("ERR", TargetProc, TargetPc));
     std::string Error;
@@ -387,8 +383,9 @@ TEST_P(RegressionWitnessTest, EveryReachableCaseHasAVerifiedTrace) {
   gen::Workload W = gen::regressionSuite()[GetParam()];
   auto P = parse(W.Source);
   WitnessResult R = extractAndVerify(P, W.TargetLabel);
-  if (W.ExpectKnown)
+  if (W.ExpectKnown) {
     EXPECT_EQ(R.Reachable, W.ExpectReachable) << W.Name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

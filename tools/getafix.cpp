@@ -17,8 +17,6 @@
 ///                        calculus and solved summary rounds are reused
 ///                        across the queries; one "LABEL: VERDICT" line
 ///                        per target)
-///     --no-reuse         session mode: solve every target from scratch
-///                        (ablation baseline for --targets)
 ///     --algo <name>      engine to run (see --list-algos; default: ef-opt
 ///                        for sequential programs, conc for concurrent)
 ///     --list-algos       print the registered engines and exit
@@ -95,7 +93,7 @@ int usage() {
                "[--max-iterations n]\n"
                "               [--threads n] [--timeout-ms n] "
                "[--node-budget n]\n"
-               "               [--no-reuse] [--monolithic-summary]\n"
+               "               [--monolithic-summary]\n"
                "               [--witness] [--print-formula] [--stats] "
                "<program.bp>\n",
                Solver::engineList("|").c_str());
@@ -390,8 +388,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return usage();
       Opts.Solver.NodeBudget = uint64_t(std::atoll(V));
-    } else if (Arg == "--no-reuse") {
-      Opts.Solver.SessionReuse = false;
     } else if (Arg == "--monolithic-summary") {
       Opts.Solver.MonolithicSummary = true;
     } else if (Arg == "--witness") {
