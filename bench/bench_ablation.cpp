@@ -12,12 +12,12 @@
 //     naive semantics, on the terminator and bluetooth suites,
 //   - parallel SCC scheduling (--threads) on multi-SCC calculus systems
 //     at 1/2/4/8 workers, gated on bit-identical counts/rounds/BDD sizes,
-//   - the per-procedure summary split (one Summary_<group> relation per
-//     call-graph SCC, the default) versus the monolithic Summary relation
-//     (--monolithic-summary), gated on identical verdicts, a node-for-node
-//     identical summary union, call-graph-wide condensation (> 4 on the
-//     restructured terminator/bluetooth workloads), and SCC tasks actually
-//     landing on the worker pool at threads=4.
+//   - summary-scc (Section 4.1's summaries with one Summary_<group>
+//     relation per call-graph SCC, the default sequential engine) against
+//     the paper's summary and ef-opt engines, gated on identical verdicts,
+//     a summary union node-for-node identical to summary's relation,
+//     call-graph-wide condensation (> 4 on the terminator workload), and
+//     SCC tasks actually landing on the worker pool at threads=4.
 //
 // Pass --smoke to shrink every workload for a seconds-long CI run,
 // --threads n to run every facade solve at n threads, and --json FILE to
@@ -509,7 +509,8 @@ int main(int Argc, char **Argv) {
     }
 
     // Engine-level plumbing rows: identical verdicts/rounds through the
-    // facade at threads 1 vs 4 (terminator ef-split + bluetooth conc).
+    // facade at threads 1 vs 4 (terminator summary-scc, the engine whose
+    // SCCs reach the pool).
     {
       gen::TerminatorParams P;
       P.CounterBits = Smoke ? 4 : 5;
@@ -519,9 +520,9 @@ int main(int Argc, char **Argv) {
       gen::Workload W = gen::terminatorProgram(P);
       ParsedProgram Parsed = parseOrDie(W.Source);
       SolverOptions Opts;
-      EngineRow T1 = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
+      EngineRow T1 = runEngine(Parsed.Cfg, W.TargetLabel, "summary-scc", Opts);
       Opts.Threads = 4;
-      EngineRow T4 = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
+      EngineRow T4 = runEngine(Parsed.Cfg, W.TargetLabel, "summary-scc", Opts);
       if (T1.Reachable != T4.Reachable || T1.Iterations != T4.Iterations ||
           T1.Nodes != T4.Nodes) {
         std::fprintf(stderr,
@@ -540,25 +541,26 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Per-procedure summary relations: the split (the default) compiles one
+  // summary-scc against the paper's engines: summary-scc compiles one
   // Summary_<group> relation per call-graph SCC, so the calculus
   // condensation is as wide as the call graph and fpc::runDag schedules
-  // real work; MonolithicSummary is the single-relation escape hatch.
-  // Gates (each exits 1): split and monolithic agree on every verdict,
-  // the summary engine's split union is node-for-node identical to the
-  // monolithic relation, the reported width equals the call-graph SCC
-  // count and exceeds the monolithic 1-4 band, and the threads=4 split
-  // run schedules at least one SCC task on the worker pool.
-  std::printf("\n--- per-procedure summaries (condensation width) ---\n");
-  std::printf("%-26s %9s %9s %6s %5s %9s %10s %8s\n", "case", "engine",
-              "variant", "width", "rels", "sccs-par", "seconds", "vs-mono");
+  // real work, where summary and ef-opt compile the paper's one summary
+  // relation. Gates (each exits 1): summary-scc agrees with both on every
+  // verdict, its summary union is node-for-node identical to summary's
+  // relation, its width equals the call-graph SCC count and exceeds 4,
+  // and its threads=4 run schedules at least one SCC task on the worker
+  // pool.
+  std::printf("\n--- per-SCC summaries (condensation width) ---\n");
+  std::printf("%-26s %11s %8s %6s %5s %9s %10s %10s\n", "case", "engine",
+              "threads", "width", "rels", "sccs-par", "seconds",
+              "vs-first");
   {
     auto recordCondRow = [&](const std::string &Case_, const char *Engine,
-                             const char *Variant, const EngineRow &R,
-                             double MonoSeconds) {
-      double Speedup = R.Seconds > 0 ? MonoSeconds / R.Seconds : 0.0;
-      std::printf("%-26s %9s %9s %6u %5u %9llu %9.3fs %7.2fx\n",
-                  Case_.c_str(), Engine, Variant, R.CondensationWidth,
+                             unsigned Threads, const EngineRow &R,
+                             double BaseSeconds) {
+      double Speedup = R.Seconds > 0 ? BaseSeconds / R.Seconds : 0.0;
+      std::printf("%-26s %11s %8u %6u %5u %9llu %9.3fs %9.2fx\n",
+                  Case_.c_str(), Engine, Threads, R.CondensationWidth,
                   R.SummaryRelations,
                   (unsigned long long)R.SccsSolvedParallel, R.Seconds,
                   Speedup);
@@ -566,31 +568,32 @@ int main(int Argc, char **Argv) {
         JsonReport::Row Row;
         Row.field("section", "condensation")
             .field("case", Case_)
-            .field("variant", std::string(Engine) + "-" + Variant)
+            .field("variant",
+                   std::string(Engine) + "-t" + std::to_string(Threads))
             .field("reachable", R.Reachable)
             .field("iterations", R.Iterations)
             .field("condensation_width", R.CondensationWidth)
             .field("summary_relations", R.SummaryRelations)
             .field("sccs_solved_parallel", R.SccsSolvedParallel)
             .field("seconds", R.Seconds)
-            .field("speedup_vs_mono", Speedup);
+            .field("speedup_vs_first", Speedup);
         Report.add(Row);
       }
     };
-    auto checkVerdict = [](const std::string &Case_, const EngineRow &Mono,
-                           const EngineRow &Split) {
-      if (Mono.Reachable != Split.Reachable) {
-        std::fprintf(stderr,
-                     "%s: split summary DISAGREES with monolithic "
-                     "(verdict %d/%d)\n",
-                     Case_.c_str(), Split.Reachable, Mono.Reachable);
+    auto checkVerdict = [](const std::string &Case_, const char *Engine,
+                           const EngineRow &Want, const char *Other,
+                           const EngineRow &Got) {
+      if (Want.Reachable != Got.Reachable) {
+        std::fprintf(stderr, "%s: %s DISAGREES with %s (verdict %d/%d)\n",
+                     Case_.c_str(), Other, Engine, Got.Reachable,
+                     Want.Reachable);
         std::exit(1);
       }
     };
 
     // Sequential: the terminator workload (one phase<i> procedure per
-    // dead variable) through the facade, split at 1 and 4 threads
-    // against the monolithic baseline.
+    // dead variable) through the facade, summary-scc at 1 and 4 threads
+    // against summary and ef-opt.
     {
       gen::TerminatorParams P;
       P.CounterBits = Smoke ? 4 : 5;
@@ -600,42 +603,41 @@ int main(int Argc, char **Argv) {
       gen::Workload W = gen::terminatorProgram(P);
       ParsedProgram Parsed = parseOrDie(W.Source);
       size_t CgWidth = bp::buildCallGraph(Parsed.Cfg).numSccs();
-      for (const char *Engine : {"summary", "ef-opt"}) {
-        SolverOptions Opts;
-        Opts.MonolithicSummary = true;
-        EngineRow Mono = runEngine(Parsed.Cfg, W.TargetLabel, Engine, Opts);
-        Opts.MonolithicSummary = false;
-        EngineRow S1 = runEngine(Parsed.Cfg, W.TargetLabel, Engine, Opts);
-        Opts.Threads = 4;
-        EngineRow S4 = runEngine(Parsed.Cfg, W.TargetLabel, Engine, Opts);
-        checkVerdict(W.Name, Mono, S1);
-        checkVerdict(W.Name, Mono, S4);
-        if (S1.CondensationWidth != CgWidth || CgWidth <= 4) {
-          std::fprintf(stderr,
-                       "%s/%s: split width %u != call-graph SCCs %zu "
-                       "(or width not > 4)\n",
-                       W.Name.c_str(), Engine, S1.CondensationWidth,
-                       CgWidth);
-          std::exit(1);
-        }
-        if (std::strcmp(Engine, "summary") == 0 && S1.Nodes != Mono.Nodes) {
-          std::fprintf(stderr,
-                       "%s: split summary union is not bit-identical to "
-                       "the monolithic relation (%zu vs %zu nodes)\n",
-                       W.Name.c_str(), S1.Nodes, Mono.Nodes);
-          std::exit(1);
-        }
-        if (S4.SccsSolvedParallel == 0) {
-          std::fprintf(stderr,
-                       "%s/%s: threads=4 never scheduled an SCC task on "
-                       "the worker pool\n",
-                       W.Name.c_str(), Engine);
-          std::exit(1);
-        }
-        recordCondRow(W.Name, Engine, "mono-t1", Mono, Mono.Seconds);
-        recordCondRow(W.Name, Engine, "split-t1", S1, Mono.Seconds);
-        recordCondRow(W.Name, Engine, "split-t4", S4, Mono.Seconds);
+      SolverOptions Opts;
+      EngineRow Summary = runEngine(Parsed.Cfg, W.TargetLabel, "summary", Opts);
+      EngineRow Opt = runEngine(Parsed.Cfg, W.TargetLabel, "ef-opt", Opts);
+      EngineRow S1 = runEngine(Parsed.Cfg, W.TargetLabel, "summary-scc", Opts);
+      Opts.Threads = 4;
+      EngineRow S4 = runEngine(Parsed.Cfg, W.TargetLabel, "summary-scc", Opts);
+      for (const EngineRow *R : {&S1, &S4}) {
+        checkVerdict(W.Name, "summary", Summary, "summary-scc", *R);
+        checkVerdict(W.Name, "ef-opt", Opt, "summary-scc", *R);
       }
+      if (S1.CondensationWidth != CgWidth || CgWidth <= 4) {
+        std::fprintf(stderr,
+                     "%s: summary-scc width %u != call-graph SCCs %zu "
+                     "(or width not > 4)\n",
+                     W.Name.c_str(), S1.CondensationWidth, CgWidth);
+        std::exit(1);
+      }
+      if (S1.Nodes != Summary.Nodes) {
+        std::fprintf(stderr,
+                     "%s: summary-scc union is not bit-identical to "
+                     "summary's relation (%zu vs %zu nodes)\n",
+                     W.Name.c_str(), S1.Nodes, Summary.Nodes);
+        std::exit(1);
+      }
+      if (S4.SccsSolvedParallel == 0) {
+        std::fprintf(stderr,
+                     "%s: summary-scc at threads=4 never scheduled an SCC "
+                     "task on the worker pool\n",
+                     W.Name.c_str());
+        std::exit(1);
+      }
+      recordCondRow(W.Name, "summary", 1, Summary, Summary.Seconds);
+      recordCondRow(W.Name, "ef-opt", 1, Opt, Summary.Seconds);
+      recordCondRow(W.Name, "summary-scc", 1, S1, Summary.Seconds);
+      recordCondRow(W.Name, "summary-scc", 4, S4, Summary.Seconds);
     }
 
     // Concurrent: the bluetooth model's per-thread call graphs carry the
@@ -660,16 +662,12 @@ int main(int Argc, char **Argv) {
       SolverOptions Opts;
       Opts.ContextBound = 2;
       EngineRow Conc = runConcEngine(P, "ERR", "conc", Opts);
-      recordCondRow("bluetooth-1a1s-k2", "conc", "t1", Conc, Conc.Seconds);
+      recordCondRow("bluetooth-1a1s-k2", "conc", 1, Conc, Conc.Seconds);
     }
 
-    // The Lal-Reps engine pins its inner solve to the monolithic
-    // compilation: the eager reduction's O(k) global copies make
-    // reachable entries a vanishing fraction of all entries, so the
-    // split's all-entries seeds forfeit entry-forward pruning (~16x on
-    // the LalRepsTest seeds). This block gates the pin: the facade must
-    // report a monolithic width (<= 4) even when the split is requested,
-    // with verdicts unchanged.
+    // The Lal-Reps engine solves its sequentialized program with
+    // summary-scc; its verdict must match the conc engine's on the same
+    // concurrent program and bound.
     {
       const char *HandshakeSrc = R"(
 shared decl a, b;
@@ -691,29 +689,15 @@ end
       ParsedConcProgram P = parseConcOrDie(HandshakeSrc);
       SolverOptions Opts;
       Opts.ContextBound = 2;
-      Opts.MonolithicSummary = true;
-      EngineRow Mono = runConcEngine(P, "ERR", "lal-reps", Opts);
-      Opts.MonolithicSummary = false;
-      EngineRow S1 = runConcEngine(P, "ERR", "lal-reps", Opts);
+      EngineRow Conc = runConcEngine(P, "ERR", "conc", Opts);
+      EngineRow L1 = runConcEngine(P, "ERR", "lal-reps", Opts);
       Opts.Threads = 4;
-      EngineRow S4 = runConcEngine(P, "ERR", "lal-reps", Opts);
-      checkVerdict("handshake-k2", Mono, S1);
-      checkVerdict("handshake-k2", Mono, S4);
-      if (S1.CondensationWidth > 4 || S1.CondensationWidth == 0 ||
-          S1.CondensationWidth != Mono.CondensationWidth) {
-        std::fprintf(stderr,
-                     "handshake-k2: lal-reps width %u with split "
-                     "requested, %u monolithic (the engine must pin the "
-                     "monolithic compilation)\n",
-                     S1.CondensationWidth, Mono.CondensationWidth);
-        std::exit(1);
-      }
-      recordCondRow("handshake-k2", "lal-reps", "mono-t1", Mono,
-                    Mono.Seconds);
-      recordCondRow("handshake-k2", "lal-reps", "pinned-mono-t1", S1,
-                    Mono.Seconds);
-      recordCondRow("handshake-k2", "lal-reps", "pinned-mono-t4", S4,
-                    Mono.Seconds);
+      EngineRow L4 = runConcEngine(P, "ERR", "lal-reps", Opts);
+      checkVerdict("handshake-k2", "conc", Conc, "lal-reps", L1);
+      checkVerdict("handshake-k2", "conc", Conc, "lal-reps", L4);
+      recordCondRow("handshake-k2", "conc", 1, Conc, Conc.Seconds);
+      recordCondRow("handshake-k2", "lal-reps", 1, L1, Conc.Seconds);
+      recordCondRow("handshake-k2", "lal-reps", 4, L4, Conc.Seconds);
     }
   }
 

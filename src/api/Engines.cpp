@@ -5,17 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The eight built-in `Engine` implementations, each a thin adapter from
+/// The nine built-in `Engine` implementations, each a thin adapter from
 /// a `CompiledQuery` to one of the underlying solvers:
 ///
 ///   summary, ef, ef-split, ef-opt — the paper's fixed-point algorithms
 ///     (Sections 4.1–4.3), solved by the calculus evaluator,
+///   summary-scc                   — Section 4.1's summaries split per
+///     call-graph SCC (the default sequential engine),
 ///   moped, bebop                  — the natively-coded Figure-2 baselines,
 ///   conc                          — Section 5's bounded context-switching
 ///     fixed-point,
 ///   lal-reps                      — the eager Lal–Reps sequentialization
 ///     run as a real engine: transform, solve the sequential program with
-///     ef-split, and map the result back.
+///     summary-scc, and map the result back.
 ///
 /// Every engine hands its `sym::SolveConfig` straight to the solver below
 /// and returns that solver's `sym::SolveStats` as its result. The
@@ -123,9 +125,8 @@ public:
     return std::make_unique<SeqEngineSession>(Program.cfg(), Alg, Config);
   }
 
-  std::string formulaText(const CompiledQuery &Q,
-                          const sym::SolveConfig &Config) const override {
-    return reach::formulaText(Q.cfg(), Alg, !Config.MonolithicSummary);
+  std::string formulaText(const CompiledQuery &Q) const override {
+    return reach::formulaText(Q.cfg(), Alg);
   }
 
 private:
@@ -229,7 +230,7 @@ class LalRepsEngine : public Engine {
 public:
   const char *name() const override { return "lal-reps"; }
   const char *description() const override {
-    return "eager Lal-Reps sequentialization, solved with ef-split "
+    return "eager Lal-Reps sequentialization, solved with summary-scc "
            "(O(k) global copies)";
   }
   bool handlesConcurrent() const override { return true; }
@@ -277,21 +278,13 @@ public:
     assert(HasGoal && "the sequentialization plants the goal label");
     (void)HasGoal;
 
-    sym::SolveConfig SeqConfig = Config;
-    // Always solve the transformed program monolithically. Under the
-    // reduction's global order (cursor and schedule bits first, each
-    // shared variable's copies together) the per-procedure split is the
-    // faster compilation: the eight LalRepsTest seeds at k = 2 take 1.1 s
-    // and 2.7 M nodes split against 5.2 s and 7.0 M nodes pinned, with
-    // every verdict unchanged. The pin stays only because bench_ablation's
-    // condensation gate asserts the monolithic width here; it goes when
-    // the split becomes an engine of its own.
-    SeqConfig.MonolithicSummary = true;
-    // The sequentialization above never consults the governor; the limits
-    // govern the solve of the transformed program.
+    // Under the reduction's global order (cursor and schedule bits first,
+    // each shared variable's copies together) summary-scc is the faster
+    // compilation of the transformed program (docs/EVALUATION.md, "The
+    // Lal–Reps reduction's global order"). The sequentialization above
+    // never consults the governor; the limits govern this solve.
     Out = reach::checkReachability(SeqCfg, GoalProc, GoalPc,
-                                   reach::SeqAlgorithm::EntryForwardSplit,
-                                   SeqConfig);
+                                   reach::SeqAlgorithm::SummaryScc, Config);
     Out.TransformedGlobals = Seq->numGlobals();
     Out.Seconds = T.seconds(); // Transform + solve: the cost being compared.
     return Out;
@@ -313,6 +306,10 @@ void api::detail::registerBuiltinEngines(EngineRegistry &R) {
   R.add(std::make_unique<SeqFixpointEngine>(
       "ef-opt", "frontier-restricted entry-forward (Section 4.3)",
       reach::SeqAlgorithm::EntryForwardOpt));
+  R.add(std::make_unique<SeqFixpointEngine>(
+      "summary-scc",
+      "Section 4.1's summaries, one relation pair per call-graph SCC",
+      reach::SeqAlgorithm::SummaryScc));
   R.add(std::make_unique<MopedEngine>());
   R.add(std::make_unique<BebopEngine>());
   R.add(std::make_unique<ConcFixpointEngine>());

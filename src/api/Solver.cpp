@@ -180,7 +180,7 @@ const Engine *selectEngine(const CompiledQuery &Q, const SolverOptions &Opts,
                            SolveResult &Out) {
   std::string Name = Opts.Engine;
   if (Name.empty())
-    Name = Q.isConcurrent() ? "conc" : "ef-opt";
+    Name = Q.isConcurrent() ? "conc" : "summary-scc";
   const Engine *E = Solver::findEngine(Name);
   if (!E) {
     Out.Status = SolveStatus::UnknownEngine;
@@ -502,7 +502,7 @@ std::string Solver::formulaText(const Query &Q, const SolverOptions &Opts,
       *Error = R.Error;
     return "";
   }
-  std::string Text = E->formulaText(*C.Query, Opts);
+  std::string Text = E->formulaText(*C.Query);
   if (Text.empty() && Error)
     *Error = std::string("engine '") + E->name() +
              "' does not expose its equation system";

@@ -7,9 +7,10 @@
 /// \file
 /// The one entry point the paper's thesis calls for: every reachability
 /// algorithm in this repository — the four fixed-point formulations of
-/// Sections 4.1–4.3, the two natively-coded baselines, the Section-5
-/// bounded context-switching engine, and the Lal–Reps eager
-/// sequentialization — answers the same `Query` through `Solver::solve`.
+/// Sections 4.1–4.3, the per-SCC split of Section 4.1's summaries, the two
+/// natively-coded baselines, the Section-5 bounded context-switching
+/// engine, and the Lal–Reps eager sequentialization — answers the same
+/// `Query` through `Solver::solve`.
 ///
 ///   - `Query`        — the program (source text or a pre-built
 ///     `bp::ProgramCfg` / `bp::ConcurrentProgram`), the target (a label or
@@ -134,7 +135,8 @@ struct Query {
 /// ignore the rest, so one options struct configures any engine.
 struct SolverOptions : sym::SolveConfig {
   /// Registry key of the engine to run. Empty selects the default for the
-  /// query kind: `ef-opt` for sequential programs, `conc` for concurrent.
+  /// query kind: `summary-scc` for sequential programs, `conc` for
+  /// concurrent.
   std::string Engine;
 
   // Resource governance (see support/ResourceGovernor.h). When any of
@@ -342,7 +344,7 @@ public:
 /// return its statistics as a `SolveResult`. The dispatcher has already
 /// armed `SolveConfig::Governor` with the options' limits, and maps a
 /// tripped `SolveStats::Limit` onto the status afterwards. Register
-/// instances with `RegisterEngine` (the built-in eight live in
+/// instances with `RegisterEngine` (the built-in nine live in
 /// Engines.cpp).
 class Engine {
 public:
@@ -373,14 +375,10 @@ public:
     return nullptr;
   }
 
-  /// The fixed-point equation system this engine would solve for \p Q
-  /// under \p Config (the paper's "one page of formulae" monolithically,
-  /// the per-procedure split by default); empty for natively-coded
-  /// engines.
-  virtual std::string formulaText(const CompiledQuery &Q,
-                                  const sym::SolveConfig &Config) const {
+  /// The fixed-point equation system this engine solves for \p Q (the
+  /// paper's "one page of formulae"); empty for natively-coded engines.
+  virtual std::string formulaText(const CompiledQuery &Q) const {
     (void)Q;
-    (void)Config;
     return "";
   }
 };

@@ -31,15 +31,8 @@ namespace reach {
 /// re-solve with ring recording and query the input-relation BDDs.
 class SeqEngine {
 public:
-  /// \p SplitSummaries selects the per-procedure compilation: one
-  /// `Summary_<proc>` / `ReachEntry_<proc>` relation pair per call-graph
-  /// SCC plus the `Hits` / `SummaryAll` roots, instead of the paper's
-  /// single whole-program summary relation. The witness extractor always
-  /// builds the monolithic EntryForward system (its ring walk is defined
-  /// over one relation), hence the default.
-  SeqEngine(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
-            bool SplitSummaries = false)
-      : Cfg(Cfg), Alg(Alg), Split(SplitSummaries), Factory(Sys) {
+  SeqEngine(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg)
+      : Cfg(Cfg), Alg(Alg), Factory(Sys) {
     buildSystem();
   }
 
@@ -47,17 +40,36 @@ public:
                         const sym::SolveConfig &Config);
   std::string text() const { return Sys.print(); }
 
-  /// Drives the per-procedure split's relation chain callees-first over
-  /// the caller-held \p States, each relation capped at \p Cap rounds
-  /// (0 = uncapped). `Evaluator::evaluate` pre-solves dependencies
-  /// uncapped, so a cap must drive the chain relation by relation,
-  /// pinning each capped value so higher relations read the truncation.
-  /// Relations an earlier, interrupted drive saturated or capped are not
-  /// resumed again, so a retry carries on bit-identically. Returns
-  /// whether the cap truncated any relation.
-  bool solveChain(fpc::Evaluator &Ev,
-                  std::map<fpc::RelId, fpc::FixpointState> &States,
-                  uint64_t Cap) const;
+  /// Does the algorithm solve every relation without looking at the
+  /// target? True for the all-entries summaries (`SummarySimple`,
+  /// `SummaryScc`): one solve answers every query, so they are solved by
+  /// `solveReach` instead of an early-stopping iteration of `mainRel()`.
+  bool targetIndependent() const {
+    return Alg == SeqAlgorithm::SummarySimple ||
+           Alg == SeqAlgorithm::SummaryScc;
+  }
+
+  /// What a target-independent solve leaves for its queries.
+  struct Reach {
+    /// The reachable states: `Hits` for SummaryScc, `Summary ∧
+    /// ReachEntry` for SummarySimple.
+    Bdd States;
+    /// Size of the summary: `SummaryAll` for SummaryScc, `Summary` for
+    /// SummarySimple.
+    size_t SummaryNodes = 0;
+    bool HitIterationLimit = false; ///< The cap truncated some relation.
+  };
+  /// Solves a target-independent algorithm by driving every defined
+  /// relation callees-first over the caller-held \p States, each
+  /// relation capped at \p Cap rounds (0 = uncapped). `Evaluator::evaluate`
+  /// pre-solves dependencies uncapped, so a cap must drive the chain
+  /// relation by relation, pinning each capped value so higher relations
+  /// read the truncation. Relations an earlier, interrupted drive
+  /// saturated or capped are not resumed again, so a retry carries on
+  /// bit-identically.
+  Reach solveReach(fpc::Evaluator &Ev,
+                   std::map<fpc::RelId, fpc::FixpointState> &States,
+                   uint64_t Cap) const;
 
   // Accessors for witness reconstruction -----------------------------------
   const fpc::System &system() const { return Sys; }
@@ -65,18 +77,9 @@ public:
   sym::ProgramEncoder &encoder() { return *Enc; }
   const sym::ConfVars &conf() const { return S; }
   fpc::RelId mainRel() const { return Main; }
-  /// SummarySimple's reachable-entries relation (0 for other algorithms).
-  fpc::RelId reachEntryRel() const { return ReachEntry; }
   SeqAlgorithm algorithm() const { return Alg; }
   const bp::ProgramCfg &cfg() const { return Cfg; }
 
-  // Per-procedure split (SplitSummaries) ------------------------------------
-  bool split() const { return Split; }
-  /// Split mode: `Hits = ⋁_X Summary_X ∧ ReachEntry_X` — the verdict root.
-  fpc::RelId hitsRel() const { return Hits; }
-  /// Split mode: `SummaryAll = ⋁_X Summary_X` — the union the stats (and
-  /// the differential tests' bit-identity check) report on.
-  fpc::RelId summaryAllRel() const { return SummaryAll; }
   /// The relations whose rounds a solve reports: every defined relation
   /// under the split (the longest chain among them), else the main one.
   const std::vector<fpc::RelId> &roundRoots() const { return Roots; }
@@ -100,7 +103,7 @@ public:
 
 private:
   void buildSystem();
-  void buildSplitSystem();
+  void buildSccSystem();
 
   // Clause builders shared by the algorithms. `Head` is the relation the
   // clause recurses on; `Mark` adds a leading fr-argument when >= 0.
@@ -110,9 +113,9 @@ private:
   fpc::Formula *entryDiscoveryClause(fpc::RelId Head, int Mark,
                                      bool RelevantGuard);
   /// The return clauses take the caller-side and callee-side summary
-  /// heads separately: monolithic callers pass the same relation twice,
-  /// the split passes `Summary_X` (caller group) and `Summary_Y` (callee
-  /// group).
+  /// heads separately: the paper's algorithms pass the same relation
+  /// twice, the split passes `Summary_X` (caller group) and `Summary_Y`
+  /// (callee group).
   fpc::Formula *returnClauseUnsplit(fpc::RelId CallerHead,
                                     fpc::RelId CalleeHead, int Mark);
   fpc::Formula *returnClauseSplit(fpc::RelId CallerHead,
@@ -124,7 +127,6 @@ private:
 
   const bp::ProgramCfg &Cfg;
   SeqAlgorithm Alg;
-  bool Split = false;
   fpc::System Sys;
   sym::VarFactory Factory;
   sym::StateDomains Doms;
@@ -148,13 +150,13 @@ private:
   fpc::RelId New1 = 0, New2 = 0;
   fpc::RelId ReachEntry = 0; ///< SummarySimple only.
 
-  // Split mode state.
+  // SummaryScc state.
   bp::CallGraph CG;
   std::vector<fpc::RelId> GroupSummary; ///< Summary_<proc>, by SCC index.
   std::vector<fpc::RelId> GroupEntry;   ///< ReachEntry_<proc>, by SCC index.
   fpc::RelId Hits = 0, SummaryAll = 0;
   /// Every defined relation in callees-first (dependency-topological)
-  /// order — the chain `solveChain` drives.
+  /// order — the chain `solveReach` drives.
   std::vector<fpc::RelId> Order;
   std::vector<fpc::RelId> Roots;
   unsigned Width = 0;

@@ -15,20 +15,6 @@ using namespace getafix::reach;
 using namespace getafix::fpc;
 using namespace getafix::sym;
 
-const char *reach::algorithmName(SeqAlgorithm Alg) {
-  switch (Alg) {
-  case SeqAlgorithm::SummarySimple:
-    return "summary-simple";
-  case SeqAlgorithm::EntryForward:
-    return "entry-forward";
-  case SeqAlgorithm::EntryForwardSplit:
-    return "entry-forward-split";
-  case SeqAlgorithm::EntryForwardOpt:
-    return "entry-forward-opt";
-  }
-  return "?";
-}
-
 std::vector<Term> SeqEngine::headArgs(const ConfVars &C, int Mark) const {
   std::vector<Term> Args;
   if (Mark >= 0)
@@ -188,11 +174,11 @@ Formula *SeqEngine::modInGroup(unsigned Scc) {
   return Sys.mkOr(Cases);
 }
 
-/// The per-procedure compilation: the skeleton of SummarySimple
-/// (Section 4.1's all-entries summaries, completed by a reachable-entries
-/// fixpoint) instantiated once per call-graph SCC, so the relation
-/// condensation is as wide as the program's call graph and the DAG
-/// scheduler has real independent work. Per group X:
+/// SummaryScc: the skeleton of SummarySimple (Section 4.1's all-entries
+/// summaries, completed by a reachable-entries fixpoint) instantiated once
+/// per call-graph SCC, so the relation condensation is as wide as the
+/// program's call graph and the DAG scheduler has real independent work.
+/// Per group X:
 ///
 ///   Summary_X    = (s.mod ∈ X ∧ allEntries)
 ///                ∨ internal(Summary_X)
@@ -212,17 +198,12 @@ Formula *SeqEngine::modInGroup(unsigned Scc) {
 /// their group by induction (internal/return clauses preserve s.mod, and
 /// a callee application Summary_Y only admits mod ∈ Y tuples). Cross-group
 /// dependencies point strictly at lower (callee) SCCs, so every defined
-/// relation is its own condensation node. The algorithm still selects the
-/// return-clause flavour (unsplit for summary/ef, the Appendix A/B split
-/// for ef-split/ef-opt); EF-opt's Relevant-mark machinery is a monolithic
-/// round-scheduling device subsumed by per-SCC semi-naive evaluation, so
-/// its split compiles without it — and every split system is monotone.
-void SeqEngine::buildSplitSystem() {
+/// relation is its own condensation node. Returns take the Appendix A/B
+/// return clause, and the system is monotone.
+void SeqEngine::buildSccSystem() {
   const bp::Program &Prog = *Cfg.Prog;
   std::vector<VarId> ConfFormals{S.Mod, S.Pc, S.CL, S.CG, S.ECL, S.ECG};
   const unsigned NumGroups = unsigned(CG.numSccs());
-  const bool SplitRet = Alg == SeqAlgorithm::EntryForwardSplit ||
-                        Alg == SeqAlgorithm::EntryForwardOpt;
   const unsigned MainScc = CG.SccOf[Prog.MainId];
 
   // Declare everything first: return/step clauses reference other groups.
@@ -256,10 +237,7 @@ void SeqEngine::buildSplitSystem() {
       CalleeGroups.push_back(X);
     for (unsigned Y : CalleeGroups)
       Clauses.push_back(
-          SplitRet
-              ? returnClauseSplit(GroupSummary[X], GroupSummary[Y], -1,
-                                  false)
-              : returnClauseUnsplit(GroupSummary[X], GroupSummary[Y], -1));
+          returnClauseSplit(GroupSummary[X], GroupSummary[Y], -1, false));
     Sys.define(GroupSummary[X], Sys.mkOr(Clauses));
 
     std::vector<Formula *> Entry;
@@ -358,9 +336,6 @@ void SeqEngine::buildSystem() {
 
   std::vector<VarId> ConfFormals{S.Mod, S.Pc, S.CL, S.CG, S.ECL, S.ECG};
 
-  if (Split) {
-    buildSplitSystem();
-  } else
   switch (Alg) {
   case SeqAlgorithm::SummarySimple: {
     Main = Sys.declareRel("Summary", ConfFormals);
@@ -463,23 +438,26 @@ void SeqEngine::buildSystem() {
     }
     break;
   }
+  case SeqAlgorithm::SummaryScc:
+    buildSccSystem();
+    break;
   }
 
   // Solve order, round roots, condensation width, and relation count —
   // computed here once so solves and sessions read them for free. The
   // order is every defined relation in callees-first
-  // (dependency-topological) sequence; in split mode the chain driver
-  // walks it directly.
+  // (dependency-topological) sequence, the chain `solveReach` walks.
   {
     fpc::DependencyGraph G(Sys);
     for (const std::vector<RelId> &Members : G.sccs())
       for (RelId R : Members)
         if (!Sys.relation(R).isInput())
           Order.push_back(R);
-    Roots = Split ? Order : std::vector<RelId>{Main};
-    Width = Split ? unsigned(CG.numSccs())
-                  : fpc::definedCondensationWidth(Sys, G);
-    NumSummaryRels = Split ? unsigned(CG.numSccs()) : 1;
+    const bool Scc = Alg == SeqAlgorithm::SummaryScc;
+    Roots = Scc ? Order : std::vector<RelId>{Main};
+    Width = Scc ? unsigned(CG.numSccs())
+                : fpc::definedCondensationWidth(Sys, G);
+    NumSummaryRels = Scc ? unsigned(CG.numSccs()) : 1;
   }
 
 #ifndef NDEBUG
@@ -488,10 +466,10 @@ void SeqEngine::buildSystem() {
 #endif
 }
 
-bool SeqEngine::solveChain(Evaluator &Ev,
-                           std::map<RelId, FixpointState> &States,
-                           uint64_t Cap) const {
-  bool HitLimit = false;
+SeqEngine::Reach
+SeqEngine::solveReach(Evaluator &Ev, std::map<RelId, FixpointState> &States,
+                      uint64_t Cap) const {
+  Reach Out;
   for (RelId R : Order) {
     FixpointState &St = States[R];
     if (St.Saturated)
@@ -499,17 +477,24 @@ bool SeqEngine::solveChain(Evaluator &Ev,
     if (Cap != 0 && St.Rounds >= Cap) {
       // Already truncated at the cap by an earlier drive; resuming would
       // run extra rounds past it.
-      HitLimit = true;
+      Out.HitIterationLimit = true;
       Ev.pinCompleted(R, St.Value);
       continue;
     }
     EvalOptions RO;
     RO.MaxIterations = Cap;
-    HitLimit |= Ev.resume(R, St, RO).HitIterationLimit;
+    Out.HitIterationLimit |= Ev.resume(R, St, RO).HitIterationLimit;
     if (!St.Saturated)
       Ev.pinCompleted(R, St.Value);
   }
-  return HitLimit;
+  if (Alg == SeqAlgorithm::SummaryScc) {
+    Out.States = States[Hits].Value;
+    Out.SummaryNodes = States[SummaryAll].Value.nodeCount();
+  } else {
+    Out.States = States[Main].Value & States[ReachEntry].Value;
+    Out.SummaryNodes = States[Main].Value.nodeCount();
+  }
+  return Out;
 }
 
 sym::SolveStats SeqEngine::solve(unsigned ProcId, unsigned Pc,
@@ -532,42 +517,28 @@ sym::SolveStats SeqEngine::solve(unsigned ProcId, unsigned Pc,
     Bdd TargetStates =
         Ev.encodeEqConst(S.Mod, ProcId) & Ev.encodeEqConst(S.Pc, Pc);
 
-    EvalOptions EOpts;
-    EOpts.MaxIterations = Config.MaxIterations;
-    if (Config.EarlyStop && !Split && Alg != SeqAlgorithm::SummarySimple)
-      EOpts.EarlyStop = &TargetStates;
-
-    if (Split) {
-      // Per-procedure mode: Hits is the verdict root, SummaryAll the
-      // stats root. Early stop does not apply — the roots are
-      // non-recursive, so all summary work happens while their
-      // dependencies are pre-solved (in parallel under Threads > 1).
-      if (Config.MaxIterations == 0) {
-        EvalOptions Plain;
-        EvalResult H = Ev.evaluate(Hits, Plain);
-        EvalResult All = Ev.evaluate(SummaryAll, Plain);
-        Result.Reachable = !(H.Value & TargetStates).isZero();
-        Result.SummaryNodes = All.Value.nodeCount();
+    if (targetIndependent()) {
+      // Early stop does not apply: every relation is solved whatever the
+      // target.
+      Reach Rc;
+      if (Alg == SeqAlgorithm::SummaryScc && Config.MaxIterations == 0) {
+        // The roots are non-recursive, so all summary work happens while
+        // their dependencies are pre-solved — in parallel under
+        // Threads > 1.
+        Rc.States = Ev.evaluate(Hits).Value;
+        Rc.SummaryNodes = Ev.evaluate(SummaryAll).Value.nodeCount();
       } else {
         std::map<RelId, FixpointState> States;
-        Result.HitIterationLimit =
-            solveChain(Ev, States, Config.MaxIterations);
-        Result.Reachable = !(States[Hits].Value & TargetStates).isZero();
-        Result.SummaryNodes = States[SummaryAll].Value.nodeCount();
+        Rc = solveReach(Ev, States, Config.MaxIterations);
       }
-    } else if (Alg == SeqAlgorithm::SummarySimple) {
-      // Query: ∃s. ReachEntry(s.mod, s.ECL, s.ECG) ∧ Summary(s) ∧ target.
-      // Summary is solved first; ReachEntry reuses it as a memoized nested
-      // relation. EOpts carries no EarlyStop in this branch, so it is the
-      // right options set for both solves.
-      EvalResult Summaries = Ev.evaluate(Main, EOpts);
-      EvalResult Entries = Ev.evaluate(ReachEntry, EOpts);
-      Result.HitIterationLimit =
-          Summaries.HitIterationLimit || Entries.HitIterationLimit;
-      Bdd Hits = (Summaries.Value & Entries.Value) & TargetStates;
-      Result.Reachable = !Hits.isZero();
-      Result.SummaryNodes = Summaries.Value.nodeCount();
+      Result.Reachable = !(Rc.States & TargetStates).isZero();
+      Result.HitIterationLimit = Rc.HitIterationLimit;
+      Result.SummaryNodes = Rc.SummaryNodes;
     } else {
+      EvalOptions EOpts;
+      EOpts.MaxIterations = Config.MaxIterations;
+      if (Config.EarlyStop)
+        EOpts.EarlyStop = &TargetStates;
       EvalResult R = Ev.evaluate(Main, EOpts);
       Result.HitIterationLimit = R.HitIterationLimit;
       Result.Reachable = !(R.Value & TargetStates).isZero();
@@ -597,29 +568,19 @@ struct SeqSession::Impl {
   /// Persistent rounds + rings of the main relation (EF algorithms).
   IncrementalFixpoint Fix;
 
-  // SummarySimple solves to a full (target-independent) fixpoint once and
-  // caches the two relation values; the rounds a fresh solve of any
-  // target would report stay in the evaluator's statistics.
-  bool SimpleSolved = false;
-  Bdd SimpleSummary, SimpleEntries;
-  bool SimpleHitLimit = false;
-  size_t SimpleSummaryNodes = 0;
-
-  // Per-procedure split mode (any algorithm): the whole relation chain is
-  // target-independent, so the first query solves it once — driving each
-  // relation through `Evaluator::resume` over these caller-held states,
-  // callees-first — and every later query is a conjunction against the
-  // cached Hits value. A governor interrupt leaves the current relation
-  // at its last completed round; the retry skips the already saturated
-  // prefix and resumes the chain bit-identically. This per-relation state
-  // is also the seam for future *partial* invalidation: editing one
-  // procedure body need only clear the states (and downstream memos) of
-  // its call-graph ancestors, not the world.
-  bool SplitSolved = false;
-  std::map<RelId, FixpointState> SplitStates;
-  bool SplitHitLimit = false;
-  size_t SplitSummaryNodes = 0;
-  Bdd SplitHits;
+  // Target-independent algorithms (summary, summary-scc): the first query
+  // solves the whole relation chain once — driving each relation through
+  // `Evaluator::resume` over these caller-held states, callees-first — and
+  // every later query is a conjunction against the cached reachable
+  // states. The rounds a fresh solve of any target would report stay in
+  // the evaluator's statistics. A governor interrupt leaves the current
+  // relation at its last completed round; the retry skips the already
+  // saturated prefix and resumes the chain bit-identically. This
+  // per-relation state is also the seam for future *partial*
+  // invalidation: editing one procedure body need only clear the states
+  // (and downstream memos) of its call-graph ancestors, not the world.
+  std::map<RelId, FixpointState> ChainStates;
+  std::optional<SeqEngine::Reach> Chain; ///< Set once the chain is solved.
 
   /// Witness queries go through a persistent extractor session (solves
   /// the EntryForward system with rings once, extracts per target);
@@ -647,15 +608,15 @@ struct SeqSession::Impl {
   Impl(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
        const sym::SolveConfig &Config)
       : Cfg(Cfg), Config(Config),
-        Engine(Cfg, Alg, !Config.MonolithicSummary),
+        Engine(Cfg, Alg),
         Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr),
            Config.Strategy) {
     Mgr.setGcThreshold(Config.GcThreshold);
     Fix.setKeyframeInterval(Config.RingKeyframeInterval);
     // Sessions currently solve on one thread whatever `Threads` says: the
-    // split chain is resumed callees-first (see `solve`), so the
-    // evaluator's scheduler never finds two SCCs pending, and the
-    // monolithic systems never leave two pending either. The setting is
+    // relation chain is resumed callees-first (see `solve`), so the
+    // evaluator's scheduler never finds two SCCs pending, and the paper's
+    // systems never leave two pending either. The setting is
     // still passed down so the worker accounting below stays honest if a
     // session ever reaches the pool. Queries stay serialized — one
     // session serves one caller at a time.
@@ -727,8 +688,8 @@ sym::SolveStats SeqSession::solve(unsigned ProcId, unsigned Pc) {
   Impl &S = *I;
   sym::SolveStats Result;
   sym::SolveMeter Meter(S.Ev);
-  // Split and SummarySimple answer from one target-independent solve; set
-  // when an earlier query already ran it.
+  // Target-independent algorithms answer from one solve; set when an
+  // earlier query already ran it.
   bool Replayed = false;
   std::optional<IncrementalFixpoint::Answer> Answer;
 
@@ -741,39 +702,14 @@ sym::SolveStats SeqSession::solve(unsigned ProcId, unsigned Pc) {
     Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
                        S.Ev.encodeEqConst(Conf.Pc, Pc);
 
-    if (S.Engine.split()) {
-      Replayed = S.SplitSolved;
-      if (!Replayed) {
-        S.SplitHitLimit |=
-            S.Engine.solveChain(S.Ev, S.SplitStates, S.Config.MaxIterations);
-        S.SplitHits = S.SplitStates[S.Engine.hitsRel()].Value;
-        S.SplitSummaryNodes =
-            S.SplitStates[S.Engine.summaryAllRel()].Value.nodeCount();
-        S.SplitSolved = true;
-      }
-      Result.Reachable = !(S.SplitHits & TargetStates).isZero();
-      Result.HitIterationLimit = S.SplitHitLimit;
-      Result.SummaryNodes = S.SplitSummaryNodes;
-    } else if (S.Engine.algorithm() == SeqAlgorithm::SummarySimple) {
-      Replayed = S.SimpleSolved;
-      if (!Replayed) {
-        // Same flow as the one-shot solve: no early stop in this branch,
-        // so both values are target-independent and fully reusable.
-        EvalOptions EOpts;
-        EOpts.MaxIterations = S.Config.MaxIterations;
-        EvalResult Summaries = S.Ev.evaluate(S.Engine.mainRel(), EOpts);
-        EvalResult Entries = S.Ev.evaluate(S.Engine.reachEntryRel(), EOpts);
-        S.SimpleSummary = Summaries.Value;
-        S.SimpleEntries = Entries.Value;
-        S.SimpleHitLimit =
-            Summaries.HitIterationLimit || Entries.HitIterationLimit;
-        S.SimpleSummaryNodes = Summaries.Value.nodeCount();
-        S.SimpleSolved = true;
-      }
-      Bdd Hits = (S.SimpleSummary & S.SimpleEntries) & TargetStates;
-      Result.Reachable = !Hits.isZero();
-      Result.HitIterationLimit = S.SimpleHitLimit;
-      Result.SummaryNodes = S.SimpleSummaryNodes;
+    if (S.Engine.targetIndependent()) {
+      Replayed = S.Chain.has_value();
+      if (!Replayed)
+        S.Chain = S.Engine.solveReach(S.Ev, S.ChainStates,
+                                      S.Config.MaxIterations);
+      Result.Reachable = !(S.Chain->States & TargetStates).isZero();
+      Result.HitIterationLimit = S.Chain->HitIterationLimit;
+      Result.SummaryNodes = S.Chain->SummaryNodes;
     } else {
       Answer = S.Fix.query(S.Ev, S.Engine.mainRel(), TargetStates,
                            S.Config.EarlyStop, S.Config.MaxIterations);
@@ -804,21 +740,16 @@ sym::SolveStats SeqSession::solve(unsigned ProcId, unsigned Pc) {
 
 WitnessResult SeqSession::solveWithWitness(unsigned ProcId, unsigned Pc) {
   if (!I->Witness) {
-    // The EF algorithms run the very system the extractor walks, so hand
-    // it the session's own engine, manager, evaluator, and recorded rings
+    // ef and ef-split run the very system the extractor walks, so hand it
+    // the session's own engine, manager, evaluator, and recorded rings
     // (borrowed mode): witness and plain queries then share one solve and
     // one copy of every round, instead of the witness sub-session
     // re-solving EntryForward on a second manager. The other algorithms
     // solve a different system, so they keep an owned (delta-ringed)
     // sub-session.
-    // The split compiles a different system than the (monolithic
-    // EntryForward) extractor walks, so split sessions always use an
-    // owned witness sub-session.
     SeqAlgorithm Alg = I->Engine.algorithm();
-    bool Shared = I->Config.MonolithicSummary &&
-                  (Alg == SeqAlgorithm::EntryForward ||
-                   Alg == SeqAlgorithm::EntryForwardSplit);
-    if (Shared)
+    if (Alg == SeqAlgorithm::EntryForward ||
+        Alg == SeqAlgorithm::EntryForwardSplit)
       I->Witness = std::make_unique<WitnessSession>(I->Engine, I->Mgr, I->Ev,
                                                     I->Fix, I->Config);
     else
@@ -837,12 +768,10 @@ bool SeqSession::answersFromState(unsigned ProcId, unsigned Pc,
     // Once the witness sub-session has solved its rings, any target is a
     // pure extraction.
     return S.Witness && S.Witness->solved();
-  if (S.Engine.split())
-    // The split chain is target-independent: once solved, every query is
-    // a conjunction against the cached Hits value.
-    return S.SplitSolved;
-  if (S.Engine.algorithm() == SeqAlgorithm::SummarySimple)
-    return S.SimpleSolved;
+  if (S.Engine.targetIndependent())
+    // Once the chain is solved, every query is a conjunction against the
+    // cached reachable states.
+    return S.Chain.has_value();
   const sym::ConfVars &Conf = S.Engine.conf();
   Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
                      S.Ev.encodeEqConst(Conf.Pc, Pc);
@@ -854,12 +783,10 @@ sym::SolveStats reach::checkReachability(const bp::ProgramCfg &Cfg,
                                          unsigned ProcId, unsigned Pc,
                                          SeqAlgorithm Alg,
                                          const sym::SolveConfig &Config) {
-  SeqEngine Engine(Cfg, Alg, !Config.MonolithicSummary);
+  SeqEngine Engine(Cfg, Alg);
   return Engine.solve(ProcId, Pc, Config);
 }
 
-std::string reach::formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
-                               bool SplitSummaries) {
-  SeqEngine Engine(Cfg, Alg, SplitSummaries);
-  return Engine.text();
+std::string reach::formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg) {
+  return SeqEngine(Cfg, Alg).text();
 }

@@ -23,6 +23,14 @@
 ///     closing internal transitions per round (`New1`) and admitting one
 ///     round of calls/returns (`New2`).
 ///
+/// and one compilation of Section 4.1 that is not in the paper:
+///
+///   - `SummaryScc` — the all-entries summaries split per call-graph SCC:
+///     one `Summary_<scc>` / `ReachEntry_<scc>` pair per SCC with the
+///     Appendix return clause, so the system's dependency condensation is
+///     as wide as the call graph and independent procedures can be
+///     solved in parallel.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GETAFIX_REACH_SEQREACH_H
@@ -45,9 +53,8 @@ enum class SeqAlgorithm {
   EntryForward,
   EntryForwardSplit,
   EntryForwardOpt,
+  SummaryScc,
 };
-
-const char *algorithmName(SeqAlgorithm Alg);
 
 /// Checks whether (ProcId, Pc) is reachable in \p Cfg's program, solving
 /// \p Alg's equation system under \p Config.
@@ -128,11 +135,8 @@ private:
 };
 
 /// Renders the fixed-point equation system \p Alg solves for \p Cfg: the
-/// paper's "one page of formulae" in its monolithic compilation, or the
-/// per-procedure split when \p SplitSummaries is set. For documentation
-/// and golden tests.
-std::string formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
-                        bool SplitSummaries = false);
+/// paper's "one page of formulae". For documentation and golden tests.
+std::string formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg);
 
 } // namespace reach
 } // namespace getafix

@@ -66,9 +66,9 @@ struct WitnessStep {
 
 /// A witness query's answer: the ring-recording solve's statistics, plus
 /// the reconstructed run when the target is reachable. That solve always
-/// runs the monolithic EntryForward system, so `SummaryRelations` is 1 and
+/// runs the EntryForward system, so `SummaryRelations` is 1 and
 /// `CondensationWidth` is that system's relation condensation, whatever
-/// the plain queries compile; `Iterations` counts the rounds recorded
+/// engine answers the plain queries; `Iterations` counts the rounds recorded
 /// (the saturating round adds no ring). When a limit stops the solve, no
 /// trace is extracted.
 struct WitnessResult : sym::SolveStats {

@@ -15,7 +15,7 @@
 /// Requests:
 ///
 ///   {"op":"solve","program":PATH,"targets":["L1","L2"],
-///    "witness":false,"engine":"ef-opt"?,"source":TEXT?,
+///    "witness":false,"engine":"summary-scc"?,"source":TEXT?,
 ///    "timeout_ms":N?,"node_budget":N?}
 ///   {"op":"stats"}
 ///   {"op":"evict","program":PATH?}        // no program = evict all

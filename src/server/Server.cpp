@@ -511,12 +511,8 @@ Json Server::handleStats() {
                // tell a sequential deployment from a parallel one.
                .set("threads",
                     Json::number(double(Opts.Pool.Solver.Threads)))
-               // Summary compilation shape: whether --monolithic-summary
-               // pinned the paper's single relation, plus the width /
-               // relation count of the most recent fixed-point solve
-               // (0 until one runs).
-               .set("monolithic_summary",
-                    Json::boolean(Opts.Pool.Solver.MonolithicSummary))
+               // Summary compilation shape: the width / relation count
+               // of the most recent fixed-point solve (0 until one runs).
                .set("condensation_width",
                     Json::number(double(SS.CondensationWidth)))
                .set("summary_relations",

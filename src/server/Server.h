@@ -91,9 +91,8 @@ struct ServerStats {
   uint64_t ContainedFaults = 0; ///< Solves that escaped with a real exception.
   /// Dependency-condensation width / summary-relation count of the most
   /// recent fixed-point solve (0 until one runs). Under the default
-  /// per-procedure summary split the width equals the program's call-graph
-  /// SCC count; `--monolithic-summary` pins both back to the paper's
-  /// single-relation shape.
+  /// sequential engine, `summary-scc`, both equal the program's call-graph
+  /// SCC count; the paper's engines report one summary relation.
   unsigned CondensationWidth = 0;
   unsigned SummaryRelations = 0;
 };

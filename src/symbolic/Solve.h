@@ -53,28 +53,16 @@ struct SolveConfig {
   /// reflects the states discovered so far.
   uint64_t MaxIterations = 0;
   size_t GcThreshold = 1u << 22; ///< BDD auto-GC threshold; 0 disables.
-  /// Sequential summary engines: compile the paper's single whole-program
-  /// summary relation instead of the default per-procedure split (one
-  /// `Summary_<proc>` / `ReachEntry_<proc>` pair per call-graph SCC).
-  /// The split widens the equation system's dependency condensation to
-  /// the call graph's SCC count, so `Threads > 1` schedules independent
-  /// procedures in parallel; verdicts, witnesses, and per-query answers
-  /// are bit-identical either way. Round counts and the early-stop
-  /// behaviour differ: the split always solves the full fixpoint, so
-  /// per-relation work replaces the monolithic early out (see
-  /// `SolveStats::CondensationWidth`). Escape hatch for A/B comparison;
-  /// non-summary engines (moped, bebop, conc) ignore it.
-  bool MonolithicSummary = false;
   /// Worker threads for the fixed-point evaluator's parallel SCC
   /// scheduling (1 = sequential). Independent SCCs of the equation
   /// system's dependency condensation are solved on a work-stealing pool
   /// over per-worker BDD managers; verdicts, iteration counts, and
   /// witnesses are bit-identical at any setting (enforced by the parallel
   /// differential tests). Non-BDD engines (moped, bebop) ignore it.
-  /// Only one-shot solves of the per-procedure split reach the pool
-  /// today: a session solves on one thread, because it resumes the split
-  /// relation by relation, callees-first, and the monolithic and
-  /// concurrent systems never leave two SCCs pending at once.
+  /// Only one-shot `summary-scc` solves reach the pool today: a session
+  /// solves on one thread, because it resumes the chain relation by
+  /// relation, callees-first, and the paper's systems and the concurrent
+  /// one never leave two SCCs pending at once.
   unsigned Threads = 1;
   /// Session and witness ring retention (see fpc::RingLog): fixpoint
   /// rounds recorded for replay and witness extraction are stored as
@@ -122,11 +110,11 @@ struct SolveStats {
   /// far), not a verdict.
   bool HitIterationLimit = false;
   /// Fixpoint rounds of the main relation (the longest per-relation
-  /// chain under the per-procedure split), or the baselines' rounds and
+  /// chain under `summary-scc`), or the baselines' rounds and
   /// worklist steps.
   uint64_t Iterations = 0;
   /// Semi-naive rounds after the first (see `fpc::RelStats::DeltaRounds`),
-  /// summed over the split's relations.
+  /// summed over `summary-scc`'s relations.
   uint64_t DeltaRounds = 0;
   /// Final BDD size of the main relation: the summary, or the concurrent
   /// engine's Reach.
@@ -153,19 +141,19 @@ struct SolveStats {
   uint64_t SccsSolvedParallel = 0;
   /// Width of the equation system's dependency condensation — the number
   /// of SCCs `fpc::runDag`'s scheduler can in principle overlap. Equals
-  /// the call graph's SCC count under the per-procedure summary split and
-  /// the (narrow, 1–4) defined-relation SCC count under
-  /// `SolveConfig::MonolithicSummary`. The concurrent encoding cannot
-  /// adopt the split: its context-switch clauses read every thread's
-  /// summary, so all its relations form one dependency SCC and the split
-  /// would not decompose it (a genuine widening would need a
-  /// per-(thread, context) relation family; the seam is the clause
-  /// builder in ConcReach.cpp). 0 for non-fixed-point engines.
+  /// the call graph's SCC count for `summary-scc` and the (narrow, 1–4)
+  /// defined-relation SCC count for the paper's four sequential
+  /// algorithms. The concurrent encoding cannot adopt the split: its
+  /// context-switch clauses read every thread's summary, so all its
+  /// relations form one dependency SCC and the split would not decompose
+  /// it (a genuine widening would need a per-(thread, context) relation
+  /// family; the seam is the clause builder in ConcReach.cpp). 0 for
+  /// non-fixed-point engines.
   unsigned CondensationWidth = 0;
   /// Number of summary relations the engine compiled: the call graph's
-  /// SCC count under the split, 1 monolithic, and 1 for the concurrent
-  /// engine (one whole-program Reach relation over every thread); 0 for
-  /// engines with no summary relation.
+  /// SCC count for `summary-scc`, 1 for the paper's algorithms and for the
+  /// concurrent engine (one whole-program Reach relation over every
+  /// thread); 0 for engines with no summary relation.
   unsigned SummaryRelations = 0;
   /// BDD nodes the cached importers translated across manager boundaries
   /// while seeding and exporting SCC tasks (`Threads > 1` only).

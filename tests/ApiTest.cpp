@@ -67,16 +67,17 @@ SolveResult solveWith(const std::string &EngineName, const std::string &Src,
 
 } // namespace
 
-TEST(ApiTest, RegistryHasTheEightEngines) {
-  for (const char *Name : {"summary", "ef", "ef-split", "ef-opt", "moped",
-                           "bebop", "conc", "lal-reps"}) {
+TEST(ApiTest, RegistryHasTheNineEngines) {
+  for (const char *Name : {"summary", "ef", "ef-split", "ef-opt",
+                           "summary-scc", "moped", "bebop", "conc",
+                           "lal-reps"}) {
     const api::Engine *E = Solver::findEngine(Name);
     ASSERT_NE(E, nullptr) << Name;
     EXPECT_STREQ(E->name(), Name);
     EXPECT_STRNE(E->description(), "");
   }
   EXPECT_EQ(Solver::findEngine("no-such-engine"), nullptr);
-  EXPECT_GE(Solver::engines().size(), 8u);
+  EXPECT_GE(Solver::engines().size(), 9u);
 }
 
 TEST(ApiTest, AllEnginesAgreeOnTheFixture) {
@@ -135,7 +136,8 @@ TEST(ApiTest, ParseErrorsSurfaceDiagnostics) {
 }
 
 TEST(ApiTest, DefaultEngineFollowsQueryKind) {
-  // Empty engine name: ef-opt for sequential sources, conc for concurrent.
+  // Empty engine name: summary-scc for sequential sources, conc for
+  // concurrent.
   SolverOptions Auto;
   EXPECT_TRUE(
       Solver::solve(Query::fromSource(seqFixture()).target("ERR"), Auto)
@@ -143,6 +145,12 @@ TEST(ApiTest, DefaultEngineFollowsQueryKind) {
   EXPECT_TRUE(
       Solver::solve(Query::fromSource(concFixture()).target("ERR"), Auto)
           .ok());
+  auto Seq = Solver::open(Query::fromSource(seqFixture()), Auto);
+  ASSERT_TRUE(Seq->ok()) << Seq->error();
+  EXPECT_STREQ(Seq->engine()->name(), "summary-scc");
+  auto Conc = Solver::open(Query::fromSource(concFixture()), Auto);
+  ASSERT_TRUE(Conc->ok()) << Conc->error();
+  EXPECT_STREQ(Conc->engine()->name(), "conc");
 }
 
 TEST(ApiTest, PrebuiltProgramsAndPointTargets) {
@@ -154,8 +162,8 @@ TEST(ApiTest, PrebuiltProgramsAndPointTargets) {
   unsigned ProcId = 0, Pc = 0;
   ASSERT_TRUE(Cfg.findLabelPc("ERR", ProcId, Pc));
 
-  for (const char *Name : {"summary", "ef", "ef-split", "ef-opt", "moped",
-                           "bebop"}) {
+  for (const char *Name : {"summary", "ef", "ef-split", "ef-opt",
+                           "summary-scc", "moped", "bebop"}) {
     SolverOptions Opts;
     Opts.Engine = Name;
     SolveResult R =
@@ -209,10 +217,10 @@ TEST(ApiTest, WitnessRequestYieldsAVerifiedTrace) {
 }
 
 TEST(ApiTest, WitnessQueriesReportTheirCondensation) {
-  // A witness query solves a fixed-point system too: the monolithic
-  // EntryForward one. Under `ef` with the monolithic compilation the
-  // plain query solves that same system, so both report the same width
-  // and summary-relation count — one-shot and through a session.
+  // A witness query solves a fixed-point system too: the EntryForward
+  // one. Under `ef` the plain query solves that same system, so both
+  // report the same width and summary-relation count — one-shot and
+  // through a session.
   gen::TerminatorParams T;
   T.CounterBits = 3;
   T.NumDeadVars = 3;
@@ -220,7 +228,6 @@ TEST(ApiTest, WitnessQueriesReportTheirCondensation) {
   gen::Workload W = gen::terminatorProgram(T);
   SolverOptions Opts;
   Opts.Engine = "ef";
-  Opts.MonolithicSummary = true;
   Query Plain = Query::fromSource(W.Source).target(W.TargetLabel);
   Query WithWitness = Plain;
   WithWitness.witness();
@@ -242,13 +249,15 @@ TEST(ApiTest, WitnessQueriesReportTheirCondensation) {
   EXPECT_EQ(SessWit.CondensationWidth, P.CondensationWidth);
   EXPECT_EQ(SessWit.SummaryRelations, P.SummaryRelations);
 
-  // Under the default split the plain query is as wide as the call
-  // graph, while the witness solve still reports its monolithic system.
-  Opts.MonolithicSummary = false;
-  SolveResult SplitWit = Solver::solve(WithWitness, Opts);
-  ASSERT_TRUE(SplitWit.ok()) << SplitWit.Error;
-  EXPECT_EQ(SplitWit.CondensationWidth, P.CondensationWidth);
-  EXPECT_EQ(SplitWit.SummaryRelations, 1u);
+  // Under summary-scc the plain query is as wide as the call graph,
+  // while the witness solve still reports the EntryForward system.
+  Opts.Engine = "summary-scc";
+  SolveResult SccPlain = Solver::solve(Plain, Opts);
+  SolveResult SccWit = Solver::solve(WithWitness, Opts);
+  ASSERT_TRUE(SccPlain.ok() && SccWit.ok()) << SccPlain.Error << SccWit.Error;
+  EXPECT_GT(SccPlain.SummaryRelations, 1u);
+  EXPECT_EQ(SccWit.CondensationWidth, P.CondensationWidth);
+  EXPECT_EQ(SccWit.SummaryRelations, 1u);
 }
 
 TEST(ApiTest, RoundsOptionImpliesRoundRobin) {
@@ -285,26 +294,26 @@ end
 }
 
 TEST(ApiTest, FormulaTextComesThroughTheFacade) {
-  // The printed system tracks the compilation the options select: the
-  // per-procedure split by default, the paper's monolithic relation under
-  // MonolithicSummary.
+  // The printed system is the selected engine's: the paper's single
+  // summary relation for ef-split, one relation per call-graph SCC for
+  // summary-scc, which the empty engine name selects.
   SolverOptions Opts;
   Opts.Engine = "ef-split";
   std::string Error;
   std::string Text = Solver::formulaText(
       Query::fromSource(seqFixture()).target("ERR"), Opts, &Error);
+  EXPECT_NE(Text.find("mu bool SummaryEF"), std::string::npos) << Error;
+  EXPECT_EQ(Text.find("mu bool Summary_"), std::string::npos);
+
+  Opts.Engine = "";
+  Text = Solver::formulaText(Query::fromSource(seqFixture()).target("ERR"),
+                             Opts, &Error);
   EXPECT_NE(Text.find("mu bool Summary_"), std::string::npos) << Error;
   EXPECT_EQ(Text.find("mu bool SummaryEF"), std::string::npos);
 
-  Opts.MonolithicSummary = true;
-  Text = Solver::formulaText(Query::fromSource(seqFixture()).target("ERR"),
-                             Opts, &Error);
-  EXPECT_NE(Text.find("mu bool SummaryEF"), std::string::npos) << Error;
-  Opts.MonolithicSummary = false;
-
   // The formula does not depend on the target, so a program without the
   // queried label still prints one.
-  Opts.Engine = "ef-split";
+  Opts.Engine = "summary-scc";
   Text = Solver::formulaText(
       Query::fromSource("main() begin skip; end").target("ERR"), Opts,
       &Error);

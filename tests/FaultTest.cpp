@@ -72,6 +72,7 @@ void expectSameCore(const api::SolveResult &A, const api::SolveResult &B,
   EXPECT_EQ(A.Reachable, B.Reachable) << Context;
   EXPECT_EQ(A.HitIterationLimit, B.HitIterationLimit) << Context;
   EXPECT_EQ(A.Iterations, B.Iterations) << Context;
+  EXPECT_EQ(A.DeltaRounds, B.DeltaRounds) << Context;
   EXPECT_EQ(A.SummaryNodes, B.SummaryNodes) << Context;
   EXPECT_EQ(A.HasWitness, B.HasWitness) << Context;
   EXPECT_EQ(A.WitnessText, B.WitnessText) << Context;
@@ -317,10 +318,10 @@ TEST(FaultTest, BudgetStoppedSessionReportsCompletedRounds) {
   P.NumDeadVars = 3;
   P.LabeledCheckpoints = 1;
   const std::string Src = gen::terminatorProgram(P).Source;
-  for (bool Monolithic : {false, true}) {
-    const std::string Context = Monolithic ? "monolithic" : "split";
+  for (const char *Engine : {"summary-scc", "ef-opt"}) {
+    const std::string Context = Engine;
     api::SolverOptions Opts;
-    Opts.MonolithicSummary = Monolithic;
+    Opts.Engine = Engine;
     auto Q = [] { return api::Query::fromSource("").target("CP0"); };
     auto Base = api::Solver::open(api::Query::fromSource(Src), Opts);
     api::SolveResult Want = Base->solve(Q());
@@ -417,6 +418,16 @@ TEST(FaultTest, ResumeBitIdenticalSequentialEngines) {
     expectResumeBitIdentical(seqFixture(), Engine,
                              fpc::EvalStrategy::SemiNaive, 1, "ERR",
                              /*Witness=*/true);
+  // The target-independent engines resume their relation chain where a
+  // budget stopped it instead of solving it again from round zero.
+  gen::TerminatorParams P;
+  P.CounterBits = 4;
+  P.NumDeadVars = 3;
+  P.LabeledCheckpoints = 1;
+  const std::string Src = gen::terminatorProgram(P).Source;
+  for (const char *Engine : {"summary", "summary-scc"})
+    expectResumeBitIdentical(Src, Engine, fpc::EvalStrategy::SemiNaive, 1,
+                             "CP0", /*Witness=*/false);
 }
 
 TEST(FaultTest, ResumeBitIdenticalAcrossStrategies) {

@@ -167,7 +167,8 @@ INSTANTIATE_TEST_SUITE_P(Algorithms, FormulaRoundTripTest,
                              reach::SeqAlgorithm::SummarySimple,
                              reach::SeqAlgorithm::EntryForward,
                              reach::SeqAlgorithm::EntryForwardSplit,
-                             reach::SeqAlgorithm::EntryForwardOpt));
+                             reach::SeqAlgorithm::EntryForwardOpt,
+                             reach::SeqAlgorithm::SummaryScc));
 
 //===----------------------------------------------------------------------===//
 // Parse-then-evaluate equivalence

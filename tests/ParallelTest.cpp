@@ -494,14 +494,14 @@ TEST(ParallelSessionTest, MidSessionCacheClearStaysIdentical) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Per-procedure summary split under the parallel scheduler
+// summary-scc (the per-SCC split) under the parallel scheduler
 //===----------------------------------------------------------------------===//
 
-/// The split's whole point: at Threads=4 the per-procedure relations are
+/// summary-scc's whole point: at Threads=4 its per-SCC relations are
 /// independent dependency SCCs, so the scheduler dispatches real work —
-/// and the verdict stays bit-identical to both the single-threaded split
-/// and the monolithic compilation at either thread count.
-TEST(SplitSummaryParallelTest, SplitGivesSchedulerWidthAndStaysIdentical) {
+/// and the answer stays bit-identical to the single-threaded solve, with
+/// the verdict every paper engine gives at either thread count.
+TEST(SplitSummaryParallelTest, SccGivesSchedulerWidthAndStaysIdentical) {
   gen::TerminatorParams T;
   T.CounterBits = 4;
   T.NumDeadVars = 3;
@@ -509,34 +509,37 @@ TEST(SplitSummaryParallelTest, SplitGivesSchedulerWidthAndStaysIdentical) {
   gen::Workload W = gen::terminatorProgram(T);
   Query Q = Query::fromSource(W.Source).target(W.TargetLabel);
 
-  for (const char *Engine : {"summary", "ef", "ef-split", "ef-opt"}) {
-    SolverOptions Split1;
-    Split1.Engine = Engine;
-    SolveResult S1 = Solver::solve(Q, Split1);
-    ASSERT_TRUE(S1.ok()) << Engine;
-    EXPECT_GT(S1.CondensationWidth, 4u) << Engine;
+  SolverOptions Scc1;
+  Scc1.Engine = "summary-scc";
+  SolveResult S1 = Solver::solve(Q, Scc1);
+  ASSERT_TRUE(S1.ok());
+  EXPECT_GT(S1.CondensationWidth, 4u);
 
-    SolverOptions Split4 = Split1;
-    Split4.Threads = 4;
-    SolveResult S4 = Solver::solve(Q, Split4);
-    expectSameCore(S1, S4, std::string(Engine) + "/split-1v4");
-    // Real width reaches the pool: independent summary SCCs get
-    // dispatched instead of one serialized chain.
-    EXPECT_GT(S4.SccsSolvedParallel, 0u) << Engine;
+  SolverOptions Scc4 = Scc1;
+  Scc4.Threads = 4;
+  SolveResult S4 = Solver::solve(Q, Scc4);
+  expectSameCore(S1, S4, "summary-scc/1v4");
+  // Real width reaches the pool: independent summary SCCs get dispatched
+  // instead of one serialized chain.
+  EXPECT_GT(S4.SccsSolvedParallel, 0u);
+  EXPECT_EQ(S4.SummaryRelations, S4.CondensationWidth);
 
-    SolverOptions Mono4 = Split4;
-    Mono4.MonolithicSummary = true;
-    SolveResult M4 = Solver::solve(Q, Mono4);
-    ASSERT_TRUE(M4.ok()) << Engine;
-    EXPECT_EQ(M4.Reachable, S4.Reachable) << Engine;
-    EXPECT_EQ(M4.SummaryRelations, 1u) << Engine;
-    EXPECT_EQ(S4.SummaryRelations, S4.CondensationWidth) << Engine;
-  }
+  for (const char *Engine : {"summary", "ef", "ef-split", "ef-opt"})
+    for (unsigned Threads : {1u, 4u}) {
+      SolverOptions Opts;
+      Opts.Engine = Engine;
+      Opts.Threads = Threads;
+      SolveResult R = Solver::solve(Q, Opts);
+      std::string Ctx = std::string(Engine) + "/t" + std::to_string(Threads);
+      ASSERT_TRUE(R.ok()) << Ctx;
+      EXPECT_EQ(R.Reachable, S1.Reachable) << Ctx;
+      EXPECT_EQ(R.SummaryRelations, 1u) << Ctx;
+    }
 }
 
-/// Split sessions across thread counts and reuse modes: per-query answers
-/// must match the monolithic session bit for bit, including witnesses.
-TEST(SplitSummaryParallelTest, SplitSessionsMatchMonolithicAcrossThreads) {
+/// summary-scc sessions across thread counts: per-query answers must match
+/// every paper engine's session bit for bit, including witnesses.
+TEST(SplitSummaryParallelTest, SccSessionsMatchPaperEnginesAcrossThreads) {
   gen::TerminatorParams T;
   T.CounterBits = 3;
   T.NumDeadVars = 2;
@@ -547,31 +550,35 @@ TEST(SplitSummaryParallelTest, SplitSessionsMatchMonolithicAcrossThreads) {
   std::vector<Query> Queries;
   for (const char *Label : {"CP0", "ERR", "DEAD0", "ERR"})
     Queries.push_back(Query::fromSource("").target(Label));
-  // One witness query on the reachable target exercises the split
-  // session's owned witness sub-session.
+  // One witness query on the reachable target exercises summary-scc's
+  // owned witness sub-session.
   Queries.push_back(Query::fromSource("").target("ERR").witness(true));
 
-  for (const char *Engine : {"summary", "ef", "ef-split", "ef-opt"})
-    for (unsigned Threads : {1u, 4u}) {
-      SolverOptions Opts;
+  for (unsigned Threads : {1u, 4u}) {
+    SolverOptions Opts;
+    Opts.Engine = "summary-scc";
+    Opts.Threads = Threads;
+    auto Scc = Solver::open(Query::fromSource(W.Source), Opts);
+    ASSERT_TRUE(Scc->ok());
+    std::vector<SolveResult> Want;
+    for (const Query &Q : Queries) {
+      Want.push_back(Scc->solve(Q));
+      ASSERT_TRUE(Want.back().ok()) << Q.Label;
+    }
+
+    for (const char *Engine : {"summary", "ef", "ef-split", "ef-opt"}) {
       Opts.Engine = Engine;
-      Opts.Threads = Threads;
-
-      Opts.MonolithicSummary = false;
-      auto Split = Solver::open(Query::fromSource(W.Source), Opts);
-      Opts.MonolithicSummary = true;
-      auto Mono = Solver::open(Query::fromSource(W.Source), Opts);
-      ASSERT_TRUE(Split->ok() && Mono->ok()) << Engine;
-
-      for (const Query &Q : Queries) {
-        SolveResult S = Split->solve(Q);
-        SolveResult M = Mono->solve(Q);
+      auto Session = Solver::open(Query::fromSource(W.Source), Opts);
+      ASSERT_TRUE(Session->ok()) << Engine;
+      for (size_t I = 0; I < Queries.size(); ++I) {
+        SolveResult R = Session->solve(Queries[I]);
         std::string Ctx = std::string(Engine) + "/t" +
-                          std::to_string(Threads) + "/" + Q.Label;
-        ASSERT_TRUE(S.ok() && M.ok()) << Ctx;
-        EXPECT_EQ(S.Reachable, M.Reachable) << Ctx;
-        EXPECT_EQ(S.HasWitness, M.HasWitness) << Ctx;
-        EXPECT_EQ(S.WitnessText, M.WitnessText) << Ctx;
+                          std::to_string(Threads) + "/" + Queries[I].Label;
+        ASSERT_TRUE(R.ok()) << Ctx;
+        EXPECT_EQ(R.Reachable, Want[I].Reachable) << Ctx;
+        EXPECT_EQ(R.HasWitness, Want[I].HasWitness) << Ctx;
+        EXPECT_EQ(R.WitnessText, Want[I].WitnessText) << Ctx;
       }
     }
+  }
 }

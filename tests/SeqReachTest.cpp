@@ -38,7 +38,10 @@ bp::ProgramCfg parseCfg(const std::string &Src,
 }
 
 /// The four fixed-point engines of Sections 4.1–4.3, by registry name.
-const char *AllEngines[] = {"summary", "ef", "ef-split", "ef-opt"};
+const char *PaperEngines[] = {"summary", "ef", "ef-split", "ef-opt"};
+/// Those plus the per-SCC split of Section 4.1's summaries.
+const char *AllEngines[] = {"summary", "ef", "ef-split", "ef-opt",
+                            "summary-scc"};
 
 SolveResult solveVia(const bp::ProgramCfg &Cfg, const std::string &Label,
                      const char *Engine, bool EarlyStop = true) {
@@ -158,14 +161,14 @@ TEST(SeqReachTest, CopiesFollowTheirFormalsInTheLayout) {
   // stands in for, so every per-round application of a summary renames
   // without reordering and builds its nodes directly, not with ite.
   // Moving a formal instead of a copy would change the rounds or the
-  // relation's node count.
+  // relation's node count (pinned here for the default engine's system).
   gen::DriverParams P;
   P.Reachable = true;
   P.Seed = 7;
   gen::Workload W = gen::driverProgram(P);
   std::unique_ptr<bp::Program> Prog;
   bp::ProgramCfg Cfg = parseCfg(W.Source, Prog);
-  SolveResult R = solveVia(Cfg, W.TargetLabel, "ef-opt");
+  SolveResult R = solveVia(Cfg, W.TargetLabel, "summary-scc");
   ASSERT_TRUE(R.ok()) << R.Error;
   EXPECT_TRUE(R.Reachable);
   EXPECT_EQ(R.Iterations, 26u);
@@ -199,6 +202,15 @@ TEST(SeqReachTest, FormulaTextShowsAlgorithmStructure) {
   EXPECT_NE(Opt.find("mu bool New1"), std::string::npos);
   // Relevant negates the fr=0 copy: the non-monotone heart of Section 4.3.
   EXPECT_NE(Opt.find("!(SummaryEFopt(0"), std::string::npos);
+
+  // summary-scc: one Summary_/ReachEntry_ pair per call-graph SCC under
+  // the Hits and SummaryAll roots, returning through the Appendix clause.
+  std::string Scc = reach::formulaText(Cfg, reach::SeqAlgorithm::SummaryScc);
+  EXPECT_NE(Scc.find("mu bool Summary_main"), std::string::npos);
+  EXPECT_NE(Scc.find("mu bool ReachEntry_main"), std::string::npos);
+  EXPECT_NE(Scc.find("mu bool Hits"), std::string::npos);
+  EXPECT_NE(Scc.find("mu bool SummaryAll"), std::string::npos);
+  EXPECT_EQ(Scc.find("mu bool SummaryEF"), std::string::npos);
 }
 
 TEST(SeqReachTest, TerminatorParityNegativesAreProven) {
@@ -244,7 +256,7 @@ end
 }
 
 //===----------------------------------------------------------------------===//
-// Per-procedure summary split vs the monolithic compilation
+// summary-scc (the per-SCC split) against the paper's engines
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -323,94 +335,85 @@ end
      false},
 };
 
-/// One solve through the facade with the split/monolithic switch and the
-/// ablation knobs exposed.
+/// One solve through the facade with the ablation knobs exposed.
 SolveResult solveShaped(const bp::ProgramCfg &Cfg, const char *Engine,
-                        bool Monolithic, fpc::EvalStrategy Strategy,
-                        bool EarlyStop) {
+                        fpc::EvalStrategy Strategy, bool EarlyStop,
+                        bool Witness = false) {
   SolverOptions Opts;
   Opts.Engine = Engine;
-  Opts.MonolithicSummary = Monolithic;
   Opts.Strategy = Strategy;
   Opts.EarlyStop = EarlyStop;
-  return Solver::solve(Query::fromCfg(Cfg).target("ERR"), Opts);
+  return Solver::solve(Query::fromCfg(Cfg).target("ERR").witness(Witness),
+                       Opts);
 }
 
 } // namespace
 
-/// engine x strategy x early stop: the split and monolithic
-/// compilations must produce the same verdict everywhere (round counts
-/// may differ; the verdict may not).
-TEST(SplitSummaryTest, SplitAndMonolithicAgreeAcrossAllKnobs) {
+/// engine x strategy x early stop: summary-scc and every paper engine
+/// must produce the same verdict everywhere (round counts may differ; the
+/// verdict may not).
+TEST(SplitSummaryTest, SccAndPaperEnginesAgreeAcrossAllKnobs) {
   for (const ShapedProgram &SP : ShapedPrograms) {
     std::unique_ptr<bp::Program> Prog;
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
-    for (const char *Engine : AllEngines)
-      for (auto Strategy :
-           {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive})
-        for (bool EarlyStop : {false, true}) {
-          SolveResult Split = solveShaped(Cfg, Engine, /*Monolithic=*/false,
-                                          Strategy, EarlyStop);
-          SolveResult Mono = solveShaped(Cfg, Engine, /*Monolithic=*/true,
-                                         Strategy, EarlyStop);
-          ASSERT_TRUE(Split.ok() && Mono.ok()) << SP.Name << "/" << Engine;
-          EXPECT_EQ(Split.Reachable, SP.ExpectReachable)
-              << SP.Name << "/" << Engine << " (split)";
-          EXPECT_EQ(Split.Reachable, Mono.Reachable)
-              << SP.Name << "/" << Engine;
+    for (auto Strategy :
+         {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive})
+      for (bool EarlyStop : {false, true}) {
+        SolveResult Scc = solveShaped(Cfg, "summary-scc", Strategy, EarlyStop);
+        ASSERT_TRUE(Scc.ok()) << SP.Name;
+        EXPECT_EQ(Scc.Reachable, SP.ExpectReachable) << SP.Name;
+        for (const char *Engine : PaperEngines) {
+          SolveResult R = solveShaped(Cfg, Engine, Strategy, EarlyStop);
+          ASSERT_TRUE(R.ok()) << SP.Name << "/" << Engine;
+          EXPECT_EQ(R.Reachable, Scc.Reachable) << SP.Name << "/" << Engine;
         }
+      }
   }
 }
 
-/// The summary engine computes the same all-entries summary either way, so
-/// the union of the per-procedure relations must be *bit-identical* to the
-/// monolithic relation — same BDD, hence the same node count under the
-/// identical variable layout. (The EF flavors legitimately differ: their
-/// monolithic relation is entry-forward-pruned while the split keeps the
-/// SummarySimple decomposition, so only the verdict is pinned there.)
-TEST(SplitSummaryTest, SummaryUnionBitIdenticalToMonolithicRelation) {
+/// summary-scc computes the same all-entries summary as `summary`, so the
+/// union of its per-SCC relations must be *bit-identical* to the Section
+/// 4.1 relation — same BDD, hence the same node count under the identical
+/// variable layout. (The EF engines legitimately differ: their relation
+/// is entry-forward-pruned, so only the verdict is pinned there.)
+TEST(SplitSummaryTest, SccSummaryUnionBitIdenticalToSummary) {
   for (const ShapedProgram &SP : ShapedPrograms) {
     std::unique_ptr<bp::Program> Prog;
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
-    SolveResult Split =
-        solveShaped(Cfg, "summary", false, fpc::EvalStrategy::SemiNaive,
-                    /*EarlyStop=*/false);
-    SolveResult Mono =
-        solveShaped(Cfg, "summary", true, fpc::EvalStrategy::SemiNaive,
-                    /*EarlyStop=*/false);
-    ASSERT_TRUE(Split.ok() && Mono.ok()) << SP.Name;
-    EXPECT_EQ(Split.SummaryNodes, Mono.SummaryNodes) << SP.Name;
+    SolveResult Scc = solveShaped(Cfg, "summary-scc",
+                                  fpc::EvalStrategy::SemiNaive, true);
+    SolveResult Summary =
+        solveShaped(Cfg, "summary", fpc::EvalStrategy::SemiNaive, true);
+    ASSERT_TRUE(Scc.ok() && Summary.ok()) << SP.Name;
+    EXPECT_EQ(Scc.SummaryNodes, Summary.SummaryNodes) << SP.Name;
   }
 }
 
-/// The reported condensation width must equal the program's call-graph
-/// SCC count under the split and collapse back to the narrow monolithic
-/// band (1-4 defined relations) under the escape hatch.
+/// summary-scc reports a condensation width and a summary-relation count
+/// equal to the program's call-graph SCC count; every paper engine
+/// compiles one summary relation in a narrow (1-4 defined relations)
+/// condensation.
 TEST(SplitSummaryTest, CondensationWidthMatchesCallGraph) {
   for (const ShapedProgram &SP : ShapedPrograms) {
     std::unique_ptr<bp::Program> Prog;
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
     bp::CallGraph CG = bp::buildCallGraph(Cfg);
-    for (const char *Engine : AllEngines) {
-      SolveResult Split =
-          solveShaped(Cfg, Engine, false, fpc::EvalStrategy::SemiNaive,
-                      true);
-      EXPECT_EQ(Split.CondensationWidth, CG.numSccs())
-          << SP.Name << "/" << Engine;
-      EXPECT_EQ(Split.SummaryRelations, CG.numSccs())
-          << SP.Name << "/" << Engine;
-      SolveResult Mono =
-          solveShaped(Cfg, Engine, true, fpc::EvalStrategy::SemiNaive,
-                      true);
-      EXPECT_GE(Mono.CondensationWidth, 1u) << SP.Name << "/" << Engine;
-      EXPECT_LE(Mono.CondensationWidth, 4u) << SP.Name << "/" << Engine;
-      EXPECT_EQ(Mono.SummaryRelations, 1u) << SP.Name << "/" << Engine;
+    SolveResult Scc = solveShaped(Cfg, "summary-scc",
+                                  fpc::EvalStrategy::SemiNaive, true);
+    EXPECT_EQ(Scc.CondensationWidth, CG.numSccs()) << SP.Name;
+    EXPECT_EQ(Scc.SummaryRelations, CG.numSccs()) << SP.Name;
+    for (const char *Engine : PaperEngines) {
+      SolveResult R =
+          solveShaped(Cfg, Engine, fpc::EvalStrategy::SemiNaive, true);
+      EXPECT_GE(R.CondensationWidth, 1u) << SP.Name << "/" << Engine;
+      EXPECT_LE(R.CondensationWidth, 4u) << SP.Name << "/" << Engine;
+      EXPECT_EQ(R.SummaryRelations, 1u) << SP.Name << "/" << Engine;
     }
   }
 }
 
 /// Terminator workloads carry one procedure per dead-variable phase, so
-/// the split's width clears the acceptance bar (> 4) while the verdict
+/// summary-scc's width clears the acceptance bar (> 4) while the verdict
 /// stays pinned to the parity argument.
 TEST(SplitSummaryTest, TerminatorWidthExceedsFour) {
   gen::TerminatorParams P;
@@ -422,66 +425,68 @@ TEST(SplitSummaryTest, TerminatorWidthExceedsFour) {
   bp::ProgramCfg Cfg = parseCfg(W.Source, Prog);
   bp::CallGraph CG = bp::buildCallGraph(Cfg);
   EXPECT_GT(CG.numSccs(), 4u);
-  SolveResult R = solveShaped(Cfg, "summary", false,
-                              fpc::EvalStrategy::SemiNaive,
-                              true);
+  SolveResult R =
+      solveShaped(Cfg, "summary-scc", fpc::EvalStrategy::SemiNaive, true);
   ASSERT_TRUE(R.ok());
   EXPECT_FALSE(R.Reachable);
   EXPECT_EQ(R.CondensationWidth, CG.numSccs());
   EXPECT_GT(R.CondensationWidth, 4u);
 }
 
-/// Witness extraction must yield the identical trace whether the solve
-/// side runs split or monolithic (the extractor's ring walk is shared).
-TEST(SplitSummaryTest, WitnessesBitIdenticalAcrossCompilations) {
+/// Witness extraction walks one entry-forward solve whichever engine
+/// answers the plain query, so summary-scc and every paper engine must
+/// yield the identical trace.
+TEST(SplitSummaryTest, WitnessesBitIdenticalAcrossEngines) {
   for (const ShapedProgram &SP : ShapedPrograms) {
     if (!SP.ExpectReachable)
       continue;
     std::unique_ptr<bp::Program> Prog;
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
-    for (const char *Engine : AllEngines) {
-      SolverOptions Opts;
-      Opts.Engine = Engine;
-      Query Q = Query::fromCfg(Cfg).target("ERR").witness(true);
-      Opts.MonolithicSummary = false;
-      SolveResult Split = Solver::solve(Q, Opts);
-      Opts.MonolithicSummary = true;
-      SolveResult Mono = Solver::solve(Q, Opts);
-      ASSERT_TRUE(Split.ok() && Mono.ok()) << SP.Name << "/" << Engine;
-      ASSERT_TRUE(Split.HasWitness) << SP.Name << "/" << Engine;
-      ASSERT_TRUE(Mono.HasWitness) << SP.Name << "/" << Engine;
-      EXPECT_EQ(Split.WitnessText, Mono.WitnessText)
-          << SP.Name << "/" << Engine;
+    SolveResult Scc = solveShaped(Cfg, "summary-scc",
+                                  fpc::EvalStrategy::SemiNaive, true, true);
+    ASSERT_TRUE(Scc.ok()) << SP.Name;
+    ASSERT_TRUE(Scc.HasWitness) << SP.Name;
+    for (const char *Engine : PaperEngines) {
+      SolveResult R = solveShaped(Cfg, Engine, fpc::EvalStrategy::SemiNaive,
+                                  true, true);
+      ASSERT_TRUE(R.ok()) << SP.Name << "/" << Engine;
+      ASSERT_TRUE(R.HasWitness) << SP.Name << "/" << Engine;
+      EXPECT_EQ(R.WitnessText, Scc.WitnessText) << SP.Name << "/" << Engine;
     }
   }
 }
 
 /// Session mode: per-query answers across a target batch must match
-/// between the compilations.
-TEST(SplitSummaryTest, SessionAnswersMatchMonolithic) {
+/// between summary-scc and every paper engine.
+TEST(SplitSummaryTest, SessionAnswersMatchPaperEngines) {
   gen::TerminatorParams P;
   P.CounterBits = 3;
   P.NumDeadVars = 2;
   P.Reachable = false;
   P.LabeledCheckpoints = 2;
   gen::Workload W = gen::terminatorProgram(P);
-  for (const char *Engine : AllEngines) {
-    SolverOptions Opts;
-    Opts.Engine = Engine;
-    std::vector<Query> Qs;
-    for (const char *Label : {"CP0", "DEAD0", "ERR", "CP1", "DEAD1"})
-      Qs.push_back(Query::fromSource("").target(Label));
+  std::vector<Query> Qs;
+  for (const char *Label : {"CP0", "DEAD0", "ERR", "CP1", "DEAD1"})
+    Qs.push_back(Query::fromSource("").target(Label));
 
-    Opts.MonolithicSummary = false;
-    auto SplitSession = Solver::open(Query::fromSource(W.Source), Opts);
-    Opts.MonolithicSummary = true;
-    auto MonoSession = Solver::open(Query::fromSource(W.Source), Opts);
-    ASSERT_TRUE(SplitSession->ok() && MonoSession->ok()) << Engine;
-    for (const Query &Q : Qs) {
-      SolveResult S = SplitSession->solve(Q);
-      SolveResult M = MonoSession->solve(Q);
-      ASSERT_TRUE(S.ok() && M.ok()) << Engine << "/" << Q.Label;
-      EXPECT_EQ(S.Reachable, M.Reachable) << Engine << "/" << Q.Label;
+  SolverOptions Opts;
+  Opts.Engine = "summary-scc";
+  auto SccSession = Solver::open(Query::fromSource(W.Source), Opts);
+  ASSERT_TRUE(SccSession->ok());
+  std::vector<SolveResult> Want;
+  for (const Query &Q : Qs) {
+    Want.push_back(SccSession->solve(Q));
+    ASSERT_TRUE(Want.back().ok()) << Q.Label;
+  }
+  for (const char *Engine : PaperEngines) {
+    Opts.Engine = Engine;
+    auto Session = Solver::open(Query::fromSource(W.Source), Opts);
+    ASSERT_TRUE(Session->ok()) << Engine;
+    for (size_t I = 0; I < Qs.size(); ++I) {
+      SolveResult R = Session->solve(Qs[I]);
+      ASSERT_TRUE(R.ok()) << Engine << "/" << Qs[I].Label;
+      EXPECT_EQ(R.Reachable, Want[I].Reachable)
+          << Engine << "/" << Qs[I].Label;
     }
   }
 }

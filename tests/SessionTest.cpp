@@ -636,11 +636,9 @@ TEST(SessionTest, EfWitnessAndPlainQueriesShareOneSolve) {
 
   for (reach::SeqAlgorithm Alg : {reach::SeqAlgorithm::EntryForward,
                                   reach::SeqAlgorithm::EntryForwardSplit}) {
+    // The extractor walks the very relation these engines' plain queries
+    // solve, so the session lends it its own solve (borrowed mode).
     sym::SolveConfig Opts;
-    // The borrowed-witness architecture under test is specific to the
-    // monolithic compilation: the extractor walks the very relation the
-    // plain queries solve. (Split sessions keep an owned sub-session.)
-    Opts.MonolithicSummary = true;
     // One solve's worth of rounds, from the pre-existing one-shot path.
     reach::WitnessResult FreshW =
         reach::checkReachabilityWithWitness(Cfg, ErrProc, ErrPc, Opts);
@@ -743,16 +741,11 @@ TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
 
   const reach::SeqAlgorithm Ef = reach::SeqAlgorithm::EntryForward;
   sym::SolveConfig Seed;
-  // The shared-solve diet being measured is the monolithic borrowed-
-  // witness architecture; the per-procedure split always pays an owned
-  // witness sub-session, so it is not the subject of this comparison.
-  Seed.MonolithicSummary = true;
   Seed.RingKeyframeInterval = 1; // Pre-diet retention: every round full.
   reach::SeqSession SeedPlain(Cfg, Ef, Seed);
   reach::WitnessSession SeedWitness(Cfg, Seed); // The duplicate solver.
 
   sym::SolveConfig Diet;
-  Diet.MonolithicSummary = true;
   reach::SeqSession SDiet(Cfg, Ef, Diet);
 
   const std::pair<unsigned, unsigned> Targets[] = {

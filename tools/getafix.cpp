@@ -17,8 +17,9 @@
 ///                        calculus and solved summary rounds are reused
 ///                        across the queries; one "LABEL: VERDICT" line
 ///                        per target)
-///     --algo <name>      engine to run (see --list-algos; default: ef-opt
-///                        for sequential programs, conc for concurrent)
+///     --algo <name>      engine to run (see --list-algos; default:
+///                        summary-scc for sequential programs, conc for
+///                        concurrent)
 ///     --list-algos       print the registered engines and exit
 ///     --context-bound k  concurrent programs: max context switches
 ///     --rounds r         concurrent: round-robin with r rounds (implies
@@ -33,13 +34,6 @@
 ///                        scheduling (default 1; results bit-identical at
 ///                        any setting; --targets sessions solve on one
 ///                        thread)
-///     --monolithic-summary
-///                        sequential summary engines: compile the paper's
-///                        single whole-program summary relation instead
-///                        of the default per-procedure split (one
-///                        Summary_<proc> per call-graph SCC; verdicts and
-///                        witnesses are bit-identical either way — A/B
-///                        escape hatch; see --stats condensation_width)
 ///     --timeout-ms n     wall-clock deadline per solve in milliseconds
 ///                        (0 = none); a hit deadline prints
 ///                        "TIMEOUT (deadline)" and exits 4
@@ -93,7 +87,6 @@ int usage() {
                "[--max-iterations n]\n"
                "               [--threads n] [--timeout-ms n] "
                "[--node-budget n]\n"
-               "               [--monolithic-summary]\n"
                "               [--witness] [--print-formula] [--stats] "
                "<program.bp>\n",
                Solver::engineList("|").c_str());
@@ -388,8 +381,6 @@ int main(int Argc, char **Argv) {
       if (!V)
         return usage();
       Opts.Solver.NodeBudget = uint64_t(std::atoll(V));
-    } else if (Arg == "--monolithic-summary") {
-      Opts.Solver.MonolithicSummary = true;
     } else if (Arg == "--witness") {
       Opts.Witness = true;
     } else if (Arg == "--print-formula") {

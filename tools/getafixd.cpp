@@ -35,19 +35,15 @@
 ///                        (`hit_deadline` / `hit_node_budget` /
 ///                        `cancelled`); the session stays valid and a
 ///                        retry with a larger budget resumes exactly
-///     --algo NAME        default engine for every session
+///     --algo NAME        default engine for every session (default:
+///                        summary-scc for sequential programs, conc for
+///                        concurrent)
 ///     --threads N        evaluator worker threads per solve (parallel
 ///                        SCC scheduling); the `stats` response reports
 ///                        the setting. Pooled sessions currently solve on
 ///                        one thread: their relation chains are resumed
 ///                        callees-first, so no query leaves two SCCs
 ///                        pending for the pool
-///     --monolithic-summary
-///                        compile the single whole-program summary
-///                        relation instead of the default per-procedure
-///                        split (see getafix --monolithic-summary); the
-///                        `stats` response reports the resulting
-///                        condensation width
 ///     --context-bound K / --rounds R / --round-robin
 ///                        concurrent-program knobs (as in getafix)
 ///     --strategy S       naive | semi-naive
@@ -90,7 +86,6 @@ int usage() {
       "[--node-budget N]\n"
       "                [--algo NAME] [--threads N]\n"
       "                [--context-bound K] [--rounds R] [--round-robin]\n"
-      "                [--monolithic-summary]\n"
       "                [--strategy naive|semi-naive] [--max-iterations N]\n");
   return 2;
 }
@@ -180,8 +175,6 @@ int main(int Argc, char **Argv) {
       Opts.Pool.Solver.RoundRobin = true;
     } else if (Arg == "--round-robin") {
       Opts.Pool.Solver.RoundRobin = true;
-    } else if (Arg == "--monolithic-summary") {
-      Opts.Pool.Solver.MonolithicSummary = true;
     } else if (Arg == "--strategy") {
       if (!(V = Next()))
         return usage();
