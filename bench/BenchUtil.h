@@ -115,26 +115,15 @@ inline EngineRow rowOrDie(const SolveResult &R, const char *Engine) {
   return Row;
 }
 
-/// Runs \p Engine on a sequential label query with fully specified options
-/// (the ablation drivers vary the strategy and early stop this way).
+/// Runs the engine \p Engine (a registry name) on a sequential label
+/// query under \p Opts (the ablation drivers vary early stop and threads
+/// this way).
 inline EngineRow runEngine(const bp::ProgramCfg &Cfg,
                            const std::string &Label, const char *Engine,
-                           SolverOptions Opts) {
+                           SolverOptions Opts = {}) {
   Opts.Engine = Engine;
   return rowOrDie(Solver::solve(Query::fromCfg(Cfg).target(Label), Opts),
                   Engine);
-}
-
-/// Runs the engine \p Engine (a registry name) on a sequential label query.
-inline EngineRow runEngine(const bp::ProgramCfg &Cfg,
-                           const std::string &Label, const char *Engine,
-                           bool EarlyStop = true,
-                           fpc::EvalStrategy Strategy =
-                               fpc::EvalStrategy::SemiNaive) {
-  SolverOptions Opts;
-  Opts.EarlyStop = EarlyStop;
-  Opts.Strategy = Strategy;
-  return runEngine(Cfg, Label, Engine, std::move(Opts));
 }
 
 /// Runs \p Engine on a concurrent label query under \p Opts (which carries

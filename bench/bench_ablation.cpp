@@ -8,8 +8,7 @@
 //   - Section 4.3: the Relevant-PC frontier restriction versus plain
 //     entry-forward iteration,
 //   - solver-level early termination on positive instances,
-//   - the evaluator's semi-naive (delta) core versus the paper's literal
-//     naive semantics, on the terminator and bluetooth suites,
+//   - Figure 3's concurrent engine on the bluetooth model at k = 4,
 //   - parallel SCC scheduling (--threads) on multi-SCC calculus systems
 //     at 1/2/4/8 workers, gated on bit-identical counts/rounds/BDD sizes,
 //   - summary-scc (Section 4.1's summaries with one Summary_<group>
@@ -63,34 +62,6 @@ void recordRow(const char *Section, const char *Case_, const char *Variant,
       .field("cache_hit_rate", R.CacheHitRate)
       .field("seconds", R.Seconds);
   Report.add(Row);
-}
-
-/// One naive-vs-semi-naive comparison row. NodesCreated is the BDD-op
-/// proxy the acceptance criterion counts; both rows must agree on the
-/// verdict and the number of Tarski rounds (the delta core computes the
-/// identical per-round sequence, just cheaper).
-void printStrategyRow(const char *Name, const EngineRow &Naive,
-                      const EngineRow &Semi) {
-  if (Naive.Reachable != Semi.Reachable ||
-      Naive.Iterations != Semi.Iterations) {
-    std::fprintf(stderr,
-                 "%s: strategy ablation DISAGREES (verdict %d/%d, "
-                 "rounds %llu/%llu)\n",
-                 Name, Naive.Reachable, Semi.Reachable,
-                 (unsigned long long)Naive.Iterations,
-                 (unsigned long long)Semi.Iterations);
-    std::exit(1);
-  }
-  double NodeRatio = Semi.NodesCreated
-                         ? double(Naive.NodesCreated) /
-                               double(Semi.NodesCreated)
-                         : 0.0;
-  std::printf("%-26s %9.3fs %9.3fs %11llu %11llu %7.2fx %6llu/%llu\n",
-              Name, Naive.Seconds, Semi.Seconds,
-              (unsigned long long)Naive.NodesCreated,
-              (unsigned long long)Semi.NodesCreated, NodeRatio,
-              (unsigned long long)Semi.DeltaRounds,
-              (unsigned long long)Semi.Iterations);
 }
 
 } // namespace
@@ -169,60 +140,31 @@ int main(int Argc, char **Argv) {
     recordRow("early-stop", W.Name.c_str(), "full", Full);
   }
 
-  // Naive vs semi-naive: the semi-naive core, which skips non-recursive
-  // disjuncts after round 1 and accumulates by union, must agree on
-  // verdict and round count; the columns show what that costs or saves.
-  // The terminator rows are negative instances (a full fixpoint is
-  // forced); the bluetooth rows are Figure-3 configurations of the
-  // concurrent engine.
-  std::printf("\n--- evaluation strategy (naive vs semi-naive) ---\n");
-  std::printf("%-26s %10s %10s %11s %11s %8s %8s\n", "case", "naive",
-              "semi", "nodes-nv", "nodes-sn", "ratio", "delta/it");
-  for (unsigned Bits : Smoke ? std::vector<unsigned>{4u}
-                             : std::vector<unsigned>{4u, 5u, 6u}) {
-    gen::TerminatorParams P;
-    P.CounterBits = Bits;
-    P.NumDeadVars = 4;
-    P.Style = gen::DeadVarStyle::Iterative;
-    P.Reachable = false;
-    gen::Workload W = gen::terminatorProgram(P);
-    ParsedProgram Parsed = parseOrDie(W.Source);
+  // Figure 3's concurrent engine on the bluetooth model at k = 4, with
+  // early stop off (Figure 3 reports the whole reachable set): (1,1,4) is
+  // the light two-thread row, (2,2,4) the heavy one (full run only).
+  // Recorded as `algorithms` rows.
+  std::printf("\n--- concurrent engine (Figure 3, bluetooth) ---\n");
+  struct BtConfig {
+    unsigned Adders, Stoppers, Switches;
+  } BtConfigs[] = {{1, 1, 4}, {2, 2, 4}};
+  for (const BtConfig &C : BtConfigs) {
+    if (Smoke && C.Adders + C.Stoppers > 2)
+      continue;
+    ParsedConcProgram P =
+        parseConcOrDie(gen::bluetoothModel(C.Adders, C.Stoppers));
     SolverOptions Opts;
     Opts.Threads = GlobalThreads;
-    Opts.Strategy = fpc::EvalStrategy::Naive;
-    EngineRow Naive = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
-    Opts.Strategy = fpc::EvalStrategy::SemiNaive;
-    EngineRow Semi = runEngine(Parsed.Cfg, W.TargetLabel, "ef-split", Opts);
-    printStrategyRow(W.Name.c_str(), Naive, Semi);
-    recordRow("strategy", W.Name.c_str(), "naive", Naive);
-    recordRow("strategy", W.Name.c_str(), "semi-naive", Semi);
-  }
-  {
-    // (1,1,4) is the light two-thread row; (2,2,4) is the heavy Figure-3
-    // configuration (full run only).
-    struct BtConfig {
-      unsigned Adders, Stoppers, Switches;
-    } Configs[] = {{1, 1, 4}, {2, 2, 4}};
-    for (const BtConfig &C : Configs) {
-      if (Smoke && C.Adders + C.Stoppers > 2)
-        continue;
-      ParsedConcProgram P =
-          parseConcOrDie(gen::bluetoothModel(C.Adders, C.Stoppers));
-      SolverOptions Opts;
-      Opts.Threads = GlobalThreads;
-      Opts.ContextBound = C.Switches;
-      Opts.EarlyStop = false; // Figure 3 reports the full reachable set.
-      Opts.Strategy = fpc::EvalStrategy::Naive;
-      EngineRow Naive = runConcEngine(P, "ERR", "conc", Opts);
-      Opts.Strategy = fpc::EvalStrategy::SemiNaive;
-      EngineRow Semi = runConcEngine(P, "ERR", "conc", Opts);
-      char Name[64];
-      std::snprintf(Name, sizeof(Name), "bluetooth-%ua%us-k%u", C.Adders,
-                    C.Stoppers, C.Switches);
-      printStrategyRow(Name, Naive, Semi);
-      recordRow("strategy", Name, "naive", Naive);
-      recordRow("strategy", Name, "semi-naive", Semi);
-    }
+    Opts.ContextBound = C.Switches;
+    Opts.EarlyStop = false;
+    EngineRow Conc = runConcEngine(P, "ERR", "conc", Opts);
+    char Name[64];
+    std::snprintf(Name, sizeof(Name), "bluetooth-%ua%us-k%u", C.Adders,
+                  C.Stoppers, C.Switches);
+    std::printf("%-24s %9.3fs %11llu nodes %6llu rounds\n", Name,
+                Conc.Seconds, (unsigned long long)Conc.NodesCreated,
+                (unsigned long long)Conc.Iterations);
+    recordRow("algorithms", Name, "conc", Conc);
   }
 
   // Cross-query sessions: N targets over one program, solved as N fresh

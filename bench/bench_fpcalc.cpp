@@ -4,7 +4,7 @@
 //
 // google-benchmark microbenchmarks of the calculus evaluator: fixpoint
 // iteration cost on the Section-3 transition-system example at growing
-// domain sizes, and the static-subformula cache.
+// domain sizes.
 //===----------------------------------------------------------------------===//
 
 #include "fpcalc/Calculus.h"
@@ -18,13 +18,9 @@ using namespace getafix::fpc;
 
 namespace {
 
-/// Graph reachability at growing domain sizes; arg 1 picks the evaluation
-/// strategy (0 = naive, 1 = semi-naive) so the delta core's per-round
-/// saving shows up as a same-binary ablation.
+/// Graph reachability at growing domain sizes.
 void BM_GraphReachability(benchmark::State &State) {
   uint64_t NumNodes = uint64_t(State.range(0));
-  EvalStrategy Strategy =
-      State.range(1) ? EvalStrategy::SemiNaive : EvalStrategy::Naive;
   System Sys;
   DomainId Node = Sys.addDomain("Node", NumNodes);
   VarId U = Sys.addVar("u", Node);
@@ -42,7 +38,7 @@ void BM_GraphReachability(benchmark::State &State) {
   uint64_t NodesCreated = 0;
   for (auto _ : State) {
     BddManager Mgr;
-    Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr), Strategy);
+    Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr));
     Ev.bindInput(Init, Ev.encodeEqConst(U, 0));
     Rng R(7);
     Bdd TransBdd = Mgr.zero();
@@ -59,14 +55,7 @@ void BM_GraphReachability(benchmark::State &State) {
   State.counters["bdd_nodes"] =
       benchmark::Counter(double(NodesCreated));
 }
-BENCHMARK(BM_GraphReachability)
-    ->ArgNames({"nodes", "semi"})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1});
+BENCHMARK(BM_GraphReachability)->ArgName("nodes")->Arg(64)->Arg(256)->Arg(1024);
 
 } // namespace
 

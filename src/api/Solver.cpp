@@ -9,6 +9,9 @@
 #include "bp/Parser.h"
 #include "concurrent/ConcReach.h"
 
+#include <algorithm>
+#include <cassert>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <utility>
@@ -31,11 +34,7 @@ EngineRegistry &EngineRegistry::instance() {
 }
 
 void EngineRegistry::add(std::unique_ptr<Engine> E) {
-  for (std::unique_ptr<Engine> &Existing : Engines)
-    if (std::string(Existing->name()) == E->name()) {
-      Existing = std::move(E);
-      return;
-    }
+  assert(!lookup(E->name()) && "engine registered twice");
   Engines.push_back(std::move(E));
 }
 
@@ -175,7 +174,8 @@ Solver::Compilation Solver::compile(const Query &Q, bool RequireTarget) {
 namespace {
 
 /// Resolves `Opts.Engine` (empty = per-kind default) against the registry
-/// and the query kind. Null with \p Out filled on failure.
+/// and the query kind, and checks the context bound of a concurrent
+/// query. Null with \p Out filled on failure.
 const Engine *selectEngine(const CompiledQuery &Q, const SolverOptions &Opts,
                            SolveResult &Out) {
   std::string Name = Opts.Engine;
@@ -195,6 +195,19 @@ const Engine *selectEngine(const CompiledQuery &Q, const SolverOptions &Opts,
                 " queries, but the program is " +
                 (Q.isConcurrent() ? "concurrent" : "sequential");
     return nullptr;
+  }
+  // The concurrent encodings allocate k + 1 context copies: a bound whose
+  // k + 1 wraps, or whose `Rounds * threads - 1` overflows, would size
+  // them at zero.
+  if (Q.isConcurrent()) {
+    uint64_t Threads = std::max<uint64_t>(Q.concurrent().numThreads(), 1);
+    uint64_t K = Opts.Rounds != 0 ? uint64_t(Opts.Rounds) * Threads - 1
+                                  : uint64_t(Opts.ContextBound);
+    if (K >= UINT_MAX) {
+      Out.Status = SolveStatus::BadQuery;
+      Out.Error = "context bound out of range";
+      return nullptr;
+    }
   }
   return E;
 }

@@ -17,14 +17,14 @@
 ///     an explicit (thread, proc, pc) point), and an optional witness
 ///     request.
 ///   - `SolverOptions` — engine name plus the union of all engine knobs
-///     (`sym::SolveConfig`: BDD GC, early stop, context bound,
-///     round-robin/rounds) and the resource limits.
+///     (`sym::SolveConfig`: early stop, iteration cap, threads, context
+///     bound, round-robin/rounds) and the resource limits.
 ///   - `SolveResult`  — status + the union of every engine's statistics
 ///     (`sym::SolveStats`), plus the witness trace when one was requested
 ///     and extracted.
-///   - `Engine`       — the pluggable backend interface; implementations
-///     self-register into the `EngineRegistry` keyed by name, which is also
-///     where CLI `--algo` help and `--list-algos` come from.
+///   - `Engine`       — the pluggable backend interface; Engines.cpp adds
+///     each implementation to the `EngineRegistry` keyed by name, which is
+///     also where CLI `--algo` help and `--list-algos` come from.
 ///
 /// Engines take the `sym::SolveConfig` half of the options and return
 /// `sym::SolveStats` directly, so nothing is translated between per-module
@@ -343,9 +343,8 @@ public:
 /// `sym::SolveConfig` that apply to them, solve the compiled query, and
 /// return its statistics as a `SolveResult`. The dispatcher has already
 /// armed `SolveConfig::Governor` with the options' limits, and maps a
-/// tripped `SolveStats::Limit` onto the status afterwards. Register
-/// instances with `RegisterEngine` (the built-in nine live in
-/// Engines.cpp).
+/// tripped `SolveStats::Limit` onto the status afterwards. The nine
+/// engines live in Engines.cpp, which adds each to the registry once.
 class Engine {
 public:
   virtual ~Engine() = default;
@@ -390,8 +389,7 @@ class EngineRegistry {
 public:
   static EngineRegistry &instance();
 
-  /// Takes ownership. A later registration under an existing name replaces
-  /// the earlier engine (last one wins).
+  /// Takes ownership; names are unique.
   void add(std::unique_ptr<Engine> E);
   /// Null when no engine has that name.
   const Engine *lookup(const std::string &Name) const;
@@ -400,14 +398,6 @@ public:
 
 private:
   std::vector<std::unique_ptr<Engine>> Engines;
-};
-
-/// Static-object helper for self-registration:
-///   static RegisterEngine X(std::make_unique<MyEngine>());
-struct RegisterEngine {
-  explicit RegisterEngine(std::unique_ptr<Engine> E) {
-    EngineRegistry::instance().add(std::move(E));
-  }
 };
 
 namespace detail {
@@ -443,7 +433,6 @@ public:
   bool ok() const { return Status == SolveStatus::Ok; }
   SolveStatus status() const { return Status; }
   const std::string &error() const { return Error; }
-  const SolverOptions &options() const { return Opts; }
   /// The engine answering this session's queries.
   const Engine *engine() const { return Eng; }
 
@@ -535,18 +524,10 @@ private:
 // Solver
 //===----------------------------------------------------------------------===//
 
-/// The facade. Stateless apart from default options; all the work is
-/// compile (parse + resolve target) then dispatch through the registry.
+/// The facade. Stateless; all the work is compile (parse + resolve
+/// target) then dispatch through the registry.
 class Solver {
 public:
-  Solver() = default;
-  explicit Solver(SolverOptions Defaults) : Defaults(std::move(Defaults)) {}
-
-  const SolverOptions &options() const { return Defaults; }
-
-  /// Solves with this solver's default options.
-  SolveResult solve(const Query &Q) const { return solve(Q, Defaults); }
-
   /// Compiles \p Q and dispatches it to the engine `Opts.Engine` names.
   static SolveResult solve(const Query &Q, const SolverOptions &Opts);
 
@@ -591,8 +572,6 @@ private:
   /// resolves \p Q's target (label or point) against it — the per-query
   /// half of `compile`, for sessions that compiled the program once.
   static Compilation retarget(const CompiledQuery &Program, const Query &Q);
-
-  SolverOptions Defaults;
 };
 
 } // namespace api

@@ -501,9 +501,8 @@ SolveStats ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
   SolveMeter Meter;
 
   BddManager Mgr;
-  Mgr.setGcThreshold(Config.GcThreshold);
   Mgr.setGovernor(Config.Governor);
-  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Config.Strategy);
+  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr));
   Ev.setThreads(Config.Threads);
   try {
     bindInputs(Ev, Thread, ProcId, Pc);
@@ -564,9 +563,7 @@ struct ConcSession::Impl {
   Impl(const bp::ConcurrentProgram &Conc,
        const std::vector<bp::ProgramCfg> &Cfgs, const SolveConfig &Config)
       : Config(Config), Engine(Conc, Cfgs, Config),
-        Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr), Config.Strategy) {
-    Mgr.setGcThreshold(Config.GcThreshold);
-    Fix.setKeyframeInterval(Config.RingKeyframeInterval);
+        Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr)) {
     // Sessions currently solve on one thread: Reach is one dependency
     // SCC, so the scheduler never finds two SCCs pending. The setting is
     // passed down so the worker accounting below stays honest if a

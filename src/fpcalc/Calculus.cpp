@@ -297,10 +297,6 @@ bool System::dependsOn(RelId Rel, RelId Target) const {
 // Dependency analysis
 //===----------------------------------------------------------------------===//
 
-const char *fpc::strategyName(EvalStrategy S) {
-  return S == EvalStrategy::Naive ? "naive" : "semi-naive";
-}
-
 namespace {
 
 /// Collects the relations applied in \p F, split by the parity of the
@@ -561,7 +557,8 @@ EquationPlan fpc::planEquation(const System &Sys, const DependencyGraph &G,
 
   EquationPlan Plan;
   // Union accumulation requires an increasing Tarski chain: mu equations
-  // whose self-cycles are negation-free. Everything else runs naively.
+  // whose self-cycles are negation-free. Everything else re-evaluates its
+  // whole body every round.
   Plan.SemiNaive = !R.IsNu && G.isMonotoneSelf(Rel);
 
   std::vector<const Formula *> Disjuncts = {R.Def};

@@ -207,24 +207,6 @@ public:
 // Dependency analysis
 //===----------------------------------------------------------------------===//
 
-/// How the evaluator iterates equations to their fixed points.
-enum class EvalStrategy {
-  /// The paper's Section-3 `Evaluate` semantics, literally: every round
-  /// re-evaluates the whole body under the current interpretation.
-  Naive,
-  /// Semi-naive evaluation of monotone `mu` equations: round 1 evaluates
-  /// the whole body; every later round evaluates only the disjuncts that
-  /// depend on the iterated relation and unions them into the previous
-  /// value, since the non-recursive disjuncts cannot change. Non-monotone
-  /// or `nu` equations fall back to the naive scheme. Produces the
-  /// identical per-round value sequence (hence identical iteration
-  /// counts, early stops, and witness rings) for every system the naive
-  /// scheme solves.
-  SemiNaive,
-};
-
-const char *strategyName(EvalStrategy S);
-
 /// Per-relation evaluation statistics (lives here rather than next to the
 /// evaluator so result structs up the stack can carry it without seeing
 /// the BDD package).
@@ -312,7 +294,7 @@ struct DisjunctPlan {
 /// semi-naive iteration applies at all, and its disjuncts.
 struct EquationPlan {
   /// False for `nu` equations and for non-monotone systems — the evaluator
-  /// must fall back to the naive scheme for this relation.
+  /// then re-evaluates the whole body every round.
   bool SemiNaive = false;
   std::vector<DisjunctPlan> Disjuncts;
 };

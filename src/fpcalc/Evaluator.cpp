@@ -33,9 +33,8 @@ struct WorkerContext {
   BddImporter In;  ///< Main -> worker.
   BddImporter Out; ///< Worker -> main.
 
-  WorkerContext(const System &Sys, BddManager &Main, const Layout &L,
-                EvalStrategy Strategy)
-      : Mgr(Main.numVars()), Ev(Sys, Mgr, L, Strategy),
+  WorkerContext(const System &Sys, BddManager &Main, const Layout &L)
+      : Mgr(Main.numVars()), Ev(Sys, Mgr, L),
         In(Main, Mgr), Out(Mgr, Main) {
     Mgr.setGcThreshold(Main.gcThreshold());
   }
@@ -109,9 +108,8 @@ Layout Layout::interleaved(const System &Sys, BddManager &Mgr,
 // Evaluator: setup and encoding helpers
 //===----------------------------------------------------------------------===//
 
-Evaluator::Evaluator(const System &Sys, BddManager &Mgr, Layout L,
-                     EvalStrategy Strategy)
-    : Sys(Sys), Mgr(Mgr), L(std::move(L)), Strategy(Strategy) {}
+Evaluator::Evaluator(const System &Sys, BddManager &Mgr, Layout L)
+    : Sys(Sys), Mgr(Mgr), L(std::move(L)) {}
 
 // Out-of-line: ParallelContext is incomplete in the header.
 Evaluator::~Evaluator() = default;
@@ -153,7 +151,7 @@ WorkerContext &Evaluator::workerContext(unsigned Worker) {
   // The main-manager reads in construction (numVars, gc threshold) are
   // fields no concurrent import/export mutates.
   if (!Slot)
-    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L, Strategy);
+    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L);
   return *Slot;
 }
 
@@ -715,44 +713,35 @@ Bdd Evaluator::evalFixpoint(RelId Rel, const EvalOptions *Opts,
   ++RS.Evaluations;
 
   FixpointState St;
-  // Both strategies pre-solve the lower dependency SCCs callees-first at
-  // the top level (in parallel under Threads > 1). The naive scheme used
-  // to discover them lazily inside the first round; eager scheduling
-  // computes the identical values (a scheduled relation sees no
-  // in-flight environment either way), it only moves the solves ahead of
-  // the iteration — which is what gives the scheduler whole SCCs to
-  // dispatch. Nested naive re-solves keep their historical lazy
-  // discovery: their schedule is empty from round two on, and paying a
-  // per-round no-op sweep would skew the naive ablation baseline.
-  if (InFlight.empty() || Strategy == EvalStrategy::SemiNaive)
-    scheduleDependencies(Rel);
+  // Pre-solve the lower dependency SCCs callees-first (in parallel under
+  // Threads > 1), so the iteration never discovers them mid-round and the
+  // scheduler gets whole SCCs to dispatch.
+  scheduleDependencies(Rel);
   runFixpoint(Rel, St, Opts, HitLimit, Stopped, RS);
   RS.FinalNodes = St.Value.nodeCount();
   return St.Value;
 }
 
 /// Tarski iteration from the empty relation (or, for `nu`, the top
-/// element). Non-monotone or `nu` equations, and every equation under the
-/// naive strategy, re-evaluate the whole body each round:
-/// S_r = Body(S_{r-1}). Semi-naive rounds after the first compute
+/// element). Non-monotone or `nu` equations re-evaluate the whole body
+/// each round: S_r = Body(S_{r-1}). Monotone mu equations run semi-naive
+/// rounds: after the first, each round computes
 ///
 ///   S_r = S_{r-1}  ∪  ⋃_{recursive D} D(S_{r-1})
 ///
-/// skipping the non-recursive disjuncts, whose value N cannot change. For
-/// a monotone mu equation this is exactly the naive sequence: the chain is
-/// increasing, so S_{r-1} = Body(S_{r-2}) ⊆ Body(S_{r-1}), and
+/// skipping the non-recursive disjuncts, whose value N cannot change. This
+/// is exactly the paper's Section-3 sequence S_r = Body(S_{r-1}): the chain
+/// is increasing, so S_{r-1} = Body(S_{r-2}) ⊆ Body(S_{r-1}), and
 /// N ⊆ S_1 ⊆ S_{r-1}; the union therefore lies between Body(S_{r-1}) and
 /// itself. Hence rounds, early stops, iteration limits, and witness rings
-/// are bit-identical across the strategies.
+/// are those of the paper's `Evaluate`.
 void Evaluator::runFixpoint(RelId Rel, FixpointState &St,
                             const EvalOptions *Opts, bool *HitLimit,
                             bool *Stopped, RelStats &RS) {
   const Relation &R = Sys.relation(Rel);
   if (St.Saturated)
     return;
-  const EquationPlan *SemiNaive = nullptr;
-  if (Strategy == EvalStrategy::SemiNaive && plan(Rel).SemiNaive)
-    SemiNaive = &plan(Rel);
+  const EquationPlan &Plan = plan(Rel);
   Bdd S;
   if (St.Rounds == 0) {
     // Least fixed-points start from the empty relation; greatest
@@ -779,9 +768,9 @@ void Evaluator::runFixpoint(RelId Rel, FixpointState &St,
         G->check();
       InFlight[Rel] = S;
       Bdd Next;
-      if (SemiNaive && Iter != 0) {
+      if (Plan.SemiNaive && Iter != 0) {
         Next = S;
-        for (const DisjunctPlan &D : SemiNaive->Disjuncts)
+        for (const DisjunctPlan &D : Plan.Disjuncts)
           if (D.Recursive)
             Next |= evalFormula(*D.Node);
         ++RS.DeltaRounds;

@@ -166,8 +166,6 @@ public:
 
   const RingLog &rings() const { return Rings; }
   const FixpointState &state() const { return St; }
-  /// Keyframe interval of the delta-compressed ring log (see RingLog.h).
-  void setKeyframeInterval(uint64_t K) { Rings.setKeyframeInterval(K); }
 
 private:
   /// Replay core: true when the recorded state determines the answer.
@@ -180,8 +178,7 @@ private:
 
 class Evaluator {
 public:
-  Evaluator(const System &Sys, BddManager &Mgr, Layout L,
-            EvalStrategy Strategy = EvalStrategy::SemiNaive);
+  Evaluator(const System &Sys, BddManager &Mgr, Layout L);
   ~Evaluator();
 
   /// Solves independent dependency SCCs of a top-level fixpoint on \p N
@@ -208,8 +205,6 @@ public:
   /// Releases every per-worker manager's computed cache (see
   /// `BddManager::clearComputedCache`). Call between solves only.
   void clearWorkerCaches();
-
-  EvalStrategy strategy() const { return Strategy; }
 
   /// Binds an input relation to its BDD over the formals' bits. Rebinding
   /// an already-bound input drops every memo built from the old binding
@@ -321,7 +316,6 @@ private:
   const System &Sys;
   BddManager &Mgr;
   Layout L;
-  EvalStrategy Strategy;
 
   /// Parallel SCC scheduling (Threads > 1): the work-stealing pool plus
   /// per-worker BDD managers/evaluators/importers. Lazily created,

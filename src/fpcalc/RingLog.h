@@ -10,7 +10,7 @@
 /// full BDD — as the original implementation did — keeps the entire Tarski
 /// chain live for a session's lifetime, which is the classic state-space
 /// memory killer for long-lived model-checking servers. The rounds of a
-/// (semi-)naive solve form an increasing chain, so this log stores each
+/// monotone solve form an increasing chain, so this log stores each
 /// round as its *exact* delta against the previous round (`R_i & !R_{i-1}`)
 /// plus a periodic full keyframe every K rounds to bound the cost of
 /// reconstituting a full ring (an OR fold of at most K pieces).
@@ -78,12 +78,11 @@ public:
   /// O(rank × tuple bits) reads with no allocation.
   size_t firstIntersecting(const Bdd &T) const;
 
-  /// A full keyframe every K appended rounds: 1 stores every round full
-  /// (the pre-diet behavior, the differential baseline), 0 stores only the
-  /// first round full (maximal compression, unbounded reconstitution
-  /// chains). Applies to rounds appended after the call.
+  /// A full keyframe every K appended rounds (default 8, which every
+  /// session and witness log runs at): 1 stores every round full, 0 stores
+  /// only the first round full (maximal compression, unbounded
+  /// reconstitution chains). Applies to rounds appended after the call.
   void setKeyframeInterval(uint64_t K) { Interval = K; }
-  uint64_t keyframeInterval() const { return Interval; }
 
   void clear() {
     Pieces.clear();

@@ -22,7 +22,6 @@ public:
                  const sym::SolveConfig &Config)
       : Cfg(Cfg), Factory(Sys), EarlyStop(Config.EarlyStop),
         TargetProcId(ProcId), TargetPc(Pc) {
-    Mgr.setGcThreshold(Config.GcThreshold);
     Mgr.setGovernor(Config.Governor);
   }
 

@@ -32,8 +32,8 @@ namespace getafix {
 namespace reach {
 
 /// Moped-style native symbolic solver (see file comment). Reads
-/// `EarlyStop`, `GcThreshold` and `Governor` from \p Config and reports
-/// its saturation rounds as `Iterations`.
+/// `EarlyStop` and `Governor` from \p Config and reports its saturation
+/// rounds as `Iterations`.
 sym::SolveStats mopedPostStar(const bp::ProgramCfg &Cfg, unsigned ProcId,
                               unsigned Pc,
                               const sym::SolveConfig &Config = {});

@@ -503,10 +503,9 @@ sym::SolveStats SeqEngine::solve(unsigned ProcId, unsigned Pc,
   sym::SolveMeter Meter;
 
   BddManager Mgr;
-  Mgr.setGcThreshold(Config.GcThreshold);
   Mgr.setGovernor(Config.Governor);
   Layout L = Factory.makeLayout(Mgr);
-  Evaluator Ev(Sys, Mgr, std::move(L), Config.Strategy);
+  Evaluator Ev(Sys, Mgr, std::move(L));
   Ev.setThreads(Config.Threads);
 
   try {
@@ -609,10 +608,7 @@ struct SeqSession::Impl {
        const sym::SolveConfig &Config)
       : Cfg(Cfg), Config(Config),
         Engine(Cfg, Alg),
-        Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr),
-           Config.Strategy) {
-    Mgr.setGcThreshold(Config.GcThreshold);
-    Fix.setKeyframeInterval(Config.RingKeyframeInterval);
+        Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr)) {
     // Sessions currently solve on one thread whatever `Threads` says: the
     // relation chain is resumed callees-first (see `solve`), so the
     // evaluator's scheduler never finds two SCCs pending, and the paper's

@@ -50,10 +50,7 @@ public:
         OwnMgr(std::make_unique<BddManager>()),
         Engine(OwnEngine.get()), Mgr(OwnMgr.get()), Config(Config),
         Gov(Config.Governor), Fix(&OwnFix), S(Engine->conf()),
-        X(Engine->scratch()), F(Engine->encoder().formals()) {
-    Mgr->setGcThreshold(Config.GcThreshold);
-    OwnFix.setKeyframeInterval(Config.RingKeyframeInterval);
-  }
+        X(Engine->scratch()), F(Engine->encoder().formals()) {}
 
   WitnessExtractor(SeqEngine &SharedEngine, BddManager &SharedMgr,
                    Evaluator &SharedEv, IncrementalFixpoint &SharedFix,
@@ -431,8 +428,8 @@ void WitnessExtractor::ensureSolved() {
     Mgr->setGovernor(nullptr);
     try {
       Layout L = Engine->factory().makeLayout(*Mgr);
-      auto NewEv = std::make_unique<Evaluator>(
-          Engine->system(), *Mgr, std::move(L), Config.Strategy);
+      auto NewEv =
+          std::make_unique<Evaluator>(Engine->system(), *Mgr, std::move(L));
       NewEv->setThreads(Config.Threads);
       // The target relation is declared but read by no clause; the solve
       // (and therefore every ring) is target-independent, which is what
@@ -448,9 +445,8 @@ void WitnessExtractor::ensureSolved() {
   }
 
   // The "onion rings" are the per-round values of the summary relation;
-  // the semi-naive core produces the identical ring sequence (it computes
-  // the same S_r per round, only cheaper), so reconstruction is oblivious
-  // to the strategy. `complete` drives the persistent fixpoint to its
+  // the semi-naive core computes the paper's S_r per round, only cheaper,
+  // so the rings are those of Section 3's `Evaluate`. `complete` drives the persistent fixpoint to its
   // stopping point (saturation or the iteration cap), recording every
   // value-changing round — in borrowed mode this *finishes the owner's
   // solve in place*, so rounds an earlier plain query already computed

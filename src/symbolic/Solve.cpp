@@ -16,9 +16,9 @@ void SolveMeter::finish(SolveStats &Out, fpc::Evaluator &Ev,
     Out.Iterations = Answer->Iterations;
     // A fresh solve's DeltaRounds is Iterations - 1 whenever the delta
     // core runs (every round after the first is a delta round, however
-    // the solve stops), and 0 under the naive scheme.
-    bool DeltaCore = Ev.strategy() == fpc::EvalStrategy::SemiNaive &&
-                     Ev.plan(Roots.front()).SemiNaive;
+    // the solve stops), and 0 when the equation re-evaluates its whole
+    // body every round.
+    bool DeltaCore = Ev.plan(Roots.front()).SemiNaive;
     Out.DeltaRounds =
         DeltaCore && Answer->Iterations > 0 ? Answer->Iterations - 1 : 0;
     Out.SummariesReused = Answer->RoundsReused;

@@ -38,13 +38,6 @@ namespace sym {
 
 /// The solver knobs, declared once.
 struct SolveConfig {
-  /// Fixed-point iteration scheme of the calculus evaluator. Semi-naive
-  /// (the default) evaluates a monotone `mu` equation's non-recursive
-  /// clauses once and unions each later round's recursive clauses into
-  /// the previous value; `Naive` is the paper's literal
-  /// re-evaluate-everything semantics. Verdicts, iteration counts, and
-  /// witnesses are identical; the knob exists for ablation and debugging.
-  fpc::EvalStrategy Strategy = fpc::EvalStrategy::SemiNaive;
   /// Stop iterating as soon as the target is found (the Appendix formula's
   /// early-termination disjunct, implemented at the solver level).
   bool EarlyStop = true;
@@ -52,7 +45,6 @@ struct SolveConfig {
   /// cap fires the result carries `HitIterationLimit` and the verdict only
   /// reflects the states discovered so far.
   uint64_t MaxIterations = 0;
-  size_t GcThreshold = 1u << 22; ///< BDD auto-GC threshold; 0 disables.
   /// Worker threads for the fixed-point evaluator's parallel SCC
   /// scheduling (1 = sequential). Independent SCCs of the equation
   /// system's dependency condensation are solved on a work-stealing pool
@@ -64,14 +56,6 @@ struct SolveConfig {
   /// relation, callees-first, and the paper's systems and the concurrent
   /// one never leave two SCCs pending at once.
   unsigned Threads = 1;
-  /// Session and witness ring retention (see fpc::RingLog): fixpoint
-  /// rounds recorded for replay and witness extraction are stored as
-  /// exact deltas with a full keyframe every this many rounds, bounding
-  /// the memory a long-lived session retains. 1 keeps every round full
-  /// (the pre-diet baseline); 0 keeps only the first round full. Purely a
-  /// memory knob — verdicts, rounds, and witnesses are bit-identical at
-  /// any value.
-  uint64_t RingKeyframeInterval = 8;
 
   // Concurrent knobs.
   unsigned ContextBound = 2; ///< Max context switches k.

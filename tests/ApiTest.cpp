@@ -19,8 +19,11 @@
 #include "bp/Parser.h"
 #include "gen/Workloads.h"
 #include "reach/Witness.h"
+#include "support/Strings.h"
 
 #include <gtest/gtest.h>
+
+#include <climits>
 
 using namespace getafix;
 
@@ -348,59 +351,10 @@ TEST(ApiTest, MaxIterationsSurfacesThroughTheFacade) {
   EXPECT_TRUE(R.Reachable);
 }
 
-TEST(ApiTest, StrategiesAgreeAcrossAllEngines) {
-  // The tentpole differential: every registered engine must answer both
-  // fixture queries identically under the naive and the semi-naive
-  // strategy, with identical iterations-to-fixpoint for the fixed-point
-  // engines (the delta core computes the same per-round sequence).
-  for (const std::string &Label : {std::string("ERR"), std::string("SAFE")}) {
-    for (const api::Engine *E : Solver::engines()) {
-      std::string Src =
-          E->handlesConcurrent() ? concFixture() : seqFixture();
-      SolverOptions Opts;
-      Opts.Engine = E->name();
-      Opts.Strategy = fpc::EvalStrategy::Naive;
-      SolveResult Naive =
-          Solver::solve(Query::fromSource(Src).target(Label), Opts);
-      Opts.Strategy = fpc::EvalStrategy::SemiNaive;
-      SolveResult Semi =
-          Solver::solve(Query::fromSource(Src).target(Label), Opts);
-      ASSERT_TRUE(Naive.ok()) << E->name() << ": " << Naive.Error;
-      ASSERT_TRUE(Semi.ok()) << E->name() << ": " << Semi.Error;
-      EXPECT_EQ(Naive.Reachable, Semi.Reachable)
-          << E->name() << " on " << Label;
-      EXPECT_EQ(Naive.Iterations, Semi.Iterations)
-          << E->name() << " on " << Label;
-    }
-  }
-}
-
-TEST(ApiTest, StrategiesAgreeOnWitnesses) {
-  // Witness extraction replays the per-round onion rings; the semi-naive
-  // core must record the identical ring sequence, hence the identical
-  // trace, for every witness-capable engine.
-  for (const api::Engine *E : Solver::engines()) {
-    if (!E->supportsWitness() || E->handlesConcurrent())
-      continue;
-    SolverOptions Opts;
-    Opts.Engine = E->name();
-    Opts.Strategy = fpc::EvalStrategy::Naive;
-    SolveResult Naive = Solver::solve(
-        Query::fromSource(seqFixture()).target("ERR").witness(), Opts);
-    Opts.Strategy = fpc::EvalStrategy::SemiNaive;
-    SolveResult Semi = Solver::solve(
-        Query::fromSource(seqFixture()).target("ERR").witness(), Opts);
-    ASSERT_TRUE(Naive.ok() && Semi.ok()) << E->name();
-    ASSERT_TRUE(Naive.HasWitness && Semi.HasWitness) << E->name();
-    EXPECT_EQ(Naive.Iterations, Semi.Iterations) << E->name();
-    EXPECT_EQ(Naive.WitnessText, Semi.WitnessText) << E->name();
-  }
-}
-
-TEST(ApiTest, StrategiesAgreeOnRandomizedWorkloads) {
-  // Generated driver/terminator programs (known ground truth) through the
-  // default sequential engine under both strategies; verdicts, iteration
-  // counts, and the expected answer must all line up.
+TEST(ApiTest, RandomizedWorkloadsMatchGroundTruth) {
+  // Generated driver/terminator programs with known ground truth through
+  // ef-split: the verdicts match the generator's answer, and the
+  // terminator's full fixpoint reports its delta rounds and stats.
   for (uint64_t Seed : {2u, 5u}) {
     for (bool Reachable : {true, false}) {
       gen::DriverParams P;
@@ -409,20 +363,10 @@ TEST(ApiTest, StrategiesAgreeOnRandomizedWorkloads) {
       P.Reachable = Reachable;
       P.Seed = Seed;
       gen::Workload W = gen::driverProgram(P);
-      SolverOptions Opts;
-      Opts.Engine = "ef-split";
-      Opts.Strategy = fpc::EvalStrategy::Naive;
-      SolveResult Naive = Solver::solve(
-          Query::fromSource(W.Source).target(W.TargetLabel), Opts);
-      Opts.Strategy = fpc::EvalStrategy::SemiNaive;
-      SolveResult Semi = Solver::solve(
-          Query::fromSource(W.Source).target(W.TargetLabel), Opts);
-      ASSERT_TRUE(Naive.ok()) << W.Name << ": " << Naive.Error;
-      ASSERT_TRUE(Semi.ok()) << W.Name << ": " << Semi.Error;
-      EXPECT_EQ(Naive.Reachable, Semi.Reachable) << W.Name;
-      EXPECT_EQ(Naive.Iterations, Semi.Iterations) << W.Name;
+      SolveResult R = solveWith("ef-split", W.Source, W.TargetLabel);
+      ASSERT_TRUE(R.ok()) << W.Name << ": " << R.Error;
       if (W.ExpectKnown) {
-        EXPECT_EQ(Semi.Reachable, W.ExpectReachable) << W.Name;
+        EXPECT_EQ(R.Reachable, W.ExpectReachable) << W.Name;
       }
     }
   }
@@ -431,22 +375,76 @@ TEST(ApiTest, StrategiesAgreeOnRandomizedWorkloads) {
   T.NumDeadVars = 2;
   T.Reachable = false;
   gen::Workload W = gen::terminatorProgram(T);
+  SolveResult R = solveWith("ef-split", W.Source, W.TargetLabel);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_FALSE(R.Reachable);
+  EXPECT_GT(R.DeltaRounds, 0u);
+  EXPECT_FALSE(R.Relations.empty());
+  EXPECT_GT(R.Bdd.CacheLookups, 0u);
+}
+
+TEST(ApiTest, ContextBoundsThatWrapAreBadQueries) {
+  // The concurrent encodings allocate k + 1 context copies. A bound whose
+  // k + 1 wraps to zero, or whose `Rounds * threads - 1` overflows, must
+  // be refused before an engine sizes anything by it.
+  std::string TwoThreads = std::string("shared decl locked;\nthread\n") +
+                           FixtureBody + "end\nthread\n" + FixtureBody +
+                           "end\n";
+  for (const char *Engine : {"conc", "lal-reps"}) {
+    SolverOptions Opts;
+    Opts.Engine = Engine;
+    Opts.ContextBound = UINT_MAX;
+    EXPECT_EQ(
+        Solver::solve(Query::fromSource(concFixture()).target("ERR"), Opts)
+            .Status,
+        SolveStatus::BadQuery)
+        << Engine;
+    EXPECT_EQ(Solver::open(Query::fromSource(concFixture()), Opts)->status(),
+              SolveStatus::BadQuery)
+        << Engine;
+
+    Opts.ContextBound = 2;
+    Opts.Rounds = UINT_MAX;
+    EXPECT_EQ(Solver::solve(Query::fromSource(TwoThreads).target("ERR"), Opts)
+                  .Status,
+              SolveStatus::BadQuery)
+        << Engine;
+    EXPECT_EQ(Solver::open(Query::fromSource(TwoThreads), Opts)->status(),
+              SolveStatus::BadQuery)
+        << Engine;
+  }
+  // Sequential engines take no context bound and ignore it.
   SolverOptions Opts;
-  Opts.Engine = "ef-split";
-  Opts.Strategy = fpc::EvalStrategy::Naive;
-  SolveResult Naive =
-      Solver::solve(Query::fromSource(W.Source).target(W.TargetLabel), Opts);
-  Opts.Strategy = fpc::EvalStrategy::SemiNaive;
-  SolveResult Semi =
-      Solver::solve(Query::fromSource(W.Source).target(W.TargetLabel), Opts);
-  ASSERT_TRUE(Naive.ok() && Semi.ok());
-  EXPECT_FALSE(Semi.Reachable);
-  EXPECT_EQ(Naive.Reachable, Semi.Reachable);
-  EXPECT_EQ(Naive.Iterations, Semi.Iterations);
-  // The semi-naive run reports its delta rounds and per-relation stats.
-  EXPECT_GT(Semi.DeltaRounds, 0u);
-  EXPECT_FALSE(Semi.Relations.empty());
-  EXPECT_GT(Semi.Bdd.CacheLookups, 0u);
+  Opts.ContextBound = UINT_MAX;
+  Opts.Rounds = UINT_MAX;
+  SolveResult R = Solver::solve(Query::fromSource(seqFixture()), Opts);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_TRUE(R.Reachable);
+}
+
+TEST(ApiTest, ToolFlagsParseOnlyInRangeDigits) {
+  // The tools' half of the context-bound contract: `--context-bound -1`
+  // used to wrap to 4294967295 through atoi, and `abc` to read as 0.
+  unsigned K = 7;
+  for (const char *Bad : {"-1", "abc", "", "+3", " 3", "3 ", "3x",
+                          "4294967296", "99999999999999999999"}) {
+    EXPECT_FALSE(parseUnsigned(Bad, K)) << "'" << Bad << "'";
+    EXPECT_EQ(K, 7u) << "'" << Bad << "'";
+  }
+  EXPECT_FALSE(parseUnsigned(nullptr, K)); // A flag with no value.
+  EXPECT_TRUE(parseUnsigned("4294967295", K));
+  EXPECT_EQ(K, 4294967295u);
+  EXPECT_TRUE(parseUnsigned("007", K));
+  EXPECT_EQ(K, 7u);
+  unsigned Threads = 1;
+  EXPECT_FALSE(parseUnsigned("0", Threads, 1, 256));
+  EXPECT_FALSE(parseUnsigned("257", Threads, 1, 256));
+  EXPECT_TRUE(parseUnsigned("256", Threads, 1, 256));
+  EXPECT_EQ(Threads, 256u);
+  uint64_t Budget = 0;
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", Budget));
+  EXPECT_EQ(Budget, UINT64_MAX);
+  EXPECT_FALSE(parseUnsigned("18446744073709551616", Budget));
 }
 
 TEST(ApiTest, LalRepsAgreesWithConcOnTransformedStats) {

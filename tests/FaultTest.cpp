@@ -358,17 +358,13 @@ namespace {
 /// retried on another; the retry must match the uninterrupted run
 /// exactly. Escalating budgets also exercise multi-step resumption.
 void expectResumeBitIdentical(const std::string &Src, const char *Engine,
-                              fpc::EvalStrategy Strategy, unsigned Threads,
-                              const char *Target, bool Witness) {
-  const std::string Context = std::string(Engine ? Engine : "default") + "/" +
-                              (Strategy == fpc::EvalStrategy::Naive
-                                   ? "naive"
-                                   : "semi-naive") +
-                              "/t" + std::to_string(Threads);
+                              unsigned Threads, const char *Target,
+                              bool Witness) {
+  const std::string Context = std::string(Engine ? Engine : "default") +
+                              "/" + Target + "/t" + std::to_string(Threads);
   api::SolverOptions Opts;
   if (Engine)
     Opts.Engine = Engine;
-  Opts.Strategy = Strategy;
   Opts.Threads = Threads;
 
   auto Q = [&] {
@@ -415,9 +411,10 @@ void expectResumeBitIdentical(const std::string &Src, const char *Engine,
 
 TEST(FaultTest, ResumeBitIdenticalSequentialEngines) {
   for (const char *Engine : {"ef", "ef-split", "ef-opt"})
-    expectResumeBitIdentical(seqFixture(), Engine,
-                             fpc::EvalStrategy::SemiNaive, 1, "ERR",
+    expectResumeBitIdentical(seqFixture(), Engine, 1, "ERR",
                              /*Witness=*/true);
+  expectResumeBitIdentical(seqFixture(), "ef-opt", 1, "SAFE",
+                           /*Witness=*/false);
   // The target-independent engines resume their relation chain where a
   // budget stopped it instead of solving it again from round zero.
   gen::TerminatorParams P;
@@ -426,30 +423,18 @@ TEST(FaultTest, ResumeBitIdenticalSequentialEngines) {
   P.LabeledCheckpoints = 1;
   const std::string Src = gen::terminatorProgram(P).Source;
   for (const char *Engine : {"summary", "summary-scc"})
-    expectResumeBitIdentical(Src, Engine, fpc::EvalStrategy::SemiNaive, 1,
-                             "CP0", /*Witness=*/false);
-}
-
-TEST(FaultTest, ResumeBitIdenticalAcrossStrategies) {
-  expectResumeBitIdentical(seqFixture(), "ef-opt", fpc::EvalStrategy::Naive,
-                           1, "ERR", /*Witness=*/true);
-  expectResumeBitIdentical(seqFixture(), "ef-opt",
-                           fpc::EvalStrategy::SemiNaive, 1, "SAFE",
-                           /*Witness=*/false);
+    expectResumeBitIdentical(Src, Engine, 1, "CP0", /*Witness=*/false);
 }
 
 TEST(FaultTest, ResumeBitIdenticalOneVsFourThreads) {
-  expectResumeBitIdentical(seqFixture(), "ef-opt",
-                           fpc::EvalStrategy::SemiNaive, 4, "ERR",
+  expectResumeBitIdentical(seqFixture(), "ef-opt", 4, "ERR",
                            /*Witness=*/true);
 }
 
 TEST(FaultTest, ResumeBitIdenticalConcurrentEngine) {
-  expectResumeBitIdentical(concFixture(), nullptr,
-                           fpc::EvalStrategy::SemiNaive, 1, "ERR",
+  expectResumeBitIdentical(concFixture(), nullptr, 1, "ERR",
                            /*Witness=*/false);
-  expectResumeBitIdentical(concFixture(), nullptr,
-                           fpc::EvalStrategy::SemiNaive, 4, "ERR",
+  expectResumeBitIdentical(concFixture(), nullptr, 4, "ERR",
                            /*Witness=*/false);
 }
 

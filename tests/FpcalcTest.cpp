@@ -11,6 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
+#include <optional>
+#include <set>
 
 using namespace getafix;
 using namespace getafix::fpc;
@@ -427,135 +431,169 @@ TEST(PlanEquationTest, NuAndNonMonotoneFallBackToNaive) {
 }
 
 //===----------------------------------------------------------------------===//
-// Naive vs semi-naive differential
+// Semi-naive rounds against an explicit-set oracle
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Random edge set over \p NumNodes nodes.
-std::vector<std::pair<unsigned, unsigned>> randomEdges(Rng &R,
-                                                       unsigned NumNodes,
-                                                       unsigned NumEdges) {
-  std::vector<std::pair<unsigned, unsigned>> Edges;
-  for (unsigned E = 0; E < NumEdges; ++E)
-    Edges.emplace_back(unsigned(R.below(NumNodes)),
-                       unsigned(R.below(NumNodes)));
-  return Edges;
-}
+using NodeSet = std::set<unsigned>;
 
-/// Solves the graph fixture under one strategy and returns the value, the
-/// per-round rings, and the outer iteration count. \p CacheShift fixes
-/// the cache at `tableSlots() >> CacheShift` entries: from one entry per
-/// 4096 table slots (12) to one per slot (0).
-struct StrategyRun {
-  Bdd Value;
-  std::vector<size_t> RingCounts;
+/// One fixpoint run over a one-variable node relation: every changed
+/// round's value, the rounds evaluated, and how the run stopped.
+struct NodeRun {
+  std::vector<NodeSet> Rounds;
+  /// Each round's sat count over the relation's own bits (the symbolic
+  /// run's other variables are don't-care).
+  std::vector<double> Counts;
   uint64_t Iterations = 0;
-  uint64_t DeltaRounds = 0;
   bool EarlyStopped = false;
   bool HitLimit = false;
 };
 
-StrategyRun runGraph(GraphFixture &G,
-                     const std::vector<std::pair<unsigned, unsigned>> &Edges,
-                     unsigned InitNode, EvalStrategy Strategy,
-                     unsigned CacheShift, bool WithEarlyStop = false,
-                     uint64_t MaxIterations = 0, uint64_t NumNodes = 8) {
-  BddManager Mgr(0, CacheShift);
-  Evaluator Ev(G.Sys, Mgr, Layout::sequential(G.Sys, Mgr), Strategy);
-  Ev.bindInput(G.Init, Ev.encodeEqConst(G.U, InitNode));
-  Bdd TransBdd = Mgr.zero();
-  for (auto [From, To] : Edges)
-    TransBdd |= Ev.encodeEqConst(G.X, From) & Ev.encodeEqConst(G.U, To);
-  Ev.bindInput(G.Trans, TransBdd);
+/// The paper's Section-3 `Evaluate` of `R = Body(R)` over explicit node
+/// sets: S_0 = {}, S_r = Body(S_{r-1}), stopping at saturation, at the
+/// first changed round that holds \p StopAt (when set), or at round
+/// \p MaxIterations. It shares no code with the evaluator, so the
+/// evaluator's semi-naive rounds are checked against the semantics they
+/// claim to compute.
+NodeRun iterateExplicit(const std::function<NodeSet(const NodeSet &)> &Body,
+                        std::optional<unsigned> StopAt,
+                        uint64_t MaxIterations) {
+  NodeRun Out;
+  NodeSet S;
+  while (true) {
+    NodeSet Next = Body(S);
+    ++Out.Iterations;
+    if (Next == S)
+      break;
+    S = std::move(Next);
+    Out.Rounds.push_back(S);
+    Out.Counts.push_back(double(S.size()));
+    if (StopAt && S.count(*StopAt)) {
+      Out.EarlyStopped = true;
+      break;
+    }
+    if (MaxIterations != 0 && Out.Iterations >= MaxIterations) {
+      Out.HitLimit = true;
+      break;
+    }
+  }
+  return Out;
+}
 
+/// Solves \p Rel (over the single variable \p U of \p NumNodes values)
+/// with the evaluator under a cache of `tableSlots() >> CacheShift`
+/// entries, recording rings, and decodes every ring into its node set.
+/// \p Bind binds the inputs. Returns the run and its delta rounds.
+NodeRun runSymbolic(const System &Sys, RelId Rel, VarId U,
+                    unsigned NumNodes, unsigned CacheShift,
+                    const std::function<void(Evaluator &)> &Bind,
+                    std::optional<unsigned> StopAt, uint64_t MaxIterations,
+                    uint64_t &DeltaRounds) {
+  BddManager Mgr(0, CacheShift);
+  Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr));
+  Bind(Ev);
   RingLog Rings;
-  Bdd Stop = Ev.encodeEqConst(G.U, unsigned(NumNodes - 1));
+  Bdd Stop = StopAt ? Ev.encodeEqConst(U, *StopAt) : Mgr.zero();
   EvalOptions Opts;
   Opts.Rings = &Rings;
-  if (WithEarlyStop)
+  if (StopAt)
     Opts.EarlyStop = &Stop;
   Opts.MaxIterations = MaxIterations;
+  EvalResult R = Ev.evaluate(Rel, Opts);
 
-  EvalResult R = Ev.evaluate(G.Reach, Opts);
-  StrategyRun Out;
-  Out.Value = R.Value;
+  NodeRun Out;
   Out.EarlyStopped = R.EarlyStopped;
   Out.HitLimit = R.HitIterationLimit;
-  // Reconstituted rings are canonically identical to the recorded rounds,
-  // so per-round dag sizes remain a strategy-differential observable.
-  for (size_t I = 0; I < Rings.size(); ++I)
-    Out.RingCounts.push_back(Rings.ring(I).nodeCount());
-  const RelStats &RS = Ev.stats().at("Reach");
+  double DontCare = std::pow(
+      2.0, double(Mgr.numVars() - Ev.layout().bits(U).size()));
+  for (size_t I = 0; I < Rings.size(); ++I) {
+    Bdd Ring = Rings.ring(I);
+    NodeSet Nodes;
+    for (unsigned N = 0; N < NumNodes; ++N)
+      if (!(Ring & Ev.encodeEqConst(U, N)).isZero())
+        Nodes.insert(N);
+    Out.Rounds.push_back(std::move(Nodes));
+    Out.Counts.push_back(Ring.satCount(Mgr.numVars()) / DontCare);
+  }
+  const RelStats &RS = Ev.stats().at(Sys.relation(Rel).Name);
   Out.Iterations = RS.Iterations;
-  Out.DeltaRounds = RS.DeltaRounds;
-  // The BDD values live in Mgr which dies here; compare via sat counts.
-  Out.Value = Bdd();
-  Out.RingCounts.push_back(size_t(R.Value.satCount(Mgr.numVars())));
+  DeltaRounds = RS.DeltaRounds;
   return Out;
+}
+
+void expectSameRun(const NodeRun &Sym, const NodeRun &Oracle,
+                   uint64_t DeltaRounds, const std::string &Where) {
+  EXPECT_EQ(Sym.Rounds, Oracle.Rounds) << Where;
+  EXPECT_EQ(Sym.Counts, Oracle.Counts) << Where;
+  EXPECT_EQ(Sym.Iterations, Oracle.Iterations) << Where;
+  EXPECT_EQ(Sym.EarlyStopped, Oracle.EarlyStopped) << Where;
+  EXPECT_EQ(Sym.HitLimit, Oracle.HitLimit) << Where;
+  // Both equations are monotone mu equations: every round after the
+  // first is a semi-naive delta round, however the run stops.
+  EXPECT_EQ(DeltaRounds, Sym.Iterations - 1) << Where;
 }
 
 } // namespace
 
-TEST(StrategyDifferentialTest, RandomGraphsAgreeOnEverything) {
-  // Large node domain, under caches from one entry per 4096 table slots
-  // to one per slot: every observable — per-round ring sizes, final sat
-  // count, iteration count — must match the naive run bit for bit.
+TEST(SemiNaiveOracleTest, RandomGraphsMatchExplicitIteration) {
+  // Reach(u) = Init(u) | exists x. Reach(x) & Trans(x, u) on random
+  // graphs with a chain backbone (so fixpoints take many rounds), under
+  // caches from one entry per 4096 table slots to one per slot: the full
+  // fixpoint, an early stop at the chain's end, and a cap at round 7.
+  const unsigned NumNodes = 64;
+  GraphFixture G(NumNodes);
   for (uint64_t Seed : {3u, 17u, 51u}) {
-    GraphFixture G(64);
     Rng R(Seed);
-    auto Edges = randomEdges(R, 64, 96);
-    // Chain backbone so fixpoints take many rounds.
-    for (unsigned N = 0; N + 1 < 64; N += 1)
+    std::vector<std::pair<unsigned, unsigned>> Edges;
+    for (unsigned E = 0; E < 96; ++E)
+      Edges.emplace_back(unsigned(R.below(NumNodes)),
+                         unsigned(R.below(NumNodes)));
+    for (unsigned N = 0; N + 1 < NumNodes; ++N)
       Edges.emplace_back(N, N + 1);
-    for (unsigned CacheShift : {12u, 6u, 0u}) {
-      StrategyRun Naive = runGraph(G, Edges, 0, EvalStrategy::Naive,
-                                   CacheShift, false, 0, 64);
-      StrategyRun Semi = runGraph(G, Edges, 0, EvalStrategy::SemiNaive,
-                                  CacheShift, false, 0, 64);
-      EXPECT_EQ(Naive.Iterations, Semi.Iterations)
-          << "seed " << Seed << " shift " << CacheShift;
-      EXPECT_EQ(Naive.RingCounts, Semi.RingCounts)
-          << "seed " << Seed << " shift " << CacheShift;
-      EXPECT_EQ(Naive.DeltaRounds, 0u);
-      EXPECT_GT(Semi.DeltaRounds, 0u);
+
+    auto Body = [&](const NodeSet &S) {
+      NodeSet Next{0};
+      for (auto [From, To] : Edges)
+        if (S.count(From))
+          Next.insert(To);
+      return Next;
+    };
+    auto Bind = [&](Evaluator &Ev) {
+      Ev.bindInput(G.Init, Ev.encodeEqConst(G.U, 0));
+      Bdd Trans = Ev.manager().zero();
+      for (auto [From, To] : Edges)
+        Trans |= Ev.encodeEqConst(G.X, From) & Ev.encodeEqConst(G.U, To);
+      Ev.bindInput(G.Trans, Trans);
+    };
+    struct Mode {
+      std::optional<unsigned> StopAt;
+      uint64_t MaxIterations;
+    } Modes[] = {{std::nullopt, 0}, {NumNodes - 1, 0}, {std::nullopt, 7}};
+    for (const Mode &M : Modes) {
+      NodeRun Oracle = iterateExplicit(Body, M.StopAt, M.MaxIterations);
+      // Each mode stops the way it says, before saturation.
+      EXPECT_EQ(Oracle.EarlyStopped, M.StopAt.has_value());
+      EXPECT_EQ(Oracle.HitLimit, M.MaxIterations != 0);
+      for (unsigned CacheShift : {12u, 6u, 0u}) {
+        uint64_t DeltaRounds = 0;
+        NodeRun Sym = runSymbolic(G.Sys, G.Reach, G.U, NumNodes, CacheShift,
+                                  Bind, M.StopAt, M.MaxIterations,
+                                  DeltaRounds);
+        expectSameRun(Sym, Oracle, DeltaRounds,
+                      "seed " + std::to_string(Seed) + " stop " +
+                          std::to_string(M.StopAt.value_or(~0u)) + " cap " +
+                          std::to_string(M.MaxIterations) + " shift " +
+                          std::to_string(CacheShift));
+      }
     }
   }
 }
 
-TEST(StrategyDifferentialTest, EarlyStopAndRingsMatchUnderSemiNaive) {
-  GraphFixture G(64);
-  std::vector<std::pair<unsigned, unsigned>> Edges;
-  for (unsigned N = 0; N + 1 < 64; ++N)
-    Edges.emplace_back(N, N + 1);
-  StrategyRun Naive =
-      runGraph(G, Edges, 0, EvalStrategy::Naive, 6, true, 0, 64);
-  StrategyRun Semi =
-      runGraph(G, Edges, 0, EvalStrategy::SemiNaive, 6, true, 0, 64);
-  EXPECT_TRUE(Naive.EarlyStopped);
-  EXPECT_TRUE(Semi.EarlyStopped);
-  EXPECT_EQ(Naive.Iterations, Semi.Iterations);
-  EXPECT_EQ(Naive.RingCounts, Semi.RingCounts);
-}
-
-TEST(StrategyDifferentialTest, IterationLimitMatchesUnderSemiNaive) {
-  GraphFixture G(64);
-  std::vector<std::pair<unsigned, unsigned>> Edges;
-  for (unsigned N = 0; N + 1 < 64; ++N)
-    Edges.emplace_back(N, N + 1);
-  StrategyRun Naive =
-      runGraph(G, Edges, 0, EvalStrategy::Naive, 6, false, 7, 64);
-  StrategyRun Semi =
-      runGraph(G, Edges, 0, EvalStrategy::SemiNaive, 6, false, 7, 64);
-  EXPECT_TRUE(Naive.HitLimit);
-  EXPECT_TRUE(Semi.HitLimit);
-  EXPECT_EQ(Naive.Iterations, Semi.Iterations);
-  EXPECT_EQ(Naive.RingCounts, Semi.RingCounts);
-}
-
-TEST(StrategyDifferentialTest, BilinearEquationAgrees) {
+TEST(SemiNaiveOracleTest, BilinearJoinMatchesExplicitIteration) {
   // R(u) = Init(u) | exists x, y. R(x) & R(y) & Join(x, y, u): two
-  // occurrences in one disjunct, under every cache geometry.
+  // occurrences in one disjunct. Join(x, y, u) holds for u = min(x + y,
+  // 15) over 1 <= x <= y < 8, and Init = {1}.
   System Sys;
   DomainId Node = Sys.addDomain("Node", 16);
   VarId U = Sys.addVar("u", Node);
@@ -576,34 +614,49 @@ TEST(StrategyDifferentialTest, BilinearEquationAgrees) {
   ASSERT_EQ(P.Disjuncts.size(), 2u);
   EXPECT_TRUE(P.Disjuncts[1].Recursive);
 
-  auto Solve = [&](EvalStrategy Strategy, unsigned CacheShift) {
-    BddManager Mgr(0, CacheShift);
-    Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr), Strategy);
+  auto Body = [](const NodeSet &S) {
+    NodeSet Next{1};
+    for (unsigned A : S)
+      for (unsigned B : S)
+        if (1 <= A && A <= B && B < 8)
+          Next.insert(std::min(A + B, 15u));
+    return Next;
+  };
+  auto Bind = [&](Evaluator &Ev) {
     Ev.bindInput(Init, Ev.encodeEqConst(U, 1));
-    // Join(x, y, u): u = min(x + y, 15) over a few sparse pairs.
-    Bdd JoinBdd = Mgr.zero();
+    Bdd JoinBdd = Ev.manager().zero();
     for (unsigned A = 1; A < 8; ++A)
       for (unsigned B = A; B < 8; ++B)
         JoinBdd |= Ev.encodeEqConst(X, A) & Ev.encodeEqConst(Y, B) &
                    Ev.encodeEqConst(U, std::min(A + B, 15u));
     Ev.bindInput(Join, JoinBdd);
-    EvalResult Res = Ev.evaluate(R);
-    return std::make_pair(Res.Value.satCount(Mgr.numVars()),
-                          Ev.stats().at("R").Iterations);
   };
-  for (unsigned CacheShift : {12u, 6u, 0u}) {
-    auto [NaiveCount, NaiveIters] = Solve(EvalStrategy::Naive, CacheShift);
-    auto [SemiCount, SemiIters] = Solve(EvalStrategy::SemiNaive, CacheShift);
-    EXPECT_DOUBLE_EQ(NaiveCount, SemiCount) << "shift " << CacheShift;
-    EXPECT_EQ(NaiveIters, SemiIters) << "shift " << CacheShift;
+  // {1}, {1,2}, {1..4}, {1..8}, {1..14}, then no change: six rounds,
+  // so the early stop at 8 lands on round 4 and the cap at round 3.
+  ASSERT_EQ(iterateExplicit(Body, std::nullopt, 0).Iterations, 6u);
+  ASSERT_EQ(iterateExplicit(Body, 8u, 0).Iterations, 4u);
+  struct Mode {
+    std::optional<unsigned> StopAt;
+    uint64_t MaxIterations;
+  } Modes[] = {{std::nullopt, 0}, {8u, 0}, {std::nullopt, 3}};
+  for (const Mode &M : Modes) {
+    NodeRun Oracle = iterateExplicit(Body, M.StopAt, M.MaxIterations);
+    for (unsigned CacheShift : {12u, 6u, 0u}) {
+      uint64_t DeltaRounds = 0;
+      NodeRun Sym = runSymbolic(Sys, R, U, 16, CacheShift, Bind, M.StopAt,
+                                M.MaxIterations, DeltaRounds);
+      expectSameRun(Sym, Oracle, DeltaRounds,
+                    "stop " + std::to_string(M.StopAt.value_or(~0u)) +
+                        " cap " + std::to_string(M.MaxIterations) +
+                        " shift " + std::to_string(CacheShift));
+    }
   }
 }
 
-TEST(StrategyDifferentialTest, SccScheduledDependenciesSolveOnce) {
+TEST(DependencyScheduleTest, SccScheduledDependenciesSolveOnce) {
   MultiSccFixture F;
   BddManager Mgr;
-  Evaluator Ev(F.Sys, Mgr, Layout::sequential(F.Sys, Mgr),
-               EvalStrategy::SemiNaive);
+  Evaluator Ev(F.Sys, Mgr, Layout::sequential(F.Sys, Mgr));
   Ev.bindInput(F.In, Ev.encodeEqConst(F.X, 1));
   Bdd Top = Ev.evaluate(F.Top).Value;
   EXPECT_EQ(Top, Ev.encodeEqConst(F.X, 1));
@@ -827,8 +880,8 @@ TEST(IncrementalFixpointTest, ReplayStaysExactAfterComputedCacheClear) {
     Ev.bindInput(G.Trans, TransBdd);
 
     IncrementalFixpoint Fix;
-    Fix.setKeyframeInterval(4);
-    // Record rounds up to node 20's discovery.
+    // Record rounds up to node 20's discovery; at the log's default
+    // keyframe interval of 8, ring 10 is a keyframe plus two deltas.
     IncrementalFixpoint::Answer First = Fix.query(
         Ev, G.Reach, Ev.encodeEqConst(G.U, 20), /*EarlyStop=*/true, 0);
     EXPECT_TRUE(First.Reachable);

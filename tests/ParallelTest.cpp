@@ -149,12 +149,11 @@ struct FpSolve {
 };
 
 FpSolve solveRoot(const fpc::System &Sys,
-                  const std::vector<fpc::Fact> &Facts, unsigned Threads,
-                  fpc::EvalStrategy Strategy) {
+                  const std::vector<fpc::Fact> &Facts, unsigned Threads) {
   FpSolve S;
   S.Mgr = std::make_unique<BddManager>();
   S.Ev = std::make_unique<fpc::Evaluator>(
-      Sys, *S.Mgr, fpc::Layout::sequential(Sys, *S.Mgr), Strategy);
+      Sys, *S.Mgr, fpc::Layout::sequential(Sys, *S.Mgr));
   S.Ev->setThreads(Threads);
   fpc::bindFacts(*S.Ev, Sys, Facts);
   S.Root = S.Ev->evaluate(Sys.relId("Root")).Value;
@@ -180,38 +179,33 @@ void expectSameRelStats(const std::map<std::string, fpc::RelStats> &A,
 TEST(ParallelSccTest, MultiSccSystemsBitIdenticalAcrossThreadCounts) {
   for (gen::MultiSccStyle Style :
        {gen::MultiSccStyle::Graph, gen::MultiSccStyle::Lockstep}) {
-    for (fpc::EvalStrategy Strategy :
-         {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive}) {
-      gen::MultiSccParams P;
-      P.Style = Style;
-      P.Relations = 5;
-      P.Bits = 4;
-      P.ExtraEdges = 6;
-      P.Seed = 13;
-      std::string Src = gen::multiSccFixpointSystem(P);
-      DiagnosticEngine Diags;
-      std::vector<fpc::Fact> Facts;
-      auto Sys = fpc::parseSystem(Src, Diags, &Facts);
-      ASSERT_TRUE(Sys) << Diags.str();
+    gen::MultiSccParams P;
+    P.Style = Style;
+    P.Relations = 5;
+    P.Bits = 4;
+    P.ExtraEdges = 6;
+    P.Seed = 13;
+    std::string Src = gen::multiSccFixpointSystem(P);
+    DiagnosticEngine Diags;
+    std::vector<fpc::Fact> Facts;
+    auto Sys = fpc::parseSystem(Src, Diags, &Facts);
+    ASSERT_TRUE(Sys) << Diags.str();
 
-      std::string Ctx =
-          std::string(Style == gen::MultiSccStyle::Graph ? "graph"
-                                                         : "lockstep") +
-          "/" + fpc::strategyName(Strategy);
-      FpSolve Base = solveRoot(*Sys, Facts, 1, Strategy);
-      EXPECT_EQ(Base.SccsParallel, 0u);
-      for (unsigned Threads : {2u, 4u}) {
-        FpSolve Par = solveRoot(*Sys, Facts, Threads, Strategy);
-        // Exact value equality, cross-manager: import into the baseline
-        // manager and compare canonical nodes.
-        BddImporter Imp(*Par.Mgr, *Base.Mgr);
-        EXPECT_EQ(Imp.import(Par.Root), Base.Root)
-            << Ctx << " threads=" << Threads;
-        expectSameRelStats(Base.Stats, Par.Stats,
-                           Ctx + " threads=" + std::to_string(Threads));
-        EXPECT_EQ(Par.SccsParallel, uint64_t(P.Relations))
-            << Ctx << " threads=" << Threads;
-      }
+    std::string Ctx =
+        Style == gen::MultiSccStyle::Graph ? "graph" : "lockstep";
+    FpSolve Base = solveRoot(*Sys, Facts, 1);
+    EXPECT_EQ(Base.SccsParallel, 0u);
+    for (unsigned Threads : {2u, 4u}) {
+      FpSolve Par = solveRoot(*Sys, Facts, Threads);
+      // Exact value equality, cross-manager: import into the baseline
+      // manager and compare canonical nodes.
+      BddImporter Imp(*Par.Mgr, *Base.Mgr);
+      EXPECT_EQ(Imp.import(Par.Root), Base.Root)
+          << Ctx << " threads=" << Threads;
+      expectSameRelStats(Base.Stats, Par.Stats,
+                         Ctx + " threads=" + std::to_string(Threads));
+      EXPECT_EQ(Par.SccsParallel, uint64_t(P.Relations))
+          << Ctx << " threads=" << Threads;
     }
   }
 }
@@ -232,9 +226,9 @@ TEST(ParallelSccTest, RandomizedSystemsAndRepeatedSolvesAreDeterministic) {
     auto Sys = fpc::parseSystem(Src, Diags, &Facts);
     ASSERT_TRUE(Sys) << Diags.str();
 
-    FpSolve Base = solveRoot(*Sys, Facts, 1, fpc::EvalStrategy::SemiNaive);
-    FpSolve A = solveRoot(*Sys, Facts, 4, fpc::EvalStrategy::SemiNaive);
-    FpSolve B = solveRoot(*Sys, Facts, 4, fpc::EvalStrategy::SemiNaive);
+    FpSolve Base = solveRoot(*Sys, Facts, 1);
+    FpSolve A = solveRoot(*Sys, Facts, 4);
+    FpSolve B = solveRoot(*Sys, Facts, 4);
     BddImporter ImpA(*A.Mgr, *Base.Mgr);
     BddImporter ImpB(*B.Mgr, *Base.Mgr);
     EXPECT_EQ(ImpA.import(A.Root), Base.Root) << "round " << Round;
@@ -297,7 +291,7 @@ TEST(ParallelSccTest, WorkerCachesAreChargedAndCleared) {
   auto Sys = fpc::parseSystem(gen::multiSccFixpointSystem(P), Diags, &Facts);
   ASSERT_TRUE(Sys) << Diags.str();
 
-  FpSolve S = solveRoot(*Sys, Facts, 2, fpc::EvalStrategy::SemiNaive);
+  FpSolve S = solveRoot(*Sys, Facts, 2);
   ASSERT_GT(S.SccsParallel, 0u) << "no worker manager was used";
   fpc::Evaluator &Ev = *S.Ev;
   size_t Warm = Ev.workerGauge().bytes();
@@ -358,24 +352,18 @@ void expectSameCore(const SolveResult &A, const SolveResult &B,
   EXPECT_EQ(A.WitnessText, B.WitnessText) << Context;
 }
 
-TEST(ParallelEngineTest, AllEnginesAllStrategiesThreads1Vs4) {
+TEST(ParallelEngineTest, AllEnginesThreads1Vs4) {
   for (const api::Engine *E : Solver::engines()) {
     std::string Source =
         E->handlesConcurrent() ? concFixture() : seqFixture();
-    for (fpc::EvalStrategy Strategy :
-         {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive}) {
-      for (const char *Label : {"ERR", "SAFE"}) {
-        SolverOptions Opts;
-        Opts.Engine = E->name();
-        Opts.Strategy = Strategy;
-        Query Q = Query::fromSource(Source).target(Label);
-        SolveResult T1 = Solver::solve(Q, Opts);
-        Opts.Threads = 4;
-        SolveResult T4 = Solver::solve(Q, Opts);
-        expectSameCore(T1, T4, std::string(E->name()) + "/" +
-                                   fpc::strategyName(Strategy) + "/" +
-                                   Label);
-      }
+    for (const char *Label : {"ERR", "SAFE"}) {
+      SolverOptions Opts;
+      Opts.Engine = E->name();
+      Query Q = Query::fromSource(Source).target(Label);
+      SolveResult T1 = Solver::solve(Q, Opts);
+      Opts.Threads = 4;
+      SolveResult T4 = Solver::solve(Q, Opts);
+      expectSameCore(T1, T4, std::string(E->name()) + "/" + Label);
     }
   }
 }

@@ -337,11 +337,9 @@ end
 
 /// One solve through the facade with the ablation knobs exposed.
 SolveResult solveShaped(const bp::ProgramCfg &Cfg, const char *Engine,
-                        fpc::EvalStrategy Strategy, bool EarlyStop,
-                        bool Witness = false) {
+                        bool EarlyStop = true, bool Witness = false) {
   SolverOptions Opts;
   Opts.Engine = Engine;
-  Opts.Strategy = Strategy;
   Opts.EarlyStop = EarlyStop;
   return Solver::solve(Query::fromCfg(Cfg).target("ERR").witness(Witness),
                        Opts);
@@ -349,25 +347,23 @@ SolveResult solveShaped(const bp::ProgramCfg &Cfg, const char *Engine,
 
 } // namespace
 
-/// engine x strategy x early stop: summary-scc and every paper engine
-/// must produce the same verdict everywhere (round counts may differ; the
-/// verdict may not).
+/// engine x early stop: summary-scc and every paper engine must produce
+/// the same verdict everywhere (round counts may differ; the verdict may
+/// not).
 TEST(SplitSummaryTest, SccAndPaperEnginesAgreeAcrossAllKnobs) {
   for (const ShapedProgram &SP : ShapedPrograms) {
     std::unique_ptr<bp::Program> Prog;
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
-    for (auto Strategy :
-         {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive})
-      for (bool EarlyStop : {false, true}) {
-        SolveResult Scc = solveShaped(Cfg, "summary-scc", Strategy, EarlyStop);
-        ASSERT_TRUE(Scc.ok()) << SP.Name;
-        EXPECT_EQ(Scc.Reachable, SP.ExpectReachable) << SP.Name;
-        for (const char *Engine : PaperEngines) {
-          SolveResult R = solveShaped(Cfg, Engine, Strategy, EarlyStop);
-          ASSERT_TRUE(R.ok()) << SP.Name << "/" << Engine;
-          EXPECT_EQ(R.Reachable, Scc.Reachable) << SP.Name << "/" << Engine;
-        }
+    for (bool EarlyStop : {false, true}) {
+      SolveResult Scc = solveShaped(Cfg, "summary-scc", EarlyStop);
+      ASSERT_TRUE(Scc.ok()) << SP.Name;
+      EXPECT_EQ(Scc.Reachable, SP.ExpectReachable) << SP.Name;
+      for (const char *Engine : PaperEngines) {
+        SolveResult R = solveShaped(Cfg, Engine, EarlyStop);
+        ASSERT_TRUE(R.ok()) << SP.Name << "/" << Engine;
+        EXPECT_EQ(R.Reachable, Scc.Reachable) << SP.Name << "/" << Engine;
       }
+    }
   }
 }
 
@@ -380,10 +376,8 @@ TEST(SplitSummaryTest, SccSummaryUnionBitIdenticalToSummary) {
   for (const ShapedProgram &SP : ShapedPrograms) {
     std::unique_ptr<bp::Program> Prog;
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
-    SolveResult Scc = solveShaped(Cfg, "summary-scc",
-                                  fpc::EvalStrategy::SemiNaive, true);
-    SolveResult Summary =
-        solveShaped(Cfg, "summary", fpc::EvalStrategy::SemiNaive, true);
+    SolveResult Scc = solveShaped(Cfg, "summary-scc");
+    SolveResult Summary = solveShaped(Cfg, "summary");
     ASSERT_TRUE(Scc.ok() && Summary.ok()) << SP.Name;
     EXPECT_EQ(Scc.SummaryNodes, Summary.SummaryNodes) << SP.Name;
   }
@@ -398,13 +392,11 @@ TEST(SplitSummaryTest, CondensationWidthMatchesCallGraph) {
     std::unique_ptr<bp::Program> Prog;
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
     bp::CallGraph CG = bp::buildCallGraph(Cfg);
-    SolveResult Scc = solveShaped(Cfg, "summary-scc",
-                                  fpc::EvalStrategy::SemiNaive, true);
+    SolveResult Scc = solveShaped(Cfg, "summary-scc");
     EXPECT_EQ(Scc.CondensationWidth, CG.numSccs()) << SP.Name;
     EXPECT_EQ(Scc.SummaryRelations, CG.numSccs()) << SP.Name;
     for (const char *Engine : PaperEngines) {
-      SolveResult R =
-          solveShaped(Cfg, Engine, fpc::EvalStrategy::SemiNaive, true);
+      SolveResult R = solveShaped(Cfg, Engine);
       EXPECT_GE(R.CondensationWidth, 1u) << SP.Name << "/" << Engine;
       EXPECT_LE(R.CondensationWidth, 4u) << SP.Name << "/" << Engine;
       EXPECT_EQ(R.SummaryRelations, 1u) << SP.Name << "/" << Engine;
@@ -425,8 +417,7 @@ TEST(SplitSummaryTest, TerminatorWidthExceedsFour) {
   bp::ProgramCfg Cfg = parseCfg(W.Source, Prog);
   bp::CallGraph CG = bp::buildCallGraph(Cfg);
   EXPECT_GT(CG.numSccs(), 4u);
-  SolveResult R =
-      solveShaped(Cfg, "summary-scc", fpc::EvalStrategy::SemiNaive, true);
+  SolveResult R = solveShaped(Cfg, "summary-scc");
   ASSERT_TRUE(R.ok());
   EXPECT_FALSE(R.Reachable);
   EXPECT_EQ(R.CondensationWidth, CG.numSccs());
@@ -442,13 +433,11 @@ TEST(SplitSummaryTest, WitnessesBitIdenticalAcrossEngines) {
       continue;
     std::unique_ptr<bp::Program> Prog;
     bp::ProgramCfg Cfg = parseCfg(SP.Source, Prog);
-    SolveResult Scc = solveShaped(Cfg, "summary-scc",
-                                  fpc::EvalStrategy::SemiNaive, true, true);
+    SolveResult Scc = solveShaped(Cfg, "summary-scc", true, true);
     ASSERT_TRUE(Scc.ok()) << SP.Name;
     ASSERT_TRUE(Scc.HasWitness) << SP.Name;
     for (const char *Engine : PaperEngines) {
-      SolveResult R = solveShaped(Cfg, Engine, fpc::EvalStrategy::SemiNaive,
-                                  true, true);
+      SolveResult R = solveShaped(Cfg, Engine, true, true);
       ASSERT_TRUE(R.ok()) << SP.Name << "/" << Engine;
       ASSERT_TRUE(R.HasWitness) << SP.Name << "/" << Engine;
       EXPECT_EQ(R.WitnessText, Scc.WitnessText) << SP.Name << "/" << Engine;

@@ -230,7 +230,7 @@ TEST(SessionTest, WitnessQueriesMatchFreshInEveryOrder) {
 TEST(SessionTest, RandomizedWorkloadsMatchFresh) {
   // Generator programs with known ground truth: the designated target
   // label plus a pair of point targets, via session and fresh, across the
-  // session-capable sequential engines and both strategies.
+  // session-capable sequential engines.
   for (uint64_t Seed : {2u, 5u}) {
     for (bool Reachable : {true, false}) {
       gen::DriverParams P;
@@ -241,31 +241,25 @@ TEST(SessionTest, RandomizedWorkloadsMatchFresh) {
       gen::Workload W = gen::driverProgram(P);
 
       for (const char *Name : {"ef-split", "ef-opt", "summary"}) {
-        for (fpc::EvalStrategy Strategy :
-             {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive}) {
-          SolverOptions Opts;
-          Opts.Engine = Name;
-          Opts.Strategy = Strategy;
-          std::vector<Query> Queries = {
-              Query::fromSource("").target(W.TargetLabel),
-              Query::fromSource("").targetPoint(0, 1),
-              Query::fromSource("").targetPoint(1, 0),
-              Query::fromSource("").target(W.TargetLabel),
-          };
-          std::unique_ptr<SolverSession> S =
-              Solver::open(Query::fromSource(W.Source), Opts);
-          ASSERT_TRUE(S->ok()) << S->error();
-          for (const Query &Q : Queries) {
-            Query FreshQ = Q;
-            FreshQ.Source = W.Source;
-            SolveResult Fresh = Solver::solve(FreshQ, Opts);
-            SolveResult Sess = S->solve(Q);
-            expectSameCore(Fresh, Sess,
-                           W.Name + " " + Name + " " +
-                               fpc::strategyName(Strategy));
-            if (!Q.UsePoint && Q.Label == W.TargetLabel && W.ExpectKnown) {
-              EXPECT_EQ(Sess.Reachable, W.ExpectReachable) << W.Name;
-            }
+        SolverOptions Opts;
+        Opts.Engine = Name;
+        std::vector<Query> Queries = {
+            Query::fromSource("").target(W.TargetLabel),
+            Query::fromSource("").targetPoint(0, 1),
+            Query::fromSource("").targetPoint(1, 0),
+            Query::fromSource("").target(W.TargetLabel),
+        };
+        std::unique_ptr<SolverSession> S =
+            Solver::open(Query::fromSource(W.Source), Opts);
+        ASSERT_TRUE(S->ok()) << S->error();
+        for (const Query &Q : Queries) {
+          Query FreshQ = Q;
+          FreshQ.Source = W.Source;
+          SolveResult Fresh = Solver::solve(FreshQ, Opts);
+          SolveResult Sess = S->solve(Q);
+          expectSameCore(Fresh, Sess, W.Name + " " + Name);
+          if (!Q.UsePoint && Q.Label == W.TargetLabel && W.ExpectKnown) {
+            EXPECT_EQ(Sess.Reachable, W.ExpectReachable) << W.Name;
           }
         }
       }
@@ -558,68 +552,6 @@ TEST(SessionTest, ErrorPathsBehaveLikeTheFacade) {
 }
 
 //===----------------------------------------------------------------------===//
-// Ring diet: delta-compressed round retention (keyframe intervals)
-//===----------------------------------------------------------------------===//
-
-TEST(SessionTest, KeyframeIntervalsAreBitIdenticalForEveryEngine) {
-  // The ring diet is a pure memory knob: K=1 stores every round full (the
-  // pre-diet baseline), K=4 exercises mid-chain reconstitution, K=0 keeps
-  // only the first round full (maximal compression). Every engine, both
-  // strategies, mixed plain/witness streams in several orders must be
-  // bit-identical across all three settings.
-  for (const api::Engine *E : Solver::engines()) {
-    std::string Src = E->handlesConcurrent() ? concFixture() : seqFixture();
-    bool Witness = E->supportsWitness() && !E->handlesConcurrent();
-    std::vector<Query> Queries = {
-        Query::fromSource("").target("ERR"),
-        Query::fromSource("").target("SAFE"),
-        Query::fromSource("").target("ERR"),
-    };
-    if (Witness) {
-      Queries.push_back(Query::fromSource("").target("ERR").witness());
-      Queries.push_back(Query::fromSource("").target("SAFE").witness());
-    }
-    // Forward, reverse, and a rotation (witness-first when present).
-    std::vector<std::vector<size_t>> Orders;
-    std::vector<size_t> Fwd(Queries.size());
-    for (size_t I = 0; I < Fwd.size(); ++I)
-      Fwd[I] = I;
-    Orders.push_back(Fwd);
-    std::vector<size_t> Rev(Fwd.rbegin(), Fwd.rend());
-    Orders.push_back(Rev);
-    std::vector<size_t> Rot(Fwd.begin() + Fwd.size() / 2, Fwd.end());
-    Rot.insert(Rot.end(), Fwd.begin(), Fwd.begin() + Fwd.size() / 2);
-    Orders.push_back(Rot);
-
-    for (fpc::EvalStrategy Strategy :
-         {fpc::EvalStrategy::SemiNaive, fpc::EvalStrategy::Naive}) {
-      for (const std::vector<size_t> &Order : Orders) {
-        std::vector<SolveResult> Baseline(Queries.size());
-        for (uint64_t K : {uint64_t(1), uint64_t(4), uint64_t(0)}) {
-          SolverOptions Opts;
-          Opts.Engine = E->name();
-          Opts.Strategy = Strategy;
-          Opts.RingKeyframeInterval = K;
-          std::unique_ptr<SolverSession> S =
-              Solver::open(Query::fromSource(Src), Opts);
-          ASSERT_TRUE(S->ok()) << E->name() << ": " << S->error();
-          for (size_t I : Order) {
-            SolveResult R = S->solve(Queries[I]);
-            if (K == 1)
-              Baseline[I] = R;
-            else
-              expectSameCore(Baseline[I], R,
-                             std::string(E->name()) + " K=" +
-                                 std::to_string(K) + " query " +
-                                 std::to_string(I));
-          }
-        }
-      }
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
 // One solve per session: witness and plain queries share the EF fixpoint
 //===----------------------------------------------------------------------===//
 
@@ -681,51 +613,14 @@ TEST(SessionTest, EfWitnessAndPlainQueriesShareOneSolve) {
 //===----------------------------------------------------------------------===//
 
 TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
-  // Two long-lived sessions solving the identical sweep, one at the
-  // pre-diet K=1 full-ring baseline and one at the default keyframe
-  // interval: every result bit-identical, resident nodes strictly lower,
-  // peak no higher.
-  auto sweep = [](const std::string &Src, const char *Engine,
-                  unsigned ContextBound, const std::vector<Query> &Queries,
-                  const std::string &Tag) {
-    SolverOptions Base;
-    Base.Engine = Engine;
-    Base.ContextBound = ContextBound;
-    Base.RingKeyframeInterval = 1;
-    SolverOptions Diet = Base;
-    Diet.RingKeyframeInterval = SolverOptions().RingKeyframeInterval;
-    std::unique_ptr<SolverSession> SBase =
-        Solver::open(Query::fromSource(Src), Base);
-    std::unique_ptr<SolverSession> SDiet =
-        Solver::open(Query::fromSource(Src), Diet);
-    ASSERT_TRUE(SBase->ok() && SDiet->ok())
-        << Tag << ": " << SBase->error() << SDiet->error();
-    for (size_t I = 0; I < Queries.size(); ++I) {
-      SolveResult RB = SBase->solve(Queries[I]);
-      SolveResult RD = SDiet->solve(Queries[I]);
-      ASSERT_TRUE(RB.ok()) << Tag << " query " << I << ": " << RB.Error;
-      expectSameCore(RB, RD, Tag + " query " + std::to_string(I));
-    }
-    EXPECT_LT(SDiet->liveNodes(), SBase->liveNodes()) << Tag;
-    EXPECT_LE(SDiet->peakLiveNodes(), SBase->peakLiveNodes()) << Tag;
-  };
-
-  // Long bluetooth sweep through the conc engine.
-  sweep(gen::bluetoothModel(2, 1), "conc", 3,
-        {Query::fromSource("").target("ERR"),
-         Query::fromSource("").targetPoint(0, 1, 0),
-         Query::fromSource("").targetPoint(0, 0, 1),
-         Query::fromSource("").targetPoint(1, 0, 1),
-         Query::fromSource("").targetPoint(0, 0, 0)},
-        "conc bluetooth");
-
   // Witness-heavy ef sweep, measured against the *seed architecture*: a
-  // plain full-ring session plus a separate full-ring witness solver on
-  // its own manager — which is what every ef session used to pay the
-  // moment a witness query arrived (a second EntryForward solve, a
-  // second copy of every round). The shared-state diet session serves
-  // the identical mixed stream from one solve on one manager and must
-  // retain strictly less than the pair, at matching results.
+  // plain session plus a separate witness solver on its own manager —
+  // which is what every ef session used to pay the moment a witness query
+  // arrived (a second EntryForward solve, a second copy of every round).
+  // The shared-state diet session serves the identical mixed stream from
+  // one solve on one manager and must retain strictly less than the pair,
+  // at matching results. All three log their rounds at the default
+  // keyframe interval; RingLogTest pins the delta storage itself.
   gen::DriverParams P;
   P.NumProcs = 8;
   P.StmtsPerProc = 8;
@@ -740,13 +635,10 @@ TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
   ASSERT_TRUE(Cfg.findLabelPc(W.TargetLabel, ErrProc, ErrPc));
 
   const reach::SeqAlgorithm Ef = reach::SeqAlgorithm::EntryForward;
-  sym::SolveConfig Seed;
-  Seed.RingKeyframeInterval = 1; // Pre-diet retention: every round full.
-  reach::SeqSession SeedPlain(Cfg, Ef, Seed);
-  reach::WitnessSession SeedWitness(Cfg, Seed); // The duplicate solver.
-
-  sym::SolveConfig Diet;
-  reach::SeqSession SDiet(Cfg, Ef, Diet);
+  sym::SolveConfig Config;
+  reach::SeqSession SeedPlain(Cfg, Ef, Config);
+  reach::WitnessSession SeedWitness(Cfg, Config); // The duplicate solver.
+  reach::SeqSession SDiet(Cfg, Ef, Config);
 
   const std::pair<unsigned, unsigned> Targets[] = {
       {ErrProc, ErrPc}, {0, 1}, {1, 0}, {2, 0}};

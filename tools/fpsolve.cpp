@@ -22,7 +22,6 @@
 ///     --count         print only the tuple counts
 ///     --stats         print per-query and cumulative iteration/delta
 ///                     counts per relation
-///     --strategy <s>  naive or semi-naive (default) fixpoint iteration
 ///     --threads n     worker threads for parallel SCC scheduling:
 ///                     independent dependency SCCs run on a work-stealing
 ///                     pool over per-worker BDD managers (default 1;
@@ -56,8 +55,7 @@ namespace {
 int usage() {
   std::fprintf(stderr,
                "usage: fpsolve [--eval R[,S,...]] [--count] [--stats] "
-               "[--strategy naive|semi-naive] [--threads n] "
-               "[--timeout-ms n] [--node-budget n] "
+               "[--threads n] [--timeout-ms n] [--node-budget n] "
                "<system.mu>\n");
   return 2;
 }
@@ -117,42 +115,29 @@ int main(int Argc, char **Argv) {
   unsigned Threads = 1;
   uint64_t TimeoutMs = 0;
   uint64_t NodeBudget = 0;
-  EvalStrategy Strategy = EvalStrategy::SemiNaive;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    auto Next = [&]() -> const char * {
+      return I + 1 < Argc ? Argv[++I] : nullptr;
+    };
     if (Arg == "--eval") {
-      if (I + 1 >= Argc)
+      const char *V = Next();
+      if (!V)
         return usage();
-      EvalRel = Argv[++I];
+      EvalRel = V;
     } else if (Arg == "--count") {
       CountOnly = true;
     } else if (Arg == "--stats") {
       Stats = true;
-    } else if (Arg == "--strategy") {
-      if (I + 1 >= Argc)
-        return usage();
-      std::string V = Argv[++I];
-      if (V == "naive")
-        Strategy = EvalStrategy::Naive;
-      else if (V == "semi-naive")
-        Strategy = EvalStrategy::SemiNaive;
-      else
-        return usage();
     } else if (Arg == "--threads") {
-      if (I + 1 >= Argc)
+      if (!parseUnsigned(Next(), Threads, 1, 256))
         return usage();
-      int N = std::atoi(Argv[++I]);
-      if (N < 1 || N > 256)
-        return usage();
-      Threads = unsigned(N);
     } else if (Arg == "--timeout-ms") {
-      if (I + 1 >= Argc)
+      if (!parseUnsigned(Next(), TimeoutMs))
         return usage();
-      TimeoutMs = uint64_t(std::atoll(Argv[++I]));
     } else if (Arg == "--node-budget") {
-      if (I + 1 >= Argc)
+      if (!parseUnsigned(Next(), NodeBudget))
         return usage();
-      NodeBudget = uint64_t(std::atoll(Argv[++I]));
     } else if (!Arg.empty() && Arg[0] == '-') {
       return usage();
     } else {
@@ -221,7 +206,7 @@ int main(int Argc, char **Argv) {
       Gov.setNodeBudget(NodeBudget);
     Mgr.setGovernor(&Gov);
   }
-  Evaluator Ev(*Sys, Mgr, Layout::sequential(*Sys, Mgr), Strategy);
+  Evaluator Ev(*Sys, Mgr, Layout::sequential(*Sys, Mgr));
   Ev.setThreads(Threads);
   bindFacts(Ev, *Sys, Facts);
 

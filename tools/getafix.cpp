@@ -25,9 +25,6 @@
 ///     --rounds r         concurrent: round-robin with r rounds (implies
 ///                        --round-robin; overrides --context-bound)
 ///     --round-robin      concurrent: restrict schedules to round-robin
-///     --strategy <s>     fixed-point iteration scheme: semi-naive
-///                        (default) or naive (the paper's literal
-///                        Section-3 semantics; ablation/debugging)
 ///     --max-iterations n cap fixpoint rounds; a hit limit prints UNKNOWN
 ///                        (exit 3) unless the target was already found
 ///     --threads n        worker threads for the evaluator's parallel SCC
@@ -56,7 +53,6 @@
 #include "support/Strings.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -83,10 +79,8 @@ int usage() {
                "usage: getafix [--label L | --targets a,b,c] [--algo %s]\n"
                "               [--list-algos] [--context-bound k] "
                "[--rounds r] [--round-robin]\n"
-               "               [--strategy naive|semi-naive] "
-               "[--max-iterations n]\n"
-               "               [--threads n] [--timeout-ms n] "
-               "[--node-budget n]\n"
+               "               [--max-iterations n] [--threads n] "
+               "[--timeout-ms n] [--node-budget n]\n"
                "               [--witness] [--print-formula] [--stats] "
                "<program.bp>\n",
                Solver::engineList("|").c_str());
@@ -125,8 +119,6 @@ void printStatsBody(const CliOptions &Opts, const SolveResult &R,
   const std::string &Engine = Opts.Solver.Engine;
   std::printf("%s\"engine\": \"%s\",\n", Pad,
               Engine.empty() ? "(default)" : jsonEscape(Engine).c_str());
-  std::printf("%s\"strategy\": \"%s\",\n", Pad,
-              fpc::strategyName(Opts.Solver.Strategy));
   std::printf("%s\"reachable\": %s,\n", Pad, R.Reachable ? "true" : "false");
   std::printf("%s\"hit_iteration_limit\": %s,\n", Pad,
               R.HitIterationLimit ? "true" : "false");
@@ -336,51 +328,26 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--list-algos") {
       return listAlgos();
     } else if (Arg == "--context-bound") {
-      const char *V = Next();
-      if (!V)
+      if (!parseUnsigned(Next(), Opts.Solver.ContextBound))
         return usage();
-      Opts.Solver.ContextBound = unsigned(std::atoi(V));
     } else if (Arg == "--rounds") {
-      const char *V = Next();
-      if (!V)
+      if (!parseUnsigned(Next(), Opts.Solver.Rounds))
         return usage();
-      Opts.Solver.Rounds = unsigned(std::atoi(V));
       Opts.Solver.RoundRobin = true;
     } else if (Arg == "--round-robin") {
       Opts.Solver.RoundRobin = true;
-    } else if (Arg == "--strategy") {
-      const char *V = Next();
-      if (!V)
-        return usage();
-      if (std::string(V) == "naive")
-        Opts.Solver.Strategy = fpc::EvalStrategy::Naive;
-      else if (std::string(V) == "semi-naive")
-        Opts.Solver.Strategy = fpc::EvalStrategy::SemiNaive;
-      else
-        return usage();
     } else if (Arg == "--max-iterations") {
-      const char *V = Next();
-      if (!V)
+      if (!parseUnsigned(Next(), Opts.Solver.MaxIterations))
         return usage();
-      Opts.Solver.MaxIterations = uint64_t(std::atoll(V));
     } else if (Arg == "--threads") {
-      const char *V = Next();
-      if (!V)
+      if (!parseUnsigned(Next(), Opts.Solver.Threads, 1, 256))
         return usage();
-      int N = std::atoi(V);
-      if (N < 1 || N > 256)
-        return usage();
-      Opts.Solver.Threads = unsigned(N);
     } else if (Arg == "--timeout-ms") {
-      const char *V = Next();
-      if (!V)
+      if (!parseUnsigned(Next(), Opts.Solver.TimeoutMs))
         return usage();
-      Opts.Solver.TimeoutMs = uint64_t(std::atoll(V));
     } else if (Arg == "--node-budget") {
-      const char *V = Next();
-      if (!V)
+      if (!parseUnsigned(Next(), Opts.Solver.NodeBudget))
         return usage();
-      Opts.Solver.NodeBudget = uint64_t(std::atoll(V));
     } else if (Arg == "--witness") {
       Opts.Witness = true;
     } else if (Arg == "--print-formula") {

@@ -49,6 +49,7 @@
 #include "gen/Workloads.h"
 #include "server/Protocol.h"
 #include "support/Socket.h"
+#include "support/Strings.h"
 
 #include <algorithm>
 #include <chrono>
@@ -431,9 +432,8 @@ int main(int Argc, char **Argv) {
         return usage();
       Opts.Host = V;
     } else if (Arg == "--port") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Port, 0, 65535))
         return usage();
-      Opts.Port = unsigned(std::atoi(V));
     } else if (Arg == "--socket") {
       if (!(V = Next()))
         return usage();
@@ -461,19 +461,11 @@ int main(int Argc, char **Argv) {
         return usage();
       Opts.Programs.push_back(std::move(P));
     } else if (Arg == "--clients") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Clients, 1, 256))
         return usage();
-      int N = std::atoi(V);
-      if (N < 1 || N > 256)
-        return usage();
-      Opts.Clients = unsigned(N);
     } else if (Arg == "--requests") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Requests, 1))
         return usage();
-      int N = std::atoi(V);
-      if (N < 1)
-        return usage();
-      Opts.Requests = unsigned(N);
     } else if (Arg == "--rate") {
       if (!(V = Next()))
         return usage();
@@ -485,16 +477,11 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--witness") {
       Opts.Witness = true;
     } else if (Arg == "--timeout-ms") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.TimeoutMs))
         return usage();
-      Opts.TimeoutMs = uint64_t(std::atoll(V));
     } else if (Arg == "--retries") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Retries, 0, 16))
         return usage();
-      int N = std::atoi(V);
-      if (N < 0 || N > 16)
-        return usage();
-      Opts.Retries = unsigned(N);
     } else if (Arg == "--json") {
       if (!(V = Next()))
         return usage();

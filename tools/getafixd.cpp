@@ -46,7 +46,6 @@
 ///                        pending for the pool
 ///     --context-bound K / --rounds R / --round-robin
 ///                        concurrent-program knobs (as in getafix)
-///     --strategy S       naive | semi-naive
 ///     --max-iterations N cap fixpoint rounds per query
 ///
 /// SIGINT/SIGTERM shut down gracefully: stop accepting, drain in-flight
@@ -55,10 +54,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "server/Server.h"
+#include "support/Strings.h"
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -86,7 +85,7 @@ int usage() {
       "[--node-budget N]\n"
       "                [--algo NAME] [--threads N]\n"
       "                [--context-bound K] [--rounds R] [--round-robin]\n"
-      "                [--strategy naive|semi-naive] [--max-iterations N]\n");
+      "                [--max-iterations N]\n");
   return 2;
 }
 
@@ -103,9 +102,8 @@ int main(int Argc, char **Argv) {
     };
     const char *V;
     if (Arg == "--port") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Port, 0, 65535))
         return usage();
-      Opts.Port = unsigned(std::atoi(V));
     } else if (Arg == "--host") {
       if (!(V = Next()))
         return usage();
@@ -119,75 +117,51 @@ int main(int Argc, char **Argv) {
         return usage();
       PortFile = V;
     } else if (Arg == "--workers") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Workers, 1, 256))
         return usage();
-      int N = std::atoi(V);
-      if (N < 1 || N > 256)
-        return usage();
-      Opts.Workers = unsigned(N);
     } else if (Arg == "--budget-mb") {
-      if (!(V = Next()))
+      size_t Mb = 0;
+      if (!parseUnsigned(Next(), Mb, 0, SIZE_MAX >> 20))
         return usage();
-      Opts.Pool.MemoryBudgetBytes = size_t(std::atoll(V)) * 1024 * 1024;
+      Opts.Pool.MemoryBudgetBytes = Mb << 20;
     } else if (Arg == "--budget-bytes") {
       // Undocumented fine-grained knob for tests/CI (small budgets that
       // force the valve and eviction on tiny programs).
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Pool.MemoryBudgetBytes))
         return usage();
-      Opts.Pool.MemoryBudgetBytes = size_t(std::atoll(V));
     } else if (Arg == "--max-sessions") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Pool.MaxResidentSessions))
         return usage();
-      Opts.Pool.MaxResidentSessions = size_t(std::atoll(V));
     } else if (Arg == "--no-inline") {
       Opts.AllowInlineSource = false;
     } else if (Arg == "--default-timeout-ms") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.DefaultTimeoutMs))
         return usage();
-      Opts.DefaultTimeoutMs = uint64_t(std::atoll(V));
     } else if (Arg == "--max-timeout-ms") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.MaxTimeoutMs))
         return usage();
-      Opts.MaxTimeoutMs = uint64_t(std::atoll(V));
     } else if (Arg == "--node-budget") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.NodeBudgetCap))
         return usage();
-      Opts.NodeBudgetCap = uint64_t(std::atoll(V));
     } else if (Arg == "--algo") {
       if (!(V = Next()))
         return usage();
       Opts.Pool.Solver.Engine = V;
     } else if (Arg == "--threads") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Pool.Solver.Threads, 1, 256))
         return usage();
-      int N = std::atoi(V);
-      if (N < 1 || N > 256)
-        return usage();
-      Opts.Pool.Solver.Threads = unsigned(N);
     } else if (Arg == "--context-bound") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Pool.Solver.ContextBound))
         return usage();
-      Opts.Pool.Solver.ContextBound = unsigned(std::atoi(V));
     } else if (Arg == "--rounds") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Pool.Solver.Rounds))
         return usage();
-      Opts.Pool.Solver.Rounds = unsigned(std::atoi(V));
       Opts.Pool.Solver.RoundRobin = true;
     } else if (Arg == "--round-robin") {
       Opts.Pool.Solver.RoundRobin = true;
-    } else if (Arg == "--strategy") {
-      if (!(V = Next()))
-        return usage();
-      if (std::string(V) == "naive")
-        Opts.Pool.Solver.Strategy = fpc::EvalStrategy::Naive;
-      else if (std::string(V) == "semi-naive")
-        Opts.Pool.Solver.Strategy = fpc::EvalStrategy::SemiNaive;
-      else
-        return usage();
     } else if (Arg == "--max-iterations") {
-      if (!(V = Next()))
+      if (!parseUnsigned(Next(), Opts.Pool.Solver.MaxIterations))
         return usage();
-      Opts.Pool.Solver.MaxIterations = uint64_t(std::atoll(V));
     } else {
       return usage();
     }
