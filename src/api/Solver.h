@@ -17,8 +17,8 @@
 ///     an explicit (thread, proc, pc) point), and an optional witness
 ///     request.
 ///   - `SolverOptions` — engine name plus the union of all engine knobs
-///     (`sym::SolveConfig`: early stop, iteration cap, threads, context
-///     bound, round-robin/rounds) and the resource limits.
+///     (`sym::SolveConfig`: early stop, threads, context bound,
+///     round-robin/rounds) and the resource limits.
 ///   - `SolveResult`  — status + the union of every engine's statistics
 ///     (`sym::SolveStats`), plus the witness trace when one was requested
 ///     and extracted.
@@ -220,6 +220,10 @@ struct SolveResult : sym::SolveStats {
   /// reads it (`perfbench/perfbench.cpp:600`, `fpcalc.rounds_parallel`);
   /// delete it with that read.
   uint64_t RoundsParallel = 0;
+  /// Always false: there is no round cap any more. Kept, like
+  /// `RoundsParallel`, only because the frozen benchmark reads it
+  /// (`perfbench/perfbench.cpp:450`); delete it with that read.
+  bool HitIterationLimit = false;
 
   /// Witness trace, when requested and the engine supports extraction.
   bool HasWitness = false;

@@ -510,12 +510,10 @@ SolveStats ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
     Bdd TargetStates = targetStates(Ev, Thread, ProcId, Pc);
 
     EvalOptions EOpts;
-    EOpts.MaxIterations = Config.MaxIterations;
     if (Config.EarlyStop)
       EOpts.EarlyStop = &TargetStates;
 
     EvalResult R = Ev.evaluate(Reach, EOpts);
-    Result.HitIterationLimit = R.HitIterationLimit;
     Result.Reachable = !(R.Value & TargetStates).isZero();
     Result.SummaryNodes = R.Value.nodeCount();
     Result.ReachStates = reachStatesOf(Ev, R.Value);
@@ -620,9 +618,8 @@ SolveStats ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   try {
     Bdd TargetStates = S.Engine.targetStates(S.Ev, Thread, ProcId, Pc);
     Answer = S.Fix.query(S.Ev, S.Engine.reachRel(), TargetStates,
-                         S.Config.EarlyStop, S.Config.MaxIterations);
+                         S.Config.EarlyStop);
     Result.Reachable = Answer->Reachable;
-    Result.HitIterationLimit = Answer->HitIterationLimit;
     Result.SummaryNodes = Answer->Value.nodeCount();
     Result.ReachStates = S.Engine.reachStatesOf(S.Ev, Answer->Value);
   } catch (const support::ResourceInterrupt &RI) {
@@ -644,6 +641,5 @@ bool ConcSession::answersFromState(unsigned Thread, unsigned ProcId,
                                    unsigned Pc) {
   Impl &S = *I;
   Bdd TargetStates = S.Engine.targetStates(S.Ev, Thread, ProcId, Pc);
-  return S.Fix.answersFromState(TargetStates, S.Config.EarlyStop,
-                                S.Config.MaxIterations);
+  return S.Fix.answersFromState(TargetStates, S.Config.EarlyStop);
 }

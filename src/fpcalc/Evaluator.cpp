@@ -14,7 +14,7 @@ using namespace getafix;
 using namespace getafix::fpc;
 
 //===----------------------------------------------------------------------===//
-// Parallel context: worker pool + per-worker BDD managers
+// Parallel context: per-worker BDD managers
 //===----------------------------------------------------------------------===//
 
 namespace getafix {
@@ -42,23 +42,31 @@ struct WorkerContext {
 
 struct ParallelContext {
   std::vector<std::unique_ptr<WorkerContext>> Workers;
-  /// Serializes every main-manager access during a parallel schedule:
-  /// imports of inputs/dependencies, exports of solved values, and the
-  /// shared solved-value map (main-manager `Bdd` handles mutate external
+  /// Serializes every main-evaluator access during a parallel schedule:
+  /// imports of inputs, dependencies and partial states, exports of
+  /// solved values and hand-backs, the main `Partial` map, and the shared
+  /// solved-value map (main-manager `Bdd` handles mutate external
   /// refcounts even when copied, so handle lifetime is locked too).
   std::mutex MainLock;
-  /// Last member on purpose: destroyed *first*, so the pool stops and
-  /// joins its threads while the worker contexts (and this struct's
-  /// other members) any in-flight task touches are still alive. Today
-  /// runDag always drains before returning, but destruction order is
-  /// the cheap armor against a future early-exit path.
-  support::ThreadPool Pool;
-
-  explicit ParallelContext(unsigned Threads) : Pool(Threads) {}
 };
 
 } // namespace fpc
 } // namespace getafix
+
+namespace {
+
+/// \p St translated by \p Imp. Only unsaturated states travel: a
+/// saturated relation moves as its `Completed` value. A state stopped
+/// before its first round completed carries no value.
+FixpointState importState(BddImporter &Imp, const FixpointState &St) {
+  FixpointState Out;
+  Out.Rounds = St.Rounds;
+  if (St.Rounds != 0)
+    Out.Value = Imp.import(St.Value);
+  return Out;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Layout
@@ -121,8 +129,8 @@ void Evaluator::setThreads(unsigned N) {
     return;
   Threads = N;
   ParStats.Threads = N;
-  // A differently-sized pool is rebuilt lazily on the next parallel
-  // schedule; dropping it here keeps exactly one set of worker managers
+  // A differently-sized set of worker managers is rebuilt lazily on the
+  // next parallel schedule; dropping it here keeps exactly one set
   // alive. Their counters retire into the accumulator so
   // `workerBddStats()` stays monotone across pool rebuilds (callers
   // subtract snapshots via BddStats::since).
@@ -137,7 +145,7 @@ void Evaluator::setThreads(unsigned N) {
 void Evaluator::ensureParallelContext() {
   if (Par)
     return;
-  Par = std::make_unique<ParallelContext>(Threads);
+  Par = std::make_unique<ParallelContext>();
   // One slot per pool worker; the contexts themselves (each a BDD
   // manager with its own node pages, table and cache) are built lazily
   // by the worker that first receives a task, so `--threads 64` on a
@@ -191,9 +199,10 @@ void Evaluator::bindInput(RelId Rel, Bdd Value) {
     It->second = std::move(Value);
     // Both memo layers may hold BDDs built from the old binding: the
     // static-subformula cache mentions inputs directly, and a Completed
-    // defined relation was solved under them. Serving either after a
-    // rebind would silently answer the old query.
+    // defined relation was solved under them (a partial one too). Serving
+    // either after a rebind would silently answer the old query.
     Completed.clear();
+    Partial.clear();
     resetWorkerMemos();
   }
   StaticCache.clear(); // Cached composites may mention this relation.
@@ -201,6 +210,7 @@ void Evaluator::bindInput(RelId Rel, Bdd Value) {
 
 void Evaluator::invalidate() {
   Completed.clear();
+  Partial.clear();
   StaticCache.clear();
   resetWorkerMemos();
 }
@@ -223,6 +233,7 @@ void Evaluator::resetWorkerMemos() {
       continue;
     W->Ev.Inputs.clear();
     W->Ev.Completed.clear();
+    W->Ev.Partial.clear();
     W->Ev.StaticCache.clear();
     // The importer memos hold external references on both sides (worker
     // nodes in In, main-manager nodes in Out); translations of values
@@ -350,16 +361,10 @@ Bdd Evaluator::relValue(RelId Rel) {
   // Defined relation used from another definition: per the algorithmic
   // semantics it is re-solved under the current in-flight interpretations.
   // Relations that cannot see any in-flight relation are memoized.
-  bool Volatile = dependsOnInFlight(Rel);
-  if (!Volatile) {
-    auto It = Completed.find(Rel);
-    if (It != Completed.end())
-      return It->second;
-  }
-  Bdd Value = evalFixpoint(Rel, nullptr, nullptr, nullptr);
-  if (!Volatile)
-    Completed[Rel] = Value;
-  return Value;
+  if (!dependsOnInFlight(Rel))
+    return solveScheduled(Rel);
+  FixpointState St;
+  return evalFixpoint(Rel, St, nullptr, nullptr);
 }
 
 Bdd Evaluator::applyArgs(RelId Rel, const std::vector<Term> &Args,
@@ -508,13 +513,10 @@ void Evaluator::scheduleDependencies(RelId Rel) {
   if (Threads > 1 && InFlight.empty() && Pending.size() > 1 &&
       scheduleDependenciesParallel(Pending))
     return;
-  for (RelId T : Pending) {
-    // A solve may complete later list entries transitively (nested
-    // non-volatile evaluations are memoized); re-check.
-    if (Completed.count(T))
-      continue;
-    Completed[T] = evalFixpoint(T, nullptr, nullptr, nullptr);
-  }
+  // A solve may complete later list entries transitively (nested
+  // non-volatile evaluations are memoized); solveScheduled re-checks.
+  for (RelId T : Pending)
+    solveScheduled(T);
 }
 
 bool Evaluator::scheduleDependenciesParallel(
@@ -558,34 +560,40 @@ bool Evaluator::scheduleDependenciesParallel(
   ensureParallelContext();
   ParallelContext &PC = *Par;
   const uint64_t ImportsBefore = importerTranslations();
+  // Read once, before any worker runs: tasks install it on their worker
+  // managers, and a stopped task lifts it from the main manager.
+  support::ResourceGovernor *const Gov = Mgr.governor();
 
   /// Solved SCC values as main-manager BDDs; written by workers under
   /// MainLock, merged into Completed by this thread after the run.
   std::map<RelId, Bdd> Solved;
 
   // Containment: runDag's Run must not throw, so each task catches its
-  // own failures. A governor trip latches the first limit here (the
-  // shared governor then trips the remaining workers at their next
-  // probes, draining the schedule); any other exception is kept and
-  // rethrown after the join. Either way the failed task exports nothing.
+  // own failures, and once one task failed, tasks that start later do
+  // nothing (a dependent of the failed task would find its dependency
+  // unsolved). A governor trip latches the first limit here (the shared
+  // governor then trips the running workers at their next probes,
+  // draining the schedule) and hands the task's completed work back; any
+  // other exception is kept and rethrown after the join.
+  std::atomic<bool> Failed{false};
   std::atomic<int> TrippedLimit{0};
   std::exception_ptr FirstError;
   std::mutex ErrMu;
 
-  DagRunStats DS = runDag(
-      PC.Pool, unsigned(Members.size()), Deps,
-      [&](unsigned Task, unsigned Worker) {
-        WorkerContext &W = workerContext(Worker);
-        Evaluator &WE = W.Ev;
-        // Re-installed per task: governors are one-shot per solve
-        // attempt, and worker contexts persist across solves.
-        W.Mgr.setGovernor(Mgr.governor());
-        try {
-
-        // What this task needs from outside. Collected over *all* members
-        // of the condensation SCC — a member already Completed on the
-        // main side is still re-solved nested (volatile) by the worker,
-        // so its body's needs count too.
+  auto RunTask = [&](unsigned Task, unsigned Worker) {
+    if (Failed.load())
+      return;
+    WorkerContext &W = workerContext(Worker);
+    Evaluator &WE = W.Ev;
+    // Re-installed per task: governors are one-shot per solve attempt,
+    // and worker contexts persist across solves.
+    W.Mgr.setGovernor(Gov);
+    try {
+      try {
+        // What this task needs from outside. Collected over *all*
+        // members of the condensation SCC — a member already Completed
+        // on the main side is still re-solved nested (volatile) by the
+        // worker, so its body's needs count too.
         //
         //   - Every *transitively* reachable lower-SCC defined relation
         //     (the member's own `scheduleFor` closure) is seeded as a
@@ -596,6 +604,9 @@ bool Evaluator::scheduleDependenciesParallel(
         //   - The inputs the SCC members' bodies apply directly; seeded
         //     dependencies never evaluate their bodies, so deeper inputs
         //     are not needed.
+        //   - The partial state of every member an earlier, stopped
+        //     schedule left unsaturated, so the worker resumes its rounds
+        //     instead of computing (and counting) them again.
         std::set<RelId> NeedInputs;
         std::set<RelId> NeedDefined;
         for (RelId M : G.sccs()[TaskScc[Task]]) {
@@ -607,6 +618,10 @@ bool Evaluator::scheduleDependenciesParallel(
           for (RelId D : G.scheduleFor(M))
             NeedDefined.insert(D);
         }
+        // The members' rounds come from the main evaluator alone, so a
+        // stop anywhere in this task hands back only what it computed.
+        for (RelId M : Members[Task])
+          WE.Partial.erase(M);
         {
           std::lock_guard<std::mutex> Lock(PC.MainLock);
           for (RelId A : NeedInputs) {
@@ -620,39 +635,76 @@ bool Evaluator::scheduleDependenciesParallel(
                 SIt != Solved.end() ? SIt->second : Completed.at(D);
             WE.Completed[D] = W.In.import(V);
           }
+          for (RelId M : Members[Task]) {
+            auto PIt = Partial.find(M);
+            if (PIt != Partial.end())
+              WE.Partial[M] = importState(W.In, PIt->second);
+          }
         }
 
         // Solve the scheduled members, callees-first, worker-locally.
         for (RelId M : Members[Task])
-          if (!WE.Completed.count(M))
-            WE.Completed[M] =
-                WE.evalFixpoint(M, nullptr, nullptr, nullptr);
+          WE.solveScheduled(M);
 
         // Export the solved values into the main manager. Canonicity
         // makes each imported BDD bit-identical to what a sequential
         // solve would have stored.
-        {
-          std::lock_guard<std::mutex> Lock(PC.MainLock);
-          for (RelId M : Members[Task])
-            Solved[M] = W.Out.import(WE.Completed[M]);
+        std::lock_guard<std::mutex> Lock(PC.MainLock);
+        for (RelId M : Members[Task])
+          Solved[M] = W.Out.import(WE.Completed[M]);
+      } catch (const support::ResourceInterrupt &RI) {
+        int Expected = 0;
+        TrippedLimit.compare_exchange_strong(Expected,
+                                             static_cast<int>(RI.Limit));
+        Failed.store(true);
+        // Hand back everything the task completed: members that
+        // saturated but were not exported (the stop may land in the
+        // export itself) and every other member's partial state, so a
+        // retry on any worker carries on from them. The governor has
+        // tripped and would throw again in these imports, so it is
+        // lifted — from the main manager for the rest of the schedule.
+        W.Mgr.setGovernor(nullptr);
+        std::lock_guard<std::mutex> Lock(PC.MainLock);
+        Mgr.setGovernor(nullptr);
+        for (RelId M : Members[Task]) {
+          auto CIt = WE.Completed.find(M);
+          if (CIt != WE.Completed.end()) {
+            if (!Solved.count(M))
+              Solved[M] = W.Out.import(CIt->second);
+            continue;
+          }
+          auto PIt = WE.Partial.find(M);
+          if (PIt != WE.Partial.end()) {
+            Partial[M] = importState(W.Out, PIt->second);
+            WE.Partial.erase(PIt);
+          }
         }
-        } catch (const support::ResourceInterrupt &RI) {
-          int Expected = 0;
-          TrippedLimit.compare_exchange_strong(Expected,
-                                               static_cast<int>(RI.Limit));
-        } catch (...) {
-          std::lock_guard<std::mutex> Lock(ErrMu);
-          if (!FirstError)
-            FirstError = std::current_exception();
-        }
-      });
+      }
+    } catch (...) {
+      Failed.store(true);
+      std::lock_guard<std::mutex> Lock(ErrMu);
+      if (!FirstError)
+        FirstError = std::current_exception();
+    }
+  };
+
+  DagRunStats DS;
+  {
+    // The pool lives for this schedule only: an evaluator between solves
+    // (a resident session, say) holds no threads.
+    support::ThreadPool Pool(Threads);
+    DS = runDag(Pool, unsigned(Members.size()), Deps, RunTask);
+  }
 
   // Single-threaded from here: fold the run back into the main state.
   // Exported SCC values are complete, valid solutions even when the run
   // as a whole aborted (each is a pure function of its callees), so they
   // are kept — a retry re-derives only what is missing, bit-identically.
-  for (auto &[R, V] : Solved)
+  for (auto &[R, V] : Solved) {
+    Partial.erase(R);
     Completed[R] = std::move(V);
+  }
+  Mgr.setGovernor(Gov);
   ParStats.SccsSolvedParallel += DS.TasksRun;
   ParStats.Steals += DS.Steals;
   ++ParStats.Schedules;
@@ -703,23 +755,35 @@ void Evaluator::mergeWorkerStats() {
   }
 }
 
-Bdd Evaluator::evalFixpoint(RelId Rel, const EvalOptions *Opts,
-                            bool *HitLimit, bool *Stopped) {
+Bdd Evaluator::evalFixpoint(RelId Rel, FixpointState &St,
+                            const EvalOptions *Opts, bool *Stopped) {
   const Relation &R = Sys.relation(Rel);
   assert(R.Def && "evaluating an undefined relation");
   assert(!InFlight.count(Rel) && "relation already being solved");
 
   RelStats &RS = Stats[R.Name];
-  ++RS.Evaluations;
-
-  FixpointState St;
+  if (!St.Saturated)
+    ++RS.Evaluations;
   // Pre-solve the lower dependency SCCs callees-first (in parallel under
   // Threads > 1), so the iteration never discovers them mid-round and the
   // scheduler gets whole SCCs to dispatch.
   scheduleDependencies(Rel);
-  runFixpoint(Rel, St, Opts, HitLimit, Stopped, RS);
+  runFixpoint(Rel, St, Opts, Stopped, RS);
   RS.FinalNodes = St.Value.nodeCount();
   return St.Value;
+}
+
+Bdd Evaluator::solveScheduled(RelId Rel) {
+  auto Done = Completed.find(Rel);
+  if (Done != Completed.end())
+    return Done->second;
+  // The state outlives a governor stop: runFixpoint writes the last
+  // completed round back before the interrupt propagates, and the next
+  // solve resumes it, so every round is computed and counted once.
+  Bdd Value = evalFixpoint(Rel, Partial[Rel], nullptr, nullptr);
+  Partial.erase(Rel);
+  Completed[Rel] = Value;
+  return Value;
 }
 
 /// Tarski iteration from the empty relation (or, for `nu`, the top
@@ -733,11 +797,11 @@ Bdd Evaluator::evalFixpoint(RelId Rel, const EvalOptions *Opts,
 /// is exactly the paper's Section-3 sequence S_r = Body(S_{r-1}): the chain
 /// is increasing, so S_{r-1} = Body(S_{r-2}) ⊆ Body(S_{r-1}), and
 /// N ⊆ S_1 ⊆ S_{r-1}; the union therefore lies between Body(S_{r-1}) and
-/// itself. Hence rounds, early stops, iteration limits, and witness rings
-/// are those of the paper's `Evaluate`.
+/// itself. Hence rounds, early stops and witness rings are those of the
+/// paper's `Evaluate`.
 void Evaluator::runFixpoint(RelId Rel, FixpointState &St,
-                            const EvalOptions *Opts, bool *HitLimit,
-                            bool *Stopped, RelStats &RS) {
+                            const EvalOptions *Opts, bool *Stopped,
+                            RelStats &RS) {
   const Relation &R = Sys.relation(Rel);
   if (St.Saturated)
     return;
@@ -792,11 +856,6 @@ void Evaluator::runFixpoint(RelId Rel, FixpointState &St,
           *Stopped = true;
         break;
       }
-      if (Opts && Opts->MaxIterations != 0 && Iter >= Opts->MaxIterations) {
-        if (HitLimit)
-          *HitLimit = true;
-        break;
-      }
     }
   } catch (...) {
     // A governor interrupt (or an injected fault) landed mid-round. The
@@ -815,63 +874,43 @@ void Evaluator::runFixpoint(RelId Rel, FixpointState &St,
 
 EvalResult Evaluator::evaluate(RelId Rel, const EvalOptions &Opts) {
   EvalResult Result;
-  // A previously completed solve answers a repeat top-level query
-  // outright — this is what lets one evaluator serve many queries
-  // (fpsolve --eval R,S): a later query over an already-solved relation
-  // costs nothing. Only when the caller asks for per-round observables
-  // (rings, early stop, an iteration cap) must the iteration re-run.
-  if (InFlight.empty() && !Opts.EarlyStop && !Opts.Rings &&
-      Opts.MaxIterations == 0) {
-    auto It = Completed.find(Rel);
-    if (It != Completed.end()) {
-      Result.Value = It->second;
-      return Result;
-    }
+  // Without per-round observables (rings, an early stop) a top-level
+  // solve is the scheduler's own: memoized — so one evaluator serves many
+  // queries (fpsolve --eval R,S), and a later query over an already
+  // solved relation costs nothing — and resumable after a governor stop.
+  if (InFlight.empty() && !Opts.EarlyStop && !Opts.Rings) {
+    Result.Value = solveScheduled(Rel);
+    return Result;
   }
-  Result.Value =
-      evalFixpoint(Rel, &Opts, &Result.HitIterationLimit,
-                   &Result.EarlyStopped);
+  FixpointState St;
+  Result.Value = evalFixpoint(Rel, St, &Opts, &Result.EarlyStopped);
   // A complete top-level solve is a valid memo for later nested uses.
-  if (InFlight.empty() && !Result.HitIterationLimit && !Result.EarlyStopped)
+  if (InFlight.empty() && !Result.EarlyStopped)
     Completed[Rel] = Result.Value;
   return Result;
 }
 
 bool IncrementalFixpoint::tryReplay(const Bdd &Target, bool EarlyStop,
-                                    uint64_t MaxIterations,
                                     Answer &A) const {
-  // The per-round checks in a fresh solve run in this order: a changed
-  // round first tests the early-stop target, then the iteration cap. The
-  // saturation round (no change) breaks before either check. Replaying the
-  // identical checks against the recorded ring values reproduces the fresh
-  // stop round and verdict exactly. The rings are stored delta-compressed:
-  // the scan for the first target-intersecting round runs over the stored
-  // pieces directly (exact for arbitrary chains — see
+  // A changed round of a fresh solve tests the early-stop target; the
+  // saturation round (no change) breaks before the test. Replaying the
+  // test against the recorded ring values reproduces the fresh stop round
+  // and verdict exactly. The rings are stored delta-compressed: the scan
+  // for the first target-intersecting round runs over the stored pieces
+  // directly (exact for arbitrary chains — see
   // RingLog::firstIntersecting), and at most one full ring is
   // reconstituted: the one whose value the answer carries. Reconstituted
   // rings are canonically identical to the recorded rounds, so answers
   // stay bit-for-bit those of a full-ring log.
-  if (EarlyStop || MaxIterations != 0) {
+  if (EarlyStop) {
     const size_t Hit = Rings.firstIntersecting(Target);
-    for (size_t Ri = 0; Ri < Rings.size(); ++Ri) {
-      uint64_t Round = Ri + 1;
-      if (EarlyStop && Hit == Ri) {
-        A.Iterations = Round;
-        A.Reachable = true;
-        A.EarlyStopped = true;
-        A.Value = Rings.ring(Ri);
-        A.RoundsReused = Round;
-        return true;
-      }
-      if (MaxIterations != 0 && Round >= MaxIterations) {
-        Bdd V = Rings.ring(Ri);
-        A.Iterations = Round;
-        A.Reachable = !(V & Target).isZero();
-        A.HitIterationLimit = true;
-        A.Value = std::move(V);
-        A.RoundsReused = Round;
-        return true;
-      }
+    if (Hit < Rings.size()) {
+      A.Iterations = Hit + 1;
+      A.Reachable = true;
+      A.EarlyStopped = true;
+      A.Value = Rings.ring(Hit);
+      A.RoundsReused = Hit + 1;
+      return true;
     }
   }
   if (St.Saturated) {
@@ -884,22 +923,21 @@ bool IncrementalFixpoint::tryReplay(const Bdd &Target, bool EarlyStop,
   return false;
 }
 
-bool IncrementalFixpoint::answersFromState(const Bdd &Target, bool EarlyStop,
-                                           uint64_t MaxIterations) const {
+bool IncrementalFixpoint::answersFromState(const Bdd &Target,
+                                           bool EarlyStop) const {
   Answer A;
-  return tryReplay(Target, EarlyStop, MaxIterations, A);
+  return tryReplay(Target, EarlyStop, A);
 }
 
 IncrementalFixpoint::Answer
 IncrementalFixpoint::query(Evaluator &Ev, RelId Rel, const Bdd &Target,
-                           bool EarlyStop, uint64_t MaxIterations) {
+                           bool EarlyStop) {
   Answer A;
-  if (tryReplay(Target, EarlyStop, MaxIterations, A))
+  if (tryReplay(Target, EarlyStop, A))
     return A;
 
   uint64_t Before = St.Rounds;
   EvalOptions Opts;
-  Opts.MaxIterations = MaxIterations;
   if (EarlyStop)
     Opts.EarlyStop = &Target;
   Opts.Rings = &Rings;
@@ -907,48 +945,32 @@ IncrementalFixpoint::query(Evaluator &Ev, RelId Rel, const Bdd &Target,
   A.Iterations = St.Rounds;
   A.Reachable = !(R.Value & Target).isZero();
   A.EarlyStopped = R.EarlyStopped;
-  A.HitIterationLimit = R.HitIterationLimit;
   A.Value = R.Value;
   A.RoundsReused = Before;
   A.RoundsComputed = St.Rounds - Before;
   return A;
 }
 
-EvalResult IncrementalFixpoint::complete(Evaluator &Ev, RelId Rel,
-                                         uint64_t MaxIterations) {
-  // Already at the target-independent stopping point (saturated, or every
-  // allowed round recorded): answer from state without touching the
-  // evaluator. The deterministic round chain means the recorded state is
-  // exactly what a fresh uninterrupted ring-recording solve would hold.
-  if (St.Saturated || (MaxIterations != 0 && St.Rounds >= MaxIterations)) {
+EvalResult IncrementalFixpoint::complete(Evaluator &Ev, RelId Rel) {
+  // Already saturated: answer from state without touching the evaluator.
+  // The deterministic round chain means the recorded state is exactly
+  // what a fresh uninterrupted ring-recording solve would hold.
+  if (St.Saturated) {
     EvalResult R;
     R.Value = St.Value;
-    R.HitIterationLimit = !St.Saturated;
     return R;
   }
   EvalOptions Opts;
-  Opts.MaxIterations = MaxIterations;
   Opts.Rings = &Rings;
   return Ev.resume(Rel, St, Opts);
 }
 
 EvalResult Evaluator::resume(RelId Rel, FixpointState &State,
                              const EvalOptions &Opts) {
-  const Relation &R = Sys.relation(Rel);
-  assert(R.Def && "resuming an undefined relation");
   assert(InFlight.empty() &&
          "resume is a top-level entry; no nested evaluation may be live");
-
-  RelStats &RS = Stats[R.Name];
-  if (!State.Saturated)
-    ++RS.Evaluations;
-
   EvalResult Result;
-  scheduleDependencies(Rel);
-  runFixpoint(Rel, State, &Opts, &Result.HitIterationLimit,
-              &Result.EarlyStopped, RS);
-  RS.FinalNodes = State.Value.nodeCount();
-  Result.Value = State.Value;
+  Result.Value = evalFixpoint(Rel, State, &Opts, &Result.EarlyStopped);
   // A saturated state is a complete solve: a valid memo for nested uses by
   // other relations evaluated against this same session state.
   if (State.Saturated)

@@ -65,8 +65,6 @@ struct EvalOptions {
   /// termination — the engineered form of the Appendix formula's first
   /// disjunct).
   const Bdd *EarlyStop = nullptr;
-  /// Safety valve for non-monotone systems; 0 means unlimited.
-  uint64_t MaxIterations = 0;
   /// When non-null, receives the requested relation's value after every
   /// outer Tarski round (the "onion rings" witness extraction walks
   /// backwards through; see reach::checkReachabilityWithWitness). The log
@@ -77,13 +75,12 @@ struct EvalOptions {
 
 struct EvalResult {
   Bdd Value;
-  bool HitIterationLimit = false;
   bool EarlyStopped = false;
 };
 
 /// The persistent half of one relation's fixpoint iteration: everything a
 /// later continuation needs to carry on exactly where a previous
-/// (early-stopped or iteration-capped) solve left off. The fixpoint round
+/// (early-stopped or governor-stopped) solve left off. The fixpoint round
 /// sequence is deterministic, so `resume` extends the identical Tarski
 /// chain a single uninterrupted solve would have produced — this is what
 /// lets a query session stop at one target's round and pick up from there
@@ -98,7 +95,7 @@ struct FixpointState {
 };
 
 class Evaluator;
-struct ParallelContext; // Evaluator.cpp: worker pool + per-worker managers.
+struct ParallelContext; // Evaluator.cpp: per-worker managers.
 struct WorkerContext;   // Evaluator.cpp: one worker's solving state.
 
 /// Counters of the evaluator's parallel SCC scheduling (zero until a
@@ -126,11 +123,11 @@ struct ParallelStats {
 
 /// A `FixpointState` bundled with its recorded per-round values (the
 /// "onion rings") and the cross-query replay logic: given a new target,
-/// `query` first re-runs the per-round stop checks a fresh solve performs
-/// — early-stop intersection, then iteration cap — against the *recorded*
-/// rings, answering entirely from state whenever a fresh solve would have
-/// stopped within the rounds already computed; only when the answer needs
-/// rounds beyond the recorded state does it resume live iteration. Since
+/// `query` first re-runs the per-round early-stop check a fresh solve
+/// performs against the *recorded* rings, answering entirely from state
+/// whenever a fresh solve would have stopped within the rounds already
+/// computed; only when the answer needs rounds beyond the recorded state
+/// does it resume live iteration. Since
 /// ring values are target-independent and the round sequence is
 /// deterministic, every answer (verdict, stop round, stopped-at value) is
 /// bit-identical to a fresh uninterrupted solve under the same options.
@@ -140,7 +137,6 @@ public:
     uint64_t Iterations = 0; ///< The round a fresh solve would stop at.
     bool Reachable = false;  ///< Target intersects the stopped-at value.
     bool EarlyStopped = false;
-    bool HitIterationLimit = false;
     Bdd Value;               ///< The value a fresh solve would return.
     uint64_t RoundsReused = 0;   ///< Rounds served from recorded state.
     uint64_t RoundsComputed = 0; ///< Rounds evaluated live for this query.
@@ -148,29 +144,25 @@ public:
 
   /// Answers one reachability query over \p Rel, replaying recorded
   /// rounds first and resuming \p Ev only as needed.
-  Answer query(Evaluator &Ev, RelId Rel, const Bdd &Target, bool EarlyStop,
-               uint64_t MaxIterations);
+  Answer query(Evaluator &Ev, RelId Rel, const Bdd &Target, bool EarlyStop);
 
   /// Would `query` answer without evaluating any new round? (Used by
   /// batch drivers to serve state-answerable targets first.)
-  bool answersFromState(const Bdd &Target, bool EarlyStop,
-                        uint64_t MaxIterations) const;
+  bool answersFromState(const Bdd &Target, bool EarlyStop) const;
 
-  /// Drives the recorded iteration to its target-independent stopping
-  /// point — saturation, or the \p MaxIterations cap — with no early-stop
+  /// Drives the recorded iteration to saturation with no early-stop
   /// target, recording every round. This is the witness extractor's solve:
-  /// idempotent over an already-complete state, so one recorded chain
+  /// idempotent over an already-saturated state, so one recorded chain
   /// serves any number of witness extractions *and* plain replay queries
   /// (one solve per session, ever).
-  EvalResult complete(Evaluator &Ev, RelId Rel, uint64_t MaxIterations);
+  EvalResult complete(Evaluator &Ev, RelId Rel);
 
   const RingLog &rings() const { return Rings; }
   const FixpointState &state() const { return St; }
 
 private:
   /// Replay core: true when the recorded state determines the answer.
-  bool tryReplay(const Bdd &Target, bool EarlyStop, uint64_t MaxIterations,
-                 Answer &A) const;
+  bool tryReplay(const Bdd &Target, bool EarlyStop, Answer &A) const;
 
   FixpointState St;
   RingLog Rings;
@@ -187,9 +179,10 @@ public:
   /// solved SCC values are imported back into the main manager, where
   /// ROBDD canonicity makes every downstream round bit-identical to a
   /// sequential solve (the schedule respects dependencies, and an SCC's
-  /// solution is a pure function of its callees' values). The worker pool
-  /// is created lazily on the first parallel schedule and persists across
-  /// solves and `resume` calls for the evaluator's lifetime.
+  /// solution is a pure function of its callees' values). The worker
+  /// managers are created lazily on the first parallel schedule and
+  /// persist for the evaluator's lifetime; the pool's threads live for
+  /// one schedule, so an idle evaluator holds none.
   void setThreads(unsigned N);
   unsigned threads() const { return Threads; }
   /// Parallel-scheduling counters (cumulative, like `stats()`).
@@ -208,7 +201,8 @@ public:
 
   /// Binds an input relation to its BDD over the formals' bits. Rebinding
   /// an already-bound input drops every memo built from the old binding
-  /// (the static-subformula cache *and* completed defined relations).
+  /// (the static-subformula cache and the completed and partial defined
+  /// relations).
   void bindInput(RelId Rel, Bdd Value);
 
   /// The BDD bound to an input relation (must be bound).
@@ -219,34 +213,24 @@ public:
   }
 
   /// Solves the defining equation of \p Rel per the algorithmic semantics.
+  /// Without an early stop or a ring log, \p Rel is solved like every
+  /// relation the scheduler pre-solves: memoized, and resumed by the next
+  /// call after a governor stop (see `solveScheduled`).
   EvalResult evaluate(RelId Rel, const EvalOptions &Opts = EvalOptions());
 
   /// Continues (or begins, when \p State is fresh) the fixpoint iteration
   /// of \p Rel from the caller-held \p State, honoring this call's
-  /// early-stop target, iteration cap (counted against the *total* rounds
-  /// in \p State), and ring recording. Returns when the iteration
-  /// saturates, hits the caller's target, or hits the cap; \p State then
-  /// holds everything needed to continue under different per-query
-  /// options. Because the round sequence is deterministic, the rounds a
-  /// resumed iteration appends are exactly the rounds a fresh
-  /// uninterrupted solve would have computed. Top-level use only (no
-  /// nested evaluation may be in flight).
+  /// early-stop target and ring recording. Returns when the iteration
+  /// saturates or hits the caller's target; \p State then holds
+  /// everything needed to continue under a different target. Because the
+  /// round sequence is deterministic, the rounds a resumed iteration
+  /// appends are exactly the rounds a fresh uninterrupted solve would have
+  /// computed. Top-level use only (no nested evaluation may be in flight).
   EvalResult resume(RelId Rel, FixpointState &State,
                     const EvalOptions &Opts = EvalOptions());
 
-  /// Pins \p Value as the completed-solve memo for \p Rel, as if a
-  /// top-level solve had produced it. For drivers that iterate a
-  /// relation *chain* under per-relation round caps (the per-procedure
-  /// summary split with MaxIterations): a capped, unsaturated lower
-  /// relation is not memoized by `resume`, but higher relations must
-  /// read exactly its truncated value rather than re-solving it to
-  /// saturation behind the driver's back. Top-level use only.
-  void pinCompleted(RelId Rel, const Bdd &Value) {
-    assert(InFlight.empty() && "pin is a top-level operation");
-    Completed[Rel] = Value;
-  }
-
-  /// Resets memoized values of defined relations (bindings stay).
+  /// Resets memoized and partial values of defined relations (bindings
+  /// stay).
   void invalidate();
 
   const std::map<std::string, RelStats> &stats() const { return Stats; }
@@ -271,12 +255,20 @@ public:
   const EquationPlan &plan(RelId Rel);
 
 private:
-  Bdd evalFixpoint(RelId Rel, const EvalOptions *Opts, bool *HitLimit,
+  /// Schedules \p Rel's dependencies, then iterates \p Rel from \p St:
+  /// fresh local state for the nested re-solve of a relation that reads
+  /// an in-flight one and for an early-stopping or ring-recording
+  /// top-level solve, `Partial` state for `solveScheduled`, session state
+  /// for `resume`.
+  Bdd evalFixpoint(RelId Rel, FixpointState &St, const EvalOptions *Opts,
                    bool *Stopped);
-  /// The iteration core, operating on caller-held persistent state
-  /// (fresh local state for one-shot solves, session state for `resume`).
+  /// Solves a relation that reads no in-flight relation to saturation and
+  /// memoizes it in `Completed`, resuming its `Partial` state when an
+  /// earlier, governor-stopped solve left one.
+  Bdd solveScheduled(RelId Rel);
+  /// The iteration core of `evalFixpoint`.
   void runFixpoint(RelId Rel, FixpointState &St, const EvalOptions *Opts,
-                   bool *HitLimit, bool *Stopped, RelStats &RS);
+                   bool *Stopped, RelStats &RS);
   /// Pre-solves (and memoizes) the defined relations \p Rel depends on
   /// that cannot see any in-flight relation, SCC-by-SCC in topological
   /// order, so the main iteration never discovers them mid-round. Under
@@ -287,7 +279,8 @@ private:
   /// (callees-first, no member Completed or volatile) as an SCC-task DAG
   /// on the worker pool. Returns false — leaving every relation unsolved —
   /// when the schedule has no exploitable parallelism (fewer than two
-  /// SCCs).
+  /// SCCs). A governor stop hands every task's completed work back:
+  /// saturated members into `Completed`, partial ones into `Partial`.
   bool scheduleDependenciesParallel(const std::vector<RelId> &Pending);
   /// Cumulative importer translations across all live workers
   /// (before/after deltas bracket one parallel run).
@@ -317,9 +310,9 @@ private:
   BddManager &Mgr;
   Layout L;
 
-  /// Parallel SCC scheduling (Threads > 1): the work-stealing pool plus
-  /// per-worker BDD managers/evaluators/importers. Lazily created,
-  /// persistent across solves and `resume` calls.
+  /// Parallel SCC scheduling (Threads > 1): the per-worker BDD
+  /// managers/evaluators/importers. Lazily created, persistent across
+  /// solves and `resume` calls; the pool's threads are not.
   unsigned Threads = 1;
   std::unique_ptr<ParallelContext> Par;
   ParallelStats ParStats;
@@ -330,6 +323,9 @@ private:
   std::map<RelId, Bdd> Inputs;
   std::map<RelId, Bdd> InFlight;  ///< Current interpretation per Section 3.
   std::map<RelId, Bdd> Completed; ///< Memo for env-independent relations.
+  /// The rounds of env-independent relations a governor stopped before
+  /// they saturated; `solveScheduled` resumes them.
+  std::map<RelId, FixpointState> Partial;
   std::map<std::string, RelStats> Stats;
 
   /// Subformulas mentioning only input relations are constant across

@@ -18,7 +18,6 @@
 #include "reach/SeqReach.h"
 #include "symbolic/Encode.h"
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,7 +42,8 @@ public:
   /// Does the algorithm solve every relation without looking at the
   /// target? True for the all-entries summaries (`SummarySimple`,
   /// `SummaryScc`): one solve answers every query, so they are solved by
-  /// `solveReach` instead of an early-stopping iteration of `mainRel()`.
+  /// `solveSummaries` instead of an early-stopping iteration of
+  /// `mainRel()`.
   bool targetIndependent() const {
     return Alg == SeqAlgorithm::SummarySimple ||
            Alg == SeqAlgorithm::SummaryScc;
@@ -57,19 +57,14 @@ public:
     /// Size of the summary: `SummaryAll` for SummaryScc, `Summary` for
     /// SummarySimple.
     size_t SummaryNodes = 0;
-    bool HitIterationLimit = false; ///< The cap truncated some relation.
   };
-  /// Solves a target-independent algorithm by driving every defined
-  /// relation callees-first over the caller-held \p States, each
-  /// relation capped at \p Cap rounds (0 = uncapped). `Evaluator::evaluate`
-  /// pre-solves dependencies uncapped, so a cap must drive the chain
-  /// relation by relation, pinning each capped value so higher relations
-  /// read the truncation. Relations an earlier, interrupted drive
-  /// saturated or capped are not resumed again, so a retry carries on
-  /// bit-identically.
-  Reach solveReach(fpc::Evaluator &Ev,
-                   std::map<fpc::RelId, fpc::FixpointState> &States,
-                   uint64_t Cap) const;
+  /// Solves a target-independent algorithm through `Evaluator::evaluate`
+  /// of its two roots — `Hits` and `SummaryAll` for SummaryScc, `Summary`
+  /// and `ReachEntry` for SummarySimple. The evaluator pre-solves every
+  /// relation below a root callees-first (independent SCCs on its pool
+  /// under `Threads > 1`) and keeps the rounds of any relation a governor
+  /// stopped, so a retry on the same evaluator carries on bit-identically.
+  Reach solveSummaries(fpc::Evaluator &Ev) const;
 
   // Accessors for witness reconstruction -----------------------------------
   const fpc::System &system() const { return Sys; }
@@ -155,9 +150,6 @@ private:
   std::vector<fpc::RelId> GroupSummary; ///< Summary_<proc>, by SCC index.
   std::vector<fpc::RelId> GroupEntry;   ///< ReachEntry_<proc>, by SCC index.
   fpc::RelId Hits = 0, SummaryAll = 0;
-  /// Every defined relation in callees-first (dependency-topological)
-  /// order — the chain `solveReach` drives.
-  std::vector<fpc::RelId> Order;
   std::vector<fpc::RelId> Roots;
   unsigned Width = 0;
   unsigned NumSummaryRels = 1;

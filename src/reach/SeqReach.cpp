@@ -443,18 +443,19 @@ void SeqEngine::buildSystem() {
     break;
   }
 
-  // Solve order, round roots, condensation width, and relation count —
-  // computed here once so solves and sessions read them for free. The
-  // order is every defined relation in callees-first
-  // (dependency-topological) sequence, the chain `solveReach` walks.
+  // Round roots, condensation width, and relation count — computed here
+  // once so solves and sessions read them for free.
   {
     fpc::DependencyGraph G(Sys);
-    for (const std::vector<RelId> &Members : G.sccs())
-      for (RelId R : Members)
-        if (!Sys.relation(R).isInput())
-          Order.push_back(R);
     const bool Scc = Alg == SeqAlgorithm::SummaryScc;
-    Roots = Scc ? Order : std::vector<RelId>{Main};
+    if (Scc) {
+      for (const std::vector<RelId> &Members : G.sccs())
+        for (RelId R : Members)
+          if (!Sys.relation(R).isInput())
+            Roots.push_back(R);
+    } else {
+      Roots = {Main};
+    }
     Width = Scc ? unsigned(CG.numSccs())
                 : fpc::definedCondensationWidth(Sys, G);
     NumSummaryRels = Scc ? unsigned(CG.numSccs()) : 1;
@@ -466,33 +467,17 @@ void SeqEngine::buildSystem() {
 #endif
 }
 
-SeqEngine::Reach
-SeqEngine::solveReach(Evaluator &Ev, std::map<RelId, FixpointState> &States,
-                      uint64_t Cap) const {
+SeqEngine::Reach SeqEngine::solveSummaries(Evaluator &Ev) const {
   Reach Out;
-  for (RelId R : Order) {
-    FixpointState &St = States[R];
-    if (St.Saturated)
-      continue; // Solved by an earlier (interrupted) drive.
-    if (Cap != 0 && St.Rounds >= Cap) {
-      // Already truncated at the cap by an earlier drive; resuming would
-      // run extra rounds past it.
-      Out.HitIterationLimit = true;
-      Ev.pinCompleted(R, St.Value);
-      continue;
-    }
-    EvalOptions RO;
-    RO.MaxIterations = Cap;
-    Out.HitIterationLimit |= Ev.resume(R, St, RO).HitIterationLimit;
-    if (!St.Saturated)
-      Ev.pinCompleted(R, St.Value);
-  }
   if (Alg == SeqAlgorithm::SummaryScc) {
-    Out.States = States[Hits].Value;
-    Out.SummaryNodes = States[SummaryAll].Value.nodeCount();
+    // The roots are non-recursive, so all summary work happens while
+    // their dependencies are pre-solved.
+    Out.States = Ev.evaluate(Hits).Value;
+    Out.SummaryNodes = Ev.evaluate(SummaryAll).Value.nodeCount();
   } else {
-    Out.States = States[Main].Value & States[ReachEntry].Value;
-    Out.SummaryNodes = States[Main].Value.nodeCount();
+    Bdd Summary = Ev.evaluate(Main).Value;
+    Out.States = Summary & Ev.evaluate(ReachEntry).Value;
+    Out.SummaryNodes = Summary.nodeCount();
   }
   return Out;
 }
@@ -519,27 +504,14 @@ sym::SolveStats SeqEngine::solve(unsigned ProcId, unsigned Pc,
     if (targetIndependent()) {
       // Early stop does not apply: every relation is solved whatever the
       // target.
-      Reach Rc;
-      if (Alg == SeqAlgorithm::SummaryScc && Config.MaxIterations == 0) {
-        // The roots are non-recursive, so all summary work happens while
-        // their dependencies are pre-solved — in parallel under
-        // Threads > 1.
-        Rc.States = Ev.evaluate(Hits).Value;
-        Rc.SummaryNodes = Ev.evaluate(SummaryAll).Value.nodeCount();
-      } else {
-        std::map<RelId, FixpointState> States;
-        Rc = solveReach(Ev, States, Config.MaxIterations);
-      }
+      Reach Rc = solveSummaries(Ev);
       Result.Reachable = !(Rc.States & TargetStates).isZero();
-      Result.HitIterationLimit = Rc.HitIterationLimit;
       Result.SummaryNodes = Rc.SummaryNodes;
     } else {
       EvalOptions EOpts;
-      EOpts.MaxIterations = Config.MaxIterations;
       if (Config.EarlyStop)
         EOpts.EarlyStop = &TargetStates;
       EvalResult R = Ev.evaluate(Main, EOpts);
-      Result.HitIterationLimit = R.HitIterationLimit;
       Result.Reachable = !(R.Value & TargetStates).isZero();
       Result.SummaryNodes = R.Value.nodeCount();
     }
@@ -568,17 +540,13 @@ struct SeqSession::Impl {
   IncrementalFixpoint Fix;
 
   // Target-independent algorithms (summary, summary-scc): the first query
-  // solves the whole relation chain once — driving each relation through
-  // `Evaluator::resume` over these caller-held states, callees-first — and
+  // solves the whole relation chain once, through the one-shot solve's
+  // own `SeqEngine::solveSummaries` (on the pool under `Threads > 1`), and
   // every later query is a conjunction against the cached reachable
   // states. The rounds a fresh solve of any target would report stay in
-  // the evaluator's statistics. A governor interrupt leaves the current
-  // relation at its last completed round; the retry skips the already
-  // saturated prefix and resumes the chain bit-identically. This
-  // per-relation state is also the seam for future *partial*
-  // invalidation: editing one procedure body need only clear the states
-  // (and downstream memos) of its call-graph ancestors, not the world.
-  std::map<RelId, FixpointState> ChainStates;
+  // the evaluator's statistics. A governor interrupt leaves the chain's
+  // saturated relations memoized and the others at their last completed
+  // round inside the evaluator; the retry resumes them bit-identically.
   std::optional<SeqEngine::Reach> Chain; ///< Set once the chain is solved.
 
   /// Witness queries go through a persistent extractor session (solves
@@ -609,13 +577,10 @@ struct SeqSession::Impl {
       : Cfg(Cfg), Config(Config),
         Engine(Cfg, Alg),
         Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr)) {
-    // Sessions currently solve on one thread whatever `Threads` says: the
-    // relation chain is resumed callees-first (see `solve`), so the
-    // evaluator's scheduler never finds two SCCs pending, and the paper's
-    // systems never leave two pending either. The setting is
-    // still passed down so the worker accounting below stays honest if a
-    // session ever reaches the pool. Queries stay serialized — one
-    // session serves one caller at a time.
+    // A `summary-scc` session solves its chain on the evaluator's pool
+    // under `Threads > 1`, as the one-shot solve does; the paper's systems
+    // never leave two SCCs pending, so they run on one thread. Queries
+    // stay serialized — one session serves one caller at a time.
     Ev.setThreads(Config.Threads);
     // The target relation is declared but read by no clause, so one
     // targetless binding serves every query; rebinding per target would
@@ -701,16 +666,13 @@ sym::SolveStats SeqSession::solve(unsigned ProcId, unsigned Pc) {
     if (S.Engine.targetIndependent()) {
       Replayed = S.Chain.has_value();
       if (!Replayed)
-        S.Chain = S.Engine.solveReach(S.Ev, S.ChainStates,
-                                      S.Config.MaxIterations);
+        S.Chain = S.Engine.solveSummaries(S.Ev);
       Result.Reachable = !(S.Chain->States & TargetStates).isZero();
-      Result.HitIterationLimit = S.Chain->HitIterationLimit;
       Result.SummaryNodes = S.Chain->SummaryNodes;
     } else {
       Answer = S.Fix.query(S.Ev, S.Engine.mainRel(), TargetStates,
-                           S.Config.EarlyStop, S.Config.MaxIterations);
+                           S.Config.EarlyStop);
       Result.Reachable = Answer->Reachable;
-      Result.HitIterationLimit = Answer->HitIterationLimit;
       Result.SummaryNodes = Answer->Value.nodeCount();
     }
   } catch (const support::ResourceInterrupt &RI) {
@@ -771,8 +733,7 @@ bool SeqSession::answersFromState(unsigned ProcId, unsigned Pc,
   const sym::ConfVars &Conf = S.Engine.conf();
   Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
                      S.Ev.encodeEqConst(Conf.Pc, Pc);
-  return S.Fix.answersFromState(TargetStates, S.Config.EarlyStop,
-                                S.Config.MaxIterations);
+  return S.Fix.answersFromState(TargetStates, S.Config.EarlyStop);
 }
 
 sym::SolveStats reach::checkReachability(const bp::ProgramCfg &Cfg,

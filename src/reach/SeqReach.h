@@ -66,9 +66,9 @@ sym::SolveStats checkReachability(const bp::ProgramCfg &Cfg, unsigned ProcId,
 /// BDD manager, evaluator memos, and the fixpoint rounds ("onion rings")
 /// computed so far persist across queries. Each `solve` first *replays*
 /// the recorded rounds against the new target — answering entirely from
-/// state when an early stop (or the iteration cap) would have fired within
-/// them — and only then resumes live iteration where the last query left
-/// off. Because the round sequence is deterministic and target-independent
+/// state when an early stop would have fired within them — and only then
+/// resumes live iteration where the last query left off. Because the
+/// round sequence is deterministic and target-independent
 /// (the early-stop target only decides *when to stop*, never what a round
 /// computes), every query's verdict, iteration count, and round values are
 /// bit-identical to a fresh `checkReachability` with the same options.

@@ -446,19 +446,18 @@ void WitnessExtractor::ensureSolved() {
 
   // The "onion rings" are the per-round values of the summary relation;
   // the semi-naive core computes the paper's S_r per round, only cheaper,
-  // so the rings are those of Section 3's `Evaluate`. `complete` drives the persistent fixpoint to its
-  // stopping point (saturation or the iteration cap), recording every
+  // so the rings are those of Section 3's `Evaluate`. `complete` drives
+  // the persistent fixpoint to saturation, recording every
   // value-changing round — in borrowed mode this *finishes the owner's
   // solve in place*, so rounds an earlier plain query already computed
   // are never recomputed and later plain queries replay the rounds
   // recorded here: one solve per session, ever. A governor-interrupted
   // solve keeps its completed rounds and carries on from them on retry —
   // the recorded rings stay consistent either way.
-  EvalResult R = Fix->complete(*Ev, Engine->mainRel(), Config.MaxIterations);
+  EvalResult R = Fix->complete(*Ev, Engine->mainRel());
   SolveDone = true;
   Solved = R.Value;
   TargetDomains = Ev->domainConstraint(S.Mod) & Ev->domainConstraint(S.Pc);
-  Base.HitIterationLimit = R.HitIterationLimit;
   Base.SummaryNodes = Solved.nodeCount();
   // Counters cover the ring-recording solve (reconstruction only walks
   // the recorded rings).

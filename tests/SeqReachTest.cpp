@@ -135,6 +135,22 @@ TEST_P(DriverDifferentialTest, AllEnginesAgreeOnRandomPrograms) {
       EXPECT_EQ(R.Reachable, O.Reachable)
           << W.Name << " disagreement: " << Engine << "\n" << W.Source;
     }
+    // Sessions drive the relation chain through the evaluator's
+    // scheduler, on one thread and on its pool; check that driver against
+    // the oracle on its own.
+    for (unsigned Threads : {1u, 4u}) {
+      SolverOptions Opts;
+      Opts.Engine = "summary-scc";
+      Opts.Threads = Threads;
+      auto S = Solver::open(Query::fromCfg(Cfg), Opts);
+      ASSERT_TRUE(S->ok()) << S->error();
+      SolveResult R = S->solve(Query::fromSource("").target(W.TargetLabel));
+      ASSERT_TRUE(R.ok()) << R.Error;
+      EXPECT_EQ(R.Reachable, O.Reachable)
+          << W.Name << " disagreement: summary-scc session, " << Threads
+          << " threads\n"
+          << W.Source;
+    }
     EXPECT_EQ(solveVia(Cfg, W.TargetLabel, "moped").Reachable, O.Reachable)
         << W.Name << " (moped)\n" << W.Source;
   }

@@ -83,7 +83,6 @@ void expectSameCore(const api::SolveResult &A, const api::SolveResult &B,
                     const char *Context) {
   EXPECT_EQ(A.Status, B.Status) << Context;
   EXPECT_EQ(A.Reachable, B.Reachable) << Context;
-  EXPECT_EQ(A.HitIterationLimit, B.HitIterationLimit) << Context;
   EXPECT_EQ(A.Iterations, B.Iterations) << Context;
   EXPECT_EQ(A.SummaryNodes, B.SummaryNodes) << Context;
   EXPECT_EQ(A.WitnessText, B.WitnessText) << Context;

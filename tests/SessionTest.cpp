@@ -73,7 +73,6 @@ void expectSameCore(const SolveResult &Fresh, const SolveResult &Sess,
                     const std::string &Context) {
   EXPECT_EQ(Fresh.Status, Sess.Status) << Context;
   EXPECT_EQ(Fresh.Reachable, Sess.Reachable) << Context;
-  EXPECT_EQ(Fresh.HitIterationLimit, Sess.HitIterationLimit) << Context;
   EXPECT_EQ(Fresh.Iterations, Sess.Iterations) << Context;
   EXPECT_EQ(Fresh.DeltaRounds, Sess.DeltaRounds) << Context;
   EXPECT_EQ(Fresh.SummaryNodes, Sess.SummaryNodes) << Context;
@@ -482,31 +481,27 @@ TEST(SessionTest, ReuseCountersReportReplayedRounds) {
 }
 
 //===----------------------------------------------------------------------===//
-// Option variants: iteration caps, no early stop, strategies
+// Option variants: early stop on and off
 //===----------------------------------------------------------------------===//
 
-TEST(SessionTest, IterationCapAndFullFixpointVariantsMatchFresh) {
+TEST(SessionTest, EarlyStopAndFullFixpointVariantsMatchFresh) {
   std::string Src = seqFixture();
   for (const char *Name : {"ef-split", "ef-opt"}) {
     for (bool EarlyStop : {true, false}) {
-      for (uint64_t MaxIter : {uint64_t(0), uint64_t(1), uint64_t(3)}) {
-        SolverOptions Opts;
-        Opts.Engine = Name;
-        Opts.EarlyStop = EarlyStop;
-        Opts.MaxIterations = MaxIter;
-        std::unique_ptr<SolverSession> S =
-            Solver::open(Query::fromSource(Src), Opts);
-        ASSERT_TRUE(S->ok()) << S->error();
-        for (const std::string &L :
-             {std::string("ERR"), std::string("SAFE"), std::string("ERR")}) {
-          SolveResult Fresh =
-              Solver::solve(Query::fromSource(Src).target(L), Opts);
-          SolveResult Sess = S->solve(Query::fromSource("").target(L));
-          expectSameCore(Fresh, Sess,
-                         std::string(Name) + " early=" +
-                             std::to_string(EarlyStop) + " cap=" +
-                             std::to_string(MaxIter) + " " + L);
-        }
+      SolverOptions Opts;
+      Opts.Engine = Name;
+      Opts.EarlyStop = EarlyStop;
+      std::unique_ptr<SolverSession> S =
+          Solver::open(Query::fromSource(Src), Opts);
+      ASSERT_TRUE(S->ok()) << S->error();
+      for (const std::string &L :
+           {std::string("ERR"), std::string("SAFE"), std::string("ERR")}) {
+        SolveResult Fresh =
+            Solver::solve(Query::fromSource(Src).target(L), Opts);
+        SolveResult Sess = S->solve(Query::fromSource("").target(L));
+        expectSameCore(Fresh, Sess,
+                       std::string(Name) + " early=" +
+                           std::to_string(EarlyStop) + " " + L);
       }
     }
   }

@@ -25,12 +25,11 @@
 ///     --rounds r         concurrent: round-robin with r rounds (implies
 ///                        --round-robin; overrides --context-bound)
 ///     --round-robin      concurrent: restrict schedules to round-robin
-///     --max-iterations n cap fixpoint rounds; a hit limit prints UNKNOWN
-///                        (exit 3) unless the target was already found
 ///     --threads n        worker threads for the evaluator's parallel SCC
 ///                        scheduling (default 1; results bit-identical at
-///                        any setting; --targets sessions solve on one
-///                        thread)
+///                        any setting; only summary-scc, the default
+///                        sequential engine, has independent SCCs to run
+///                        in parallel, with --label and --targets alike)
 ///     --timeout-ms n     wall-clock deadline per solve in milliseconds
 ///                        (0 = none); a hit deadline prints
 ///                        "TIMEOUT (deadline)" and exits 4
@@ -79,7 +78,7 @@ int usage() {
                "usage: getafix [--label L | --targets a,b,c] [--algo %s]\n"
                "               [--list-algos] [--context-bound k] "
                "[--rounds r] [--round-robin]\n"
-               "               [--max-iterations n] [--threads n] "
+               "               [--threads n] "
                "[--timeout-ms n] [--node-budget n]\n"
                "               [--witness] [--print-formula] [--stats] "
                "<program.bp>\n",
@@ -120,8 +119,6 @@ void printStatsBody(const CliOptions &Opts, const SolveResult &R,
   std::printf("%s\"engine\": \"%s\",\n", Pad,
               Engine.empty() ? "(default)" : jsonEscape(Engine).c_str());
   std::printf("%s\"reachable\": %s,\n", Pad, R.Reachable ? "true" : "false");
-  std::printf("%s\"hit_iteration_limit\": %s,\n", Pad,
-              R.HitIterationLimit ? "true" : "false");
   std::printf("%s\"iterations\": %llu,\n", Pad,
               (unsigned long long)R.Iterations);
   std::printf("%s\"delta_rounds\": %llu,\n", Pad,
@@ -224,26 +221,19 @@ int limitExitCode(SolveStatus S) {
   }
 }
 
-/// One "LABEL: VERDICT" line for multi-target mode. Returns true when the
-/// verdict is inconclusive (iteration limit hit short of the target).
-bool printVerdictLine(const std::string &Label, const SolveResult &R) {
-  if (const char *Limit = limitVerdict(R.Status)) {
-    std::printf("%s: %s\n", Label.c_str(), Limit);
-    return false;
-  }
-  bool Unknown = R.HitIterationLimit && !R.Reachable;
+/// One "LABEL: VERDICT" line for multi-target mode.
+void printVerdictLine(const std::string &Label, const SolveResult &R) {
+  const char *Limit = limitVerdict(R.Status);
   std::printf("%s: %s\n", Label.c_str(),
-              Unknown       ? "UNKNOWN (iteration limit)"
-              : R.Reachable ? "YES"
-                            : "NO");
+              Limit ? Limit : R.Reachable ? "YES" : "NO");
   if (R.HasWitness)
     std::printf("%s", R.WitnessText.c_str());
-  return Unknown;
 }
 
 /// Multi-target mode: one SolverSession over the program, solveAll over
 /// the labels, per-target verdict lines, optional per-query + cumulative
-/// stats JSON. Exit: 2 on errors, 3 when any verdict is UNKNOWN, else 0.
+/// stats JSON. Exit: 2 on errors, the first limit's code (4/5/6) when a
+/// limit stopped a query, else 0.
 int runSession(const CliOptions &Opts, const std::string &Source) {
   Query Program = Query::fromSource(Source);
   std::unique_ptr<SolverSession> Session = Solver::open(Program, Opts.Solver);
@@ -259,7 +249,6 @@ int runSession(const CliOptions &Opts, const std::string &Source) {
         Query::fromSource("").target(Label).witness(Opts.Witness));
 
   std::vector<SolveResult> Results = Session->solveAll(Queries);
-  bool AnyUnknown = false;
   int LimitExit = 0;
   for (size_t I = 0; I < Results.size(); ++I) {
     if (!Results[I].ok() && !limitVerdict(Results[I].Status)) {
@@ -269,7 +258,7 @@ int runSession(const CliOptions &Opts, const std::string &Source) {
     }
     if (LimitExit == 0)
       LimitExit = limitExitCode(Results[I].Status);
-    AnyUnknown |= printVerdictLine(Opts.Targets[I], Results[I]);
+    printVerdictLine(Opts.Targets[I], Results[I]);
   }
 
   if (Opts.Stats) {
@@ -294,9 +283,7 @@ int runSession(const CliOptions &Opts, const std::string &Source) {
     }
     std::printf("  ]\n}\n");
   }
-  if (LimitExit != 0)
-    return LimitExit;
-  return AnyUnknown ? 3 : 0;
+  return LimitExit;
 }
 
 } // namespace
@@ -336,9 +323,6 @@ int main(int Argc, char **Argv) {
       Opts.Solver.RoundRobin = true;
     } else if (Arg == "--round-robin") {
       Opts.Solver.RoundRobin = true;
-    } else if (Arg == "--max-iterations") {
-      if (!parseUnsigned(Next(), Opts.Solver.MaxIterations))
-        return usage();
     } else if (Arg == "--threads") {
       if (!parseUnsigned(Next(), Opts.Solver.Threads, 1, 256))
         return usage();
@@ -401,16 +385,10 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  // A hit iteration limit with no hit target is inconclusive: the solver
-  // only explored MaxIterations rounds' worth of states. A reachable
-  // verdict stays valid (the partial result is a lower bound).
-  bool Unknown = R.HitIterationLimit && !R.Reachable;
-  std::printf("%s\n", Unknown     ? "UNKNOWN (iteration limit)"
-                      : R.Reachable ? "YES"
-                                    : "NO");
+  std::printf("%s\n", R.Reachable ? "YES" : "NO");
   if (R.HasWitness)
     std::printf("%s", R.WitnessText.c_str());
   if (Opts.Stats)
     printStatsJson(Opts, R);
-  return Unknown ? 3 : R.Reachable ? 0 : 1;
+  return R.Reachable ? 0 : 1;
 }

@@ -14,8 +14,6 @@
 ///     --program FILE=L1,L2,...  program + its target labels (repeatable)
 ///     --clients N        concurrent client connections (default 4)
 ///     --requests M       requests per client (default 16)
-///     --rate R           open-loop arrival rate in req/s across all
-///                        clients (default: closed loop, back-to-back)
 ///     --engine NAME      per-request engine override
 ///     --witness          request counterexample traces
 ///     --timeout-ms N     per-request `timeout_ms` deadline; rows the
@@ -54,7 +52,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -79,7 +76,6 @@ struct CliOptions {
   std::vector<ProgramSpec> Programs;
   unsigned Clients = 4;
   unsigned Requests = 16;
-  double Rate = 0.0; ///< 0 = closed loop.
   std::string Engine;
   bool Witness = false;
   uint64_t TimeoutMs = 0; ///< Per-request deadline; 0 = none.
@@ -95,7 +91,7 @@ int usage() {
       stderr,
       "usage: getafix_load (--port N [--host H] | --socket PATH)\n"
       "                    --program FILE=L1,L2,... [--program ...]\n"
-      "                    [--clients N] [--requests M] [--rate R]\n"
+      "                    [--clients N] [--requests M]\n"
       "                    [--engine NAME] [--witness]\n"
       "                    [--timeout-ms N] [--retries N]\n"
       "                    [--json PATH] [--verdicts PATH]\n"
@@ -223,19 +219,8 @@ void clientLoop(const CliOptions &Opts, unsigned ClientIdx,
     return;
   }
 
-  auto Start = std::chrono::steady_clock::now();
+  // Closed loop: each client sends its requests back-to-back.
   for (unsigned R = 0; R < Opts.Requests; ++R) {
-    // Open loop: pace request R of this client at its scheduled arrival
-    // time; closed loop sends back-to-back.
-    if (Opts.Rate > 0.0) {
-      double PerClientRate = Opts.Rate / double(Opts.Clients);
-      auto Due = Start + std::chrono::duration_cast<
-                             std::chrono::steady_clock::duration>(
-                             std::chrono::duration<double>(
-                                 double(R) / PerClientRate));
-      std::this_thread::sleep_until(Due);
-    }
-
     // Program rotation is offset per client so concurrent clients hit
     // both the same and different programs over the run.
     const ProgramSpec &P =
@@ -466,10 +451,6 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--requests") {
       if (!parseUnsigned(Next(), Opts.Requests, 1))
         return usage();
-    } else if (Arg == "--rate") {
-      if (!(V = Next()))
-        return usage();
-      Opts.Rate = std::atof(V);
     } else if (Arg == "--engine") {
       if (!(V = Next()))
         return usage();

@@ -39,14 +39,12 @@
 ///                        summary-scc for sequential programs, conc for
 ///                        concurrent)
 ///     --threads N        evaluator worker threads per solve (parallel
-///                        SCC scheduling); the `stats` response reports
-///                        the setting. Pooled sessions currently solve on
-///                        one thread: their relation chains are resumed
-///                        callees-first, so no query leaves two SCCs
-///                        pending for the pool
+///                        SCC scheduling: `summary-scc` sessions solve
+///                        their independent SCCs on a pool of N threads
+///                        that lives for one solve); the `stats` response
+///                        reports the setting
 ///     --context-bound K / --rounds R / --round-robin
 ///                        concurrent-program knobs (as in getafix)
-///     --max-iterations N cap fixpoint rounds per query
 ///
 /// SIGINT/SIGTERM shut down gracefully: stop accepting, drain in-flight
 /// requests, print final statistics, exit 0.
@@ -84,8 +82,7 @@ int usage() {
       "                [--default-timeout-ms N] [--max-timeout-ms N] "
       "[--node-budget N]\n"
       "                [--algo NAME] [--threads N]\n"
-      "                [--context-bound K] [--rounds R] [--round-robin]\n"
-      "                [--max-iterations N]\n");
+      "                [--context-bound K] [--rounds R] [--round-robin]\n");
   return 2;
 }
 
@@ -159,9 +156,6 @@ int main(int Argc, char **Argv) {
       Opts.Pool.Solver.RoundRobin = true;
     } else if (Arg == "--round-robin") {
       Opts.Pool.Solver.RoundRobin = true;
-    } else if (Arg == "--max-iterations") {
-      if (!parseUnsigned(Next(), Opts.Pool.Solver.MaxIterations))
-        return usage();
     } else {
       return usage();
     }
