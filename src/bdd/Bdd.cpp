@@ -984,26 +984,64 @@ Bdd BddImporter::import(const Bdd &F) {
   // *different* function. Entries are only trusted within one source
   // generation.
   if (Src.Stats.GcRuns != SrcGcRuns) {
-    Memo.clear();
+    clear();
     SrcGcRuns = Src.Stats.GcRuns;
   }
   return Bdd(&Dst, importRec(F.rawIndex()));
 }
 
+void BddImporter::clear() {
+  for (const Entry &E : Table)
+    if (E.From != 0)
+      Dst.deref(E.To);
+  Table = std::vector<Entry>();
+  TableBits = 0;
+  Used = 0;
+}
+
+BddImporter::Entry &BddImporter::slot(uint32_t N) {
+  // Fibonacci hashing: the top bits of the product spread the runs of
+  // neighbouring indices a dag walk produces; linear probing then stays
+  // within a cache line or two at this load.
+  size_t Mask = Table.size() - 1;
+  size_t I = size_t((uint64_t(N) * 0x9e3779b97f4a7c15ull) >> (64 - TableBits));
+  while (Table[I].From != 0 && Table[I].From != N)
+    I = (I + 1) & Mask;
+  return Table[I];
+}
+
+void BddImporter::grow() {
+  // Allocate before touching the table, so a failed allocation leaves
+  // every entry (and its pin) in place.
+  unsigned Bits = Table.empty() ? 8 : TableBits + 1;
+  std::vector<Entry> Old(size_t(1) << Bits);
+  Old.swap(Table);
+  TableBits = Bits;
+  for (const Entry &E : Old)
+    if (E.From != 0)
+      slot(E.From) = E;
+}
+
 uint32_t BddImporter::importRec(uint32_t N) {
   if (N <= 1)
     return N; // Terminals share indices 0/1 in every manager.
-  auto It = Memo.find(N);
-  if (It != Memo.end())
-    return It->second.Idx;
+  if (!Table.empty()) {
+    const Entry &Hit = slot(N);
+    if (Hit.From == N)
+      return Hit.To;
+  }
   const BddManager::Node &Node = Src.rec(N);
-  // Post-order: children are memoized (hence externally referenced in the
-  // destination) before the parent is built, so nothing here can be
-  // collected mid-import — and makeNode never runs GC anyway.
+  // Post-order: children are memoized (hence pinned in the destination)
+  // before the parent is built, so nothing here can be collected
+  // mid-import — and makeNode never runs GC anyway.
   uint32_t Low = importRec(Node.Low);
   uint32_t High = importRec(Node.High);
   uint32_t Result = Dst.makeNode(Node.Var, Low, High);
-  Memo.emplace(N, Bdd(&Dst, Result));
+  if (2 * (Used + 1) > Table.size())
+    grow();
+  slot(N) = Entry{N, Result};
+  Dst.ref(Result);
+  ++Used;
   ++NumTranslations;
   return Result;
 }

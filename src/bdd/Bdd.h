@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace getafix {
@@ -576,18 +575,22 @@ private:
 /// built (the imported function is the same, the order is the same, and a
 /// ROBDD is unique for a function and an order).
 ///
-/// The memo maps source node index -> destination *handle*: every
-/// destination node an import built stays externally referenced for the
-/// importer's lifetime, so destination GC can never invalidate an entry.
-/// Source-side validity is generation-checked instead: a source GC may
-/// free and later reuse node indices, so the whole memo is dropped
-/// whenever the source manager's collection count changes.
+/// The memo is a flat open-addressed table of (source index, destination
+/// index) pairs, with no allocation per entry; it doubles when half full,
+/// so its memory follows the entries it holds, not the size of either
+/// manager. Each entry pins its destination node with one external
+/// reference, held until `clear()` or the importer's destruction drops
+/// it, so destination GC can never invalidate an entry. Source-side
+/// validity is generation-checked instead: a source GC may free and
+/// later reuse node indices, so the whole memo is dropped whenever the
+/// source manager's collection count changes.
 ///
 /// Thread discipline: an importer (and both its managers) must be
 /// externally synchronized — the parallel scheduler serializes every
-/// main-manager touch (imports of inputs, exports of solved SCCs) behind
-/// one mutex, while worker managers are only ever touched by the worker
-/// that owns them.
+/// main-manager touch (imports of inputs, exports of solved SCCs, and
+/// the pins of the worker-to-main importer) behind one mutex, while
+/// worker managers are only ever touched by the worker that owns them.
+/// The destination manager must outlive the importer.
 class BddImporter {
 public:
   BddImporter(BddManager &Src, BddManager &Dst) : Src(Src), Dst(Dst) {
@@ -595,6 +598,9 @@ public:
     assert(Src.numVars() <= Dst.numVars() &&
            "destination must know every source variable");
   }
+  BddImporter(const BddImporter &) = delete;
+  BddImporter &operator=(const BddImporter &) = delete;
+  ~BddImporter() { clear(); }
 
   /// Copies \p F (a BDD of the source manager) into the destination
   /// manager; null imports as null.
@@ -602,8 +608,10 @@ public:
 
   /// Memoized translations currently held (and kept alive in the
   /// destination).
-  size_t memoSize() const { return Memo.size(); }
-  void clear() { Memo.clear(); }
+  size_t memoSize() const { return Used; }
+  /// Drops every memo entry, releasing its destination pin and the
+  /// table's storage.
+  void clear();
 
   /// Cumulative count of source nodes translated into the destination over
   /// the importer's lifetime (memo hits are free and not counted). This is
@@ -612,11 +620,24 @@ public:
   uint64_t translations() const { return NumTranslations; }
 
 private:
+  /// One memo slot; `From == 0` marks it empty (terminals are never
+  /// memoized).
+  struct Entry {
+    uint32_t From = 0; ///< Source node index.
+    uint32_t To = 0;   ///< Destination node index, pinned.
+  };
+
   uint32_t importRec(uint32_t N);
+  /// The slot holding \p N, or the empty slot where it belongs.
+  Entry &slot(uint32_t N);
+  /// Doubles the table (or allocates its first slots) and rehashes.
+  void grow();
 
   BddManager &Src;
   BddManager &Dst;
-  std::unordered_map<uint32_t, Bdd> Memo;
+  std::vector<Entry> Table; ///< Power-of-two size, at most half full.
+  unsigned TableBits = 0;   ///< log2(Table.size()) once allocated.
+  size_t Used = 0;
   uint64_t SrcGcRuns = 0;
   uint64_t NumTranslations = 0;
 };

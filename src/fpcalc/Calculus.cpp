@@ -271,28 +271,6 @@ void System::collectRels(const Formula &F, std::vector<RelId> &Out) const {
   }
 }
 
-bool System::dependsOn(RelId Rel, RelId Target) const {
-  std::set<RelId> Visited;
-  std::vector<RelId> Stack{Rel};
-  while (!Stack.empty()) {
-    RelId Cur = Stack.back();
-    Stack.pop_back();
-    if (!Visited.insert(Cur).second)
-      continue;
-    const Relation &R = Rels[Cur];
-    if (!R.Def)
-      continue;
-    std::vector<RelId> Used;
-    collectRels(*R.Def, Used);
-    for (RelId U : Used) {
-      if (U == Target)
-        return true;
-      Stack.push_back(U);
-    }
-  }
-  return false;
-}
-
 //===----------------------------------------------------------------------===//
 // Dependency analysis
 //===----------------------------------------------------------------------===//

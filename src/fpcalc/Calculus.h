@@ -167,10 +167,6 @@ public:
   /// Type/arity checking of all definitions. Reports into \p Diags.
   bool validate(DiagnosticEngine &Diags) const;
 
-  /// Does the definition of \p Rel reference \p Target (transitively,
-  /// through defined relations)?
-  bool dependsOn(RelId Rel, RelId Target) const;
-
   /// Appends every relation applied anywhere inside \p F (with
   /// repetition; callers dedupe). The one formula walker for dependency
   /// collection — the parallel scheduler's needs analysis uses it too.
@@ -233,7 +229,9 @@ public:
     return Deps[Rel];
   }
 
-  /// Does \p Rel's value (transitively) depend on \p Target?
+  /// Does \p Rel's value (transitively) depend on the defined relation
+  /// \p Target? A binary search of the precomputed closure; false for an
+  /// input \p Target, since inputs are not dependencies.
   bool reaches(RelId Rel, RelId Target) const;
 
   /// Is \p Rel part of a dependency cycle (including self-loops)?

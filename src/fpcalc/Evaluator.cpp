@@ -9,6 +9,7 @@
 #include <exception>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 
 using namespace getafix;
 using namespace getafix::fpc;
@@ -193,19 +194,20 @@ void Evaluator::bindInput(RelId Rel, Bdd Value) {
   assert(Sys.relation(Rel).isInput() && "binding a defined relation");
   assert(InFlight.empty() && "rebinding an input mid-evaluation");
   auto [It, Inserted] = Inputs.emplace(Rel, Value);
-  if (!Inserted) {
-    if (It->second == Value)
-      return; // Same binding: every memo is still valid.
-    It->second = std::move(Value);
-    // Both memo layers may hold BDDs built from the old binding: the
-    // static-subformula cache mentions inputs directly, and a Completed
-    // defined relation was solved under them (a partial one too). Serving
-    // either after a rebind would silently answer the old query.
-    Completed.clear();
-    Partial.clear();
-    resetWorkerMemos();
-  }
-  StaticCache.clear(); // Cached composites may mention this relation.
+  // A first binding invalidates nothing: no memo can have read an unbound
+  // input (the read throws). So an input bound on first use (the unsplit
+  // `setReturn` of the witness walk) keeps every memo.
+  if (Inserted || It->second == Value)
+    return;
+  It->second = std::move(Value);
+  // Both memo layers may hold BDDs built from the old binding: the
+  // static-subformula cache mentions inputs directly, and a Completed
+  // defined relation was solved under them (a partial one too). Serving
+  // either after a rebind would silently answer the old query.
+  Completed.clear();
+  Partial.clear();
+  StaticCache.clear();
+  resetWorkerMemos();
 }
 
 void Evaluator::invalidate() {
@@ -337,13 +339,19 @@ Bdd Evaluator::domainConstraint(VarId V) {
 // Evaluator: core
 //===----------------------------------------------------------------------===//
 
-bool Evaluator::dependsOnInFlight(RelId Rel) const {
+bool Evaluator::dependsOnInFlight(RelId Rel) {
+  const DependencyGraph &G = dependencies();
   for (const auto &[InFlightRel, Value] : InFlight) {
     (void)Value;
-    if (Rel == InFlightRel || Sys.dependsOn(Rel, InFlightRel))
+    if (Rel == InFlightRel || G.reaches(Rel, InFlightRel))
       return true;
   }
   return false;
+}
+
+void Evaluator::unboundInput(RelId Rel) const {
+  throw std::logic_error("input relation '" + Sys.relation(Rel).Name +
+                         "' is not bound");
 }
 
 Bdd Evaluator::relValue(RelId Rel) {
@@ -352,11 +360,8 @@ Bdd Evaluator::relValue(RelId Rel) {
     return FlightIt->second;
 
   const Relation &R = Sys.relation(Rel);
-  if (R.isInput()) {
-    auto It = Inputs.find(Rel);
-    assert(It != Inputs.end() && "input relation not bound");
-    return It->second;
-  }
+  if (R.isInput())
+    return input(Rel);
 
   // Defined relation used from another definition: per the algorithmic
   // semantics it is re-solved under the current in-flight interpretations.
@@ -624,11 +629,8 @@ bool Evaluator::scheduleDependenciesParallel(
           WE.Partial.erase(M);
         {
           std::lock_guard<std::mutex> Lock(PC.MainLock);
-          for (RelId A : NeedInputs) {
-            auto It = Inputs.find(A);
-            assert(It != Inputs.end() && "input relation not bound");
-            WE.bindInput(A, W.In.import(It->second));
-          }
+          for (RelId A : NeedInputs)
+            WE.bindInput(A, W.In.import(input(A)));
           for (RelId D : NeedDefined) {
             auto SIt = Solved.find(D);
             const Bdd &V =
@@ -697,6 +699,13 @@ bool Evaluator::scheduleDependenciesParallel(
   }
 
   // Single-threaded from here: fold the run back into the main state.
+  // A task counts as solved on the pool once every member was exported;
+  // `DS.TasksRun` also counts the tasks that returned at once because
+  // another task had stopped.
+  for (const std::vector<RelId> &Task : Members)
+    if (std::all_of(Task.begin(), Task.end(),
+                    [&](RelId M) { return Solved.count(M) != 0; }))
+      ++ParStats.SccsSolvedParallel;
   // Exported SCC values are complete, valid solutions even when the run
   // as a whole aborted (each is a pure function of its callees), so they
   // are kept — a retry re-derives only what is missing, bit-identically.
@@ -705,7 +714,6 @@ bool Evaluator::scheduleDependenciesParallel(
     Completed[R] = std::move(V);
   }
   Mgr.setGovernor(Gov);
-  ParStats.SccsSolvedParallel += DS.TasksRun;
   ParStats.Steals += DS.Steals;
   ++ParStats.Schedules;
   ParStats.ImportedNodes += importerTranslations() - ImportsBefore;

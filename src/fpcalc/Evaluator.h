@@ -102,7 +102,9 @@ struct WorkerContext;   // Evaluator.cpp: one worker's solving state.
 /// `Threads > 1` solve actually dispatched work). Cumulative over the
 /// evaluator's lifetime, like `stats()`.
 struct ParallelStats {
-  uint64_t SccsSolvedParallel = 0; ///< SCC tasks run on the worker pool.
+  /// SCC tasks solved on the worker pool: every member exported to the
+  /// main manager (a stopped schedule's unstarted tasks do not count).
+  uint64_t SccsSolvedParallel = 0;
   uint64_t Schedules = 0;          ///< Parallel scheduling rounds.
   uint64_t Steals = 0;             ///< Pool-level work-stealing events.
   /// Nodes translated across manager boundaries by the cached importers
@@ -200,15 +202,21 @@ public:
   void clearWorkerCaches();
 
   /// Binds an input relation to its BDD over the formals' bits. Rebinding
-  /// an already-bound input drops every memo built from the old binding
-  /// (the static-subformula cache and the completed and partial defined
-  /// relations).
+  /// an already-bound input to a new value drops every memo built from
+  /// the old binding (the static-subformula cache and the completed and
+  /// partial defined relations); a first binding keeps them, since no
+  /// memo can have read an unbound input.
   void bindInput(RelId Rel, Bdd Value);
 
-  /// The BDD bound to an input relation (must be bound).
+  /// Whether \p Rel has a binding.
+  bool hasInput(RelId Rel) const { return Inputs.count(Rel) != 0; }
+
+  /// The BDD bound to an input relation. Reading an unbound input is an
+  /// engine bug, reported as a `std::logic_error` naming the relation.
   const Bdd &input(RelId Rel) const {
     auto It = Inputs.find(Rel);
-    assert(It != Inputs.end() && "input relation not bound");
+    if (It == Inputs.end())
+      unboundInput(Rel);
     return It->second;
   }
 
@@ -304,7 +312,10 @@ private:
   Bdd relValue(RelId Rel);
   Bdd applyArgs(RelId Rel, const std::vector<Term> &Args, Bdd Value);
   BddCube cubeFor(const std::vector<VarId> &Bound);
-  bool dependsOnInFlight(RelId Rel) const;
+  /// Whether \p Rel is in flight or reaches one through its dependency
+  /// closure (`DependencyGraph::reaches`; no formula walk).
+  bool dependsOnInFlight(RelId Rel);
+  [[noreturn]] void unboundInput(RelId Rel) const;
 
   const System &Sys;
   BddManager &Mgr;

@@ -39,6 +39,10 @@ public:
                         const sym::SolveConfig &Config);
   std::string text() const { return Sys.print(); }
 
+  /// Binds the encoder's input relations into \p Ev: `ProgramEncoder::bind`,
+  /// plus the unsplit `setReturn` when this system applies it.
+  void bindInputs(fpc::Evaluator &Ev, unsigned ProcId, unsigned Pc);
+
   /// Does the algorithm solve every relation without looking at the
   /// target? True for the all-entries summaries (`SummarySimple`,
   /// `SummaryScc`): one solve answers every query, so they are solved by
@@ -139,6 +143,9 @@ private:
   fpc::VarId RTPc = 0, RTCL = 0, RTCG = 0;        ///< Return: caller t.
   fpc::VarId RUMod = 0, RUPcX = 0, RULX = 0, RUGX = 0,
              RUECL = 0;                           ///< Callee u.
+
+  /// Some clause applies the unsplit `setReturn` (`returnClauseUnsplit`).
+  bool UnsplitReturn = false;
 
   fpc::RelId Main = 0;     ///< The head relation of the chosen algorithm.
   fpc::RelId Relevant = 0; ///< EntryForwardOpt only.

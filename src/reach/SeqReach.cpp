@@ -94,6 +94,7 @@ Formula *SeqEngine::entryDiscoveryClause(RelId Head, int Mark,
 /// paper identifies as the conjunction bottleneck.
 Formula *SeqEngine::returnClauseUnsplit(RelId CallerHead, RelId CalleeHead,
                                         int Mark) {
+  UnsplitReturn = true;
   ConfVars Caller = S;
   Caller.Pc = RTPc;
   Caller.CL = RTCL;
@@ -467,6 +468,12 @@ void SeqEngine::buildSystem() {
 #endif
 }
 
+void SeqEngine::bindInputs(Evaluator &Ev, unsigned ProcId, unsigned Pc) {
+  Enc->bind(Ev, ProcId, Pc);
+  if (UnsplitReturn)
+    Enc->bindSetReturn(Ev);
+}
+
 SeqEngine::Reach SeqEngine::solveSummaries(Evaluator &Ev) const {
   Reach Out;
   if (Alg == SeqAlgorithm::SummaryScc) {
@@ -494,7 +501,7 @@ sym::SolveStats SeqEngine::solve(unsigned ProcId, unsigned Pc,
   Ev.setThreads(Config.Threads);
 
   try {
-    Enc->bind(Ev, ProcId, Pc);
+    bindInputs(Ev, ProcId, Pc);
 
     // Target states over the head tuple (plus don't-care fr for the opt
     // algorithm, whose head has the mark in front).
@@ -585,7 +592,7 @@ struct SeqSession::Impl {
     // The target relation is declared but read by no clause, so one
     // targetless binding serves every query; rebinding per target would
     // needlessly drop the evaluator's memo layers.
-    Engine.encoder().bind(Ev, ~0u, 0);
+    Engine.bindInputs(Ev, ~0u, 0);
     sampleGauge();
   }
 

@@ -278,6 +278,9 @@ bool WitnessExtractor::skipPred(const Bdd &Ring, unsigned Mod,
   Bdd Exit = renamed(Ev->input(Enc.ExitRel),
                      {{F.EMod, X.UMod}, {F.EPc, X.UPcX}});
 
+  // The only direct read of the unsplit return: an `ef-split` session's
+  // evaluator, which the walk may borrow, has not bound it yet.
+  Enc.bindSetReturn(*Ev);
   Bdd Ret = renamed(Ev->input(Enc.SetReturn) & eq(F.RMod, Mod) &
                         eq(F.RLRet, To.Locals) & eq(F.RGRet, To.Globals),
                     {{F.RModCallee, X.UMod},
@@ -434,7 +437,7 @@ void WitnessExtractor::ensureSolved() {
       // The target relation is declared but read by no clause; the solve
       // (and therefore every ring) is target-independent, which is what
       // makes one solve serve every later target query.
-      Engine->encoder().bind(*NewEv, ~0u, 0);
+      Engine->bindInputs(*NewEv, ~0u, 0);
       OwnEv = std::move(NewEv);
       Ev = OwnEv.get();
     } catch (...) {

@@ -185,31 +185,57 @@ BddCube ProgramEncoder::choiceCube(Evaluator &Ev) {
 //===----------------------------------------------------------------------===//
 // Relation binding
 //===----------------------------------------------------------------------===//
+//
+// Every per-edge term is built as its frame and update constraints first
+// (with the edge's choice bits quantified away), and only then conjoined
+// with its (module, pc) selector. The selector's bits head the variable
+// order, so conjoining it first would make every later constraint rebuild
+// it; last, it costs one node per selector bit. The bound relations are
+// the same functions either way (BDDs are canonical).
+
+namespace {
+
+/// The targets of an edge's left-hand side (an assignment's, or a call's
+/// return assignment): for each local slot and global bit, the index of
+/// the value assigned to it, or -1.
+struct LhsSlots {
+  std::vector<int> Local;
+  std::vector<int> Global;
+};
+
+LhsSlots lhsSlots(const CfgEdge &E, unsigned LBits, unsigned GBits) {
+  LhsSlots Slots{std::vector<int>(LBits, -1), std::vector<int>(GBits, -1)};
+  for (size_t I = 0; I < E.Lhs.size(); ++I) {
+    const VarRef &Ref = E.Lhs[I];
+    (Ref.IsGlobal ? Slots.Global : Slots.Local)[Ref.Index] = int(I);
+  }
+  return Slots;
+}
+
+} // namespace
 
 void ProgramEncoder::bindProgramInt(Evaluator &Ev) {
   BddManager &Mgr = Ev.manager();
-  const Program &Prog = *Cfg.Prog;
   unsigned LBits = unsigned(Ev.layout().bits(F.ILFrom).size());
   unsigned GBits = unsigned(Ev.layout().bits(F.IGFrom).size());
   BddCube Choices = choiceCube(Ev);
+  // An assume edge keeps the whole frame.
+  const Bdd Frame =
+      frameEq(Ev, F.ILFrom, F.ILTo) & frameEq(Ev, F.IGFrom, F.IGTo);
 
   Bdd Result = Mgr.zero();
   for (const ProcCfg &P : Cfg.Procs) {
-    (void)Prog;
     for (const CfgEdge &E : P.Edges) {
       if (E.K == CfgEdge::Kind::Call)
         continue;
-      Bdd Term = Ev.encodeEqConst(F.IMod, P.ProcId) &
-                 Ev.encodeEqConst(F.IPcFrom, E.From) &
-                 Ev.encodeEqConst(F.IPcTo, E.To);
+      Bdd Body;
       unsigned ChoiceIdx = 0;
       if (E.K == CfgEdge::Kind::Assume) {
+        Body = Frame;
         if (E.Cond) {
           Bdd Cond = compileExpr(Ev, *E.Cond, F.ILFrom, F.IGFrom, ChoiceIdx);
-          Term &= E.NegateCond ? !Cond : Cond;
+          Body &= E.NegateCond ? !Cond : Cond;
         }
-        Term &= frameEq(Ev, F.ILFrom, F.ILTo);
-        Term &= frameEq(Ev, F.IGFrom, F.IGTo);
       } else { // Assign.
         // Compile right-hand sides first (shared running choice index).
         std::vector<Bdd> Values;
@@ -218,28 +244,24 @@ void ProgramEncoder::bindProgramInt(Evaluator &Ev) {
           Values.push_back(compileExpr(Ev, *R, F.ILFrom, F.IGFrom,
                                        ChoiceIdx));
         // Per-bit update constraints; untouched bits are framed.
-        std::vector<const Bdd *> LocalTarget(LBits, nullptr);
-        std::vector<const Bdd *> GlobalTarget(GBits, nullptr);
-        for (size_t I = 0; I < E.Lhs.size(); ++I) {
-          const VarRef &Ref = E.Lhs[I];
-          if (Ref.IsGlobal)
-            GlobalTarget[Ref.Index] = &Values[I];
-          else
-            LocalTarget[Ref.Index] = &Values[I];
-        }
+        LhsSlots Target = lhsSlots(E, LBits, GBits);
+        Body = Mgr.one();
         for (unsigned B = LBits; B-- > 0;) {
           Bdd Next = Ev.bitVar(F.ILTo, B);
-          Bdd Cur = LocalTarget[B] ? *LocalTarget[B] : Ev.bitVar(F.ILFrom, B);
-          Term &= Next.iff(Cur);
+          Bdd Cur = Target.Local[B] >= 0 ? Values[Target.Local[B]]
+                                         : Ev.bitVar(F.ILFrom, B);
+          Body &= Next.iff(Cur);
         }
         for (unsigned B = GBits; B-- > 0;) {
           Bdd Next = Ev.bitVar(F.IGTo, B);
-          Bdd Cur =
-              GlobalTarget[B] ? *GlobalTarget[B] : Ev.bitVar(F.IGFrom, B);
-          Term &= Next.iff(Cur);
+          Bdd Cur = Target.Global[B] >= 0 ? Values[Target.Global[B]]
+                                          : Ev.bitVar(F.IGFrom, B);
+          Body &= Next.iff(Cur);
         }
       }
-      Result |= Term.exists(Choices);
+      Result |= Ev.encodeEqConst(F.IMod, P.ProcId) &
+                Ev.encodeEqConst(F.IPcFrom, E.From) &
+                Ev.encodeEqConst(F.IPcTo, E.To) & Body.exists(Choices);
     }
   }
   Ev.bindInput(ProgramInt, Result);
@@ -260,24 +282,24 @@ void ProgramEncoder::bindProgramCall(Evaluator &Ev) {
       unsigned NumParams = unsigned(Callee.Params.size());
       unsigned NumSlots = Callee.numLocalSlots();
 
-      Bdd Term = Ev.encodeEqConst(F.CModCaller, P.ProcId) &
-                 Ev.encodeEqConst(F.CModCallee, E.CalleeId) &
-                 Ev.encodeEqConst(F.CPc, E.From);
       unsigned ChoiceIdx = 0;
       std::vector<Bdd> Args;
       Args.reserve(E.Rhs.size());
       for (const Expr *A : E.Rhs)
         Args.push_back(compileExpr(Ev, *A, F.CLCaller, F.CG, ChoiceIdx));
       assert(Args.size() == NumParams && "call arity survived sema");
+      Bdd Body = Mgr.one();
       for (unsigned B = LBits; B-- > 0;) {
         Bdd EntryBit = Ev.bitVar(F.CLEntry, B);
         if (B < NumParams)
-          Term &= EntryBit.iff(Args[B]);
+          Body &= EntryBit.iff(Args[B]);
         else if (B >= NumSlots)
-          Term &= !EntryBit; // Padding bits stay false inside the callee.
+          Body &= !EntryBit; // Padding bits stay false inside the callee.
         // Slots in [NumParams, NumSlots): uninitialized, nondet — free.
       }
-      Result |= Term.exists(Choices);
+      Result |= Ev.encodeEqConst(F.CModCaller, P.ProcId) &
+                Ev.encodeEqConst(F.CModCallee, E.CalleeId) &
+                Ev.encodeEqConst(F.CPc, E.From) & Body.exists(Choices);
     }
   }
   Ev.bindInput(ProgramCall, Result);
@@ -304,91 +326,97 @@ void ProgramEncoder::bindReturns(Evaluator &Ev) {
 
   Bdd Ret1 = Mgr.zero();
   Bdd Ret2 = Mgr.zero();
-  Bdd RetFull = Mgr.zero();
 
   for (const ProcCfg &P : Cfg.Procs) {
     for (const CfgEdge &E : P.Edges) {
       if (E.K != CfgEdge::Kind::Call)
         continue;
-      const ProcCfg &CalleeCfg = Cfg.Procs[E.CalleeId];
-
-      // Which local slots / global bits receive returned values.
-      std::vector<int> LocalFrom(LBits, -1);  // -> return-value index.
-      std::vector<int> GlobalFrom(GBits, -1);
-      for (size_t I = 0; I < E.Lhs.size(); ++I) {
-        const VarRef &Ref = E.Lhs[I];
-        if (Ref.IsGlobal)
-          GlobalFrom[Ref.Index] = int(I);
-        else
-          LocalFrom[Ref.Index] = int(I);
-      }
+      LhsSlots Target = lhsSlots(E, LBits, GBits);
 
       // --- setReturn1: caller-side local copying (exit-independent).
       {
-        Bdd Term = Ev.encodeEqConst(F.R1Mod, P.ProcId) &
-                   Ev.encodeEqConst(F.R1ModCallee, E.CalleeId) &
-                   Ev.encodeEqConst(F.R1Pc, E.From);
+        Bdd Body = Mgr.one();
         for (unsigned B = LBits; B-- > 0;)
-          if (LocalFrom[B] < 0)
-            Term &= Ev.bitVar(F.R1LRet, B).iff(Ev.bitVar(F.R1LCaller, B));
-        Ret1 |= Term;
+          if (Target.Local[B] < 0)
+            Body &= Ev.bitVar(F.R1LRet, B).iff(Ev.bitVar(F.R1LCaller, B));
+        Ret1 |= Ev.encodeEqConst(F.R1Mod, P.ProcId) &
+                Ev.encodeEqConst(F.R1ModCallee, E.CalleeId) &
+                Ev.encodeEqConst(F.R1Pc, E.From) & Body;
       }
 
-      // --- setReturn2 and the full setReturn: per callee exit.
-      for (const CfgExit &X : CalleeCfg.Exits) {
+      // --- setReturn2: per callee exit.
+      for (const CfgExit &X : Cfg.Procs[E.CalleeId].Exits) {
         unsigned ChoiceIdx = 0;
-        std::vector<Bdd> Values2;
-        for (const Expr *R : X.ReturnExprs)
-          Values2.push_back(
-              compileExpr(Ev, *R, F.R2LExit, F.R2GExit, ChoiceIdx));
-
-        Bdd Term2 = Ev.encodeEqConst(F.R2Mod, P.ProcId) &
-                    Ev.encodeEqConst(F.R2ModCallee, E.CalleeId) &
-                    Ev.encodeEqConst(F.R2Pc, E.From) &
-                    Ev.encodeEqConst(F.R2PcExit, X.Pc);
-        for (unsigned B = LBits; B-- > 0;)
-          if (LocalFrom[B] >= 0)
-            Term2 &= Ev.bitVar(F.R2LRet, B).iff(Values2[LocalFrom[B]]);
-        for (unsigned B = GBits; B-- > 0;) {
-          Bdd RetBit = Ev.bitVar(F.R2GRet, B);
-          if (GlobalFrom[B] >= 0)
-            Term2 &= RetBit.iff(Values2[GlobalFrom[B]]);
-          else
-            Term2 &= RetBit.iff(Ev.bitVar(F.R2GExit, B));
-        }
-        Ret2 |= Term2.exists(Choices);
-
-        // Full (unsplit) Return over its own formals.
-        ChoiceIdx = 0;
         std::vector<Bdd> Values;
         for (const Expr *R : X.ReturnExprs)
           Values.push_back(
-              compileExpr(Ev, *R, F.RLExit, F.RGExit, ChoiceIdx));
-        Bdd Term = Ev.encodeEqConst(F.RMod, P.ProcId) &
-                   Ev.encodeEqConst(F.RModCallee, E.CalleeId) &
-                   Ev.encodeEqConst(F.RPc, E.From) &
-                   Ev.encodeEqConst(F.RPcExit, X.Pc);
-        for (unsigned B = LBits; B-- > 0;) {
-          Bdd RetBit = Ev.bitVar(F.RLRet, B);
-          if (LocalFrom[B] >= 0)
-            Term &= RetBit.iff(Values[LocalFrom[B]]);
-          else
-            Term &= RetBit.iff(Ev.bitVar(F.RLCaller, B));
-        }
+              compileExpr(Ev, *R, F.R2LExit, F.R2GExit, ChoiceIdx));
+
+        Bdd Body = Mgr.one();
+        for (unsigned B = LBits; B-- > 0;)
+          if (Target.Local[B] >= 0)
+            Body &= Ev.bitVar(F.R2LRet, B).iff(Values[Target.Local[B]]);
         for (unsigned B = GBits; B-- > 0;) {
-          Bdd RetBit = Ev.bitVar(F.RGRet, B);
-          if (GlobalFrom[B] >= 0)
-            Term &= RetBit.iff(Values[GlobalFrom[B]]);
+          Bdd RetBit = Ev.bitVar(F.R2GRet, B);
+          if (Target.Global[B] >= 0)
+            Body &= RetBit.iff(Values[Target.Global[B]]);
           else
-            Term &= RetBit.iff(Ev.bitVar(F.RGExit, B));
+            Body &= RetBit.iff(Ev.bitVar(F.R2GExit, B));
         }
-        RetFull |= Term.exists(Choices);
+        Ret2 |= Ev.encodeEqConst(F.R2Mod, P.ProcId) &
+                Ev.encodeEqConst(F.R2ModCallee, E.CalleeId) &
+                Ev.encodeEqConst(F.R2Pc, E.From) &
+                Ev.encodeEqConst(F.R2PcExit, X.Pc) & Body.exists(Choices);
       }
     }
   }
 
   Ev.bindInput(SetReturn1, Ret1);
   Ev.bindInput(SetReturn2, Ret2);
+}
+
+void ProgramEncoder::bindSetReturn(Evaluator &Ev) {
+  if (Ev.hasInput(SetReturn))
+    return;
+  BddManager &Mgr = Ev.manager();
+  unsigned LBits = unsigned(Ev.layout().bits(F.RLCaller).size());
+  unsigned GBits = unsigned(Ev.layout().bits(F.RGExit).size());
+  BddCube Choices = choiceCube(Ev);
+
+  Bdd RetFull = Mgr.zero();
+  for (const ProcCfg &P : Cfg.Procs) {
+    for (const CfgEdge &E : P.Edges) {
+      if (E.K != CfgEdge::Kind::Call)
+        continue;
+      LhsSlots Target = lhsSlots(E, LBits, GBits);
+      for (const CfgExit &X : Cfg.Procs[E.CalleeId].Exits) {
+        unsigned ChoiceIdx = 0;
+        std::vector<Bdd> Values;
+        for (const Expr *R : X.ReturnExprs)
+          Values.push_back(
+              compileExpr(Ev, *R, F.RLExit, F.RGExit, ChoiceIdx));
+        Bdd Body = Mgr.one();
+        for (unsigned B = LBits; B-- > 0;) {
+          Bdd RetBit = Ev.bitVar(F.RLRet, B);
+          if (Target.Local[B] >= 0)
+            Body &= RetBit.iff(Values[Target.Local[B]]);
+          else
+            Body &= RetBit.iff(Ev.bitVar(F.RLCaller, B));
+        }
+        for (unsigned B = GBits; B-- > 0;) {
+          Bdd RetBit = Ev.bitVar(F.RGRet, B);
+          if (Target.Global[B] >= 0)
+            Body &= RetBit.iff(Values[Target.Global[B]]);
+          else
+            Body &= RetBit.iff(Ev.bitVar(F.RGExit, B));
+        }
+        RetFull |= Ev.encodeEqConst(F.RMod, P.ProcId) &
+                   Ev.encodeEqConst(F.RModCallee, E.CalleeId) &
+                   Ev.encodeEqConst(F.RPc, E.From) &
+                   Ev.encodeEqConst(F.RPcExit, X.Pc) & Body.exists(Choices);
+      }
+    }
+  }
   Ev.bindInput(SetReturn, RetFull);
 }
 

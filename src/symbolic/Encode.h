@@ -13,7 +13,8 @@
 ///   - `skipCall(mod, pc, pc')`                    the Across pairs
 ///   - `setReturn1` / `setReturn2`                 the split Return relation
 ///     of Section 4.2 (caller-side local copying vs exit-side return-value
-///     assignment), and `setReturn`, their unsplit conjunction
+///     assignment), and `setReturn`, their unsplit conjunction (bound on
+///     demand, by `bindSetReturn`)
 ///   - `exitRel(mod, pc)`, `initRel(mod, pc, L)`, `target(mod, pc)`
 ///
 /// State layout follows the Appendix's `Conf` tuple: module id, module-local
@@ -114,9 +115,16 @@ public:
                  const StateDomains &Doms, const bp::ProgramCfg &Cfg,
                  fpc::DomainId ChoiceDom, std::string Suffix = "");
 
-  /// Builds the relation BDDs into \p Ev. \p TargetProcId/\p TargetPc name
-  /// the reachability goal (use ~0u for "no target").
+  /// Builds the relation BDDs into \p Ev, all but the unsplit `setReturn`.
+  /// \p TargetProcId/\p TargetPc name the reachability goal (use ~0u for
+  /// "no target").
   void bind(fpc::Evaluator &Ev, unsigned TargetProcId, unsigned TargetPc);
+
+  /// Builds the unsplit `setReturn` into \p Ev unless it is bound there
+  /// already. Only the systems that apply the unsplit return clause
+  /// (`summary`, `ef`) and the witness walk's skip step read it, so `bind`
+  /// leaves it to them.
+  void bindSetReturn(fpc::Evaluator &Ev);
 
   // Relation ids -----------------------------------------------------------
   fpc::RelId ProgramInt = 0;

@@ -478,6 +478,51 @@ TEST(FaultTest, LimitStopInsideParallelScheduleReportsTheLimit) {
   }
 }
 
+TEST(FaultTest, StoppedScheduleCountsOnlySolvedSccTasks) {
+  // `sccs_solved_parallel` counts the SCC tasks whose members were all
+  // exported, not the tasks a stopped schedule handed to the pool: those
+  // that start after another task stopped return at once. The program is
+  // `getafix_load --emit-workloads`' terminator, whose twelve SCC
+  // relations (a Summary_ and a ReachEntry_ per call-graph SCC) are each a
+  // task of their own.
+  gen::TerminatorParams P;
+  P.CounterBits = 6;
+  P.NumDeadVars = 4;
+  P.Style = gen::DeadVarStyle::Schoose;
+  P.Reachable = false;
+  P.LabeledCheckpoints = 4;
+  const std::string Src = gen::terminatorProgram(P).Source;
+  auto Solve = [&](uint64_t Budget) {
+    api::SolverOptions Opts;
+    Opts.Engine = "summary-scc";
+    Opts.Threads = 4;
+    Opts.NodeBudget = Budget;
+    return api::Solver::solve(api::Query::fromSource(Src).target("CP0"),
+                              Opts);
+  };
+
+  api::SolveResult Full = Solve(0);
+  ASSERT_TRUE(Full.ok()) << Full.Error;
+  EXPECT_EQ(Full.SccsSolvedParallel, 12u);
+
+  unsigned Stops = 0;
+  for (uint64_t Budget = 4000;; Budget += Budget / 2) {
+    api::SolveResult R = Solve(Budget);
+    if (R.ok())
+      break;
+    ASSERT_EQ(R.Status, api::SolveStatus::HitNodeBudget) << R.Error;
+    ++Stops;
+    uint64_t Iterated = 0;
+    for (const auto &[Name, RS] : R.Relations)
+      if ((Name.rfind("Summary_", 0) == 0 ||
+           Name.rfind("ReachEntry_", 0) == 0) &&
+          RS.Iterations > 0)
+        ++Iterated;
+    EXPECT_LE(R.SccsSolvedParallel, Iterated) << "at budget " << Budget;
+  }
+  EXPECT_GE(Stops, 1u);
+}
+
 TEST(FaultTest, ResumeBitIdenticalConcurrentEngine) {
   expectResumeBitIdentical(concFixture(), nullptr, 1, "ERR",
                            /*Witness=*/false);

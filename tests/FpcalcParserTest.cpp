@@ -99,8 +99,9 @@ mu bool A(D u) := (Seed(u) | B(u));
 mu bool B(D u) := (A(u));
 )";
   auto Sys = parseOk(Src);
-  EXPECT_TRUE(Sys->dependsOn(Sys->relId("A"), Sys->relId("B")));
-  EXPECT_TRUE(Sys->dependsOn(Sys->relId("B"), Sys->relId("A")));
+  DependencyGraph G(*Sys);
+  EXPECT_TRUE(G.reaches(Sys->relId("A"), Sys->relId("B")));
+  EXPECT_TRUE(G.reaches(Sys->relId("B"), Sys->relId("A")));
 }
 
 TEST(FpcalcParserTest, ConstantsAndZeroArityRelations) {

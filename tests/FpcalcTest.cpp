@@ -15,6 +15,7 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <stdexcept>
 
 using namespace getafix;
 using namespace getafix::fpc;
@@ -101,7 +102,7 @@ TEST(CalculusTest, ValidateCatchesArityAndDomainErrors) {
   EXPECT_GE(Diags.errorCount(), 4u);
 }
 
-TEST(CalculusTest, DependsOnIsTransitive) {
+TEST(DependencyGraphTest, ReachesIsTransitive) {
   System Sys;
   VarId X = Sys.addVar("x", Sys.boolDomain());
   RelId A = Sys.declareRel("A", {X});
@@ -111,9 +112,15 @@ TEST(CalculusTest, DependsOnIsTransitive) {
   Sys.define(A, Sys.applyVars(B, {X}));
   Sys.define(B, Sys.applyVars(C, {X}));
   Sys.define(C, Sys.applyVars(In, {X}));
-  EXPECT_TRUE(Sys.dependsOn(A, C));
-  EXPECT_TRUE(Sys.dependsOn(A, In));
-  EXPECT_FALSE(Sys.dependsOn(C, A));
+  DependencyGraph G(Sys);
+  EXPECT_TRUE(G.reaches(A, C));
+  EXPECT_FALSE(G.reaches(C, A));
+  EXPECT_FALSE(G.reaches(A, A)) << "A is not recursive";
+  // Inputs are constants, not dependencies: C applies In, yet depends on
+  // nothing.
+  EXPECT_FALSE(G.reaches(A, In));
+  EXPECT_FALSE(G.reaches(C, In));
+  EXPECT_TRUE(G.directDeps(C).empty());
 }
 
 TEST(CalculusTest, PrintRendersMuckeStyle) {
@@ -664,6 +671,32 @@ TEST(EvaluatorTest, RebindingAnInputDropsStaleMemos) {
   // static-formula cache and the completed Helper relation by itself.
   Ev.bindInput(In, Ev.encodeEqConst(X, 0));
   EXPECT_EQ(Ev.evaluate(NotIn).Value, Ev.encodeEqConst(X, 1));
+}
+
+TEST(EvaluatorTest, ReadingAnUnboundInputIsALogicError) {
+  // Round 1 reads only Init (the in-flight Reach is empty, so the
+  // conjunction with Trans stops early); round 2 reads the unbound Trans.
+  GraphFixture G;
+  BddManager Mgr;
+  Evaluator Ev(G.Sys, Mgr, Layout::sequential(G.Sys, Mgr));
+  Ev.bindInput(G.Init, Ev.encodeEqConst(G.U, 0));
+  EXPECT_FALSE(Ev.hasInput(G.Trans));
+  try {
+    Ev.evaluate(G.Reach);
+    ADD_FAILURE() << "evaluating over an unbound input did not throw";
+  } catch (const std::logic_error &E) {
+    EXPECT_NE(std::string(E.what()).find("'Trans'"), std::string::npos)
+        << E.what();
+  }
+  EXPECT_THROW(Ev.input(G.Trans), std::logic_error);
+
+  // A first binding keeps the memos (no completed round read Trans), and
+  // the solve carries on to the right answer.
+  Ev.bindInput(G.Trans, Ev.encodeEqConst(G.X, 0) & Ev.encodeEqConst(G.U, 1));
+  EXPECT_TRUE(Ev.hasInput(G.Trans));
+  EXPECT_EQ(Ev.evaluate(G.Reach).Value,
+            Ev.encodeEqConst(G.U, 0) | Ev.encodeEqConst(G.U, 1));
+  EXPECT_EQ(Ev.stats().at("Reach").Iterations, 3u);
 }
 
 TEST(EvaluatorTest, RebindingSameValueKeepsMemos) {

@@ -10,7 +10,8 @@
 ///
 ///   - `BddImporter` in isolation (truth-table equality, canonical node
 ///     identity against natively-rebuilt functions, survival of source-
-///     and destination-side GCs),
+///     and destination-side GCs, the memo's destination pins released by
+///     `clear()` and destruction),
 ///   - multi-SCC calculus systems solved at threads {1, 2, 4}: identical
 ///     relation values (compared exactly, via import into one manager),
 ///     identical per-relation iteration counts, both strategies, and the
@@ -139,6 +140,66 @@ TEST(BddImporterTest, MemoSurvivesDestinationGcAndInvalidatesOnSourceGc) {
   Bdd Fresh = randomFunction(Src, R, NumVars, 7);
   expectSameTruthTable(Fresh, Imp.import(Fresh), NumVars);
   EXPECT_EQ(Imp.import(Keep), KeptDst);
+}
+
+TEST(BddImporterTest, ClearAndDestructionReleaseEveryPin) {
+  // The memo pins each destination node it built; `clear()` and the
+  // importer's destruction must drop every pin, so a destination GC then
+  // reclaims all of the imported nodes.
+  constexpr unsigned NumVars = 12;
+  BddManager Src(NumVars), Dst(NumVars);
+  Rng R(9);
+  std::vector<Bdd> Fs;
+  for (unsigned I = 0; I < 40; ++I)
+    Fs.push_back(randomFunction(Src, R, NumVars, 4 + unsigned(R.below(40))));
+  Dst.gc();
+  const size_t Before = Dst.liveNodeCount();
+
+  {
+    BddImporter Imp(Src, Dst);
+    for (const Bdd &F : Fs)
+      Imp.import(F);
+    EXPECT_GT(Imp.memoSize(), 256u) << "the table must have grown";
+    Dst.gc();
+    EXPECT_EQ(Dst.liveNodeCount(), Before + Imp.memoSize())
+        << "a destination GC keeps exactly the pinned translations";
+    Imp.clear();
+    EXPECT_EQ(Imp.memoSize(), 0u);
+    Dst.gc();
+    EXPECT_EQ(Dst.liveNodeCount(), Before) << "clear() left a pin";
+
+    // The cleared importer still works, and re-pins what it builds.
+    Bdd Copy = Imp.import(Fs.front());
+    expectSameTruthTable(Fs.front(), Copy, NumVars);
+    EXPECT_EQ(Imp.memoSize(), Fs.front().nodeCount());
+  }
+  Dst.gc();
+  EXPECT_EQ(Dst.liveNodeCount(), Before) << "destruction left a pin";
+}
+
+TEST(BddImporterTest, ReimportAfterSourceGcIsCanonicalAndRecounted) {
+  constexpr unsigned NumVars = 10;
+  BddManager Src(NumVars), Dst(NumVars);
+  BddImporter Imp(Src, Dst);
+  Rng R(21);
+  Bdd Keep = randomFunction(Src, R, NumVars, 12);
+  const uint64_t Nodes = Keep.nodeCount();
+
+  Bdd First = Imp.import(Keep);
+  EXPECT_EQ(Imp.translations(), Nodes);
+  EXPECT_EQ(Imp.memoSize(), Nodes);
+  // A memo hit is free.
+  EXPECT_EQ(Imp.import(Keep), First);
+  EXPECT_EQ(Imp.translations(), Nodes);
+
+  // A source GC drops the memo: the re-import walks the source again,
+  // counts every node again, and lands on the very same nodes.
+  { Bdd Garbage = randomFunction(Src, R, NumVars, 10); }
+  Src.gc();
+  EXPECT_EQ(Imp.import(Keep), First);
+  EXPECT_EQ(Imp.translations(), 2 * Nodes);
+  EXPECT_EQ(Imp.memoSize(), Nodes);
+  expectSameTruthTable(Keep, First, NumVars);
 }
 
 //===----------------------------------------------------------------------===//

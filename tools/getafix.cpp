@@ -53,6 +53,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -286,9 +287,7 @@ int runSession(const CliOptions &Opts, const std::string &Source) {
   return LimitExit;
 }
 
-} // namespace
-
-int main(int Argc, char **Argv) {
+int run(int Argc, char **Argv) {
   CliOptions Opts;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -391,4 +390,17 @@ int main(int Argc, char **Argv) {
   if (Opts.Stats)
     printStatsJson(Opts, R);
   return R.Reachable ? 0 : 1;
+}
+
+} // namespace
+
+int main(int Argc, char **Argv) {
+  // Memory exhaustion (a huge context bound's encoding, say) is an error
+  // exit like any other, not an abort.
+  try {
+    return run(Argc, Argv);
+  } catch (const std::bad_alloc &) {
+    std::fprintf(stderr, "error: out of memory\n");
+    return 2;
+  }
 }
