@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <stdexcept>
 #include <unordered_map>
 
 using namespace getafix;
@@ -105,6 +106,12 @@ const char *getafix::bddOpName(BddOp Op) {
   return "?";
 }
 
+const char *getafix::nodeRowName(unsigned Row) {
+  if (Row < NumBddOps)
+    return bddOpName(BddOp(Row));
+  return Row == NodeRowImport ? "Import" : "Build";
+}
+
 //===----------------------------------------------------------------------===//
 // Bdd handle
 //===----------------------------------------------------------------------===//
@@ -158,45 +165,46 @@ bool Bdd::isOne() const { return Mgr && Idx == 1; }
 
 Bdd Bdd::operator&(const Bdd &Other) const {
   assert(Mgr && Mgr == Other.Mgr && "operands from different managers");
-  Mgr->beginOp();
+  Mgr->beginOp(unsigned(BddOp::And));
   return Bdd(Mgr, Mgr->applyRec(BddManager::Op::And, Idx, Other.Idx));
 }
 
 Bdd Bdd::operator|(const Bdd &Other) const {
   assert(Mgr && Mgr == Other.Mgr && "operands from different managers");
-  Mgr->beginOp();
+  Mgr->beginOp(unsigned(BddOp::Or));
   return Bdd(Mgr, Mgr->applyRec(BddManager::Op::Or, Idx, Other.Idx));
 }
 
 Bdd Bdd::operator^(const Bdd &Other) const {
   assert(Mgr && Mgr == Other.Mgr && "operands from different managers");
-  Mgr->beginOp();
+  Mgr->beginOp(unsigned(BddOp::Xor));
   return Bdd(Mgr, Mgr->applyRec(BddManager::Op::Xor, Idx, Other.Idx));
 }
 
 Bdd Bdd::operator!() const {
   assert(Mgr && "null bdd");
-  Mgr->beginOp();
+  Mgr->beginOp(unsigned(BddOp::Not));
   return Bdd(Mgr, Mgr->notRec(Idx));
 }
 
 Bdd Bdd::ite(const Bdd &Then, const Bdd &Else) const {
   assert(Mgr && Mgr == Then.Mgr && Mgr == Else.Mgr &&
          "operands from different managers");
-  Mgr->beginOp();
+  Mgr->beginOp(unsigned(BddOp::Ite));
   return Bdd(Mgr, Mgr->iteRec(Idx, Then.Idx, Else.Idx));
 }
 
 Bdd Bdd::exists(BddCube Cube) const {
   assert(Mgr && Cube.isValid() && "bad exists operands");
-  Mgr->beginOp();
+  Mgr->beginOp(unsigned(BddOp::Exists));
   return Bdd(Mgr, Mgr->existsRec(Idx, Cube.Id));
 }
 
 Bdd Bdd::forall(BddCube Cube) const {
   assert(Mgr && Cube.isValid() && "bad forall operands");
   // forall X. f == !(exists X. !f); both negations hit the NOT cache.
-  Mgr->beginOp();
+  // Its nodes count as quantification.
+  Mgr->beginOp(unsigned(BddOp::Exists));
   uint32_t NotF = Mgr->notRec(Idx);
   uint32_t Ex = Mgr->existsRec(NotF, Cube.Id);
   return Bdd(Mgr, Mgr->notRec(Ex));
@@ -205,13 +213,43 @@ Bdd Bdd::forall(BddCube Cube) const {
 Bdd Bdd::andExists(const Bdd &Other, BddCube Cube) const {
   assert(Mgr && Mgr == Other.Mgr && Cube.isValid() &&
          "bad andExists operands");
-  Mgr->beginOp();
+  Mgr->beginOp(unsigned(BddOp::AndExists));
   return Bdd(Mgr, Mgr->andExistsRec(Idx, Other.Idx, Cube.Id));
+}
+
+Bdd Bdd::andExistsRenamed(BddPerm Perm, const Bdd &Other,
+                          BddCube Cube) const {
+  assert(Mgr && Mgr == Other.Mgr && Perm.isValid() && Cube.isValid() &&
+         "bad andExistsRenamed operands");
+#ifndef NDEBUG
+  {
+    const std::vector<uint32_t> &Map = Mgr->Perms[Perm.Id].Map;
+    std::vector<unsigned> Support = support();
+    for (size_t I = 1; I < Support.size(); ++I)
+      assert(Map[Support[I - 1]] < Map[Support[I]] &&
+             "the rename must keep the variable order on the support");
+  }
+#endif
+  Mgr->beginOp(unsigned(BddOp::AndExists));
+  // The (cube, perm) pair's cache key: a permutation is fused with one or
+  // two cubes, so its own short list is the intern table.
+  std::vector<std::pair<uint32_t, uint32_t>> &Fused =
+      Mgr->Perms[Perm.Id].Fused;
+  auto It = std::find_if(Fused.begin(), Fused.end(), [&](const auto &P) {
+    return P.first == Cube.Id;
+  });
+  if (It == Fused.end()) {
+    // Keys past the packed index range are simply not cached.
+    Fused.emplace_back(Cube.Id, BddManager::FusedKeyBit + Mgr->NumFusedKeys++);
+    It = Fused.end() - 1;
+  }
+  return Bdd(Mgr, Mgr->andExistsRenamedRec(Idx, Other.Idx, Cube.Id, Perm.Id,
+                                           It->second));
 }
 
 Bdd Bdd::permute(BddPerm Perm) const {
   assert(Mgr && Perm.isValid() && "bad permute operands");
-  Mgr->beginOp();
+  Mgr->beginOp(unsigned(BddOp::Rename));
   return Bdd(Mgr, Mgr->renameRec(Idx, Perm.Id));
 }
 
@@ -380,11 +418,13 @@ unsigned BddManager::newVar() { return NumVars++; }
 
 Bdd BddManager::var(unsigned Var) {
   assert(Var < NumVars && "variable out of range");
+  NodeRow = NodeRowBuild;
   return Bdd(this, makeNode(Var, 0, 1));
 }
 
 Bdd BddManager::nvar(unsigned Var) {
   assert(Var < NumVars && "variable out of range");
+  NodeRow = NodeRowBuild;
   return Bdd(this, makeNode(Var, 1, 0));
 }
 
@@ -392,6 +432,7 @@ Bdd BddManager::node(unsigned Var, const Bdd &Low, const Bdd &High) {
   assert(Var < NumVars && "variable out of range");
   assert(Low.Mgr == this && High.Mgr == this &&
          "children from a different manager");
+  NodeRow = NodeRowBuild;
   return Bdd(this, makeNode(Var, Low.Idx, High.Idx));
 }
 
@@ -405,6 +446,8 @@ BddCube BddManager::makeCube(const std::vector<unsigned> &Vars) {
   for (uint32_t Id = 0; Id < Cubes.size(); ++Id)
     if (Cubes[Id].Vars == NewCube.Vars)
       return BddCube{Id};
+  if (Cubes.size() == FusedKeyBit)
+    throw std::length_error("too many interned cubes");
   NewCube.InCube.assign(NumVars, 0);
   for (unsigned V : NewCube.Vars) {
     assert(V < NumVars && "cube variable out of range");
@@ -436,6 +479,7 @@ Bdd BddManager::cubeBdd(BddCube Cube) {
   assert(Cube.Id < Cubes.size() && "invalid cube");
   uint32_t Result = 1;
   const CubeSet &C = Cubes[Cube.Id];
+  NodeRow = NodeRowBuild;
   // Build bottom-up so each makeNode call has children below it.
   for (auto It = C.Vars.rbegin(); It != C.Vars.rend(); ++It)
     Result = makeNode(*It, 0, Result);
@@ -480,6 +524,7 @@ uint32_t BddManager::makeNode(uint32_t Var, uint32_t Low, uint32_t High) {
   refs(N) = 0;
   Buckets[Bucket] = N;
   ++Stats.NodesCreated;
+  ++Stats.OpNodes[NodeRow];
 
   size_t Live = liveNodeCount();
   Stats.PeakNodes = std::max(Stats.PeakNodes, Live);
@@ -629,7 +674,8 @@ BddGauge BddManager::gauge() const {
   return G;
 }
 
-void BddManager::beginOp() {
+void BddManager::beginOp(unsigned Row) {
+  NodeRow = Row;
   if (GcThreshold != 0 && liveNodeCount() > GcThreshold)
     gc();
   if (!CacheBase)
@@ -948,6 +994,51 @@ uint32_t BddManager::andExistsRec(uint32_t F, uint32_t G, uint32_t CubeId) {
   return Result;
 }
 
+uint32_t BddManager::andExistsRenamedRec(uint32_t F, uint32_t G,
+                                         uint32_t CubeId, uint32_t PermId,
+                                         uint32_t Key) {
+  // F lives in the unrenamed space, so andExistsRec's symmetric shortcuts
+  // (the operand swap, F == G, G == 1 -> exists F) do not hold here; only
+  // a constant F renames to itself.
+  if (F == 0 || G == 0)
+    return 0;
+  if (F == 1)
+    return existsRec(G, CubeId);
+  const CubeSet &C = Cubes[CubeId];
+  // The rename keeps the order, so F's renamed top is its top's image.
+  // A terminal G's variable (TermVar) sits below every other.
+  uint32_t FTop = Perms[PermId].Map[varOf(F)];
+  uint32_t Top = std::min(FTop, varOf(G));
+  // Nothing left to conjoin or quantify: the renamed copy itself, shared
+  // with the rename cache.
+  if (G == 1 && (C.Vars.empty() || Top > C.Vars.back()))
+    return renameRec(F, PermId);
+
+  uint32_t Result;
+  if (cacheLookup(Op::AndExists, F, G, Key, Result))
+    return Result;
+
+  uint32_t F0 = FTop == Top ? lowOf(F) : F;
+  uint32_t F1 = FTop == Top ? highOf(F) : F;
+  uint32_t G0 = varOf(G) == Top ? lowOf(G) : G;
+  uint32_t G1 = varOf(G) == Top ? highOf(G) : G;
+
+  if (Top < C.InCube.size() && C.InCube[Top]) {
+    uint32_t Low = andExistsRenamedRec(F0, G0, CubeId, PermId, Key);
+    if (Low == 1) {
+      Result = 1;
+    } else {
+      uint32_t High = andExistsRenamedRec(F1, G1, CubeId, PermId, Key);
+      Result = applyRec(Op::Or, Low, High);
+    }
+  } else {
+    Result = makeNode(Top, andExistsRenamedRec(F0, G0, CubeId, PermId, Key),
+                      andExistsRenamedRec(F1, G1, CubeId, PermId, Key));
+  }
+  cacheInsert(Op::AndExists, F, G, Key, Result);
+  return Result;
+}
+
 uint32_t BddManager::renameRec(uint32_t F, uint32_t PermId) {
   if (isTerminal(F))
     return F;
@@ -987,6 +1078,7 @@ Bdd BddImporter::import(const Bdd &F) {
     clear();
     SrcGcRuns = Src.Stats.GcRuns;
   }
+  Dst.NodeRow = NodeRowImport;
   return Bdd(&Dst, importRec(F.rawIndex()));
 }
 

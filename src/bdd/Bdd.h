@@ -11,7 +11,8 @@
 ///
 ///   - apply (and / or / xor), negation, if-then-else
 ///   - existential and universal quantification over interned cubes
-///   - the and-exists relational product (the image-computation workhorse)
+///   - the and-exists relational product (the image-computation workhorse),
+///     also fused with an order-keeping rename of its first operand
 ///   - variable renaming via interned permutations (building each renamed
 ///     node directly wherever the rename keeps it above its children)
 ///   - sat-counting, support computation, dag-size counting, evaluation,
@@ -87,6 +88,18 @@ constexpr unsigned NumBddOps = 11;
 /// Short stable name for \p Op ("And", "AndExists", ...).
 const char *bddOpName(BddOp Op);
 
+/// Rows of the node attribution `BddStats::OpNodes`: one per `BddOp`
+/// (the top-level operation that created the node), then one for the
+/// nodes a `BddImporter` translates into the manager and one for direct
+/// builds (`var`, `nvar`, `node`, `cubeBdd`).
+constexpr unsigned NodeRowImport = NumBddOps;
+constexpr unsigned NodeRowBuild = NumBddOps + 1;
+constexpr unsigned NumNodeRows = NumBddOps + 2;
+
+/// Short stable name for node-attribution row \p Row: `bddOpName` for an
+/// op row, else "Import" or "Build".
+const char *nodeRowName(unsigned Row);
+
 /// RAII handle to a BDD node. Copyable; keeps the node (and everything it
 /// reaches) alive across garbage collections.
 class Bdd {
@@ -131,6 +144,13 @@ public:
   Bdd forall(BddCube Cube) const;
   /// Computes exists Cube. (*this & Other) without building the conjunction.
   Bdd andExists(const Bdd &Other, BddCube Cube) const;
+  /// Computes exists Cube. (this->permute(Perm) & Other) without building
+  /// the renamed copy: one recursion that splits *this at the renamed
+  /// image of its top variable and \p Other at its own. Valid only when
+  /// \p Perm is strictly increasing on this function's support (it then
+  /// keeps the variable order, so the renamed top is the image of the top);
+  /// a Debug build asserts it. Cached under `BddOp::AndExists`.
+  Bdd andExistsRenamed(BddPerm Perm, const Bdd &Other, BddCube Cube) const;
   /// Renames variables according to the interned permutation: a
   /// simultaneous substitution, so two variables may map onto one. Nodes
   /// the rename keeps above their children are rebuilt directly; only
@@ -177,6 +197,11 @@ struct BddStats {
   /// consumers keep working; these split the same events by operation.
   uint64_t OpLookups[NumBddOps] = {};
   uint64_t OpHits[NumBddOps] = {};
+  /// Nodes created, by the top-level public operation that created them
+  /// (rows: `nodeRowName`); the rows sum to `NodesCreated`. A product's
+  /// inner disjunctions count for the product, a rename's inner ite for
+  /// the rename.
+  uint64_t OpNodes[NumNodeRows] = {};
   uint64_t NodesCreated = 0;
   uint64_t GcRuns = 0;
   uint64_t GcReclaimed = 0;
@@ -195,6 +220,8 @@ struct BddStats {
       OpLookups[I] += Other.OpLookups[I];
       OpHits[I] += Other.OpHits[I];
     }
+    for (unsigned I = 0; I < NumNodeRows; ++I)
+      OpNodes[I] += Other.OpNodes[I];
     NodesCreated += Other.NodesCreated;
     GcRuns += Other.GcRuns;
     GcReclaimed += Other.GcReclaimed;
@@ -213,6 +240,8 @@ struct BddStats {
       D.OpLookups[I] -= Before.OpLookups[I];
       D.OpHits[I] -= Before.OpHits[I];
     }
+    for (unsigned I = 0; I < NumNodeRows; ++I)
+      D.OpNodes[I] -= Before.OpNodes[I];
     D.NodesCreated -= Before.NodesCreated;
     D.GcRuns -= Before.GcRuns;
     D.GcReclaimed -= Before.GcReclaimed;
@@ -287,11 +316,12 @@ public:
   Bdd node(unsigned Var, const Bdd &Low, const Bdd &High);
 
   /// Interns a quantification cube. Variables may be unsorted; duplicates
-  /// are ignored. Equal sets share one id.
+  /// are ignored. Equal sets share one id. A linear scan of the interned
+  /// cubes: intern once per use site, not per operation.
   BddCube makeCube(const std::vector<unsigned> &Vars);
   /// Interns a permutation given as (from, to) pairs. Unlisted variables map
   /// to themselves. The from side must be duplicate-free; targets may
-  /// repeat (a many-to-one substitution).
+  /// repeat (a many-to-one substitution). A linear scan, like `makeCube`.
   BddPerm makePermutation(
       const std::vector<std::pair<unsigned, unsigned>> &Pairs);
 
@@ -439,6 +469,10 @@ private:
   static constexpr unsigned IdxBits = 27;
   static constexpr uint32_t IdxMask = (1u << IdxBits) - 1;
   static constexpr uint32_t GenPeriod = 1u << 10; ///< 5+5 stolen bits.
+  /// Fused products share the `AndExists` tag; their third operand is the
+  /// interned (cube, perm) pair's id plus this bit. `makeCube` keeps cube
+  /// ids below it, so no fused key equals a plain product's cube.
+  static constexpr uint32_t FusedKeyBit = 1u << (IdxBits - 1);
 
   struct CubeSet {
     std::vector<unsigned> Vars;   ///< Sorted.
@@ -448,6 +482,9 @@ private:
 
   struct PermSet {
     std::vector<uint32_t> Map; ///< Indexed by variable; identity elsewhere.
+    /// (cube id, cache key) of each fused product that renamed by this
+    /// permutation: a use site fuses it with one or two cubes.
+    std::vector<std::pair<uint32_t, uint32_t>> Fused;
   };
 
   static constexpr uint32_t TermVar = UINT32_MAX;
@@ -505,11 +542,15 @@ private:
   uint32_t iteRec(uint32_t F, uint32_t G, uint32_t H);
   uint32_t existsRec(uint32_t F, uint32_t CubeId);
   uint32_t andExistsRec(uint32_t F, uint32_t G, uint32_t CubeId);
+  /// exists Cube. (F[Perm] & G); \p Key is the cache's third operand.
+  uint32_t andExistsRenamedRec(uint32_t F, uint32_t G, uint32_t CubeId,
+                               uint32_t PermId, uint32_t Key);
   uint32_t renameRec(uint32_t F, uint32_t PermId);
 
-  /// Operation entry: collects when over the gc threshold and allocates
-  /// the computed cache if `clearComputedCache` released it.
-  void beginOp();
+  /// Operation entry: collects when over the gc threshold, allocates the
+  /// computed cache if `clearComputedCache` released it, and charges the
+  /// nodes created until the next entry to attribution row \p Row.
+  void beginOp(unsigned Row);
   /// Mark phase shared by `gc()` and `reachableNodeCount()`: a byte per
   /// node slot, 1 where the node is reachable from an external reference
   /// (terminals included).
@@ -548,6 +589,11 @@ private:
 
   std::vector<CubeSet> Cubes;
   std::vector<PermSet> Perms;
+  uint32_t NumFusedKeys = 0; ///< (cube, perm) pairs interned so far.
+
+  /// Attribution row (`BddStats::OpNodes`) of the nodes `makeNode`
+  /// creates: set by every entry point that can create one.
+  unsigned NodeRow = NodeRowBuild;
 
   size_t GcThreshold = 1u << 22;
   BddStats Stats;

@@ -537,6 +537,19 @@ SolveStats conc::checkConcReachability(const bp::ConcurrentProgram &Conc,
   return Engine.solve(Thread, ProcId, Pc, Config);
 }
 
+std::vector<std::string>
+conc::reorderingApplications(const bp::ConcurrentProgram &Conc,
+                             const std::vector<bp::ProgramCfg> &Cfgs,
+                             const SolveConfig &Config) {
+  ConcEngine Engine(Conc, Cfgs, Config);
+  BddManager Mgr;
+  Evaluator Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr));
+  std::vector<std::string> Out;
+  for (const Formula *App : Ev.reorderingApplications())
+    Out.push_back(Engine.system().printFormula(*App));
+  return Out;
+}
+
 //===----------------------------------------------------------------------===//
 // ConcSession: cross-query incremental solving
 //===----------------------------------------------------------------------===//

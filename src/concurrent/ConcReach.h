@@ -33,6 +33,7 @@
 #include "symbolic/Solve.h"
 
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace getafix {
@@ -52,6 +53,16 @@ sym::SolveStats checkConcReachability(const bp::ConcurrentProgram &Conc,
 
 /// Builds one ProgramCfg per thread.
 std::vector<bp::ProgramCfg> buildThreadCfgs(const bp::ConcurrentProgram &C);
+
+/// The applications of `Reach` in the Section-5 system for \p Config,
+/// printed as `System::printFormula` does, whose rename the solve's
+/// variable layout does not keep in order
+/// (`fpc::Evaluator::reorderingApplications`): the sites that build
+/// renamed copies.
+std::vector<std::string>
+reorderingApplications(const bp::ConcurrentProgram &Conc,
+                       const std::vector<bp::ProgramCfg> &Cfgs,
+                       const sym::SolveConfig &Config);
 
 /// Cross-query incremental solving of the Section-5 Reach fixpoint over
 /// one concurrent program: the equation system, BDD manager, and the

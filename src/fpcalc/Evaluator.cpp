@@ -118,7 +118,7 @@ Layout Layout::interleaved(const System &Sys, BddManager &Mgr,
 //===----------------------------------------------------------------------===//
 
 Evaluator::Evaluator(const System &Sys, BddManager &Mgr, Layout L)
-    : Sys(Sys), Mgr(Mgr), L(std::move(L)) {}
+    : Sys(Sys), Mgr(Mgr), L(std::move(L)), NoVars(Mgr.makeCube({})) {}
 
 // Out-of-line: ParallelContext is incomplete in the header.
 Evaluator::~Evaluator() = default;
@@ -266,7 +266,7 @@ bool Evaluator::isStatic(const Formula &F) {
   bool Static = true;
   switch (F.Kind) {
   case FormulaKind::RelApp:
-    Static = Sys.relation(F.Rel).isInput();
+    Static = applyPlan(F).Static;
     break;
   case FormulaKind::Not:
   case FormulaKind::And:
@@ -372,21 +372,108 @@ Bdd Evaluator::relValue(RelId Rel) {
   return evalFixpoint(Rel, St, nullptr, nullptr);
 }
 
-Bdd Evaluator::applyArgs(RelId Rel, const std::vector<Term> &Args,
-                         Bdd Value) {
-  const Relation &R = Sys.relation(Rel);
-  assert(Args.size() == R.Formals.size() && "arity mismatch");
+namespace {
 
-  // Constants first: cofactor every constant formal bit in one pass,
-  // f|_{x=c} == exists x. (f & (x == c)), against the cube of their
-  // literals built bottom-up.
+/// Whether \p F reads a variable \p Bound does not mark (the equation's
+/// formals and the quantifiers around \p F).
+bool readsUnbound(const Formula &F, std::vector<uint8_t> &Bound) {
+  switch (F.Kind) {
+  case FormulaKind::Const:
+    return false;
+  case FormulaKind::RelApp:
+    return std::any_of(F.Args.begin(), F.Args.end(), [&](const Term &T) {
+      return !T.IsConst && !Bound[T.Variable];
+    });
+  case FormulaKind::EqVar:
+    return !Bound[F.Lhs] || !Bound[F.Rhs];
+  case FormulaKind::EqConst:
+    return !Bound[F.Lhs];
+  case FormulaKind::Not:
+  case FormulaKind::And:
+  case FormulaKind::Or:
+    return std::any_of(
+        F.Children.begin(), F.Children.end(),
+        [&](const Formula *Child) { return readsUnbound(*Child, Bound); });
+  case FormulaKind::Exists:
+  case FormulaKind::Forall: {
+    std::vector<uint8_t> Inner = Bound;
+    for (VarId V : F.Bound)
+      Inner[V] = 1;
+    return readsUnbound(*F.Body, Inner);
+  }
+  }
+  return false;
+}
+
+/// Appends every application inside \p F, in print order.
+void collectApplications(const Formula &F, std::vector<const Formula *> &Out) {
+  if (F.Kind == FormulaKind::RelApp)
+    Out.push_back(&F);
+  for (const Formula *Child : F.Children)
+    collectApplications(*Child, Out);
+  if (F.Body)
+    collectApplications(*F.Body, Out);
+}
+
+} // namespace
+
+bool Evaluator::readsUnboundVariable(RelId Rel) {
+  if (UnboundReaders.empty()) {
+    // A definition that reads an unbound variable, and every definition
+    // reaching one, can yield values beyond its formals' bits.
+    std::vector<uint8_t> Readers(Sys.numRels(), 0);
+    const DependencyGraph &G = dependencies();
+    for (RelId R = 0; R < Sys.numRels(); ++R) {
+      const Relation &Rl = Sys.relation(R);
+      if (Rl.isInput())
+        continue;
+      std::vector<uint8_t> Bound(Sys.numVars(), 0);
+      for (VarId V : Rl.Formals)
+        Bound[V] = 1;
+      Readers[R] = readsUnbound(*Rl.Def, Bound);
+    }
+    // The closure is transitive, so one pass over it propagates.
+    for (RelId R = 0; R < Sys.numRels(); ++R)
+      if (!Readers[R] && !Sys.relation(R).isInput())
+        for (RelId D = 0; D < Sys.numRels(); ++D)
+          if (Readers[D] && G.reaches(R, D)) {
+            Readers[R] = 1;
+            break;
+          }
+    UnboundReaders = std::move(Readers);
+  }
+  return UnboundReaders[Rel];
+}
+
+const Evaluator::ApplyPlan &Evaluator::applyPlan(const Formula &App) {
+  auto Known = ApplyPlans.find(&App);
+  if (Known != ApplyPlans.end())
+    return Known->second;
+  // Built aside and stored only when complete: a governor stop can throw
+  // from any node it creates, and the resumed round must plan again.
+  ApplyPlan P;
+  const Relation &R = Sys.relation(App.Rel);
+  const std::vector<Term> &Args = App.Args;
+  assert(Args.size() == R.Formals.size() && "arity mismatch");
+  P.Static = R.isInput();
+
+  // Constant arguments are cofactored out, f|_{x=c} == exists x. (f & (x
+  // == c)), against the cube of their literals built bottom-up; every
+  // other formal bit is renamed to its argument's bit (a simultaneous
+  // substitution, so R(u, u) maps two bits onto one).
   std::vector<std::pair<unsigned, bool>> Lits;
+  std::vector<std::pair<unsigned, unsigned>> Pairs;
   for (size_t I = 0; I < Args.size(); ++I) {
-    if (!Args[I].IsConst)
+    const std::vector<unsigned> &From = L.bits(R.Formals[I]);
+    if (Args[I].IsConst) {
+      for (unsigned B = 0; B < From.size(); ++B)
+        Lits.emplace_back(From[B], (Args[I].Value >> B) & 1);
       continue;
-    const std::vector<unsigned> &Bits = L.bits(R.Formals[I]);
-    for (unsigned B = 0; B < Bits.size(); ++B)
-      Lits.emplace_back(Bits[B], (Args[I].Value >> B) & 1);
+    }
+    const std::vector<unsigned> &To = L.bits(Args[I].Variable);
+    assert(From.size() == To.size() && "domain width mismatch");
+    for (size_t B = 0; B < From.size(); ++B)
+      Pairs.emplace_back(From[B], To[B]);
   }
   if (!Lits.empty()) {
     std::sort(Lits.begin(), Lits.end());
@@ -397,43 +484,80 @@ Bdd Evaluator::applyArgs(RelId Rel, const std::vector<Term> &Args,
       Cube = It->second ? Mgr.node(It->first, Mgr.zero(), Cube)
                         : Mgr.node(It->first, Cube, Mgr.zero());
     }
-    Value = Value.andExists(Cube, Mgr.makeCube(Vars));
+    P.Literals = std::move(Cube);
+    P.LiteralVars = Mgr.makeCube(Vars);
   }
-
-  // Then rename formal bits to argument bits (a simultaneous substitution;
-  // repeated argument variables like R(u, u) are handled by the rename op).
-  std::vector<std::pair<unsigned, unsigned>> Pairs;
-  for (size_t I = 0; I < Args.size(); ++I) {
-    if (Args[I].IsConst)
-      continue;
-    const std::vector<unsigned> &From = L.bits(R.Formals[I]);
-    const std::vector<unsigned> &To = L.bits(Args[I].Variable);
-    assert(From.size() == To.size() && "domain width mismatch");
-    for (size_t B = 0; B < From.size(); ++B)
-      if (From[B] != To[B])
-        Pairs.emplace_back(From[B], To[B]);
-  }
-  if (Pairs.empty())
-    return Value;
-  return Value.permute(Mgr.makePermutation(Pairs));
+  std::sort(Pairs.begin(), Pairs.end());
+  for (size_t I = 1; I < Pairs.size(); ++I)
+    if (Pairs[I - 1].second >= Pairs[I].second)
+      P.KeepsOrder = false;
+  if (!P.Static && readsUnboundVariable(App.Rel))
+    P.KeepsOrder = false;
+  Pairs.erase(std::remove_if(Pairs.begin(), Pairs.end(),
+                             [](const auto &Pr) {
+                               return Pr.first == Pr.second;
+                             }),
+              Pairs.end());
+  if (!Pairs.empty())
+    P.Perm = Mgr.makePermutation(Pairs);
+  return ApplyPlans.emplace(&App, std::move(P)).first->second;
 }
 
-BddCube Evaluator::cubeFor(const std::vector<VarId> &Bound) {
+const Evaluator::ApplyPlan *Evaluator::fusedPlan(const Formula &F) {
+  if (F.Kind != FormulaKind::RelApp)
+    return nullptr;
+  const ApplyPlan &P = applyPlan(F);
+  return P.Perm.isValid() && P.KeepsOrder && !P.Static ? &P : nullptr;
+}
+
+Bdd Evaluator::cofactoredValue(const Formula &App, const ApplyPlan &P) {
+  Bdd Value = relValue(App.Rel);
+  if (P.Literals.isNull())
+    return Value;
+  return Value.andExists(P.Literals, P.LiteralVars);
+}
+
+Bdd Evaluator::applyArgs(const Formula &App) {
+  const ApplyPlan &P = applyPlan(App);
+  Bdd Value = cofactoredValue(App, P);
+  return P.Perm.isValid() ? Value.permute(P.Perm) : Value;
+}
+
+BddCube Evaluator::boundCube(const Formula &Q) {
+  auto It = BoundCubes.find(&Q);
+  if (It != BoundCubes.end())
+    return It->second;
   std::vector<unsigned> Vars;
-  for (VarId V : Bound)
+  for (VarId V : Q.Bound)
     for (unsigned Bit : L.bits(V))
       Vars.push_back(Bit);
-  return Mgr.makeCube(Vars);
+  return BoundCubes.emplace(&Q, Mgr.makeCube(Vars)).first->second;
+}
+
+std::vector<const Formula *> Evaluator::reorderingApplications() {
+  std::vector<const Formula *> Out;
+  for (RelId R = 0; R < Sys.numRels(); ++R) {
+    if (Sys.relation(R).isInput())
+      continue;
+    std::vector<const Formula *> Apps;
+    collectApplications(*Sys.relation(R).Def, Apps);
+    for (const Formula *App : Apps) {
+      const ApplyPlan &P = applyPlan(*App);
+      if (!P.Static && P.Perm.isValid() && !P.KeepsOrder)
+        Out.push_back(App);
+    }
+  }
+  return Out;
 }
 
 Bdd Evaluator::evalFormula(const Formula &F) {
-  // Composite input-only subtrees are constant; compute them once. Leaves
-  // are cheap enough to rebuild (and hit the unique table anyway).
-  bool Composite = F.Kind == FormulaKind::Not || F.Kind == FormulaKind::And ||
-                   F.Kind == FormulaKind::Or ||
-                   F.Kind == FormulaKind::Exists ||
-                   F.Kind == FormulaKind::Forall;
-  if (Composite && isStatic(F)) {
+  // Input-only subtrees are constant; compute them once. That covers an
+  // input applied to copies, whose rename would otherwise rerun every
+  // round. Other leaves are cheap enough to rebuild (and hit the unique
+  // table anyway).
+  bool Leaf = F.Kind == FormulaKind::Const || F.Kind == FormulaKind::EqVar ||
+              F.Kind == FormulaKind::EqConst;
+  if (!Leaf && isStatic(F)) {
     auto It = StaticCache.find(&F);
     if (It != StaticCache.end())
       return It->second;
@@ -449,7 +573,7 @@ Bdd Evaluator::evalFormulaUncached(const Formula &F) {
   case FormulaKind::Const:
     return F.ConstValue ? Mgr.one() : Mgr.zero();
   case FormulaKind::RelApp:
-    return applyArgs(F.Rel, F.Args, relValue(F.Rel));
+    return applyArgs(F);
   case FormulaKind::EqVar:
     return encodeEqVar(F.Lhs, F.Rhs);
   case FormulaKind::EqConst:
@@ -476,29 +600,55 @@ Bdd Evaluator::evalFormulaUncached(const Formula &F) {
     }
     return Result;
   }
-  case FormulaKind::Exists: {
-    BddCube Cube = cubeFor(F.Bound);
-    const Formula &Body = *F.Body;
-    if (Body.Kind == FormulaKind::And && Body.Children.size() >= 2) {
-      // Relational-product scheduling: conjoin all but the last child,
-      // then fuse the last conjunction with the quantification.
-      Bdd Acc = evalFormula(*Body.Children[0]);
-      for (size_t I = 1; I + 1 < Body.Children.size(); ++I) {
-        if (Acc.isZero())
-          return Acc;
-        Acc &= evalFormula(*Body.Children[I]);
-      }
-      if (Acc.isZero())
-        return Acc;
-      return Acc.andExists(evalFormula(*Body.Children.back()), Cube);
-    }
-    return evalFormula(Body).exists(Cube);
-  }
+  case FormulaKind::Exists:
+    return evalExists(F);
   case FormulaKind::Forall:
-    return evalFormula(*F.Body).forall(cubeFor(F.Bound));
+    return evalFormula(*F.Body).forall(boundCube(F));
   }
   assert(false && "unhandled formula kind");
   return Mgr.zero();
+}
+
+Bdd Evaluator::evalExists(const Formula &F) {
+  BddCube Cube = boundCube(F);
+  const Formula &Body = *F.Body;
+  // A lone application renamed in order: its quantified copy is never
+  // built.
+  if (const ApplyPlan *P = fusedPlan(Body))
+    return cofactoredValue(Body, *P).andExistsRenamed(P->Perm, Mgr.one(),
+                                                      Cube);
+  if (Body.Kind != FormulaKind::And || Body.Children.size() < 2)
+    return evalFormula(Body).exists(Cube);
+
+  // Relational-product scheduling: conjoin all but the last child, then
+  // fuse the last conjunction with the quantification. A leading
+  // application renamed in order is fused with the second child instead
+  // of being built: under the body's cube when there are just the two,
+  // else under the empty one. Each child is still evaluated only once the
+  // conjunction so far is non-empty.
+  const std::vector<Formula *> &Kids = Body.Children;
+  Bdd Acc;
+  size_t Next = 1;
+  if (const ApplyPlan *P = fusedPlan(*Kids[0])) {
+    Acc = cofactoredValue(*Kids[0], *P);
+    if (Acc.isZero())
+      return Acc;
+    Bdd Second = evalFormula(*Kids[1]);
+    if (Kids.size() == 2)
+      return Acc.andExistsRenamed(P->Perm, Second, Cube);
+    Acc = Acc.andExistsRenamed(P->Perm, Second, NoVars);
+    Next = 2;
+  } else {
+    Acc = evalFormula(*Kids[0]);
+  }
+  for (; Next + 1 < Kids.size(); ++Next) {
+    if (Acc.isZero())
+      return Acc;
+    Acc &= evalFormula(*Kids[Next]);
+  }
+  if (Acc.isZero())
+    return Acc;
+  return Acc.andExists(evalFormula(*Kids.back()), Cube);
 }
 
 void Evaluator::scheduleDependencies(RelId Rel) {

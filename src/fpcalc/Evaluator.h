@@ -31,6 +31,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace getafix {
@@ -262,7 +263,45 @@ public:
   /// The evaluation plan for \p Rel's equation (memoized).
   const EquationPlan &plan(RelId Rel);
 
+  /// The applications of defined relations, in definition order, whose
+  /// rename this layout does not keep in order: their `exists` clauses
+  /// build the renamed copy (`permute`) instead of taking the fused
+  /// product (`Bdd::andExistsRenamed`). Plans every application site.
+  std::vector<const Formula *> reorderingApplications();
+
 private:
+  /// One relation application site compiled against the layout, once per
+  /// evaluator, so rounds intern nothing.
+  struct ApplyPlan {
+    /// The constant arguments' formal-bit literals as one cube BDD, and
+    /// their variables: the value is cofactored by them first. Null when
+    /// every argument is a variable.
+    Bdd Literals;
+    BddCube LiteralVars;
+    /// Formal bits to argument bits; invalid for the identity.
+    BddPerm Perm;
+    /// `Perm` is strictly increasing on every bit the relation's values
+    /// can depend on, its non-constant formal bits: the fused product
+    /// applies. False for a reordering or many-to-one map such as
+    /// `R(u, u)`, and for a relation whose definitions read a variable
+    /// they do not bind, whose support the formals do not bound.
+    bool KeepsOrder = true;
+    /// An input relation: the application is constant across rounds.
+    bool Static = false;
+  };
+
+  const ApplyPlan &applyPlan(const Formula &App);
+  /// The plan of \p F when it is an application the fused product takes
+  /// (a defined relation, renamed in order), else null.
+  const ApplyPlan *fusedPlan(const Formula &F);
+  /// The value \p App applies, its constant arguments cofactored out.
+  Bdd cofactoredValue(const Formula &App, const ApplyPlan &P);
+  /// The interned cube of an `Exists`/`Forall` node's bound bits.
+  BddCube boundCube(const Formula &Q);
+  /// Whether a definition \p Rel reaches reads a variable its equation
+  /// neither takes as a formal nor quantifies.
+  bool readsUnboundVariable(RelId Rel);
+
   /// Schedules \p Rel's dependencies, then iterates \p Rel from \p St:
   /// fresh local state for the nested re-solve of a relation that reads
   /// an in-flight one and for an early-stopping or ring-recording
@@ -308,10 +347,12 @@ private:
   void resetWorkerMemos();
   Bdd evalFormula(const Formula &F);
   Bdd evalFormulaUncached(const Formula &F);
+  /// An `Exists` node: fuses its body's leading application, when the
+  /// plan allows, with the rest of the product.
+  Bdd evalExists(const Formula &F);
   bool isStatic(const Formula &F);
   Bdd relValue(RelId Rel);
-  Bdd applyArgs(RelId Rel, const std::vector<Term> &Args, Bdd Value);
-  BddCube cubeFor(const std::vector<VarId> &Bound);
+  Bdd applyArgs(const Formula &App);
   /// Whether \p Rel is in flight or reaches one through its dependency
   /// closure (`DependencyGraph::reaches`; no formula walk).
   bool dependsOnInFlight(RelId Rel);
@@ -343,6 +384,15 @@ private:
   /// fixpoint rounds; their BDDs are memoized here.
   std::map<const Formula *, Bdd> StaticCache;
   std::map<const Formula *, bool> StaticKind;
+
+  /// Per-site plans; the layout is fixed, so they never go stale.
+  std::unordered_map<const Formula *, ApplyPlan> ApplyPlans;
+  std::unordered_map<const Formula *, BddCube> BoundCubes;
+  /// The empty cube: a fused product of two conjuncts of a longer body
+  /// quantifies nothing.
+  BddCube NoVars;
+  /// Per relation: 1 when `readsUnboundVariable`; empty until first asked.
+  std::vector<uint8_t> UnboundReaders;
 
   /// Built on first use; safe to cache because definitions are frozen once
   /// evaluation starts (System::define asserts single definition).

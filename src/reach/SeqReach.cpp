@@ -754,3 +754,14 @@ sym::SolveStats reach::checkReachability(const bp::ProgramCfg &Cfg,
 std::string reach::formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg) {
   return SeqEngine(Cfg, Alg).text();
 }
+
+std::vector<std::string>
+reach::reorderingApplications(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg) {
+  SeqEngine Engine(Cfg, Alg);
+  BddManager Mgr;
+  Evaluator Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr));
+  std::vector<std::string> Out;
+  for (const fpc::Formula *App : Ev.reorderingApplications())
+    Out.push_back(Engine.system().printFormula(*App));
+  return Out;
+}

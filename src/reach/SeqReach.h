@@ -138,6 +138,14 @@ private:
 /// paper's "one page of formulae". For documentation and golden tests.
 std::string formulaText(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg);
 
+/// The applications of defined relations in that system, printed as in
+/// `formulaText`, whose rename the solve's variable layout does not keep
+/// in order (`fpc::Evaluator::reorderingApplications`): the sites that
+/// build renamed copies. The layout places each quantified copy next to
+/// the formal it stands in for, so none should.
+std::vector<std::string> reorderingApplications(const bp::ProgramCfg &Cfg,
+                                                SeqAlgorithm Alg);
+
 } // namespace reach
 } // namespace getafix
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <vector>
 
 using namespace getafix;
@@ -144,6 +145,21 @@ void expectSubstitution(const Bdd &F, const std::vector<unsigned> &Map,
   EXPECT_EQ(Renamed, Expected) << What << " rename is not canonical";
 }
 
+/// A random OR of \p Cubes random cubes over the variables \p Vars: for
+/// functions wider than a truth table holds.
+Bdd randomOver(BddManager &Mgr, Rng &R, const std::vector<unsigned> &Vars,
+               unsigned Cubes) {
+  Bdd F = Mgr.zero();
+  for (unsigned C = 0; C < Cubes; ++C) {
+    Bdd Cube = Mgr.one();
+    for (unsigned V : Vars)
+      if (R.chance(1, 2))
+        Cube &= R.flip() ? Mgr.var(V) : Mgr.nvar(V);
+    F |= Cube;
+  }
+  return F;
+}
+
 class BddPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 } // namespace
@@ -269,6 +285,131 @@ TEST_P(BddPropertyTest, PermuteMatchesSubstitution) {
     expectSubstitution(D, {1, 1, 3, 3, 4, 5}, "many-to-one");
   }
   EXPECT_GT(PartialIteProbes, 0u) << "no partial rename reached ite";
+}
+
+TEST_P(BddPropertyTest, AndExistsRenamedMatchesPermuteThenAndExists) {
+  // exists C. (F[P] & G) in one recursion is the very node permute then
+  // andExists builds, for order-keeping maps (shift, interleaved, and a
+  // partial map that keeps some variables), empty, partial and full
+  // cubes, and G = 0, 1 or random. Each pair is also computed in two
+  // fresh managers holding just F and G: the fused op never creates more
+  // nodes than the unfused pair, and in all fewer, since it never builds
+  // F[P].
+  const unsigned N = 8;
+  struct MapCase {
+    const char *Name;
+    std::vector<unsigned> Support;
+    std::vector<std::pair<unsigned, unsigned>> Pairs;
+  };
+  const MapCase Maps[] = {
+      {"shift", {0, 1, 2, 3}, {{0, 4}, {1, 5}, {2, 6}, {3, 7}}},
+      {"interleaved", {0, 2, 4, 6}, {{0, 1}, {2, 3}, {4, 5}, {6, 7}}},
+      {"partial", {0, 1, 3, 5}, {{1, 2}, {3, 4}, {5, 7}}},
+  };
+  const std::vector<unsigned> All = {0, 1, 2, 3, 4, 5, 6, 7};
+  Rng R(GetParam() ^ 0x4242);
+  uint64_t FusedNodes = 0, PairNodes = 0;
+  for (unsigned Trial = 0; Trial < 6; ++Trial) {
+    for (const MapCase &M : Maps) {
+      std::vector<unsigned> Partial;
+      for (unsigned V = 0; V < N; ++V)
+        if (R.flip())
+          Partial.push_back(V);
+      const std::vector<unsigned> Cubes[] = {{}, Partial, All};
+      for (const std::vector<unsigned> &CubeVars : Cubes) {
+        for (unsigned GKind = 0; GKind < 3; ++GKind) {
+          const uint64_t Seed = R.next();
+          // F over the map's support, G over every variable; built alike
+          // in each manager from one seed.
+          auto Operands = [&](BddManager &Mgr) {
+            Rng Local(Seed);
+            Bdd F = randomOver(Mgr, Local, M.Support, 5);
+            Bdd G = GKind == 0   ? Mgr.zero()
+                    : GKind == 1 ? Mgr.one()
+                                 : randomOver(Mgr, Local, All, 6);
+            return std::make_pair(F, G);
+          };
+          BddManager Fused(N), Pair(N), Both(N);
+          auto [FF, FG] = Operands(Fused);
+          uint64_t Before = Fused.stats().NodesCreated;
+          Bdd Unused = FF.andExistsRenamed(Fused.makePermutation(M.Pairs), FG,
+                                           Fused.makeCube(CubeVars));
+          const uint64_t FusedCase = Fused.stats().NodesCreated - Before;
+          auto [PF, PG] = Operands(Pair);
+          Before = Pair.stats().NodesCreated;
+          Unused = PF.permute(Pair.makePermutation(M.Pairs))
+                       .andExists(PG, Pair.makeCube(CubeVars));
+          const uint64_t PairCase = Pair.stats().NodesCreated - Before;
+          EXPECT_LE(FusedCase, PairCase) << M.Name << " G kind " << GKind;
+          FusedNodes += FusedCase;
+          PairNodes += PairCase;
+
+          auto [F, G] = Operands(Both);
+          BddPerm P = Both.makePermutation(M.Pairs);
+          BddCube Cube = Both.makeCube(CubeVars);
+          Bdd Result = F.andExistsRenamed(P, G, Cube);
+          EXPECT_EQ(Result, F.permute(P).andExists(G, Cube))
+              << M.Name << " G kind " << GKind << " cube of "
+              << CubeVars.size();
+        }
+      }
+    }
+  }
+  EXPECT_LT(FusedNodes, PairNodes);
+}
+
+TEST(BddTest, NodeRowsAttributeEveryNodeToItsEntryPoint) {
+  // Each public entry point charges the nodes it creates to its own row
+  // of `BddStats::OpNodes`, so `since` isolates one call's nodes in one
+  // row, and the rows always sum to `NodesCreated` — through `merge` too.
+  // Variable 8 appears in no operand, so the direct builds are new.
+  const std::vector<unsigned> Low = {0, 1, 2, 3, 4, 5, 6, 7};
+  BddManager Mgr(9), Src(9);
+  Rng R(29);
+  Bdd X = randomOver(Mgr, R, Low, 6), Y = randomOver(Mgr, R, Low, 6);
+  Bdd Z = randomOver(Mgr, R, Low, 6);
+  Bdd Even = randomOver(Mgr, R, {0, 2, 4, 6}, 5);
+  BddCube Cube = Mgr.makeCube({1, 4, 6});
+  BddPerm Shift = Mgr.makePermutation({{0, 1}, {2, 3}, {4, 5}, {6, 7}});
+  BddCube Chain = Mgr.makeCube({0, 2, 5, 8});
+  Bdd Foreign = randomOver(Src, R, Low, 8);
+  BddImporter Importer(Src, Mgr);
+
+  auto ExpectRow = [&](unsigned Row, const std::function<Bdd()> &Call) {
+    BddStats Before = Mgr.stats();
+    Bdd Kept = Call();
+    BddStats D = Mgr.stats().since(Before);
+    EXPECT_GT(D.NodesCreated, 0u) << nodeRowName(Row);
+    for (unsigned I = 0; I < NumNodeRows; ++I)
+      EXPECT_EQ(D.OpNodes[I], I == Row ? D.NodesCreated : 0)
+          << nodeRowName(Row) << " charged row " << nodeRowName(I);
+  };
+  ExpectRow(unsigned(BddOp::And), [&] { return X & Y; });
+  ExpectRow(unsigned(BddOp::Or), [&] { return X | Z; });
+  ExpectRow(unsigned(BddOp::Xor), [&] { return Y ^ Z; });
+  ExpectRow(unsigned(BddOp::Not), [&] { return !X; });
+  ExpectRow(unsigned(BddOp::Ite), [&] { return X.ite(Y, Z); });
+  ExpectRow(unsigned(BddOp::Exists), [&] { return Y.exists(Cube); });
+  ExpectRow(unsigned(BddOp::Exists), [&] { return Z.forall(Cube); });
+  ExpectRow(unsigned(BddOp::AndExists),
+            [&] { return X.andExists(Z, Cube); });
+  ExpectRow(unsigned(BddOp::AndExists),
+            [&] { return Even.andExistsRenamed(Shift, Y, Cube); });
+  ExpectRow(unsigned(BddOp::Rename), [&] { return Even.permute(Shift); });
+  ExpectRow(NodeRowBuild, [&] { return Mgr.var(8); });
+  ExpectRow(NodeRowBuild,
+            [&] { return Mgr.node(3, Mgr.nvar(8), Mgr.var(8)); });
+  ExpectRow(NodeRowBuild, [&] { return Mgr.cubeBdd(Chain); });
+  ExpectRow(NodeRowImport, [&] { return Importer.import(Foreign); });
+
+  BddStats Total = Mgr.stats();
+  Total.merge(Src.stats());
+  uint64_t Sum = 0;
+  for (unsigned I = 0; I < NumNodeRows; ++I)
+    Sum += Total.OpNodes[I];
+  EXPECT_EQ(Sum, Total.NodesCreated);
+  EXPECT_EQ(Total.NodesCreated,
+            Mgr.stats().NodesCreated + Src.stats().NodesCreated);
 }
 
 TEST(BddTest, NonInjectiveRenameDiagonalizes) {

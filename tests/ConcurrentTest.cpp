@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace getafix;
 
 namespace {
@@ -210,23 +212,43 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LalRepsTest,
 
 TEST(ConcurrentTest, CopiesFollowTheirFormalsInTheLayout) {
   // Each quantified copy is laid out right after the Reach formal it
-  // stands in for, so a per-round application of Reach renames without
-  // reordering: only the switch-back diagonal v.CG := g_{R+1} rebuilds
-  // nodes with ite. Moving a formal instead of a copy would change the
-  // rounds or the relation's node count. The count also pins the domain
-  // order (Context, Module, PrCount, Local, Global, Thread, Choice): the
-  // same relation took 2588 nodes with Context below the state domains
-  // and Global above Local.
+  // stands in for, so a per-round application of Reach renames in order
+  // and its clause takes the fused product without building the renamed
+  // copy. Read from the evaluator's application plans, the only
+  // exceptions are the switch-back diagonals Reach(..., g_{R+1}, ...,
+  // g_{R+1}, ...), which map two formals onto one copy: one per context
+  // C in 1..k and resumed context R < C. Moving a formal instead of a
+  // copy would change the rounds or the relation's node count. The count
+  // also pins the domain order (Context, Module, PrCount, Local, Global,
+  // Thread, Choice): the same relation took 2588 nodes with Context below
+  // the state domains and Global above Local.
   auto Conc = parseConc(gen::bluetoothModel(1, 1));
   SolveResult R = solveConc(Conc, "ERR", 2);
   ASSERT_TRUE(R.ok()) << R.Error;
   EXPECT_FALSE(R.Reachable);
   EXPECT_EQ(R.Iterations, 48u);
   EXPECT_EQ(R.SummaryNodes, 2140u);
-  uint64_t Ite = R.Bdd.OpLookups[unsigned(BddOp::Ite)];
-  uint64_t Rename = R.Bdd.OpLookups[unsigned(BddOp::Rename)];
-  ASSERT_GT(Rename, 0u);
-  EXPECT_LT(Ite * 10, Rename) << "Ite " << Ite << ", Rename " << Rename;
+
+  for (unsigned K : {1u, 2u, 4u}) {
+    sym::SolveConfig Config;
+    Config.ContextBound = K;
+    std::vector<std::string> Reordering =
+        conc::reorderingApplications(*Conc.Conc, Conc.Cfgs, Config);
+    EXPECT_EQ(Reordering.size(), K * (K + 1) / 2) << "k = " << K;
+    for (const std::string &App : Reordering) {
+      // The argument list names one shared-global copy twice.
+      std::vector<std::string> Args;
+      size_t Pos = App.find('(') + 1;
+      for (size_t Comma; (Comma = App.find(", ", Pos)) != std::string::npos;
+           Pos = Comma + 2)
+        Args.push_back(App.substr(Pos, Comma - Pos));
+      Args.push_back(App.substr(Pos, App.size() - 1 - Pos));
+      std::sort(Args.begin(), Args.end());
+      auto Twice = std::adjacent_find(Args.begin(), Args.end());
+      ASSERT_NE(Twice, Args.end()) << App;
+      EXPECT_EQ(Twice->front(), 'g') << App;
+    }
+  }
 }
 
 TEST(BluetoothTest, Figure3Pattern) {

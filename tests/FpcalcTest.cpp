@@ -281,6 +281,158 @@ TEST(EvaluatorTest, DomainConstraintExcludesPadding) {
     EXPECT_FALSE((Valid & Ev.encodeEqConst(A, V)).isZero());
 }
 
+TEST(EvaluatorTest, OnlyOrderKeepingApplicationsAreFused) {
+  // Levels a0 c0 a1 c1 b0 d0 b1 d1. R(c, d) and R(c, b) rename R's
+  // formals (a, b) in order, so their `exists` clauses take the fused
+  // product; the reversal R(d, c), the partial reorder R(d, b), the
+  // many-to-one R(c, c) and an application of W, whose definition reads
+  // the unbound c, must build the renamed copy. Every clause's value is
+  // that of permute then andExists.
+  System Sys;
+  DomainId D4 = Sys.addDomain("four", 4);
+  VarId A = Sys.addVar("a", D4), B = Sys.addVar("b", D4);
+  VarId C = Sys.addVar("c", D4), D = Sys.addVar("d", D4);
+  RelId In = Sys.declareRel("In", {A, B});
+  RelId Sel = Sys.declareRel("Sel", {A});
+  RelId Link = Sys.declareRel("Link", {A, B});
+  RelId R = Sys.declareRel("R", {A, B});
+  Sys.define(R, Sys.applyVars(In, {A, B}));
+  RelId W = Sys.declareRel("W", {A});
+  Sys.define(W, Sys.mkAnd({Sys.exists({B}, Sys.applyVars(In, {A, B})),
+                           Sys.eqConst(C, 2)}));
+  struct Site {
+    RelId Rel;
+    std::vector<VarId> Bound;
+    RelId Applied;
+    std::vector<VarId> Args;
+    std::vector<std::vector<VarId>> Rest; ///< Sel/Link arguments.
+    bool Fused;
+  };
+  std::vector<Site> Sites = {
+      {Sys.declareRel("Lone", {D}), {C}, R, {C, D}, {}, true},
+      {Sys.declareRel("Pair", {D}), {C}, R, {C, D}, {{C}}, true},
+      {Sys.declareRel("Triple", {D}), {C, B}, R, {C, B}, {{C}, {B, D}}, true},
+      {Sys.declareRel("Reversal", {C}), {D}, R, {D, C}, {{D}}, false},
+      {Sys.declareRel("Partial", {B}), {D}, R, {D, B}, {{D}}, false},
+      {Sys.declareRel("Diagonal", {D}), {C}, R, {C, C}, {{C, D}}, false},
+      {Sys.declareRel("Unbound", {B}), {D}, W, {D}, {{D, B}}, false},
+  };
+  for (const Site &S : Sites) {
+    std::vector<Formula *> Conj{Sys.applyVars(S.Applied, S.Args)};
+    for (const std::vector<VarId> &Args : S.Rest)
+      Conj.push_back(Sys.applyVars(Args.size() == 1 ? Sel : Link, Args));
+    Sys.define(S.Rel, Sys.exists(S.Bound, Conj.size() == 1
+                                              ? Conj[0]
+                                              : Sys.mkAnd(Conj)));
+  }
+
+  BddManager Mgr;
+  Evaluator Ev(Sys, Mgr, Layout::interleaved(Sys, Mgr, {{A, C}, {B, D}}));
+  Rng Rand(11);
+  auto Random = [&](VarId X, VarId Y) {
+    Bdd F = Mgr.zero();
+    for (uint64_t U = 0; U < 4; ++U)
+      for (uint64_t V = 0; V < 4; ++V)
+        if (Rand.flip())
+          F |= Ev.encodeEqConst(X, U) & Ev.encodeEqConst(Y, V);
+    return F;
+  };
+  Ev.bindInput(In, Random(A, B));
+  Ev.bindInput(Link, Random(A, B));
+  Ev.bindInput(Sel, Ev.encodeEqConst(A, 1) | Ev.encodeEqConst(A, 3));
+
+  /// What `applyArgs` builds: the formals' bits renamed to the arguments'.
+  auto Applied = [&](RelId Rel, Bdd Value, const std::vector<VarId> &Args) {
+    std::vector<std::pair<unsigned, unsigned>> Pairs;
+    for (size_t I = 0; I < Args.size(); ++I)
+      for (unsigned Bit = 0; Bit < 2; ++Bit)
+        Pairs.emplace_back(Ev.layout().bits(Sys.relation(Rel).Formals[I])[Bit],
+                           Ev.layout().bits(Args[I])[Bit]);
+    return Value.permute(Mgr.makePermutation(Pairs));
+  };
+  std::vector<std::string> Expected;
+  for (const Site &S : Sites) {
+    if (!S.Fused)
+      Expected.push_back(Sys.printFormula(*Sys.applyVars(S.Applied, S.Args)));
+    Bdd Acc = Applied(S.Applied, Ev.evaluate(S.Applied).Value, S.Args);
+    for (const std::vector<VarId> &Args : S.Rest)
+      Acc &= Applied(Args.size() == 1 ? Sel : Link,
+                     Ev.input(Args.size() == 1 ? Sel : Link), Args);
+    std::vector<unsigned> Bits;
+    for (VarId X : S.Bound)
+      for (unsigned Bit : Ev.layout().bits(X))
+        Bits.push_back(Bit);
+    EXPECT_EQ(Ev.evaluate(S.Rel).Value, Acc.exists(Mgr.makeCube(Bits)))
+        << Sys.relation(S.Rel).Name;
+  }
+  std::vector<std::string> Reordering;
+  for (const Formula *App : Ev.reorderingApplications())
+    Reordering.push_back(Sys.printFormula(*App));
+  EXPECT_EQ(Reordering, Expected);
+}
+
+TEST(EvaluatorTest, StopWhilePlanningAnApplicationResumesExactly) {
+  // A node budget can stop a round at any node it creates, among them
+  // the literal cube an application site's plan builds when a round first
+  // reaches it: R(1, 0) below, planned only once its disjunct is reached,
+  // after the first disjunct's product. Probing every node and raising
+  // the budget one node at a time stops once at each of them; the
+  // evaluation resumed without the governor must equal a fresh one.
+  System Sys;
+  DomainId D4 = Sys.addDomain("four", 4);
+  VarId A = Sys.addVar("a", D4), B = Sys.addVar("b", D4);
+  VarId C = Sys.addVar("c", D4), D = Sys.addVar("d", D4);
+  RelId In = Sys.declareRel("In", {A, B});
+  RelId R = Sys.declareRel("R", {A, B});
+  Sys.define(R, Sys.mkOr({Sys.applyVars(In, {A, B}),
+                          Sys.exists({C}, Sys.mkAnd({
+                                              Sys.applyVars(R, {A, C}),
+                                              Sys.applyVars(In, {C, B}),
+                                          }))}));
+  RelId Q = Sys.declareRel("Q", {D});
+  Formula *Constant = Sys.apply(R, {Term::constant(1), Term::constant(0)});
+  Sys.define(Q, Sys.mkOr({
+                    Sys.exists({C}, Sys.mkAnd({Sys.applyVars(R, {C, D}),
+                                               Sys.applyVars(In, {D, C})})),
+                    Sys.exists({C}, Sys.mkAnd({Constant,
+                                               Sys.applyVars(In, {D, C})})),
+                }));
+  auto Solve = [&](BddManager &Mgr, const Layout &Lay,
+                   support::ResourceGovernor *Gov, bool &Stopped) {
+    Evaluator Ev(Sys, Mgr, Lay);
+    Bdd Edges = Mgr.zero();
+    for (uint64_t U = 0; U < 4; ++U)
+      Edges |= Ev.encodeEqConst(A, U) &
+               Ev.encodeEqConst(B, U == 3 ? 1 : U + 1);
+    Ev.bindInput(In, Edges);
+    Mgr.setGovernor(Gov);
+    Stopped = false;
+    try {
+      Ev.evaluate(Q);
+    } catch (const support::ResourceInterrupt &) {
+      Stopped = true;
+    }
+    Mgr.setGovernor(nullptr);
+    return Ev.evaluate(Q).Value;
+  };
+  unsigned Stops = 0;
+  for (uint64_t Budget = 1;; ++Budget) {
+    BddManager Mgr;
+    const Layout Lay = Layout::interleaved(Sys, Mgr, {{A, C}, {B, D}});
+    support::ResourceGovernor Gov;
+    Gov.setProbePeriod(1);
+    Gov.setNodeBudget(Budget);
+    bool Stopped = false, Unused = false;
+    Bdd Resumed = Solve(Mgr, Lay, &Gov, Stopped);
+    EXPECT_EQ(Resumed, Solve(Mgr, Lay, nullptr, Unused))
+        << "budget " << Budget;
+    if (!Stopped)
+      break;
+    ++Stops;
+  }
+  EXPECT_GT(Stops, 10u);
+}
+
 TEST(EvaluatorTest, InterleavedLayoutKeepsCopiesAdjacent) {
   System Sys;
   DomainId D16 = Sys.addDomain("d16", 16);

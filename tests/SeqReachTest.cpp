@@ -174,10 +174,11 @@ TEST(SeqReachTest, EarlyStopAndFullSearchAgree) {
 
 TEST(SeqReachTest, CopiesFollowTheirFormalsInTheLayout) {
   // Each quantified copy is laid out right after the summary formal it
-  // stands in for, so every per-round application of a summary renames
-  // without reordering and builds its nodes directly, not with ite.
-  // Moving a formal instead of a copy would change the rounds or the
-  // relation's node count (pinned here for the default engine's system).
+  // stands in for, so every application of a defined relation renames in
+  // order, and its clause takes the fused product without building the
+  // renamed copy. Read from the evaluator's application plans. Moving a
+  // formal instead of a copy would change the rounds or the relation's
+  // node count (pinned here for the default engine's system).
   gen::DriverParams P;
   P.Reachable = true;
   P.Seed = 7;
@@ -189,10 +190,14 @@ TEST(SeqReachTest, CopiesFollowTheirFormalsInTheLayout) {
   EXPECT_TRUE(R.Reachable);
   EXPECT_EQ(R.Iterations, 26u);
   EXPECT_EQ(R.SummaryNodes, 14993u);
-  uint64_t Ite = R.Bdd.OpLookups[unsigned(BddOp::Ite)];
-  uint64_t Rename = R.Bdd.OpLookups[unsigned(BddOp::Rename)];
-  ASSERT_GT(Rename, 0u);
-  EXPECT_LT(Ite * 10, Rename) << "Ite " << Ite << ", Rename " << Rename;
+  for (reach::SeqAlgorithm Alg :
+       {reach::SeqAlgorithm::SummarySimple, reach::SeqAlgorithm::EntryForward,
+        reach::SeqAlgorithm::EntryForwardSplit,
+        reach::SeqAlgorithm::EntryForwardOpt,
+        reach::SeqAlgorithm::SummaryScc})
+    EXPECT_EQ(reach::reorderingApplications(Cfg, Alg),
+              std::vector<std::string>{})
+        << "algorithm " << int(Alg);
 }
 
 TEST(SeqReachTest, MissingLabelReported) {

@@ -145,17 +145,24 @@ void printStatsBody(const CliOptions &Opts, const SolveResult &R,
               (unsigned long long)R.Bdd.CacheHits);
   std::printf("%s\"bdd_cache_hit_rate\": %.4f,\n", Pad, R.bddCacheHitRate());
   // Per-operation split of the aggregate probe/hit counters, so ablation
-  // drivers no longer re-derive them from deltas between runs. Ops the
-  // solve never issued are omitted.
+  // drivers no longer re-derive them from deltas between runs, and of the
+  // nodes created (the `Import` and `Build` rows hold the nodes no cached
+  // op creates; all rows sum to `bdd_nodes_created`). Rows with neither
+  // are omitted.
   std::printf("%s\"bdd_cache_ops\": {", Pad);
   bool FirstOp = true;
-  for (unsigned OpIdx = 0; OpIdx < NumBddOps; ++OpIdx) {
-    if (R.Bdd.OpLookups[OpIdx] == 0)
+  for (unsigned Row = 0; Row < NumNodeRows; ++Row) {
+    const bool Op = Row < NumBddOps;
+    const uint64_t Lookups = Op ? R.Bdd.OpLookups[Row] : 0;
+    if (Lookups == 0 && R.Bdd.OpNodes[Row] == 0)
       continue;
-    std::printf("%s\n%s  \"%s\": {\"lookups\": %llu, \"hits\": %llu}",
-                FirstOp ? "" : ",", Pad, bddOpName(BddOp(OpIdx)),
-                (unsigned long long)R.Bdd.OpLookups[OpIdx],
-                (unsigned long long)R.Bdd.OpHits[OpIdx]);
+    std::printf("%s\n%s  \"%s\": {", FirstOp ? "" : ",", Pad,
+                nodeRowName(Row));
+    if (Op)
+      std::printf("\"lookups\": %llu, \"hits\": %llu, ",
+                  (unsigned long long)Lookups,
+                  (unsigned long long)R.Bdd.OpHits[Row]);
+    std::printf("\"nodes\": %llu}", (unsigned long long)R.Bdd.OpNodes[Row]);
     FirstOp = false;
   }
   std::printf("%s%s},\n", FirstOp ? "" : "\n", FirstOp ? "" : Pad);
