@@ -294,7 +294,7 @@ int main(int Argc, char **Argv) {
             // Retained (reachable-only) nodes, sampled at query
             // boundaries — the whole-session memory gauge the
             // trajectory check gates on.
-            .field("peak_live_nodes", uint64_t(S->peakLiveNodes()));
+            .field("peak_live_nodes", uint64_t(S->gauge().PeakLiveNodes));
         Report.add(Row);
       }
     }
@@ -362,8 +362,7 @@ int main(int Argc, char **Argv) {
       std::vector<ThreadRow> Rows;
       for (unsigned T : ThreadCounts) {
         BddManager Mgr;
-        fpc::Evaluator Ev(*Sys, Mgr, fpc::Layout::sequential(*Sys, Mgr));
-        Ev.setThreads(T);
+        fpc::Evaluator Ev(*Sys, Mgr, fpc::Layout::sequential(*Sys, Mgr), T);
         fpc::bindFacts(Ev, *Sys, Facts);
         Timer Tm;
         fpc::EvalResult R = Ev.evaluate(Root);

@@ -64,9 +64,8 @@ SolveResult withWitness(const bp::ProgramCfg &Cfg, reach::WitnessResult W) {
 // Sequential fixed-point engines (Sections 4.1–4.3)
 //===----------------------------------------------------------------------===//
 
-/// Session adapter over `reach::SeqSession` (+ a lazy witness session it
-/// creates internally): one per `Solver::open` on a sequential fixed-point
-/// engine.
+/// Session adapter over `reach::SeqSession` (witness queries included):
+/// one per `Solver::open` on a sequential fixed-point engine.
 class SeqEngineSession : public EngineSession {
 public:
   SeqEngineSession(const bp::ProgramCfg &Cfg, reach::SeqAlgorithm Alg,
@@ -89,11 +88,7 @@ public:
 
   void clearComputedCache() override { Session.clearComputedCache(); }
 
-  size_t liveNodes() const override { return Session.liveNodes(); }
-  size_t peakLiveNodes() const override { return Session.peakLiveNodes(); }
-  size_t memoryFootprint() const override {
-    return Session.memoryFootprint();
-  }
+  sym::SessionState::Gauge gauge() const override { return Session.gauge(); }
 
 private:
   const bp::ProgramCfg &Cfg;
@@ -193,11 +188,7 @@ public:
 
   void clearComputedCache() override { Session.clearComputedCache(); }
 
-  size_t liveNodes() const override { return Session.liveNodes(); }
-  size_t peakLiveNodes() const override { return Session.peakLiveNodes(); }
-  size_t memoryFootprint() const override {
-    return Session.memoryFootprint();
-  }
+  sym::SessionState::Gauge gauge() const override { return Session.gauge(); }
 
 private:
   conc::ConcSession Session;

@@ -374,7 +374,7 @@ SolveResult SolverSession::solveCompiled(const CompiledQuery &Q) {
   // Keep the lock-free footprint gauge current: a pool budgeting many
   // sessions reads it for leased-out sessions it cannot safely sample.
   if (Session)
-    FootGauge.store(Session->memoryFootprint(), std::memory_order_relaxed);
+    FootGauge.store(Session->gauge().Bytes, std::memory_order_relaxed);
   return R;
 }
 
@@ -480,22 +480,15 @@ void SolverSession::setResourceGovernor(support::ResourceGovernor *G) {
 void SolverSession::clearComputedCache() {
   if (Session) {
     Session->clearComputedCache();
-    FootGauge.store(Session->memoryFootprint(), std::memory_order_relaxed);
+    FootGauge.store(Session->gauge().Bytes, std::memory_order_relaxed);
   }
 }
 
-size_t SolverSession::liveNodes() const {
-  return Session ? Session->liveNodes() : 0;
-}
-
-size_t SolverSession::peakLiveNodes() const {
-  return Session ? Session->peakLiveNodes() : 0;
-}
-
-size_t SolverSession::memoryFootprint() const {
-  size_t F = Session ? Session->memoryFootprint() : 0;
-  FootGauge.store(F, std::memory_order_relaxed);
-  return F;
+sym::SessionState::Gauge SolverSession::gauge() const {
+  sym::SessionState::Gauge G = Session ? Session->gauge()
+                                       : sym::SessionState::Gauge();
+  FootGauge.store(G.Bytes, std::memory_order_relaxed);
+  return G;
 }
 
 std::string Solver::formulaText(const Query &Q, const SolverOptions &Opts,

@@ -325,22 +325,15 @@ public:
   /// solved state is kept and later queries stay bit-identical.
   virtual void clearComputedCache() {}
 
-  /// Live BDD nodes currently held by the session's managers, and the
-  /// lifetime peak of that count. 0 for engines without persistent BDD
-  /// state.
-  virtual size_t liveNodes() const { return 0; }
-  virtual size_t peakLiveNodes() const { return 0; }
-
-  /// Cheap estimate (bytes) of the session's resident solver state: live
-  /// nodes times their storage share plus the computed caches as
-  /// allocated. This is the signal a memory-budgeted session pool evicts
-  /// on — an estimate, not RSS.
-  ///
-  /// The three gauges read a sample the session takes once per query, at
+  /// The session's memory gauge (`sym::SessionState::Gauge`): live BDD
+  /// nodes held by its managers, the peak of that count, and a bytes
+  /// estimate of the resident solver state — the signal a memory-budgeted
+  /// session pool evicts on. The session samples it once per query, at
   /// its end (one mark pass per manager), so a read costs nothing and
   /// stays exact until the next query; `clearComputedCache` removes the
-  /// caches' share from it.
-  virtual size_t memoryFootprint() const { return 0; }
+  /// caches' share from it. All zero for engines without persistent BDD
+  /// state.
+  virtual sym::SessionState::Gauge gauge() const { return {}; }
 };
 
 /// A pluggable reachability backend. Implementations read the knobs of
@@ -466,19 +459,17 @@ public:
   /// bit-identical.
   void clearComputedCache();
 
-  /// Session memory introspection (see `EngineSession`): live/peak BDD
-  /// node counts and a bytes estimate of the resident solver state. All
-  /// 0 for engines that fall back to fresh per-query solves (they hold
-  /// no state) and before the engine state is first opened.
-  size_t liveNodes() const;
-  size_t peakLiveNodes() const;
-  size_t memoryFootprint() const;
+  /// Session memory introspection (see `EngineSession::gauge`): live/peak
+  /// BDD node counts and a bytes estimate of the resident solver state.
+  /// All 0 for engines that fall back to fresh per-query solves (they
+  /// hold no state) and before the engine state is first opened.
+  sym::SessionState::Gauge gauge() const;
 
   /// The footprint estimate sampled at the end of the last query (or
-  /// cache clear / footprint call) on this session, readable without
+  /// cache clear / gauge read) on this session, readable without
   /// touching the engine state. A memory-budgeted pool reads this for
   /// sessions currently *leased out* — their engine state may be mid-query
-  /// on another thread, so calling `memoryFootprint()` would race, but the
+  /// on another thread, so calling `gauge()` would race, but the
   /// end-of-last-query sample is exactly the growth the pool would
   /// otherwise not see until the lease is released. 0 until a query runs.
   size_t lastSampledFootprint() const {
@@ -520,7 +511,7 @@ private:
   support::ResourceGovernor *Gov = nullptr;
   SessionStats Stats;
   /// Backs `lastSampledFootprint`; updated at the end of every query,
-  /// cache clear, and `memoryFootprint` call.
+  /// cache clear, and `gauge` call.
   mutable std::atomic<size_t> FootGauge{0};
 };
 

@@ -53,7 +53,7 @@ public:
                    unsigned Pc);
   double reachStatesOf(Evaluator &Ev, const Bdd &Value);
   RelId reachRel() const { return Reach; }
-  Layout makeLayout(BddManager &Mgr) const { return Factory.makeLayout(Mgr); }
+  const VarFactory &factory() const { return Factory; }
   const System &system() const { return Sys; }
   /// Reads a solve's counters out: Reach's rounds, the condensation width
   /// computed once in buildSystem, and one summary relation — Reach is the
@@ -502,8 +502,7 @@ SolveStats ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
 
   BddManager Mgr;
   Mgr.setGovernor(Config.Governor);
-  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr));
-  Ev.setThreads(Config.Threads);
+  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Config.Threads);
   try {
     bindInputs(Ev, Thread, ProcId, Pc);
 
@@ -543,7 +542,7 @@ conc::reorderingApplications(const bp::ConcurrentProgram &Conc,
                              const SolveConfig &Config) {
   ConcEngine Engine(Conc, Cfgs, Config);
   BddManager Mgr;
-  Evaluator Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr));
+  Evaluator Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr));
   std::vector<std::string> Out;
   for (const Formula *App : Ev.reorderingApplications())
     Out.push_back(Engine.system().printFormula(*App));
@@ -557,39 +556,20 @@ conc::reorderingApplications(const bp::ConcurrentProgram &Conc,
 struct ConcSession::Impl {
   SolveConfig Config;
   ConcEngine Engine;
-  BddManager Mgr;
-  Evaluator Ev;
-  IncrementalFixpoint Fix;
+  SessionState St;
 
-  /// Memory gauges of the main and worker managers, sampled once at
-  /// construction and at the end of every query, and the high-water mark
-  /// of retained nodes over the end-of-query samples (see SeqSession).
-  BddGauge Gauge;
-  size_t PeakLive = 0;
-
-  /// Per-attempt resource governor for the next solve (not owned; see
-  /// ConcSession::setGovernor).
-  support::ResourceGovernor *Gov = nullptr;
-
+  // Sessions currently solve on one thread: Reach is one dependency SCC,
+  // so the scheduler never finds two SCCs pending. The setting is passed
+  // down so the worker accounting stays honest if a session ever reaches
+  // the pool; queries stay serialized.
   Impl(const bp::ConcurrentProgram &Conc,
        const std::vector<bp::ProgramCfg> &Cfgs, const SolveConfig &Config)
       : Config(Config), Engine(Conc, Cfgs, Config),
-        Ev(Engine.system(), Mgr, Engine.makeLayout(Mgr)) {
-    // Sessions currently solve on one thread: Reach is one dependency
-    // SCC, so the scheduler never finds two SCCs pending. The setting is
-    // passed down so the worker accounting below stays honest if a
-    // session ever reaches the pool; queries stay serialized.
-    Ev.setThreads(Config.Threads);
+        St(Engine.system(), Engine.factory(), Config.Threads) {
     // Targetless binding: the per-thread target relations are read by no
     // clause, so one binding serves every query of the session.
-    Engine.bindInputs(Ev, ~0u, ~0u, 0);
-    sampleGauge();
-  }
-
-  /// One mark pass per manager the session owns.
-  void sampleGauge() {
-    Gauge = Mgr.gauge();
-    Gauge += Ev.workerGauge();
+    Engine.bindInputs(St.Ev, ~0u, ~0u, 0);
+    St.sampleGauge();
   }
 };
 
@@ -600,59 +580,42 @@ ConcSession::ConcSession(const bp::ConcurrentProgram &Conc,
 
 ConcSession::~ConcSession() = default;
 
-void ConcSession::setGovernor(support::ResourceGovernor *G) { I->Gov = G; }
-
-void ConcSession::clearComputedCache() {
-  I->Mgr.clearComputedCache();
-  I->Ev.clearWorkerCaches();
-  I->Gauge.CacheBytes = 0;
+void ConcSession::setGovernor(support::ResourceGovernor *G) {
+  I->St.setGovernor(G);
 }
 
-size_t ConcSession::liveNodes() const {
-  // Reachable-only count: garbage awaiting the next collection says
-  // nothing about what the session retains (see SeqSession::liveNodes).
-  return I->Gauge.Nodes;
-}
+void ConcSession::clearComputedCache() { I->St.clearComputedCache(); }
 
-size_t ConcSession::peakLiveNodes() const {
-  // Peak *retained* state over query boundaries, and the current value.
-  return std::max(I->PeakLive, I->Gauge.Nodes);
-}
-
-size_t ConcSession::memoryFootprint() const { return I->Gauge.bytes(); }
+SessionState::Gauge ConcSession::gauge() const { return I->St.gauge(); }
 
 SolveStats ConcSession::solve(unsigned Thread, unsigned ProcId, unsigned Pc) {
   Impl &S = *I;
   SolveStats Result;
-  SolveMeter Meter(S.Ev);
+  SolveMeter Meter(S.St.Ev);
   std::optional<IncrementalFixpoint::Answer> Answer;
 
-  S.Mgr.setGovernor(S.Gov);
-  try {
-    Bdd TargetStates = S.Engine.targetStates(S.Ev, Thread, ProcId, Pc);
-    Answer = S.Fix.query(S.Ev, S.Engine.reachRel(), TargetStates,
-                         S.Config.EarlyStop);
+  Result.Limit = S.St.governed([&] {
+    Bdd TargetStates = S.Engine.targetStates(S.St.Ev, Thread, ProcId, Pc);
+    Answer = S.St.Fix.query(S.St.Ev, S.Engine.reachRel(), TargetStates,
+                            S.Config.EarlyStop);
     Result.Reachable = Answer->Reachable;
     Result.SummaryNodes = Answer->Value.nodeCount();
-    Result.ReachStates = S.Engine.reachStatesOf(S.Ev, Answer->Value);
-  } catch (const support::ResourceInterrupt &RI) {
-    // The evaluator wrote the fixpoint state back at the last completed
-    // round boundary, so the session stays valid: a retry resumes the
-    // deterministic round chain bit-identically.
+    Result.ReachStates = S.Engine.reachStatesOf(S.St.Ev, Answer->Value);
+  });
+  // The evaluator wrote the fixpoint state back at the last completed
+  // round boundary, so a stopped query leaves the session valid: a retry
+  // resumes the deterministic round chain bit-identically.
+  if (Result.Limit != support::ResourceLimit::None)
     Answer.reset();
-    Result.Limit = RI.Limit;
-  }
-  S.Mgr.setGovernor(nullptr);
 
-  S.Engine.finish(Meter, Result, S.Ev, Answer ? &*Answer : nullptr);
-  S.sampleGauge();
-  S.PeakLive = std::max(S.PeakLive, S.Gauge.Nodes);
+  S.Engine.finish(Meter, Result, S.St.Ev, Answer ? &*Answer : nullptr);
+  S.St.sampleGauge();
   return Result;
 }
 
 bool ConcSession::answersFromState(unsigned Thread, unsigned ProcId,
                                    unsigned Pc) {
   Impl &S = *I;
-  Bdd TargetStates = S.Engine.targetStates(S.Ev, Thread, ProcId, Pc);
-  return S.Fix.answersFromState(TargetStates, S.Config.EarlyStop);
+  Bdd TargetStates = S.Engine.targetStates(S.St.Ev, Thread, ProcId, Pc);
+  return S.St.Fix.answersFromState(TargetStates, S.Config.EarlyStop);
 }

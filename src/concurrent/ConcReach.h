@@ -103,16 +103,11 @@ public:
   /// valve, bit-identical results).
   void clearComputedCache();
 
-  /// Session memory introspection (see `reach::SeqSession` for the exact
-  /// semantics): reachable-only live/peak BDD node counts across the
-  /// session's managers (uncollected garbage excluded; peak sampled at
-  /// query boundaries) and a bytes estimate of resident state, computed
-  /// caches charged as allocated. Feeds the query server's session-pool
-  /// memory budget. Reads return the sample the session takes at
-  /// construction and at the end of each query.
-  size_t liveNodes() const;
-  size_t peakLiveNodes() const;
-  size_t memoryFootprint() const;
+  /// Session memory introspection (see `reach::SeqSession::gauge`): the
+  /// gauge of the session's managers, sampled at construction and at the
+  /// end of each query. Feeds the query server's session-pool memory
+  /// budget.
+  sym::SessionState::Gauge gauge() const;
 
 private:
   struct Impl;

@@ -117,31 +117,15 @@ Layout Layout::interleaved(const System &Sys, BddManager &Mgr,
 // Evaluator: setup and encoding helpers
 //===----------------------------------------------------------------------===//
 
-Evaluator::Evaluator(const System &Sys, BddManager &Mgr, Layout L)
-    : Sys(Sys), Mgr(Mgr), L(std::move(L)), NoVars(Mgr.makeCube({})) {}
+Evaluator::Evaluator(const System &Sys, BddManager &Mgr, Layout L,
+                     unsigned Threads)
+    : Sys(Sys), Mgr(Mgr), L(std::move(L)), Threads(std::max(Threads, 1u)),
+      NoVars(Mgr.makeCube({})) {
+  ParStats.Threads = this->Threads;
+}
 
 // Out-of-line: ParallelContext is incomplete in the header.
 Evaluator::~Evaluator() = default;
-
-void Evaluator::setThreads(unsigned N) {
-  if (N == 0)
-    N = 1;
-  if (N == Threads)
-    return;
-  Threads = N;
-  ParStats.Threads = N;
-  // A differently-sized set of worker managers is rebuilt lazily on the
-  // next parallel schedule; dropping it here keeps exactly one set
-  // alive. Their counters retire into the accumulator so
-  // `workerBddStats()` stays monotone across pool rebuilds (callers
-  // subtract snapshots via BddStats::since).
-  if (Par) {
-    for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-      if (W)
-        RetiredWorkerBdd.merge(W->Mgr.stats());
-    Par.reset();
-  }
-}
 
 void Evaluator::ensureParallelContext() {
   if (Par)
@@ -181,7 +165,7 @@ void Evaluator::clearWorkerCaches() {
 }
 
 BddStats Evaluator::workerBddStats() const {
-  BddStats S = RetiredWorkerBdd;
+  BddStats S;
   if (!Par)
     return S;
   for (const std::unique_ptr<WorkerContext> &W : Par->Workers)

@@ -173,21 +173,21 @@ private:
 
 class Evaluator {
 public:
-  Evaluator(const System &Sys, BddManager &Mgr, Layout L);
-  ~Evaluator();
-
-  /// Solves independent dependency SCCs of a top-level fixpoint on \p N
-  /// worker threads (1 = sequential, the default). Each worker owns a
-  /// private `BddManager` sharing the main manager's variable order;
-  /// solved SCC values are imported back into the main manager, where
-  /// ROBDD canonicity makes every downstream round bit-identical to a
+  /// Solves independent dependency SCCs of a top-level fixpoint on
+  /// \p Threads worker threads (0 and 1 = sequential, the default),
+  /// fixed for the evaluator's lifetime. Each worker owns a private
+  /// `BddManager` sharing the main manager's variable order; solved SCC
+  /// values are imported back into the main manager, where ROBDD
+  /// canonicity makes every downstream round bit-identical to a
   /// sequential solve (the schedule respects dependencies, and an SCC's
   /// solution is a pure function of its callees' values). The worker
   /// managers are created lazily on the first parallel schedule and
   /// persist for the evaluator's lifetime; the pool's threads live for
   /// one schedule, so an idle evaluator holds none.
-  void setThreads(unsigned N);
-  unsigned threads() const { return Threads; }
+  Evaluator(const System &Sys, BddManager &Mgr, Layout L,
+            unsigned Threads = 1);
+  ~Evaluator();
+
   /// Parallel-scheduling counters (cumulative, like `stats()`).
   const ParallelStats &parallelStats() const { return ParStats; }
   /// Aggregate BDD counters of the per-worker managers (all zero until a
@@ -365,12 +365,9 @@ private:
   /// Parallel SCC scheduling (Threads > 1): the per-worker BDD
   /// managers/evaluators/importers. Lazily created, persistent across
   /// solves and `resume` calls; the pool's threads are not.
-  unsigned Threads = 1;
+  unsigned Threads;
   std::unique_ptr<ParallelContext> Par;
   ParallelStats ParStats;
-  /// Counters of worker managers retired by `setThreads` pool rebuilds,
-  /// so `workerBddStats()` stays monotone for `since`-style callers.
-  BddStats RetiredWorkerBdd;
 
   std::map<RelId, Bdd> Inputs;
   std::map<RelId, Bdd> InFlight;  ///< Current interpretation per Section 3.

@@ -7,8 +7,9 @@
 /// \file
 /// Internal header shared by SeqReach.cpp and Witness.cpp: the engine that
 /// builds the fixed-point equation system for one sequential algorithm over
-/// one program. Not part of the public API — include bp/Cfg.h and
-/// reach/SeqReach.h instead.
+/// one program, and the witness extractor that walks an entry-forward
+/// engine's recorded rounds. Not part of the public API — include
+/// bp/Cfg.h, reach/SeqReach.h and reach/Witness.h instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #define GETAFIX_REACH_SEQENGINE_H
 
 #include "reach/SeqReach.h"
+#include "reach/Witness.h"
 #include "symbolic/Encode.h"
 
 #include <memory>
@@ -160,6 +162,115 @@ private:
   std::vector<fpc::RelId> Roots;
   unsigned Width = 0;
   unsigned NumSummaryRels = 1;
+};
+
+/// Completes the entry-forward fixpoint with ring recording and
+/// reconstructs runs backwards through the rings. The solve is
+/// target-independent, so one extractor serves any number of target
+/// queries; the one-shot `checkReachabilityWithWitness` is a single-query
+/// instance.
+///
+/// It walks an EntryForward (or EntryForwardSplit) engine's main relation
+/// over a solving state whose inputs that engine has bound, and completes
+/// the state's recorded fixpoint in place, under the state's governor. An
+/// `ef` or `ef-split` session hands it its own engine and state, so its
+/// witness and plain queries share one solve and one copy of every round.
+class WitnessExtractor {
+public:
+  WitnessExtractor(SeqEngine &Engine, sym::SessionState &St);
+
+  WitnessResult query(unsigned ProcId, unsigned Pc);
+
+  /// Has the ring-recording solve run? Once true, every query is a pure
+  /// extraction from recorded state.
+  bool solved() const { return SolveDone; }
+
+private:
+  /// A state within one procedure instance (module and entry valuation
+  /// are tracked by the caller).
+  struct InstState {
+    unsigned Pc = 0;
+    uint64_t Locals = 0;
+    uint64_t Globals = 0;
+
+    bool operator==(const InstState &O) const {
+      return Pc == O.Pc && Locals == O.Locals && Globals == O.Globals;
+    }
+  };
+
+  /// Runs the ring-recording solve on first use and snapshots the
+  /// target-independent result fields (ring count, counters, stats).
+  void ensureSolved();
+  /// Reads the ring-recording solve's counters out into \p Out. They count
+  /// from zero, so on a session's state they cover all rounds of the
+  /// session's one solve, whichever query drove them. `Iterations` is the
+  /// number of rounds recorded.
+  void readOut(sym::SolveStats &Out);
+  Bdd eq(fpc::VarId V, uint64_t Value) {
+    return St.Ev.encodeEqConst(V, Value);
+  }
+
+  /// Renames a relation BDD from one set of calculus variables to another
+  /// (entries with identical bits are skipped).
+  Bdd renamed(Bdd Value,
+              const std::vector<std::pair<fpc::VarId, fpc::VarId>> &FromTo);
+  uint64_t decode(const std::vector<int8_t> &Path, fpc::VarId V) const;
+
+  /// The summary tuple (Mod, Pc, CL, CG, ECL, ECG) as a concrete BDD cube.
+  Bdd tuple(unsigned Mod, const InstState &At, uint64_t EntryL,
+            uint64_t EntryG);
+
+  /// Index of the first ring containing \p T. A tuple drawn from solved
+  /// state that no recorded ring contains breaks the backward walk's
+  /// well-foundedness, so it is a hard diagnostic error (an engine
+  /// invariant violation), not a recoverable miss.
+  size_t rankOf(const Bdd &T) const;
+
+  bool isInitSeed(unsigned Mod, uint64_t EntryL);
+
+  /// Finds an internal-transition predecessor of \p To within \p Ring for
+  /// the instance (Mod, EntryL, EntryG). Returns false if none exists.
+  bool internalPred(const Bdd &Ring, unsigned Mod, uint64_t EntryL,
+                    uint64_t EntryG, const InstState &To, InstState &From);
+
+  /// Finds a call-skip predecessor of \p To: the caller state \p From plus
+  /// the callee instance/exit it skipped over, all within \p Ring.
+  struct SkipInfo {
+    unsigned CalleeMod = 0;
+    uint64_t CalleeEntryL = 0;
+    InstState CalleeExit;
+  };
+  bool skipPred(const Bdd &Ring, unsigned Mod, uint64_t EntryL,
+                uint64_t EntryG, const InstState &To, InstState &From,
+                SkipInfo &Skip);
+
+  /// Appends the steps of a run segment inside one procedure instance,
+  /// from just after its entry up to and including \p Target (the entry
+  /// state itself is emitted by the caller). Returns false on
+  /// reconstruction failure (which indicates an engine bug).
+  bool appendProcPath(unsigned Mod, uint64_t EntryL, uint64_t EntryG,
+                      const InstState &Target);
+
+  /// Appends the steps reaching the entry (Mod, EntryL, EntryG) — the
+  /// init step for main, or recursively the caller's run plus a call step.
+  bool appendEntryChain(unsigned Mod, uint64_t EntryL, uint64_t EntryG);
+
+  SeqEngine &Engine;
+  /// The manager, evaluator and recorded fixpoint the walk reads. The
+  /// fixpoint's persistent state lets an interrupted solve resume from its
+  /// last completed round (the rings recorded so far stay valid) instead
+  /// of re-recording from scratch.
+  sym::SessionState &St;
+  bool SolveDone = false; ///< The ring solve ran to its stopping point.
+  sym::ConfVars S;
+  SeqEngine::ScratchVars X;
+  const sym::ProgramEncoder::FormalSets &F;
+  std::vector<WitnessStep> Steps;
+
+  // Persisted across queries, filled by ensureSolved.
+  Bdd Solved;           ///< Final value of the summary relation.
+  Bdd TargetDomains;    ///< Domain constraints of the target coordinates.
+  sym::SolveStats Base; ///< Target-independent result fields.
 };
 
 } // namespace reach

@@ -496,9 +496,7 @@ sym::SolveStats SeqEngine::solve(unsigned ProcId, unsigned Pc,
 
   BddManager Mgr;
   Mgr.setGovernor(Config.Governor);
-  Layout L = Factory.makeLayout(Mgr);
-  Evaluator Ev(Sys, Mgr, std::move(L));
-  Ev.setThreads(Config.Threads);
+  Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Config.Threads);
 
   try {
     bindInputs(Ev, ProcId, Pc);
@@ -541,10 +539,9 @@ struct SeqSession::Impl {
   const bp::ProgramCfg &Cfg;
   sym::SolveConfig Config;
   SeqEngine Engine;
-  BddManager Mgr;
-  Evaluator Ev;
-  /// Persistent rounds + rings of the main relation (EF algorithms).
-  IncrementalFixpoint Fix;
+  /// Persistent manager, evaluator memos, and the rounds + rings of the
+  /// main relation (EF algorithms).
+  sym::SessionState St;
 
   // Target-independent algorithms (summary, summary-scc): the first query
   // solves the whole relation chain once, through the one-shot solve's
@@ -556,59 +553,51 @@ struct SeqSession::Impl {
   // round inside the evaluator; the retry resumes them bit-identically.
   std::optional<SeqEngine::Reach> Chain; ///< Set once the chain is solved.
 
-  /// Witness queries go through a persistent extractor session (solves
-  /// the EntryForward system with rings once, extracts per target);
-  /// created on the first witness query.
-  std::unique_ptr<WitnessSession> Witness;
+  /// Witness queries walk the EntryForward system's recorded rings, set
+  /// up on the first one. ef and ef-split run that very system, so the
+  /// extractor walks `Engine` and `St`: witness and plain queries share
+  /// one solve and one copy of every round. The other algorithms solve a
+  /// different system, so the session builds a second EntryForward engine
+  /// and state for the walk and keeps them.
+  std::unique_ptr<SeqEngine> WitnessEngine;
+  std::unique_ptr<sym::SessionState> WitnessState;
+  std::optional<WitnessExtractor> Extractor;
 
-  /// The memory gauges of every manager the session owns, sampled once
-  /// at construction and at the end of every query (`sampleGauge`) and
-  /// read by `liveNodes`/`memoryFootprint` — and so by the server pool —
-  /// until the next sample. Exact in between: nothing else touches the
-  /// managers, and `clearComputedCache` zeroes the cache share it frees.
-  BddGauge Gauge;
-
-  /// High-water mark of retained (reachable) nodes over the end-of-query
-  /// samples; `peakLiveNodes()` reports it. Allocation high-water
-  /// (`BddStats::PeakNodes`) would also count uncollected garbage, which
-  /// the retention diet deliberately produces more of in exchange for
-  /// retaining far less.
-  size_t PeakLive = 0;
-
-  /// Per-attempt resource governor (`setGovernor`; null = ungoverned).
-  /// Installed on the manager around each solve, never across solves.
-  support::ResourceGovernor *Gov = nullptr;
-
+  // A `summary-scc` session solves its chain on the evaluator's pool
+  // under `Threads > 1`, as the one-shot solve does; the paper's systems
+  // never leave two SCCs pending, so they run on one thread. Queries stay
+  // serialized — one session serves one caller at a time.
   Impl(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
        const sym::SolveConfig &Config)
-      : Cfg(Cfg), Config(Config),
-        Engine(Cfg, Alg),
-        Ev(Engine.system(), Mgr, Engine.factory().makeLayout(Mgr)) {
-    // A `summary-scc` session solves its chain on the evaluator's pool
-    // under `Threads > 1`, as the one-shot solve does; the paper's systems
-    // never leave two SCCs pending, so they run on one thread. Queries
-    // stay serialized — one session serves one caller at a time.
-    Ev.setThreads(Config.Threads);
+      : Cfg(Cfg), Config(Config), Engine(Cfg, Alg),
+        St(Engine.system(), Engine.factory(), Config.Threads) {
     // The target relation is declared but read by no clause, so one
     // targetless binding serves every query; rebinding per target would
     // needlessly drop the evaluator's memo layers.
-    Engine.bindInputs(Ev, ~0u, 0);
-    sampleGauge();
+    Engine.bindInputs(St.Ev, ~0u, 0);
+    St.sampleGauge();
   }
 
-  /// One mark pass per manager: the main one and the parallel workers'.
-  /// The witness sub-session contributes the sample its own last query
-  /// took — its managers have not been touched since.
-  void sampleGauge() {
-    Gauge = Mgr.gauge();
-    Gauge += Ev.workerGauge();
-    if (Witness)
-      Gauge += Witness->gauge();
-  }
-
-  void noteQueryEnd() {
-    sampleGauge();
-    PeakLive = std::max(PeakLive, Gauge.Nodes);
+  WitnessExtractor &extractor() {
+    if (Extractor)
+      return *Extractor;
+    SeqAlgorithm Alg = Engine.algorithm();
+    if (Alg == SeqAlgorithm::EntryForward ||
+        Alg == SeqAlgorithm::EntryForwardSplit)
+      return Extractor.emplace(Engine, St);
+    // Set up ungoverned, as the session itself is (a fresh manager has no
+    // governor): layout variable allocation cannot be rolled back, so a
+    // trip mid-setup would leave no state to resume from. Limits apply
+    // from the first fixpoint round on. Kept only once the inputs are
+    // bound, so a fault mid-setup leaves the next witness query to start
+    // over.
+    auto WEngine = std::make_unique<SeqEngine>(Cfg, SeqAlgorithm::EntryForward);
+    auto WState = std::make_unique<sym::SessionState>(
+        WEngine->system(), WEngine->factory(), Config.Threads);
+    WEngine->bindInputs(WState->Ev, ~0u, 0);
+    WitnessEngine = std::move(WEngine);
+    WitnessState = std::move(WState);
+    return Extractor.emplace(*WitnessEngine, *WitnessState);
   }
 };
 
@@ -619,73 +608,46 @@ SeqSession::SeqSession(const bp::ProgramCfg &Cfg, SeqAlgorithm Alg,
 SeqSession::~SeqSession() = default;
 
 void SeqSession::setGovernor(support::ResourceGovernor *G) {
-  I->Gov = G;
-  if (I->Witness)
-    I->Witness->setGovernor(G);
+  I->St.setGovernor(G);
 }
 
 void SeqSession::clearComputedCache() {
-  // Every manager the session owns: the main one, the parallel workers'
-  // (none until a query reaches the pool), and the witness sub-session's
-  // own manager (the ring-recording entry-forward solve).
-  I->Mgr.clearComputedCache();
-  I->Ev.clearWorkerCaches();
-  if (I->Witness)
-    I->Witness->clearComputedCache();
-  I->Gauge.CacheBytes = 0;
+  if (I->WitnessState)
+    I->WitnessState->clearComputedCache();
+  I->St.clearComputedCache();
 }
 
-size_t SeqSession::liveNodes() const {
-  // Reachable-only count: the session's automatic-gc threshold is rarely
-  // reached, so `liveNodeCount()` would also charge garbage that merely
-  // awaits the next collection — transient solve intermediates that say
-  // nothing about what the session retains. Parallel worker managers,
-  // once a query has built them, are session state too.
-  return I->Gauge.Nodes;
-}
-
-size_t SeqSession::peakLiveNodes() const {
-  // Peak *retained* state over query boundaries, and the current value,
-  // so the gauge never under-reports a session that has not queried yet.
-  return std::max(I->PeakLive, I->Gauge.Nodes);
-}
-
-size_t SeqSession::memoryFootprint() const { return I->Gauge.bytes(); }
+sym::SessionState::Gauge SeqSession::gauge() const { return I->St.gauge(); }
 
 sym::SolveStats SeqSession::solve(unsigned ProcId, unsigned Pc) {
   Impl &S = *I;
   sym::SolveStats Result;
-  sym::SolveMeter Meter(S.Ev);
+  sym::SolveMeter Meter(S.St.Ev);
   // Target-independent algorithms answer from one solve; set when an
   // earlier query already ran it.
   bool Replayed = false;
   std::optional<IncrementalFixpoint::Answer> Answer;
 
-  // The governor spans exactly this query; an interrupted query leaves
-  // the session's persistent state (rings, summaries, memos) at the last
-  // completed round, valid for a retry.
-  S.Mgr.setGovernor(S.Gov);
-  try {
+  // An interrupted query leaves the session's persistent state (rings,
+  // summaries, memos) at the last completed round, valid for a retry.
+  Result.Limit = S.St.governed([&] {
     const sym::ConfVars &Conf = S.Engine.conf();
-    Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
-                       S.Ev.encodeEqConst(Conf.Pc, Pc);
+    Bdd TargetStates = S.St.Ev.encodeEqConst(Conf.Mod, ProcId) &
+                       S.St.Ev.encodeEqConst(Conf.Pc, Pc);
 
     if (S.Engine.targetIndependent()) {
       Replayed = S.Chain.has_value();
       if (!Replayed)
-        S.Chain = S.Engine.solveSummaries(S.Ev);
+        S.Chain = S.Engine.solveSummaries(S.St.Ev);
       Result.Reachable = !(S.Chain->States & TargetStates).isZero();
       Result.SummaryNodes = S.Chain->SummaryNodes;
     } else {
-      Answer = S.Fix.query(S.Ev, S.Engine.mainRel(), TargetStates,
-                           S.Config.EarlyStop);
+      Answer = S.St.Fix.query(S.St.Ev, S.Engine.mainRel(), TargetStates,
+                              S.Config.EarlyStop);
       Result.Reachable = Answer->Reachable;
       Result.SummaryNodes = Answer->Value.nodeCount();
     }
-  } catch (const support::ResourceInterrupt &RI) {
-    Result.Limit = RI.Limit;
-  }
-  S.Mgr.setGovernor(nullptr);
+  });
 
   // Session statistics are cumulative where fresh solves report
   // per-solve numbers: Relations accumulates across queries, and the
@@ -693,36 +655,29 @@ sym::SolveStats SeqSession::solve(unsigned ProcId, unsigned Pc) {
   // manager (peaks stay absolute). The target-independent solves'
   // rounds stay in the evaluator's statistics, so a replayed query reads
   // the same count the query that solved them did.
-  Meter.finish(Result, S.Ev, S.Engine.roundRoots(),
+  Meter.finish(Result, S.St.Ev, S.Engine.roundRoots(),
                S.Engine.condensationWidth(), S.Engine.summaryRelations(),
                Answer ? &*Answer : nullptr);
   if (!Answer && Result.Limit == support::ResourceLimit::None)
     (Replayed ? Result.SummariesReused : Result.SummariesRecomputed) =
         Result.Iterations;
-  S.noteQueryEnd();
+  // The second witness state, untouched by this query, adds the sample
+  // its last witness query took.
+  S.St.sampleGauge(S.WitnessState.get());
   return Result;
 }
 
 WitnessResult SeqSession::solveWithWitness(unsigned ProcId, unsigned Pc) {
-  if (!I->Witness) {
-    // ef and ef-split run the very system the extractor walks, so hand it
-    // the session's own engine, manager, evaluator, and recorded rings
-    // (borrowed mode): witness and plain queries then share one solve and
-    // one copy of every round, instead of the witness sub-session
-    // re-solving EntryForward on a second manager. The other algorithms
-    // solve a different system, so they keep an owned (delta-ringed)
-    // sub-session.
-    SeqAlgorithm Alg = I->Engine.algorithm();
-    if (Alg == SeqAlgorithm::EntryForward ||
-        Alg == SeqAlgorithm::EntryForwardSplit)
-      I->Witness = std::make_unique<WitnessSession>(I->Engine, I->Mgr, I->Ev,
-                                                    I->Fix, I->Config);
-    else
-      I->Witness = std::make_unique<WitnessSession>(I->Cfg, I->Config);
-    I->Witness->setGovernor(I->Gov);
-  }
-  WitnessResult R = I->Witness->query(ProcId, Pc);
-  I->noteQueryEnd();
+  Impl &S = *I;
+  WitnessExtractor &Extractor = S.extractor();
+  // A second state runs the walk under this query's governor.
+  sym::SessionState *Second = S.WitnessState.get();
+  if (Second)
+    Second->setGovernor(S.St.governor());
+  WitnessResult R = Extractor.query(ProcId, Pc);
+  if (Second)
+    Second->sampleGauge();
+  S.St.sampleGauge(Second);
   return R;
 }
 
@@ -730,17 +685,17 @@ bool SeqSession::answersFromState(unsigned ProcId, unsigned Pc,
                                   bool Witness) {
   Impl &S = *I;
   if (Witness)
-    // Once the witness sub-session has solved its rings, any target is a
-    // pure extraction.
-    return S.Witness && S.Witness->solved();
+    // Once the witness walk has solved its rings, any target is a pure
+    // extraction.
+    return S.Extractor && S.Extractor->solved();
   if (S.Engine.targetIndependent())
     // Once the chain is solved, every query is a conjunction against the
     // cached reachable states.
     return S.Chain.has_value();
   const sym::ConfVars &Conf = S.Engine.conf();
-  Bdd TargetStates = S.Ev.encodeEqConst(Conf.Mod, ProcId) &
-                     S.Ev.encodeEqConst(Conf.Pc, Pc);
-  return S.Fix.answersFromState(TargetStates, S.Config.EarlyStop);
+  Bdd TargetStates = S.St.Ev.encodeEqConst(Conf.Mod, ProcId) &
+                     S.St.Ev.encodeEqConst(Conf.Pc, Pc);
+  return S.St.Fix.answersFromState(TargetStates, S.Config.EarlyStop);
 }
 
 sym::SolveStats reach::checkReachability(const bp::ProgramCfg &Cfg,

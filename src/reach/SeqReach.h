@@ -84,8 +84,11 @@ public:
 
   sym::SolveStats solve(unsigned ProcId, unsigned Pc);
   /// Witness query, matching `checkReachabilityWithWitness` (which solves
-  /// the EntryForward system with ring recording): the session's witness
-  /// sub-session solves that system once and extracts a trace per target.
+  /// the EntryForward system with ring recording): the session solves that
+  /// system once and extracts a trace per target. `ef` and `ef-split`
+  /// sessions walk their own solving state; the other algorithms solve a
+  /// different system, so their first witness query sets up a second
+  /// EntryForward engine and state that the session then keeps.
   WitnessResult solveWithWitness(unsigned ProcId, unsigned Pc);
 
   /// Would a solve of (ProcId, Pc) — witness extraction included when
@@ -104,30 +107,20 @@ public:
   void setGovernor(support::ResourceGovernor *G);
 
   /// Frees the computed caches of every BDD manager the session owns —
-  /// main, parallel workers, witness sub-session (a pure performance
+  /// main, parallel workers, the second witness state (a pure performance
   /// valve for long-lived sessions under memory pressure); all solved
   /// state — summaries, rounds, memos — is kept and later queries remain
   /// bit-identical to fresh solves.
   void clearComputedCache();
 
   /// Session memory introspection, for callers that budget many resident
-  /// sessions (the query server's pool). `liveNodes` counts *reachable*
-  /// BDD nodes across the session's managers (main, witness sub-session,
-  /// and parallel worker managers) — garbage awaiting the next collection
-  /// is excluded, so the gauge reflects what the session actually
-  /// retains, not how much the last solve churned. `peakLiveNodes` is the
-  /// high-water mark of that retained count, sampled at query boundaries.
-  /// `memoryFootprint` is a bytes estimate of the same resident state:
-  /// reachable nodes times their storage share plus the computed caches
-  /// as allocated (nothing for a cache `clearComputedCache` freed and no
-  /// operation has re-allocated). Estimates, not RSS; they exist so
-  /// an eviction policy has a monotone-ish signal, not for accounting.
-  /// The session samples them once at construction and at the end of
-  /// each query — one mark pass per manager — and every read returns
-  /// that sample, which is exact until the next query: reads are free.
-  size_t liveNodes() const;
-  size_t peakLiveNodes() const;
-  size_t memoryFootprint() const;
+  /// sessions (the query server's pool): the `sym::SessionState::Gauge`
+  /// over every manager the session owns (main, parallel workers, the
+  /// second witness state). The session samples it once at construction
+  /// and at the end of each query — one mark pass per manager the query
+  /// ran on — and every read returns that sample, which is exact until the
+  /// next query: reads are free.
+  sym::SessionState::Gauge gauge() const;
 
 private:
   struct Impl;

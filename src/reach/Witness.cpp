@@ -15,227 +15,79 @@ using namespace getafix::reach;
 using namespace getafix::fpc;
 using namespace getafix::sym;
 
-namespace {
+WitnessExtractor::WitnessExtractor(SeqEngine &Engine, sym::SessionState &St)
+    : Engine(Engine), St(St), S(Engine.conf()), X(Engine.scratch()),
+      F(Engine.encoder().formals()) {
+  assert((Engine.algorithm() == SeqAlgorithm::EntryForward ||
+          Engine.algorithm() == SeqAlgorithm::EntryForwardSplit) &&
+         "witness extraction needs an entry-forward system");
+}
 
-/// A state within one procedure instance (module and entry valuation are
-/// tracked by the caller).
-struct InstState {
-  unsigned Pc = 0;
-  uint64_t Locals = 0;
-  uint64_t Globals = 0;
+void WitnessExtractor::readOut(sym::SolveStats &Out) {
+  sym::SolveMeter().finish(Out, St.Ev, Engine.roundRoots(),
+                           Engine.condensationWidth(),
+                           Engine.summaryRelations());
+  Out.Iterations = St.Fix.rings().size();
+}
 
-  bool operator==(const InstState &O) const {
-    return Pc == O.Pc && Locals == O.Locals && Globals == O.Globals;
+Bdd WitnessExtractor::renamed(Bdd Value,
+                              const std::vector<std::pair<VarId, VarId>> &FromTo) {
+  const Layout &L = St.Ev.layout();
+  std::vector<std::pair<unsigned, unsigned>> Pairs;
+  for (auto [From, To] : FromTo) {
+    const std::vector<unsigned> &FromBits = L.bits(From);
+    const std::vector<unsigned> &ToBits = L.bits(To);
+    assert(FromBits.size() == ToBits.size() && "width mismatch");
+    for (size_t B = 0; B < FromBits.size(); ++B)
+      if (FromBits[B] != ToBits[B])
+        Pairs.emplace_back(FromBits[B], ToBits[B]);
   }
-};
+  return Pairs.empty() ? Value : Value.permute(St.Mgr.makePermutation(Pairs));
+}
 
-/// Completes the entry-forward fixpoint with ring recording and
-/// reconstructs runs backwards through the rings. The solve is
-/// target-independent, so one extractor serves any number of target
-/// queries (`WitnessSession`); the one-shot `checkReachabilityWithWitness`
-/// is a single-query instance.
-///
-/// Two ownership modes:
-///   - *Owned* (program ctor): the extractor builds its own EntryForward
-///     engine, BDD manager, and ring log — the pre-existing behavior.
-///   - *Borrowed* (engine ctor): the extractor walks an owning
-///     `SeqSession`'s engine/manager/evaluator and completes *its*
-///     `IncrementalFixpoint` in place, so witness and plain queries share
-///     one solve and one copy of every recorded round.
-class WitnessExtractor {
-public:
-  WitnessExtractor(const bp::ProgramCfg &Cfg, const sym::SolveConfig &Config)
-      : OwnEngine(
-            std::make_unique<SeqEngine>(Cfg, SeqAlgorithm::EntryForward)),
-        OwnMgr(std::make_unique<BddManager>()),
-        Engine(OwnEngine.get()), Mgr(OwnMgr.get()), Config(Config),
-        Gov(Config.Governor), Fix(&OwnFix), S(Engine->conf()),
-        X(Engine->scratch()), F(Engine->encoder().formals()) {}
+uint64_t WitnessExtractor::decode(const std::vector<int8_t> &Path,
+                                  VarId V) const {
+  const std::vector<unsigned> &Bits = St.Ev.layout().bits(V);
+  uint64_t Value = 0;
+  for (size_t B = 0; B < Bits.size(); ++B)
+    if (Bits[B] < Path.size() && Path[Bits[B]] == 1)
+      Value |= uint64_t(1) << B;
+  return Value;
+}
 
-  WitnessExtractor(SeqEngine &SharedEngine, BddManager &SharedMgr,
-                   Evaluator &SharedEv, IncrementalFixpoint &SharedFix,
-                   const sym::SolveConfig &Config)
-      : Engine(&SharedEngine), Mgr(&SharedMgr), Config(Config),
-        Gov(Config.Governor), Ev(&SharedEv), Fix(&SharedFix), Borrowed(true),
-        S(Engine->conf()), X(Engine->scratch()),
-        F(Engine->encoder().formals()) {
-    assert((Engine->algorithm() == SeqAlgorithm::EntryForward ||
-            Engine->algorithm() == SeqAlgorithm::EntryForwardSplit) &&
-           "borrowed witness extraction needs an entry-forward system");
-  }
+Bdd WitnessExtractor::tuple(unsigned Mod, const InstState &At,
+                            uint64_t EntryL, uint64_t EntryG) {
+  return eq(S.Mod, Mod) & eq(S.Pc, At.Pc) & eq(S.CL, At.Locals) &
+         eq(S.CG, At.Globals) & eq(S.ECL, EntryL) & eq(S.ECG, EntryG);
+}
 
-  WitnessResult query(unsigned ProcId, unsigned Pc);
+size_t WitnessExtractor::rankOf(const Bdd &T) const {
+  const RingLog &Rings = St.Fix.rings();
+  size_t I = Rings.firstIntersecting(T);
+  if (I == Rings.size())
+    throw std::logic_error("witness reconstruction: tuple not present in "
+                           "any recorded ring (engine invariant violation)");
+  return I;
+}
 
-  bool solved() const { return SolveDone; }
-
-  void setGovernor(support::ResourceGovernor *G) { Gov = G; }
-
-  void clearComputedCache() {
-    if (Borrowed)
-      return; // The owner's valve clears the shared manager.
-    Mgr->clearComputedCache();
-    if (OwnEv)
-      OwnEv->clearWorkerCaches();
-  }
-
-  /// The gauges of the managers this extractor owns: none in borrowed
-  /// mode, where the owning session already counts the shared manager
-  /// and double-counting would inflate the server pool's budget math.
-  BddGauge gauge() const {
-    BddGauge G;
-    if (!Borrowed) {
-      G = Mgr->gauge();
-      if (OwnEv)
-        G += OwnEv->workerGauge();
-    }
-    return G;
-  }
-
-private:
-  /// Runs the ring-recording solve on first use and snapshots the
-  /// target-independent result fields (ring count, counters, stats).
-  void ensureSolved();
-  /// Reads the ring-recording solve's counters out into \p Out. They count
-  /// from zero, so in borrowed mode they cover the shared manager and
-  /// evaluator — all rounds of the session's one solve, whichever query
-  /// drove them. `Iterations` is the number of rounds recorded.
-  void readOut(sym::SolveStats &Out) {
-    sym::SolveMeter().finish(Out, *Ev, Engine->roundRoots(),
-                             Engine->condensationWidth(),
-                             Engine->summaryRelations());
-    Out.Iterations = Fix->rings().size();
-  }
-  Bdd eq(VarId V, uint64_t Value) { return Ev->encodeEqConst(V, Value); }
-
-  /// Renames a relation BDD from one set of calculus variables to another
-  /// (entries with identical bits are skipped).
-  Bdd renamed(Bdd Value,
-              const std::vector<std::pair<VarId, VarId>> &FromTo) {
-    const Layout &L = Ev->layout();
-    std::vector<std::pair<unsigned, unsigned>> Pairs;
-    for (auto [From, To] : FromTo) {
-      const std::vector<unsigned> &FromBits = L.bits(From);
-      const std::vector<unsigned> &ToBits = L.bits(To);
-      assert(FromBits.size() == ToBits.size() && "width mismatch");
-      for (size_t B = 0; B < FromBits.size(); ++B)
-        if (FromBits[B] != ToBits[B])
-          Pairs.emplace_back(FromBits[B], ToBits[B]);
-    }
-    return Pairs.empty() ? Value : Value.permute(Mgr->makePermutation(Pairs));
-  }
-
-  uint64_t decode(const std::vector<int8_t> &Path, VarId V) const {
-    const std::vector<unsigned> &Bits = Ev->layout().bits(V);
-    uint64_t Value = 0;
-    for (size_t B = 0; B < Bits.size(); ++B)
-      if (Bits[B] < Path.size() && Path[Bits[B]] == 1)
-        Value |= uint64_t(1) << B;
-    return Value;
-  }
-
-  /// The summary tuple (Mod, Pc, CL, CG, ECL, ECG) as a concrete BDD cube.
-  Bdd tuple(unsigned Mod, const InstState &St, uint64_t EntryL,
-            uint64_t EntryG) {
-    return eq(S.Mod, Mod) & eq(S.Pc, St.Pc) & eq(S.CL, St.Locals) &
-           eq(S.CG, St.Globals) & eq(S.ECL, EntryL) & eq(S.ECG, EntryG);
-  }
-
-  /// Index of the first ring containing \p T. A tuple drawn from solved
-  /// state that no recorded ring contains breaks the backward walk's
-  /// well-foundedness, so it is a hard diagnostic error (an engine
-  /// invariant violation), not a recoverable miss — the old out-of-range
-  /// sentinel return silently corrupted the walk in release builds.
-  size_t rankOf(const Bdd &T) const {
-    const RingLog &Rings = Fix->rings();
-    size_t I = Rings.firstIntersecting(T);
-    if (I == Rings.size())
-      throw std::logic_error("witness reconstruction: tuple not present in "
-                             "any recorded ring (engine invariant violation)");
-    return I;
-  }
-
-  bool isInitSeed(unsigned Mod, uint64_t EntryL) {
-    return !(Ev->input(Engine->encoder().InitRel) & eq(F.NMod, Mod) &
-             eq(F.NPc, 0) & eq(F.NL, EntryL))
-                .isZero();
-  }
-
-  /// Finds an internal-transition predecessor of \p To within \p Ring for
-  /// the instance (Mod, EntryL, EntryG). Returns false if none exists.
-  bool internalPred(const Bdd &Ring, unsigned Mod, uint64_t EntryL,
-                    uint64_t EntryG, const InstState &To, InstState &From);
-
-  /// Finds a call-skip predecessor of \p To: the caller state \p From plus
-  /// the callee instance/exit it skipped over, all within \p Ring.
-  struct SkipInfo {
-    unsigned CalleeMod = 0;
-    uint64_t CalleeEntryL = 0;
-    InstState CalleeExit;
-  };
-  bool skipPred(const Bdd &Ring, unsigned Mod, uint64_t EntryL,
-                uint64_t EntryG, const InstState &To, InstState &From,
-                SkipInfo &Skip);
-
-  /// Appends the steps of a run segment inside one procedure instance,
-  /// from just after its entry up to and including \p Target (the entry
-  /// state itself is emitted by the caller). Returns false on
-  /// reconstruction failure (which indicates an engine bug).
-  bool appendProcPath(unsigned Mod, uint64_t EntryL, uint64_t EntryG,
-                      const InstState &Target);
-
-  /// Appends the steps reaching the entry (Mod, EntryL, EntryG) — the
-  /// init step for main, or recursively the caller's run plus a call step.
-  bool appendEntryChain(unsigned Mod, uint64_t EntryL, uint64_t EntryG);
-
-  /// Owned mode only (null in borrowed mode): the extractor's private
-  /// EntryForward engine and BDD manager.
-  std::unique_ptr<SeqEngine> OwnEngine;
-  std::unique_ptr<BddManager> OwnMgr;
-  SeqEngine *Engine;
-  BddManager *Mgr;
-  sym::SolveConfig Config;
-  /// Per-attempt governor (null = ungoverned), installed around each
-  /// query. Not owned.
-  support::ResourceGovernor *Gov = nullptr;
-  /// Owned mode only: lazily-built evaluator backing `Ev`.
-  std::unique_ptr<Evaluator> OwnEv;
-  /// The evaluator the walk reads from — `OwnEv` once built, or the
-  /// owning session's evaluator in borrowed mode.
-  Evaluator *Ev = nullptr;
-  /// Owned mode only: the extractor's private fixpoint state + ring log.
-  IncrementalFixpoint OwnFix;
-  /// The fixpoint whose rings the walk reconstitutes — `OwnFix`, or the
-  /// owning session's in borrowed mode. Its persistent state lets an
-  /// interrupted solve resume from its last completed round (the rings
-  /// recorded so far stay valid) instead of re-recording from scratch.
-  IncrementalFixpoint *Fix;
-  bool Borrowed = false;
-  bool SolveDone = false; ///< The ring solve ran to its stopping point.
-  ConfVars S;
-  SeqEngine::ScratchVars X;
-  const ProgramEncoder::FormalSets &F;
-  std::vector<WitnessStep> Steps;
-
-  // Persisted across queries, filled by ensureSolved.
-  Bdd Solved;         ///< Final value of the summary relation.
-  Bdd TargetDomains;  ///< Domain constraints of the target coordinates.
-  sym::SolveStats Base; ///< Target-independent result fields.
-};
-
-} // namespace
+bool WitnessExtractor::isInitSeed(unsigned Mod, uint64_t EntryL) {
+  return !(St.Ev.input(Engine.encoder().InitRel) & eq(F.NMod, Mod) &
+           eq(F.NPc, 0) & eq(F.NL, EntryL))
+              .isZero();
+}
 
 bool WitnessExtractor::internalPred(const Bdd &Ring, unsigned Mod,
                                     uint64_t EntryL, uint64_t EntryG,
                                     const InstState &To, InstState &From) {
   // programInt constrained to land on `To`, renamed so its source state
   // lands on the summary tuple's current-state variables.
-  Bdd Step = Ev->input(Engine->encoder().ProgramInt) & eq(F.IMod, Mod) &
+  Bdd Step = St.Ev.input(Engine.encoder().ProgramInt) & eq(F.IMod, Mod) &
              eq(F.IPcTo, To.Pc) & eq(F.ILTo, To.Locals) &
              eq(F.IGTo, To.Globals);
   Step = renamed(Step, {{F.IPcFrom, S.Pc}, {F.ILFrom, S.CL},
                         {F.IGFrom, S.CG}});
   Bdd Pred = Step & Ring & eq(S.Mod, Mod) & eq(S.ECL, EntryL) &
-             eq(S.ECG, EntryG) & Ev->domainConstraint(S.Pc);
+             eq(S.ECG, EntryG) & St.Ev.domainConstraint(S.Pc);
   if (Pred.isZero())
     return false;
   std::vector<int8_t> Path = Pred.onePath();
@@ -249,7 +101,7 @@ bool WitnessExtractor::skipPred(const Bdd &Ring, unsigned Mod,
                                 uint64_t EntryL, uint64_t EntryG,
                                 const InstState &To, InstState &From,
                                 SkipInfo &Skip) {
-  ProgramEncoder &Enc = Engine->encoder();
+  ProgramEncoder &Enc = Engine.encoder();
 
   // Caller summary tuple, renamed onto the t.* scratch variables.
   Bdd Caller = Ring & eq(S.Mod, Mod) & eq(S.ECL, EntryL) & eq(S.ECG, EntryG);
@@ -264,24 +116,24 @@ bool WitnessExtractor::skipPred(const Bdd &Ring, unsigned Mod,
                               {S.ECL, X.UECL},
                               {S.ECG, X.TCG}});
 
-  Bdd Across = renamed(Ev->input(Enc.SkipCall) & eq(F.SMod, Mod) &
+  Bdd Across = renamed(St.Ev.input(Enc.SkipCall) & eq(F.SMod, Mod) &
                            eq(F.SPcRet, To.Pc),
                        {{F.SPcCall, X.TPc}});
 
-  Bdd Call = renamed(Ev->input(Enc.ProgramCall) & eq(F.CModCaller, Mod),
+  Bdd Call = renamed(St.Ev.input(Enc.ProgramCall) & eq(F.CModCaller, Mod),
                      {{F.CModCallee, X.UMod},
                       {F.CPc, X.TPc},
                       {F.CLCaller, X.TCL},
                       {F.CLEntry, X.UECL},
                       {F.CG, X.TCG}});
 
-  Bdd Exit = renamed(Ev->input(Enc.ExitRel),
+  Bdd Exit = renamed(St.Ev.input(Enc.ExitRel),
                      {{F.EMod, X.UMod}, {F.EPc, X.UPcX}});
 
   // The only direct read of the unsplit return: an `ef-split` session's
-  // evaluator, which the walk may borrow, has not bound it yet.
-  Enc.bindSetReturn(*Ev);
-  Bdd Ret = renamed(Ev->input(Enc.SetReturn) & eq(F.RMod, Mod) &
+  // evaluator, which the walk may run on, has not bound it yet.
+  Enc.bindSetReturn(St.Ev);
+  Bdd Ret = renamed(St.Ev.input(Enc.SetReturn) & eq(F.RMod, Mod) &
                         eq(F.RLRet, To.Locals) & eq(F.RGRet, To.Globals),
                     {{F.RModCallee, X.UMod},
                      {F.RPc, X.TPc},
@@ -291,8 +143,8 @@ bool WitnessExtractor::skipPred(const Bdd &Ring, unsigned Mod,
                      {F.RGExit, X.UGX}});
 
   Bdd Joint = Caller & Across & Call & Exit & Ret & Callee &
-              Ev->domainConstraint(X.TPc) & Ev->domainConstraint(X.UMod) &
-              Ev->domainConstraint(X.UPcX);
+              St.Ev.domainConstraint(X.TPc) & St.Ev.domainConstraint(X.UMod) &
+              St.Ev.domainConstraint(X.UPcX);
   if (Joint.isZero())
     return false;
 
@@ -327,7 +179,7 @@ bool WitnessExtractor::appendProcPath(unsigned Mod, uint64_t EntryL,
     size_t Rank = rankOf(tuple(Mod, Cur, EntryL, EntryG));
     if (Rank == 0)
       return false; // Only seeds live in ring 0; Cur is not the entry.
-    Bdd Prev = Fix->rings().ring(Rank - 1);
+    Bdd Prev = St.Fix.rings().ring(Rank - 1);
     RevStep Step;
     Step.State = Cur;
     if (internalPred(Prev, Mod, EntryL, EntryG, Cur, Step.From)) {
@@ -378,22 +230,22 @@ bool WitnessExtractor::appendEntryChain(unsigned Mod, uint64_t EntryL,
   size_t Rank = rankOf(tuple(Mod, Entry, EntryL, EntryG));
   if (Rank == 0)
     return false;
-  Bdd Prev = Fix->rings().ring(Rank - 1);
+  Bdd Prev = St.Fix.rings().ring(Rank - 1);
 
-  ProgramEncoder &Enc = Engine->encoder();
+  ProgramEncoder &Enc = Engine.encoder();
   Bdd CallerRing = Prev & eq(S.CG, EntryG);
   CallerRing = renamed(CallerRing, {{S.Mod, X.DMod},
                                     {S.Pc, X.DPc},
                                     {S.CL, X.DL},
                                     {S.ECL, X.DEL},
                                     {S.ECG, X.DEG}});
-  Bdd Call = renamed(Ev->input(Enc.ProgramCall) & eq(F.CModCallee, Mod) &
+  Bdd Call = renamed(St.Ev.input(Enc.ProgramCall) & eq(F.CModCallee, Mod) &
                          eq(F.CLEntry, EntryL) & eq(F.CG, EntryG),
                      {{F.CModCaller, X.DMod},
                       {F.CPc, X.DPc},
                       {F.CLCaller, X.DL}});
-  Bdd Joint = CallerRing & Call & Ev->domainConstraint(X.DMod) &
-              Ev->domainConstraint(X.DPc);
+  Bdd Joint = CallerRing & Call & St.Ev.domainConstraint(X.DMod) &
+              St.Ev.domainConstraint(X.DPc);
   if (Joint.isZero())
     return false;
 
@@ -417,50 +269,24 @@ bool WitnessExtractor::appendEntryChain(unsigned Mod, uint64_t EntryL,
 void WitnessExtractor::ensureSolved() {
   if (SolveDone)
     return;
-  if (!Ev) {
-    // One-time setup (owned mode only — borrowed mode arrives with the
-    // owner's evaluator), ungoverned like the sibling sessions'
-    // constructors: layout variable allocation cannot be rolled back, so
-    // a mid-setup trip would leave no consistent state to resume from (a
-    // redone makeLayout would shift the variable order and break the
-    // bit-identical-resume contract). Limits apply from the first
-    // fixpoint round on. `Ev` commits only after the inputs are fully
-    // bound, so a genuine fault mid-bind leaves the next attempt able to
-    // tell setup never finished instead of reading unbound inputs.
-    support::ResourceGovernor *Installed = Mgr->governor();
-    Mgr->setGovernor(nullptr);
-    try {
-      Layout L = Engine->factory().makeLayout(*Mgr);
-      auto NewEv =
-          std::make_unique<Evaluator>(Engine->system(), *Mgr, std::move(L));
-      NewEv->setThreads(Config.Threads);
-      // The target relation is declared but read by no clause; the solve
-      // (and therefore every ring) is target-independent, which is what
-      // makes one solve serve every later target query.
-      Engine->bindInputs(*NewEv, ~0u, 0);
-      OwnEv = std::move(NewEv);
-      Ev = OwnEv.get();
-    } catch (...) {
-      Mgr->setGovernor(Installed);
-      throw;
-    }
-    Mgr->setGovernor(Installed);
-  }
-
   // The "onion rings" are the per-round values of the summary relation;
   // the semi-naive core computes the paper's S_r per round, only cheaper,
   // so the rings are those of Section 3's `Evaluate`. `complete` drives
   // the persistent fixpoint to saturation, recording every
-  // value-changing round — in borrowed mode this *finishes the owner's
-  // solve in place*, so rounds an earlier plain query already computed
-  // are never recomputed and later plain queries replay the rounds
-  // recorded here: one solve per session, ever. A governor-interrupted
-  // solve keeps its completed rounds and carries on from them on retry —
-  // the recorded rings stay consistent either way.
-  EvalResult R = Fix->complete(*Ev, Engine->mainRel());
+  // value-changing round — on an `ef`/`ef-split` session's state this
+  // *finishes the session's solve in place*, so rounds an earlier plain
+  // query already computed are never recomputed and later plain queries
+  // replay the rounds recorded here: one solve per session, ever. A
+  // governor-interrupted solve keeps its completed rounds and carries on
+  // from them on retry — the recorded rings stay consistent either way.
+  // The inputs were bound without a target, so the solve (and therefore
+  // every ring) is target-independent, which is what makes one solve
+  // serve every later target query.
+  EvalResult R = St.Fix.complete(St.Ev, Engine.mainRel());
   SolveDone = true;
   Solved = R.Value;
-  TargetDomains = Ev->domainConstraint(S.Mod) & Ev->domainConstraint(S.Pc);
+  TargetDomains =
+      St.Ev.domainConstraint(S.Mod) & St.Ev.domainConstraint(S.Pc);
   Base.SummaryNodes = Solved.nodeCount();
   // Counters cover the ring-recording solve (reconstruction only walks
   // the recorded rings).
@@ -470,44 +296,41 @@ void WitnessExtractor::ensureSolved() {
 WitnessResult WitnessExtractor::query(unsigned ProcId, unsigned Pc) {
   WitnessResult Result;
   Timer T;
-  Mgr->setGovernor(Gov);
-  try {
+  support::ResourceLimit Limit = St.governed([&] {
     ensureSolved();
     static_cast<sym::SolveStats &>(Result) = Base;
     Steps.clear();
 
     Bdd Hits = Solved & eq(S.Mod, ProcId) & eq(S.Pc, Pc) & TargetDomains;
-    if (!Hits.isZero()) {
-      Result.Reachable = true;
+    if (Hits.isZero())
+      return;
+    Result.Reachable = true;
 
-      std::vector<int8_t> Path = Hits.onePath();
-      InstState Target;
-      Target.Pc = Pc;
-      Target.Locals = decode(Path, S.CL);
-      Target.Globals = decode(Path, S.CG);
-      uint64_t EntryL = decode(Path, S.ECL);
-      uint64_t EntryG = decode(Path, S.ECG);
+    std::vector<int8_t> Path = Hits.onePath();
+    InstState Target;
+    Target.Pc = Pc;
+    Target.Locals = decode(Path, S.CL);
+    Target.Globals = decode(Path, S.CG);
+    uint64_t EntryL = decode(Path, S.ECL);
+    uint64_t EntryG = decode(Path, S.ECG);
 
-      if (!appendEntryChain(ProcId, EntryL, EntryG) ||
-          !appendProcPath(ProcId, EntryL, EntryG, Target)) {
-        // Reconstruction failure indicates an engine bug; report reachable
-        // with an empty trace rather than a bogus one.
-        assert(false &&
-               "witness reconstruction failed on a reachable target");
-        Result.Steps.clear();
-      } else {
-        Result.Steps = std::move(Steps);
-      }
+    if (!appendEntryChain(ProcId, EntryL, EntryG) ||
+        !appendProcPath(ProcId, EntryL, EntryG, Target)) {
+      // Reconstruction failure indicates an engine bug; report reachable
+      // with an empty trace rather than a bogus one.
+      assert(false && "witness reconstruction failed on a reachable target");
+      Result.Steps.clear();
+    } else {
+      Result.Steps = std::move(Steps);
     }
-  } catch (const support::ResourceInterrupt &RI) {
+  });
+  if (Limit != support::ResourceLimit::None) {
     // Clean limit stop mid-solve or mid-extraction: completed rounds (and
     // their rings) persist, so a retry resumes where this attempt stopped.
-    // Setup runs ungoverned, so the evaluator exists by now.
     Result = WitnessResult();
-    Result.Limit = RI.Limit;
+    Result.Limit = Limit;
     readOut(Result);
   }
-  Mgr->setGovernor(nullptr);
   Result.Seconds = T.seconds();
   return Result;
 }
@@ -520,56 +343,17 @@ WitnessResult
 reach::checkReachabilityWithWitness(const bp::ProgramCfg &Cfg, unsigned ProcId,
                                     unsigned Pc,
                                     const sym::SolveConfig &Config) {
-  WitnessExtractor Extractor(Cfg, Config);
-  return Extractor.query(ProcId, Pc);
-}
-
-struct WitnessSession::Impl {
-  WitnessExtractor Extractor;
-  /// The extractor's gauges as its last query left them (counts are
-  /// reachable-only), and the high-water mark of their node count.
-  BddGauge Gauge;
-  size_t PeakLive = 0;
-  Impl(const bp::ProgramCfg &Cfg, const sym::SolveConfig &Config)
-      : Extractor(Cfg, Config) {}
-  Impl(SeqEngine &Engine, BddManager &Mgr, Evaluator &Ev,
-       IncrementalFixpoint &Fix, const sym::SolveConfig &Config)
-      : Extractor(Engine, Mgr, Ev, Fix, Config) {}
-};
-
-WitnessSession::WitnessSession(const bp::ProgramCfg &Cfg,
-                               const sym::SolveConfig &Config)
-    : I(std::make_unique<Impl>(Cfg, Config)) {}
-
-WitnessSession::WitnessSession(SeqEngine &Engine, BddManager &Mgr,
-                               fpc::Evaluator &Ev,
-                               fpc::IncrementalFixpoint &Fix,
-                               const sym::SolveConfig &Config)
-    : I(std::make_unique<Impl>(Engine, Mgr, Ev, Fix, Config)) {}
-
-WitnessSession::~WitnessSession() = default;
-
-WitnessResult WitnessSession::query(unsigned ProcId, unsigned Pc) {
-  WitnessResult R = I->Extractor.query(ProcId, Pc);
-  I->Gauge = I->Extractor.gauge();
-  I->PeakLive = std::max(I->PeakLive, I->Gauge.Nodes);
+  SeqEngine Engine(Cfg, SeqAlgorithm::EntryForward);
+  Timer T;
+  // Bound ungoverned, as a session binds: the caller's limits apply from
+  // the first fixpoint round on.
+  sym::SessionState St(Engine.system(), Engine.factory(), Config.Threads);
+  Engine.bindInputs(St.Ev, ~0u, 0);
+  St.setGovernor(Config.Governor);
+  WitnessResult R = WitnessExtractor(Engine, St).query(ProcId, Pc);
+  R.Seconds = T.seconds(); // The set-up counts, as in a one-shot solve.
   return R;
 }
-
-bool WitnessSession::solved() const { return I->Extractor.solved(); }
-
-void WitnessSession::setGovernor(support::ResourceGovernor *G) {
-  I->Extractor.setGovernor(G);
-}
-
-void WitnessSession::clearComputedCache() {
-  I->Extractor.clearComputedCache();
-  I->Gauge.CacheBytes = 0;
-}
-
-BddGauge WitnessSession::gauge() const { return I->Gauge; }
-
-size_t WitnessSession::peakLiveNodes() const { return I->PeakLive; }
 
 //===----------------------------------------------------------------------===//
 // Explicit replay verification

@@ -31,20 +31,11 @@
 #include "reach/SeqReach.h"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 namespace getafix {
-
-namespace fpc {
-class Evaluator;
-class IncrementalFixpoint;
-} // namespace fpc
-
 namespace reach {
-
-class SeqEngine; // reach/SeqEngine.h (internal)
 
 enum class WitnessStepKind {
   Init,     ///< The run starts here (main's entry).
@@ -78,67 +69,12 @@ struct WitnessResult : sym::SolveStats {
 /// Decides reachability of (ProcId, Pc) and, when reachable, extracts a
 /// concrete run witnessing it. Always runs the entry-forward algorithm to
 /// a full fixpoint (no early stop), so it is slower than
-/// checkReachability; use it after a positive answer.
+/// checkReachability; use it after a positive answer. Sessions answer the
+/// same query through `SeqSession::solveWithWitness`, which solves the
+/// ring-recording fixpoint once and walks it for every target.
 WitnessResult checkReachabilityWithWitness(const bp::ProgramCfg &Cfg,
                                            unsigned ProcId, unsigned Pc,
                                            const sym::SolveConfig &Config);
-
-/// Cross-query witness extraction over one program. The ring-recording
-/// solve is target-independent (it always runs the entry-forward system to
-/// its full fixpoint), so a session solves it once and reconstructs a
-/// trace per queried target by walking the recorded rings — each query's
-/// verdict, ring count, and trace are bit-identical to a fresh
-/// `checkReachabilityWithWitness` with the same options. The caller keeps
-/// \p Cfg alive for the session's lifetime.
-class WitnessSession {
-public:
-  WitnessSession(const bp::ProgramCfg &Cfg, const sym::SolveConfig &Config);
-  /// Borrowed mode: extract witnesses from an *owning session's* solver
-  /// state instead of running a second solve. \p Engine must be an
-  /// entry-forward (or entry-forward-split) engine whose main relation
-  /// records its rounds into \p Fix — the extractor completes that
-  /// fixpoint in place (one solve per session, ever) and walks its rings.
-  /// The caller keeps all four references alive for the session's
-  /// lifetime and serializes queries against its own use of \p Mgr.
-  /// `gauge`/`peakLiveNodes` report 0 in this mode (the owner already
-  /// counts the shared manager) and `clearComputedCache` is a no-op (the
-  /// owner's valve clears it).
-  WitnessSession(SeqEngine &Engine, BddManager &Mgr, fpc::Evaluator &Ev,
-                 fpc::IncrementalFixpoint &Fix,
-                 const sym::SolveConfig &Config);
-  ~WitnessSession();
-  WitnessSession(const WitnessSession &) = delete;
-  WitnessSession &operator=(const WitnessSession &) = delete;
-
-  WitnessResult query(unsigned ProcId, unsigned Pc);
-
-  /// Has the (lazy) ring-recording solve run? Once true, every query is a
-  /// pure extraction from recorded state.
-  bool solved() const;
-
-  /// Per-attempt resource governor for the next query (null = ungoverned;
-  /// see SeqSession::setGovernor). An interrupted ring-recording solve
-  /// keeps its completed rounds and resumes bit-identically on retry.
-  void setGovernor(support::ResourceGovernor *G);
-
-  /// Frees the computed caches of the extractor's BDD managers (its own
-  /// and its evaluator's parallel workers); solved rings are kept
-  /// (performance valve, bit-identical results).
-  void clearComputedCache();
-
-  /// The memory gauges of the extractor's own BDD managers — reachable
-  /// nodes and the estimated bytes of resident state, computed caches
-  /// charged as allocated — as sampled at the end of the last query (one
-  /// mark pass per manager; all zero before the first), and the
-  /// high-water mark of the node count over those samples. The gauge
-  /// feeds the owning session's `memoryFootprint`.
-  BddGauge gauge() const;
-  size_t peakLiveNodes() const;
-
-private:
-  struct Impl;
-  std::unique_ptr<Impl> I;
-};
 
 /// Replays \p Steps against the explicit statement semantics. Checks that
 /// the run starts at main's entry, every step is a valid transition (for

@@ -462,6 +462,7 @@ Json Server::handleSolve(const Request &R) {
       }
   }
 
+  sym::SessionState::Gauge G = S.gauge();
   return Json::object()
       .set("ok", Json::boolean(true))
       .set("program", Json::str(Key))
@@ -470,11 +471,9 @@ Json Server::handleSolve(const Request &R) {
       .set("rows", std::move(Rows))
       .set("session",
            Json::object()
-               .set("live_nodes", Json::number(double(S.liveNodes())))
-               .set("peak_live_nodes",
-                    Json::number(double(S.peakLiveNodes())))
-               .set("footprint_bytes",
-                    Json::number(double(S.memoryFootprint()))));
+               .set("live_nodes", Json::number(double(G.LiveNodes)))
+               .set("peak_live_nodes", Json::number(double(G.PeakLiveNodes)))
+               .set("footprint_bytes", Json::number(double(G.Bytes))));
 }
 
 Json Server::handleStats() {

@@ -183,7 +183,7 @@ void SessionPool::noteRelease(Entry &E) {
   // The session sampled its footprint at the end of the lease's last
   // query, so the estimate reflects everything the lease allocated; no
   // query runs again before the next lease, so it stays exact until then.
-  size_t Foot = E.S ? E.S->memoryFootprint() : 0;
+  size_t Foot = E.S ? E.S->gauge().Bytes : 0;
   std::lock_guard<std::mutex> G(PoolMu);
   E.Footprint = Foot;
   E.Leased = false;
@@ -267,7 +267,7 @@ void SessionPool::enforceBudget() {
             continue;
           if (C->S) {
             C->S->clearComputedCache();
-            C->Footprint = C->S->memoryFootprint();
+            C->Footprint = C->S->gauge().Bytes;
           }
           C->ValveCold = true;
           C->Mu.unlock();

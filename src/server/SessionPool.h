@@ -10,8 +10,8 @@
 /// manager, the summary rounds solved so far) and the paper's whole point
 /// is that queries against an already-solved program are nearly free — so
 /// the pool keeps sessions alive across requests and evicts least-
-/// recently-used ones only when a configurable memory budget (summed
-/// `SolverSession::memoryFootprint()` estimates) is exceeded. Those
+/// recently-used ones only when a configurable memory budget (the summed
+/// bytes of each `SolverSession::gauge()`) is exceeded. Those
 /// estimates are samples each session takes once at the end of every
 /// query; the pool only reads them, so budgeting costs no node-table walk.
 ///

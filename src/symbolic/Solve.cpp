@@ -2,6 +2,8 @@
 
 #include "symbolic/Solve.h"
 
+#include "symbolic/Encode.h"
+
 #include <algorithm>
 
 using namespace getafix;
@@ -45,4 +47,22 @@ void SolveMeter::finish(SolveStats &Out, fpc::Evaluator &Ev,
   Out.SccsSolvedParallel = ParDelta.SccsSolvedParallel;
   Out.ImportedNodes = ParDelta.ImportedNodes;
   Out.Seconds = T.seconds();
+}
+
+SessionState::SessionState(const fpc::System &Sys, const VarFactory &Factory,
+                           unsigned Threads)
+    : Ev(Sys, Mgr, Factory.makeLayout(Mgr), Threads) {}
+
+void SessionState::clearComputedCache() {
+  Mgr.clearComputedCache();
+  Ev.clearWorkerCaches();
+  Sample.CacheBytes = 0;
+}
+
+void SessionState::sampleGauge(const SessionState *Second) {
+  Sample = Mgr.gauge();
+  Sample += Ev.workerGauge();
+  if (Second)
+    Sample += Second->Sample;
+  PeakLive = std::max(PeakLive, Sample.Nodes);
 }

@@ -18,6 +18,12 @@
 /// scheduler's counters, taken the same way whether the solve ran to its
 /// end or a resource limit stopped it.
 ///
+/// `SessionState` is the one solving state a query session keeps: the BDD
+/// manager, the evaluator over it, the recorded rounds, the per-query
+/// governor and the end-of-query memory gauge. Every sequential and
+/// concurrent session and every witness walk runs on one; the one-shot
+/// solves do not keep state and build their own manager and evaluator.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GETAFIX_SYMBOLIC_SOLVE_H
@@ -35,6 +41,8 @@
 
 namespace getafix {
 namespace sym {
+
+class VarFactory; // symbolic/Encode.h
 
 /// The solver knobs, declared once.
 struct SolveConfig {
@@ -167,6 +175,83 @@ private:
   BddStats Mgr, Workers;
   fpc::ParallelStats Par;
   Timer T;
+};
+
+/// The solving state of one session over one equation system: a BDD
+/// manager, the evaluator over it, and the rounds ("onion rings") of the
+/// relation its queries iterate. They persist across queries, so a query
+/// replays the recorded rounds and resumes the iteration only where the
+/// answer needs rounds beyond them; the same rings are what a
+/// counterexample walks. The owner binds the system's inputs into `Ev`
+/// once, right after construction.
+class SessionState {
+public:
+  /// Lays \p Sys's variables out through \p Factory on a fresh manager.
+  /// \p Threads is the evaluator's worker count (see `fpc::Evaluator`).
+  SessionState(const fpc::System &Sys, const VarFactory &Factory,
+               unsigned Threads);
+
+  BddManager Mgr;
+  fpc::Evaluator Ev;
+  fpc::IncrementalFixpoint Fix;
+
+  /// Installs (or clears, with null) the resource governor the next
+  /// `governed` query runs under. Not owned: the caller keeps it alive
+  /// across that query.
+  void setGovernor(support::ResourceGovernor *G) { Gov = G; }
+  support::ResourceGovernor *governor() const { return Gov; }
+
+  /// Runs \p Query with the governor installed on the manager, and only
+  /// for its duration. A tripped limit stops it at a completed round
+  /// boundary, where the state stays valid: a retry resumes the
+  /// deterministic round chain bit-identically. Returns the limit that
+  /// stopped the query (`None` when it ran through).
+  template <typename Fn> support::ResourceLimit governed(Fn &&Query) {
+    support::ResourceLimit Limit = support::ResourceLimit::None;
+    Mgr.setGovernor(Gov);
+    try {
+      Query();
+    } catch (const support::ResourceInterrupt &RI) {
+      Limit = RI.Limit;
+    }
+    Mgr.setGovernor(nullptr);
+    return Limit;
+  }
+
+  /// Frees the computed caches of the manager and of the evaluator's
+  /// parallel workers and takes their share out of the gauge; solved
+  /// state is kept (a performance valve, bit-identical results).
+  void clearComputedCache();
+
+  /// The memory gauge, as last sampled: BDD nodes reachable from what the
+  /// state retains (garbage awaiting a collection excluded), the
+  /// high-water mark of that count over the samples, and a bytes estimate
+  /// of the resident state, computed caches charged as allocated. An
+  /// estimate, not RSS: the signal a pool budgeting many sessions evicts
+  /// on.
+  struct Gauge {
+    size_t LiveNodes = 0;
+    size_t PeakLiveNodes = 0;
+    size_t Bytes = 0;
+  };
+  Gauge gauge() const { return {Sample.Nodes, PeakLive, Sample.bytes()}; }
+
+  /// Samples the gauge: one mark pass per manager (the main one and the
+  /// parallel workers'). A session samples once when its inputs are bound
+  /// and once at the end of every query, so reads are free and exact until
+  /// the next query. \p Second, a second state the session owns, adds
+  /// the sample it took itself: a query that did not run on it left it as
+  /// it was.
+  void sampleGauge(const SessionState *Second = nullptr);
+
+private:
+  support::ResourceGovernor *Gov = nullptr;
+  BddGauge Sample;
+  /// The high-water mark of `Sample.Nodes`. Allocation high-water
+  /// (`BddStats::PeakNodes`) would also count uncollected garbage, which
+  /// the retention diet deliberately produces more of in exchange for
+  /// retaining far less.
+  size_t PeakLive = 0;
 };
 
 } // namespace sym

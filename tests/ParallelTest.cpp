@@ -219,8 +219,7 @@ FpSolve solveRoot(const fpc::System &Sys,
   FpSolve S;
   S.Mgr = std::make_unique<BddManager>();
   S.Ev = std::make_unique<fpc::Evaluator>(
-      Sys, *S.Mgr, fpc::Layout::sequential(Sys, *S.Mgr));
-  S.Ev->setThreads(Threads);
+      Sys, *S.Mgr, fpc::Layout::sequential(Sys, *S.Mgr), Threads);
   fpc::bindFacts(*S.Ev, Sys, Facts);
   S.Root = S.Ev->evaluate(Sys.relId("Root")).Value;
   S.Stats = S.Ev->stats();
@@ -325,8 +324,7 @@ TEST(ParallelSccTest, RebindAndInvalidateDropWorkerMemos) {
              Sys.mkOr({Sys.applyVars(M, {A}), Sys.applyVars(R2, {A})}));
 
   BddManager Mgr;
-  Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr));
-  Ev.setThreads(2);
+  Evaluator Ev(Sys, Mgr, Layout::sequential(Sys, Mgr), 2);
   // Several rebind rounds: task-to-worker placement varies, so one round
   // might miss the stale worker by luck.
   for (uint64_t V = 0; V < 6; ++V) {
@@ -603,8 +601,8 @@ TEST(SplitSummaryParallelTest, SccSessionsMatchPaperEnginesAcrossThreads) {
   std::vector<Query> Queries;
   for (const char *Label : {"CP0", "ERR", "DEAD0", "ERR"})
     Queries.push_back(Query::fromSource("").target(Label));
-  // One witness query on the reachable target exercises summary-scc's
-  // owned witness sub-session.
+  // One witness query on the reachable target exercises the second
+  // EntryForward state a summary-scc session builds for its witness walk.
   Queries.push_back(Query::fromSource("").target("ERR").witness(true));
 
   for (unsigned Threads : {1u, 4u}) {

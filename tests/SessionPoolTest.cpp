@@ -99,19 +99,23 @@ TEST(SessionPoolTest, FootprintAccessorsReportSolverState) {
   ASSERT_TRUE(S->ok());
   EXPECT_TRUE(solveTarget(*S, "ERR").Reachable);
 
-  EXPECT_GT(S->liveNodes(), 0u);
-  EXPECT_GE(S->peakLiveNodes(), S->liveNodes());
-  size_t Warm = S->memoryFootprint();
+  sym::SessionState::Gauge G = S->gauge();
+  EXPECT_GT(G.LiveNodes, 0u);
+  EXPECT_GE(G.PeakLiveNodes, G.LiveNodes);
+  size_t Warm = G.Bytes;
   EXPECT_GT(Warm, 0u);
+  EXPECT_EQ(S->lastSampledFootprint(), Warm);
 
   // Clearing releases the computed cache, so the estimate drops by its
   // size — that drop is what makes the pool's phase-1 valve meaningful —
-  // and the next solve re-allocates it.
+  // while the node counts stay; the next solve re-allocates it.
   S->clearComputedCache();
-  size_t Cold = S->memoryFootprint();
-  EXPECT_LT(Cold, Warm);
+  sym::SessionState::Gauge Cold = S->gauge();
+  EXPECT_LT(Cold.Bytes, Warm);
+  EXPECT_EQ(Cold.LiveNodes, G.LiveNodes);
+  EXPECT_EQ(Cold.PeakLiveNodes, G.PeakLiveNodes);
   EXPECT_FALSE(solveTarget(*S, "SAFE").Reachable);
-  EXPECT_GT(S->memoryFootprint(), Cold);
+  EXPECT_GT(S->gauge().Bytes, Cold.Bytes);
 }
 
 //===----------------------------------------------------------------------===//
@@ -233,9 +237,9 @@ TEST(SessionPoolTest, CacheClearValveFiresBeforeEviction) {
     auto S = api::Solver::open(api::Query::fromSource(seqFixture()), {});
     ASSERT_TRUE(S->ok());
     solveTarget(*S, "ERR");
-    Warm = S->memoryFootprint();
+    Warm = S->gauge().Bytes;
     S->clearComputedCache();
-    Cold = S->memoryFootprint();
+    Cold = S->gauge().Bytes;
   }
   ASSERT_GT(Warm, Cold);
 
@@ -285,16 +289,16 @@ TEST(SessionPoolTest, BudgetSeesMidLeaseGrowthThroughTheGauge) {
     auto S = api::Solver::open(api::Query::fromSource(ASrc), {});
     ASSERT_TRUE(S->ok());
     ASSERT_TRUE(solveTarget(*S, "ERR").Reachable);
-    ASmall = S->memoryFootprint();
+    ASmall = S->gauge().Bytes;
     ASSERT_TRUE(
         S->solve(api::Query::fromSource("").target("ERR").witness()).ok());
-    ABig = S->memoryFootprint();
+    ABig = S->gauge().Bytes;
   }
   {
     auto S = api::Solver::open(api::Query::fromSource(BSrc), {});
     ASSERT_TRUE(S->ok());
     ASSERT_TRUE(solveTarget(*S, "ERR").Reachable);
-    BFoot = S->memoryFootprint();
+    BFoot = S->gauge().Bytes;
   }
   ASSERT_GT(ABig, ASmall);
 

@@ -379,20 +379,31 @@ TEST(SessionTest, SessionSurvivesComputedCacheClears) {
   }
 
   // Witness extraction across a clear: the recorded rings must still
-  // reconstruct the identical trace.
-  SolverOptions Opts;
-  Opts.Engine = "ef";
-  SolveResult Fresh = Solver::solve(
-      Query::fromSource(seqFixture()).target("ERR").witness(), Opts);
-  std::unique_ptr<SolverSession> S =
-      Solver::open(Query::fromSource(seqFixture()), Opts);
-  SolveResult First =
-      S->solve(Query::fromSource("").target("ERR").witness());
-  S->clearComputedCache();
-  SolveResult Second =
-      S->solve(Query::fromSource("").target("ERR").witness());
-  expectSameCore(Fresh, First, "witness before clear");
-  expectSameCore(Fresh, Second, "witness after clear");
+  // reconstruct the identical trace — on the session's own state (ef) and
+  // on the second EntryForward state the other engines walk, whose caches
+  // the same valve frees (summary-scc, ef-opt).
+  for (const char *Engine : {"ef", "summary-scc", "ef-opt"}) {
+    SolverOptions Opts;
+    Opts.Engine = Engine;
+    SolveResult Fresh = Solver::solve(
+        Query::fromSource(seqFixture()).target("ERR").witness(), Opts);
+    std::unique_ptr<SolverSession> S =
+        Solver::open(Query::fromSource(seqFixture()), Opts);
+    SolveResult First =
+        S->solve(Query::fromSource("").target("ERR").witness());
+    size_t Warm = S->gauge().Bytes;
+    S->clearComputedCache();
+    EXPECT_LT(S->gauge().Bytes, Warm) << Engine;
+    SolveResult Second =
+        S->solve(Query::fromSource("").target("ERR").witness());
+    SolveResult Plain = S->solve(Query::fromSource("").target("SAFE"));
+    std::string Ctx = Engine;
+    expectSameCore(Fresh, First, Ctx + " witness before clear");
+    expectSameCore(Fresh, Second, Ctx + " witness after clear");
+    expectSameCore(
+        Solver::solve(Query::fromSource(seqFixture()).target("SAFE"), Opts),
+        Plain, Ctx + " plain after clear");
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -564,7 +575,7 @@ TEST(SessionTest, EfWitnessAndPlainQueriesShareOneSolve) {
   for (reach::SeqAlgorithm Alg : {reach::SeqAlgorithm::EntryForward,
                                   reach::SeqAlgorithm::EntryForwardSplit}) {
     // The extractor walks the very relation these engines' plain queries
-    // solve, so the session lends it its own solve (borrowed mode).
+    // solve, so the session lends it its own solving state.
     sym::SolveConfig Opts;
     // One solve's worth of rounds, from the pre-existing one-shot path.
     reach::WitnessResult FreshW =
@@ -612,10 +623,12 @@ TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
   // plain session plus a separate witness solver on its own manager —
   // which is what every ef session used to pay the moment a witness query
   // arrived (a second EntryForward solve, a second copy of every round).
-  // The shared-state diet session serves the identical mixed stream from
-  // one solve on one manager and must retain strictly less than the pair,
-  // at matching results. All three log their rounds at the default
-  // keyframe interval; RingLogTest pins the delta storage itself.
+  // A second ef session that only answers witness queries is exactly
+  // that duplicate solver. The shared-state diet session serves the
+  // identical mixed stream from one solve on one manager and must retain
+  // strictly less than the pair, at matching results. All three log their
+  // rounds at the default keyframe interval; RingLogTest pins the delta
+  // storage itself.
   gen::DriverParams P;
   P.NumProcs = 8;
   P.StmtsPerProc = 8;
@@ -632,13 +645,13 @@ TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
   const reach::SeqAlgorithm Ef = reach::SeqAlgorithm::EntryForward;
   sym::SolveConfig Config;
   reach::SeqSession SeedPlain(Cfg, Ef, Config);
-  reach::WitnessSession SeedWitness(Cfg, Config); // The duplicate solver.
+  reach::SeqSession SeedWitness(Cfg, Ef, Config); // The duplicate solver.
   reach::SeqSession SDiet(Cfg, Ef, Config);
 
   const std::pair<unsigned, unsigned> Targets[] = {
       {ErrProc, ErrPc}, {0, 1}, {1, 0}, {2, 0}};
   for (auto [TP, TPc] : Targets) {
-    reach::WitnessResult WSeed = SeedWitness.query(TP, TPc);
+    reach::WitnessResult WSeed = SeedWitness.solveWithWitness(TP, TPc);
     reach::WitnessResult WDiet = SDiet.solveWithWitness(TP, TPc);
     EXPECT_EQ(WSeed.Reachable, WDiet.Reachable) << TP << ":" << TPc;
     EXPECT_EQ(WSeed.Steps.size(), WDiet.Steps.size()) << TP << ":" << TPc;
@@ -648,8 +661,10 @@ TEST(SessionTest, RingDietShrinksLongLivedSessionMemory) {
     EXPECT_EQ(WSeed.Reachable, PSeed.Reachable) << TP << ":" << TPc;
   }
 
-  size_t SeedLive = SeedPlain.liveNodes() + SeedWitness.gauge().Nodes;
-  size_t SeedPeak = SeedPlain.peakLiveNodes() + SeedWitness.peakLiveNodes();
-  EXPECT_LT(SDiet.liveNodes(), SeedLive) << "ef witness sweep";
-  EXPECT_LT(SDiet.peakLiveNodes(), SeedPeak) << "ef witness sweep";
+  size_t SeedLive =
+      SeedPlain.gauge().LiveNodes + SeedWitness.gauge().LiveNodes;
+  size_t SeedPeak =
+      SeedPlain.gauge().PeakLiveNodes + SeedWitness.gauge().PeakLiveNodes;
+  EXPECT_LT(SDiet.gauge().LiveNodes, SeedLive) << "ef witness sweep";
+  EXPECT_LT(SDiet.gauge().PeakLiveNodes, SeedPeak) << "ef witness sweep";
 }

@@ -206,8 +206,7 @@ int main(int Argc, char **Argv) {
       Gov.setNodeBudget(NodeBudget);
     Mgr.setGovernor(&Gov);
   }
-  Evaluator Ev(*Sys, Mgr, Layout::sequential(*Sys, Mgr));
-  Ev.setThreads(Threads);
+  Evaluator Ev(*Sys, Mgr, Layout::sequential(*Sys, Mgr), Threads);
   bindFacts(Ev, *Sys, Facts);
 
   bool AnyEmpty = false;
