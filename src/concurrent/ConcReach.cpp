@@ -47,8 +47,7 @@ public:
 
   // Shared by the one-shot solve and ConcSession, so both compute the
   // identical target set and reachable-set statistic.
-  void bindInputs(Evaluator &Ev, unsigned Thread, unsigned ProcId,
-                  unsigned Pc);
+  void bindInputs(Evaluator &Ev);
   Bdd targetStates(Evaluator &Ev, unsigned Thread, unsigned ProcId,
                    unsigned Pc);
   double reachStatesOf(Evaluator &Ev, const Bdd &Value);
@@ -456,10 +455,9 @@ void ConcEngine::buildSystem() {
 #endif
 }
 
-void ConcEngine::bindInputs(Evaluator &Ev, unsigned Thread, unsigned ProcId,
-                            unsigned Pc) {
+void ConcEngine::bindInputs(Evaluator &Ev) {
   for (unsigned I = 0; I < N; ++I)
-    Encs[I]->bind(Ev, I == Thread ? ProcId : ~0u, Pc);
+    Encs[I]->bind(Ev);
 }
 
 Bdd ConcEngine::targetStates(Evaluator &Ev, unsigned Thread, unsigned ProcId,
@@ -504,7 +502,7 @@ SolveStats ConcEngine::solve(unsigned Thread, unsigned ProcId, unsigned Pc,
   Mgr.setGovernor(Config.Governor);
   Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Config.Threads);
   try {
-    bindInputs(Ev, Thread, ProcId, Pc);
+    bindInputs(Ev);
 
     Bdd TargetStates = targetStates(Ev, Thread, ProcId, Pc);
 
@@ -566,9 +564,7 @@ struct ConcSession::Impl {
        const std::vector<bp::ProgramCfg> &Cfgs, const SolveConfig &Config)
       : Config(Config), Engine(Conc, Cfgs, Config),
         St(Engine.system(), Engine.factory(), Config.Threads) {
-    // Targetless binding: the per-thread target relations are read by no
-    // clause, so one binding serves every query of the session.
-    Engine.bindInputs(St.Ev, ~0u, ~0u, 0);
+    Engine.bindInputs(St.Ev);
     St.sampleGauge();
   }
 };

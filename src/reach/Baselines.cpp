@@ -111,7 +111,7 @@ void PostStarSolver::build(unsigned ProcId, unsigned Pc) {
   RUECL = Factory.makeVar("u.ECL", Doms.LVec);
 
   Ev = std::make_unique<Evaluator>(Sys, Mgr, Factory.makeLayout(Mgr));
-  Enc->bind(*Ev, ProcId, Pc);
+  Enc->bind(*Ev);
 
   const ProgramEncoder::FormalSets &F = Enc->formals();
 

@@ -43,7 +43,7 @@ public:
 
   /// Binds the encoder's input relations into \p Ev: `ProgramEncoder::bind`,
   /// plus the unsplit `setReturn` when this system applies it.
-  void bindInputs(fpc::Evaluator &Ev, unsigned ProcId, unsigned Pc);
+  void bindInputs(fpc::Evaluator &Ev);
 
   /// Does the algorithm solve every relation without looking at the
   /// target? True for the all-entries summaries (`SummarySimple`,
@@ -109,7 +109,7 @@ private:
   // Clause builders shared by the algorithms. `Head` is the relation the
   // clause recurses on; `Mark` adds a leading fr-argument when >= 0.
   std::vector<fpc::Term> headArgs(const sym::ConfVars &C, int Mark) const;
-  fpc::Formula *initClause(fpc::RelId Head, int Mark);
+  fpc::Formula *initClause();
   fpc::Formula *internalClause(fpc::RelId Head, int Mark);
   fpc::Formula *entryDiscoveryClause(fpc::RelId Head, int Mark,
                                      bool RelevantGuard);

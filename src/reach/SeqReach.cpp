@@ -24,10 +24,9 @@ std::vector<Term> SeqEngine::headArgs(const ConfVars &C, int Mark) const {
   return Args;
 }
 
-/// [Init] fr=1 ∧ Init(s.mod, s.pc, s.CL) ∧ s.CL=s.ECL ∧ s.CG=s.ECG.
-Formula *SeqEngine::initClause(RelId Head, int Mark) {
-  (void)Head;
-  (void)Mark;
+/// [Init] Init(s.mod, s.pc, s.CL) ∧ s.CL=s.ECL ∧ s.CG=s.ECG (ef-opt adds
+/// fr=1 around it).
+Formula *SeqEngine::initClause() {
   return Sys.mkAnd({
       Sys.apply(Enc->InitRel,
                 {Term::var(S.Mod), Term::var(S.Pc), Term::var(S.CL)}),
@@ -376,7 +375,7 @@ void SeqEngine::buildSystem() {
     Main = Sys.declareRel("SummaryEF", ConfFormals);
     Sys.define(Main,
                Sys.mkOr({
-                   initClause(Main, -1),
+                   initClause(),
                    internalClause(Main, -1),
                    entryDiscoveryClause(Main, -1, false),
                    SplitRet ? returnClauseSplit(Main, Main, -1, false)
@@ -426,7 +425,7 @@ void SeqEngine::buildSystem() {
     // SummaryEFopt (clauses 1-3): re-seed init, demote last round's marks,
     // admit the new states with fr=1.
     {
-      Formula *C1 = Sys.mkAnd({Sys.eqConst(Fr, 1), initClause(Main, -1)});
+      Formula *C1 = Sys.mkAnd({Sys.eqConst(Fr, 1), initClause()});
       Formula *C2 = Sys.apply(Main, headArgs(S, 1)); // fr unconstrained.
       Formula *C3 = Sys.mkAnd({
           Sys.eqConst(Fr, 1),
@@ -468,8 +467,8 @@ void SeqEngine::buildSystem() {
 #endif
 }
 
-void SeqEngine::bindInputs(Evaluator &Ev, unsigned ProcId, unsigned Pc) {
-  Enc->bind(Ev, ProcId, Pc);
+void SeqEngine::bindInputs(Evaluator &Ev) {
+  Enc->bind(Ev);
   if (UnsplitReturn)
     Enc->bindSetReturn(Ev);
 }
@@ -499,7 +498,7 @@ sym::SolveStats SeqEngine::solve(unsigned ProcId, unsigned Pc,
   Evaluator Ev(Sys, Mgr, Factory.makeLayout(Mgr), Config.Threads);
 
   try {
-    bindInputs(Ev, ProcId, Pc);
+    bindInputs(Ev);
 
     // Target states over the head tuple (plus don't-care fr for the opt
     // algorithm, whose head has the mark in front).
@@ -571,10 +570,7 @@ struct SeqSession::Impl {
        const sym::SolveConfig &Config)
       : Cfg(Cfg), Config(Config), Engine(Cfg, Alg),
         St(Engine.system(), Engine.factory(), Config.Threads) {
-    // The target relation is declared but read by no clause, so one
-    // targetless binding serves every query; rebinding per target would
-    // needlessly drop the evaluator's memo layers.
-    Engine.bindInputs(St.Ev, ~0u, 0);
+    Engine.bindInputs(St.Ev);
     St.sampleGauge();
   }
 
@@ -594,7 +590,7 @@ struct SeqSession::Impl {
     auto WEngine = std::make_unique<SeqEngine>(Cfg, SeqAlgorithm::EntryForward);
     auto WState = std::make_unique<sym::SessionState>(
         WEngine->system(), WEngine->factory(), Config.Threads);
-    WEngine->bindInputs(WState->Ev, ~0u, 0);
+    WEngine->bindInputs(WState->Ev);
     WitnessEngine = std::move(WEngine);
     WitnessState = std::move(WState);
     return Extractor.emplace(*WitnessEngine, *WitnessState);

@@ -279,9 +279,9 @@ void WitnessExtractor::ensureSolved() {
   // replay the rounds recorded here: one solve per session, ever. A
   // governor-interrupted solve keeps its completed rounds and carries on
   // from them on retry — the recorded rings stay consistent either way.
-  // The inputs were bound without a target, so the solve (and therefore
-  // every ring) is target-independent, which is what makes one solve
-  // serve every later target query.
+  // No input names a target, so the solve (and therefore every ring) is
+  // target-independent, which is what makes one solve serve every later
+  // target query.
   EvalResult R = St.Fix.complete(St.Ev, Engine.mainRel());
   SolveDone = true;
   Solved = R.Value;
@@ -348,7 +348,7 @@ reach::checkReachabilityWithWitness(const bp::ProgramCfg &Cfg, unsigned ProcId,
   // Bound ungoverned, as a session binds: the caller's limits apply from
   // the first fixpoint round on.
   sym::SessionState St(Engine.system(), Engine.factory(), Config.Threads);
-  Engine.bindInputs(St.Ev, ~0u, 0);
+  Engine.bindInputs(St.Ev);
   St.setGovernor(Config.Governor);
   WitnessResult R = WitnessExtractor(Engine, St).query(ProcId, Pc);
   R.Seconds = T.seconds(); // The set-up counts, as in a one-shot solve.

@@ -135,10 +135,6 @@ ProgramEncoder::ProgramEncoder(System &Sys, VarFactory &Factory,
   F.NPc = Mk("nPc", Doms.Pc);
   F.NL = Mk("nL", Doms.LVec);
   InitRel = Sys.declareRel("init" + Suffix, {F.NMod, F.NPc, F.NL});
-
-  F.TMod = Mk("tMod", Doms.Mod);
-  F.TPc = Mk("tPc", Doms.Pc);
-  Target = Sys.declareRel("target" + Suffix, {F.TMod, F.TPc});
 }
 
 //===----------------------------------------------------------------------===//
@@ -420,8 +416,7 @@ void ProgramEncoder::bindSetReturn(Evaluator &Ev) {
   Ev.bindInput(SetReturn, RetFull);
 }
 
-void ProgramEncoder::bindStatics(Evaluator &Ev, unsigned TargetProcId,
-                                 unsigned TargetPc) {
+void ProgramEncoder::bindStatics(Evaluator &Ev) {
   BddManager &Mgr = Ev.manager();
   const Program &Prog = *Cfg.Prog;
 
@@ -457,19 +452,12 @@ void ProgramEncoder::bindStatics(Evaluator &Ev, unsigned TargetProcId,
   for (unsigned B = MainSlots; B < LBits; ++B)
     Init &= !Ev.bitVar(F.NL, B);
   Ev.bindInput(InitRel, Init);
-
-  Bdd TargetBdd = Mgr.zero();
-  if (TargetProcId != ~0u)
-    TargetBdd = Ev.encodeEqConst(F.TMod, TargetProcId) &
-                Ev.encodeEqConst(F.TPc, TargetPc);
-  Ev.bindInput(Target, TargetBdd);
 }
 
-void ProgramEncoder::bind(Evaluator &Ev, unsigned TargetProcId,
-                          unsigned TargetPc) {
+void ProgramEncoder::bind(Evaluator &Ev) {
   bindProgramInt(Ev);
   bindProgramCall(Ev);
   bindSkipCall(Ev);
   bindReturns(Ev);
-  bindStatics(Ev, TargetProcId, TargetPc);
+  bindStatics(Ev);
 }

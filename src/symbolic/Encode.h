@@ -15,7 +15,7 @@
 ///     of Section 4.2 (caller-side local copying vs exit-side return-value
 ///     assignment), and `setReturn`, their unsplit conjunction (bound on
 ///     demand, by `bindSetReturn`)
-///   - `exitRel(mod, pc)`, `initRel(mod, pc, L)`, `target(mod, pc)`
+///   - `exitRel(mod, pc)`, `entryRel(mod, pc, L)`, `initRel(mod, pc, L)`
 ///
 /// State layout follows the Appendix's `Conf` tuple: module id, module-local
 /// PC (entries are PC 0), a local bit-vector padded to the largest frame,
@@ -116,9 +116,9 @@ public:
                  fpc::DomainId ChoiceDom, std::string Suffix = "");
 
   /// Builds the relation BDDs into \p Ev, all but the unsplit `setReturn`.
-  /// \p TargetProcId/\p TargetPc name the reachability goal (use ~0u for
-  /// "no target").
-  void bind(fpc::Evaluator &Ev, unsigned TargetProcId, unsigned TargetPc);
+  /// No relation names a target (the solvers intersect with it
+  /// themselves), so one binding serves every query.
+  void bind(fpc::Evaluator &Ev);
 
   /// Builds the unsplit `setReturn` into \p Ev unless it is bound there
   /// already. Only the systems that apply the unsplit return clause
@@ -136,7 +136,6 @@ public:
   fpc::RelId ExitRel = 0;
   fpc::RelId EntryRel = 0;
   fpc::RelId InitRel = 0;
-  fpc::RelId Target = 0;
 
   const bp::ProgramCfg &cfg() const { return Cfg; }
 
@@ -161,9 +160,8 @@ public:
     //           LRet, GRet).
     fpc::VarId RMod, RModCallee, RPc, RPcExit, RLCaller, RLExit, RGExit,
         RLRet, RGRet;
-    // exitRel(Mod, Pc); entryRel(Mod, Pc, L); initRel(Mod, Pc, L);
-    // target(Mod, Pc).
-    fpc::VarId EMod, EPc, YMod, YPc, YL, NMod, NPc, NL, TMod, TPc;
+    // exitRel(Mod, Pc); entryRel(Mod, Pc, L); initRel(Mod, Pc, L).
+    fpc::VarId EMod, EPc, YMod, YPc, YL, NMod, NPc, NL;
   };
 
   const FormalSets &formals() const { return F; }
@@ -178,8 +176,7 @@ private:
   void bindProgramCall(fpc::Evaluator &Ev);
   void bindSkipCall(fpc::Evaluator &Ev);
   void bindReturns(fpc::Evaluator &Ev);
-  void bindStatics(fpc::Evaluator &Ev, unsigned TargetProcId,
-                   unsigned TargetPc);
+  void bindStatics(fpc::Evaluator &Ev);
 
   fpc::System &Sys;
   const StateDomains Doms;
