@@ -7,8 +7,8 @@
 /// \file
 /// One configuration flows down the layers and one statistics record flows
 /// back up. Every engine — the sequential fixed-point engines, the
-/// Section-5 concurrent engine, the Moped/Bebop baselines, and the witness
-/// extractor — takes a `SolveConfig` and returns a `SolveStats`; the
+/// Section-5 concurrent engine, the Moped/Bebop baselines, and witness
+/// extraction — takes a `SolveConfig` and returns a `SolveStats`; the
 /// facade's `api::SolverOptions` and `api::SolveResult` are built on them.
 /// Engines read the knobs that apply to them and ignore the rest, and
 /// leave the counters they do not produce at zero.
