@@ -7,7 +7,6 @@
 #include "reach/SeqEngine.h"
 #include "support/Timer.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 using namespace getafix;
