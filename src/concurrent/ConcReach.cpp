@@ -558,8 +558,8 @@ struct ConcSession::Impl {
 
   // Sessions currently solve on one thread: Reach is one dependency SCC,
   // so the scheduler never finds two SCCs pending. The setting is passed
-  // down so the worker accounting stays honest if a session ever reaches
-  // the pool; queries stay serialized.
+  // down all the same, as the one-shot solve passes it; queries stay
+  // serialized.
   Impl(const bp::ConcurrentProgram &Conc,
        const std::vector<bp::ProgramCfg> &Cfgs, const SolveConfig &Config)
       : Config(Config), Engine(Conc, Cfgs, Config),

@@ -14,47 +14,30 @@
 using namespace getafix;
 using namespace getafix::fpc;
 
-//===----------------------------------------------------------------------===//
-// Parallel context: per-worker BDD managers
-//===----------------------------------------------------------------------===//
+namespace {
 
-namespace getafix {
-namespace fpc {
-
-/// One worker's private solving state: a BDD manager sharing the main
-/// manager's variable order (its computed cache grows with its own node
-/// table, like every manager's), an evaluator over the same
-/// system/layout, and the two cached cross-manager importers (main->worker
-/// for inputs and seeded dependencies, worker->main for solved SCC
-/// values). Owned by exactly one pool worker — only the main-manager
-/// touches (both importers' main side) need the scheduler's lock.
+/// One worker's private solving state for one parallel schedule: a BDD
+/// manager sharing the main manager's variable order (its computed cache
+/// grows with its own node table, like every manager's), an evaluator
+/// over the same system/layout, and the two cached cross-manager
+/// importers (main->worker for inputs and seeded dependencies,
+/// worker->main for solved SCC values). Built by its worker on its first
+/// task, touched only by that worker until the join — only the
+/// main-manager touches (both importers' main side) need the scheduler's
+/// lock — then folded into the main evaluator and destroyed.
 struct WorkerContext {
   BddManager Mgr;
   Evaluator Ev;
   BddImporter In;  ///< Main -> worker.
   BddImporter Out; ///< Worker -> main.
 
-  WorkerContext(const System &Sys, BddManager &Main, const Layout &L)
-      : Mgr(Main.numVars()), Ev(Sys, Mgr, L),
-        In(Main, Mgr), Out(Mgr, Main) {
+  WorkerContext(const System &Sys, BddManager &Main, const Layout &L,
+                support::ResourceGovernor *Gov)
+      : Mgr(Main.numVars()), Ev(Sys, Mgr, L), In(Main, Mgr), Out(Mgr, Main) {
     Mgr.setGcThreshold(Main.gcThreshold());
+    Mgr.setGovernor(Gov);
   }
 };
-
-struct ParallelContext {
-  std::vector<std::unique_ptr<WorkerContext>> Workers;
-  /// Serializes every main-evaluator access during a parallel schedule:
-  /// imports of inputs, dependencies and partial states, exports of
-  /// solved values and hand-backs, the main `Partial` map, and the shared
-  /// solved-value map (main-manager `Bdd` handles mutate external
-  /// refcounts even when copied, so handle lifetime is locked too).
-  std::mutex MainLock;
-};
-
-} // namespace fpc
-} // namespace getafix
-
-namespace {
 
 /// \p St translated by \p Imp. Only unsaturated states travel: a
 /// saturated relation moves as its `Completed` value. A state stopped
@@ -124,56 +107,6 @@ Evaluator::Evaluator(const System &Sys, BddManager &Mgr, Layout L,
   ParStats.Threads = this->Threads;
 }
 
-// Out-of-line: ParallelContext is incomplete in the header.
-Evaluator::~Evaluator() = default;
-
-void Evaluator::ensureParallelContext() {
-  if (Par)
-    return;
-  Par = std::make_unique<ParallelContext>();
-  // One slot per pool worker; the contexts themselves (each a BDD
-  // manager with its own node pages, table and cache) are built lazily
-  // by the worker that first receives a task, so `--threads 64` on a
-  // three-SCC system pays for three managers, not 64. A slot is
-  // only ever touched by its owning worker, so creation needs no lock.
-  Par->Workers.resize(Threads);
-}
-
-WorkerContext &Evaluator::workerContext(unsigned Worker) {
-  std::unique_ptr<WorkerContext> &Slot = Par->Workers[Worker];
-  // The main-manager reads in construction (numVars, gc threshold) are
-  // fields no concurrent import/export mutates.
-  if (!Slot)
-    Slot = std::make_unique<WorkerContext>(Sys, Mgr, L);
-  return *Slot;
-}
-
-BddGauge Evaluator::workerGauge() const {
-  BddGauge G;
-  if (Par)
-    for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-      if (W)
-        G += W->Mgr.gauge();
-  return G;
-}
-
-void Evaluator::clearWorkerCaches() {
-  if (Par)
-    for (std::unique_ptr<WorkerContext> &W : Par->Workers)
-      if (W)
-        W->Mgr.clearComputedCache();
-}
-
-BddStats Evaluator::workerBddStats() const {
-  BddStats S;
-  if (!Par)
-    return S;
-  for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-    if (W)
-      S.merge(W->Mgr.stats());
-  return S;
-}
-
 void Evaluator::bindInput(RelId Rel, Bdd Value) {
   assert(Sys.relation(Rel).isInput() && "binding a defined relation");
   assert(InFlight.empty() && "rebinding an input mid-evaluation");
@@ -188,46 +121,13 @@ void Evaluator::bindInput(RelId Rel, Bdd Value) {
   // static-subformula cache mentions inputs directly, and a Completed
   // defined relation was solved under them (a partial one too). Serving
   // either after a rebind would silently answer the old query.
-  Completed.clear();
-  Partial.clear();
-  StaticCache.clear();
-  resetWorkerMemos();
+  invalidate();
 }
 
 void Evaluator::invalidate() {
   Completed.clear();
   Partial.clear();
   StaticCache.clear();
-  resetWorkerMemos();
-}
-
-void Evaluator::resetWorkerMemos() {
-  // The per-worker evaluators persist across schedules, so their memo
-  // layers hold values solved under the *previous* bindings. Task seeding
-  // refreshes everything a task reads from outside its SCC (inputs and
-  // lower-SCC values are re-imported and overwritten every task), but a
-  // worker that solved a now-pending member keeps its own solution and
-  // would skip the re-solve — serving the old binding's answer. Dropping
-  // the workers' memos whenever the main memos drop restores the
-  // invariant that a worker Completed entry is never staler than the
-  // main one. (No worker can be running here: memo drops happen only
-  // from top-level, non-solving entry points.)
-  if (!Par)
-    return;
-  for (std::unique_ptr<WorkerContext> &W : Par->Workers) {
-    if (!W)
-      continue;
-    W->Ev.Inputs.clear();
-    W->Ev.Completed.clear();
-    W->Ev.Partial.clear();
-    W->Ev.StaticCache.clear();
-    // The importer memos hold external references on both sides (worker
-    // nodes in In, main-manager nodes in Out); translations of values
-    // the rebind just invalidated would otherwise pin dead BDDs for the
-    // evaluator's lifetime, growing memory with every rebind cycle.
-    W->In.clear();
-    W->Out.clear();
-  }
 }
 
 const DependencyGraph &Evaluator::dependencies() {
@@ -696,13 +596,21 @@ bool Evaluator::scheduleDependenciesParallel(
     Deps[Task].assign(Ds.begin(), Ds.end());
   }
 
-  ensureParallelContext();
-  ParallelContext &PC = *Par;
-  const uint64_t ImportsBefore = importerTranslations();
-  // Read once, before any worker runs: tasks install it on their worker
+  // Read once, before any worker runs: workers install it on their
   // managers, and a stopped task lifts it from the main manager.
   support::ResourceGovernor *const Gov = Mgr.governor();
 
+  /// One slot per worker; each worker builds its context on its first
+  /// task, so `--threads 64` on a three-SCC system pays for three
+  /// managers, not 64.
+  std::vector<std::unique_ptr<WorkerContext>> Workers(Threads);
+  /// Serializes every main-evaluator access while the schedule runs:
+  /// imports of inputs, dependencies and partial states, exports of
+  /// solved values and hand-backs, the main `Partial` map, the shared
+  /// solved-value map (main-manager `Bdd` handles mutate external
+  /// refcounts even when copied, so handle lifetime is locked too) and
+  /// the first error.
+  std::mutex MainLock;
   /// Solved SCC values as main-manager BDDs; written by workers under
   /// MainLock, merged into Completed by this thread after the run.
   std::map<RelId, Bdd> Solved;
@@ -717,16 +625,17 @@ bool Evaluator::scheduleDependenciesParallel(
   std::atomic<bool> Failed{false};
   std::atomic<int> TrippedLimit{0};
   std::exception_ptr FirstError;
-  std::mutex ErrMu;
 
   auto RunTask = [&](unsigned Task, unsigned Worker) {
     if (Failed.load())
       return;
-    WorkerContext &W = workerContext(Worker);
+    std::unique_ptr<WorkerContext> &Slot = Workers[Worker];
+    // The main-manager reads in construction (numVars, gc threshold) are
+    // fields no concurrent import/export mutates.
+    if (!Slot)
+      Slot = std::make_unique<WorkerContext>(Sys, Mgr, L, Gov);
+    WorkerContext &W = *Slot;
     Evaluator &WE = W.Ev;
-    // Re-installed per task: governors are one-shot per solve attempt,
-    // and worker contexts persist across solves.
-    W.Mgr.setGovernor(Gov);
     try {
       try {
         // What this task needs from outside. Collected over *all*
@@ -757,12 +666,8 @@ bool Evaluator::scheduleDependenciesParallel(
           for (RelId D : G.scheduleFor(M))
             NeedDefined.insert(D);
         }
-        // The members' rounds come from the main evaluator alone, so a
-        // stop anywhere in this task hands back only what it computed.
-        for (RelId M : Members[Task])
-          WE.Partial.erase(M);
         {
-          std::lock_guard<std::mutex> Lock(PC.MainLock);
+          std::lock_guard<std::mutex> Lock(MainLock);
           for (RelId A : NeedInputs)
             WE.bindInput(A, W.In.import(input(A)));
           for (RelId D : NeedDefined) {
@@ -785,7 +690,7 @@ bool Evaluator::scheduleDependenciesParallel(
         // Export the solved values into the main manager. Canonicity
         // makes each imported BDD bit-identical to what a sequential
         // solve would have stored.
-        std::lock_guard<std::mutex> Lock(PC.MainLock);
+        std::lock_guard<std::mutex> Lock(MainLock);
         for (RelId M : Members[Task])
           Solved[M] = W.Out.import(WE.Completed[M]);
       } catch (const support::ResourceInterrupt &RI) {
@@ -800,7 +705,7 @@ bool Evaluator::scheduleDependenciesParallel(
         // tripped and would throw again in these imports, so it is
         // lifted — from the main manager for the rest of the schedule.
         W.Mgr.setGovernor(nullptr);
-        std::lock_guard<std::mutex> Lock(PC.MainLock);
+        std::lock_guard<std::mutex> Lock(MainLock);
         Mgr.setGovernor(nullptr);
         for (RelId M : Members[Task]) {
           auto CIt = WE.Completed.find(M);
@@ -810,32 +715,26 @@ bool Evaluator::scheduleDependenciesParallel(
             continue;
           }
           auto PIt = WE.Partial.find(M);
-          if (PIt != WE.Partial.end()) {
+          if (PIt != WE.Partial.end())
             Partial[M] = importState(W.Out, PIt->second);
-            WE.Partial.erase(PIt);
-          }
         }
       }
     } catch (...) {
       Failed.store(true);
-      std::lock_guard<std::mutex> Lock(ErrMu);
+      std::lock_guard<std::mutex> Lock(MainLock);
       if (!FirstError)
         FirstError = std::current_exception();
     }
   };
 
-  DagRunStats DS;
-  {
-    // The pool lives for this schedule only: an evaluator between solves
-    // (a resident session, say) holds no threads.
-    support::ThreadPool Pool(Threads);
-    DS = runDag(Pool, unsigned(Members.size()), Deps, RunTask);
-  }
+  // The workers live for this schedule only: an evaluator between solves
+  // (a resident session, say) holds no threads and no worker manager.
+  runDag(Threads, unsigned(Members.size()), Deps, RunTask);
 
   // Single-threaded from here: fold the run back into the main state.
-  // A task counts as solved on the pool once every member was exported;
-  // `DS.TasksRun` also counts the tasks that returned at once because
-  // another task had stopped.
+  // A task counts as solved on the pool once every member was exported,
+  // which a task that returned at once because another had stopped was
+  // not.
   for (const std::vector<RelId> &Task : Members)
     if (std::all_of(Task.begin(), Task.end(),
                     [&](RelId M) { return Solved.count(M) != 0; }))
@@ -848,44 +747,16 @@ bool Evaluator::scheduleDependenciesParallel(
     Completed[R] = std::move(V);
   }
   Mgr.setGovernor(Gov);
-  ParStats.Steals += DS.Steals;
   ++ParStats.Schedules;
-  ParStats.ImportedNodes += importerTranslations() - ImportsBefore;
-  mergeWorkerStats();
-  // Drop the per-task governor installs before leaving: the governor is
-  // owned by this solve attempt and worker managers outlive it.
-  for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-    if (W)
-      W->Mgr.setGovernor(nullptr);
-  if (FirstError)
-    std::rethrow_exception(FirstError);
-  if (int L = TrippedLimit.load())
-    throw support::ResourceInterrupt{static_cast<support::ResourceLimit>(L)};
-  return true;
-}
-
-uint64_t Evaluator::importerTranslations() const {
-  // Workers created during a run start at zero translations, so a
-  // before/after delta stays exact even across lazy slot construction.
-  uint64_t N = 0;
-  if (!Par)
-    return N;
-  for (const std::unique_ptr<WorkerContext> &W : Par->Workers)
-    if (W)
-      N += W->In.translations() + W->Out.translations();
-  return N;
-}
-
-void Evaluator::mergeWorkerStats() {
-  for (std::unique_ptr<WorkerContext> &WPtr : Par->Workers) {
-    if (!WPtr)
+  // Fold the workers in before they go. Every scheduled relation runs the
+  // same deterministic rounds wherever it runs, so the per-relation totals
+  // equal a sequential solve's. The schedule's managers coexisted, so
+  // their peaks add up; none of their nodes outlives the schedule.
+  BddStats ScheduleBdd;
+  for (std::unique_ptr<WorkerContext> &W : Workers) {
+    if (!W)
       continue;
-    Evaluator &WE = WPtr->Ev;
-    // Per-relation stats merge (then reset, so the next schedule's merge
-    // does not double-count). The parallel totals equal the sequential
-    // ones: every scheduled relation runs the same deterministic rounds,
-    // wherever it runs.
-    for (auto &[Name, RS] : WE.Stats) {
+    for (auto &[Name, RS] : W->Ev.Stats) {
       RelStats &Main = Stats[Name];
       Main.Iterations += RS.Iterations;
       Main.Evaluations += RS.Evaluations;
@@ -893,8 +764,19 @@ void Evaluator::mergeWorkerStats() {
       if (RS.FinalNodes)
         Main.FinalNodes = RS.FinalNodes;
     }
-    WE.Stats.clear();
+    ScheduleBdd.merge(W->Mgr.stats());
+    ParStats.ImportedNodes += W->In.translations() + W->Out.translations();
+    W.reset();
   }
+  ScheduleBdd.LiveNodes = 0;
+  size_t Peak = std::max(WorkerBdd.PeakNodes, ScheduleBdd.PeakNodes);
+  WorkerBdd.merge(ScheduleBdd);
+  WorkerBdd.PeakNodes = Peak;
+  if (FirstError)
+    std::rethrow_exception(FirstError);
+  if (int L = TrippedLimit.load())
+    throw support::ResourceInterrupt{static_cast<support::ResourceLimit>(L)};
+  return true;
 }
 
 Bdd Evaluator::evalFixpoint(RelId Rel, FixpointState &St,

@@ -96,8 +96,6 @@ struct FixpointState {
 };
 
 class Evaluator;
-struct ParallelContext; // Evaluator.cpp: per-worker managers.
-struct WorkerContext;   // Evaluator.cpp: one worker's solving state.
 
 /// Counters of the evaluator's parallel SCC scheduling (zero until a
 /// `Threads > 1` solve actually dispatched work). Cumulative over the
@@ -107,7 +105,6 @@ struct ParallelStats {
   /// main manager (a stopped schedule's unstarted tasks do not count).
   uint64_t SccsSolvedParallel = 0;
   uint64_t Schedules = 0;          ///< Parallel scheduling rounds.
-  uint64_t Steals = 0;             ///< Pool-level work-stealing events.
   /// Nodes translated across manager boundaries by the cached importers
   /// (both directions, all workers): the cost of seeding SCC tasks and
   /// exporting their solutions.
@@ -118,7 +115,6 @@ struct ParallelStats {
     ParallelStats D = *this;
     D.SccsSolvedParallel -= Before.SccsSolvedParallel;
     D.Schedules -= Before.Schedules;
-    D.Steals -= Before.Steals;
     D.ImportedNodes -= Before.ImportedNodes;
     return D;
   }
@@ -174,33 +170,28 @@ private:
 class Evaluator {
 public:
   /// Solves independent dependency SCCs of a top-level fixpoint on
-  /// \p Threads worker threads (0 and 1 = sequential, the default),
-  /// fixed for the evaluator's lifetime. Each worker owns a private
-  /// `BddManager` sharing the main manager's variable order; solved SCC
-  /// values are imported back into the main manager, where ROBDD
-  /// canonicity makes every downstream round bit-identical to a
-  /// sequential solve (the schedule respects dependencies, and an SCC's
-  /// solution is a pure function of its callees' values). The worker
-  /// managers are created lazily on the first parallel schedule and
-  /// persist for the evaluator's lifetime; the pool's threads live for
-  /// one schedule, so an idle evaluator holds none.
+  /// \p Threads workers (0 and 1 = sequential, the default), fixed for
+  /// the evaluator's lifetime. Each worker owns a private `BddManager`
+  /// sharing the main manager's variable order; solved SCC values are
+  /// imported back into the main manager, where ROBDD canonicity makes
+  /// every downstream round bit-identical to a sequential solve (the
+  /// schedule respects dependencies, and an SCC's solution is a pure
+  /// function of its callees' values). Workers live for one schedule:
+  /// each builds its manager, evaluator and importers on its first task,
+  /// and after the join their counters are folded into this evaluator and
+  /// they are destroyed, so an idle evaluator holds neither threads nor
+  /// worker managers.
   Evaluator(const System &Sys, BddManager &Mgr, Layout L,
             unsigned Threads = 1);
-  ~Evaluator();
 
   /// Parallel-scheduling counters (cumulative, like `stats()`).
   const ParallelStats &parallelStats() const { return ParStats; }
-  /// Aggregate BDD counters of the per-worker managers (all zero until a
-  /// parallel schedule ran). Monotone; callers report per-query work via
-  /// `BddStats::since`.
-  BddStats workerBddStats() const;
-  /// Memory gauges of the per-worker managers, which sessions own along
-  /// with the main manager (all zero before a parallel schedule): their
-  /// `BddManager::gauge()` readings summed, one mark pass per worker.
-  BddGauge workerGauge() const;
-  /// Releases every per-worker manager's computed cache (see
-  /// `BddManager::clearComputedCache`). Call between solves only.
-  void clearWorkerCaches();
+  /// The BDD counters of every finished schedule's worker managers,
+  /// summed (all zero until a parallel schedule ran). `PeakNodes` is the
+  /// largest schedule's peaks summed over its workers, and `LiveNodes` is
+  /// 0: no worker node outlives its schedule. Monotone; callers report
+  /// per-query work via `BddStats::since`.
+  const BddStats &workerBddStats() const { return WorkerBdd; }
 
   /// Binds an input relation to its BDD over the formals' bits. Rebinding
   /// an already-bound input to a new value drops every memo built from
@@ -324,27 +315,13 @@ private:
   void scheduleDependencies(RelId Rel);
   /// The parallel core of `scheduleDependencies`: solves \p Pending
   /// (callees-first, no member Completed or volatile) as an SCC-task DAG
-  /// on the worker pool. Returns false — leaving every relation unsolved —
-  /// when the schedule has no exploitable parallelism (fewer than two
-  /// SCCs). A governor stop hands every task's completed work back:
-  /// saturated members into `Completed`, partial ones into `Partial`.
+  /// on workers that live for this call, then folds their per-relation
+  /// stats, BDD counters and importer translations into this evaluator.
+  /// Returns false — leaving every relation unsolved — when the schedule
+  /// has no exploitable parallelism (fewer than two SCCs). A governor
+  /// stop hands every task's completed work back: saturated members into
+  /// `Completed`, partial ones into `Partial`.
   bool scheduleDependenciesParallel(const std::vector<RelId> &Pending);
-  /// Cumulative importer translations across all live workers
-  /// (before/after deltas bracket one parallel run).
-  uint64_t importerTranslations() const;
-  /// Drains every worker's per-relation counters into the main
-  /// evaluator's (merge-then-reset, so the next drain cannot
-  /// double-count). Single-threaded use, after a run has joined.
-  void mergeWorkerStats();
-  void ensureParallelContext();
-  /// The per-worker solving state for pool worker \p Worker, built on its
-  /// first task (each slot is touched only by its owning worker).
-  WorkerContext &workerContext(unsigned Worker);
-  /// Drops every worker evaluator's memo layers; must accompany any drop
-  /// of this evaluator's own Completed/StaticCache (rebind, invalidate),
-  /// or the next parallel schedule could export values solved under the
-  /// old bindings.
-  void resetWorkerMemos();
   Bdd evalFormula(const Formula &F);
   Bdd evalFormulaUncached(const Formula &F);
   /// An `Exists` node: fuses its body's leading application, when the
@@ -362,12 +339,11 @@ private:
   BddManager &Mgr;
   Layout L;
 
-  /// Parallel SCC scheduling (Threads > 1): the per-worker BDD
-  /// managers/evaluators/importers. Lazily created, persistent across
-  /// solves and `resume` calls; the pool's threads are not.
+  /// Parallel SCC scheduling (Threads > 1) and what finished schedules
+  /// folded in.
   unsigned Threads;
-  std::unique_ptr<ParallelContext> Par;
   ParallelStats ParStats;
+  BddStats WorkerBdd;
 
   std::map<RelId, Bdd> Inputs;
   std::map<RelId, Bdd> InFlight;  ///< Current interpretation per Section 3.

@@ -2,72 +2,62 @@
 
 #include "fpcalc/Parallel.h"
 
+#include <algorithm>
 #include <cassert>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <deque>
+#include <exception>
 #include <mutex>
+#include <thread>
 
 using namespace getafix;
 using namespace getafix::fpc;
 
-namespace {
-
-/// Shared state of one DAG run, shared with the task closures via
-/// shared_ptr. Note this does NOT make early exit from `runDag` safe:
-/// the closures also capture the caller's `Run` and the local `Submit`
-/// by reference, so the frame must stay alive until every task drains —
-/// which it does, because the runner always joins on `Remaining` before
-/// returning. The shared_ptr only keeps the *bookkeeping* valid through
-/// the tail of the final task's completion handler.
-struct DagState {
-  std::mutex Mutex;
-  std::condition_variable Done;
-  std::vector<unsigned> Waiting;             ///< Unmet dependency counts.
-  std::vector<std::vector<unsigned>> Dependents; ///< Reverse edges.
-  unsigned Remaining = 0;
-  /// Tasks submitted but not yet completed. When a completing task finds
-  /// Remaining > 0, unblocked nothing, and was the last one in flight,
-  /// no task can ever run again — a cycle disjoint from the sources.
-  unsigned InFlight = 0;
-};
-
-} // namespace
-
-DagRunStats fpc::runDag(
-    support::ThreadPool &Pool, unsigned NumTasks,
+void fpc::runDag(
+    unsigned Threads, unsigned NumTasks,
     const std::vector<std::vector<unsigned>> &Deps,
     const std::function<void(unsigned Task, unsigned Worker)> &Run) {
   assert(Deps.size() == NumTasks && "one dependency list per task");
-  DagRunStats Stats;
-  Stats.TasksRun = NumTasks;
-  if (NumTasks == 0)
-    return Stats;
-  uint64_t StealsBefore = Pool.steals();
-
-  auto St = std::make_shared<DagState>();
-  St->Waiting.resize(NumTasks, 0);
-  St->Dependents.resize(NumTasks);
-  St->Remaining = NumTasks;
+  // Every dependency precedes its task, so the graph is acyclic and task 0
+  // is a source: a run that passes this check always completes. Checked
+  // in every configuration, because a cycle would hang the solver.
+  std::vector<unsigned> Waiting(NumTasks);
+  std::vector<std::vector<unsigned>> Dependents(NumTasks);
+  std::deque<unsigned> Ready;
   for (unsigned T = 0; T < NumTasks; ++T) {
-    St->Waiting[T] = unsigned(Deps[T].size());
     for (unsigned D : Deps[T]) {
-      assert(D < NumTasks && "dependency out of range");
-      St->Dependents[D].push_back(T);
+      if (D >= T) {
+        std::fprintf(stderr,
+                     "fpc::runDag: task %u depends on task %u, which does "
+                     "not precede it\n",
+                     T, D);
+        std::abort();
+      }
+      Dependents[D].push_back(T);
     }
+    Waiting[T] = unsigned(Deps[T].size());
+    if (Waiting[T] == 0)
+      Ready.push_back(T);
   }
 
-  // `submit` is recursive through the completion handler: finishing a task
-  // submits every dependent it unblocked.
-  std::function<void(unsigned)> Submit = [&, St](unsigned T) {
-    Pool.run([&, St, T](unsigned Worker) {
+  std::mutex Mutex; ///< Guards Waiting, Ready and Remaining from here on.
+  std::condition_variable Wake;
+  unsigned Remaining = NumTasks;
+  auto Work = [&](unsigned Worker) {
+    std::unique_lock<std::mutex> Lock(Mutex);
+    while (true) {
+      Wake.wait(Lock, [&] { return !Ready.empty() || Remaining == 0; });
+      if (Ready.empty())
+        return;
+      unsigned T = Ready.front();
+      Ready.pop_front();
+      Lock.unlock();
       try {
         Run(T, Worker);
       } catch (const std::exception &E) {
-        // An exception would otherwise unwind into the pool's worker loop
-        // and std::terminate with no context; fail loudly instead (the
-        // DAG cannot be completed — dependents of T must not run).
+        // The DAG cannot be completed: dependents of T must not run.
         std::fprintf(stderr, "fpc::runDag: task %u failed: %s\n", T,
                      E.what());
         std::abort();
@@ -75,63 +65,27 @@ DagRunStats fpc::runDag(
         std::fprintf(stderr, "fpc::runDag: task %u failed\n", T);
         std::abort();
       }
-      std::vector<unsigned> Ready;
-      bool Stuck = false;
-      {
-        std::lock_guard<std::mutex> Lock(St->Mutex);
-        for (unsigned Dep : St->Dependents[T])
-          if (--St->Waiting[Dep] == 0)
-            Ready.push_back(Dep);
-        // The unblocked dependents join InFlight *here*, in the same
-        // critical section that retires this task — a sibling completing
-        // between this unlock and the actual re-submissions must still
-        // see them accounted for, or it could observe a transient
-        // InFlight == 0 on a perfectly progressing run.
-        St->InFlight += unsigned(Ready.size());
-        --St->InFlight;
-        if (--St->Remaining == 0)
-          St->Done.notify_all();
-        // Stall detection: nothing running, nothing about to run, work
-        // left — the remaining tasks can only be a cycle (submissions
-        // only come from completion handlers, and none will run again).
-        Stuck = St->Remaining > 0 && St->InFlight == 0;
-      }
-      if (Stuck) {
-        std::fprintf(stderr,
-                     "fpc::runDag: tasks unreachable from any source "
-                     "(cycle); aborting instead of hanging\n");
-        std::abort();
-      }
-      for (unsigned R : Ready)
-        Submit(R);
-    });
+      Lock.lock();
+      bool Unblocked = false;
+      for (unsigned D : Dependents[T])
+        if (--Waiting[D] == 0) {
+          Ready.push_back(D);
+          Unblocked = true;
+        }
+      if (--Remaining == 0 || Unblocked)
+        Wake.notify_all();
+    }
   };
 
-  // Collect every source *before* submitting any: a submitted task may
-  // complete (and decrement dependents' wait counts) while this loop is
-  // still scanning, so reading Waiting here after a Submit would race.
-  std::vector<unsigned> Seeds;
-  for (unsigned T = 0; T < NumTasks; ++T)
-    if (St->Waiting[T] == 0)
-      Seeds.push_back(T);
-  if (Seeds.empty()) {
-    // A sourceless graph is a cycle; waiting on it would hang the whole
-    // solver forever, silently, in exactly the NDEBUG builds users run —
-    // so this stays a hard failure in every configuration.
-    std::fprintf(stderr,
-                 "fpc::runDag: dependency graph of %u tasks has no "
-                 "source (cycle)\n",
-                 NumTasks);
-    std::abort();
+  std::vector<std::thread> Helpers;
+  try {
+    for (unsigned W = 1; W < std::min(std::max(Threads, 1u), NumTasks); ++W)
+      Helpers.emplace_back(Work, W);
+  } catch (const std::exception &) {
+    // The system refused a thread: the workers that started drain every
+    // task all the same, and each is joined below.
   }
-  St->InFlight = unsigned(Seeds.size());
-  for (unsigned T : Seeds)
-    Submit(T);
-
-  {
-    std::unique_lock<std::mutex> Lock(St->Mutex);
-    St->Done.wait(Lock, [&] { return St->Remaining == 0; });
-  }
-  Stats.Steals = Pool.steals() - StealsBefore;
-  return Stats;
+  Work(0);
+  for (std::thread &H : Helpers)
+    H.join();
 }

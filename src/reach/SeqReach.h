@@ -107,19 +107,19 @@ public:
   void setGovernor(support::ResourceGovernor *G);
 
   /// Frees the computed caches of every BDD manager the session owns —
-  /// main, parallel workers, the second witness state (a pure performance
-  /// valve for long-lived sessions under memory pressure); all solved
-  /// state — summaries, rounds, memos — is kept and later queries remain
+  /// main and the second witness state (a pure performance valve for
+  /// long-lived sessions under memory pressure); all solved state —
+  /// summaries, rounds, memos — is kept and later queries remain
   /// bit-identical to fresh solves.
   void clearComputedCache();
 
   /// Session memory introspection, for callers that budget many resident
   /// sessions (the query server's pool): the `sym::SessionState::Gauge`
-  /// over every manager the session owns (main, parallel workers, the
-  /// second witness state). The session samples it once at construction
-  /// and at the end of each query — one mark pass per manager the query
-  /// ran on — and every read returns that sample, which is exact until the
-  /// next query: reads are free.
+  /// over every manager the session owns (main and the second witness
+  /// state). The session samples it once at construction and at the end
+  /// of each query — one mark pass per manager the query ran on — and
+  /// every read returns that sample, which is exact until the next query:
+  /// reads are free.
   sym::SessionState::Gauge gauge() const;
 
 private:

@@ -55,13 +55,11 @@ SessionState::SessionState(const fpc::System &Sys, const VarFactory &Factory,
 
 void SessionState::clearComputedCache() {
   Mgr.clearComputedCache();
-  Ev.clearWorkerCaches();
   Sample.CacheBytes = 0;
 }
 
 void SessionState::sampleGauge(const SessionState *Second) {
   Sample = Mgr.gauge();
-  Sample += Ev.workerGauge();
   if (Second)
     Sample += Second->Sample;
   PeakLive = std::max(PeakLive, Sample.Nodes);

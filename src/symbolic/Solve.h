@@ -51,10 +51,11 @@ struct SolveConfig {
   bool EarlyStop = true;
   /// Worker threads for the fixed-point evaluator's parallel SCC
   /// scheduling (1 = sequential). Independent SCCs of the equation
-  /// system's dependency condensation are solved on a work-stealing pool
-  /// over per-worker BDD managers; verdicts, iteration counts, and
-  /// witnesses are bit-identical at any setting (enforced by the parallel
-  /// differential tests). Non-BDD engines (moped, bebop) ignore it.
+  /// system's dependency condensation are solved on worker threads over
+  /// per-worker BDD managers, both living for one schedule; verdicts,
+  /// iteration counts, and witnesses are bit-identical at any setting
+  /// (enforced by the parallel differential tests). Non-BDD engines
+  /// (moped, bebop) ignore it.
   /// Only `summary-scc` reaches the pool, one-shot and in a session
   /// alike: the paper's systems and the concurrent one never leave two
   /// SCCs pending at once.
@@ -218,9 +219,9 @@ public:
     return Limit;
   }
 
-  /// Frees the computed caches of the manager and of the evaluator's
-  /// parallel workers and takes their share out of the gauge; solved
-  /// state is kept (a performance valve, bit-identical results).
+  /// Frees the manager's computed cache and takes its share out of the
+  /// gauge; solved state is kept (a performance valve, bit-identical
+  /// results).
   void clearComputedCache();
 
   /// The memory gauge, as last sampled: BDD nodes reachable from what the
@@ -236,12 +237,12 @@ public:
   };
   Gauge gauge() const { return {Sample.Nodes, PeakLive, Sample.bytes()}; }
 
-  /// Samples the gauge: one mark pass per manager (the main one and the
-  /// parallel workers'). A session samples once when its inputs are bound
-  /// and once at the end of every query, so reads are free and exact until
-  /// the next query. \p Second, a second state the session owns, adds
-  /// the sample it took itself: a query that did not run on it left it as
-  /// it was.
+  /// Samples the gauge: one mark pass over the manager, the only one the
+  /// state holds between queries. A session samples once when its inputs
+  /// are bound and once at the end of every query, so reads are free and
+  /// exact until the next query. \p Second, a second state the session
+  /// owns, adds the sample it took itself: a query that did not run on it
+  /// left it as it was.
   void sampleGauge(const SessionState *Second = nullptr);
 
 private:

@@ -14,15 +14,14 @@
 ///     `clear()` and destruction),
 ///   - multi-SCC calculus systems solved at threads {1, 2, 4}: identical
 ///     relation values (compared exactly, via import into one manager),
-///     identical per-relation iteration counts, both strategies, and the
-///     worker managers' memory accounting (charged, and released by
-///     `clearWorkerCaches`),
+///     identical per-relation iteration counts, both strategies, and no
+///     stale binding's answer served after a rebind,
 ///   - every registered engine through the Solver facade at threads 1 vs
 ///     4 — both strategies, witness queries,
 ///   - sessions under `Threads > 1`: solve/solveAll bit-identical to
 ///     fresh solves and to a `Threads = 1` session, with and without
 ///     state reuse; `summary-scc` sessions reach the pool and hold no
-///     pool thread between queries.
+///     pool thread, and no worker manager, between queries.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -303,11 +302,11 @@ TEST(ParallelSccTest, RandomizedSystemsAndRepeatedSolvesAreDeterministic) {
 }
 
 TEST(ParallelSccTest, RebindAndInvalidateDropWorkerMemos) {
-  // Regression test: the persistent worker evaluators must not serve
-  // relation values solved under an earlier input binding. The shape is
-  // adversarial: M's SCC applies no input *directly* (the binding flows
-  // through L), so task seeding alone would never refresh a stale
-  // worker-side M.
+  // Regression test: no schedule may serve relation values solved under
+  // an earlier input binding. The shape is adversarial: M's SCC applies
+  // no input *directly* (the binding flows through L), so task seeding
+  // alone would never refresh a worker-side M that outlived its
+  // schedule.
   using namespace getafix::fpc;
   System Sys;
   DomainId D = Sys.addDomain("D", 8);
@@ -332,43 +331,38 @@ TEST(ParallelSccTest, RebindAndInvalidateDropWorkerMemos) {
     Bdd Expected = Ev.encodeEqConst(A, V) | Ev.encodeEqConst(A, 1);
     EXPECT_EQ(Ev.evaluate(Root).Value, Expected) << "rebind to " << V;
   }
-  // invalidate() must reach the workers too.
+  // invalidate() drops every memo too.
   Ev.invalidate();
   EXPECT_EQ(Ev.evaluate(Root).Value,
             Ev.encodeEqConst(A, 5) | Ev.encodeEqConst(A, 1));
 }
 
-TEST(ParallelSccTest, WorkerCachesAreChargedAndCleared) {
-  // A session owns its evaluator's per-worker BDD managers besides its
-  // main one, each with its own computed cache; the server pool's budget
-  // reads them through these gauges, and its valve frees them through
-  // `clearWorkerCaches`. The valve must release the caches and nothing
-  // the workers still reference.
-  gen::MultiSccParams P;
-  P.Style = gen::MultiSccStyle::Graph;
-  P.Relations = 5;
-  P.Bits = 4;
-  P.ExtraEdges = 6;
-  P.Seed = 13;
-  DiagnosticEngine Diags;
-  std::vector<fpc::Fact> Facts;
-  auto Sys = fpc::parseSystem(gen::multiSccFixpointSystem(P), Diags, &Facts);
-  ASSERT_TRUE(Sys) << Diags.str();
+TEST(ParallelSccTest, WarmQueryMarksOnlyTheMainManager) {
+  // Worker managers live for one schedule, so between queries a session
+  // owns only its main manager: once a summary-scc session has solved on
+  // the pool, a query answered from its state samples the gauge with one
+  // mark pass, not one more per worker manager left behind.
+  gen::TerminatorParams T;
+  T.CounterBits = 4;
+  T.NumDeadVars = 3;
+  T.LabeledCheckpoints = 1;
+  gen::Workload W = gen::terminatorProgram(T);
 
-  FpSolve S = solveRoot(*Sys, Facts, 2);
-  ASSERT_GT(S.SccsParallel, 0u) << "no worker manager was used";
-  fpc::Evaluator &Ev = *S.Ev;
-  size_t Warm = Ev.workerGauge().bytes();
-  size_t Reachable = Ev.workerGauge().Nodes;
-  EXPECT_GT(Warm, 0u);
+  SolverOptions Opts;
+  Opts.Engine = "summary-scc";
+  Opts.Threads = 4;
+  auto Session = Solver::open(Query::fromSource(W.Source), Opts);
+  ASSERT_TRUE(Session->ok()) << Session->error();
+  SolveResult Cold = Session->solve(Query::fromSource("").target("CP0"));
+  ASSERT_TRUE(Cold.ok()) << Cold.Error;
+  ASSERT_GT(Cold.SccsSolvedParallel, 0u) << "the session never used the pool";
 
-  Ev.clearWorkerCaches();
-  EXPECT_LT(Ev.workerGauge().bytes(), Warm);
-  EXPECT_EQ(Ev.workerGauge().Nodes, Reachable);
-
-  // The cleared workers solve again, to the same value.
-  Ev.invalidate();
-  EXPECT_EQ(Ev.evaluate(Sys->relId("Root")).Value, S.Root);
+  uint64_t Before = BddManager::markPasses();
+  SolveResult Warm = Session->solve(Query::fromSource("").target("ERR"));
+  uint64_t Marks = BddManager::markPasses() - Before;
+  ASSERT_TRUE(Warm.ok()) << Warm.Error;
+  EXPECT_EQ(Warm.SccsSolvedParallel, 0u);
+  EXPECT_EQ(Marks, 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -23,9 +23,10 @@
 ///     --stats         print per-query and cumulative iteration/delta
 ///                     counts per relation
 ///     --threads n     worker threads for parallel SCC scheduling:
-///                     independent dependency SCCs run on a work-stealing
-///                     pool over per-worker BDD managers (default 1;
-///                     results bit-identical)
+///                     independent dependency SCCs run on up to n
+///                     workers, each with its own BDD manager, that live
+///                     for one schedule (default 1; results
+///                     bit-identical)
 ///     --timeout-ms n  wall-clock deadline for the whole run (0 = none)
 ///     --node-budget n cap on BDD nodes allocated (0 = unlimited)
 ///
@@ -279,10 +280,9 @@ int main(int Argc, char **Argv) {
   if (Stats && Threads > 1) {
     const fpc::ParallelStats &PS = Ev.parallelStats();
     std::printf("# parallel: %llu sccs on %u threads, %llu schedules, "
-                "%llu steals, %llu imported nodes\n",
+                "%llu imported nodes\n",
                 (unsigned long long)PS.SccsSolvedParallel, PS.Threads,
                 (unsigned long long)PS.Schedules,
-                (unsigned long long)PS.Steals,
                 (unsigned long long)PS.ImportedNodes);
   }
 

@@ -40,9 +40,9 @@
 ///                        concurrent)
 ///     --threads N        evaluator worker threads per solve (parallel
 ///                        SCC scheduling: `summary-scc` sessions solve
-///                        their independent SCCs on a pool of N threads
-///                        that lives for one solve); the `stats` response
-///                        reports the setting
+///                        their independent SCCs on up to N workers, whose
+///                        threads and BDD managers live for one schedule);
+///                        the `stats` response reports the setting
 ///     --context-bound K / --rounds R / --round-robin
 ///                        concurrent-program knobs (as in getafix)
 ///
